@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,10 +30,8 @@ def _cfg(args) -> PrecisionConfig:
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get("LAWSONAREA_CACHE_DIR")
-    return Path(env) if env else None
+    """The ``--cache-dir`` override, or None for ``omega.default_cache_dir``."""
+    return Path(args.cache_dir) if getattr(args, "cache_dir", None) else None
 
 
 def _nstr(value, digits: int) -> str:

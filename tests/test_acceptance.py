@@ -113,7 +113,7 @@ def test_criterion_6_alpha5(cfg40, state40_o6):
 @pytest.mark.slow
 def test_criterion_7_alpha7_stretch(cfg40):
     ctx = cfg40.context
-    budget = 4 * 3600
+    budget = 900
     start = time.perf_counter()
     table = build_table("1", "pi/4", 8, cfg40)
     state = run(7, cfg40, table=table)
@@ -125,9 +125,9 @@ def test_criterion_7_alpha7_stretch(cfg40):
                           f"{mpmath.nstr(res.even_alpha_residual, 3)}")
     res = area_series(state)
     err = abs(res.alpha(7) - ctx.mpf(ALPHA7_PAPER))
-    ok = err < ctx.mpf("1e-15") and elapsed < budget
+    ok = err < ctx.mpf("1e-30") and elapsed < budget
     _report(7, ok, f"alpha_7 vs published digits: {mpmath.nstr(err, 3)} "
-                   f"(>= 15 digits), {elapsed:.1f}s")
+                   f"(>= 30 digits), {elapsed:.1f}s")
 
 
 def test_criterion_8_first_order_suite(cfg40, state40_o6):

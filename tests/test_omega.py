@@ -4,9 +4,9 @@ import random
 import pytest
 
 from lawsonarea.mpl import convert_word
-from lawsonarea.omega import (OmegaTable, _segment_table, build_table, cached_table,
-                              chen_compose, clear_cache, list_cache, load_table,
-                              parse_phi, quadrature_oracle, save_table)
+from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _segment_table, build_table,
+                              cached_table, chen_compose, clear_cache, list_cache,
+                              load_table, parse_phi, quadrature_oracle, save_table)
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
@@ -152,6 +152,25 @@ def test_integral_identities():
             assert resid < CFG.eps(6), (phi, axis)
 
 
+def test_transport_matches_quadrature_endpoint_i():
+    cfg = PrecisionConfig(30)
+    table = build_table("i", "1.2", 2, cfg)
+    for word in table.words():
+        if word:
+            quad = quadrature_oracle(word, "i", "1.2", cfg)
+            assert abs(table.value(word) - quad) < cfg.eps(6), word
+
+
+@pytest.mark.parametrize("endpoint,phi", [("i", "0.3"), ("1", "1.2")])
+def test_precision_doubling_depth5(endpoint, phi):
+    lo = PrecisionConfig(40)
+    hi = PrecisionConfig(80)
+    tl = build_table(endpoint, phi, 5, lo)
+    th = build_table(endpoint, phi, 5, hi)
+    for word in tl.words():
+        assert abs(tl.value(word) - th.value(word)) < lo.eps(2), word
+
+
 def test_precision_doubling_table():
     lo = PrecisionConfig(25)
     hi = PrecisionConfig(35)
@@ -192,3 +211,12 @@ def test_cache_version_gate(tmp_path, table40_pi4_L4):
     payload["version"] = 999
     path.write_text(json.dumps(payload))
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    # a table from the previous kernel is rebuilt and its file overwritten
+    payload["version"] = 1
+    payload["values"] = {key: {"re": "7", "im": "7"} for key in payload["values"]}
+    path.write_text(json.dumps(payload))
+    rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
+    for word in table40_pi4_L4.words():
+        assert rebuilt.value(word) == table40_pi4_L4.value(word)
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
