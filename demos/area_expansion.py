@@ -3,7 +3,7 @@
 Computes the Taylor expansion Area = 8 pi (1 - sum alpha_k t^k) of the
 genus-g minimal surfaces at t = 1/(2g+2), checks the known closed forms,
 and evaluates the conjectural order-5 form in alternating zeta values.
-Expect roughly half a minute at the default 40 digits.
+Expect a few seconds at the default 40 digits.
 """
 
 import time

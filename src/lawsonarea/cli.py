@@ -61,8 +61,7 @@ def _cmd_expand(args) -> int:
     cfg = _cfg(args)
     ctx = cfg.context
     phi = args.phi.strip()
-    omega.parse_phi(phi, cfg)   # validate early
-    is_pi4 = phi.replace(" ", "") in ("pi/4", "1*pi/4")
+    is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi
     if args.order >= 2 and not is_pi4:
         print("error: general-phi engine limited to order 1 "
               "(the order recursion requires phi = pi/4)", file=sys.stderr)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import mpmath
 
 from .laurent import LaurentPoly, LaurentMatrix2
-from .omega import OmegaTable, cached_table, parse_phi
+from .omega import OmegaTable, cached_table, is_pi_over_4, parse_phi
 from .precision import PrecisionConfig
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
@@ -118,6 +118,28 @@ def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
 # frame derivatives from word integrals
 # ---------------------------------------------------------------------------
 
+def _axpy(acc: dict, s, p: dict) -> None:
+    """acc += s * p on {degree: mpf} maps, in place and untrimmed."""
+    for d, v in p.items():
+        acc[d] = acc[d] + s * v if d in acc else s * v
+
+
+def _add_product(acc: dict, s, p: dict, q: dict) -> None:
+    """acc += s * p * q on {degree: mpf} maps, in place and untrimmed."""
+    for d1, v1 in p.items():
+        sv = s * v1
+        for d2, v2 in q.items():
+            d = d1 + d2
+            acc[d] = acc[d] + sv * v2 if d in acc else sv * v2
+
+
+def _real_map(poly: LaurentPoly, label: str) -> dict:
+    """{degree: mpf} of a realified polynomial."""
+    if poly.imag_residual() != 0:
+        raise EngineError(f"{label} is not real; frame_lower needs realified data")
+    return {d: v.real for d, v in poly.coeffs.items()}
+
+
 def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMatrix2:
     """Part of P^(n+1) determined by derivatives of order below n.
 
@@ -125,61 +147,89 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     (n+1-l)-th derivative of the product y_{i_1} ... y_{i_l}, the constant
     matrix product, and the word integral at 1; plus the single-letter
     cross terms with 1 <= l <= n-1 in the Leibniz expansion of y_i^(n).
+
+    a, b, c and r are real, so every derivative of a word product is a real
+    polynomial, held here as an untrimmed {degree: mpf} map.  A word of
+    length l at derivative order m has support in [-l, m + l], so no
+    rounding dust can cross the degree bound that ``frame_derivative``
+    checks.  Each word's constant matrix is a product of ``M_MATS`` (a phase
+    times a Pauli matrix, so at most 16 distinct ones): the words are summed
+    into one complex (re, im) pair of maps per matrix, and the matrix of
+    Laurent polynomials is built once at the end.
     """
     cfg = state.cfg
+    ctx = cfg.context
     if table.max_length < n + 1:
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
-    acc = LaurentMatrix2(cfg)
     if n == 0:
-        return acc
+        return LaurentMatrix2(cfg)
+    x = {(i, k): _real_map(state.x(i, k), f"x_{i}^({k})")
+         for i in (1, 2, 3) for k in range(n)}
+    sums: dict = {}     # constant matrix -> (re, im) maps of its coefficient
+
+    def add(mmat, poly: dict, weight) -> None:
+        re, im = sums.setdefault(mmat, ({}, {}))
+        _axpy(re, weight.real, poly)
+        _axpy(im, weight.imag, poly)
+
+    def leibniz(i: int, k: int, ells) -> dict:
+        """The terms ell in ``ells`` of the k-th derivative of r * x_i."""
+        total: dict = {}
+        for ell in ells:
+            rv = state.r[k - ell]
+            if rv != 0:
+                _axpy(total, math.comb(k, ell) * rv, x[(i, ell)])
+        return total
 
     # single-letter cross terms (orders 1..n-1 of x against r)
     for i in (1, 2, 3):
-        cross = LaurentPoly.zero(cfg)
-        for ell in range(1, n):
-            rv = state.r[n - ell]
-            if rv == 0:
-                continue
-            cross = cross + state.x(i, ell).scale(math.comb(n, ell) * rv)
-        if not cross.is_zero:
-            omega_i = table.value((i,))
-            acc = acc.add_scaled_constant(cross, (n + 1) * omega_i, M_MATS[i - 1])
+        cross = leibniz(i, n, range(1, n))
+        if cross:
+            add(M_MATS[i - 1], cross, (n + 1) * table.value((i,)))
 
-    # words of length >= 2
-    y_single = {(i, k): state.y(i, k) for i in (1, 2, 3) for k in range(n)}
+    # words of length >= 2; y[(i, k)] is the k-th derivative of r * x_i
+    y = {(i, k): leibniz(i, k, range(k + 1)) for (i, k) in x}
 
     def descend(word, mmat, derivs):
         depth = len(word)
         if depth >= 2:
-            factor = math.perm(n + 1, depth)
             poly = derivs[n + 1 - depth]
-            if not poly.is_zero:
-                nonlocal acc
-                acc = acc.add_scaled_constant(poly, factor * table.value(word), mmat)
-        if depth >= n + 1:
-            return
+            if poly:
+                add(mmat, poly, math.perm(n + 1, depth) * table.value(word))
         # a child at depth d contributes derivative order n+1-d (d >= 2 only)
         # and feeds its own children orders up to n-d; depth-1 nodes only feed.
         max_child = n - max(depth, 1)
         if max_child < 0:
             return
         for letter in (1, 2, 3):
-            child_m = _mat_mul(mmat, M_MATS[letter - 1])
             child = []
             for s in range(max_child + 1):
-                total = LaurentPoly.zero(cfg)
+                total: dict = {}
                 for j in range(s + 1):
-                    left = derivs[j]
-                    right = y_single[(letter, s - j)]
-                    if left.is_zero or right.is_zero:
-                        continue
-                    total = total + (left * right).scale(math.comb(s, j))
+                    left, right = derivs[j], y[(letter, s - j)]
+                    if left and right:
+                        _add_product(total, math.comb(s, j), left, right)
                 child.append(total)
-            descend(word + (letter,), child_m, child)
+            descend(word + (letter,), _mat_mul(mmat, M_MATS[letter - 1]), child)
 
-    root = [LaurentPoly.one(cfg)] + [LaurentPoly.zero(cfg)] * n
-    descend((), _IDENTITY2, root)
-    return acc
+    descend((), _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
+
+    entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
+    for mmat, (re, im) in sums.items():
+        for i in range(2):
+            for j in range(2):
+                m = complex(mmat[i][j])
+                e_re, e_im = entries[i][j]
+                if m.real:
+                    _axpy(e_re, int(m.real), re)
+                    _axpy(e_im, int(m.real), im)
+                if m.imag:
+                    _axpy(e_re, -int(m.imag), im)
+                    _axpy(e_im, int(m.imag), re)
+    return LaurentMatrix2(cfg, [
+        [LaurentPoly(cfg, {d: ctx.mpc(e_re.get(d, 0), e_im.get(d, 0))
+                           for d in e_re.keys() | e_im.keys()})
+         for e_re, e_im in row] for row in entries])
 
 
 def frame_derivative(n: int, state: DerivativeState, table: OmegaTable,
@@ -329,7 +379,7 @@ def advance(state: DerivativeState, table: OmegaTable) -> DerivativeState:
     cfg = state.cfg
     ctx = cfg.context
     n = state.order + 1
-    if abs(parse_phi(state.phi_label, cfg) - ctx.pi / 4) > cfg.eps(2):
+    if not is_pi_over_4(state.phi_label, cfg):
         raise ValueError("the order recursion requires phi = pi/4; general phi "
                          "is limited to the first-order closed forms")
     f_low = frame_lower(n, state, table)

@@ -53,11 +53,6 @@ class LaurentPoly:
     def one(cls, cfg: PrecisionConfig) -> "LaurentPoly":
         return cls(cfg, {0: 1})
 
-    @classmethod
-    def lam(cls, cfg: PrecisionConfig, degree: int = 1, coeff=1) -> "LaurentPoly":
-        """coeff * lambda^degree."""
-        return cls(cfg, {degree: coeff})
-
     def copy(self) -> "LaurentPoly":
         out = LaurentPoly(self.cfg, None, normalize=False)
         out.coeffs = dict(self.coeffs)

@@ -63,7 +63,15 @@ from .mpl import FORM_COEFFS, punctures
 from .precision import PrecisionConfig
 from .words import Word, format_word, parse_word
 
-_CACHE_VERSION = 2
+try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
+    from _sha2 import sha256          # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256    # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+_CACHE_VERSION = 3
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _ENDPOINTS = ("1", "i")
 
@@ -94,6 +102,11 @@ def parse_phi(text, cfg: PrecisionConfig):
     if not (0 < value < ctx.pi / 2):
         raise ValueError(f"phi = {s} must lie strictly between 0 and pi/2")
     return value
+
+
+def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
+    """Whether the phi description (validated by ``parse_phi``) is pi/4."""
+    return abs(parse_phi(text, cfg) - cfg.context.pi / 4) <= cfg.eps(2)
 
 
 def phi_slug(text: str) -> str:
@@ -296,12 +309,12 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
     pc = PunctureConfig(str(phi).strip(), cfg)
     end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
     cuts = _segment_split(complex(end), [complex(p) for p in pc.points])
-    table = OmegaTable.constant_path(cfg, pc.phi_label, 0, max_length)
+    table = None
     for sa, sb in zip(cuts[:-1], cuts[1:]):
         z0 = ctx.mpf(sa) * end
         z1 = ctx.mpf(sb) * end if sb != 1.0 else end
         seg = _segment_table(cfg, pc.phi_label, pc.points, z0, z1, max_length)
-        table = chen_compose(table, seg)
+        table = seg if table is None else chen_compose(table, seg)
     return table
 
 
@@ -399,12 +412,29 @@ def _cache_path(cache_dir: Path, endpoint: str, phi_label: str, max_length: int,
     return Path(cache_dir) / name
 
 
+def _values_digest(values: dict) -> str:
+    """SHA-256 of the serialised word values, words in sorted order.
+
+    Fed one word at a time, so no second copy of the file is built in memory.
+    """
+    digest = sha256()
+    for key in sorted(values):
+        item = values[key]
+        digest.update(f"{key}:{item['re']}:{item['im']};".encode())
+    return digest.hexdigest()
+
+
 def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     cfg = table.cfg
     ctx = cfg.context
     digits = cfg.working_digits + 15
+    values = {
+        format_word(w): {"re": mpmath.nstr(ctx.re(v), digits),
+                         "im": mpmath.nstr(ctx.im(v), digits)}
+        for w, v in sorted(table.values.items())
+    }
     payload = {
         "version": _CACHE_VERSION,
         "endpoint": table.endpoint_name(),
@@ -412,11 +442,8 @@ def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
         "digits": cfg.target_digits,
         "guard_digits": cfg.guard_digits,
         "max_length": table.max_length,
-        "values": {
-            format_word(w): {"re": mpmath.nstr(ctx.re(v), digits),
-                             "im": mpmath.nstr(ctx.im(v), digits)}
-            for w, v in sorted(table.values.items())
-        },
+        "sha256": _values_digest(values),
+        "values": values,
     }
     path = _cache_path(cache_dir, table.endpoint_name(), table.phi_label,
                        table.max_length, cfg)
@@ -434,19 +461,38 @@ def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
 
 def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
                cache_dir: Path | None = None) -> OmegaTable | None:
+    """The cached table for exactly this request, or None on a miss.
+
+    A file counts only if its header (version, endpoint, phi label, digits,
+    guard digits, depth) matches the request, its values hash to the stored
+    SHA-256, and it holds every non-empty word up to ``max_length`` and no
+    other.  Anything else, a missing key or unreadable JSON included, is a
+    miss, which ``cached_table`` rebuilds and overwrites.
+    """
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    path = _cache_path(cache_dir, endpoint, str(phi).strip(), max_length, cfg)
-    if not path.exists():
-        return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != _CACHE_VERSION:
-        return None
+    phi_label = str(phi).strip()
+    path = _cache_path(cache_dir, endpoint, phi_label, max_length, cfg)
     ctx = cfg.context
-    values = {parse_word(key): ctx.mpc(ctx.mpf(item["re"]), ctx.mpf(item["im"]))
-              for key, item in payload["values"].items()}
-    end = ctx.mpc(1) if payload["endpoint"] == "1" else ctx.mpc(0, 1)
-    return OmegaTable(cfg, payload["phi"], 0, end, payload["max_length"], values)
+    expected = (_CACHE_VERSION, endpoint, phi_label, cfg.target_digits,
+                cfg.guard_digits, max_length)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        header = tuple(payload[key] for key in ("version", "endpoint", "phi", "digits",
+                                                "guard_digits", "max_length"))
+        if header != expected or payload["sha256"] != _values_digest(payload["values"]):
+            return None
+        values = {parse_word(key): ctx.mpc(ctx.mpf(item["re"]), ctx.mpf(item["im"]))
+                  for key, item in payload["values"].items()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    # distinct words of length 1..L number (3^(L+1) - 3)/2, so this count and
+    # the length cap leave room for exactly the full set
+    lengths = [len(w) for w in values if w]
+    if len(lengths) != (3 ** (max_length + 1) - 3) // 2 or max(lengths) > max_length:
+        return None
+    end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
+    return OmegaTable(cfg, phi_label, 0, end, max_length, values)
 
 
 def cached_table(endpoint: str, phi: str, max_length: int,

@@ -104,16 +104,16 @@ def test_criterion_6_alpha5(cfg40, state40_o6):
     res = area_series(state40_o6)
     err = abs(res.alpha(5) - ctx.mpf(ALPHA5_PAPER))
     elapsed = time.perf_counter() - start
-    ok = err < ctx.mpf("1e-25") and elapsed < 1800
+    ok = err < ctx.mpf("1e-38") and elapsed < 1800
     _report(6, ok, f"alpha_5 vs published digits: {mpmath.nstr(err, 3)} "
-                   f"(>= 25 digits), {elapsed:.1f}s")
+                   f"(>= 38 digits), {elapsed:.1f}s")
 
 
 @pytest.mark.stretch
 @pytest.mark.slow
 def test_criterion_7_alpha7_stretch(cfg40):
     ctx = cfg40.context
-    budget = 900
+    budget = 120
     start = time.perf_counter()
     table = build_table("1", "pi/4", 8, cfg40)
     state = run(7, cfg40, table=table)

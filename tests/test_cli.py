@@ -54,6 +54,13 @@ def test_expand_general_phi_order2_rejected(capsys, tmp_path):
     assert "limited to order 1" in err
 
 
+def test_expand_pi4_spelled_as_value(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "expand", "--order", "3", "--phi", "2*pi/8",
+                             "--precision", "20", "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    assert "alpha_3 = 2.7046280321090871421" in out
+
+
 def test_omega_value_and_empty_word(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "omega", "--word", "2,1", "--phi", "pi/4",
                            "--precision", "25", "--cache-dir", str(tmp_path))

@@ -145,6 +145,14 @@ def test_engine_precision_doubling(table40_pi4_L4, tables):
         assert abs(lo.alpha(k) - hi.alpha(k)) < CTX.mpf(10) ** (-(40 - 2))
 
 
+def test_engine_precision_doubling_order5(tables):
+    hi_cfg = PrecisionConfig(60)
+    lo = area_series(run(5, CFG, table=tables.get("1", "pi/4", 6, CFG)))
+    hi = area_series(run(5, hi_cfg, table=tables.get("1", "pi/4", 6, hi_cfg)))
+    for k in (3, 5):
+        assert abs(lo.alpha(k) - hi.alpha(k)) < CTX.mpf("1e-38")
+
+
 def test_run_rejects_bad_order():
     with pytest.raises(ValueError):
         run(0, CFG)

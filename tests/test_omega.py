@@ -4,9 +4,11 @@ import random
 import pytest
 
 from lawsonarea.mpl import convert_word
-from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _segment_table, build_table,
-                              cached_table, chen_compose, clear_cache, list_cache,
-                              load_table, parse_phi, quadrature_oracle, save_table)
+from lawsonarea.engine import expand
+from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _segment_table, _values_digest,
+                              build_table, cached_table, chen_compose, clear_cache,
+                              is_pi_over_4, list_cache, load_table, parse_phi,
+                              quadrature_oracle, save_table)
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
@@ -220,3 +222,55 @@ def test_cache_version_gate(tmp_path, table40_pi4_L4):
         assert rebuilt.value(word) == table40_pi4_L4.value(word)
     assert json.loads(path.read_text())["version"] == _CACHE_VERSION
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
+
+
+def test_corrupt_word_value_is_rebuilt(tmp_path):
+    """A cached value that was tampered with is a miss, not an input."""
+    cfg = PrecisionConfig(20)
+    expand(3, cfg, cache_dir=tmp_path)
+    (path,) = list_cache(tmp_path)
+    payload = json.loads(path.read_text())
+    good = payload["values"]["1,2,3"]
+    payload["values"]["1,2,3"] = {"re": "5", "im": "0"}
+    path.write_text(json.dumps(payload))
+    alpha3 = expand(3, cfg, cache_dir=tmp_path).alpha(3)
+    ctx = cfg.context
+    assert abs(alpha3 - ctx.mpf(9) / 4 * ctx.zeta(3)) < ctx.mpf("1e-18")
+    assert json.loads(path.read_text())["values"]["1,2,3"] == good
+
+
+def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, table40_pi4_L4):
+    path = save_table(table40_pi4_L4, tmp_path)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    # a word missing under a digest that matches what is left
+    payload = json.loads(text)
+    del payload["values"]["3,1"]
+    payload["sha256"] = _values_digest(payload["values"])
+    path.write_text(json.dumps(payload))
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
+    assert rebuilt.value((3, 1)) == table40_pi4_L4.value((3, 1))
+    assert json.loads(path.read_text()) == json.loads(text)
+
+
+def test_cache_header_must_match_request(tmp_path, table40_pi4_L4):
+    path = save_table(table40_pi4_L4, tmp_path)
+    text = path.read_text()
+    for key, value in (("endpoint", "i"), ("phi", "0.3"), ("digits", 41),
+                       ("guard_digits", 11), ("max_length", 3)):
+        payload = json.loads(text)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, key
+        payload.pop(key)
+        path.write_text(json.dumps(payload))
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, key
+
+
+def test_is_pi_over_4():
+    for label in ("pi/4", "1*pi/4", "2*pi/8", " pi / 4 "):
+        assert is_pi_over_4(label, CFG), label
+    for label in ("pi/6", "0.785398"):
+        assert not is_pi_over_4(label, CFG), label
