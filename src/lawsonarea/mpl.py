@@ -25,11 +25,15 @@ operations.
 ``convert_word`` turns an iterated-integral word over the surface forms
 into the 4^n signed depth-n polylogarithm terms with puncture-ratio
 arguments; it is a test oracle (the production path evaluates those words
-by series transport instead, see :mod:`lawsonarea.omega`).
+by series transport instead, see :mod:`lawsonarea.omega`).  The arguments
+depend only on the pole assignment and the letters only set the signs, so
+the 9 words of length 2 at one angle share the same 16 specs; ``li`` keeps
+each value in a process-wide cache keyed by (``MplSpec``, ``PrecisionConfig``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -271,8 +275,14 @@ def _split_value(word: list, cfg: PrecisionConfig):
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def li(spec: MplSpec, cfg: PrecisionConfig):
-    """Value of the convergent nested sum, to the config's target precision."""
+    """Value of the convergent nested sum, to the config's target precision.
+
+    Memoised per (``MplSpec``, ``PrecisionConfig``), both frozen and hashable:
+    the terms of ``convert_word`` depend only on the pole assignment, so the
+    words at one angle share their polylogarithms.  Errors are not cached.
+    """
     ctx = cfg.context
     prods = _validate(spec, cfg)
     if spec.depth == 0:

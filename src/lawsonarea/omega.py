@@ -91,17 +91,37 @@ def parse_phi(text, cfg: PrecisionConfig):
         raise TypeError("phi must be given as an exact string (e.g. 'pi/4' or '0.3')")
     s = str(text).strip().replace(" ", "")
     if "pi" in s:
-        num, _, den = s.partition("pi")
-        num = num.rstrip("*")
-        den = den.lstrip("/")
-        frac = Fraction(int(num) if num and num != "+" else (-1 if num == "-" else 1),
-                        int(den) if den else 1)
+        frac = _pi_fraction(s)
         value = ctx.pi * frac.numerator / frac.denominator
     else:
         value = ctx.mpf(s)
     if not (0 < value < ctx.pi / 2):
         raise ValueError(f"phi = {s} must lie strictly between 0 and pi/2")
     return value
+
+
+def _pi_fraction(s: str) -> Fraction:
+    """The rational q of a spaceless description "q*pi", "pi/d" or "n*pi/d"."""
+    num, _, den = s.partition("pi")
+    num = num.rstrip("*")
+    den = den.lstrip("/")
+    return Fraction(int(num) if num and num != "+" else (-1 if num == "-" else 1),
+                    int(den) if den else 1)
+
+
+def canonical_phi(text) -> str:
+    """One spelling per phi description, for cache file names and headers.
+
+    Rational multiples of pi become "n*pi/d" in lowest terms, with n and d
+    left out when they are 1: "1*pi/4", " pi / 4 " and "2*pi/8" all give
+    "pi/4".  Decimals are kept as written, without spaces.
+    """
+    s = str(text).strip().replace(" ", "")
+    if "pi" not in s:
+        return s
+    frac = _pi_fraction(s)
+    label = "pi" if frac.numerator == 1 else f"{frac.numerator}*pi"
+    return label if frac.denominator == 1 else f"{label}/{frac.denominator}"
 
 
 def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
@@ -111,7 +131,7 @@ def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
 
 def phi_slug(text: str) -> str:
     """Filesystem-safe canonical form of a phi string."""
-    return str(text).strip().replace(" ", "").replace("*", "x").replace("/", "_over_")
+    return canonical_phi(text).replace("*", "x").replace("/", "_over_")
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,7 @@ class OmegaTable:
                  max_length: int, values: dict):
         ctx = cfg.context
         self.cfg = cfg
-        self.phi_label = str(phi_label)
+        self.phi_label = canonical_phi(phi_label)
         self.start = ctx.mpc(start)
         self.end = ctx.mpc(end)
         self.max_length = int(max_length)
@@ -323,30 +343,43 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
 # ---------------------------------------------------------------------------
 
 _gl_cache: dict[tuple[int, int], tuple] = {}
+# (endpoint, phi value, working digits, nodes) -> first level of the quadrature
+_quadrature_cache: dict[tuple, tuple] = {}
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
-    """Nodes and weights on [-1, 1] at working precision (Newton refinement)."""
+    """Nodes and weights on [-1, 1] at working precision (Newton refinement).
+
+    Each root stops once its Newton step is below ``cfg.eps()`` and then takes
+    one more, polishing step.
+    """
     key = (n, cfg.working_digits)
     if key in _gl_cache:
         return _gl_cache[key]
     ctx = cfg.context
-    nodes, weights = [], []
-    for k in range(1, n // 2 + n % 2 + 1):
-        x = ctx.cos(ctx.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(int(cfg.working_digits).bit_length() + 6):
-            p0, p1 = ctx.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            x = x - p1 / dp
+    eps = cfg.eps()
+
+    def legendre(x):
+        # P_n(x) and P_n'(x) by the three-term recurrence
         p0, p1 = ctx.mpf(1), x
         for j in range(2, n + 1):
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        w = 2 / ((1 - x * x) * dp * dp)
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    for k in range(1, n // 2 + n % 2 + 1):
+        x = ctx.cos(ctx.pi * (4 * k - 1) / (4 * n + 2))
+        converged = False
+        for _ in range(int(cfg.working_digits).bit_length() + 6):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if converged:
+                break
+            converged = abs(step) < eps
+        _, dp = legendre(x)
         nodes.append(x)
-        weights.append(w)
+        weights.append(2 / ((1 - x * x) * dp * dp))
     full_nodes = [-x for x in nodes]
     full_weights = list(weights)
     if n % 2 == 1:
@@ -358,40 +391,92 @@ def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
     return _gl_cache[key]
 
 
+def paired_forms(p1, p2):
+    """The three surface forms as one function of z, from the pole pairs +-p1, +-p2.
+
+    With u_k = 1/(z^2 - p_k^2): f1 = 2z(u1 - u2), f2 = 2(p1 u1 - p2 u2) and
+    f3 = 2(p1 u1 + p2 u2), the ``FORM_COEFFS`` sums over the four poles
+    (p1, p2, -p1, -p2), at two complex divisions for all three letters.
+    """
+    p1sq, p2sq = p1 * p1, p2 * p2
+
+    def forms(z) -> tuple:
+        zz = z * z
+        u1 = 2 / (zz - p1sq)
+        u2 = 2 / (zz - p2sq)
+        a, b = p1 * u1, p2 * u2
+        return z * (u1 - u2), a - b, a + b
+
+    return forms
+
+
+def _first_level(top, forms, half_nodes, half_weights, ctx) -> tuple:
+    """Gauss-Legendre nodes t of [0, top], weight times forms there, inner integrals.
+
+    ``half_nodes`` and ``half_weights`` are the rule mapped to [0, 1].  The
+    inner integrals are the three first-level integrals from 0 to each t, by
+    the same rule on [0, t].  Sums are ``ctx.fdot``: exact products, one
+    rounding per sum.
+    """
+    points = [top * h for h in half_nodes]
+    weighted, inner = [], []
+    for t, w in zip(points, half_weights):
+        weight = top * w
+        weighted.append(tuple(weight * f for f in forms(t)))
+        columns = zip(*(forms(t * h) for h in half_nodes))
+        inner.append(tuple(t * ctx.fdot(half_weights, column) for column in columns))
+    return points, weighted, inner
+
+
+def _word_sum(word, level, expand, ctx) -> mpmath.mpc:
+    """Quadrature of one word over the interval of ``level`` (``_first_level``)."""
+    points, weighted, inner = level
+    last = [wf[word[-1] - 1] for wf in weighted]
+    if len(word) == 1:
+        return ctx.fsum(last)
+    if len(word) == 2:
+        return ctx.fdot([i[word[0] - 1] for i in inner], last)
+    # one more level: the prefix is integrated to each node on its own grid
+    return ctx.fdot([_word_sum(word[:-1], expand(t), expand, ctx) for t in points], last)
+
+
 def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
                       nodes: int = 80) -> mpmath.mpc:
     """Nested Gauss-Legendre evaluation of one word integral, |word| <= 3.
 
-    Cost grows like nodes^len(word); this exists purely as an independent
-    cross-check of the transport tables.
+    Each level uses the ``nodes``-point rule on [0, upper limit].  The three
+    forms are evaluated together at each node (``paired_forms``), and the
+    first level (the outer nodes, weight times the three form values at each,
+    and the three inner integrals from 0 to each node) is kept in
+    ``_quadrature_cache``, keyed by (endpoint, phi value from ``parse_phi``,
+    working digits, nodes).  So every word of length 1 or 2 at that key is one
+    sum over the cached level; a word of length 3 builds one more level per
+    outer node and costs nodes^3 form evaluations.  This exists purely as an
+    independent cross-check of the transport tables and uses nothing of theirs.
     """
     word = tuple(word)
     if len(word) > 3:
         raise ValueError("quadrature oracle is limited to words of length <= 3")
-    cfg_q = cfg
-    ctx = cfg_q.context
-    pc = PunctureConfig(str(phi).strip(), cfg_q)
-    end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
     if endpoint not in _ENDPOINTS:
         raise ValueError(f"endpoint must be one of {_ENDPOINTS}")
-    xs, ws = gauss_legendre_rule(nodes, cfg_q)
+    ctx = cfg.context
+    phi_value = parse_phi(phi, cfg)
+    if not word:
+        return ctx.mpc(1)
+    key = (endpoint, phi_value, cfg.working_digits, nodes)
+    level = _quadrature_cache.get(key)
+    xs, ws = gauss_legendre_rule(nodes, cfg)
+    half_nodes = [(x + 1) / 2 for x in xs]
+    half_weights = [w / 2 for w in ws]
+    forms = paired_forms(*punctures(phi_value, cfg)[:2])
 
-    def form(letter, z):
-        eps = FORM_COEFFS[letter - 1]
-        return sum(e / (z - p) for e, p in zip(eps, pc.points))
+    def expand(top):
+        return _first_level(top, forms, half_nodes, half_weights, ctx)
 
-    def nested(letters, z_top):
-        # integral from 0 to z_top of nested(letters[:-1], t) * form(letters[-1], t) dt
-        if not letters:
-            return ctx.mpc(1)
-        scale = z_top / 2
-        total = ctx.mpc(0)
-        for x, w in zip(xs, ws):
-            t = scale * (x + 1)
-            total += w * nested(letters[:-1], t) * form(letters[-1], t)
-        return total * scale
-
-    return nested(word, end)
+    if level is None:
+        end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
+        level = _quadrature_cache[key] = expand(end)
+    return _word_sum(word, level, expand, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +555,7 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
     miss, which ``cached_table`` rebuilds and overwrites.
     """
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    phi_label = str(phi).strip()
+    phi_label = canonical_phi(phi)
     path = _cache_path(cache_dir, endpoint, phi_label, max_length, cfg)
     ctx = cfg.context
     expected = (_CACHE_VERSION, endpoint, phi_label, cfg.target_digits,

@@ -261,48 +261,47 @@ def _combination(table: omega.OmegaTable, terms) -> mpmath.mpc:
     return total
 
 
-def alpha3_raw(table: omega.OmegaTable) -> mpmath.mpc:
-    """The fully expanded order-3 output, straight from the word products."""
-    cfg = table.cfg
-    ctx = cfg.context
+def _alpha3_from_pieces(table: omega.OmegaTable, A, B, C) -> mpmath.mpc:
+    ctx = table.cfg.context
     I = ctx.mpc(0, 1)
     pi = ctx.pi
-    A = _combination(table, _ALPHA3_A)
-    B = _combination(table, _ALPHA3_B)
-    C = _combination(table, _ALPHA3_C)
     return -I / (8 * pi ** 3) * A - B / (32 * pi ** 2) + I / (96 * pi) * C
+
+
+def _reduced_pieces(table: omega.OmegaTable) -> tuple:
+    """A, B, C after the shuffle-product reductions."""
+    om21 = table.value((2, 1))
+    A = (2 * om21) ** 3
+    B = 2 * om21 * (-8 * table.value((2, 2, 3)) + 48 * table.value((3, 1, 1))
+                    + 4 * table.value((3,)) ** 3)
+    C = (288 * table.value((2, 1, 1, 1)) + 48 * table.value((2, 1, 3, 3))
+         + 48 * table.value((2, 2, 2, 1)) - 48 * table.value((3, 1, 2, 3))
+         + 48 * table.value((3, 3, 2, 1)))
+    return A, B, C
+
+
+def alpha3_raw(table: omega.OmegaTable) -> mpmath.mpc:
+    """The fully expanded order-3 output, straight from the word products."""
+    return _alpha3_from_pieces(table, _combination(table, _ALPHA3_A),
+                               _combination(table, _ALPHA3_B),
+                               _combination(table, _ALPHA3_C))
 
 
 def alpha3_simplified(table: omega.OmegaTable) -> mpmath.mpc:
     """The same value after the shuffle-product reductions of A, B, C."""
-    cfg = table.cfg
-    ctx = cfg.context
-    I = ctx.mpc(0, 1)
-    pi = ctx.pi
-    om21 = table.value((2, 1))
-    om3 = table.value((3,))
-    A = (2 * om21) ** 3
-    B = 2 * om21 * (-8 * table.value((2, 2, 3)) + 48 * table.value((3, 1, 1))
-                    + 4 * om3 ** 3)
-    C = (288 * table.value((2, 1, 1, 1)) + 48 * table.value((2, 1, 3, 3))
-         + 48 * table.value((2, 2, 2, 1)) - 48 * table.value((3, 1, 2, 3))
-         + 48 * table.value((3, 3, 2, 1)))
-    return -I / (8 * pi ** 3) * A - B / (32 * pi ** 2) + I / (96 * pi) * C
+    return _alpha3_from_pieces(table, *_reduced_pieces(table))
 
 
 def alpha3_factored_pieces(table: omega.OmegaTable) -> dict:
     """Raw and reduced A, B, C for fine-grained cross checks."""
+    A, B, C = _reduced_pieces(table)
     return {
         "A_raw": _combination(table, _ALPHA3_A),
         "B_raw": _combination(table, _ALPHA3_B),
         "C_raw": _combination(table, _ALPHA3_C),
-        "A_reduced": (2 * table.value((2, 1))) ** 3,
-        "B_reduced": 2 * table.value((2, 1)) * (
-            -8 * table.value((2, 2, 3)) + 48 * table.value((3, 1, 1))
-            + 4 * table.value((3,)) ** 3),
-        "C_reduced": (288 * table.value((2, 1, 1, 1)) + 48 * table.value((2, 1, 3, 3))
-                      + 48 * table.value((2, 2, 2, 1)) - 48 * table.value((3, 1, 2, 3))
-                      + 48 * table.value((3, 3, 2, 1))),
+        "A_reduced": A,
+        "B_reduced": B,
+        "C_reduced": C,
     }
 
 

@@ -98,13 +98,13 @@ def test_criterion_5_alpha3_three_way(cfg40, table40_pi4_L4):
                    f"{mpmath.nstr(worst, 3)}, {elapsed:.1f}s")
 
 
-def test_criterion_6_alpha5(cfg40, state40_o6):
+def test_criterion_6_alpha5(cfg40, table40_pi4_L7):
     ctx = cfg40.context
     start = time.perf_counter()
-    res = area_series(state40_o6)
+    res = area_series(run(5, cfg40, table=table40_pi4_L7))
     err = abs(res.alpha(5) - ctx.mpf(ALPHA5_PAPER))
     elapsed = time.perf_counter() - start
-    ok = err < ctx.mpf("1e-38") and elapsed < 1800
+    ok = err < ctx.mpf("1e-38") and elapsed < 60
     _report(6, ok, f"alpha_5 vs published digits: {mpmath.nstr(err, 3)} "
                    f"(>= 38 digits), {elapsed:.1f}s")
 

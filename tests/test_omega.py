@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from lawsonarea.mpl import convert_word
+from lawsonarea import omega
+from lawsonarea.mpl import FORM_COEFFS, convert_word, li, mpl_spec, punctures
 from lawsonarea.engine import expand
-from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _segment_table, _values_digest,
-                              build_table, cached_table, chen_compose, clear_cache,
-                              is_pi_over_4, list_cache, load_table, parse_phi,
-                              quadrature_oracle, save_table)
+from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _cache_path, _segment_table,
+                              _values_digest, build_table, cached_table, canonical_phi,
+                              chen_compose, clear_cache, gauss_legendre_rule,
+                              is_pi_over_4, list_cache, load_table, paired_forms,
+                              parse_phi, quadrature_oracle, save_table)
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
@@ -154,6 +156,60 @@ def test_integral_identities():
             assert resid < CFG.eps(6), (phi, axis)
 
 
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
+    cfg = PrecisionConfig(30)
+    n = 80
+    xs, ws = gauss_legendre_rule(n, cfg)
+    assert len(xs) == len(ws) == n
+    assert abs(sum(ws) - 2) < cfg.eps(2)
+    for k in range(1, n):      # degrees 2k <= 2n - 2; the odd moments vanish by symmetry
+        moment = sum(w * x ** (2 * k) for x, w in zip(xs, ws))
+        assert abs(moment - cfg.context.mpf(2) / (2 * k + 1)) < cfg.eps(2), 2 * k
+
+
+def test_paired_forms_match_form_coeffs():
+    cfg = PrecisionConfig(30)
+    ctx = cfg.context
+    points = punctures(parse_phi("0.7", cfg), cfg)
+    forms = paired_forms(points[0], points[1])
+    for z in (ctx.mpc("0.3", "0.4"), ctx.mpc("-1.2", "0.5"), ctx.mpc("0.1", "-2")):
+        for value, eps in zip(forms(z), FORM_COEFFS):
+            expected = sum(e / (z - p) for e, p in zip(eps, points))
+            assert abs(value - expected) < cfg.eps(2) * max(1, abs(expected)), z
+
+
+def test_oracle_caches_are_keyed_by_every_input():
+    """Cached oracle values equal fresh ones whatever order the keys come in."""
+    cfg30, cfg40 = PrecisionConfig(30), PrecisionConfig(40)
+    # 0.75 is exact in binary, so its parsed value is the same at both precisions
+    base = ("1", "0.75", cfg30, 40)
+    variants = [("i", "0.75", cfg30, 40), ("1", "pi/6", cfg30, 40),
+                ("1", "0.75", cfg40, 40), ("1", "0.75", cfg30, 80)]
+    calls = [call for variant in variants for call in (base, variant)]
+    words = [(1,), (2, 1), (3, 2)]
+    omega._quadrature_cache.clear()
+    seen = [(call, word, quadrature_oracle(word, *call))
+            for call in calls for word in words]
+    assert len(omega._quadrature_cache) == 1 + len(variants)
+    # a different spelling of the same angle reuses its entry
+    quadrature_oracle((2, 1), "1", "1*pi/6", cfg30, 40)
+    assert len(omega._quadrature_cache) == 1 + len(variants)
+    spec = mpl_spec([1, 1], [cfg30.context.mpc(0, 1), "0.5"], cfg30)
+    li_seen = [(cfg, li(spec, cfg)) for cfg in (cfg30, cfg40, cfg30, cfg40)]
+    assert li.cache_info().currsize >= 2
+    for call in [base] + variants:
+        omega._quadrature_cache.clear()
+        li.cache_clear()
+        fresh = {word: quadrature_oracle(word, *call) for word in words}
+        for seen_call, word, value in seen:
+            if seen_call == call:
+                assert value == fresh[word], (call, word)
+    for cfg, value in li_seen:
+        omega._quadrature_cache.clear()
+        li.cache_clear()
+        assert li(spec, cfg) == value, cfg
+
+
 def test_transport_matches_quadrature_endpoint_i():
     cfg = PrecisionConfig(30)
     table = build_table("i", "1.2", 2, cfg)
@@ -274,3 +330,19 @@ def test_is_pi_over_4():
         assert is_pi_over_4(label, CFG), label
     for label in ("pi/6", "0.785398"):
         assert not is_pi_over_4(label, CFG), label
+
+
+def test_phi_spellings_share_one_cache_file(tmp_path):
+    cfg = PrecisionConfig(20)
+    assert [canonical_phi(label) for label in ("pi/4", "1*pi/4", " pi/4 ", "2*pi/8")] \
+        == ["pi/4"] * 4
+    assert canonical_phi("3*pi/8") == "3*pi/8" and canonical_phi(" 0.3 ") == "0.3"
+    # the existing name of pi/4 is kept, so caches written before stay valid
+    assert (_cache_path(tmp_path, "1", "pi/4", 2, cfg).name
+            == "omega_end1_phipi_over_4_L2_d20_g10.json")
+    path = save_table(build_table("1", "1*pi/4", 2, cfg), tmp_path)
+    assert path == _cache_path(tmp_path, "1", "pi/4", 2, cfg)
+    assert json.loads(path.read_text())["phi"] == "pi/4"
+    for label in ("pi/4", " pi/4 ", "1*pi/4"):
+        assert load_table("1", label, 2, cfg, tmp_path) is not None, label
+    assert len(list_cache(tmp_path)) == 1
