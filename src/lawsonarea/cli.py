@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 
 from . import engine, mpl, omega, verify
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, guard_digits_for_order
 from .words import format_word, parse_word
 
 _FORMATS = ("table", "json", "csv")
@@ -58,7 +58,7 @@ def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args) -> int:
-    cfg = _cfg(args)
+    cfg = PrecisionConfig(args.precision, guard_digits_for_order(args.order))
     ctx = cfg.context
     phi = args.phi.strip()
     is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi

@@ -88,14 +88,15 @@ class DerivativeState:
         return total
 
     def derivatives_jsonable(self) -> list:
+        """Derivative polynomials at the target digits, as ``alpha_t`` is printed."""
         digits = self.cfg.target_digits
         out = []
         for k in range(1, self.order + 1):
             out.append({
                 "order": k,
-                "a": self.a[k].to_jsonable(),
-                "b": self.b[k].to_jsonable(),
-                "c": self.c[k].to_jsonable(),
+                "a": self.a[k].to_jsonable(digits),
+                "b": self.b[k].to_jsonable(digits),
+                "c": self.c[k].to_jsonable(digits),
                 "r": mpmath.nstr(self.r[k], digits),
             })
         return out

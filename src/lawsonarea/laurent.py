@@ -229,9 +229,13 @@ class LaurentPoly:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_jsonable(self) -> list[dict]:
+    def to_jsonable(self, digits: int | None = None) -> list[dict]:
+        """Coefficients as decimal strings of ``digits`` significant digits.
+
+        The default, working digits + 15, round-trips exactly (``dumps``/``loads``).
+        """
         ctx = self.cfg.context
-        digits = self.cfg.working_digits + 15
+        digits = digits or self.cfg.working_digits + 15
         return [{"deg": d,
                  "re": mpmath.nstr(ctx.re(v), digits),
                  "im": mpmath.nstr(ctx.im(v), digits)}

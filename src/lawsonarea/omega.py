@@ -14,37 +14,70 @@ Transport kernel.  On a segment with midpoint m and half-length h every
 word series is expanded in v = (z - m)/h, so the segment is v in [-1, 1]
 and a pole q (relative to m) enters only through r = h/q, |r| <= 1/3.
 Series coefficients are complex numbers held as pairs of Python integers
-scaled by 2^P, P = working bits + ``_EXTRA_BITS``.  Multiplying a series by
-h/(h v - q) is the recurrence K_j = (K_{j-1} - S_j) r: four integer
-multiplies and two shifts per coefficient.  Every form has residues +-1, so
-the letter integrands are integer sums; integration divides by j + 1 with
-``//``; and the values at v = -1 and v = +1 are plain sums of the even and
-odd coefficients (with E and O those sums, the child's constant term is
-O - E and its value at the segment end is 2 O).  Only the word values are
-converted to ``mpc``.
+scaled by 2^P, P = working bits + ``_EXTRA_BITS``.  Only the word values are
+converted to ``mpc``.  A depth-L table meets in the middle: with
+a = L // 2 and b = L - a,
+
+* Forward half.  The series S_p of every prefix p with |p| <= a is built
+  from its parent's.  Multiplying a series by h/(h v - q) is the
+  recurrence K_j = (K_{j-1} - S_j) r: four integer multiplies and two
+  shifts per coefficient.  Every form has residues +-1, so the letter
+  integrands are integer sums; integration divides by j + 1 with ``//``;
+  and the values at v = -1 and v = +1 are plain sums of the even and odd
+  coefficients (with E and O those sums, the child's constant term is
+  O - E and its value at the segment end is 2 O).  Words of length <= a
+  take that value.
+* Adjoint half.  A word's value is linear in the series it starts from
+  (K.-T. Chen, "Iterated path integrals", Bull. AMS 83, 1977), so suffix s
+  has a value functional V_s with value(p s) = sum_m S_p,m V_s,m, a
+  complex dot with no conjugation.  V_() = (1, ..., 1) evaluates at
+  v = +1, and V_(a)+s is the transpose of one forward letter applied to
+  V_s: g_j = (V_{j+1} + (-1)^j V_0) // (j + 1) undoes integration and
+  the constant term, H_m = (H_{m+1} - g_m) r from H_T = 0 downwards is the
+  product recurrence run backwards, and V_(a)+s = sum_k eps_ak H^(k) with
+  the ``FORM_COEFFS`` signs.  The root series is 1, so words of length
+  a < |w| <= b take the value V_w,0.
+* Long words.  Each word longer than b is one dot of S_p, |p| = |w| - b,
+  with V_s, |s| = b: three integer ``sum(map(mul, ...))`` per word (the
+  three-multiply complex product), converted once from scale 2^-2P.  The
+  suffixes are walked depth-first and only the prefix series are stored.
 
 Magnitude bound.  If the parent coefficients satisfy |S_j| <= M, the
 recurrence gives |K_j| <= (|K_{j-1}| + M)/3 <= M/2: the 1/3 decay keeps
 every product coefficient below M/2, the four-pole integrand below 2M and
 coefficient j of the child below 2M/j.  The child's constant term is at
 most 2M(1 + ln T), so the integers grow by at most a few bits per letter
-and never by a factor that depends on j.
+and never by a factor that depends on j.  In the adjoint |g_j| <= 2
+max|V|/(j + 1), the same 1/3 damping keeps |H| <= max|g|/2 <= max|V|, and
+|V_(a)+s| <= 4 max|V_s| per letter: V grows by at most 2 bits per letter.
 
 Rounding budget, in units of 2^-P.  Each r is rounded once per segment,
 which moves the pole far less than its own working-precision error.  Each
 shift rounds once, and the recurrence damps an earlier rounding by
 |r| <= 1/3, so a product coefficient carries at most 1 + 1/3 + 1/9 + ...
 = 3/2 fresh units, the four-pole integrand at most 6, and coefficient j of
-the child at most 6/j + 1 after the division.  The endpoint sums add up T coefficients, so
-each letter adds at most T + 6(1 + ln T) fresh units to a word value, and a
-word of length L at most L (T + 6(1 + ln T)).  (Errors inherited from the
-prefix pass through the exact transport like any input error; measured,
-they are not amplified.)  For L <= 16 and T <= 1000, that is working digits
-up to about 460, the total is below 2^14 units: 14 extra bits keep the
-kernel's own rounding below one unit of the working precision, and 10 more
-keep it below 2^-10 of that unit, hence ``_EXTRA_BITS = 24``.  Measured
-with no extra bits at 50 working digits (T = 133) the loss was 6.2 bits at
-L = 4 and 6.5 bits at L = 8, well inside the bound.
+the child at most 6/j + 1 after the division.  The endpoint sums add up T
+coefficients, so each forward letter adds at most T + 6(1 + ln T) fresh
+units to a word value, and a forward word of length a at most
+a (T + 6(1 + ln T)).  (Errors inherited from the prefix pass through the
+exact transport like any input error; measured, they are not amplified.)
+For T <= 1000, that is working digits up to about 460, and a <= 8 (L <= 16)
+the total is below 2^13 units.  An adjoint letter rounds g once and each H
+step once, damped by 1/3, so it adds at most 4 (1 + 1) = 8 units to each
+entry of V.  Moved
+through the exact transpose, that error e reaches a word value as
+sum_m S'_m e_m, where S' is the exact series of the word up to that
+letter.  On |v| <= 3/2 every integrand is at most 4 (1/(3 - 3/2)) = 8/3, so
+a series of k letters is at most (20/3)^k/k! there, and by Cauchy
+sum_m |S'_m| <= 3 (20/3)^k/k! <= 2^8.5.  So each adjoint letter costs at
+most 2^11.5 units and b <= 8 letters at most 2^14.5; with the forward half
+that is below 2^15 units.  The dot's integer sum is exact and is rounded
+once, to working precision.  15 extra bits keep the kernel's own rounding
+below one unit of the working precision, and 9 more keep it below 2^-9 of
+that unit, hence ``_EXTRA_BITS = 24``.  Measured
+with no extra bits at 50 working digits (T = 133, L = 8, on the two
+segments of the path to 1 at phi = pi/4) the forward words lost 5.8 to
+6.8 bits and the dot words 0.9 to 2.5 bits, well inside the bound.
 """
 
 from __future__ import annotations
@@ -54,6 +87,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
+from operator import add, mul, sub
 from pathlib import Path
 
 import mpmath
@@ -213,12 +248,10 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
     if abs(left.end - right.start) > cfg.eps(2) * 100:
         raise ValueError("paths do not compose: left endpoint differs from right start")
     depth = min(left.max_length, right.max_length)
-    values = {}
-    for word in _all_words(depth):
-        total = cfg.context.mpc(0)
-        for k in range(len(word) + 1):
-            total += left.values[word[:k]] * right.values[word[k:]]
-        values[word] = total
+    fdot, lv, rv = cfg.context.fdot, left.values, right.values
+    # fdot multiplies exactly and rounds once per word
+    values = {word: fdot([(lv[word[:k]], rv[word[k:]]) for k in range(len(word) + 1)])
+              for word in _all_words(depth)}
     return OmegaTable(cfg, left.phi_label, left.start, right.end, depth, values)
 
 
@@ -259,8 +292,10 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
                    max_length: int) -> OmegaTable:
     """All word integrals along the straight segment [z0, z1].
 
-    Series are in v = (z - mid)/half, so the segment is v in [-1, 1]; see the
-    module docstring for the fixed-point representation and its error budget.
+    Series are in v = (z - mid)/half, so the segment is v in [-1, 1].  Words
+    of length <= L // 2 come from forward series, longer ones from a forward
+    prefix dotted with the value functional of a suffix of length L - L // 2;
+    see the module docstring for both halves and the error budget.
     """
     ctx = cfg.context
     mid = (z0 + z1) / 2
@@ -276,7 +311,16 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
         ratios = [(to_fixed(r.real._mpf_, bits), to_fixed(r.imag._mpf_, bits))
                   for r in (half / q for q in rel)]
     divisors = range(1, T + 1)
+    # each form has residue +1 at two poles and -1 at the other two
+    residues = [tuple([k for k, e in enumerate(eps) if e == sign] for sign in (1, -1))
+                for eps in FORM_COEFFS]
+    forward_depth = max_length // 2
+    adjoint_depth = max_length - forward_depth
     values: dict[Word, mpmath.mpc] = {}
+    prefixes = []    # (word, S_re, S_im, S_re + S_im), 1 <= |word| <= forward_depth
+
+    def to_mpc(re, im, scale):
+        return ctx.mpc(ctx.mpf((re, -scale)), ctx.mpf((im, -scale)))
 
     def geometric_product(s_re, s_im, ratio):
         # coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q
@@ -291,29 +335,59 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
             out_im.append(k_im)
         return out_re, out_im
 
-    def integrate(a, b, c, d):
-        # coefficients of v^1..v^T of the antiderivative of a + b - c - d
-        return [(w + x - y - z) // n for n, w, x, y, z in zip(divisors, a, b, c, d)]
+    def letters(per_pole):
+        # per letter, its four pole terms (+, +, -, -) side by side, for re and im
+        for letter, (plus, minus) in zip((1, 2, 3), residues):
+            (p1, p2), (m1, m2) = [per_pole[k] for k in plus], [per_pole[k] for k in minus]
+            yield letter, [zip(p1[i], p2[i], m1[i], m2[i]) for i in (0, 1)]
 
-    def descend(word, s_re, s_im):
+    def forward(word, s_re, s_im):
         per_pole = [geometric_product(s_re, s_im, r) for r in ratios]
-        for letter, eps in zip((1, 2, 3), FORM_COEFFS):
-            # each form has residue +1 at two poles and -1 at the other two
-            (p1, p2), (m1, m2) = ([k for e, k in zip(eps, per_pole) if e == sign]
-                                  for sign in (1, -1))
-            c_re = integrate(p1[0], p2[0], m1[0], m2[0])
-            c_im = integrate(p1[1], p2[1], m1[1], m2[1])
+        for letter, terms in letters(per_pole):
+            # coefficients of v^1..v^T of the antiderivative of the integrand
+            c_re, c_im = ([(w + x - y - z) // n for n, (w, x, y, z) in zip(divisors, part)]
+                          for part in terms)
             # c_re[j] multiplies v^(j+1), so the odd powers sit at even j
             odd_re, odd_im = sum(c_re[0::2]), sum(c_im[0::2])
             even_re, even_im = sum(c_re[1::2]), sum(c_im[1::2])
             new_word = word + (letter,)
-            values[new_word] = ctx.mpc(ctx.mpf((2 * odd_re, -bits)),
-                                       ctx.mpf((2 * odd_im, -bits)))
-            if len(new_word) < max_length:
-                # the constant term makes the child series vanish at v = -1
-                descend(new_word, [odd_re - even_re] + c_re, [odd_im - even_im] + c_im)
+            values[new_word] = to_mpc(2 * odd_re, 2 * odd_im, bits)
+            # the constant term makes the child series vanish at v = -1
+            child_re, child_im = [odd_re - even_re] + c_re, [odd_im - even_im] + c_im
+            prefixes.append((new_word, child_re, child_im, list(map(add, child_re, child_im))))
+            if len(new_word) < forward_depth:
+                forward(new_word, child_re, child_im)
 
-    descend((), [1 << bits] + [0] * T, [0] * (T + 1))
+    def adjoint(word, v_re, v_im):
+        # V of (letter,) + word from V of word: the transpose of one forward letter.
+        # Integration and the constant term: g_j = (V_{j+1} + (-1)^j V_0) / (j + 1).
+        g_re, g_im = ([(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
+                      for v in (v_re, v_im))
+        # the products, from the top down: H_m = (H_{m+1} - g_m) * half/q, H_T = 0
+        per_pole = [geometric_product(g_re[::-1], g_im[::-1], r) for r in ratios]
+        for letter, terms in letters(per_pole):
+            u_re, u_im = ([w + x - y - z for w, x, y, z in part][::-1] + [0] for part in terms)
+            new_word = (letter,) + word
+            if len(new_word) > forward_depth:
+                # the root series is 1, so a word's value is its V_0
+                values[new_word] = to_mpc(u_re[0], u_im[0], bits)
+            if len(new_word) < adjoint_depth:
+                adjoint(new_word, u_re, u_im)
+            else:
+                dot(new_word, u_re, u_im)
+
+    def dot(suffix, v_re, v_im):
+        # sum of S_m V_m, each product (a + ib)(c + id) from c(a + b), b(c + d), a(d - c)
+        v_sum, v_diff = list(map(add, v_re, v_im)), list(map(sub, v_im, v_re))
+        for word, s_re, s_im, s_sum in prefixes:
+            k1 = sum(map(mul, v_re, s_sum))
+            values[word + suffix] = to_mpc(k1 - sum(map(mul, s_im, v_sum)),
+                                           k1 + sum(map(mul, s_re, v_diff)), 2 * bits)
+
+    if forward_depth:
+        forward((), [1 << bits] + [0] * T, [0] * (T + 1))
+    # V_() evaluates a series at v = +1
+    adjoint((), [1 << bits] * (T + 1), [0] * (T + 1))
     return OmegaTable(cfg, phi_label, z0, z1, max_length, values)
 
 

@@ -46,6 +46,23 @@ class PrecisionConfig:
         return self.context.mpf(10) ** (-(self.working_digits - digits_lost))
 
 
+def guard_digits_for_order(order: int) -> int:
+    """Guard digits for an expansion to ``order``: 10 through order 8, then two more per order.
+
+    The order recursion uses up more digits at each order, and its residual
+    checks (``engine.EngineError``) compare against multiples of eps of the
+    working precision, so a high order needs more guard digits, not looser
+    checks.  Measured at pi/4: order 8 passes every check with 10 guard
+    digits at 35, 40 and 45 target digits.  Order 9 fails the
+    (lambda^2 - 1) division check with 10 (constant remainder 2.33e-42 at
+    40 digits); with 11 it passes at 40 and 45 target digits but fails at
+    35 (remainder 1.66e-38), and with 12 it passes at all three.  Above
+    order 9 the rule extrapolates; the worst residual grew by about 1.2
+    digits per order through order 9.
+    """
+    return 10 + 2 * max(0, order - 8)
+
+
 @functools.lru_cache(maxsize=None)
 def _context(decimal_digits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.mp.clone()

@@ -28,6 +28,12 @@ def test_expand_json_artifact(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["alpha_t"][0].startswith("0.69314718055994530941723")
     assert json.loads(artifact.read_text()) == payload
+    # derivative polynomials carry the target digits, as alpha_t does
+    coeffs = [item[part] for row in payload["derivatives"] for name in "abc"
+              for item in row[name] for part in ("re", "im")]
+    digits = [len(text.lstrip("-").split("e")[0].replace(".", "").lstrip("0"))
+              for text in coeffs]
+    assert max(digits) == 25
 
 
 def test_expand_csv(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -236,6 +237,64 @@ def test_precision_doubling_table():
     th = build_table("1", "0.7", 2, hi)
     for word in tl.words():
         assert abs(tl.value(word) - th.value(word)) < lo.context.mpf("1e-23")
+
+
+@functools.lru_cache(maxsize=None)
+def _half_segment(phi, depth):
+    """The transport table of the segment [0, 1/2] at 40 digits."""
+    points = punctures(parse_phi(phi, CFG), CFG)
+    return _segment_table(CFG, phi, points, CTX.mpc(0), CTX.mpc("0.5"), depth)
+
+
+def _single_word(word, phi, cfg):
+    """One word on [0, 1/2] by forward transport of one series in mpc, 20 digits up.
+
+    The poles are the kernel's own (``cfg``), so only rounding differs.
+    """
+    hi = PrecisionConfig(cfg.target_digits + 20, cfg.guard_digits)
+    ctx = hi.context
+    half = ctx.mpf(1) / 4
+    ratios = [half / (ctx.mpc(p) - half) for p in punctures(parse_phi(phi, cfg), cfg)]
+    terms = int(hi.working_digits * 2.1) + 20        # 3^-terms < 10^-working digits
+    series = [ctx.mpc(1)] + [ctx.mpc(0)] * terms     # in v = (z - 1/4)/(1/4)
+    for letter in word:
+        integrand = [ctx.mpc(0)] * (terms + 1)
+        for eps, r in zip(FORM_COEFFS[letter - 1], ratios):
+            k = ctx.mpc(0)
+            for j, s in enumerate(series):         # series * half/(half v - q)
+                k = (k - s) * r
+                integrand[j] += eps * k
+        series = [ctx.mpc(0)] + [c / (j + 1) for j, c in enumerate(integrand[:-1])]
+        series[0] = -sum(c * (-1) ** j for j, c in enumerate(series))   # 0 at v = -1
+    return sum(series)                              # the value at v = +1
+
+
+@pytest.mark.parametrize("phi,depth", [("pi/4", 8), ("1.2", 7)])
+def test_segment_table_matches_single_word_transport(phi, depth):
+    table = _half_segment(phi, depth)
+    words = [(1, 2, 3, 1, 2), (3, 3, 1, 2, 2, 1), (2, 1, 3, 3, 1, 2, 1),
+             (1, 3, 2, 2, 3, 1, 3, 2), (3,) * 5, (2, 2, 2, 1, 1, 1)]
+    for word in words:
+        if len(word) <= depth:
+            assert abs(table.value(word) - _single_word(word, phi, CFG)) < CFG.eps(2), word
+
+
+def test_segment_tables_of_two_depths_agree():
+    """Depths 6 and 7 split words differently between the two halves."""
+    shallow, deep = _half_segment("1.2", 6), _half_segment("1.2", 7)
+    for word in shallow.words():
+        assert abs(shallow.value(word) - deep.value(word)) < CFG.eps(2), word
+
+
+def test_shuffle_of_short_and_long_words_on_one_segment():
+    """Products of a forward word (length <= 4) and a dot word (length >= 5)."""
+    table = _half_segment("pi/4", 8)
+    rng = random.Random(1)
+    for _ in range(6):
+        w1 = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 2)))
+        w2 = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(7 - len(w1), 6)))
+        rhs = sum(mult * table.value(word) for word, mult in shuffle(w1, w2).items())
+        assert abs(table.value(w1) * table.value(w2) - rhs) < CFG.eps(2), (w1, w2)
 
 
 def test_cache_roundtrip(tmp_path, table40_pi4_L4):

@@ -4,7 +4,8 @@ from math import comb
 import mpmath
 import pytest
 
-from lawsonarea.precision import PrecisionConfig, agreement_digits, constant, zeta
+from lawsonarea.precision import (PrecisionConfig, agreement_digits, constant,
+                                 guard_digits_for_order, zeta)
 
 # 55 digits from the exact-rational alternating central-binomial series
 # (5/2) * sum (-1)^(k-1) / (k^3 C(2k,k)); tail below 10^-55 after 90 terms.
@@ -92,3 +93,8 @@ def test_contexts_are_independent():
     vb = b.context.mpf(1) / 3
     assert agreement_digits(va, vb, a) >= 18
     assert mpmath.mp.dps == 15  # the global context is never touched
+
+
+def test_guard_digits_rule():
+    """10 guard digits through order 8 (cache names unchanged), 12 at order 9."""
+    assert [guard_digits_for_order(n) for n in range(1, 10)] == [10] * 8 + [12]
