@@ -5,7 +5,11 @@ the four parameter functions a, b, c (Laurent coefficients of the residue
 matrix) and the scalar r admit a recursion in the expansion order n:
 
 1. Assemble the lower-order part of the frame derivative P^(n+1) at z = 1
-   from word integrals and Leibniz products of known derivatives.
+   from word integrals and Leibniz products of known derivatives.  The
+   scalars y_i = r x_i commute, so a word's product derivatives depend only
+   on its letter counts; only its constant matrix M_w depends on the letter
+   order.  The word integrals are therefore summed per (letter counts, M_w)
+   and each multiset's product derivatives are built once.
 2. The reality condition p = star(p) on the trace coordinate
    p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
    Sym-point condition p(i) = 0 pins its constant term.
@@ -27,6 +31,7 @@ general phi is available in closed form, no recursion needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +55,10 @@ class EngineError(ArithmeticError):
     """A structural invariant of the recursion failed beyond tolerance."""
 
 
+@functools.lru_cache(maxsize=None)
 def _mat_mul(m1, m2):
+    """Product of two constant 2x2 matrices (memoised: products of ``M_MATS``
+    take at most 16 values)."""
     return tuple(
         tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2))
         for i in range(2))
@@ -144,19 +152,32 @@ def _real_map(poly: LaurentPoly, label: str) -> dict:
 def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMatrix2:
     """Part of P^(n+1) determined by derivatives of order below n.
 
-    Sum over words of length 2..n+1 of (n+1)!/(n+1-l)! times the
-    (n+1-l)-th derivative of the product y_{i_1} ... y_{i_l}, the constant
-    matrix product, and the word integral at 1; plus the single-letter
-    cross terms with 1 <= l <= n-1 in the Leibniz expansion of y_i^(n).
+    Sum over words w of length l = 2..n+1 of (n+1)!/(n+1-l)! times the
+    (n+1-l)-th t-derivative of the product y_{w_1} ... y_{w_l}, the constant
+    matrix M_w = M_{w_1} ... M_{w_l}, and the word integral Omega(w) at 1;
+    plus the single-letter cross terms with 1 <= l <= n-1 in the Leibniz
+    expansion of y_i^(n).
 
-    a, b, c and r are real, so every derivative of a word product is a real
-    polynomial, held here as an untrimmed {degree: mpf} map.  A word of
-    length l at derivative order m has support in [-l, m + l], so no
+    The y_i = r x_i are scalars in lambda, so they commute: the derivatives
+    of y_{w_1} ... y_{w_l} depend only on how often each letter occurs in w,
+    and only M_w, a product of non-commuting constant matrices, depends on
+    the letter order.  So each word costs one complex scalar add, of
+    Omega(w) into the bucket of its (letter counts, M_w).  Each ``M_MATS``
+    entry is a phase times a Pauli matrix, so a letter multiset meets at
+    most two matrices, which differ in sign.  The multisets are then walked
+    as the tree of non-decreasing words: the derivatives of each multiset's
+    product are built once, by one Leibniz product from those of its parent
+    (the multiset without its last letter), and each bucket is added once:
+    80 multisets against 1 089 words at order 5.  Only the derivatives
+    along the current path from the root are held.
+
+    a, b, c and r are real, so every derivative of a product is a real
+    polynomial, held here as an untrimmed {degree: mpf} map.  A product of
+    l letters at derivative order m has support in [-l, m + l], so no
     rounding dust can cross the degree bound that ``frame_derivative``
-    checks.  Each word's constant matrix is a product of ``M_MATS`` (a phase
-    times a Pauli matrix, so at most 16 distinct ones): the words are summed
-    into one complex (re, im) pair of maps per matrix, and the matrix of
-    Laurent polynomials is built once at the end.
+    checks.  The buckets are summed into one complex (re, im) pair of maps
+    per constant matrix (at most 16), and the matrix of Laurent polynomials
+    is built once at the end.
     """
     cfg = state.cfg
     ctx = cfg.context
@@ -188,32 +209,49 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
         if cross:
             add(M_MATS[i - 1], cross, (n + 1) * table.value((i,)))
 
-    # words of length >= 2; y[(i, k)] is the k-th derivative of r * x_i
+    # words of length >= 2: Omega(w) summed per letter counts, then per M_w
+    buckets: dict = {}
+
+    def visit(word, counts, mmat) -> None:
+        for i in range(3):
+            child = word + (i + 1,)
+            child_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+            child_mat = _mat_mul(mmat, M_MATS[i])
+            if len(child) >= 2:
+                bucket = buckets.setdefault(child_counts, {})
+                bucket[child_mat] = bucket.get(child_mat, 0) + table.value(child)
+            if len(child) <= n:
+                visit(child, child_counts, child_mat)
+
+    visit((), (0, 0, 0), _IDENTITY2)
+
+    # Each multiset once, as its non-decreasing word: derivs[m] is the m-th
+    # derivative of its product of y, built from the multiset without its
+    # last letter; y[(i, k)] is the k-th derivative of r * x_i.
     y = {(i, k): leibniz(i, k, range(k + 1)) for (i, k) in x}
 
-    def descend(word, mmat, derivs):
-        depth = len(word)
-        if depth >= 2:
-            poly = derivs[n + 1 - depth]
-            if poly:
-                add(mmat, poly, math.perm(n + 1, depth) * table.value(word))
-        # a child at depth d contributes derivative order n+1-d (d >= 2 only)
-        # and feeds its own children orders up to n-d; depth-1 nodes only feed.
-        max_child = n - max(depth, 1)
+    def descend(counts, last, derivs) -> None:
+        size = sum(counts)
+        if size >= 2 and derivs[n + 1 - size]:
+            for mmat, omega in buckets[counts].items():
+                add(mmat, derivs[n + 1 - size], math.perm(n + 1, size) * omega)
+        # a multiset of size l >= 2 contributes derivative order n+1-l and
+        # feeds its children orders up to n-l; single letters only feed.
+        max_child = n - max(size, 1)
         if max_child < 0:
             return
-        for letter in (1, 2, 3):
+        for i in range(last, 3):
             child = []
             for s in range(max_child + 1):
                 total: dict = {}
                 for j in range(s + 1):
-                    left, right = derivs[j], y[(letter, s - j)]
+                    left, right = derivs[j], y[(i + 1, s - j)]
                     if left and right:
                         _add_product(total, math.comb(s, j), left, right)
                 child.append(total)
-            descend(word + (letter,), _mat_mul(mmat, M_MATS[letter - 1]), child)
+            descend(counts[:i] + (counts[i] + 1,) + counts[i + 1:], i, child)
 
-    descend((), _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
+    descend((0, 0, 0), 0, [{0: ctx.mpf(1)}] + [{}] * n)
 
     entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
     for mmat, (re, im) in sums.items():

@@ -7,6 +7,8 @@ from lawsonarea.precision import PrecisionConfig
 def pytest_addoption(parser):
     parser.addoption("--skip-stretch", action="store_true", default=False,
                      help="skip the stretch-gated order-7 checks")
+    parser.addoption("--run-order9", action="store_true", default=False,
+                     help="run the order-9 checks (a depth-10 table each)")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -14,6 +16,11 @@ def pytest_collection_modifyitems(config, items):
         marker = pytest.mark.skip(reason="stretch checks disabled (--skip-stretch)")
         for item in items:
             if "stretch" in item.keywords:
+                item.add_marker(marker)
+    if not config.getoption("--run-order9"):
+        marker = pytest.mark.skip(reason="order-9 checks need --run-order9")
+        for item in items:
+            if "order9" in item.keywords:
                 item.add_marker(marker)
 
 

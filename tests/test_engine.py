@@ -1,14 +1,18 @@
+import math
+
 import mpmath
 import pytest
 
-from lawsonarea.engine import (EngineError, area_series, central_state,
+from lawsonarea.engine import (M_MATS, EngineError, area_series, central_state,
                                first_order_general_phi, frame_derivative,
-                               q_first_order_check, run)
+                               frame_lower, q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
-from lawsonarea.precision import PrecisionConfig
+from lawsonarea.omega import build_table
+from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context
+ALPHA9 = "-459.5656763714886336332528952560965619955262720306898451994"
 
 
 def test_central_values_determinant():
@@ -172,3 +176,80 @@ def test_expansion_values_match_reference(state40_o6):
     res = area_series(state40_o6)
     assert mpmath.nstr(res.alpha(1), 10) == "0.6931471806"
     assert mpmath.nstr(res.alpha(3), 10) == "2.704628032"
+
+
+def _word_sum_frame_lower(n, state, table):
+    """Oracle for ``frame_lower``: the word sum it groups by letter multiset.
+
+    Every word of length 2..n+1 builds the t-derivatives of its own product
+    y_{w_1} ... y_{w_l} along the word tree and adds them, times its matrix
+    and integral, straight into complex matrix entries {degree: mpc}.
+    """
+    entries = [[{}, {}], [{}, {}]]
+
+    def axpy(acc, s, p):
+        for d, v in p.items():
+            acc[d] = acc.get(d, 0) + s * v
+
+    def add(mmat, poly, weight):
+        for i in range(2):
+            for j in range(2):
+                if mmat[i][j]:
+                    axpy(entries[i][j], weight * mmat[i][j], poly)
+
+    def y(i, k, ells):          # the terms ells of the k-th derivative of r x_i
+        total = {}
+        for ell in ells:
+            axpy(total, math.comb(k, ell) * state.r[k - ell],
+                 {d: v.real for d, v in state.x(i, ell).coeffs.items()})
+        return total
+
+    for i in (1, 2, 3):
+        add(M_MATS[i - 1], y(i, n, range(1, n)), (n + 1) * table.value((i,)))
+    ys = {(i, k): y(i, k, range(k + 1)) for i in (1, 2, 3) for k in range(n)}
+
+    def descend(word, mmat, derivs):
+        if len(word) >= 2:
+            add(mmat, derivs[n + 1 - len(word)],
+                math.perm(n + 1, len(word)) * table.value(word))
+        if len(word) > n:
+            return
+        for letter in (1, 2, 3):
+            child = []
+            for s in range(n + 1 - max(len(word), 1)):
+                total = {}
+                for j in range(s + 1):
+                    for d1, v1 in derivs[j].items():
+                        axpy(total, math.comb(s, j) * v1,
+                             {d1 + d2: v2 for d2, v2 in ys[(letter, s - j)].items()})
+                child.append(total)
+            m = M_MATS[letter - 1]
+            descend(word + (letter,), tuple(
+                tuple(sum(mmat[i][k] * m[k][j] for k in range(2)) for j in range(2))
+                for i in range(2)), child)
+
+    descend((), ((1, 0), (0, 1)), [{0: CTX.mpf(1)}] + [{}] * n)
+    return entries
+
+
+def test_frame_lower_matches_word_sum(state40_o6, table40_pi4_L7):
+    for n in range(1, 7):
+        got = frame_lower(n, state40_o6, table40_pi4_L7)
+        want = _word_sum_frame_lower(n, state40_o6, table40_pi4_L7)
+        for i in range(2):
+            for j in range(2):
+                entry = want[i][j]
+                tol = CFG.eps(2) * max([CTX.mpf(1)] + [abs(v) for v in entry.values()])
+                for d in got[i, j].coeffs.keys() | entry.keys():
+                    err = abs(got[i, j].coefficient(d) - entry.get(d, 0))
+                    assert err <= tol, (n, i, j, d, mpmath.nstr(err, 3))
+
+
+@pytest.mark.order9
+@pytest.mark.parametrize("digits", [35, 40, 45])
+def test_alpha9_matches_reference(digits):
+    cfg = PrecisionConfig(digits, guard_digits_for_order(9))
+    ctx = cfg.context
+    res = area_series(run(9, cfg, table=build_table("1", "pi/4", 10, cfg)))
+    assert res.alpha(8) == 0
+    assert abs(res.alpha(9) - ctx.mpf(ALPHA9)) < ctx.mpf(10) ** (-(digits - 2))
