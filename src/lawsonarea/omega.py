@@ -78,6 +78,43 @@ that unit, hence ``_EXTRA_BITS = 24``.  Measured
 with no extra bits at 50 working digits (T = 133, L = 8, on the two
 segments of the path to 1 at phi = pi/4) the forward words lost 5.8 to
 6.8 bits and the dot words 0.9 to 2.5 bits, well inside the bound.
+
+Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
+integers of their own at scale 2^P, P = working bits +
+``_QUADRATURE_EXTRA_BITS``, and share nothing with the transport kernel.
+Only the rule's nodes and weights and the level's entries are converted,
+each rounded once.  The budgets count the kernels' own roundings, in units
+of 2^-P.
+
+* Rule.  A step of the Legendre recurrence j P_j = (2j - 1) x P_{j-1} -
+  (j - 1) P_{j-2} rounds at most 3 units (one shift, scaled by less than 2,
+  and one ``//``).  At x = cos(theta) a unit error at step i reaches P_n
+  scaled by i |P_n Q_{i-1} - Q_n P_{i-1}| <= (4 / (pi sin(theta))) (i/n)^(1/2),
+  since both Legendre functions are at most (2 / (pi j sin(theta)))^(1/2) in
+  modulus, so P_n carries at most 2.5 n / sin(theta) units.  At the
+  outermost root of n = 80, sin(theta) is about 2.4/n, which gives under
+  2^13 units.  A node moves by that error divided by |P_n'| > 1.  A weight
+  2 (1 - x^2) / (n (x P_n - P_{n-1}))^2 has no division by the small
+  x^2 - 1.  Its relative error is twice that of P_{n-1}, which is above
+  0.0156 at every root of P_80, plus 1/(1 - x^2) < 2^10.1 units from
+  rounding 1 - x^2, so under 2^20 units in all.
+* First level.  On the path to 1 or to i every node z and every inner node
+  t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from both pole
+  pairs.  Each u = 1/(z^2 - p^2) costs one ``//`` of 2^(3P) by the exact
+  norm of z^2 - p^2, which carries about 6 units from rounding z^2 and p^2.
+  So u is off by at most 6/delta^2 + 4 units.  The inner sums
+  A_k = sum_l w_l u_k and B = sum_l w_l h_l (u1 - u2) are exact with
+  sum w_l = 1 and are rounded once.  The three inner integrals
+  2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms then carry at
+  most 4 (6/delta^2 + 5) + 8 units, below 2^9 for delta >= 0.29
+  (phi in [0.3, 1.27]).
+
+``_QUADRATURE_EXTRA_BITS = 24`` thus keeps both kernels' own rounding below
+2^-4 of a unit of the working precision for n <= 80.  Measured with no
+extra bits at 40 and 260 working digits, the 80-point rule lost 3 bits
+(7.6 to 8.4 units of the working precision) and the first levels at pi/6
+and 1.2 lost 7 bits (99 to 126 units).  With 24 extra bits the rule is
+within 0.5 and the levels within 2 units of a reference 30 digits up.
 """
 
 from __future__ import annotations
@@ -92,10 +129,9 @@ from operator import add, mul, sub
 from pathlib import Path
 
 import mpmath
-from mpmath.libmp import to_fixed
 
 from .mpl import FORM_COEFFS, punctures
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word, format_word, parse_word
 
 try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
@@ -108,6 +144,7 @@ except ImportError:
 
 _CACHE_VERSION = 3
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
+_QUADRATURE_EXTRA_BITS = 24    # the quadrature oracle's own, derived likewise
 _ENDPOINTS = ("1", "i")
 
 
@@ -308,8 +345,7 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
     T = _series_terms(cfg)
     bits = ctx.prec + _EXTRA_BITS
     with ctx.workprec(bits):
-        ratios = [(to_fixed(r.real._mpf_, bits), to_fixed(r.imag._mpf_, bits))
-                  for r in (half / q for q in rel)]
+        ratios = [to_fixed_pair(half / q, bits) for q in rel]
     divisors = range(1, T + 1)
     # each form has residue +1 at two poles and -1 at the other two
     residues = [tuple([k for k, e in enumerate(eps) if e == sign] for sign in (1, -1))
@@ -318,9 +354,6 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
     adjoint_depth = max_length - forward_depth
     values: dict[Word, mpmath.mpc] = {}
     prefixes = []    # (word, S_re, S_im, S_re + S_im), 1 <= |word| <= forward_depth
-
-    def to_mpc(re, im, scale):
-        return ctx.mpc(ctx.mpf((re, -scale)), ctx.mpf((im, -scale)))
 
     def geometric_product(s_re, s_im, ratio):
         # coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q
@@ -351,7 +384,7 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
             odd_re, odd_im = sum(c_re[0::2]), sum(c_im[0::2])
             even_re, even_im = sum(c_re[1::2]), sum(c_im[1::2])
             new_word = word + (letter,)
-            values[new_word] = to_mpc(2 * odd_re, 2 * odd_im, bits)
+            values[new_word] = from_fixed_pair(2 * odd_re, 2 * odd_im, bits, ctx)
             # the constant term makes the child series vanish at v = -1
             child_re, child_im = [odd_re - even_re] + c_re, [odd_im - even_im] + c_im
             prefixes.append((new_word, child_re, child_im, list(map(add, child_re, child_im))))
@@ -370,7 +403,7 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
             new_word = (letter,) + word
             if len(new_word) > forward_depth:
                 # the root series is 1, so a word's value is its V_0
-                values[new_word] = to_mpc(u_re[0], u_im[0], bits)
+                values[new_word] = from_fixed_pair(u_re[0], u_im[0], bits, ctx)
             if len(new_word) < adjoint_depth:
                 adjoint(new_word, u_re, u_im)
             else:
@@ -381,8 +414,9 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
         v_sum, v_diff = list(map(add, v_re, v_im)), list(map(sub, v_im, v_re))
         for word, s_re, s_im, s_sum in prefixes:
             k1 = sum(map(mul, v_re, s_sum))
-            values[word + suffix] = to_mpc(k1 - sum(map(mul, s_im, v_sum)),
-                                           k1 + sum(map(mul, s_re, v_diff)), 2 * bits)
+            values[word + suffix] = from_fixed_pair(k1 - sum(map(mul, s_im, v_sum)),
+                                                    k1 + sum(map(mul, s_re, v_diff)),
+                                                    2 * bits, ctx)
 
     if forward_depth:
         forward((), [1 << bits] + [0] * T, [0] * (T + 1))
@@ -422,83 +456,120 @@ _quadrature_cache: dict[tuple, tuple] = {}
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
-    """Nodes and weights on [-1, 1] at working precision (Newton refinement).
+    """Nodes and weights on [-1, 1] at working precision, by Newton on integers.
 
-    Each root stops once its Newton step is below ``cfg.eps()`` and then takes
-    one more, polishing step.
+    The Legendre recurrence and Newton run on integers at scale 2^P,
+    P = working bits + ``_QUADRATURE_EXTRA_BITS`` (budget in the module
+    docstring).  Each root starts from cos(pi (4k - 1)/(4n + 2)), stops once
+    its Newton step is below ``cfg.eps()`` and then takes one more, polishing
+    step.  Nodes are ascending, and each node and weight is rounded once to
+    ``mpf``.
     """
     key = (n, cfg.working_digits)
     if key in _gl_cache:
         return _gl_cache[key]
     ctx = cfg.context
-    eps = cfg.eps()
+    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
+    one = 1 << bits
+    tol = to_fixed_pair(cfg.eps(), bits)[0]
 
     def legendre(x):
-        # P_n(x) and P_n'(x) by the three-term recurrence
-        p0, p1 = ctx.mpf(1), x
+        # P_n(x) and n (x P_n(x) - P_{n-1}(x)) = (x^2 - 1) P_n'(x), at scale 2^P
+        p0, p1 = one, x
         for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, n * (x * p1 - p0) / (x * x - 1)
+            p0, p1 = p1, ((2 * j - 1) * (x * p1 >> bits) - (j - 1) * p0) // j
+        return p1, n * ((x * p1 >> bits) - p0)
 
     nodes, weights = [], []
     for k in range(1, n // 2 + n % 2 + 1):
-        x = ctx.cos(ctx.pi * (4 * k - 1) / (4 * n + 2))
+        x = to_fixed_pair(ctx.cos(ctx.pi * (4 * k - 1) / (4 * n + 2)), bits)[0]
         converged = False
         for _ in range(int(cfg.working_digits).bit_length() + 6):
-            p, dp = legendre(x)
-            step = p / dp
+            p, q = legendre(x)
+            step = p * ((x * x >> bits) - one) // q      # P_n / P_n'
             x -= step
             if converged:
                 break
-            converged = abs(step) < eps
-        _, dp = legendre(x)
+            converged = abs(step) < tol
+        _, q = legendre(x)
+        # 2 / ((1 - x^2) P_n'^2) = 2 (1 - x^2) / q^2
         nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    full_nodes = [-x for x in nodes]
-    full_weights = list(weights)
-    if n % 2 == 1:
-        full_nodes = full_nodes[:-1]
-        full_weights = full_weights[:-1]
-    full_nodes = full_nodes + [x for x in reversed(nodes)]
-    full_weights = full_weights + [w for w in reversed(weights)]
-    _gl_cache[key] = (full_nodes, full_weights)
+        weights.append((2 * (one - (x * x >> bits)) << 2 * bits) // (q * q))
+    # for odd n the last root is the middle node 0, which appears once
+    full_nodes = [-x for x in nodes[:n // 2]] + nodes[::-1]
+    full_weights = weights[:n // 2] + weights[::-1]
+    _gl_cache[key] = ([ctx.mpf((x, -bits)) for x in full_nodes],
+                      [ctx.mpf((w, -bits)) for w in full_weights])
     return _gl_cache[key]
 
 
-def paired_forms(p1, p2):
-    """The three surface forms as one function of z, from the pole pairs +-p1, +-p2.
+def _inverse_gap(zz, sq, bits: int) -> tuple[int, int]:
+    """1/(z^2 - p^2) from z^2 and p^2, (re, im) at scale 2^bits: one ``//``."""
+    d_re, d_im = zz[0] - sq[0], zz[1] - sq[1]
+    inv = (1 << 3 * bits) // (d_re * d_re + d_im * d_im)
+    return d_re * inv >> bits, -d_im * inv >> bits
 
-    With u_k = 1/(z^2 - p_k^2): f1 = 2z(u1 - u2), f2 = 2(p1 u1 - p2 u2) and
-    f3 = 2(p1 u1 + p2 u2), the ``FORM_COEFFS`` sums over the four poles
-    (p1, p2, -p1, -p2), at two complex divisions for all three letters.
+
+def _cmul(a, b, bits: int) -> tuple[int, int]:
+    """Product of two (re, im) pairs at scale 2^bits."""
+    return (a[0] * b[0] - a[1] * b[1]) >> bits, (a[0] * b[1] + a[1] * b[0]) >> bits
+
+
+def _paired_forms(z, poles, bits: int) -> tuple:
+    """The three surface forms at z from the pole pairs +-p1, +-p2, on integers.
+
+    ``z`` and ``poles`` = (p1, p2) are (re, im) pairs at scale 2^bits, and so
+    are the three results.  With u_k = 1/(z^2 - p_k^2): f1 = 2z(u1 - u2),
+    f2 = 2(p1 u1 - p2 u2) and f3 = 2(p1 u1 + p2 u2), the ``FORM_COEFFS`` sums
+    over the four poles (p1, p2, -p1, -p2).
     """
-    p1sq, p2sq = p1 * p1, p2 * p2
-
-    def forms(z) -> tuple:
-        zz = z * z
-        u1 = 2 / (zz - p1sq)
-        u2 = 2 / (zz - p2sq)
-        a, b = p1 * u1, p2 * u2
-        return z * (u1 - u2), a - b, a + b
-
-    return forms
+    zz = _cmul(z, z, bits)
+    p1, p2 = poles
+    u1, u2 = (_inverse_gap(zz, _cmul(p, p, bits), bits) for p in poles)
+    a, b = _cmul(p1, u1, bits), _cmul(p2, u2, bits)
+    f1 = _cmul(z, (u1[0] - u2[0], u1[1] - u2[1]), bits)
+    return ((2 * f1[0], 2 * f1[1]), (2 * (a[0] - b[0]), 2 * (a[1] - b[1])),
+            (2 * (a[0] + b[0]), 2 * (a[1] + b[1])))
 
 
-def _first_level(top, forms, half_nodes, half_weights, ctx) -> tuple:
+def _first_level(top, poles, rule, bits: int, ctx) -> tuple:
     """Gauss-Legendre nodes t of [0, top], weight times forms there, inner integrals.
 
-    ``half_nodes`` and ``half_weights`` are the rule mapped to [0, 1].  The
-    inner integrals are the three first-level integrals from 0 to each t, by
-    the same rule on [0, t].  Sums are ``ctx.fdot``: exact products, one
-    rounding per sum.
+    ``poles`` = (p1, p2) and ``rule``, the nodes and weights mapped to
+    [0, 1], are integers at scale 2^bits; the three lists returned are
+    ``mpc``.  The inner integrals are the three first-level integrals from 0
+    to each t, by the same rule on [0, t]: with A_k = sum_l w_l u_k(t h_l)
+    and B = sum_l w_l h_l (u1 - u2)(t h_l) they are 2 t^2 B and
+    2 t (p1 A1 -+ p2 A2), each sum exact and rounded once.
     """
-    points = [top * h for h in half_nodes]
-    weighted, inner = [], []
-    for t, w in zip(points, half_weights):
-        weight = top * w
-        weighted.append(tuple(weight * f for f in forms(t)))
-        columns = zip(*(forms(t * h) for h in half_nodes))
-        inner.append(tuple(t * ctx.fdot(half_weights, column) for column in columns))
+    half_nodes, half_weights = rule
+    t_top = to_fixed_pair(top, bits)
+    top_sq = _cmul(t_top, t_top, bits)
+    squares = [h * h >> bits for h in half_nodes]
+    moments = [w * h >> bits for h, w in zip(half_nodes, half_weights)]
+    pole_squares = [_cmul(p, p, bits) for p in poles]
+    p1, p2 = poles
+    points, weighted, inner = [], [], []
+    for h, w, hh in zip(half_nodes, half_weights, squares):
+        t = (t_top[0] * h >> bits, t_top[1] * h >> bits)
+        weight = (t_top[0] * w >> bits, t_top[1] * w >> bits)
+        points.append(from_fixed_pair(*t, bits, ctx))
+        weighted.append(tuple(from_fixed_pair(*_cmul(weight, f, bits), bits, ctx)
+                              for f in _paired_forms(t, poles, bits)))
+        tt = (top_sq[0] * hh >> bits, top_sq[1] * hh >> bits)
+        sums = []     # per pole pair: A_k, then sum_l w_l h_l u_k
+        for sq in pole_squares:
+            u_re, u_im = zip(*[_inverse_gap((tt[0] * s >> bits, tt[1] * s >> bits), sq, bits)
+                               for s in squares])
+            sums.append([(sum(map(mul, c, u_re)) >> bits, sum(map(mul, c, u_im)) >> bits)
+                         for c in (half_weights, moments)])
+        (a1, b1), (a2, b2) = sums
+        c1, c2 = _cmul(p1, a1, bits), _cmul(p2, a2, bits)
+        # the factor 2 of every form is the shift by bits - 1
+        inner.append(tuple(from_fixed_pair(*_cmul(factor, g, bits - 1), bits, ctx)
+                           for factor, g in ((tt, (b1[0] - b2[0], b1[1] - b2[1])),
+                                             (t, (c1[0] - c2[0], c1[1] - c2[1])),
+                                             (t, (c1[0] + c2[0], c1[1] + c2[1])))))
     return points, weighted, inner
 
 
@@ -518,14 +589,16 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
                       nodes: int = 80) -> mpmath.mpc:
     """Nested Gauss-Legendre evaluation of one word integral, |word| <= 3.
 
-    Each level uses the ``nodes``-point rule on [0, upper limit].  The three
-    forms are evaluated together at each node (``paired_forms``), and the
-    first level (the outer nodes, weight times the three form values at each,
-    and the three inner integrals from 0 to each node) is kept in
-    ``_quadrature_cache``, keyed by (endpoint, phi value from ``parse_phi``,
-    working digits, nodes).  So every word of length 1 or 2 at that key is one
-    sum over the cached level; a word of length 3 builds one more level per
-    outer node and costs nodes^3 form evaluations.  This exists purely as an
+    Each level uses the ``nodes``-point rule on [0, upper limit].  The first
+    level (the outer nodes, weight times the three form values at each, and
+    the three inner integrals from 0 to each node) is computed on integers at
+    scale 2^P, P = working bits + ``_QUADRATURE_EXTRA_BITS``, with the three
+    forms evaluated together from the pole pairs (``_paired_forms``), and is
+    kept as ``mpc`` in ``_quadrature_cache``, keyed by (endpoint, phi value
+    from ``parse_phi``, working digits, nodes).  So every word of length 1 or
+    2 at that key is one ``fdot`` over the cached level; a word of length 3
+    builds one more level per outer node and costs nodes^3 form evaluations.
+    The rounding budget is in the module docstring.  This exists purely as an
     independent cross-check of the transport tables and uses nothing of theirs.
     """
     word = tuple(word)
@@ -539,13 +612,15 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
         return ctx.mpc(1)
     key = (endpoint, phi_value, cfg.working_digits, nodes)
     level = _quadrature_cache.get(key)
+    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
     xs, ws = gauss_legendre_rule(nodes, cfg)
-    half_nodes = [(x + 1) / 2 for x in xs]
-    half_weights = [w / 2 for w in ws]
-    forms = paired_forms(*punctures(phi_value, cfg)[:2])
+    # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
+    rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
+            [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
+    poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
 
     def expand(top):
-        return _first_level(top, forms, half_nodes, half_weights, ctx)
+        return _first_level(top, poles, rule, bits, ctx)
 
     if level is None:
         end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)

@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,21 @@ def _context(decimal_digits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.mp.clone()
     ctx.dps = decimal_digits
     return ctx
+
+
+def to_fixed_pair(z, bits: int) -> tuple[int, int]:
+    """Real and imaginary part of an ``mpf`` or ``mpc`` as integers scaled by 2^bits.
+
+    Each part is rounded down; an ``mpf`` has imaginary part 0.  The fixed-point
+    kernels convert their inputs with this and their outputs with
+    ``from_fixed_pair``.
+    """
+    return to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
+
+
+def from_fixed_pair(re: int, im: int, scale: int, ctx) -> mpmath.mpc:
+    """The ``mpc`` (re + i im) 2^-scale of context ``ctx``, each part rounded once."""
+    return ctx.mpc(ctx.mpf((re, -scale)), ctx.mpf((im, -scale)))
 
 
 _KNOWN_CONSTANTS = ("pi", "log2", "euler_log")

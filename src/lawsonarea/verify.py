@@ -334,6 +334,22 @@ def alpha5_conjecture_value(cfg: PrecisionConfig):
                   - 21 * ctx.zeta(3) * ctx.ln(2) ** 2)
 
 
+def alpha5_classical_value(cfg: PrecisionConfig):
+    """alpha_5 from its classical-polylogarithm relation.
+
+    720 alpha_5 + 495 zeta(5) + 10080 zeta(3) log^2 2 + 320 pi^2 log^3 2
+    - 384 log^5 2 - 11520 Li_5(1/2) - 11520 Li_4(1/2) log 2 = 0, with the two
+    polylogarithms from ``mpl.li``.  It reduces the alternating-MZV form of
+    ``alpha5_conjecture_value`` to Li_5(1/2) and Li_4(1/2) log 2.
+    """
+    ctx = cfg.context
+    log2 = ctx.ln(2)
+    li5, li4 = (ctx.re(_li(cfg, [n], ["0.5"])) for n in (5, 4))
+    return (-495 * ctx.zeta(5) - 10080 * ctx.zeta(3) * log2 ** 2
+            - 320 * ctx.pi ** 2 * log2 ** 3 + 384 * log2 ** 5
+            + 11520 * li5 + 11520 * li4 * log2) / 720
+
+
 def alpha7_conjecture_value(cfg: PrecisionConfig):
     ctx = cfg.context
     z11113 = mpl.zeta_signed([1, 1, 1, 1, 3], [1, 1, 1, 1, -1], cfg)
@@ -369,6 +385,8 @@ def conjecture_suite(cfg: PrecisionConfig, cache_dir=None,
     result = engine.area_series(state)
     report.add("1-alpha5-vs-mzv", alpha5_conjecture_value(cfg), result.alpha(5),
                cfg, tol, stretch=True)
+    report.add("3-alpha5-vs-classical-polylogs", alpha5_classical_value(cfg),
+               result.alpha(5), cfg, tol, stretch=True)
     if include_alpha7:
         report.add("2-alpha7-vs-mzv", alpha7_conjecture_value(cfg), result.alpha(7),
                    cfg, tol, stretch=True)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from lawsonarea.mpl import (DivergentSeriesError, convert_word, li, mpl_spec,
-                            series_extrapolated, series_partial_sum, zeta_signed)
+from lawsonarea.mpl import (DivergentSeriesError, _integral_word, _tail_products,
+                            convert_word, li, mpl_spec, series_extrapolated,
+                            series_partial_sum, zeta_signed)
 from lawsonarea.precision import PrecisionConfig, agreement_digits
 from lawsonarea.verify import (distribution_residual, li11_inversion_residual,
                                zagier_residual)
@@ -164,3 +165,28 @@ def test_precision_doubling():
         vlo = li(mpl_spec(indices, args, lo), lo)
         vhi = li(mpl_spec(indices, args, hi), hi)
         assert agreement_digits(vlo, vhi, lo) >= 28
+
+
+def test_split_kernel_at_250_digits():
+    cfg = PrecisionConfig(250)
+    ctx = cfg.context
+    assert abs(li(mpl_spec([2], [-1], cfg), cfg) + ctx.pi ** 2 / 12) < cfg.eps(2)
+    expected = -ctx.pi ** 2 / 48 + ctx.mpc(0, 1) * ctx.catalan
+    assert abs(li(mpl_spec([2], [ctx.mpc(0, 1)], cfg), cfg) - expected) < cfg.eps(2)
+    hi = PrecisionConfig(280)
+    indices, signs = [1, 1, 1, 1, 3], [1, 1, 1, 1, -1]
+    value = zeta_signed(indices, signs, cfg)
+    assert abs(hi.context.mpc(value) - zeta_signed(indices, signs, hi)) < cfg.eps(2)
+
+
+def test_split_path_at_term_ratio_near_0_9():
+    """About 1 300 series terms at 40 digits: the kernel's budget at large T."""
+    z2 = CTX.mpf("0.97") * CTX.expj(CTX.mpf("0.074"))
+    spec = mpl_spec([2, 1], ["0.5", z2], CFG)
+    word = _integral_word(spec, _tail_products(spec, CFG))
+    ratio = 1 / (min(abs(a) for a in word if a != 0)
+                 + min(abs(1 - a) for a in word if a != 0))
+    assert 0.89 < ratio < 0.9
+    # |z2|^cutoff is below 10^-55
+    direct = series_partial_sum(spec, CFG, 4200)
+    assert abs(li(spec, CFG) - direct) < CFG.eps(2)

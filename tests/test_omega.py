@@ -10,9 +10,9 @@ from lawsonarea.engine import expand
 from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _cache_path, _segment_table,
                               _values_digest, build_table, cached_table, canonical_phi,
                               chen_compose, clear_cache, gauss_legendre_rule,
-                              is_pi_over_4, list_cache, load_table, paired_forms,
-                              parse_phi, quadrature_oracle, save_table)
-from lawsonarea.precision import PrecisionConfig
+                              is_pi_over_4, list_cache, load_table, parse_phi,
+                              quadrature_oracle, save_table)
+from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
 
@@ -171,12 +171,23 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
 def test_paired_forms_match_form_coeffs():
     cfg = PrecisionConfig(30)
     ctx = cfg.context
+    bits = ctx.prec + omega._QUADRATURE_EXTRA_BITS
     points = punctures(parse_phi("0.7", cfg), cfg)
-    forms = paired_forms(points[0], points[1])
+    poles = [to_fixed_pair(p, bits) for p in points[:2]]
     for z in (ctx.mpc("0.3", "0.4"), ctx.mpc("-1.2", "0.5"), ctx.mpc("0.1", "-2")):
-        for value, eps in zip(forms(z), FORM_COEFFS):
+        forms = omega._paired_forms(to_fixed_pair(z, bits), poles, bits)
+        for value, eps in zip(forms, FORM_COEFFS):
+            value = from_fixed_pair(*value, bits, ctx)
             expected = sum(e / (z - p) for e, p in zip(eps, points))
             assert abs(value - expected) < cfg.eps(2) * max(1, abs(expected)), z
+
+
+def test_quadrature_length3_word_matches_transport():
+    """Three nested levels: one more ``_first_level`` per outer node."""
+    cfg = PrecisionConfig(25)
+    quad = quadrature_oracle((2, 2, 3), "1", "pi/4", cfg, nodes=48)
+    transport = build_table("1", "pi/4", 3, cfg).value((2, 2, 3))
+    assert abs(quad - transport) < cfg.eps(2)
 
 
 def test_oracle_caches_are_keyed_by_every_input():

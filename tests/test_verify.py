@@ -5,8 +5,8 @@ import pytest
 
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import (SUITE_NAMES, alpha3_factored_pieces, alpha3_raw,
-                               alpha3_simplified, alpha3_suite, closed_form_suite,
-                               conjecture_suite, integral_identity_suite,
+                               alpha3_simplified, alpha3_suite, alpha5_classical_value,
+                               closed_form_suite, conjecture_suite, integral_identity_suite,
                                parity_shuffle_stuffle_suite, reports_to_json,
                                run_suites)
 
@@ -57,9 +57,16 @@ def test_integral_identity_suite():
 def test_conjecture_suite_is_stretch(state40_o6):
     report = conjecture_suite(CFG, state=state40_o6)
     assert all(c.stretch for c in report.checks)
-    assert len(report.checks) == 1
-    assert report.checks[0].passed
+    assert [c.check_id for c in report.checks] == ["1-alpha5-vs-mzv",
+                                                   "3-alpha5-vs-classical-polylogs"]
+    assert all(c.passed for c in report.checks)
     assert report.passed    # stretch rows never block the suite verdict
+
+
+def test_alpha5_classical_polylog_value():
+    """alpha_5 through Li_5(1/2) and Li_4(1/2) log 2, against the paper's 51 digits."""
+    paper = CTX.mpf("3.69962699449761843989338013547104461773632954830910")
+    assert abs(alpha5_classical_value(CFG) - paper) < CFG.eps(2)
 
 
 def test_report_json_schema(table40_pi4_L4):
