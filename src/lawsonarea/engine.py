@@ -21,7 +21,12 @@ matrix) and the scalar r admit a recursion in the expansion order n:
 Every order asserts the structural invariants (polynomial degree <= n + 1,
 lambda-parity, reality, divisibility) and records their residuals; a
 violation above tolerance raises :class:`EngineError` instead of silently
-absorbing precision loss.
+absorbing precision loss.  No small coefficient is dropped while a result is
+computed: a^(n) and c^(n) pass one support rule (``_support``) that zeroes
+coefficients below their constraint's tolerance, drops parity-forbidden
+dust and rejects anything else outside degrees 0..n+1.  The negative
+degrees of lambda * K_lower are dust up to eps(2) of its peak and are
+projected away before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0));
 Taylor coefficients alpha_k (Area = 8 pi (1 - sum alpha_k t^k)) follow from
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .laurent import LaurentPoly, LaurentMatrix2
+from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy
 from .omega import OmegaTable, cached_table, is_pi_over_4, parse_phi
 from .precision import PrecisionConfig
 
@@ -85,15 +90,16 @@ class DerivativeState:
     def x(self, i: int, k: int) -> LaurentPoly:
         return (self.a, self.b, self.c)[i - 1][k]
 
-    def y(self, i: int, k: int) -> LaurentPoly:
-        """k-th derivative of r * x_i (Leibniz over the stored lists)."""
-        total = LaurentPoly.zero(self.cfg)
-        for ell in range(k + 1):
+    def y(self, i: int, k: int, ells=None) -> LaurentPoly:
+        """k-th derivative of r * x_i by the Leibniz rule over the stored
+        lists: the terms C(k, ell) r^(k-ell) x_i^(ell) for ell in ``ells``,
+        all of 0..k by default."""
+        total: dict = {}
+        for ell in range(k + 1) if ells is None else ells:
             rv = self.r[k - ell]
-            if rv == 0:
-                continue
-            total = total + self.x(i, ell).scale(math.comb(k, ell) * rv)
-        return total
+            if rv != 0:
+                axpy(total, math.comb(k, ell) * rv, self.x(i, ell).coeffs)
+        return LaurentPoly(self.cfg, total)
 
     def derivatives_jsonable(self) -> list:
         """Derivative polynomials at the target digits, as ``alpha_t`` is printed."""
@@ -127,28 +133,6 @@ def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
 # frame derivatives from word integrals
 # ---------------------------------------------------------------------------
 
-def _axpy(acc: dict, s, p: dict) -> None:
-    """acc += s * p on {degree: mpf} maps, in place and untrimmed."""
-    for d, v in p.items():
-        acc[d] = acc[d] + s * v if d in acc else s * v
-
-
-def _add_product(acc: dict, s, p: dict, q: dict) -> None:
-    """acc += s * p * q on {degree: mpf} maps, in place and untrimmed."""
-    for d1, v1 in p.items():
-        sv = s * v1
-        for d2, v2 in q.items():
-            d = d1 + d2
-            acc[d] = acc[d] + sv * v2 if d in acc else sv * v2
-
-
-def _real_map(poly: LaurentPoly, label: str) -> dict:
-    """{degree: mpf} of a realified polynomial."""
-    if poly.imag_residual() != 0:
-        raise EngineError(f"{label} is not real; frame_lower needs realified data")
-    return {d: v.real for d, v in poly.coeffs.items()}
-
-
 def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMatrix2:
     """Part of P^(n+1) determined by derivatives of order below n.
 
@@ -172,12 +156,12 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     along the current path from the root are held.
 
     a, b, c and r are real, so every derivative of a product is a real
-    polynomial, held here as an untrimmed {degree: mpf} map.  A product of
-    l letters at derivative order m has support in [-l, m + l], so no
-    rounding dust can cross the degree bound that ``frame_derivative``
-    checks.  The buckets are summed into one complex (re, im) pair of maps
-    per constant matrix (at most 16), and the matrix of Laurent polynomials
-    is built once at the end.
+    polynomial, held here as a {degree: mpf} map.  A product of l letters
+    at derivative order m has support in [-l, m + l], so no rounding dust
+    can cross the degree bound that ``frame_derivative`` checks.  The
+    buckets are summed into one complex (re, im) pair of maps per constant
+    matrix (at most 16), and the matrix of Laurent polynomials is built once
+    at the end.
     """
     cfg = state.cfg
     ctx = cfg.context
@@ -185,27 +169,16 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
         return LaurentMatrix2(cfg)
-    x = {(i, k): _real_map(state.x(i, k), f"x_{i}^({k})")
-         for i in (1, 2, 3) for k in range(n)}
     sums: dict = {}     # constant matrix -> (re, im) maps of its coefficient
 
     def add(mmat, poly: dict, weight) -> None:
         re, im = sums.setdefault(mmat, ({}, {}))
-        _axpy(re, weight.real, poly)
-        _axpy(im, weight.imag, poly)
-
-    def leibniz(i: int, k: int, ells) -> dict:
-        """The terms ell in ``ells`` of the k-th derivative of r * x_i."""
-        total: dict = {}
-        for ell in ells:
-            rv = state.r[k - ell]
-            if rv != 0:
-                _axpy(total, math.comb(k, ell) * rv, x[(i, ell)])
-        return total
+        axpy(re, weight.real, poly)
+        axpy(im, weight.imag, poly)
 
     # single-letter cross terms (orders 1..n-1 of x against r)
     for i in (1, 2, 3):
-        cross = leibniz(i, n, range(1, n))
+        cross = state.y(i, n, range(1, n)).coeffs
         if cross:
             add(M_MATS[i - 1], cross, (n + 1) * table.value((i,)))
 
@@ -228,7 +201,7 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     # Each multiset once, as its non-decreasing word: derivs[m] is the m-th
     # derivative of its product of y, built from the multiset without its
     # last letter; y[(i, k)] is the k-th derivative of r * x_i.
-    y = {(i, k): leibniz(i, k, range(k + 1)) for (i, k) in x}
+    y = {(i, k): state.y(i, k).coeffs for i in (1, 2, 3) for k in range(n)}
 
     def descend(counts, last, derivs) -> None:
         size = sum(counts)
@@ -247,7 +220,7 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
                 for j in range(s + 1):
                     left, right = derivs[j], y[(i + 1, s - j)]
                     if left and right:
-                        _add_product(total, math.comb(s, j), left, right)
+                        add_product(total, math.comb(s, j), left, right)
                 child.append(total)
             descend(counts[:i] + (counts[i] + 1,) + counts[i + 1:], i, child)
 
@@ -260,11 +233,11 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
                 m = complex(mmat[i][j])
                 e_re, e_im = entries[i][j]
                 if m.real:
-                    _axpy(e_re, int(m.real), re)
-                    _axpy(e_im, int(m.real), im)
+                    axpy(e_re, int(m.real), re)
+                    axpy(e_im, int(m.real), im)
                 if m.imag:
-                    _axpy(e_re, -int(m.imag), im)
-                    _axpy(e_im, int(m.imag), re)
+                    axpy(e_re, -int(m.imag), im)
+                    axpy(e_im, int(m.imag), re)
     return LaurentMatrix2(cfg, [
         [LaurentPoly(cfg, {d: ctx.mpc(e_re.get(d, 0), e_im.get(d, 0))
                            for d in e_re.keys() | e_im.keys()})
@@ -276,19 +249,13 @@ def frame_derivative(n: int, state: DerivativeState, table: OmegaTable,
     """Full P^(n+1) once the order-n derivatives are in the state."""
     if state.order < n:
         raise ValueError(f"state complete to {state.order} < requested order {n}")
-    cfg = state.cfg
-    if lower is None:
-        lower = frame_lower(n, state, table)
-    acc = lower
+    mat = frame_lower(n, state, table) if lower is None else lower
     for i in (1, 2, 3):
-        if n == 0:
-            head = state.y(i, 0)
-        else:
-            head = state.x(i, n) + state.x(i, 0).scale(state.r[n])
+        # the Leibniz terms of y_i^(n) that hold an order-n unknown
+        head = state.y(i, n, {0, n})
         if not head.is_zero:
-            acc = acc.add_scaled_constant(head, (n + 1) * table.value((i,)),
+            mat = mat.add_scaled_constant(head, (n + 1) * table.value((i,)),
                                           M_MATS[i - 1])
-    mat = acc
     if mat.max_abs_degree() > n + 1:
         raise EngineError(f"frame derivative order {n + 1} has degree "
                           f"{mat.max_abs_degree()} > {n + 1}")
@@ -298,7 +265,6 @@ def frame_derivative(n: int, state: DerivativeState, table: OmegaTable,
 def p_derivative(n: int, state: DerivativeState,
                  frame_low: LaurentMatrix2) -> LaurentPoly:
     """Lower-order part of the (n+1)-st derivative of p = P11 P21 - P12 P22."""
-    cfg = state.cfg
     p_low = frame_low[1, 0] - frame_low[0, 1]
     for k in range(1, n + 1):
         pk = state.frames[k]
@@ -314,27 +280,35 @@ def p_derivative(n: int, state: DerivativeState,
 # extraction of the order-n parameters
 # ---------------------------------------------------------------------------
 
-def _drop_noise(poly: LaurentPoly, scale, cfg: PrecisionConfig) -> None:
-    """Remove coefficients below the residual tolerance of their defining
-    constraint; anything that small is indistinguishable from zero."""
+def _support(poly: LaurentPoly, n: int, scale, label: str,
+             cfg: PrecisionConfig) -> tuple:
+    """Apply the order-n support rule to a real a^(n) or c^(n).
+
+    A coefficient below ``scale`` * eps(6), the residual tolerance of its
+    defining constraint, is indistinguishable from zero and dropped.  Of the
+    rest, a degree d with d + n even must vanish by parity: such dust up to
+    max(|poly|, 1) * eps(6) is dropped and its peak reported as
+    ``parity_residual``, anything larger raises.  Every other coefficient
+    must lie in degrees 0..n+1.
+    """
+    ctx = cfg.context
     cut = scale * cfg.eps(6)
-    for d in [d for d, v in poly.coeffs.items() if abs(v) < cut]:
-        del poly.coeffs[d]
-
-
-def _parity_check(poly: LaurentPoly, n: int, label: str, cfg: PrecisionConfig) -> dict:
-    """Degrees d with d + n even must vanish; drop the dust, report the peak."""
-    tol = max(poly.max_abs(), cfg.context.mpf(1)) * cfg.eps(6)
-    bad = cfg.context.mpf(0)
-    for d, v in list(poly.coeffs.items()):
+    kept = {d: v for d, v in poly.coeffs.items() if abs(v) >= cut}
+    tol = max([ctx.mpf(1)] + [abs(v) for v in kept.values()]) * cfg.eps(6)
+    bad = ctx.mpf(0)
+    out = {}
+    for d, v in kept.items():
         if (d + n) % 2 == 0:
             if abs(v) > tol:
                 raise EngineError(
                     f"{label}: parity-forbidden coefficient at degree {d} "
                     f"has size {mpmath.nstr(abs(v), 5)}")
             bad = max(bad, abs(v))
-            del poly.coeffs[d]
-    return {"parity_residual": bad}
+        elif 0 <= d <= n + 1:
+            out[d] = v
+        else:
+            raise EngineError(f"{label} outside polynomial degree bound {n + 1}")
+    return LaurentPoly(cfg, out), {"parity_residual": bad}
 
 
 def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
@@ -349,11 +323,9 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
     if diag["imag_residual"] > max(c_n.max_abs(), ctx.mpf(1)) * cfg.eps(6):
         raise EngineError(f"c^({n}) has imaginary leakage "
                           f"{mpmath.nstr(diag['imag_residual'], 5)}")
-    c_n = c_n.realified()
-    _drop_noise(c_n, max(p_low.max_abs() * abs(factor), ctx.mpf(1)), cfg)
-    diag.update(_parity_check(c_n, n, f"c^({n})", cfg))
-    if not c_n.is_zero and (c_n.min_degree() < 0 or c_n.max_degree() > n + 1):
-        raise EngineError(f"c^({n}) outside polynomial degree bound {n + 1}")
+    c_n, parity = _support(c_n.realified(), n,
+                           max(p_low.max_abs() * abs(factor), ctx.mpf(1)), f"c^({n})", cfg)
+    diag.update(parity)
     return c_n, diag
 
 
@@ -362,6 +334,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
     """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
     cfg = state.cfg
     ctx = cfg.context
+    ys = {(i, k): state.y(i, k) for i in (1, 2, 3) for k in range(1, n)}
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
     for k in range(1, n):
         coeff = math.comb(n, k)
@@ -371,14 +344,18 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
                      - state.x(2, 0) * state.x(2, n - k)
                      - state.x(3, 0) * state.x(3, n - k))
             k_low = k_low + combo.scale(2 * coeff * rv)
-        combo = (state.y(1, k) * state.y(1, n - k)
-                 - state.y(2, k) * state.y(2, n - k)
-                 - state.y(3, k) * state.y(3, n - k))
+        combo = (ys[1, k] * ys[1, n - k]
+                 - ys[2, k] * ys[2, n - k]
+                 - ys[3, k] * ys[3, n - k])
         k_low = k_low + combo.scale(coeff)
+    # lambda * K_lower is a polynomial: its negative degrees are rounding
+    # dust, at most eps(2) of its largest coefficient
     shifted = k_low.shift(1)
-    if not shifted.is_zero and shifted.min_degree() < 0:
+    dust = shifted.project("minus")
+    if dust.max_abs() > shifted.max_abs() * cfg.eps(2):
         raise EngineError(
-            f"lambda * K_lower^({n}) kept negative degrees {shifted.min_degree()}")
+            f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
+    shifted = shifted.project("geq0")
     quot, rem = shifted.divrem_l2m1()
     scale = max(shifted.max_abs(), ctx.mpf(1))
     div_residual = abs(rem.coefficient(0))
@@ -401,15 +378,11 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
             raise EngineError(f"r^({n}) should vanish at odd order, got "
                               f"{mpmath.nstr(r_n, 5)}")
         r_n = ctx.mpf(0)
-    a_n = quot
-    imag = a_n.imag_residual()
-    if imag > max(a_n.max_abs(), ctx.mpf(1)) * cfg.eps(6):
+    imag = quot.imag_residual()
+    if imag > max(quot.max_abs(), ctx.mpf(1)) * cfg.eps(6):
         raise EngineError(f"a^({n}) has imaginary leakage {mpmath.nstr(imag, 5)}")
-    a_n = a_n.realified()
-    _drop_noise(a_n, scale, cfg)
-    diag.update(_parity_check(a_n, n, f"a^({n})", cfg))
-    if not a_n.is_zero and (a_n.min_degree() < 0 or a_n.max_degree() > n + 1):
-        raise EngineError(f"a^({n}) outside polynomial degree bound {n + 1}")
+    a_n, parity = _support(quot.realified(), n, scale, f"a^({n})", cfg)
+    diag.update(parity)
     return a_n, r_n, diag
 
 

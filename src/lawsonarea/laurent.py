@@ -1,8 +1,12 @@
 """Finite Laurent polynomials in the loop parameter lambda.
 
-Coefficients are mpmath complex numbers under an explicit
-:class:`~lawsonarea.precision.PrecisionConfig`.  Besides plain arithmetic the
-class carries the two involutions used throughout,
+Coefficients are real ``mpf`` or complex ``mpc`` numbers under an explicit
+:class:`~lawsonarea.precision.PrecisionConfig`; a real input stays real.
+Only exact zeros are dropped, so rounding dust stays visible to the checks
+that decide what is zero.  ``axpy`` and ``add_product``, the in-place
+kernels on {degree: coefficient} maps behind ``+``, ``-`` and ``*``, are
+shared with the engine's frame sums.  Besides plain arithmetic the class
+carries the two involutions used throughout,
 
     star(h)(lam) = conj(h(1/conj(lam)))   (degree k -> -k, conjugated)
     bar(h)(lam)  = conj(h(conj(lam)))     (coefficient-wise conjugation)
@@ -25,23 +29,39 @@ from .precision import PrecisionConfig
 _PARTS = ("plus", "minus", "zero", "geq0")
 
 
+def axpy(acc: dict, s, p: Mapping) -> None:
+    """acc += s * p on {degree: coefficient} maps, in place."""
+    for d, v in p.items():
+        acc[d] = acc[d] + s * v if d in acc else s * v
+
+
+def add_product(acc: dict, s, p: Mapping, q: Mapping) -> None:
+    """acc += s * p * q on {degree: coefficient} maps, in place."""
+    for d1, v1 in p.items():
+        sv = s * v1
+        for d2, v2 in q.items():
+            d = d1 + d2
+            acc[d] = acc[d] + sv * v2 if d in acc else sv * v2
+
+
 class LaurentPoly:
-    """Finitely supported map {integer degree -> coefficient}."""
+    """Finitely supported map {integer degree -> mpf or mpc coefficient}.
+
+    Which small coefficients are rounding dust is left to the caller, which
+    knows the scale of the constraint that produced them.
+    """
 
     __slots__ = ("cfg", "coeffs")
 
-    def __init__(self, cfg: PrecisionConfig, coeffs: Mapping[int, object] | None = None,
-                 *, normalize: bool = True):
-        ctx = cfg.context
+    def __init__(self, cfg: PrecisionConfig, coeffs: Mapping[int, object] | None = None):
+        convert = cfg.context.convert
         self.cfg = cfg
-        self.coeffs: dict[int, mpmath.mpc] = {}
+        self.coeffs: dict[int, object] = {}
         if coeffs:
             for deg, val in coeffs.items():
-                v = ctx.mpc(val)
-                if v != 0:
+                v = convert(val)
+                if v:
                     self.coeffs[int(deg)] = v
-        if normalize:
-            self.trim()
 
     # -- construction helpers ------------------------------------------------
 
@@ -54,29 +74,9 @@ class LaurentPoly:
         return cls(cfg, {0: 1})
 
     def copy(self) -> "LaurentPoly":
-        out = LaurentPoly(self.cfg, None, normalize=False)
-        out.coeffs = dict(self.coeffs)
-        return out
+        return LaurentPoly(self.cfg, self.coeffs)
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def trim(self) -> "LaurentPoly":
-        """Drop coefficients below 10^-(working-2) relative to the largest one.
-
-        The recursion's degree bounds mean true coefficients are either of
-        order one or exactly zero, so an aggressive relative threshold keeps
-        supports minimal without losing information.
-        """
-        if not self.coeffs:
-            return self
-        peak = max(abs(v) for v in self.coeffs.values())
-        if peak == 0:
-            self.coeffs.clear()
-            return self
-        cut = peak * self.cfg.eps(2)
-        for deg in [d for d, v in self.coeffs.items() if abs(v) <= cut]:
-            del self.coeffs[deg]
-        return self
 
     @property
     def is_zero(self) -> bool:
@@ -92,8 +92,8 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    def coefficient(self, degree: int) -> mpmath.mpc:
-        return self.coeffs.get(degree, self.cfg.context.mpc(0))
+    def coefficient(self, degree: int):
+        return self.coeffs.get(degree, self.cfg.context.zero)
 
     def max_abs(self) -> mpmath.mpf:
         if not self.coeffs:
@@ -111,51 +111,41 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        for deg, val in other.coeffs.items():
-            out[deg] = out.get(deg, 0) + val
+        axpy(out, 1, other.coeffs)
         return LaurentPoly(self.cfg, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        for deg, val in other.coeffs.items():
-            out[deg] = out.get(deg, 0) - val
+        axpy(out, -1, other.coeffs)
         return LaurentPoly(self.cfg, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.cfg, {d: -v for d, v in self.coeffs.items()},
-                           normalize=False)
+        return LaurentPoly(self.cfg, {d: -v for d, v in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
-        out: dict[int, mpmath.mpc] = {}
-        for d1, v1 in self.coeffs.items():
-            for d2, v2 in other.coeffs.items():
-                d = d1 + d2
-                out[d] = out.get(d, 0) + v1 * v2
+        out: dict = {}
+        add_product(out, 1, self.coeffs, other.coeffs)
         return LaurentPoly(self.cfg, out)
 
     def scale(self, s) -> "LaurentPoly":
-        sv = self.cfg.context.mpc(s)
+        sv = self.cfg.context.convert(s)
         return LaurentPoly(self.cfg, {d: v * sv for d, v in self.coeffs.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by lambda^k."""
-        out = LaurentPoly(self.cfg, None, normalize=False)
-        out.coeffs = {d + k: v for d, v in self.coeffs.items()}
-        return out
+        return LaurentPoly(self.cfg, {d + k: v for d, v in self.coeffs.items()})
 
     # -- involutions and projections ------------------------------------------
 
     def star(self) -> "LaurentPoly":
         ctx = self.cfg.context
-        return LaurentPoly(self.cfg, {-d: ctx.conj(v) for d, v in self.coeffs.items()},
-                           normalize=False)
+        return LaurentPoly(self.cfg, {-d: ctx.conj(v) for d, v in self.coeffs.items()})
 
     def bar(self) -> "LaurentPoly":
         ctx = self.cfg.context
-        return LaurentPoly(self.cfg, {d: ctx.conj(v) for d, v in self.coeffs.items()},
-                           normalize=False)
+        return LaurentPoly(self.cfg, {d: ctx.conj(v) for d, v in self.coeffs.items()})
 
     def project(self, part: str) -> "LaurentPoly":
         if part == "plus":
@@ -168,9 +158,7 @@ class LaurentPoly:
             keep = lambda d: d >= 0
         else:
             raise ValueError(f"unknown part {part!r}; expected one of {_PARTS}")
-        out = LaurentPoly(self.cfg, None, normalize=False)
-        out.coeffs = {d: v for d, v in self.coeffs.items() if keep(d)}
-        return out
+        return LaurentPoly(self.cfg, {d: v for d, v in self.coeffs.items() if keep(d)})
 
     # -- evaluation and division ----------------------------------------------
 
@@ -197,15 +185,15 @@ class LaurentPoly:
         if self.coeffs and self.min_degree() < 0:
             raise ValueError("divrem_l2m1 requires a polynomial without negative degrees")
         rem = dict(self.coeffs)
-        quot: dict[int, mpmath.mpc] = {}
-        for deg in sorted(rem, reverse=True):
-            if deg < 2:
-                break
+        quot: dict = {}
+        # every degree from the top down, including gaps that the folding
+        # of the degree above fills
+        for deg in range(max(rem, default=0), 1, -1):
             c = rem.pop(deg, None)
             if c is None:
                 continue
-            quot[deg - 2] = quot.get(deg - 2, 0) + c
-            rem[deg - 2] = rem.get(deg - 2, 0) + c
+            quot[deg - 2] = c
+            rem[deg - 2] = rem[deg - 2] + c if deg - 2 in rem else c
         return LaurentPoly(self.cfg, quot), LaurentPoly(self.cfg, rem)
 
     # -- reality helpers -------------------------------------------------------
@@ -220,7 +208,7 @@ class LaurentPoly:
     def realified(self) -> "LaurentPoly":
         """Drop imaginary parts (use only after checking imag_residual)."""
         ctx = self.cfg.context
-        return LaurentPoly(self.cfg, {d: ctx.mpc(ctx.re(v)) for d, v in self.coeffs.items()})
+        return LaurentPoly(self.cfg, {d: ctx.re(v) for d, v in self.coeffs.items()})
 
     def residual_against(self, other: "LaurentPoly") -> mpmath.mpf:
         """Largest coefficient of self - other, the max-residual metric."""

@@ -358,11 +358,9 @@ class SignedMplSum:
     terms: tuple[tuple[int, MplSpec], ...]
 
     def value(self, cfg: PrecisionConfig):
+        """The signed sum, accumulated exactly and rounded once."""
         ctx = cfg.context
-        total = ctx.mpc(0)
-        for coeff, spec in self.terms:
-            total = total + coeff * li(spec, cfg)
-        return total
+        return ctx.mpc(ctx.fdot((coeff, li(spec, cfg)) for coeff, spec in self.terms))
 
     def __len__(self) -> int:
         return len(self.terms)

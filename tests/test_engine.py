@@ -3,9 +3,10 @@ import math
 import mpmath
 import pytest
 
-from lawsonarea.engine import (M_MATS, EngineError, area_series, central_state,
+from lawsonarea.engine import (M_MATS, EngineError, _support, area_series,
+                               central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative,
-                               frame_lower, q_first_order_check, run)
+                               frame_lower, p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
 from lawsonarea.omega import build_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
@@ -56,8 +57,11 @@ def test_first_order_general_phi_signs():
 
 
 def test_parity_and_symmetry_invariants(state40_o6):
+    # structural zeros stay exact, with no rounding dust left in them
+    assert state40_o6.a[1].is_zero and state40_o6.a[2].is_zero
     for n in range(1, state40_o6.order + 1):
         for poly in (state40_o6.a[n], state40_o6.b[n], state40_o6.c[n]):
+            assert all(type(v) is CTX.mpf for v in poly.coeffs.values()), n
             if poly.is_zero:
                 continue
             assert poly.min_degree() >= 0
@@ -169,6 +173,50 @@ def test_engine_error_is_raised_on_corrupt_table(table40_pi4_L4):
     broken.values[(3,)] = broken.values[(3,)] + 1   # poison a word integral
     with pytest.raises(EngineError):
         run(2, CFG, table=broken)
+
+
+def test_support_drops_dust():
+    poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
+    kept, diag = _support(poly, 2, CTX.mpf(1), "x", CFG)
+    assert set(kept.coeffs) == {1}
+    assert diag["parity_residual"] == 0
+
+
+def test_support_drops_and_reports_parity_dust():
+    # scale 1e-10 keeps 1e-46 above the noise cut, below the parity tolerance
+    poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-46")})
+    kept, diag = _support(poly, 2, CTX.mpf("1e-10"), "x", CFG)
+    assert set(kept.coeffs) == {1}
+    assert diag["parity_residual"] == CTX.mpf("1e-46")
+
+
+def test_support_rejects_parity_forbidden_coefficient():
+    poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-30")})
+    with pytest.raises(EngineError, match="parity-forbidden"):
+        _support(poly, 2, CTX.mpf(1), "x", CFG)
+
+
+@pytest.mark.parametrize("degree", [-1, 5])
+def test_support_rejects_degree_outside_window(degree):
+    poly = LaurentPoly(CFG, {1: 1, degree: 1})
+    with pytest.raises(EngineError, match="degree bound"):
+        _support(poly, 2, CTX.mpf(1), "x", CFG)
+
+
+def test_negative_degrees_of_lambda_k_lower(table40_pi4_L7):
+    """lambda * K_lower's negative degrees are projected away as dust up to
+    eps(2) of its peak (350 at order 4), and raise above that."""
+    state = run(3, CFG, table=table40_pi4_L7)
+    c_n, _ = extract_c(4, p_derivative(4, state, frame_lower(4, state, table40_pi4_L7)), CFG)
+    a_n, r_n, _ = extract_a_r(4, state, c_n, c_n)
+
+    def with_extra(size):      # b^(4) plus size * lambda^-1 puts size/sqrt(2) on lambda^-1
+        return extract_a_r(4, state, c_n, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+
+    a_dust, r_dust, _ = with_extra("1e-50")
+    assert (a_dust - a_n).is_zero and abs(r_dust - r_n) < CFG.eps(8)
+    with pytest.raises(EngineError, match="negative degrees"):
+        with_extra("1e-40")
 
 
 def test_expansion_values_match_reference(state40_o6):

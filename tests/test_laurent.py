@@ -118,6 +118,8 @@ def test_divrem():
     assert q.is_zero and (r - lam(1, 2)).is_zero
     with pytest.raises(ValueError):
         (lam(-1) + lam(2)).divrem_l2m1()
+    q, r = (lam(4) - lam(0)).divrem_l2m1()            # lam^4 - 1: a gap at degree 2
+    assert (q - lam(2) - lam(0)).is_zero and r.is_zero
 
 
 def test_divrem_reconstruction():
@@ -141,11 +143,18 @@ def test_precision_mismatch_rejected():
         _ = lam(0) * other
 
 
-def test_trim_is_relative():
+def test_only_exact_zeros_are_dropped():
     big = CTX.mpf(10) ** 6
-    p = LaurentPoly(CFG, {0: big, 5: big * CFG.eps(0)})
-    assert 5 not in p.coeffs
-    assert 0 in p.coeffs
+    p = LaurentPoly(CFG, {0: big, 5: big * CFG.eps(0), 7: 0})
+    assert set(p.coeffs) == {0, 5}
+    assert (p - p).is_zero
+
+
+def test_real_coefficients_stay_real():
+    p = LaurentPoly(CFG, {0: CTX.mpf(2), 1: 3})
+    q = (p * p - p).scale(-2).star().shift(1) + p.bar()
+    assert all(type(v) is CTX.mpf for v in q.coeffs.values())
+    assert all(type(v) is CTX.mpc for v in p.scale(CTX.mpc(0, 1)).coeffs.values())
 
 
 def test_serialization_roundtrip():
