@@ -31,7 +31,7 @@ def _cfg(args) -> PrecisionConfig:
 
 def _cache_dir(args) -> Path | None:
     """The ``--cache-dir`` override, or None for ``omega.default_cache_dir``."""
-    return Path(args.cache_dir) if getattr(args, "cache_dir", None) else None
+    return Path(args.cache_dir) if args.cache_dir else None
 
 
 def _nstr(value, digits: int) -> str:
@@ -262,13 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterated integrals and multiple polylogarithms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phi_default="pi/4"):
+    def common(p, phi_default="pi/4", cache_dir=True):
         p.add_argument("--precision", type=int, default=40,
                        help="target decimal digits (default 40)")
         p.add_argument("--format", choices=_FORMATS, default="table")
-        p.add_argument("--cache-dir", default=None,
-                       help="override the table cache directory "
-                            "(env LAWSONAREA_CACHE_DIR)")
+        if cache_dir:
+            p.add_argument("--cache-dir", default=None,
+                           help="override the table cache directory "
+                                "(env LAWSONAREA_CACHE_DIR)")
         if phi_default is not None:
             p.add_argument("--phi", default=phi_default,
                            help="opening angle: 'pi/4', 'pi/6' or a decimal "
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("mpl", help="evaluate one multiple polylogarithm")
-    common(p, phi_default=None)
+    common(p, phi_default=None, cache_dir=False)
     p.add_argument("--indices", required=True, help="e.g. 1,1")
     p.add_argument("--args", required=True,
                    help="comma-separated arguments: 1, -1, i, -i, u:3/4 "

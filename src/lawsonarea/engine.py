@@ -7,8 +7,9 @@ matrix) and the scalar r admit a recursion in the expansion order n:
 1. Assemble the lower-order part of the frame derivative P^(n+1) at z = 1
    from word integrals and Leibniz products of known derivatives.  The
    scalars y_i = r x_i commute, so a word's product derivatives depend only
-   on its letter counts; only its constant matrix M_w depends on the letter
-   order.  The word integrals are therefore summed per (letter counts, M_w)
+   on its letter counts, and the constant matrices ``M_MATS`` anticommute,
+   so M_w is a sign times the product of its letters in sorted order.  The
+   word integrals are therefore summed with that sign per letter counts,
    and each multiset's product derivatives are built once.
 2. The reality condition p = star(p) on the trace coordinate
    p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
@@ -25,8 +26,8 @@ absorbing precision loss.  No small coefficient is dropped while a result is
 computed: a^(n) and c^(n) pass one support rule (``_support``) that zeroes
 coefficients below their constraint's tolerance, drops parity-forbidden
 dust and rejects anything else outside degrees 0..n+1.  The negative
-degrees of lambda * K_lower are dust up to eps(2) of its peak and are
-projected away before the division.
+degrees of lambda * K_lower are dust up to eps(2) of max(its peak, 1) and
+are projected away before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0));
 Taylor coefficients alpha_k (Area = 8 pi (1 - sum alpha_k t^k)) follow from
@@ -36,7 +37,6 @@ general phi is available in closed form, no recursion needed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,10 +60,8 @@ class EngineError(ArithmeticError):
     """A structural invariant of the recursion failed beyond tolerance."""
 
 
-@functools.lru_cache(maxsize=None)
 def _mat_mul(m1, m2):
-    """Product of two constant 2x2 matrices (memoised: products of ``M_MATS``
-    take at most 16 values)."""
+    """Product of two constant 2x2 matrices."""
     return tuple(
         tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2))
         for i in range(2))
@@ -82,10 +80,6 @@ class DerivativeState:
     r: list
     frames: list          # frames[m] = P^(m) at z = 1, m = 0..order+1
     diagnostics: list = field(default_factory=list)
-
-    @property
-    def theta(self):
-        return self.cfg.context.pi / 2
 
     def x(self, i: int, k: int) -> LaurentPoly:
         return (self.a, self.b, self.c)[i - 1][k]
@@ -143,25 +137,23 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     expansion of y_i^(n).
 
     The y_i = r x_i are scalars in lambda, so they commute: the derivatives
-    of y_{w_1} ... y_{w_l} depend only on how often each letter occurs in w,
-    and only M_w, a product of non-commuting constant matrices, depends on
-    the letter order.  So each word costs one complex scalar add, of
-    Omega(w) into the bucket of its (letter counts, M_w).  Each ``M_MATS``
-    entry is a phase times a Pauli matrix, so a letter multiset meets at
-    most two matrices, which differ in sign.  The multisets are then walked
-    as the tree of non-decreasing words: the derivatives of each multiset's
-    product are built once, by one Leibniz product from those of its parent
-    (the multiset without its last letter), and each bucket is added once:
-    80 multisets against 1 089 words at order 5.  Only the derivatives
-    along the current path from the root are held.
+    of y_{w_1} ... y_{w_l} depend only on how often each letter occurs in w.
+    The ``M_MATS`` anticommute pairwise, so M_w is (-1)^inv(w) times the
+    product of its letters in non-decreasing order, inv(w) counting the
+    letter pairs of w out of order.  So each word costs one complex add or
+    subtract of Omega(w) into the signed sum of its letter counts.  The
+    multisets are then walked as the tree of non-decreasing words: each
+    multiset's ordered matrix product and product derivatives are built
+    once, from those of its parent (the multiset without its last letter),
+    and its signed sum is added once: 80 multisets against 1 089 words at
+    order 5.  Only the derivatives along the current path are held.
 
     a, b, c and r are real, so every derivative of a product is a real
-    polynomial, held here as a {degree: mpf} map.  A product of l letters
-    at derivative order m has support in [-l, m + l], so no rounding dust
-    can cross the degree bound that ``frame_derivative`` checks.  The
-    buckets are summed into one complex (re, im) pair of maps per constant
-    matrix (at most 16), and the matrix of Laurent polynomials is built once
-    at the end.
+    {degree: mpf} map.  A product of l letters at derivative order m has
+    support in [-l, m + l], so no rounding dust can cross the degree bound
+    that ``frame_derivative`` checks.  The terms are summed into one
+    {degree: mpc} map per constant matrix (at most 8: +-I and +-M_i), and
+    each matrix entry sums those maps times its entry of the matrix.
     """
     cfg = state.cfg
     ctx = cfg.context
@@ -169,45 +161,41 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
         return LaurentMatrix2(cfg)
-    sums: dict = {}     # constant matrix -> (re, im) maps of its coefficient
-
-    def add(mmat, poly: dict, weight) -> None:
-        re, im = sums.setdefault(mmat, ({}, {}))
-        axpy(re, weight.real, poly)
-        axpy(im, weight.imag, poly)
+    sums: dict = {}     # constant matrix -> {degree: mpc} map of its coefficient
 
     # single-letter cross terms (orders 1..n-1 of x against r)
     for i in (1, 2, 3):
         cross = state.y(i, n, range(1, n)).coeffs
         if cross:
-            add(M_MATS[i - 1], cross, (n + 1) * table.value((i,)))
+            axpy(sums.setdefault(M_MATS[i - 1], {}), (n + 1) * table.value((i,)), cross)
 
-    # words of length >= 2: Omega(w) summed per letter counts, then per M_w
-    buckets: dict = {}
+    # words of length >= 2: (-1)^inv(w) Omega(w) summed per letter counts
+    signed: dict = {}
 
-    def visit(word, counts, mmat) -> None:
+    def visit(word, counts, sign) -> None:
         for i in range(3):
             child = word + (i + 1,)
             child_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            child_mat = _mat_mul(mmat, M_MATS[i])
+            # the new last letter is out of order with every larger letter
+            child_sign = -sign if sum(counts[i + 1:]) % 2 else sign
             if len(child) >= 2:
-                bucket = buckets.setdefault(child_counts, {})
-                bucket[child_mat] = bucket.get(child_mat, 0) + table.value(child)
+                total, omega = signed.get(child_counts, 0), table.value(child)
+                signed[child_counts] = total + omega if child_sign > 0 else total - omega
             if len(child) <= n:
-                visit(child, child_counts, child_mat)
+                visit(child, child_counts, child_sign)
 
-    visit((), (0, 0, 0), _IDENTITY2)
+    visit((), (0, 0, 0), 1)
 
-    # Each multiset once, as its non-decreasing word: derivs[m] is the m-th
-    # derivative of its product of y, built from the multiset without its
-    # last letter; y[(i, k)] is the k-th derivative of r * x_i.
+    # Each multiset once, as its non-decreasing word: mmat is its matrix
+    # product, derivs[m] the m-th derivative of its product of y, and
+    # y[(i, k)] the k-th derivative of r * x_i.
     y = {(i, k): state.y(i, k).coeffs for i in (1, 2, 3) for k in range(n)}
 
-    def descend(counts, last, derivs) -> None:
+    def descend(counts, last, mmat, derivs) -> None:
         size = sum(counts)
         if size >= 2 and derivs[n + 1 - size]:
-            for mmat, omega in buckets[counts].items():
-                add(mmat, derivs[n + 1 - size], math.perm(n + 1, size) * omega)
+            axpy(sums.setdefault(mmat, {}), math.perm(n + 1, size) * signed[counts],
+                 derivs[n + 1 - size])
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
         max_child = n - max(size, 1)
@@ -222,26 +210,18 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
                     if left and right:
                         add_product(total, math.comb(s, j), left, right)
                 child.append(total)
-            descend(counts[:i] + (counts[i] + 1,) + counts[i + 1:], i, child)
+            descend(counts[:i] + (counts[i] + 1,) + counts[i + 1:], i,
+                    _mat_mul(mmat, M_MATS[i]), child)
 
-    descend((0, 0, 0), 0, [{0: ctx.mpf(1)}] + [{}] * n)
+    descend((0, 0, 0), 0, _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
 
-    entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
-    for mmat, (re, im) in sums.items():
+    entries = [[{}, {}], [{}, {}]]
+    for mmat, coeffs in sums.items():
         for i in range(2):
             for j in range(2):
-                m = complex(mmat[i][j])
-                e_re, e_im = entries[i][j]
-                if m.real:
-                    axpy(e_re, int(m.real), re)
-                    axpy(e_im, int(m.real), im)
-                if m.imag:
-                    axpy(e_re, -int(m.imag), im)
-                    axpy(e_im, int(m.imag), re)
-    return LaurentMatrix2(cfg, [
-        [LaurentPoly(cfg, {d: ctx.mpc(e_re.get(d, 0), e_im.get(d, 0))
-                           for d in e_re.keys() | e_im.keys()})
-         for e_re, e_im in row] for row in entries])
+                if mmat[i][j]:
+                    axpy(entries[i][j], mmat[i][j], coeffs)
+    return LaurentMatrix2(cfg, [[LaurentPoly(cfg, e) for e in row] for row in entries])
 
 
 def frame_derivative(n: int, state: DerivativeState, table: OmegaTable,
@@ -349,15 +329,14 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
                  - ys[3, k] * ys[3, n - k])
         k_low = k_low + combo.scale(coeff)
     # lambda * K_lower is a polynomial: its negative degrees are rounding
-    # dust, at most eps(2) of its largest coefficient
+    # dust, at most eps(2) of max(its largest coefficient, 1)
     shifted = k_low.shift(1)
+    scale = max(shifted.max_abs(), ctx.mpf(1))
     dust = shifted.project("minus")
-    if dust.max_abs() > shifted.max_abs() * cfg.eps(2):
+    if dust.max_abs() > scale * cfg.eps(2):
         raise EngineError(
             f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
-    shifted = shifted.project("geq0")
-    quot, rem = shifted.divrem_l2m1()
-    scale = max(shifted.max_abs(), ctx.mpf(1))
+    quot, rem = shifted.project("geq0").divrem_l2m1()
     div_residual = abs(rem.coefficient(0))
     if div_residual > scale * cfg.eps(8):
         raise EngineError(

@@ -102,6 +102,18 @@ def test_omega_cache_transparency(capsys, tmp_path):
     assert out_cold == out_warm
 
 
+def test_omega_no_cache_builds_without_storing(capsys, tmp_path):
+    args = ("omega", "--word", "2,3", "--phi", "pi/4", "--precision", "25")
+    code, cached, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "on"))
+    assert code == 0
+    unused = tmp_path / "off"
+    unused.mkdir()
+    code, uncached, _ = run_cli(capsys, *args, "--no-cache", "--cache-dir", str(unused))
+    assert code == 0
+    assert uncached == cached
+    assert not any(unused.iterdir())
+
+
 def test_mpl_values(capsys):
     code, out, _ = run_cli(capsys, "mpl", "--indices", "1,1", "--args", "-1,i",
                            "--precision", "25")
@@ -129,6 +141,13 @@ def test_mpl_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "mpl", "--indices", "2", "--args", "spam")
     assert code == 2
+
+
+def test_mpl_has_no_cache_dir(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["mpl", "--indices", "2", "--args", "-1", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
 
 
 def test_verify_suite_exit_codes(capsys, tmp_path):

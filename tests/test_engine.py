@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -217,6 +218,44 @@ def test_negative_degrees_of_lambda_k_lower(table40_pi4_L7):
     assert (a_dust - a_n).is_zero and abs(r_dust - r_n) < CFG.eps(8)
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
+
+
+def test_negative_degrees_tolerance_floor_at_odd_order(table40_pi4_L7):
+    """At order 3 lambda * K_lower's peak is rounding dust, so its negative
+    degrees are measured against max(peak, 1): dust up to eps(2) is projected
+    away, and anything above it raises."""
+    state = run(2, CFG, table=table40_pi4_L7)
+    c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, table40_pi4_L7)), CFG)
+    b_n = -c_n
+    a_n, r_n, _ = extract_a_r(3, state, c_n, b_n)
+
+    def with_extra(size):      # size on lambda^-1 of b^(3)
+        return extract_a_r(3, state, c_n, b_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+
+    a_dust, r_dust, _ = with_extra("1e-60")
+    assert (a_dust - a_n).is_zero and r_dust == r_n == 0
+    with pytest.raises(EngineError, match="negative degrees"):
+        with_extra("1e-40")
+
+
+def test_m_mats_anticommute_to_sorted_order():
+    """M_w = (-1)^inv(w) times the product of w's letters in non-decreasing
+    order, for every word of length <= 5: the identity ``frame_lower``'s
+    signed sums rest on."""
+    def product(word):
+        out = ((1, 0), (0, 1))
+        for letter in word:
+            m = M_MATS[letter - 1]
+            out = tuple(tuple(sum(out[i][k] * m[k][j] for k in range(2))
+                              for j in range(2)) for i in range(2))
+        return out
+
+    for length in range(1, 6):
+        for word in itertools.product((1, 2, 3), repeat=length):
+            inv = sum(a > b for a, b in itertools.combinations(word, 2))
+            sign = (-1) ** inv
+            assert product(word) == tuple(tuple(sign * v for v in row)
+                                          for row in product(sorted(word))), word
 
 
 def test_expansion_values_match_reference(state40_o6):
