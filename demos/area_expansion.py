@@ -1,4 +1,4 @@
-"""The full pipeline: word-integral tables -> recursion -> area coefficients.
+"""The full pipeline: signed word-integral tables -> recursion -> area coefficients.
 
 Computes the Taylor expansion Area = 8 pi (1 - sum alpha_k t^k) of the
 genus-g minimal surfaces at t = 1/(2g+2), checks the known closed forms,
@@ -10,7 +10,7 @@ import time
 
 import mpmath
 
-from lawsonarea import PrecisionConfig, build_table, first_order_general_phi
+from lawsonarea import PrecisionConfig, build_signed_table, first_order_general_phi
 from lawsonarea.engine import area_series, run
 from lawsonarea.verify import alpha5_conjecture_value
 
@@ -18,9 +18,9 @@ cfg = PrecisionConfig(target_digits=40)
 ctx = cfg.context
 
 start = time.perf_counter()
-print("building the depth-6 word-integral table ...")
-table = build_table("1", "pi/4", 6, cfg)
-print(f"  {len(table.values)} integrals in {time.perf_counter() - start:.1f}s")
+print("building the depth-6 table of signed sums per letter multiset ...")
+table = build_signed_table("1", "pi/4", 6, cfg)
+print(f"  {len(table.values)} signed sums in {time.perf_counter() - start:.1f}s")
 
 start = time.perf_counter()
 state = run(5, cfg, table=table)

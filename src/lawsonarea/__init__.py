@@ -13,9 +13,9 @@ from .engine import (DerivativeState, EngineError, ExpansionResult, area_series,
 from .laurent import LaurentMatrix2, LaurentPoly
 from .mpl import (DivergentSeriesError, MplSpec, SignedMplSum, convert_word, li,
                   mpl_spec, zeta_signed)
-from .omega import (OmegaTable, PunctureConfig, build_table, cached_table,
-                    chen_compose, clear_cache, list_cache, parse_phi,
-                    quadrature_oracle)
+from .omega import (OmegaTable, PunctureConfig, SignedTable, build_signed_table,
+                    build_table, cached_table, chen_compose, clear_cache, list_cache,
+                    parse_phi, quadrature_oracle)
 from .precision import PrecisionConfig, agreement_digits, constant, zeta
 from .words import MplLetter, letter, parse_word, shuffle, stuffle
 
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DerivativeState", "DivergentSeriesError", "EngineError", "ExpansionResult",
     "LaurentMatrix2", "LaurentPoly", "MplLetter", "MplSpec", "OmegaTable",
-    "PrecisionConfig", "PunctureConfig", "SignedMplSum", "agreement_digits",
-    "area_series", "build_table", "cached_table", "chen_compose", "clear_cache",
-    "constant", "convert_word", "expand", "first_order_general_phi",
-    "frame_derivative", "letter", "li", "list_cache", "mpl_spec", "parse_phi",
-    "parse_word", "q_first_order_check", "quadrature_oracle", "run", "shuffle",
-    "stuffle", "zeta", "zeta_signed",
+    "PrecisionConfig", "PunctureConfig", "SignedMplSum", "SignedTable",
+    "agreement_digits", "area_series", "build_signed_table", "build_table",
+    "cached_table", "chen_compose", "clear_cache", "constant", "convert_word",
+    "expand", "first_order_general_phi", "frame_derivative", "letter", "li",
+    "list_cache", "mpl_spec", "parse_phi", "parse_word", "q_first_order_check",
+    "quadrature_oracle", "run", "shuffle", "stuffle", "zeta", "zeta_signed",
 ]

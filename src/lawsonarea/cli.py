@@ -140,11 +140,7 @@ def _cmd_omega(args) -> int:
     if not word:
         _print_complex(1, cfg, args.format, "omega()")
         return 0
-    if args.no_cache:
-        table = omega.build_table(args.endpoint, args.phi, len(word), cfg)
-    else:
-        table = omega.cached_table(args.endpoint, args.phi, len(word), cfg,
-                                   _cache_dir(args))
+    table = omega.build_table(args.endpoint, args.phi, len(word), cfg)
     label = f"omega({format_word(word)})@{args.endpoint},phi={args.phi}"
     _print_complex(table.value(word), cfg, args.format, label)
     return 0
@@ -282,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("omega", help="evaluate one word integral")
-    common(p)
+    common(p, cache_dir=False)
     p.add_argument("--word", required=True,
                    help="comma-separated letters over {1,2,3}; '' for the empty word")
     p.add_argument("--endpoint", choices=("1", "i"), default="1")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("mpl", help="evaluate one multiple polylogarithm")

@@ -9,8 +9,9 @@ matrix) and the scalar r admit a recursion in the expansion order n:
    scalars y_i = r x_i commute, so a word's product derivatives depend only
    on its letter counts, and the constant matrices ``M_MATS`` anticommute,
    so M_w is a sign times the product of its letters in sorted order.  The
-   word integrals are therefore summed with that sign per letter counts,
-   and each multiset's product derivatives are built once.
+   word integrals therefore enter only as their signed sum per letter
+   multiset, which ``omega.build_signed_table`` transports directly, and
+   each multiset's product derivatives are built once.
 2. The reality condition p = star(p) on the trace coordinate
    p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
    Sym-point condition p(i) = 0 pins its constant term.
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import mpmath
 
 from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy
-from .omega import OmegaTable, cached_table, is_pi_over_4, parse_phi
+from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi
 from .precision import PrecisionConfig
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
@@ -127,7 +128,7 @@ def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
 # frame derivatives from word integrals
 # ---------------------------------------------------------------------------
 
-def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMatrix2:
+def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMatrix2:
     """Part of P^(n+1) determined by derivatives of order below n.
 
     Sum over words w of length l = 2..n+1 of (n+1)!/(n+1-l)! times the
@@ -140,13 +141,14 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     of y_{w_1} ... y_{w_l} depend only on how often each letter occurs in w.
     The ``M_MATS`` anticommute pairwise, so M_w is (-1)^inv(w) times the
     product of its letters in non-decreasing order, inv(w) counting the
-    letter pairs of w out of order.  So each word costs one complex add or
-    subtract of Omega(w) into the signed sum of its letter counts.  The
-    multisets are then walked as the tree of non-decreasing words: each
-    multiset's ordered matrix product and product derivatives are built
-    once, from those of its parent (the multiset without its last letter),
-    and its signed sum is added once: 80 multisets against 1 089 words at
-    order 5.  Only the derivatives along the current path are held.
+    letter pairs of w out of order.  So the words enter only through the
+    signed sum sigma_c of their integrals per letter multiset c, which
+    ``table`` (an ``omega.SignedTable``) holds under the non-decreasing word
+    of c.  The multisets are walked as the tree of non-decreasing words:
+    each multiset's ordered matrix product and product derivatives are
+    built once, from those of its parent (the multiset without its last
+    letter), and its sigma_c is multiplied in once: 80 multisets at order 5,
+    282 at order 9.  Only the derivatives along the current path are held.
 
     a, b, c and r are real, so every derivative of a product is a real
     {degree: mpf} map.  A product of l letters at derivative order m has
@@ -157,6 +159,9 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     """
     cfg = state.cfg
     ctx = cfg.context
+    if not isinstance(table, SignedTable):
+        raise TypeError("frame_lower reads signed sums per letter multiset "
+                        f"(omega.build_signed_table), got {type(table).__name__}")
     if table.max_length < n + 1:
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
@@ -169,39 +174,22 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
         if cross:
             axpy(sums.setdefault(M_MATS[i - 1], {}), (n + 1) * table.value((i,)), cross)
 
-    # words of length >= 2: (-1)^inv(w) Omega(w) summed per letter counts
-    signed: dict = {}
-
-    def visit(word, counts, sign) -> None:
-        for i in range(3):
-            child = word + (i + 1,)
-            child_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            # the new last letter is out of order with every larger letter
-            child_sign = -sign if sum(counts[i + 1:]) % 2 else sign
-            if len(child) >= 2:
-                total, omega = signed.get(child_counts, 0), table.value(child)
-                signed[child_counts] = total + omega if child_sign > 0 else total - omega
-            if len(child) <= n:
-                visit(child, child_counts, child_sign)
-
-    visit((), (0, 0, 0), 1)
-
-    # Each multiset once, as its non-decreasing word: mmat is its matrix
-    # product, derivs[m] the m-th derivative of its product of y, and
+    # Each multiset once, as its non-decreasing word ``key``: mmat is its
+    # matrix product, derivs[m] the m-th derivative of its product of y, and
     # y[(i, k)] the k-th derivative of r * x_i.
     y = {(i, k): state.y(i, k).coeffs for i in (1, 2, 3) for k in range(n)}
 
-    def descend(counts, last, mmat, derivs) -> None:
-        size = sum(counts)
+    def descend(key, mmat, derivs) -> None:
+        size = len(key)
         if size >= 2 and derivs[n + 1 - size]:
-            axpy(sums.setdefault(mmat, {}), math.perm(n + 1, size) * signed[counts],
+            axpy(sums.setdefault(mmat, {}), math.perm(n + 1, size) * table.value(key),
                  derivs[n + 1 - size])
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
         max_child = n - max(size, 1)
         if max_child < 0:
             return
-        for i in range(last, 3):
+        for i in range(key[-1] - 1 if key else 0, 3):
             child = []
             for s in range(max_child + 1):
                 total: dict = {}
@@ -210,10 +198,9 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
                     if left and right:
                         add_product(total, math.comb(s, j), left, right)
                 child.append(total)
-            descend(counts[:i] + (counts[i] + 1,) + counts[i + 1:], i,
-                    _mat_mul(mmat, M_MATS[i]), child)
+            descend(key + (i + 1,), _mat_mul(mmat, M_MATS[i]), child)
 
-    descend((0, 0, 0), 0, _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
+    descend((), _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
 
     entries = [[{}, {}], [{}, {}]]
     for mmat, coeffs in sums.items():
@@ -224,7 +211,7 @@ def frame_lower(n: int, state: DerivativeState, table: OmegaTable) -> LaurentMat
     return LaurentMatrix2(cfg, [[LaurentPoly(cfg, e) for e in row] for row in entries])
 
 
-def frame_derivative(n: int, state: DerivativeState, table: OmegaTable,
+def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
                      lower: LaurentMatrix2 | None = None) -> LaurentMatrix2:
     """Full P^(n+1) once the order-n derivatives are in the state."""
     if state.order < n:
@@ -365,7 +352,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
     return a_n, r_n, diag
 
 
-def advance(state: DerivativeState, table: OmegaTable) -> DerivativeState:
+def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     """Extend the state by one order (phi = pi/4 only)."""
     cfg = state.cfg
     ctx = cfg.context
@@ -410,8 +397,12 @@ def advance(state: DerivativeState, table: OmegaTable) -> DerivativeState:
 
 
 def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
-        table: OmegaTable | None = None, cache_dir=None) -> DerivativeState:
-    """Run the recursion at phi = pi/4 up to the requested order."""
+        table: SignedTable | None = None, cache_dir=None) -> DerivativeState:
+    """Run the recursion at phi = pi/4 up to the requested order.
+
+    ``table`` is an ``omega.SignedTable`` of depth at least ``order + 1``;
+    by default it comes from ``omega.cached_table``.
+    """
     cfg = cfg or PrecisionConfig()
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -511,7 +502,7 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
 
 
 def expand(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
-           table: OmegaTable | None = None, cache_dir=None) -> ExpansionResult:
+           table: SignedTable | None = None, cache_dir=None) -> ExpansionResult:
     """Convenience: run the recursion and extract the area series."""
     state = run(order, cfg, phi, table, cache_dir)
     return area_series(state)
@@ -572,7 +563,7 @@ def first_order_general_phi(phi: str, cfg: PrecisionConfig | None = None) -> Fir
 
 
 def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
-                        table: OmegaTable | None = None, cache_dir=None):
+                        table: SignedTable | None = None, cache_dir=None):
     """Residual of q'(0) = 2 pi r b against the endpoint-i word integrals.
 
     The left side is assembled from the numeric table at z = i, the right

@@ -1,13 +1,16 @@
 """Iterated integrals of the surface 1-forms along straight paths from 0.
 
-A table holds the values of every word integral up to a chosen length, for
-one endpoint (1 or i) and one opening angle phi.  Tables are built by power
-series transport: the path is cut into segments short enough that every
-simple pole stays at least three half-lengths away from the segment
-midpoint, all word series for one segment are generated together by an
-O(terms) per-letter recurrence, and segments are glued with the composition
-rule for iterated integrals (prefix on the first path, suffix on the
-second).  A nested Gauss-Legendre quadrature provides an independent check
+A word table (``build_table``) holds the values of every word integral up
+to a chosen length, for one endpoint (1 or i) and one opening angle phi.
+Tables are built by power series transport: the path is cut into segments
+short enough that every simple pole stays at least three half-lengths away
+from the segment midpoint, all word series for one segment are generated
+together by an O(terms) per-letter recurrence, and segments are glued with
+the composition rule for iterated integrals (prefix on the first path,
+suffix on the second).  A signed table (``build_signed_table``) holds only
+the signed sum of the word integrals per letter multiset, which is all the
+order recursion reads; it is the one kind of table the on-disk cache
+holds.  A nested Gauss-Legendre quadrature provides an independent check
 for short words.
 
 Transport kernel.  On a segment with midpoint m and half-length h every
@@ -79,6 +82,54 @@ with no extra bits at 50 working digits (T = 133, L = 8, on the two
 segments of the path to 1 at phi = pi/4) the forward words lost 5.8 to
 6.8 bits and the dot words 0.9 to 2.5 bits, well inside the bound.
 
+Signed tables.  With inv(w) the number of letter pairs of w out of order,
+sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w).
+Appending letter i to a word with counts c - e_i puts it out of order with
+the sum_{j>i} c_j larger letters, so along the path
+
+    d sigma_c = sum_i (-1)^(sum_{j>i} c_j) f_i sigma_(c - e_i),  sigma_0 = 1,
+
+the holonomy of sum_i s_i omega_i M_i with commuting scalars s_i (Chen,
+loc. cit.).  With every sign +, the same recurrence gives
+prod_i Omega(i)^(c_i) / c_i!, the shuffle identity (R. Ree, Ann. Math. 68,
+1958).  ``_signed_transport`` walks the C(L + 3, 3) - 1 multisets of size
+1..L layer by layer, as non-decreasing words, holding one layer of series.
+A node's series is the signed sum of its parents' letter integrals, at most
+3 of them, each from the same forward step (``_integrate``) as the word
+table's forward half.  Segments are glued by initial value: each letter
+integral vanishes at v = -1, so the child's constant term is its sigma at
+the segment start, and its value at v = +1 is that sigma plus the signed
+sum of the parents' endpoint values.  The sigma stay integers at scale 2^P
+from segment to segment and are converted to ``mpc`` once, at the end; no
+``chen_compose`` is involved.
+
+Rounding budget of the signed kernel, in units of 2^-P.  The signed sums of
+integers are exact, so every fresh rounding is a forward step's.  A letter
+integral carries at most 6/j + 1 units in coefficient j (as above), and its
+constant term is an exact sum of those coefficients, so as a function on
+[-1, 1] its error is sum_j e_j (v^(j+1) - (-1)^(j+1)), at most
+2 (T + 6 (1 + ln T)) units; at most 3 parents give
+F = 6 (T + 6 (1 + ln T)) fresh units per node and segment (2^10 at
+T = 133, 2^12.6 at T = 1000).  An error of node c' then reaches node c
+through the exact transport over the rest of the path, a signed sum over
+the words with letter counts c - c'.  With Lambda_i the integral of |f_i|
+along the path, the iterated integrals of the |f_i| over those words sum to
+prod_i Lambda_i^(m_i) / m_i! (m = c - c'; the shuffle identity again), so
+the inherited error of c over all c' <= c and S segments is at most
+S F prod_i E_(c_i)(Lambda_i), E_n(x) = sum_{m <= n} x^m / m! < e^x.  On the
+path to 1 at pi/4, S = 2 and Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5,
+so the bound S F e^6.5 is below 2^20.4 units at T = 133 at every depth,
+and below 2^23 for T <= 1000.  The bound grows as phi nears 0 or pi/2.
+At T = 133 it stays below 2^24 up to depth 14 on the path to i at
+phi = 1.2 (S = 3, Lambda = (2.4, pi, 3.35)), and up to depth 10 on the
+path to 1 at phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There
+``_EXTRA_BITS = 24`` keeps the kernel's own rounding below one unit of the
+working precision.  Measured with no extra bits at 50 working digits
+(T = 133), against the same kernel with 120 extra bits, sigma lost at most
+8.5 bits at depth 10 on the path to 1 at pi/4, 10.3 bits at depth 8 on the
+path to i at 1.2 and 10.4 bits at depth 8 on the path to 1 at 0.3; with 24
+extra bits no sigma moved by more than 2^-13 of a unit.
+
 Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits +
 ``_QUADRATURE_EXTRA_BITS``, and share nothing with the transport kernel.
@@ -120,6 +171,7 @@ within 0.5 and the levels within 2 units of a reference 30 digits up.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -142,7 +194,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _QUADRATURE_EXTRA_BITS = 24    # the quadrature oracle's own, derived likewise
 _ENDPOINTS = ("1", "i")
@@ -241,13 +293,6 @@ class OmegaTable:
         self.values = dict(values)
         self.values[()] = ctx.mpc(1)
 
-    def endpoint_name(self) -> str:
-        ctx = self.cfg.context
-        for name, z in (("1", ctx.mpc(1)), ("i", ctx.mpc(0, 1))):
-            if abs(self.end - z) < self.cfg.eps(2) and abs(self.start) < self.cfg.eps(2):
-                return name
-        raise ValueError("table is not anchored at a standard endpoint")
-
     def value(self, word) -> mpmath.mpc:
         word = tuple(word)
         if len(word) > self.max_length:
@@ -264,6 +309,33 @@ class OmegaTable:
         zero = cfg.context.mpc(0)
         values = {w: zero for w in _all_words(max_length) if w}
         return cls(cfg, phi_label, point, point, max_length, values)
+
+
+class SignedTable:
+    """Signed sums of word integrals per letter multiset, for one path, phi and precision.
+
+    sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w),
+    inv(w) the number of letter pairs of w out of order, for every c with
+    1 <= |c| <= ``max_length``.  Keys are non-decreasing words: (1, 1, 3) holds
+    sigma_(2,0,1) and (i,) holds Omega(i).  ``engine.frame_lower`` reads
+    nothing else of the word integrals.
+    """
+
+    __slots__ = ("cfg", "phi_label", "endpoint", "max_length", "values")
+
+    def __init__(self, cfg: PrecisionConfig, phi_label: str, endpoint: str,
+                 max_length: int, values: dict):
+        self.cfg = cfg
+        self.phi_label = canonical_phi(phi_label)
+        self.endpoint = endpoint
+        self.max_length = int(max_length)
+        self.values = dict(values)
+
+    def value(self, key) -> mpmath.mpc:
+        key = tuple(key)
+        if len(key) > self.max_length:
+            raise KeyError(f"key {key} exceeds table depth {self.max_length}")
+        return self.values[key]
 
 
 def _all_words(max_length: int):
@@ -321,8 +393,71 @@ def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
 
 
 def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
-    import math
     return int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 12
+
+
+def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
+    """The ratios half/q of the segment [z0, z1], as fixed-point pairs, and their scale.
+
+    q runs over the poles relative to the segment midpoint, and the scale is
+    2^P, P = working bits + ``_EXTRA_BITS``.
+    """
+    ctx = cfg.context
+    mid = (z0 + z1) / 2
+    half = (z1 - z0) / 2
+    rel = [p - mid for p in poles]
+    margin = abs(half) * 3
+    for q in rel:
+        if margin > abs(q) * (1 + 1e-9):
+            raise ValueError("segment too long for its pole gap; subdivision bug")
+    bits = ctx.prec + _EXTRA_BITS
+    with ctx.workprec(bits):
+        return [to_fixed_pair(half / q, bits) for q in rel], bits
+
+
+def _geometric_product(s_re, s_im, ratio, bits: int) -> tuple[list, list]:
+    """Coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q."""
+    r_re, r_im = ratio
+    k_re = k_im = 0
+    out_re, out_im = [], []
+    for a, b in zip(s_re, s_im):
+        x, y = k_re - a, k_im - b
+        k_re = (x * r_re - y * r_im) >> bits
+        k_im = (x * r_im + y * r_re) >> bits
+        out_re.append(k_re)
+        out_im.append(k_im)
+    return out_re, out_im
+
+
+# per form, the poles where its residue is +1 and the two where it is -1
+_RESIDUES = [tuple([k for k, e in enumerate(eps) if e == sign] for sign in (1, -1))
+             for eps in FORM_COEFFS]
+
+
+def _letter_integrands(s_re, s_im, ratios, bits: int):
+    """Per letter 1, 2, 3: the coefficients (re, im) of S(v) times its form on the segment."""
+    per_pole = [_geometric_product(s_re, s_im, r, bits) for r in ratios]
+    for plus, minus in _RESIDUES:
+        (p1, p2), (m1, m2) = [per_pole[k] for k in plus], [per_pole[k] for k in minus]
+        yield [[w + x - y - z for w, x, y, z in zip(p1[i], p2[i], m1[i], m2[i])]
+               for i in (0, 1)]
+
+
+def _integrate(s_re, s_im, ratios, bits: int):
+    """The forward step of one node: per letter 1, 2, 3, the antiderivative of S
+    times the letter's form that vanishes at v = -1, and its value at v = +1.
+
+    Yields (series re, series im, value re, value im) on the scale of S.
+    """
+    for part_re, part_im in _letter_integrands(s_re, s_im, ratios, bits):
+        # coefficients of v^1..v^T; the top coefficient of the integrand is dropped
+        c_re, c_im = ([x // n for n, x in zip(range(1, len(part)), part)]
+                      for part in (part_re, part_im))
+        # c_re[j] multiplies v^(j+1), so the odd powers sit at even j
+        odd_re, odd_im = sum(c_re[0::2]), sum(c_im[0::2])
+        even_re, even_im = sum(c_re[1::2]), sum(c_im[1::2])
+        yield ([odd_re - even_re] + c_re, [odd_im - even_im] + c_im,
+               2 * odd_re, 2 * odd_im)
 
 
 def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
@@ -335,58 +470,19 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
     see the module docstring for both halves and the error budget.
     """
     ctx = cfg.context
-    mid = (z0 + z1) / 2
-    half = (z1 - z0) / 2
-    rel = [p - mid for p in poles]
-    margin = abs(half) * 3
-    for q in rel:
-        if margin > abs(q) * (1 + 1e-9):
-            raise ValueError("segment too long for its pole gap; subdivision bug")
     T = _series_terms(cfg)
-    bits = ctx.prec + _EXTRA_BITS
-    with ctx.workprec(bits):
-        ratios = [to_fixed_pair(half / q, bits) for q in rel]
+    ratios, bits = _segment_ratios(cfg, poles, z0, z1)
     divisors = range(1, T + 1)
-    # each form has residue +1 at two poles and -1 at the other two
-    residues = [tuple([k for k, e in enumerate(eps) if e == sign] for sign in (1, -1))
-                for eps in FORM_COEFFS]
     forward_depth = max_length // 2
     adjoint_depth = max_length - forward_depth
     values: dict[Word, mpmath.mpc] = {}
     prefixes = []    # (word, S_re, S_im, S_re + S_im), 1 <= |word| <= forward_depth
 
-    def geometric_product(s_re, s_im, ratio):
-        # coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q
-        r_re, r_im = ratio
-        k_re = k_im = 0
-        out_re, out_im = [], []
-        for a, b in zip(s_re, s_im):
-            x, y = k_re - a, k_im - b
-            k_re = (x * r_re - y * r_im) >> bits
-            k_im = (x * r_im + y * r_re) >> bits
-            out_re.append(k_re)
-            out_im.append(k_im)
-        return out_re, out_im
-
-    def letters(per_pole):
-        # per letter, its four pole terms (+, +, -, -) side by side, for re and im
-        for letter, (plus, minus) in zip((1, 2, 3), residues):
-            (p1, p2), (m1, m2) = [per_pole[k] for k in plus], [per_pole[k] for k in minus]
-            yield letter, [zip(p1[i], p2[i], m1[i], m2[i]) for i in (0, 1)]
-
     def forward(word, s_re, s_im):
-        per_pole = [geometric_product(s_re, s_im, r) for r in ratios]
-        for letter, terms in letters(per_pole):
-            # coefficients of v^1..v^T of the antiderivative of the integrand
-            c_re, c_im = ([(w + x - y - z) // n for n, (w, x, y, z) in zip(divisors, part)]
-                          for part in terms)
-            # c_re[j] multiplies v^(j+1), so the odd powers sit at even j
-            odd_re, odd_im = sum(c_re[0::2]), sum(c_im[0::2])
-            even_re, even_im = sum(c_re[1::2]), sum(c_im[1::2])
+        for letter, (child_re, child_im, end_re, end_im) in zip(
+                (1, 2, 3), _integrate(s_re, s_im, ratios, bits)):
             new_word = word + (letter,)
-            values[new_word] = from_fixed_pair(2 * odd_re, 2 * odd_im, bits, ctx)
-            # the constant term makes the child series vanish at v = -1
-            child_re, child_im = [odd_re - even_re] + c_re, [odd_im - even_im] + c_im
+            values[new_word] = from_fixed_pair(end_re, end_im, bits, ctx)
             prefixes.append((new_word, child_re, child_im, list(map(add, child_re, child_im))))
             if len(new_word) < forward_depth:
                 forward(new_word, child_re, child_im)
@@ -397,9 +493,9 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
         g_re, g_im = ([(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
                       for v in (v_re, v_im))
         # the products, from the top down: H_m = (H_{m+1} - g_m) * half/q, H_T = 0
-        per_pole = [geometric_product(g_re[::-1], g_im[::-1], r) for r in ratios]
-        for letter, terms in letters(per_pole):
-            u_re, u_im = ([w + x - y - z for w, x, y, z in part][::-1] + [0] for part in terms)
+        for letter, sums in zip((1, 2, 3), _letter_integrands(g_re[::-1], g_im[::-1],
+                                                             ratios, bits)):
+            u_re, u_im = (part[::-1] + [0] for part in sums)
             new_word = (letter,) + word
             if len(new_word) > forward_depth:
                 # the root series is 1, so a word's value is its V_0
@@ -425,10 +521,8 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
     return OmegaTable(cfg, phi_label, z0, z1, max_length, values)
 
 
-def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
-                cfg: PrecisionConfig | None = None) -> OmegaTable:
-    """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
-    cfg = cfg or PrecisionConfig()
+def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
+    """The poles and the segments [z0, z1] of the path from 0 to the endpoint."""
     ctx = cfg.context
     if endpoint not in _ENDPOINTS:
         raise ValueError(f"endpoint must be one of {_ENDPOINTS}, got {endpoint!r}")
@@ -437,13 +531,74 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
     pc = PunctureConfig(str(phi).strip(), cfg)
     end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
     cuts = _segment_split(complex(end), [complex(p) for p in pc.points])
+    segments = [(ctx.mpf(sa) * end, ctx.mpf(sb) * end if sb != 1.0 else end)
+                for sa, sb in zip(cuts[:-1], cuts[1:])]
+    return pc, segments
+
+
+def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
+                cfg: PrecisionConfig | None = None) -> OmegaTable:
+    """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
+    cfg = cfg or PrecisionConfig()
+    pc, segments = _path(endpoint, phi, max_length, cfg)
     table = None
-    for sa, sb in zip(cuts[:-1], cuts[1:]):
-        z0 = ctx.mpf(sa) * end
-        z1 = ctx.mpf(sb) * end if sb != 1.0 else end
+    for z0, z1 in segments:
         seg = _segment_table(cfg, pc.phi_label, pc.points, z0, z1, max_length)
         table = seg if table is None else chen_compose(table, seg)
     return table
+
+
+def _inversion_sign(key: Word, letter: int) -> int:
+    """(-1)^inv: appending ``letter`` to a word with the letters of ``key``
+    puts it out of order with every larger letter."""
+    return -1 if sum(k > letter for k in key) % 2 else 1
+
+
+def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
+                      sign=_inversion_sign) -> dict:
+    """sigma at the end of the path for every non-decreasing key, 1 <= |key| <= depth.
+
+    Layer by layer over the keys: a child's series is the sum over its (at
+    most 3) parents of ``sign(parent, letter)`` times the parent's letter
+    integral (``_integrate``), plus the child's value at the segment start,
+    which the integrals leave in place at v = -1.  The values stay integers at
+    scale 2^P from segment to segment and are converted once, at the end.
+    """
+    ctx = cfg.context
+    T = _series_terms(cfg)
+    start: dict = {}      # key -> its value at the segment start, (re, im) at scale 2^P
+    for z0, z1 in segments:
+        ratios, bits = _segment_ratios(cfg, poles, z0, z1)
+        layer = {(): ([1 << bits] + [0] * T, [0] * (T + 1))}
+        end = {}
+        for _ in range(depth):
+            children: dict = {}     # key -> (series re, series im, end re, end im)
+            for key, (s_re, s_im) in layer.items():
+                for letter, (c_re, c_im, e_re, e_im) in zip(
+                        (1, 2, 3), _integrate(s_re, s_im, ratios, bits)):
+                    child = tuple(sorted(key + (letter,)))
+                    if child not in children:
+                        # the child starts as the constant of its sigma at the segment start
+                        s0_re, s0_im = start.get(child, (0, 0))
+                        children[child] = [s0_re] + [0] * T, [s0_im] + [0] * T, s0_re, s0_im
+                    op = add if sign(key, letter) > 0 else sub
+                    a_re, a_im, a_end_re, a_end_im = children[child]
+                    children[child] = (list(map(op, a_re, c_re)), list(map(op, a_im, c_im)),
+                                       op(a_end_re, e_re), op(a_end_im, e_im))
+            layer = {child: acc[:2] for child, acc in children.items()}
+            end.update((child, acc[2:]) for child, acc in children.items())
+        start = end
+    return {key: from_fixed_pair(re, im, bits, ctx) for key, (re, im) in start.items()}
+
+
+def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
+                       cfg: PrecisionConfig | None = None) -> SignedTable:
+    """Transport sigma_c for every letter multiset c with 1 <= |c| <= depth
+    from 0 to the endpoint (``"1"`` or ``"i"``); see the module docstring."""
+    cfg = cfg or PrecisionConfig()
+    pc, segments = _path(endpoint, phi, depth, cfg)
+    return SignedTable(cfg, pc.phi_label, endpoint, depth,
+                       _signed_transport(cfg, pc.points, segments, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +802,9 @@ def _cache_path(cache_dir: Path, endpoint: str, phi_label: str, max_length: int,
 
 
 def _values_digest(values: dict) -> str:
-    """SHA-256 of the serialised word values, words in sorted order.
+    """SHA-256 of the serialised values, keys in sorted order.
 
-    Fed one word at a time, so no second copy of the file is built in memory.
+    Fed one key at a time, so no second copy of the file is built in memory.
     """
     digest = sha256()
     for key in sorted(values):
@@ -658,7 +813,10 @@ def _values_digest(values: dict) -> str:
     return digest.hexdigest()
 
 
-def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
+def save_table(table: SignedTable, cache_dir: Path | None = None) -> Path:
+    """Write a signed table to the cache; word tables are not cached."""
+    if not isinstance(table, SignedTable):
+        raise TypeError(f"the cache holds signed tables only, got {type(table).__name__}")
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     cfg = table.cfg
@@ -671,7 +829,7 @@ def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
     }
     payload = {
         "version": _CACHE_VERSION,
-        "endpoint": table.endpoint_name(),
+        "endpoint": table.endpoint,
         "phi": table.phi_label,
         "digits": cfg.target_digits,
         "guard_digits": cfg.guard_digits,
@@ -679,8 +837,7 @@ def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
         "sha256": _values_digest(values),
         "values": values,
     }
-    path = _cache_path(cache_dir, table.endpoint_name(), table.phi_label,
-                       table.max_length, cfg)
+    path = _cache_path(cache_dir, table.endpoint, table.phi_label, table.max_length, cfg)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -694,14 +851,14 @@ def save_table(table: OmegaTable, cache_dir: Path | None = None) -> Path:
 
 
 def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
-               cache_dir: Path | None = None) -> OmegaTable | None:
-    """The cached table for exactly this request, or None on a miss.
+               cache_dir: Path | None = None) -> SignedTable | None:
+    """The cached signed table for exactly this request, or None on a miss.
 
     A file counts only if its header (version, endpoint, phi label, digits,
     guard digits, depth) matches the request, its values hash to the stored
-    SHA-256, and it holds every non-empty word up to ``max_length`` and no
-    other.  Anything else, a missing key or unreadable JSON included, is a
-    miss, which ``cached_table`` rebuilds and overwrites.
+    SHA-256, and it holds every non-decreasing key of length 1..``max_length``
+    and no other.  Anything else, a missing key or unreadable JSON included,
+    is a miss, which ``cached_table`` rebuilds and overwrites.
     """
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     phi_label = canonical_phi(phi)
@@ -720,24 +877,23 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
                   for key, item in payload["values"].items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    # distinct words of length 1..L number (3^(L+1) - 3)/2, so this count and
-    # the length cap leave room for exactly the full set
-    lengths = [len(w) for w in values if w]
-    if len(lengths) != (3 ** (max_length + 1) - 3) // 2 or max(lengths) > max_length:
+    # the letter multisets of size 1..L number C(L + 3, 3) - 1, so this count,
+    # the length range and the order of every key leave room for exactly the full set
+    if len(values) != math.comb(max_length + 3, 3) - 1 or not all(
+            1 <= len(key) <= max_length and list(key) == sorted(key) for key in values):
         return None
-    end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
-    return OmegaTable(cfg, phi_label, 0, end, max_length, values)
+    return SignedTable(cfg, phi_label, endpoint, max_length, values)
 
 
 def cached_table(endpoint: str, phi: str, max_length: int,
                  cfg: PrecisionConfig | None = None,
-                 cache_dir: Path | None = None) -> OmegaTable:
-    """Load a table from the cache or build and store it."""
+                 cache_dir: Path | None = None) -> SignedTable:
+    """Load a signed table from the cache or build and store it."""
     cfg = cfg or PrecisionConfig()
     table = load_table(endpoint, phi, max_length, cfg, cache_dir)
     if table is not None:
         return table
-    table = build_table(endpoint, phi, max_length, cfg)
+    table = build_signed_table(endpoint, phi, max_length, cfg)
     save_table(table, cache_dir)
     return table
 

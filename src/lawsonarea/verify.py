@@ -122,13 +122,13 @@ def closed_forms_pi4(cfg: PrecisionConfig) -> dict:
     }
 
 
-def closed_form_suite(cfg: PrecisionConfig, cache_dir=None,
+def closed_form_suite(cfg: PrecisionConfig,
                       table: omega.OmegaTable | None = None) -> SuiteReport:
     """All nine closed-form values at phi = pi/4 against the transport table."""
     tol = _tol(cfg)
     report = SuiteReport("closed-forms", cfg.target_digits, mpmath.nstr(tol, 2))
     if table is None:
-        table = omega.cached_table("1", "pi/4", 4, cfg, cache_dir)
+        table = omega.build_table("1", "pi/4", 4, cfg)
     for idx, (word, expected) in enumerate(sorted(closed_forms_pi4(cfg).items()), 1):
         label = ",".join(map(str, word))
         report.add(f"{idx:02d}-omega-{label}", expected, table.value(word), cfg, tol)
@@ -307,16 +307,20 @@ def alpha3_factored_pieces(table: omega.OmegaTable) -> dict:
 
 def alpha3_suite(cfg: PrecisionConfig, cache_dir=None,
                  table: omega.OmegaTable | None = None) -> SuiteReport:
-    """Raw word-product formula, reduced formula, and the engine, vs 9/4 zeta(3)."""
+    """Raw word-product formula, reduced formula, and the engine, vs 9/4 zeta(3).
+
+    The two formulas read the word table ``table`` (built at depth 4 when
+    None); the engine runs on the cached signed table from ``cache_dir``.
+    """
     tol = _tol(cfg)
     report = SuiteReport("alpha3", cfg.target_digits, mpmath.nstr(tol, 2))
     ctx = cfg.context
     target = ctx.mpf(9) / 4 * ctx.zeta(3)
     if table is None:
-        table = omega.cached_table("1", "pi/4", 4, cfg, cache_dir)
+        table = omega.build_table("1", "pi/4", 4, cfg)
     report.add("1-raw-formula", target, alpha3_raw(table), cfg, tol)
     report.add("2-simplified-formula", target, alpha3_simplified(table), cfg, tol)
-    state = engine.run(3, cfg, table=table)
+    state = engine.run(3, cfg, cache_dir=cache_dir)
     result = engine.area_series(state)
     report.add("3-engine", target, result.alpha(3), cfg, tol)
     return report.finalize()
@@ -483,7 +487,6 @@ def _sample_unit(rng: random.Random, ctx):
 
 
 def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, seed: int = 0,
-                                 cache_dir=None,
                                  table: omega.OmegaTable | None = None) -> SuiteReport:
     """Sampled inversion, shuffle, stuffle, distribution and reduction checks."""
     tol = _tol(cfg)
@@ -501,7 +504,7 @@ def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, seed: int = 0,
                li21_inversion_residual(ctx.mpc(0, 1), eta, cfg), cfg, tol)
 
     if table is None:
-        table = omega.cached_table("1", "pi/4", 4, cfg, cache_dir)
+        table = omega.build_table("1", "pi/4", 4, cfg)
     report.add("04-shuffle-single", table.value((1,)) * table.value((2,)),
                table.value((1, 2)) + table.value((2, 1)), cfg, tol)
     for k in range(3):
@@ -547,7 +550,7 @@ def _stuffle_lhs(word, cfg: PrecisionConfig):
 # general-phi first-order integral identities
 # ---------------------------------------------------------------------------
 
-def integral_identity_residuals(phi: str, cfg: PrecisionConfig, cache_dir=None) -> dict:
+def integral_identity_residuals(phi: str, cfg: PrecisionConfig) -> dict:
     """The two mixed first-order integrals against their closed forms.
 
     The integrands are exactly the depth-2 recursion integrands, so the left
@@ -556,8 +559,8 @@ def integral_identity_residuals(phi: str, cfg: PrecisionConfig, cache_dir=None) 
     ctx = cfg.context
     I = ctx.mpc(0, 1)
     phiv = omega.parse_phi(phi, cfg)
-    t1 = omega.cached_table("1", phi, 2, cfg, cache_dir)
-    ti = omega.cached_table("i", phi, 2, cfg, cache_dir)
+    t1 = omega.build_table("1", phi, 2, cfg)
+    ti = omega.build_table("i", phi, 2, cfg)
     lhs_1 = t1.value((2, 1)) - t1.value((1, 2))
     rhs_1 = (4 * ctx.pi * I * ctx.ln(ctx.sin(phiv))
              - I * (ctx.pi - 2 * phiv)
@@ -568,13 +571,13 @@ def integral_identity_residuals(phi: str, cfg: PrecisionConfig, cache_dir=None) 
     return {"real-axis": abs(lhs_1 - rhs_1), "imaginary-axis": abs(lhs_i - rhs_i)}
 
 
-def integral_identity_suite(cfg: PrecisionConfig, phis=("0.3", "pi/4", "1.2"),
-                            cache_dir=None) -> SuiteReport:
+def integral_identity_suite(cfg: PrecisionConfig,
+                            phis=("0.3", "pi/4", "1.2")) -> SuiteReport:
     tol = _tol(cfg)
     report = SuiteReport("integral-identities", cfg.target_digits, mpmath.nstr(tol, 2))
     zero = cfg.context.mpf(0)
     for phi in phis:
-        residuals = integral_identity_residuals(phi, cfg, cache_dir)
+        residuals = integral_identity_residuals(phi, cfg)
         for axis, resid in sorted(residuals.items()):
             report.add(f"phi={phi}-{axis}", zero, resid, cfg, tol)
     return report.finalize()
@@ -589,11 +592,11 @@ def run_suites(names, cfg: PrecisionConfig, seed: int = 0, stretch: bool = False
     reports = []
     for name in names:
         if name == "closed-forms":
-            reports.append(closed_form_suite(cfg, cache_dir))
+            reports.append(closed_form_suite(cfg))
         elif name == "alpha3":
             reports.append(alpha3_suite(cfg, cache_dir))
         elif name == "parity":
-            reports.append(parity_shuffle_stuffle_suite(cfg, seed, cache_dir))
+            reports.append(parity_shuffle_stuffle_suite(cfg, seed))
         elif name == "conjectures":
             reports.append(conjecture_suite(cfg, cache_dir, include_alpha7=stretch))
         else:

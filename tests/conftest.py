@@ -1,14 +1,12 @@
 import pytest
 
-from lawsonarea.omega import build_table
+from lawsonarea.omega import build_signed_table, build_table
 from lawsonarea.precision import PrecisionConfig
 
 
 def pytest_addoption(parser):
     parser.addoption("--skip-stretch", action="store_true", default=False,
                      help="skip the stretch-gated order-7 checks")
-    parser.addoption("--run-order9", action="store_true", default=False,
-                     help="run the order-9 checks (a depth-10 table each)")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -16,11 +14,6 @@ def pytest_collection_modifyitems(config, items):
         marker = pytest.mark.skip(reason="stretch checks disabled (--skip-stretch)")
         for item in items:
             if "stretch" in item.keywords:
-                item.add_marker(marker)
-    if not config.getoption("--run-order9"):
-        marker = pytest.mark.skip(reason="order-9 checks need --run-order9")
-        for item in items:
-            if "order9" in item.keywords:
                 item.add_marker(marker)
 
 
@@ -48,16 +41,22 @@ def cfg45():
 
 
 class TablePool:
-    """Build each (endpoint, phi, depth, digits) table once per session."""
+    """Build each (endpoint, phi, depth, digits) word or signed table once per session."""
 
     def __init__(self):
         self._tables = {}
 
-    def get(self, endpoint, phi, depth, cfg):
-        key = (endpoint, phi, depth, cfg.target_digits, cfg.guard_digits)
+    def _get(self, build, endpoint, phi, depth, cfg):
+        key = (build, endpoint, phi, depth, cfg.target_digits, cfg.guard_digits)
         if key not in self._tables:
-            self._tables[key] = build_table(endpoint, phi, depth, cfg)
+            self._tables[key] = build(endpoint, phi, depth, cfg)
         return self._tables[key]
+
+    def get(self, endpoint, phi, depth, cfg):
+        return self._get(build_table, endpoint, phi, depth, cfg)
+
+    def signed(self, endpoint, phi, depth, cfg):
+        return self._get(build_signed_table, endpoint, phi, depth, cfg)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +75,16 @@ def table40_pi4_L7(tables, cfg40):
 
 
 @pytest.fixture(scope="session")
-def state40_o6(cfg40, table40_pi4_L7):
+def signed40_pi4_L4(tables, cfg40):
+    return tables.signed("1", "pi/4", 4, cfg40)
+
+
+@pytest.fixture(scope="session")
+def signed40_pi4_L7(tables, cfg40):
+    return tables.signed("1", "pi/4", 7, cfg40)
+
+
+@pytest.fixture(scope="session")
+def state40_o6(cfg40, signed40_pi4_L7):
     from lawsonarea.engine import run
-    return run(6, cfg40, table=table40_pi4_L7)
+    return run(6, cfg40, table=signed40_pi4_L7)

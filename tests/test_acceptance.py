@@ -16,7 +16,7 @@ from lawsonarea.engine import (area_series, first_order_general_phi,
                                q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
 from lawsonarea.mpl import convert_word, li, mpl_spec
-from lawsonarea.omega import build_table, parse_phi, quadrature_oracle
+from lawsonarea.omega import build_signed_table, build_table, parse_phi, quadrature_oracle
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import (alpha5_conjecture_value, closed_form_suite,
                                integral_identity_suite)
@@ -82,14 +82,14 @@ def test_criterion_4_alpha1_and_even_orders(cfg40, state40_o6):
                    f"max even-order coefficient {mpmath.nstr(evens, 3)}")
 
 
-def test_criterion_5_alpha3_three_way(cfg40, table40_pi4_L4):
+def test_criterion_5_alpha3_three_way(cfg40, table40_pi4_L4, signed40_pi4_L4):
     from lawsonarea.verify import alpha3_raw, alpha3_simplified
     start = time.perf_counter()
     ctx = cfg40.context
     target = ctx.mpf(9) / 4 * ctx.zeta(3)
     raw = alpha3_raw(table40_pi4_L4)
     simplified = alpha3_simplified(table40_pi4_L4)
-    engine_val = area_series(run(3, cfg40, table=table40_pi4_L4)).alpha(3)
+    engine_val = area_series(run(3, cfg40, table=signed40_pi4_L4)).alpha(3)
     worst = max(abs(raw - target), abs(simplified - target),
                 abs(engine_val - target))
     elapsed = time.perf_counter() - start
@@ -98,10 +98,10 @@ def test_criterion_5_alpha3_three_way(cfg40, table40_pi4_L4):
                    f"{mpmath.nstr(worst, 3)}, {elapsed:.1f}s")
 
 
-def test_criterion_6_alpha5(cfg40, table40_pi4_L7):
+def test_criterion_6_alpha5(cfg40, signed40_pi4_L7):
     ctx = cfg40.context
     start = time.perf_counter()
-    res = area_series(run(5, cfg40, table=table40_pi4_L7))
+    res = area_series(run(5, cfg40, table=signed40_pi4_L7))
     err = abs(res.alpha(5) - ctx.mpf(ALPHA5_PAPER))
     elapsed = time.perf_counter() - start
     ok = err < ctx.mpf("1e-38") and elapsed < 10
@@ -115,7 +115,7 @@ def test_criterion_7_alpha7_stretch(cfg40):
     ctx = cfg40.context
     budget = 30
     start = time.perf_counter()
-    table = build_table("1", "pi/4", 8, cfg40)
+    table = build_signed_table("1", "pi/4", 8, cfg40)
     state = run(7, cfg40, table=table)
     elapsed = time.perf_counter() - start
     if elapsed > budget:

@@ -67,51 +67,37 @@ def test_expand_pi4_spelled_as_value(capsys, tmp_path):
     assert "alpha_3 = 2.7046280321090871421" in out
 
 
-def test_omega_value_and_empty_word(capsys, tmp_path):
+def test_omega_value_and_empty_word(capsys):
     code, out, _ = run_cli(capsys, "omega", "--word", "2,1", "--phi", "pi/4",
-                           "--precision", "25", "--cache-dir", str(tmp_path))
+                           "--precision", "25")
     assert code == 0
     assert "-2.17758609030360213050068" in out
-    code, out, _ = run_cli(capsys, "omega", "--word", "", "--precision", "20",
-                           "--cache-dir", str(tmp_path))
+    code, out, _ = run_cli(capsys, "omega", "--word", "", "--precision", "20")
     assert code == 0
     assert out.startswith("omega() = 1.0")
 
 
-def test_omega_endpoint_i(capsys, tmp_path):
+def test_omega_endpoint_i(capsys):
     code, out, _ = run_cli(capsys, "omega", "--word", "1", "--endpoint", "i",
-                           "--phi", "0.3", "--precision", "20",
-                           "--cache-dir", str(tmp_path))
+                           "--phi", "0.3", "--precision", "20")
     assert code == 0
     assert "-0.6000000000000000000" in out
 
 
-def test_omega_bad_word(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "omega", "--word", "2,7",
-                           "--cache-dir", str(tmp_path))
+def test_omega_bad_word(capsys):
+    code, _, err = run_cli(capsys, "omega", "--word", "2,7")
     assert code == 1
     assert "alphabet" in err
 
 
-def test_omega_cache_transparency(capsys, tmp_path):
-    args = ("omega", "--word", "2,2,3", "--phi", "pi/4", "--precision", "30",
-            "--cache-dir", str(tmp_path))
-    code1, out_cold, _ = run_cli(capsys, *args)
-    code2, out_warm, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out_cold == out_warm
-
-
-def test_omega_no_cache_builds_without_storing(capsys, tmp_path):
-    args = ("omega", "--word", "2,3", "--phi", "pi/4", "--precision", "25")
-    code, cached, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "on"))
-    assert code == 0
-    unused = tmp_path / "off"
-    unused.mkdir()
-    code, uncached, _ = run_cli(capsys, *args, "--no-cache", "--cache-dir", str(unused))
-    assert code == 0
-    assert uncached == cached
-    assert not any(unused.iterdir())
+def test_omega_has_no_cache_dir(capsys, tmp_path):
+    """``omega`` builds its word table every time; the cache holds signed tables."""
+    for flags in (["--cache-dir", str(tmp_path)], ["--no-cache"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", "--word", "2,3", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_mpl_values(capsys):
@@ -174,7 +160,7 @@ def test_verify_unknown_suite_usage_error(capsys, tmp_path):
 
 
 def test_cache_list_and_clear(capsys, tmp_path):
-    run_cli(capsys, "omega", "--word", "1", "--precision", "20",
+    run_cli(capsys, "expand", "--order", "1", "--precision", "20",
             "--cache-dir", str(tmp_path))
     code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(tmp_path))
     assert code == 0

@@ -1,0 +1,27 @@
+"""The demos run to completion as scripts, on a cache of their own."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# one line of each demo's output; word_integrals.py is left out, because its
+# one length-3 quadrature takes about 5 s
+LINES = {"area_expansion.py": "alpha_5 = 3.699626994497618439893380135471044617736",
+         "polylogarithms.py": "Li_2(1)  = (1.64493406684822643647241516665 + 0.0j)"}
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ, LAWSONAREA_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert LINES[name] in done.stdout

@@ -9,7 +9,7 @@ from lawsonarea.engine import (M_MATS, EngineError, _support, area_series,
                                first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
-from lawsonarea.omega import build_table
+from lawsonarea.omega import build_signed_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
 
 CFG = PrecisionConfig(40)
@@ -130,15 +130,23 @@ def test_general_phi_rejected_beyond_first_order():
         run(2, CFG, phi="0.5")
 
 
-def test_frame_requires_complete_state(state40_o6, table40_pi4_L7):
+def test_frame_requires_complete_state(state40_o6, signed40_pi4_L7):
     with pytest.raises(ValueError):
-        frame_derivative(7, state40_o6, table40_pi4_L7)
+        frame_derivative(7, state40_o6, signed40_pi4_L7)
 
 
 def test_table_depth_guard(cfg40, tables):
-    shallow = tables.get("1", "pi/4", 1, cfg40)
+    shallow = tables.signed("1", "pi/4", 1, cfg40)
     with pytest.raises(ValueError):
         run(2, cfg40, table=shallow)
+
+
+def test_engine_rejects_word_tables(state40_o6, table40_pi4_L4, table40_pi4_L7):
+    """The engine reads signed sums per letter multiset, never a word table."""
+    with pytest.raises(TypeError, match="signed"):
+        run(3, CFG, table=table40_pi4_L4)
+    with pytest.raises(TypeError, match="signed"):
+        frame_lower(3, state40_o6, table40_pi4_L7)
 
 
 def test_q_first_order_check():
@@ -146,18 +154,18 @@ def test_q_first_order_check():
     assert q_first_order_check("0.4", CFG) < CFG.eps(6)
 
 
-def test_engine_precision_doubling(table40_pi4_L4, tables):
+def test_engine_precision_doubling(signed40_pi4_L4, tables):
     hi_cfg = PrecisionConfig(50)
-    lo = area_series(run(3, CFG, table=table40_pi4_L4))
-    hi = area_series(run(3, hi_cfg, table=tables.get("1", "pi/4", 4, hi_cfg)))
+    lo = area_series(run(3, CFG, table=signed40_pi4_L4))
+    hi = area_series(run(3, hi_cfg, table=tables.signed("1", "pi/4", 4, hi_cfg)))
     for k in (1, 3):
         assert abs(lo.alpha(k) - hi.alpha(k)) < CTX.mpf(10) ** (-(40 - 2))
 
 
 def test_engine_precision_doubling_order5(tables):
     hi_cfg = PrecisionConfig(60)
-    lo = area_series(run(5, CFG, table=tables.get("1", "pi/4", 6, CFG)))
-    hi = area_series(run(5, hi_cfg, table=tables.get("1", "pi/4", 6, hi_cfg)))
+    lo = area_series(run(5, CFG, table=tables.signed("1", "pi/4", 6, CFG)))
+    hi = area_series(run(5, hi_cfg, table=tables.signed("1", "pi/4", 6, hi_cfg)))
     for k in (3, 5):
         assert abs(lo.alpha(k) - hi.alpha(k)) < CTX.mpf("1e-38")
 
@@ -167,11 +175,11 @@ def test_run_rejects_bad_order():
         run(0, CFG)
 
 
-def test_engine_error_is_raised_on_corrupt_table(table40_pi4_L4):
+def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
     import copy
-    broken = copy.copy(table40_pi4_L4)
-    broken.values = dict(table40_pi4_L4.values)
-    broken.values[(3,)] = broken.values[(3,)] + 1   # poison a word integral
+    broken = copy.copy(signed40_pi4_L4)
+    broken.values = dict(signed40_pi4_L4.values)
+    broken.values[(3,)] = broken.values[(3,)] + 1   # poison sigma_(0,0,1) = Omega(3)
     with pytest.raises(EngineError):
         run(2, CFG, table=broken)
 
@@ -204,11 +212,11 @@ def test_support_rejects_degree_outside_window(degree):
         _support(poly, 2, CTX.mpf(1), "x", CFG)
 
 
-def test_negative_degrees_of_lambda_k_lower(table40_pi4_L7):
+def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
     """lambda * K_lower's negative degrees are projected away as dust up to
     eps(2) of its peak (350 at order 4), and raise above that."""
-    state = run(3, CFG, table=table40_pi4_L7)
-    c_n, _ = extract_c(4, p_derivative(4, state, frame_lower(4, state, table40_pi4_L7)), CFG)
+    state = run(3, CFG, table=signed40_pi4_L7)
+    c_n, _ = extract_c(4, p_derivative(4, state, frame_lower(4, state, signed40_pi4_L7)), CFG)
     a_n, r_n, _ = extract_a_r(4, state, c_n, c_n)
 
     def with_extra(size):      # b^(4) plus size * lambda^-1 puts size/sqrt(2) on lambda^-1
@@ -220,12 +228,12 @@ def test_negative_degrees_of_lambda_k_lower(table40_pi4_L7):
         with_extra("1e-40")
 
 
-def test_negative_degrees_tolerance_floor_at_odd_order(table40_pi4_L7):
+def test_negative_degrees_tolerance_floor_at_odd_order(signed40_pi4_L7):
     """At order 3 lambda * K_lower's peak is rounding dust, so its negative
     degrees are measured against max(peak, 1): dust up to eps(2) is projected
     away, and anything above it raises."""
-    state = run(2, CFG, table=table40_pi4_L7)
-    c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, table40_pi4_L7)), CFG)
+    state = run(2, CFG, table=signed40_pi4_L7)
+    c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, signed40_pi4_L7)), CFG)
     b_n = -c_n
     a_n, r_n, _ = extract_a_r(3, state, c_n, b_n)
 
@@ -319,9 +327,9 @@ def _word_sum_frame_lower(n, state, table):
     return entries
 
 
-def test_frame_lower_matches_word_sum(state40_o6, table40_pi4_L7):
+def test_frame_lower_matches_word_sum(state40_o6, signed40_pi4_L7, table40_pi4_L7):
     for n in range(1, 7):
-        got = frame_lower(n, state40_o6, table40_pi4_L7)
+        got = frame_lower(n, state40_o6, signed40_pi4_L7)
         want = _word_sum_frame_lower(n, state40_o6, table40_pi4_L7)
         for i in range(2):
             for j in range(2):
@@ -332,11 +340,10 @@ def test_frame_lower_matches_word_sum(state40_o6, table40_pi4_L7):
                     assert err <= tol, (n, i, j, d, mpmath.nstr(err, 3))
 
 
-@pytest.mark.order9
 @pytest.mark.parametrize("digits", [35, 40, 45])
 def test_alpha9_matches_reference(digits):
     cfg = PrecisionConfig(digits, guard_digits_for_order(9))
     ctx = cfg.context
-    res = area_series(run(9, cfg, table=build_table("1", "pi/4", 10, cfg)))
+    res = area_series(run(9, cfg, table=build_signed_table("1", "pi/4", 10, cfg)))
     assert res.alpha(8) == 0
     assert abs(res.alpha(9) - ctx.mpf(ALPHA9)) < ctx.mpf(10) ** (-(digits - 2))

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -7,11 +9,11 @@ import pytest
 from lawsonarea import omega
 from lawsonarea.mpl import FORM_COEFFS, convert_word, li, mpl_spec, punctures
 from lawsonarea.engine import expand
-from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, _cache_path, _segment_table,
-                              _values_digest, build_table, cached_table, canonical_phi,
-                              chen_compose, clear_cache, gauss_legendre_rule,
-                              is_pi_over_4, list_cache, load_table, parse_phi,
-                              quadrature_oracle, save_table)
+from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, SignedTable, _cache_path,
+                              _segment_table, _values_digest, build_signed_table,
+                              build_table, cached_table, canonical_phi, chen_compose,
+                              clear_cache, gauss_legendre_rule, is_pi_over_4, list_cache,
+                              load_table, parse_phi, quadrature_oracle, save_table)
 from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
@@ -308,45 +310,88 @@ def test_shuffle_of_short_and_long_words_on_one_segment():
         assert abs(table.value(w1) * table.value(w2) - rhs) < CFG.eps(2), (w1, w2)
 
 
-def test_cache_roundtrip(tmp_path, table40_pi4_L4):
-    path = save_table(table40_pi4_L4, tmp_path)
+def _signed_sums(table):
+    """sigma_c of a word table: (-1)^inv(w) Omega(w) summed per non-decreasing key."""
+    sums = {}
+    for word, value in table.values.items():
+        if word:
+            key = tuple(sorted(word))
+            inv = sum(a > b for a, b in itertools.combinations(word, 2))
+            sums[key] = sums.get(key, 0) + (-1) ** inv * value
+    return sums
+
+
+@pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 7), ("i", "1.2", 6),
+                                                ("1", "0.3", 5)])
+def test_signed_table_matches_word_sums(endpoint, phi, depth, tables):
+    signed = build_signed_table(endpoint, phi, depth, CFG)
+    expected = _signed_sums(tables.get(endpoint, phi, depth, CFG))
+    assert signed.values.keys() == expected.keys()
+    assert len(expected) == math.comb(depth + 3, 3) - 1
+    for key, value in expected.items():
+        assert abs(signed.value(key) - value) < CFG.eps(2), key
+    with pytest.raises(KeyError):
+        signed.value((2, 1))             # keys are non-decreasing words
+    with pytest.raises(KeyError):
+        signed.value((1,) * (depth + 1))
+
+
+def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
+    """With every sign +, the recurrence sums every word of counts c, which
+    the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
+    depth = 6
+    pc, segments = omega._path("1", "pi/4", depth, CFG)
+    plus = omega._signed_transport(CFG, pc.points, segments, depth,
+                                   sign=lambda key, letter: 1)
+    letters = [plus[(i,)] for i in (1, 2, 3)]
+    for key, value in plus.items():
+        counts = [key.count(i) for i in (1, 2, 3)]
+        expected = math.prod(v ** c / math.factorial(c) for v, c in zip(letters, counts))
+        assert abs(value - expected) < CFG.eps(2), key
+
+
+def test_cache_roundtrip(tmp_path, signed40_pi4_L4, table40_pi4_L4):
+    path = save_table(signed40_pi4_L4, tmp_path)
     assert path.exists()
     loaded = load_table("1", "pi/4", 4, CFG, tmp_path)
-    assert loaded is not None
-    for word in table40_pi4_L4.words():
-        assert loaded.value(word) == table40_pi4_L4.value(word)
-    # header schema
+    assert isinstance(loaded, SignedTable)
+    assert loaded.values == signed40_pi4_L4.values
+    # header schema: one table kind, so no kind field
     payload = json.loads(path.read_text())
-    assert {"version", "endpoint", "phi", "digits", "max_length",
-            "values"} <= payload.keys()
+    assert payload.keys() == {"version", "endpoint", "phi", "digits", "guard_digits",
+                              "max_length", "sha256", "values"}
+    assert len(payload["values"]) == math.comb(4 + 3, 3) - 1
     assert payload["values"]["2,2,3"].keys() == {"re", "im"}
+    # word tables are not cached
+    with pytest.raises(TypeError, match="signed"):
+        save_table(table40_pi4_L4, tmp_path)
 
 
 def test_cached_table_transparency(tmp_path):
     cfg = PrecisionConfig(25)
     cold = cached_table("1", "pi/3", 2, cfg, tmp_path)
     warm = cached_table("1", "pi/3", 2, cfg, tmp_path)
-    for word in cold.words():
-        assert cold.value(word) == warm.value(word)
+    assert cold.values == warm.values
     assert len(list_cache(tmp_path)) == 1
     assert clear_cache(tmp_path) == 1
     assert list_cache(tmp_path) == []
 
 
-def test_cache_version_gate(tmp_path, table40_pi4_L4):
-    path = save_table(table40_pi4_L4, tmp_path)
+def test_cache_version_gate(tmp_path, signed40_pi4_L4):
+    path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
     payload["version"] = 999
     path.write_text(json.dumps(payload))
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
-    # a table from the previous kernel is rebuilt and its file overwritten
-    payload["version"] = 1
-    payload["values"] = {key: {"re": "7", "im": "7"} for key in payload["values"]}
+    # a word table of version 3 is rebuilt as a signed table and its file overwritten
+    payload["version"] = 3
+    payload["values"] = {",".join(map(str, w)): {"re": "7", "im": "7"}
+                         for w in itertools.chain.from_iterable(
+                             itertools.product((1, 2, 3), repeat=n) for n in range(1, 5))}
     path.write_text(json.dumps(payload))
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
-    for word in table40_pi4_L4.words():
-        assert rebuilt.value(word) == table40_pi4_L4.value(word)
-    assert json.loads(path.read_text())["version"] == _CACHE_VERSION
+    assert rebuilt.values == signed40_pi4_L4.values
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 4
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
 
 
@@ -365,24 +410,27 @@ def test_corrupt_word_value_is_rebuilt(tmp_path):
     assert json.loads(path.read_text())["values"]["1,2,3"] == good
 
 
-def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, table40_pi4_L4):
-    path = save_table(table40_pi4_L4, tmp_path)
+def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, signed40_pi4_L4):
+    path = save_table(signed40_pi4_L4, tmp_path)
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
-    # a word missing under a digest that matches what is left
-    payload = json.loads(text)
-    del payload["values"]["3,1"]
-    payload["sha256"] = _values_digest(payload["values"])
-    path.write_text(json.dumps(payload))
-    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    # a key missing, or a decreasing key in its place, under a digest that matches
+    for swap in (None, "3,1"):
+        payload = json.loads(text)
+        item = payload["values"].pop("1,3")
+        if swap:
+            payload["values"][swap] = item
+        payload["sha256"] = _values_digest(payload["values"])
+        path.write_text(json.dumps(payload))
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, swap
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
-    assert rebuilt.value((3, 1)) == table40_pi4_L4.value((3, 1))
+    assert rebuilt.value((1, 3)) == signed40_pi4_L4.value((1, 3))
     assert json.loads(path.read_text()) == json.loads(text)
 
 
-def test_cache_header_must_match_request(tmp_path, table40_pi4_L4):
-    path = save_table(table40_pi4_L4, tmp_path)
+def test_cache_header_must_match_request(tmp_path, signed40_pi4_L4):
+    path = save_table(signed40_pi4_L4, tmp_path)
     text = path.read_text()
     for key, value in (("endpoint", "i"), ("phi", "0.3"), ("digits", 41),
                        ("guard_digits", 11), ("max_length", 3)):
@@ -410,7 +458,7 @@ def test_phi_spellings_share_one_cache_file(tmp_path):
     # the existing name of pi/4 is kept, so caches written before stay valid
     assert (_cache_path(tmp_path, "1", "pi/4", 2, cfg).name
             == "omega_end1_phipi_over_4_L2_d20_g10.json")
-    path = save_table(build_table("1", "1*pi/4", 2, cfg), tmp_path)
+    path = save_table(build_signed_table("1", "1*pi/4", 2, cfg), tmp_path)
     assert path == _cache_path(tmp_path, "1", "pi/4", 2, cfg)
     assert json.loads(path.read_text())["phi"] == "pi/4"
     for label in ("pi/4", " pi/4 ", "1*pi/4"):
