@@ -5,29 +5,45 @@ by power-series transport, runs the order-by-order recursion for the
 potential coefficients at the minimal angle, and extracts the Taylor
 coefficients of the surface area (equivalently Willmore energy), verifying
 them against closed forms and multiple-polylogarithm identities.
+
+The names below are imported from their modules on first use (PEP 562), so
+``import lawsonarea.cli`` loads only the modules a subcommand runs.
 """
 
-from .engine import (DerivativeState, EngineError, ExpansionResult, area_series,
-                     expand, first_order_general_phi, frame_derivative,
-                     q_first_order_check, run)
-from .laurent import LaurentMatrix2, LaurentPoly
-from .mpl import (DivergentSeriesError, MplSpec, SignedMplSum, convert_word, li,
-                  mpl_spec, zeta_signed)
-from .omega import (OmegaTable, PunctureConfig, SignedTable, build_signed_table,
-                    build_table, cached_table, chen_compose, clear_cache, list_cache,
-                    parse_phi, quadrature_oracle)
-from .precision import PrecisionConfig, agreement_digits, constant, zeta
-from .words import MplLetter, letter, parse_word, shuffle, stuffle
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DerivativeState", "DivergentSeriesError", "EngineError", "ExpansionResult",
-    "LaurentMatrix2", "LaurentPoly", "MplLetter", "MplSpec", "OmegaTable",
-    "PrecisionConfig", "PunctureConfig", "SignedMplSum", "SignedTable",
-    "agreement_digits", "area_series", "build_signed_table", "build_table",
-    "cached_table", "chen_compose", "clear_cache", "constant", "convert_word",
-    "expand", "first_order_general_phi", "frame_derivative", "letter", "li",
-    "list_cache", "mpl_spec", "parse_phi", "parse_word", "q_first_order_check",
-    "quadrature_oracle", "run", "shuffle", "stuffle", "zeta", "zeta_signed",
-]
+# The identity suites of ``verify``, named here so that the command-line
+# parser can offer them without importing ``verify``.
+SUITE_NAMES = ("closed-forms", "alpha3", "parity", "conjectures")
+
+_EXPORTS = {
+    "engine": ("DerivativeState", "EngineError", "ExpansionResult", "area_series",
+               "expand", "first_order_general_phi", "frame_derivative",
+               "q_first_order_check", "run"),
+    "laurent": ("LaurentMatrix2", "LaurentPoly"),
+    "mpl": ("DivergentSeriesError", "MplSpec", "SignedMplSum", "convert_word", "li",
+            "mpl_spec", "zeta_signed"),
+    "omega": ("OmegaTable", "PunctureConfig", "SignedTable", "build_signed_table",
+              "build_table", "cached_table", "chen_compose", "clear_cache", "list_cache",
+              "parse_phi", "quadrature_oracle"),
+    "precision": ("PrecisionConfig", "agreement_digits", "constant", "zeta"),
+    "words": ("MplLetter", "letter", "parse_word", "shuffle", "stuffle"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -10,8 +10,10 @@ matrix) and the scalar r admit a recursion in the expansion order n:
    on its letter counts, and the constant matrices ``M_MATS`` anticommute,
    so M_w is a sign times the product of its letters in sorted order.  The
    word integrals therefore enter only as their signed sum per letter
-   multiset, which ``omega.build_signed_table`` transports directly, and
-   each multiset's product derivatives are built once.
+   multiset, which ``omega.build_signed_table`` transports directly.  The
+   sums run on fixed-point integers, and each multiset's product
+   derivatives, which depend only on solved orders, are kept on the state
+   and extended by one derivative per order (``frame_lower``).
 2. The reality condition p = star(p) on the trace coordinate
    p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
    Sym-point condition p(i) = 0 pins its constant term.
@@ -42,10 +44,11 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy
 from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi
-from .precision import PrecisionConfig
+from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
 M_MATS = (
@@ -54,7 +57,7 @@ M_MATS = (
     ((0, 1j), (-1j, 0)),
 )
 
-_IDENTITY2 = ((1, 0), (0, 1))
+_FRAME_EXTRA_BITS = 16    # derived in the rounding budget of ``frame_lower``
 
 
 class EngineError(ArithmeticError):
@@ -81,6 +84,11 @@ class DerivativeState:
     r: list
     frames: list          # frames[m] = P^(m) at z = 1, m = 0..order+1
     diagnostics: list = field(default_factory=list)
+    # Built from solved orders only, so never stale: (i, k) -> y_i^(k), and
+    # per letter multiset (a non-decreasing word) the list of t-derivatives
+    # of its product of y, as {degree: int} maps at ``frame_lower``'s scale.
+    _ys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def x(self, i: int, k: int) -> LaurentPoly:
         return (self.a, self.b, self.c)[i - 1][k]
@@ -95,6 +103,12 @@ class DerivativeState:
             if rv != 0:
                 axpy(total, math.comb(k, ell) * rv, self.x(i, ell).coeffs)
         return LaurentPoly(self.cfg, total)
+
+    def solved_y(self, i: int, k: int) -> LaurentPoly:
+        """y_i^(k) of a solved order k, built once per state."""
+        if (i, k) not in self._ys:
+            self._ys[i, k] = self.y(i, k)
+        return self._ys[i, k]
 
     def derivatives_jsonable(self) -> list:
         """Derivative polynomials at the target digits, as ``alpha_t`` is printed."""
@@ -145,17 +159,53 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     signed sum sigma_c of their integrals per letter multiset c, which
     ``table`` (an ``omega.SignedTable``) holds under the non-decreasing word
     of c.  The multisets are walked as the tree of non-decreasing words:
-    each multiset's ordered matrix product and product derivatives are
-    built once, from those of its parent (the multiset without its last
-    letter), and its sigma_c is multiplied in once: 80 multisets at order 5,
-    282 at order 9.  Only the derivatives along the current path are held.
+    each multiset's ordered matrix product and product derivatives come
+    from those of its parent (the multiset without its last letter), and its
+    sigma_c is multiplied in once: 80 multisets at order 5, 282 at order 9.
 
-    a, b, c and r are real, so every derivative of a product is a real
-    {degree: mpf} map.  A product of l letters at derivative order m has
-    support in [-l, m + l], so no rounding dust can cross the degree bound
-    that ``frame_derivative`` checks.  The terms are summed into one
-    {degree: mpc} map per constant matrix (at most 8: +-I and +-M_i), and
-    each matrix entry sums those maps times its entry of the matrix.
+    Fixed point.  a, b, c and r are real, so every derivative of a product
+    is a real {degree: int} map at scale 2^P, P = working bits +
+    ``_FRAME_EXTRA_BITS``.  Each y_i^(k) is converted once (``to_fixed``,
+    rounded down), each Leibniz sum is exact at 2^-2P and rounded down once,
+    back to 2^P, and sigma_c is converted on every call (``to_fixed_pair``),
+    since a state may be run against another table.  The products sigma_c
+    times a derivative are summed exactly at 2^-2P into one {degree: (re,
+    im)} pair of maps per constant matrix (at most 8: +-I and +-M_i); each
+    matrix entry combines those with its Gaussian-integer entry of the
+    matrix, and each coefficient is rounded once, to ``mpc``.
+
+    Carried products.  D^m of a multiset's product needs y^(k) for k <= m
+    only, and a multiset of l letters contributes D^(n+1-l) and feeds its
+    children up to D^(n-l), so at order n every derivative read is of a
+    solved order.  Each multiset's list of maps lives on the state
+    (``DerivativeState._products``) and is extended only by the orders it
+    lacks, so order n builds one new derivative per multiset of size <= n
+    and the first one of the multisets of size n + 1.  Nothing there depends
+    on the table.  A product of l letters at derivative order m has support
+    in [-l, m + l], so no rounding dust can cross the degree bound that
+    ``frame_derivative`` checks.
+
+    Rounding budget, in units of 2^-P, counted in the l1 norm |.| of a map
+    (the sum of its coefficients' moduli).  A converted y^(k) carries at
+    most one unit per coefficient, and so does each rounded Leibniz sum.
+    Since |p q| <= |p| |q| for the product of two maps, the error e_c[s] of
+    D^s of the multiset c = c' + e_i is, to first order, at most
+    N + sum_j C(s, j) (e_c'[j] |y_i^(s-j)| + |D^j_c'| e_y[s-j]), N the
+    number of coefficients of the result and e_y[k] that of y_i^(k).
+    Converting sigma_c adds at most sqrt(2) units times |D_c|, the
+    derivative it multiplies, and the sums after that are exact.  So the
+    frame sums carry at most B_n = sum_c (n+1)!/(n+1-l)! (|sigma_c| e_c +
+    sqrt(2) |D_c|) units, the cross terms counted alike.  Evaluated along
+    the recursion at 40 digits, B_n grows with the sizes of the summands,
+    from 2^7.3 at order 1 to 2^40.2 at order 9 and 2^61.4 at order 13, but
+    stays below 2^7.1 max(F_n, 1), F_n the largest coefficient of the frame
+    sums, at every order through 13.  7 extra bits keep the kernel's own
+    rounding below one unit of the working precision at the scale
+    max(F_n, 1), and 9 more keep it below 2^-9 of that unit, hence
+    ``_FRAME_EXTRA_BITS = 16``.  Measured on that scale against the same
+    kernel with 120 extra bits, orders 1..9 at 40 digits (12 guard digits)
+    lost at most 1.9 bits with no extra bits and none (under 2^-15) with
+    16; the ``mpf`` kernel this one replaced lost up to 4.9 bits.
     """
     cfg = state.cfg
     ctx = cfg.context
@@ -166,49 +216,71 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
         return LaurentMatrix2(cfg)
-    sums: dict = {}     # constant matrix -> {degree: mpc} map of its coefficient
+    bits = ctx.prec + _FRAME_EXTRA_BITS
+    products = state._products
+    # constant matrix -> {degree: re}, {degree: im} of its coefficient at 2^-2P
+    sums: dict = {}
 
-    # single-letter cross terms (orders 1..n-1 of x against r)
+    def add(mmat, weight, value, deriv) -> None:
+        s_re, s_im = to_fixed_pair(value, bits)
+        acc = sums.setdefault(mmat, ({}, {}))
+        axpy(acc[0], weight * s_re, deriv)
+        axpy(acc[1], weight * s_im, deriv)
+
+    # single letters: D^k of y_i is y_i^(k) itself
     for i in (1, 2, 3):
-        cross = state.y(i, n, range(1, n)).coeffs
+        have = products.setdefault((i,), [])
+        for k in range(len(have), n):
+            have.append({d: to_fixed(v._mpf_, bits)
+                         for d, v in state.solved_y(i, k).coeffs.items()})
+        # single-letter cross terms (orders 1..n-1 of x against r)
+        cross = {d: to_fixed(v._mpf_, bits)
+                 for d, v in state.y(i, n, range(1, n)).coeffs.items()}
         if cross:
-            axpy(sums.setdefault(M_MATS[i - 1], {}), (n + 1) * table.value((i,)), cross)
-
-    # Each multiset once, as its non-decreasing word ``key``: mmat is its
-    # matrix product, derivs[m] the m-th derivative of its product of y, and
-    # y[(i, k)] the k-th derivative of r * x_i.
-    y = {(i, k): state.y(i, k).coeffs for i in (1, 2, 3) for k in range(n)}
+            add(M_MATS[i - 1], n + 1, table.value((i,)), cross)
 
     def descend(key, mmat, derivs) -> None:
         size = len(key)
         if size >= 2 and derivs[n + 1 - size]:
-            axpy(sums.setdefault(mmat, {}), math.perm(n + 1, size) * table.value(key),
-                 derivs[n + 1 - size])
+            add(mmat, math.perm(n + 1, size), table.value(key), derivs[n + 1 - size])
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
-        max_child = n - max(size, 1)
+        max_child = n - size
         if max_child < 0:
             return
-        for i in range(key[-1] - 1 if key else 0, 3):
-            child = []
-            for s in range(max_child + 1):
+        for i in range(key[-1], 4):
+            child_key = key + (i,)
+            child = products.setdefault(child_key, [])
+            ys = products[(i,)]
+            for s in range(len(child), max_child + 1):
                 total: dict = {}
                 for j in range(s + 1):
-                    left, right = derivs[j], y[(i + 1, s - j)]
-                    if left and right:
-                        add_product(total, math.comb(s, j), left, right)
-                child.append(total)
-            descend(key + (i + 1,), _mat_mul(mmat, M_MATS[i]), child)
+                    if derivs[j] and ys[s - j]:
+                        add_product(total, math.comb(s, j), derivs[j], ys[s - j])
+                child.append({d: v >> bits for d, v in total.items()})
+            descend(child_key, _mat_mul(mmat, M_MATS[i - 1]), child)
 
-    descend((), _IDENTITY2, [{0: ctx.mpf(1)}] + [{}] * n)
+    for i in (1, 2, 3):
+        descend((i,), M_MATS[i - 1], products[(i,)])
 
-    entries = [[{}, {}], [{}, {}]]
-    for mmat, coeffs in sums.items():
+    entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
+    for mmat, (s_re, s_im) in sums.items():
         for i in range(2):
             for j in range(2):
-                if mmat[i][j]:
-                    axpy(entries[i][j], mmat[i][j], coeffs)
-    return LaurentMatrix2(cfg, [[LaurentPoly(cfg, e) for e in row] for row in entries])
+                # every entry of a product of M_MATS is 0, +-1 or +-1j
+                m_re, m_im = int(mmat[i][j].real), int(mmat[i][j].imag)
+                e_re, e_im = entries[i][j]
+                if m_re:
+                    axpy(e_re, m_re, s_re)
+                    axpy(e_im, m_re, s_im)
+                if m_im:
+                    axpy(e_re, -m_im, s_im)
+                    axpy(e_im, m_im, s_re)
+    scale = 2 * bits
+    return LaurentMatrix2(cfg, [
+        [LaurentPoly(cfg, {d: from_fixed_pair(e_re.get(d, 0), e_im.get(d, 0), scale, ctx)
+                           for d in e_re.keys() | e_im.keys()}) for e_re, e_im in row]
+        for row in entries])
 
 
 def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
@@ -301,7 +373,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
     """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
     cfg = state.cfg
     ctx = cfg.context
-    ys = {(i, k): state.y(i, k) for i in (1, 2, 3) for k in range(1, n)}
+    ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
     for k in range(1, n):
         coeff = math.comb(n, k)

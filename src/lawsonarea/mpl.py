@@ -74,13 +74,9 @@ from typing import Sequence
 
 import mpmath
 
+from .omega import FORM_COEFFS, punctures
 from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word
-
-# Coefficient of 1/(z - p_k) in the three surface 1-forms (rows: form 1, 2, 3).
-FORM_COEFFS = ((1, -1, 1, -1),
-               (1, -1, -1, 1),
-               (1, 1, -1, -1))
 
 _DIRECT_SERIES_LIMIT = 0.70   # largest partial-product modulus for direct summation
 _SPLIT_RATIO_LIMIT = 0.95     # refuse split evaluation beyond this term ratio
@@ -364,17 +360,6 @@ class SignedMplSum:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def punctures(phi, cfg: PrecisionConfig) -> tuple:
-    """The four unit-circle branch points; phi strictly between 0 and pi/2."""
-    ctx = cfg.context
-    phiv = ctx.mpf(phi)
-    if not (0 < phiv < ctx.pi / 2):
-        raise ValueError("phi must lie strictly between 0 and pi/2")
-    p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
-    p2 = -ctx.conj(p1)
-    return (p1, p2, -p1, -p2)
 
 
 def convert_word(word: Word, phi, cfg: PrecisionConfig) -> SignedMplSum:

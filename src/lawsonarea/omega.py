@@ -182,7 +182,6 @@ from pathlib import Path
 
 import mpmath
 
-from .mpl import FORM_COEFFS, punctures
 from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word, format_word, parse_word
 
@@ -256,6 +255,23 @@ def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
 def phi_slug(text: str) -> str:
     """Filesystem-safe canonical form of a phi string."""
     return canonical_phi(text).replace("*", "x").replace("/", "_over_")
+
+
+# Coefficient of 1/(z - p_k) in the three surface 1-forms (rows: form 1, 2, 3).
+FORM_COEFFS = ((1, -1, 1, -1),
+               (1, -1, -1, 1),
+               (1, 1, -1, -1))
+
+
+def punctures(phi, cfg: PrecisionConfig) -> tuple:
+    """The four unit-circle branch points; phi strictly between 0 and pi/2."""
+    ctx = cfg.context
+    phiv = ctx.mpf(phi)
+    if not (0 < phiv < ctx.pi / 2):
+        raise ValueError("phi must lie strictly between 0 and pi/2")
+    p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
+    p2 = -ctx.conj(p1)
+    return (p1, p2, -p1, -p2)
 
 
 @dataclass(frozen=True)
@@ -607,7 +623,7 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
 
 _gl_cache: dict[tuple[int, int], tuple] = {}
 # (endpoint, phi value, working digits, nodes) -> first level of the quadrature
-_quadrature_cache: dict[tuple, tuple] = {}
+_quadrature_cache: dict[tuple, list] = {}
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
@@ -728,16 +744,18 @@ def _first_level(top, poles, rule, bits: int, ctx) -> tuple:
     return points, weighted, inner
 
 
-def _word_sum(word, level, expand, ctx) -> mpmath.mpc:
-    """Quadrature of one word over the interval of ``level`` (``_first_level``)."""
-    points, weighted, inner = level
-    last = [wf[word[-1] - 1] for wf in weighted]
-    if len(word) == 1:
-        return ctx.fsum(last)
-    if len(word) == 2:
-        return ctx.fdot([i[word[0] - 1] for i in inner], last)
-    # one more level: the prefix is integrated to each node on its own grid
-    return ctx.fdot([_word_sum(word[:-1], expand(t), expand, ctx) for t in points], last)
+def _prefix_pairs(points, poles, rule, bits: int, ctx) -> list:
+    """At each node t of ``points``, the 9 length-2 word integrals from 0 to t.
+
+    Each comes from a second level on [0, t] (``_first_level``), which is
+    built once and dropped once its 9 sums are taken.
+    """
+    pairs = []
+    for t in points:
+        _, weighted, inner = _first_level(t, poles, rule, bits, ctx)
+        pairs.append({(a, b): ctx.fdot([i[a - 1] for i in inner], [wf[b - 1] for wf in weighted])
+                      for a in (1, 2, 3) for b in (1, 2, 3)})
+    return pairs
 
 
 def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
@@ -751,10 +769,13 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     forms evaluated together from the pole pairs (``_paired_forms``), and is
     kept as ``mpc`` in ``_quadrature_cache``, keyed by (endpoint, phi value
     from ``parse_phi``, working digits, nodes).  So every word of length 1 or
-    2 at that key is one ``fdot`` over the cached level; a word of length 3
-    builds one more level per outer node and costs nodes^3 form evaluations.
-    The rounding budget is in the module docstring.  This exists purely as an
-    independent cross-check of the transport tables and uses nothing of theirs.
+    2 at that key is one ``fdot`` over the cached level.  The first word of
+    length 3 at a key builds one more level per outer node (nodes^3 form
+    evaluations) and keeps, under the same key, the 9 length-2 integrals from
+    0 to each outer node (``_prefix_pairs``); every word of length 3 is then
+    one ``fdot`` too.  The rounding budget is in the module docstring.  This
+    exists purely as an independent cross-check of the transport tables and
+    uses nothing of theirs.
     """
     word = tuple(word)
     if len(word) > 3:
@@ -766,21 +787,27 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     if not word:
         return ctx.mpc(1)
     key = (endpoint, phi_value, cfg.working_digits, nodes)
-    level = _quadrature_cache.get(key)
-    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
-    xs, ws = gauss_legendre_rule(nodes, cfg)
-    # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
-    rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
-            [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
-    poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
-
-    def expand(top):
-        return _first_level(top, poles, rule, bits, ctx)
-
-    if level is None:
-        end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
-        level = _quadrature_cache[key] = expand(end)
-    return _word_sum(word, level, expand, ctx)
+    # [outer nodes, weighted forms, inner integrals, prefix pairs or None]
+    cached = _quadrature_cache.get(key)
+    if cached is None or (len(word) == 3 and cached[3] is None):
+        bits = ctx.prec + _QUADRATURE_EXTRA_BITS
+        xs, ws = gauss_legendre_rule(nodes, cfg)
+        # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
+        rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
+                [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
+        poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
+        if cached is None:
+            end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
+            cached = _quadrature_cache[key] = [*_first_level(end, poles, rule, bits, ctx), None]
+        if len(word) == 3:
+            cached[3] = _prefix_pairs(cached[0], poles, rule, bits, ctx)
+    _, weighted, inner, pairs = cached
+    last = [wf[word[-1] - 1] for wf in weighted]
+    if len(word) == 1:
+        return ctx.fsum(last)
+    if len(word) == 2:
+        return ctx.fdot([i[word[0] - 1] for i in inner], last)
+    return ctx.fdot([p[word[:2]] for p in pairs], last)
 
 
 # ---------------------------------------------------------------------------

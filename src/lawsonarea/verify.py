@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from . import engine, mpl, omega
+from . import SUITE_NAMES, engine, mpl, omega
 from .precision import PrecisionConfig
 from .words import letter, shuffle, stuffle
-
-SUITE_NAMES = ("closed-forms", "alpha3", "parity", "conjectures")
 
 
 @dataclass

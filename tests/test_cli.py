@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lawsonarea
 from lawsonarea.cli import main
 
 
@@ -157,6 +162,29 @@ def test_verify_unknown_suite_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus", "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_expand_imports_neither_verify_nor_mpl(tmp_path):
+    """``expand`` loads only the modules it runs, and every public name of the
+    package still resolves."""
+    script = f"""
+import sys
+import lawsonarea
+from lawsonarea.cli import main
+assert main(["expand", "--order", "1", "--precision", "20",
+             "--cache-dir", {str(tmp_path)!r}]) == 0
+loaded = sorted(m for m in ("lawsonarea.verify", "lawsonarea.mpl") if m in sys.modules)
+assert not loaded, loaded
+for name in lawsonarea.__all__:
+    getattr(lawsonarea, name)
+assert "lawsonarea.verify" not in sys.modules
+"""
+    src = str(Path(lawsonarea.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cache_list_and_clear(capsys, tmp_path):

@@ -4,8 +4,8 @@ import math
 import mpmath
 import pytest
 
-from lawsonarea.engine import (M_MATS, EngineError, _support, area_series,
-                               central_state, extract_a_r, extract_c,
+from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support,
+                               area_series, central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
@@ -264,6 +264,29 @@ def test_m_mats_anticommute_to_sorted_order():
             sign = (-1) ** inv
             assert product(word) == tuple(tuple(sign * v for v in row)
                                           for row in product(sorted(word))), word
+
+
+def test_solved_y_is_built_once(monkeypatch, tables):
+    """An order-7 run builds each y_i^(k), k = 0..6, once: 21 full Leibniz sums."""
+    full = []
+    y = DerivativeState.y
+    monkeypatch.setattr(DerivativeState, "y", lambda self, i, k, ells=None: (
+        ells is None and full.append((i, k))) or y(self, i, k, ells))
+    run(7, CFG, table=tables.signed("1", "pi/4", 8, CFG))
+    assert sorted(full) == [(i, k) for i in (1, 2, 3) for k in range(7)]
+
+
+def test_carried_products_match_fresh(signed40_pi4_L7):
+    """The product derivatives carried on the state from lower orders give
+    the same frame sums, digit for digit, as ones built afresh."""
+    state = run(5, CFG, table=signed40_pi4_L7)
+    for n in range(1, 7):
+        carried = frame_lower(n, state, signed40_pi4_L7)
+        state._products.clear()
+        fresh = frame_lower(n, state, signed40_pi4_L7)
+        for i in range(2):
+            for j in range(2):
+                assert carried[i, j].coeffs == fresh[i, j].coeffs, (n, i, j)
 
 
 def test_expansion_values_match_reference(state40_o6):

@@ -7,13 +7,14 @@ import random
 import pytest
 
 from lawsonarea import omega
-from lawsonarea.mpl import FORM_COEFFS, convert_word, li, mpl_spec, punctures
+from lawsonarea.mpl import convert_word, li, mpl_spec
 from lawsonarea.engine import expand
-from lawsonarea.omega import (_CACHE_VERSION, OmegaTable, SignedTable, _cache_path,
-                              _segment_table, _values_digest, build_signed_table,
-                              build_table, cached_table, canonical_phi, chen_compose,
-                              clear_cache, gauss_legendre_rule, is_pi_over_4, list_cache,
-                              load_table, parse_phi, quadrature_oracle, save_table)
+from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
+                              _cache_path, _segment_table, _values_digest,
+                              build_signed_table, build_table, cached_table, canonical_phi,
+                              chen_compose, clear_cache, gauss_legendre_rule, is_pi_over_4,
+                              list_cache, load_table, parse_phi, punctures,
+                              quadrature_oracle, save_table)
 from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import shuffle
@@ -82,7 +83,6 @@ def test_chen_constant_path(table40_pi4_L4):
 
 def test_chen_split_matches_direct(tables):
     ctx = CTX
-    from lawsonarea.mpl import punctures
     points = punctures(parse_phi("pi/4", CFG), CFG)
     cuts = [ctx.mpf(0), ctx.mpf(1) / 2, ctx.mpf(3) / 4, ctx.mpf(1)]
     pieces = [_segment_table(CFG, "pi/4", points, ctx.mpc(a), ctx.mpc(b), 2)
@@ -187,9 +187,28 @@ def test_paired_forms_match_form_coeffs():
 def test_quadrature_length3_word_matches_transport():
     """Three nested levels: one more ``_first_level`` per outer node."""
     cfg = PrecisionConfig(25)
-    quad = quadrature_oracle((2, 2, 3), "1", "pi/4", cfg, nodes=48)
-    transport = build_table("1", "pi/4", 3, cfg).value((2, 2, 3))
-    assert abs(quad - transport) < cfg.eps(2)
+    table = build_table("1", "pi/4", 3, cfg)
+    for word in [(2, 2, 3), (1, 3, 2)]:
+        quad = quadrature_oracle(word, "1", "pi/4", cfg, nodes=48)
+        assert abs(quad - table.value(word)) < cfg.eps(2), word
+
+
+def test_quadrature_length3_words_share_one_second_level(monkeypatch):
+    """The first length-3 word at a key builds one second level per outer
+    node; a second one at the same key builds none and equals its value
+    computed on an empty cache."""
+    cfg = PrecisionConfig(20)
+    calls = []
+    first_level = omega._first_level
+    monkeypatch.setattr(omega, "_first_level",
+                        lambda *args: calls.append(args[0]) or first_level(*args))
+    omega._quadrature_cache.clear()
+    quadrature_oracle((2, 2, 3), "1", "pi/4", cfg, nodes=16)
+    assert len(calls) == 1 + 16
+    value = quadrature_oracle((1, 3, 2), "1", "pi/4", cfg, nodes=16)
+    assert len(calls) == 1 + 16
+    omega._quadrature_cache.clear()
+    assert quadrature_oracle((1, 3, 2), "1", "pi/4", cfg, nodes=16) == value
 
 
 def test_oracle_caches_are_keyed_by_every_input():
