@@ -376,17 +376,18 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
     ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
     for k in range(1, n):
-        coeff = math.comb(n, k)
         rv = state.r[k]
         if rv != 0:
             combo = (state.x(1, 0) * state.x(1, n - k)
                      - state.x(2, 0) * state.x(2, n - k)
                      - state.x(3, 0) * state.x(3, n - k))
-            k_low = k_low + combo.scale(2 * coeff * rv)
+            k_low = k_low + combo.scale(2 * math.comb(n, k) * rv)
+    # the y products at k and n - k coincide, and so do their binomial weights
+    for k in range(1, n // 2 + 1):
         combo = (ys[1, k] * ys[1, n - k]
                  - ys[2, k] * ys[2, n - k]
                  - ys[3, k] * ys[3, n - k])
-        k_low = k_low + combo.scale(coeff)
+        k_low = k_low + combo.scale(math.comb(n, k) * (1 if 2 * k == n else 2))
     # lambda * K_lower is a polynomial: its negative degrees are rounding
     # dust, at most eps(2) of max(its largest coefficient, 1)
     shifted = k_low.shift(1)

@@ -23,10 +23,17 @@ a = L // 2 and b = L - a,
 
 * Forward half.  The series S_p of every prefix p with |p| <= a is built
   from its parent's.  Multiplying a series by h/(h v - q) is the
-  recurrence K_j = (K_{j-1} - S_j) r: four integer multiplies and two
-  shifts per coefficient.  Every form has residues +-1, so the letter
-  integrands are integer sums; integration divides by j + 1 with ``//``;
-  and the values at v = -1 and v = +1 are plain sums of the even and odd
+  recurrence K_j = (K_{j-1} - S_j) r.  Every segment lies on the real or
+  the imaginary axis, and reflection across its line swaps the four poles
+  in two pairs with conjugate ratios r and conj r (``_segment_ratios``).
+  With S = A + iB and X, Y the products of the real series A and B with r
+  (four integer multiplies and two shifts per coefficient each), a pair
+  gives P(r) + P(conj r) = 2 (Re X, Re Y) and P(r) - P(conj r) =
+  2 (-Im Y, Im X).  Every form has residues +-1, so each letter integrand
+  is a signed sum of two pair terms, the sum where the form gives a pair's
+  poles the same residue and the difference where not
+  (``_letter_integrands``).  Integration divides by j + 1 with ``//``, and
+  the values at v = -1 and v = +1 are plain sums of the even and odd
   coefficients (with E and O those sums, the child's constant term is
   O - E and its value at the segment end is 2 O).  Words of length <= a
   take that value.
@@ -35,11 +42,12 @@ a = L // 2 and b = L - a,
   has a value functional V_s with value(p s) = sum_m S_p,m V_s,m, a
   complex dot with no conjugation.  V_() = (1, ..., 1) evaluates at
   v = +1, and V_(a)+s is the transpose of one forward letter applied to
-  V_s: g_j = (V_{j+1} + (-1)^j V_0) // (j + 1) undoes integration and
-  the constant term, H_m = (H_{m+1} - g_m) r from H_T = 0 downwards is the
-  product recurrence run backwards, and V_(a)+s = sum_k eps_ak H^(k) with
-  the ``FORM_COEFFS`` signs.  The root series is 1, so words of length
-  a < |w| <= b take the value V_w,0.
+  V_s (``_adjoint_step``): g_j = (V_{j+1} + (-1)^j V_0) // (j + 1) undoes
+  integration and the constant term, H_m = (H_{m+1} - g_m) r from H_T = 0
+  downwards is the product recurrence run backwards, and
+  V_(a)+s = sum_k eps_ak H^(k) with the ``FORM_COEFFS`` signs, by the same
+  pair kernel.  The root series is 1, so words of length a < |w| <= b take
+  the value V_w,0.
 * Long words.  Each word longer than b is one dot of S_p, |p| = |w| - b,
   with V_s, |s| = b: three integer ``sum(map(mul, ...))`` per word (the
   three-multiply complex product), converted once from scale 2^-2P.  The
@@ -47,40 +55,44 @@ a = L // 2 and b = L - a,
 
 Magnitude bound.  If the parent coefficients satisfy |S_j| <= M, the
 recurrence gives |K_j| <= (|K_{j-1}| + M)/3 <= M/2: the 1/3 decay keeps
-every product coefficient below M/2, the four-pole integrand below 2M and
-coefficient j of the child below 2M/j.  The child's constant term is at
-most 2M(1 + ln T), so the integers grow by at most a few bits per letter
-and never by a factor that depends on j.  In the adjoint |g_j| <= 2
-max|V|/(j + 1), the same 1/3 damping keeps |H| <= max|g|/2 <= max|V|, and
-|V_(a)+s| <= 4 max|V_s| per letter: V grows by at most 2 bits per letter.
+every product coefficient below M/2, each pair term below M, the letter
+integrand below 2M and coefficient j of the child below 2M/j.  The child's
+constant term is at most 2M(1 + ln T), so the integers grow by at most a
+few bits per letter and never by a factor that depends on j.  In the
+adjoint |g_j| <= 2 max|V|/(j + 1), the same 1/3 damping keeps
+|H| <= max|g|/2 <= max|V|, and |V_(a)+s| <= 4 max|V_s| per letter: V grows
+by at most 2 bits per letter.
 
-Rounding budget, in units of 2^-P.  Each r is rounded once per segment,
-which moves the pole far less than its own working-precision error.  Each
-shift rounds once, and the recurrence damps an earlier rounding by
-|r| <= 1/3, so a product coefficient carries at most 1 + 1/3 + 1/9 + ...
-= 3/2 fresh units, the four-pole integrand at most 6, and coefficient j of
-the child at most 6/j + 1 after the division.  The endpoint sums add up T
-coefficients, so each forward letter adds at most T + 6(1 + ln T) fresh
-units to a word value, and a forward word of length a at most
-a (T + 6(1 + ln T)).  (Errors inherited from the prefix pass through the
-exact transport like any input error; measured, they are not amplified.)
-For T <= 1000, that is working digits up to about 460, and a <= 8 (L <= 16)
-the total is below 2^13 units.  An adjoint letter rounds g once and each H
-step once, damped by 1/3, so it adds at most 4 (1 + 1) = 8 units to each
-entry of V.  Moved
-through the exact transpose, that error e reaches a word value as
-sum_m S'_m e_m, where S' is the exact series of the word up to that
-letter.  On |v| <= 3/2 every integrand is at most 4 (1/(3 - 3/2)) = 8/3, so
-a series of k letters is at most (20/3)^k/k! there, and by Cauchy
-sum_m |S'_m| <= 3 (20/3)^k/k! <= 2^8.5.  So each adjoint letter costs at
-most 2^11.5 units and b <= 8 letters at most 2^14.5; with the forward half
-that is below 2^15 units.  The dot's integer sum is exact and is rounded
-once, to working precision.  15 extra bits keep the kernel's own rounding
-below one unit of the working precision, and 9 more keep it below 2^-9 of
-that unit, hence ``_EXTRA_BITS = 24``.  Measured
-with no extra bits at 50 working digits (T = 133, L = 8, on the two
-segments of the path to 1 at phi = pi/4) the forward words lost 5.8 to
-6.8 bits and the dot words 0.9 to 2.5 bits, well inside the bound.
+Rounding budget, in units of 2^-P.  Each r is rounded once per segment, and
+its partner takes conj(r), one unit from its own rounded ratio; both move a
+pole far less than its own working-precision error.  Each shift rounds
+once, and the recurrence damps an earlier rounding by |r| <= 1/3, so each
+part of a real-input product (``_real_product`` doubles it, from 2 S_j)
+carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does each
+part of a pair term, which is a part of X or of Y.  The letter integrand
+carries at most 3, and coefficient j of the child at most 3/j + 1 after the
+division.  The endpoint sums add up T coefficients, so each forward letter
+adds at most T + 3(1 + ln T) fresh units to a word value, and a forward
+word of length a at most a (T + 3(1 + ln T)).  (Errors inherited from the
+prefix pass through the exact transport like any input error; measured,
+they are not amplified.)  For T <= 1000, that is working digits up to about
+460, and a <= 8 (L <= 16) the total is below 2^13 units.  An adjoint letter
+rounds g once and each product step once, damped by 1/3, so a part of a
+pair term carries at most (2 + 3)/2 = 5/2 units, and each entry of V gains
+at most 5 per part, under 8 in modulus.  Moved through the exact transpose,
+that error e reaches a word value as sum_m S'_m e_m, where S' is the exact
+series of the word up to that letter.  On |v| <= 3/2 every integrand is at
+most 4 (1/(3 - 3/2)) = 8/3, so a series of k letters is at most (20/3)^k/k!
+there, and by Cauchy sum_m |S'_m| <= 3 (20/3)^k/k! <= 2^8.5.  So each
+adjoint letter costs at most 2^11.5 units and b <= 8 letters at most
+2^14.5; with the forward half that is below 2^15 units.  The dot's integer
+sum is exact and is rounded once, to working precision.  15 extra bits keep
+the kernel's own rounding below one unit of the working precision, and 9
+more keep it below 2^-9 of that unit, hence ``_EXTRA_BITS = 24``.  Measured
+with no extra bits at 50 working digits against 120 extra bits (T = 133,
+L = 8, on the two segments of the path to 1 at phi = pi/4), the forward
+words lost at most 6.6 and 6.2 bits and the dot words 2.0 and 1.5 bits,
+well inside the bound.
 
 Signed tables.  With inv(w) the number of letter pairs of w out of order,
 sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w).
@@ -99,36 +111,53 @@ A node's series is the signed sum of its parents' letter integrals, at most
 table's forward half.  Segments are glued by initial value: each letter
 integral vanishes at v = -1, so the child's constant term is its sigma at
 the segment start, and its value at v = +1 is that sigma plus the signed
-sum of the parents' endpoint values.  The sigma stay integers at scale 2^P
-from segment to segment and are converted to ``mpc`` once, at the end; no
+sum of the parents' endpoint values.  The keys of size L need only that
+value, and a parent's endpoint value for letter i is linear in its series:
+sum_m S_p,m W_i,m, with W_i = V_(i) the adjoint step of V_() = (1, ..., 1),
+the word table's functional of one letter.  So on the last layer each
+parent costs three dots (the three-multiply complex product of the long
+words), summed exactly at scale 2^-2P and shifted once per key and segment,
+in place of a forward step.  The sigma stay integers at scale 2^P from
+segment to segment and are converted to ``mpc`` once, at the end; no
 ``chen_compose`` is involved.
 
 Rounding budget of the signed kernel, in units of 2^-P.  The signed sums of
-integers are exact, so every fresh rounding is a forward step's.  A letter
-integral carries at most 6/j + 1 units in coefficient j (as above), and its
-constant term is an exact sum of those coefficients, so as a function on
-[-1, 1] its error is sum_j e_j (v^(j+1) - (-1)^(j+1)), at most
-2 (T + 6 (1 + ln T)) units; at most 3 parents give
-F = 6 (T + 6 (1 + ln T)) fresh units per node and segment (2^10 at
-T = 133, 2^12.6 at T = 1000).  An error of node c' then reaches node c
-through the exact transport over the rest of the path, a signed sum over
-the words with letter counts c - c'.  With Lambda_i the integral of |f_i|
-along the path, the iterated integrals of the |f_i| over those words sum to
-prod_i Lambda_i^(m_i) / m_i! (m = c - c'; the shuffle identity again), so
-the inherited error of c over all c' <= c and S segments is at most
-S F prod_i E_(c_i)(Lambda_i), E_n(x) = sum_{m <= n} x^m / m! < e^x.  On the
-path to 1 at pi/4, S = 2 and Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5,
-so the bound S F e^6.5 is below 2^20.4 units at T = 133 at every depth,
-and below 2^23 for T <= 1000.  The bound grows as phi nears 0 or pi/2.
-At T = 133 it stays below 2^24 up to depth 14 on the path to i at
-phi = 1.2 (S = 3, Lambda = (2.4, pi, 3.35)), and up to depth 10 on the
-path to 1 at phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There
-``_EXTRA_BITS = 24`` keeps the kernel's own rounding below one unit of the
-working precision.  Measured with no extra bits at 50 working digits
-(T = 133), against the same kernel with 120 extra bits, sigma lost at most
-8.5 bits at depth 10 on the path to 1 at pi/4, 10.3 bits at depth 8 on the
-path to i at 1.2 and 10.4 bits at depth 8 on the path to 1 at 0.3; with 24
-extra bits no sigma moved by more than 2^-13 of a unit.
+integers are exact, so every fresh rounding is a forward step's or a
+functional's.  A letter integral carries at most 3/j + 1 units in
+coefficient j (as above), and its constant term is an exact sum of those
+coefficients, so as a function on [-1, 1] its error is sum_j e_j
+(v^(j+1) - (-1)^(j+1)), at most 2 (T + 3 (1 + ln T)) units; at most 3
+parents give F = 6 (T + 3 (1 + ln T)) fresh units per node and segment
+(2^9.9 at T = 133, 2^12.6 at T = 1000).  On the last layer the error e of
+W_i, at most 8 units per entry (one adjoint letter from the exact V_()),
+reaches a key as sum_m S_p,m e_m, at most 8 ||S_p||_1 per parent with
+||S_p||_1 = sum_m |S_p,m|, and the shift adds one unit.  By Cauchy
+||S_p||_1 <= 3 max_{|v| <= 3/2} |S_p(v)|; measured, it stays below 15 for
+every node of size <= 13 on the three paths below (5.3, 11.6 and 14.7), so
+a key of the last layer takes at most 3 * 8 * 15 + 1 < 2^8.5 fresh units
+per segment, less than F.  It has no children, so that error reaches sigma
+unchanged, and the parents' own errors pass through W_i like any input
+error.  An error of node c' then reaches node c through the exact transport
+over the rest of the path, a signed sum over the words with letter counts
+c - c'.  With Lambda_i the integral of |f_i| along the path, the iterated
+integrals of the |f_i| over those words sum to prod_i Lambda_i^(m_i) / m_i!
+(m = c - c'; the shuffle identity again), so the inherited error of c over
+all c' <= c and S segments is at most S F prod_i E_(c_i)(Lambda_i),
+E_n(x) = sum_{m <= n} x^m / m! < e^x.  On the path to 1 at pi/4, S = 2 and
+Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5, so the bound S F e^6.5 is
+below 2^20.2 units at T = 133 at every depth, and below 2^23 for T <= 1000.
+The bound grows as phi nears 0 or pi/2.  At T = 133 it stays below 2^24 up
+to depth 14 on the path to i at phi = 1.2 (S = 3, Lambda = (2.4, pi,
+3.35)), and up to depth 10 on the path to 1 at phi = 0.3 (S = 4,
+Lambda = (2.54, 3.78, pi)).  There ``_EXTRA_BITS = 24`` keeps the kernel's
+own rounding below one unit of the working precision.  Measured with no
+extra bits at 50 working digits (T = 133), against the same kernel with 120
+extra bits, sigma lost at most 8.7 bits at depth 10 and 8.8 at depth 14 on
+the path to 1 at pi/4, 9.8 bits at depth 8 and 10.5 at depth 14 on the path
+to i at 1.2, and 9.5 bits at depth 8 on the path to 1 at 0.3.  The keys of
+the last layer lost up to 0.4 bits more than the others (8.5, 9.4 and 9.1
+bits at depth 10, 8 and 8).  With 24 extra bits no sigma moved by more than
+2^-12 of a unit at depth 10 or 2^-9 at depth 14.
 
 Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits +
@@ -413,10 +442,14 @@ def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
 
 
 def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
-    """The ratios half/q of the segment [z0, z1], as fixed-point pairs, and their scale.
+    """The two conjugate pole pairs of the segment [z0, z1], and the scale 2^P of their ratios.
 
-    q runs over the poles relative to the segment midpoint, and the scale is
-    2^P, P = working bits + ``_EXTRA_BITS``.
+    Returns [(k, k', r), ...]: pole k' is the mirror image m + (h / conj h)
+    conj(p_k - m) of pole k across the segment's line (m the midpoint, h the
+    half-length), r = h/(p_k - m) as a fixed-point pair, and the ratio of pole
+    k' is taken as conj(r) exactly.  P = working bits + ``_EXTRA_BITS``.
+    Raises ``ValueError`` when a pole lies closer than three half-lengths to
+    the midpoint or has no mirror image among the poles.
     """
     ctx = cfg.context
     mid = (z0 + z1) / 2
@@ -426,46 +459,96 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
     for q in rel:
         if margin > abs(q) * (1 + 1e-9):
             raise ValueError("segment too long for its pole gap; subdivision bug")
+    turn = half / ctx.conj(half)
     bits = ctx.prec + _EXTRA_BITS
-    with ctx.workprec(bits):
-        return [to_fixed_pair(half / q, bits) for q in rel], bits
+    rest = list(range(len(poles)))
+    pairs = []
+    while rest:
+        k = rest.pop(0)
+        image = turn * ctx.conj(rel[k])
+        partner = next((j for j in rest if abs(rel[j] - image) <= cfg.eps(2)), None)
+        if partner is None:
+            raise ValueError("the segment's line is not a symmetry axis of the poles")
+        rest.remove(partner)
+        with ctx.workprec(bits):
+            pairs.append((k, partner, to_fixed_pair(half / rel[k], bits)))
+    return pairs, bits
 
 
-def _geometric_product(s_re, s_im, ratio, bits: int) -> tuple[list, list]:
-    """Coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q."""
+def _real_product(s, ratio, bits: int) -> tuple[list, list]:
+    """Coefficients of 2 S(v) half/(half v - q) for a real series S:
+    K_j = (K_{j-1} - 2 S_j) r, r = half/q."""
     r_re, r_im = ratio
     k_re = k_im = 0
     out_re, out_im = [], []
-    for a, b in zip(s_re, s_im):
-        x, y = k_re - a, k_im - b
-        k_re = (x * r_re - y * r_im) >> bits
-        k_im = (x * r_im + y * r_re) >> bits
+    for a in s:
+        x = k_re - a - a
+        k_re, k_im = (x * r_re - k_im * r_im) >> bits, (x * r_im + k_im * r_re) >> bits
         out_re.append(k_re)
         out_im.append(k_im)
     return out_re, out_im
 
 
-# per form, the poles where its residue is +1 and the two where it is -1
-_RESIDUES = [tuple([k for k, e in enumerate(eps) if e == sign] for sign in (1, -1))
-             for eps in FORM_COEFFS]
+def _letter_integrands(s_re, s_im, pairs, bits: int):
+    """Per letter 1, 2, 3: the coefficients (re, im) of S(v) times its form on the segment.
+
+    With P(r) the product of S with pole ratio r and X, Y the products of the
+    real series Re S, Im S with r, a pair (r, conj r) gives
+    P(r) + P(conj r) = 2 (Re X, Re Y) and P(r) - P(conj r) = 2 (-Im Y, Im X).
+    Y is run with conj r, which yields conj Y, and ``_real_product`` doubles.
+    A letter takes the sum of a pair where its form gives both poles the same
+    residue and the difference where not, and adds or subtracts the second
+    pair's term as its residue agrees with the first pole's, which is pole 0
+    (``_segment_ratios``) with residue +1 in every form.
+    """
+    terms = []
+    for k, partner, (r_re, r_im) in pairs:
+        x_re, x_im = _real_product(s_re, (r_re, r_im), bits)
+        y_re, minus_y_im = _real_product(s_im, (r_re, -r_im), bits)
+        terms.append((k, partner, ((x_re, y_re), (minus_y_im, x_im))))
+    (a, a2, term_a), (b, b2, term_b) = terms
+    for eps in FORM_COEFFS:
+        op = add if eps[a] == eps[b] else sub
+        first, second = term_a[eps[a] != eps[a2]], term_b[eps[b] != eps[b2]]
+        yield list(map(op, first[0], second[0])), list(map(op, first[1], second[1]))
 
 
-def _letter_integrands(s_re, s_im, ratios, bits: int):
-    """Per letter 1, 2, 3: the coefficients (re, im) of S(v) times its form on the segment."""
-    per_pole = [_geometric_product(s_re, s_im, r, bits) for r in ratios]
-    for plus, minus in _RESIDUES:
-        (p1, p2), (m1, m2) = [per_pole[k] for k in plus], [per_pole[k] for k in minus]
-        yield [[w + x - y - z for w, x, y, z in zip(p1[i], p2[i], m1[i], m2[i])]
-               for i in (0, 1)]
+def _adjoint_step(v_re, v_im, pairs, bits: int, divisors):
+    """Per letter 1, 2, 3: V_(letter)+s from V_s, the transpose of one forward letter.
+
+    Integration and the constant term give g_j = (V_{j+1} + (-1)^j V_0) // (j + 1);
+    the products, from the top down, H_m = (H_{m+1} - g_m) half/q from H_T = 0.
+    """
+    g_re, g_im = ([(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
+                  for v in (v_re, v_im))
+    for sums in _letter_integrands(g_re[::-1], g_im[::-1], pairs, bits):
+        yield [part[::-1] + [0] for part in sums]
 
 
-def _integrate(s_re, s_im, ratios, bits: int):
+def _dot(s, v) -> tuple[int, int]:
+    """sum_m S_m V_m, (re, im) at the product of their scales, with no conjugation.
+
+    ``s`` = (S re, S im, S re + S im) and ``v`` = (V re, V re + V im, V im - V re):
+    each product (a + ib)(c + id) from c(a + b), b(c + d) and a(d - c).
+    """
+    s_re, s_im, s_sum = s
+    v_re, v_sum, v_diff = v
+    k1 = sum(map(mul, v_re, s_sum))
+    return k1 - sum(map(mul, s_im, v_sum)), k1 + sum(map(mul, s_re, v_diff))
+
+
+def _dot_form(v_re, v_im) -> tuple:
+    """The ``v`` argument of ``_dot``."""
+    return v_re, list(map(add, v_re, v_im)), list(map(sub, v_im, v_re))
+
+
+def _integrate(s_re, s_im, pairs, bits: int):
     """The forward step of one node: per letter 1, 2, 3, the antiderivative of S
     times the letter's form that vanishes at v = -1, and its value at v = +1.
 
     Yields (series re, series im, value re, value im) on the scale of S.
     """
-    for part_re, part_im in _letter_integrands(s_re, s_im, ratios, bits):
+    for part_re, part_im in _letter_integrands(s_re, s_im, pairs, bits):
         # coefficients of v^1..v^T; the top coefficient of the integrand is dropped
         c_re, c_im = ([x // n for n, x in zip(range(1, len(part)), part)]
                       for part in (part_re, part_im))
@@ -487,31 +570,25 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
     """
     ctx = cfg.context
     T = _series_terms(cfg)
-    ratios, bits = _segment_ratios(cfg, poles, z0, z1)
+    pairs, bits = _segment_ratios(cfg, poles, z0, z1)
     divisors = range(1, T + 1)
     forward_depth = max_length // 2
     adjoint_depth = max_length - forward_depth
     values: dict[Word, mpmath.mpc] = {}
-    prefixes = []    # (word, S_re, S_im, S_re + S_im), 1 <= |word| <= forward_depth
+    prefixes = []    # (word, (S re, S im, S re + S im)), 1 <= |word| <= forward_depth
 
     def forward(word, s_re, s_im):
         for letter, (child_re, child_im, end_re, end_im) in zip(
-                (1, 2, 3), _integrate(s_re, s_im, ratios, bits)):
+                (1, 2, 3), _integrate(s_re, s_im, pairs, bits)):
             new_word = word + (letter,)
             values[new_word] = from_fixed_pair(end_re, end_im, bits, ctx)
-            prefixes.append((new_word, child_re, child_im, list(map(add, child_re, child_im))))
+            prefixes.append((new_word, (child_re, child_im, list(map(add, child_re, child_im)))))
             if len(new_word) < forward_depth:
                 forward(new_word, child_re, child_im)
 
     def adjoint(word, v_re, v_im):
-        # V of (letter,) + word from V of word: the transpose of one forward letter.
-        # Integration and the constant term: g_j = (V_{j+1} + (-1)^j V_0) / (j + 1).
-        g_re, g_im = ([(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
-                      for v in (v_re, v_im))
-        # the products, from the top down: H_m = (H_{m+1} - g_m) * half/q, H_T = 0
-        for letter, sums in zip((1, 2, 3), _letter_integrands(g_re[::-1], g_im[::-1],
-                                                             ratios, bits)):
-            u_re, u_im = (part[::-1] + [0] for part in sums)
+        for letter, (u_re, u_im) in zip((1, 2, 3), _adjoint_step(v_re, v_im, pairs, bits,
+                                                                 divisors)):
             new_word = (letter,) + word
             if len(new_word) > forward_depth:
                 # the root series is 1, so a word's value is its V_0
@@ -522,13 +599,9 @@ def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
                 dot(new_word, u_re, u_im)
 
     def dot(suffix, v_re, v_im):
-        # sum of S_m V_m, each product (a + ib)(c + id) from c(a + b), b(c + d), a(d - c)
-        v_sum, v_diff = list(map(add, v_re, v_im)), list(map(sub, v_im, v_re))
-        for word, s_re, s_im, s_sum in prefixes:
-            k1 = sum(map(mul, v_re, s_sum))
-            values[word + suffix] = from_fixed_pair(k1 - sum(map(mul, s_im, v_sum)),
-                                                    k1 + sum(map(mul, s_re, v_diff)),
-                                                    2 * bits, ctx)
+        v = _dot_form(v_re, v_im)
+        for word, s in prefixes:
+            values[word + suffix] = from_fixed_pair(*_dot(s, v), 2 * bits, ctx)
 
     if forward_depth:
         forward((), [1 << bits] + [0] * T, [0] * (T + 1))
@@ -577,21 +650,25 @@ def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
     Layer by layer over the keys: a child's series is the sum over its (at
     most 3) parents of ``sign(parent, letter)`` times the parent's letter
     integral (``_integrate``), plus the child's value at the segment start,
-    which the integrals leave in place at v = -1.  The values stay integers at
+    which the integrals leave in place at v = -1.  The keys of size ``depth``
+    need only that value at v = +1, which is linear in the parent's series:
+    one dot per parent and letter with W_i, the adjoint step
+    (``_adjoint_step``) of V_() = (1, ..., 1).  The values stay integers at
     scale 2^P from segment to segment and are converted once, at the end.
     """
     ctx = cfg.context
     T = _series_terms(cfg)
+    divisors = range(1, T + 1)
     start: dict = {}      # key -> its value at the segment start, (re, im) at scale 2^P
     for z0, z1 in segments:
-        ratios, bits = _segment_ratios(cfg, poles, z0, z1)
+        pairs, bits = _segment_ratios(cfg, poles, z0, z1)
         layer = {(): ([1 << bits] + [0] * T, [0] * (T + 1))}
         end = {}
-        for _ in range(depth):
+        for _ in range(depth - 1):
             children: dict = {}     # key -> (series re, series im, end re, end im)
             for key, (s_re, s_im) in layer.items():
                 for letter, (c_re, c_im, e_re, e_im) in zip(
-                        (1, 2, 3), _integrate(s_re, s_im, ratios, bits)):
+                        (1, 2, 3), _integrate(s_re, s_im, pairs, bits)):
                     child = tuple(sorted(key + (letter,)))
                     if child not in children:
                         # the child starts as the constant of its sigma at the segment start
@@ -603,6 +680,21 @@ def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
                                        op(a_end_re, e_re), op(a_end_im, e_im))
             layer = {child: acc[:2] for child, acc in children.items()}
             end.update((child, acc[2:]) for child, acc in children.items())
+        functionals = [_dot_form(*w) for w in _adjoint_step([1 << bits] * (T + 1),
+                                                            [0] * (T + 1), pairs, bits, divisors)]
+        last: dict = {}       # key of size depth -> its end value, (re, im) at scale 2^2P
+        for key, (s_re, s_im) in layer.items():
+            s = s_re, s_im, list(map(add, s_re, s_im))
+            for letter, w in zip((1, 2, 3), functionals):
+                child = tuple(sorted(key + (letter,)))
+                if child not in last:
+                    s0_re, s0_im = start.get(child, (0, 0))
+                    last[child] = s0_re << bits, s0_im << bits
+                e_re, e_im = _dot(s, w)
+                op = add if sign(key, letter) > 0 else sub
+                a_re, a_im = last[child]
+                last[child] = op(a_re, e_re), op(a_im, e_im)
+        end.update((child, (re >> bits, im >> bits)) for child, (re, im) in last.items())
         start = end
     return {key: from_fixed_pair(re, im, bits, ctx) for key, (re, im) in start.items()}
 

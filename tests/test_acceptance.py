@@ -113,7 +113,7 @@ def test_criterion_6_alpha5(cfg40, signed40_pi4_L7):
 @pytest.mark.slow
 def test_criterion_7_alpha7_stretch(cfg40):
     ctx = cfg40.context
-    budget = 30
+    budget = 10
     start = time.perf_counter()
     table = build_signed_table("1", "pi/4", 8, cfg40)
     state = run(7, cfg40, table=table)

@@ -369,6 +369,65 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
         assert abs(value - expected) < CFG.eps(2), key
 
 
+def _geometric_product(s_re, s_im, ratio, bits):
+    """Coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q."""
+    r_re, r_im = ratio
+    k_re = k_im = 0
+    out_re, out_im = [], []
+    for a, b in zip(s_re, s_im):
+        x, y = k_re - a, k_im - b
+        k_re = (x * r_re - y * r_im) >> bits
+        k_im = (x * r_im + y * r_re) >> bits
+        out_re.append(k_re)
+        out_im.append(k_im)
+    return out_re, out_im
+
+
+@pytest.mark.parametrize("endpoint", ["1", "i"])
+@pytest.mark.parametrize("phi", ["pi/4", "1.2", "0.3"])
+def test_pair_kernel_matches_four_poles(endpoint, phi):
+    """The conjugate-pole letter integrands against one complex recurrence
+    per pole, on every segment of the path, for a series with |S_j| <= 1."""
+    pc, segments = omega._path(endpoint, phi, 1, CFG)
+    T = omega._series_terms(CFG)
+    rng = random.Random(7)
+    for z0, z1 in segments:
+        pairs, bits = omega._segment_ratios(CFG, pc.points, z0, z1)
+        assert sorted(k for pair in pairs for k in pair[:2]) == [0, 1, 2, 3]
+        mid, half = (z0 + z1) / 2, (z1 - z0) / 2
+        rel = [p - mid for p in pc.points]       # at working precision, as in the kernel
+        with CTX.workprec(bits):
+            ratios = [to_fixed_pair(half / q, bits) for q in rel]
+        s_re, s_im = ([rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
+                      for _ in range(2))
+        per_pole = [_geometric_product(s_re, s_im, r, bits) for r in ratios]
+        for eps, got in zip(FORM_COEFFS, omega._letter_integrands(s_re, s_im, pairs, bits)):
+            for part in (0, 1):
+                expected = [sum(e * pole[part][j] for e, pole in zip(eps, per_pole))
+                            for j in range(T + 1)]
+                # rounding: 3 units in the pair kernel, 6 in the four recurrences, and
+                # 9/4 for each partner's ratio, which the pair kernel takes as conj(r)
+                assert max(map(abs, map(int.__sub__, got[part], expected))) <= 14
+
+
+def test_segment_ratios_need_a_symmetry_axis():
+    """Off the real and imaginary axes the poles have no mirror images."""
+    poles = punctures(parse_phi("0.3", CFG), CFG)
+    with pytest.raises(ValueError, match="symmetry axis"):
+        omega._segment_ratios(CFG, poles, CTX.mpc(0), CTX.mpc("0.1", "0.1"))
+
+
+@pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 6), ("i", "1.2", 5)])
+def test_last_signed_layer_matches_a_forward_step(endpoint, phi, depth):
+    """Keys of size ``depth`` come from value functionals at depth ``depth``
+    and from forward steps at depth ``depth + 1``."""
+    shallow = build_signed_table(endpoint, phi, depth, CFG)
+    deep = build_signed_table(endpoint, phi, depth + 1, CFG)
+    assert shallow.values.keys() <= deep.values.keys()
+    for key, value in shallow.values.items():
+        assert abs(value - deep.value(key)) < CFG.eps(2), key
+
+
 def test_cache_roundtrip(tmp_path, signed40_pi4_L4, table40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     assert path.exists()
