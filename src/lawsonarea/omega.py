@@ -7,7 +7,7 @@ short enough that every simple pole stays at least three half-lengths away
 from the segment midpoint, all word series for one segment are generated
 together by an O(terms) per-letter recurrence, and segments are glued with
 the composition rule for iterated integrals (prefix on the first path,
-suffix on the second).  A signed table (``build_signed_table``) holds only
+suffix on the second), on the kernel's integers.  A signed table (``build_signed_table``) holds only
 the signed sum of the word integrals per letter multiset, which is all the
 order recursion reads; it is the one kind of table the on-disk cache
 holds.  A nested Gauss-Legendre quadrature provides an independent check
@@ -16,50 +16,70 @@ for short words.
 Transport kernel.  On a segment with midpoint m and half-length h every
 word series is expanded in v = (z - m)/h, so the segment is v in [-1, 1]
 and a pole q (relative to m) enters only through r = h/q, |r| <= 1/3.
-Series coefficients are complex numbers held as pairs of Python integers
-scaled by 2^P, P = working bits + ``_EXTRA_BITS``.  Only the word values are
-converted to ``mpc``.  A depth-L table meets in the middle: with
-a = L // 2 and b = L - a,
+A series is held as one list of Python integers scaled by 2^P,
+P = working bits + ``_EXTRA_BITS``, and a phase: the series is i^phase
+times the list, phase 0 or 1.  Only the word values are converted to
+``mpc``.  A depth-L table meets in the middle: with a = L // 2 and
+b = L - a,
 
 * Forward half.  The series S_p of every prefix p with |p| <= a is built
   from its parent's.  Multiplying a series by h/(h v - q) is the
   recurrence K_j = (K_{j-1} - S_j) r.  Every segment lies on the real or
   the imaginary axis, and reflection across its line swaps the four poles
   in two pairs with conjugate ratios r and conj r (``_segment_ratios``).
-  With S = A + iB and X, Y the products of the real series A and B with r
-  (four integer multiplies and two shifts per coefficient each), a pair
-  gives P(r) + P(conj r) = 2 (Re X, Re Y) and P(r) - P(conj r) =
-  2 (-Im Y, Im X).  Every form has residues +-1, so each letter integrand
-  is a signed sum of two pair terms, the sum where the form gives a pair's
-  poles the same residue and the difference where not
-  (``_letter_integrands``).  Integration divides by j + 1 with ``//``, and
-  the values at v = -1 and v = +1 are plain sums of the even and odd
-  coefficients (with E and O those sums, the child's constant term is
-  O - E and its value at the segment end is 2 O).  Words of length <= a
-  take that value.
+  For a real series S with product P(r), a pair gives the real
+  P(r) + P(conj r) = 2 Re P(r) and the imaginary P(r) - P(conj r) =
+  2i Im P(r).  An imaginary series i S runs its product with conj r, and
+  then its pair sum is i 2 Re P(r) and its difference the real
+  -2 Im P(r): so at either phase one product per pair (four integer
+  multiplies and two shifts per coefficient) gives the sum as its real
+  part at the series' phase and the difference as its imaginary part at
+  the other phase.  Every form has residues +-1, so each letter integrand
+  is the sum or the difference of the same part of the two pairs'
+  products, taking a pair's sum where the form gives its poles the same
+  residue and its difference where not (``_letter_integrands``).
+  Integration divides by j + 1 with ``//``, and the values at v = -1 and
+  v = +1 are plain sums of the even and odd coefficients (with E and O
+  those sums, the child's constant term is O - E and its value at the
+  segment end is 2 O).  Words of length <= a take that value.
+* Phase rule.  A letter whose form gives the two poles of a pair opposite
+  residues flips the phase: letters 1 and 3 on the real axis, where the
+  pairs are (p1, conj p1) and (p2, conj p2), and letters 1 and 2 on the
+  imaginary axis, where they are (p1, -conj p1) and (-p1, conj p1).  A
+  letter that took one pair's sum and the other pair's difference would
+  have no single phase, and the letter plan of ``_segment_ratios`` raises
+  ``ValueError`` for it.  The root series is 1, so every series, value
+  functional and value of a word w is real or imaginary as w has an even
+  or odd number of flipping letters, and the composition rule keeps that
+  phase from segment to segment.
 * Adjoint half.  A word's value is linear in the series it starts from
   (K.-T. Chen, "Iterated path integrals", Bull. AMS 83, 1977), so suffix s
   has a value functional V_s with value(p s) = sum_m S_p,m V_s,m, a
-  complex dot with no conjugation.  V_() = (1, ..., 1) evaluates at
+  dot with no conjugation.  V_() = (1, ..., 1) evaluates at
   v = +1, and V_(a)+s is the transpose of one forward letter applied to
   V_s (``_adjoint_step``): g_j = (V_{j+1} + (-1)^j V_0) // (j + 1) undoes
   integration and the constant term, H_m = (H_{m+1} - g_m) r from H_T = 0
   downwards is the product recurrence run backwards, and
   V_(a)+s = sum_k eps_ak H^(k) with the ``FORM_COEFFS`` signs, by the same
-  pair kernel.  The root series is 1, so words of length a < |w| <= b take
-  the value V_w,0.
+  pair kernel, so V_s has the phase of s.  The root series is 1, so words
+  of length a < |w| <= b take the value V_w,0.
 * Long words.  Each word longer than b is one dot of S_p, |p| = |w| - b,
-  with V_s, |s| = b: three integer ``sum(map(mul, ...))`` per word (the
-  three-multiply complex product), converted once from scale 2^-2P.  The
-  suffixes are walked depth-first and only the prefix series are stored.
+  with V_s, |s| = b: one integer ``sum(map(mul, ...))`` per word, negated
+  when both phases are 1 (i i = -1), at scale 2^-2P.  The suffixes are
+  walked depth-first and only the prefix series are stored.
+* Gluing.  The forward and adjoint values are shifted up to the dot words'
+  scale 2^2P, exactly, and a table over several segments composes them by
+  value(w) = sum_k left(w[:k]) right(w[k:]) on the integers, exactly, at
+  the sum of the segments' scales; each word is rounded once, to ``mpc``.
+  No ``chen_compose`` is involved.
 
 Magnitude bound.  If the parent coefficients satisfy |S_j| <= M, the
 recurrence gives |K_j| <= (|K_{j-1}| + M)/3 <= M/2: the 1/3 decay keeps
-every product coefficient below M/2, each pair term below M, the letter
-integrand below 2M and coefficient j of the child below 2M/j.  The child's
-constant term is at most 2M(1 + ln T), so the integers grow by at most a
-few bits per letter and never by a factor that depends on j.  In the
-adjoint |g_j| <= 2 max|V|/(j + 1), the same 1/3 damping keeps
+every product coefficient below M/2, a pair's sum or difference below M,
+the letter integrand below 2M and coefficient j of the child below 2M/j.
+The child's constant term is at most 2M(1 + ln T), so the integers grow by
+at most a few bits per letter and never by a factor that depends on j.  In
+the adjoint |g_j| <= 2 max|V|/(j + 1), the same 1/3 damping keeps
 |H| <= max|g|/2 <= max|V|, and |V_(a)+s| <= 4 max|V_s| per letter: V grows
 by at most 2 bits per letter.
 
@@ -68,8 +88,8 @@ its partner takes conj(r), one unit from its own rounded ratio; both move a
 pole far less than its own working-precision error.  Each shift rounds
 once, and the recurrence damps an earlier rounding by |r| <= 1/3, so each
 part of a real-input product (``_real_product`` doubles it, from 2 S_j)
-carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does each
-part of a pair term, which is a part of X or of Y.  The letter integrand
+carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does a pair's
+sum or difference, which is one part of one product.  The letter integrand
 carries at most 3, and coefficient j of the child at most 3/j + 1 after the
 division.  The endpoint sums add up T coefficients, so each forward letter
 adds at most T + 3(1 + ln T) fresh units to a word value, and a forward
@@ -77,9 +97,9 @@ word of length a at most a (T + 3(1 + ln T)).  (Errors inherited from the
 prefix pass through the exact transport like any input error; measured,
 they are not amplified.)  For T <= 1000, that is working digits up to about
 460, and a <= 8 (L <= 16) the total is below 2^13 units.  An adjoint letter
-rounds g once and each product step once, damped by 1/3, so a part of a
-pair term carries at most (2 + 3)/2 = 5/2 units, and each entry of V gains
-at most 5 per part, under 8 in modulus.  Moved through the exact transpose,
+rounds g once and each product step once, damped by 1/3, so a pair's sum
+or difference carries at most (2 + 3)/2 = 5/2 units, and each entry of V
+gains at most 5, under 8 in modulus.  Moved through the exact transpose,
 that error e reaches a word value as sum_m S'_m e_m, where S' is the exact
 series of the word up to that letter.  On |v| <= 3/2 every integrand is at
 most 4 (1/(3 - 3/2)) = 8/3, so a series of k letters is at most (20/3)^k/k!
@@ -92,7 +112,21 @@ more keep it below 2^-9 of that unit, hence ``_EXTRA_BITS = 24``.  Measured
 with no extra bits at 50 working digits against 120 extra bits (T = 133,
 L = 8, on the two segments of the path to 1 at phi = pi/4), the forward
 words lost at most 6.6 and 6.2 bits and the dot words 2.0 and 1.5 bits,
-well inside the bound.
+well inside the bound.  Every integer the one-list kernel forms is, one for
+one, the non-zero part of what a kernel on (re, im) pairs of lists forms on
+the same segment (that kernel's other part is exactly 0), so these budgets
+and measurements, and those of the signed kernel below, hold unchanged.
+
+Gluing budget.  The composition of the segments' integers is exact, so it
+adds no rounding of its own: a segment's kernel error e reaches a glued
+word w as sum_k (e(w[:k]) right(w[k:]) + left(w[:k]) e(w[k:])), the error
+of the exact composition of the kernel's segment values, and the one final
+rounding adds half a unit of the working precision.  Measured at 30
+target digits (40 working) over the 12 words of length <= 2, against a
+table at 60 digits, transport is at most 0.40 / 0.56 / 0.61 / 0.67 / 0.31
+units of 10^-40 off at phi = pi/6, pi/5, pi/4, 3pi/10 and pi/3; rounding
+each segment's words to ``mpc`` before composing them, as ``chen_compose``
+does, gave 1.20 / 0.56 / 0.61 / 0.66 / 0.31.
 
 Signed tables.  With inv(w) the number of letter pairs of w out of order,
 sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w).
@@ -115,10 +149,10 @@ sum of the parents' endpoint values.  The keys of size L need only that
 value, and a parent's endpoint value for letter i is linear in its series:
 sum_m S_p,m W_i,m, with W_i = V_(i) the adjoint step of V_() = (1, ..., 1),
 the word table's functional of one letter.  So on the last layer each
-parent costs three dots (the three-multiply complex product of the long
-words), summed exactly at scale 2^-2P and shifted once per key and segment,
-in place of a forward step.  The sigma stay integers at scale 2^P from
-segment to segment and are converted to ``mpc`` once, at the end; no
+parent and letter costs one integer dot, as a long word does, summed
+exactly at scale 2^-2P and shifted once per key and segment, in place of a
+forward step.  The sigma stay integers at scale 2^P, each with its phase,
+from segment to segment and are converted to ``mpc`` once, at the end; no
 ``chen_compose`` is involved.
 
 Rounding budget of the signed kernel, in units of 2^-P.  The signed sums of
@@ -182,7 +216,11 @@ of 2^-P.
   t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from both pole
   pairs.  Each u = 1/(z^2 - p^2) costs one ``//`` of 2^(3P) by the exact
   norm of z^2 - p^2, which carries about 6 units from rounding z^2 and p^2.
-  So u is off by at most 6/delta^2 + 4 units.  The inner sums
+  So u is off by at most 6/delta^2 + 4 units.  u_k(top^2 h_l^2 h_m^2) is
+  symmetric in the outer node l and the inner node m, so each pole pair's
+  grid is filled once for l <= m, n (n + 1)/2 divisions instead of n^2
+  (3 240 instead of 6 400 at n = 80); entry (m, l) takes z^2 rounded as
+  (top^2 h_l^2) h_m^2, with the same budget.  The inner sums
   A_k = sum_l w_l u_k and B = sum_l w_l h_l (u1 - u2) are exact with
   sum w_l = 1 and are rounded once.  The three inner integrals
   2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms then carry at
@@ -441,15 +479,23 @@ def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
     return int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 12
 
 
-def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
-    """The two conjugate pole pairs of the segment [z0, z1], and the scale 2^P of their ratios.
+def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, int]:
+    """The pole-pair ratios of the segment [z0, z1], its letter plan, and the scale 2^P.
 
-    Returns [(k, k', r), ...]: pole k' is the mirror image m + (h / conj h)
-    conj(p_k - m) of pole k across the segment's line (m the midpoint, h the
-    half-length), r = h/(p_k - m) as a fixed-point pair, and the ratio of pole
-    k' is taken as conj(r) exactly.  P = working bits + ``_EXTRA_BITS``.
-    Raises ``ValueError`` when a pole lies closer than three half-lengths to
-    the midpoint or has no mirror image among the poles.
+    Returns (ratios, plan, P).  The poles fall in two pairs (k, k'): pole k'
+    is the mirror image m + (h / conj h) conj(p_k - m) of pole k across the
+    segment's line (m the midpoint, h the half-length).  ``ratios`` holds
+    r = h/(p_k - m) of each pair's first pole k as a fixed-point pair; the
+    ratio of pole k' is taken as conj(r) exactly.  ``plan`` holds per
+    letter 1, 2, 3 its pair operation and its phase flip: flip 1 where the
+    form gives the two poles of a pair opposite residues (the pair's
+    difference, which turns a real series imaginary and an imaginary one
+    real), 0 where the same (the sum), and ``add`` or ``sub`` as the second
+    pair's first pole has the residue of pole 0, which is +1 in every form.
+    P = working bits + ``_EXTRA_BITS``.  Raises ``ValueError`` when a pole
+    lies closer than three half-lengths to the midpoint, has no mirror
+    image among the poles, or a letter would take one pair's sum and the
+    other pair's difference, which has no single phase.
     """
     ctx = cfg.context
     mid = (z0 + z1) / 2
@@ -462,7 +508,7 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
     turn = half / ctx.conj(half)
     bits = ctx.prec + _EXTRA_BITS
     rest = list(range(len(poles)))
-    pairs = []
+    pairs, ratios = [], []
     while rest:
         k = rest.pop(0)
         image = turn * ctx.conj(rel[k])
@@ -470,9 +516,17 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, int]:
         if partner is None:
             raise ValueError("the segment's line is not a symmetry axis of the poles")
         rest.remove(partner)
+        pairs.append((k, partner))
         with ctx.workprec(bits):
-            pairs.append((k, partner, to_fixed_pair(half / rel[k], bits)))
-    return pairs, bits
+            ratios.append(to_fixed_pair(half / rel[k], bits))
+    (a, a2), (b, b2) = pairs
+    plan = []
+    for eps in FORM_COEFFS:
+        flip = int(eps[a] != eps[a2])
+        if flip != (eps[b] != eps[b2]):
+            raise ValueError("a letter takes one pole pair's sum and the other's difference")
+        plan.append((add if eps[a] == eps[b] else sub, flip))
+    return ratios, plan, bits
 
 
 def _real_product(s, ratio, bits: int) -> tuple[list, list]:
@@ -489,125 +543,142 @@ def _real_product(s, ratio, bits: int) -> tuple[list, list]:
     return out_re, out_im
 
 
-def _letter_integrands(s_re, s_im, pairs, bits: int):
-    """Per letter 1, 2, 3: the coefficients (re, im) of S(v) times its form on the segment.
+def _letter_integrands(s, phase: int, ratios, plan, bits: int):
+    """Per letter 1, 2, 3: (phase, coefficients) of i^phase S(v) times its form
+    on the segment, for a real integer series S.
 
-    With P(r) the product of S with pole ratio r and X, Y the products of the
-    real series Re S, Im S with r, a pair (r, conj r) gives
-    P(r) + P(conj r) = 2 (Re X, Re Y) and P(r) - P(conj r) = 2 (-Im Y, Im X).
-    Y is run with conj r, which yields conj Y, and ``_real_product`` doubles.
-    A letter takes the sum of a pair where its form gives both poles the same
-    residue and the difference where not, and adds or subtracts the second
-    pair's term as its residue agrees with the first pole's, which is pole 0
-    (``_segment_ratios``) with residue +1 in every form.
+    With P(r) the product of S with pole ratio r, a pair (r, conj r) gives
+    P(r) + P(conj r) = 2 Re P(r) and P(r) - P(conj r) = 2i Im P(r).  A real
+    series (phase 0) runs ``_real_product``, which doubles, with r; an
+    imaginary one (phase 1) with conj r, whose product 2 conj P(r) has the
+    real part 2 Re P(r) of i's pair sum and the imaginary part -2 Im P(r) =
+    i 2i Im P(r) of i's pair difference.  So either way a pair's sum is the
+    real part of one product at the series' own phase and its difference
+    the imaginary part at the other phase, and a letter (``plan``, from
+    ``_segment_ratios``) adds or subtracts the same part of the two pairs'
+    products.  One ``_real_product`` runs per pair.
     """
-    terms = []
-    for k, partner, (r_re, r_im) in pairs:
-        x_re, x_im = _real_product(s_re, (r_re, r_im), bits)
-        y_re, minus_y_im = _real_product(s_im, (r_re, -r_im), bits)
-        terms.append((k, partner, ((x_re, y_re), (minus_y_im, x_im))))
-    (a, a2, term_a), (b, b2, term_b) = terms
-    for eps in FORM_COEFFS:
-        op = add if eps[a] == eps[b] else sub
-        first, second = term_a[eps[a] != eps[a2]], term_b[eps[b] != eps[b2]]
-        yield list(map(op, first[0], second[0])), list(map(op, first[1], second[1]))
+    first, second = (_real_product(s, (r_re, -r_im) if phase else (r_re, r_im), bits)
+                     for r_re, r_im in ratios)
+    for op, flip in plan:
+        yield phase ^ flip, list(map(op, first[flip], second[flip]))
 
 
-def _adjoint_step(v_re, v_im, pairs, bits: int, divisors):
-    """Per letter 1, 2, 3: V_(letter)+s from V_s, the transpose of one forward letter.
+def _adjoint_step(v, phase: int, ratios, plan, bits: int, divisors):
+    """Per letter 1, 2, 3: (phase, V_(letter)+s) from i^phase V_s, the transpose
+    of one forward letter.
 
     Integration and the constant term give g_j = (V_{j+1} + (-1)^j V_0) // (j + 1);
     the products, from the top down, H_m = (H_{m+1} - g_m) half/q from H_T = 0.
     """
-    g_re, g_im = ([(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
-                  for v in (v_re, v_im))
-    for sums in _letter_integrands(g_re[::-1], g_im[::-1], pairs, bits):
-        yield [part[::-1] + [0] for part in sums]
+    g = [(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
+    for new_phase, part in _letter_integrands(g[::-1], phase, ratios, plan, bits):
+        yield new_phase, part[::-1] + [0]
 
 
 def _dot(s, v) -> tuple[int, int]:
-    """sum_m S_m V_m, (re, im) at the product of their scales, with no conjugation.
+    """sum_m S_m V_m of two (phase, integers) series, with no conjugation:
+    (phase, integer) at the product of their scales, where i i = -1."""
+    (s_phase, s_ints), (v_phase, v_ints) = s, v
+    total = sum(map(mul, s_ints, v_ints))
+    return s_phase ^ v_phase, -total if s_phase & v_phase else total
 
-    ``s`` = (S re, S im, S re + S im) and ``v`` = (V re, V re + V im, V im - V re):
-    each product (a + ib)(c + id) from c(a + b), b(c + d) and a(d - c).
+
+def _integrate(s, phase: int, ratios, plan, bits: int):
+    """The forward step of one node i^phase S: per letter 1, 2, 3, the
+    antiderivative of the series times the letter's form that vanishes at
+    v = -1, and its value at v = +1.
+
+    Yields (phase, series, value) on the scale of S.
     """
-    s_re, s_im, s_sum = s
-    v_re, v_sum, v_diff = v
-    k1 = sum(map(mul, v_re, s_sum))
-    return k1 - sum(map(mul, s_im, v_sum)), k1 + sum(map(mul, s_re, v_diff))
-
-
-def _dot_form(v_re, v_im) -> tuple:
-    """The ``v`` argument of ``_dot``."""
-    return v_re, list(map(add, v_re, v_im)), list(map(sub, v_im, v_re))
-
-
-def _integrate(s_re, s_im, pairs, bits: int):
-    """The forward step of one node: per letter 1, 2, 3, the antiderivative of S
-    times the letter's form that vanishes at v = -1, and its value at v = +1.
-
-    Yields (series re, series im, value re, value im) on the scale of S.
-    """
-    for part_re, part_im in _letter_integrands(s_re, s_im, pairs, bits):
+    for new_phase, part in _letter_integrands(s, phase, ratios, plan, bits):
         # coefficients of v^1..v^T; the top coefficient of the integrand is dropped
-        c_re, c_im = ([x // n for n, x in zip(range(1, len(part)), part)]
-                      for part in (part_re, part_im))
-        # c_re[j] multiplies v^(j+1), so the odd powers sit at even j
-        odd_re, odd_im = sum(c_re[0::2]), sum(c_im[0::2])
-        even_re, even_im = sum(c_re[1::2]), sum(c_im[1::2])
-        yield ([odd_re - even_re] + c_re, [odd_im - even_im] + c_im,
-               2 * odd_re, 2 * odd_im)
+        c = [x // n for n, x in zip(range(1, len(part)), part)]
+        # c[j] multiplies v^(j+1), so the odd powers sit at even j
+        odd, even = sum(c[0::2]), sum(c[1::2])
+        yield new_phase, [odd - even] + c, 2 * odd
 
 
-def _segment_table(cfg: PrecisionConfig, phi_label: str, poles, z0, z1,
-                   max_length: int) -> OmegaTable:
-    """All word integrals along the straight segment [z0, z1].
+def _phase_value(phase: int, x: int, scale: int, ctx) -> mpmath.mpc:
+    """The ``mpc`` i^phase x 2^-scale, rounded once."""
+    return from_fixed_pair(0, x, scale, ctx) if phase else from_fixed_pair(x, 0, scale, ctx)
 
-    Series are in v = (z - mid)/half, so the segment is v in [-1, 1].  Words
-    of length <= L // 2 come from forward series, longer ones from a forward
-    prefix dotted with the value functional of a suffix of length L - L // 2;
-    see the module docstring for both halves and the error budget.
+
+def _segment_words(cfg: PrecisionConfig, poles, z0, z1, max_length: int) -> tuple[dict, int]:
+    """All word integrals along the straight segment [z0, z1], as integers.
+
+    Returns ({word: (phase, integer)}, scale): word w has the value
+    i^phase integer 2^-scale, scale = 2P, the empty word included.  Series
+    are in v = (z - mid)/half, so the segment is v in [-1, 1].  Words of
+    length <= L // 2 come from forward series, longer ones from a forward
+    prefix dotted with the value functional of a suffix of length
+    L - L // 2; see the module docstring for both halves and the error
+    budget.  The forward and adjoint values, at scale 2^P, are shifted up
+    exactly.
     """
-    ctx = cfg.context
     T = _series_terms(cfg)
-    pairs, bits = _segment_ratios(cfg, poles, z0, z1)
+    ratios, plan, bits = _segment_ratios(cfg, poles, z0, z1)
     divisors = range(1, T + 1)
     forward_depth = max_length // 2
     adjoint_depth = max_length - forward_depth
-    values: dict[Word, mpmath.mpc] = {}
-    prefixes = []    # (word, (S re, S im, S re + S im)), 1 <= |word| <= forward_depth
+    values = {(): (0, 1 << 2 * bits)}
+    prefixes = []    # (word, (phase, series)), 1 <= |word| <= forward_depth
 
-    def forward(word, s_re, s_im):
-        for letter, (child_re, child_im, end_re, end_im) in zip(
-                (1, 2, 3), _integrate(s_re, s_im, pairs, bits)):
+    def forward(word, phase, s):
+        for letter, (new_phase, child, end) in zip(
+                (1, 2, 3), _integrate(s, phase, ratios, plan, bits)):
             new_word = word + (letter,)
-            values[new_word] = from_fixed_pair(end_re, end_im, bits, ctx)
-            prefixes.append((new_word, (child_re, child_im, list(map(add, child_re, child_im)))))
+            values[new_word] = new_phase, end << bits
+            prefixes.append((new_word, (new_phase, child)))
             if len(new_word) < forward_depth:
-                forward(new_word, child_re, child_im)
+                forward(new_word, new_phase, child)
 
-    def adjoint(word, v_re, v_im):
-        for letter, (u_re, u_im) in zip((1, 2, 3), _adjoint_step(v_re, v_im, pairs, bits,
-                                                                 divisors)):
+    def adjoint(word, phase, v):
+        for letter, u in zip((1, 2, 3), _adjoint_step(v, phase, ratios, plan, bits, divisors)):
             new_word = (letter,) + word
             if len(new_word) > forward_depth:
                 # the root series is 1, so a word's value is its V_0
-                values[new_word] = from_fixed_pair(u_re[0], u_im[0], bits, ctx)
+                values[new_word] = u[0], u[1][0] << bits
             if len(new_word) < adjoint_depth:
-                adjoint(new_word, u_re, u_im)
+                adjoint(new_word, *u)
             else:
-                dot(new_word, u_re, u_im)
-
-    def dot(suffix, v_re, v_im):
-        v = _dot_form(v_re, v_im)
-        for word, s in prefixes:
-            values[word + suffix] = from_fixed_pair(*_dot(s, v), 2 * bits, ctx)
+                for prefix, s in prefixes:
+                    values[prefix + new_word] = _dot(s, u)
 
     if forward_depth:
-        forward((), [1 << bits] + [0] * T, [0] * (T + 1))
+        forward((), 0, [1 << bits] + [0] * T)
     # V_() evaluates a series at v = +1
-    adjoint((), [1 << bits] * (T + 1), [0] * (T + 1))
-    return OmegaTable(cfg, phi_label, z0, z1, max_length, values)
+    adjoint((), 0, [1 << bits] * (T + 1))
+    return values, 2 * bits
+
+
+def _transport_table(cfg: PrecisionConfig, phi_label: str, poles, segments,
+                     max_length: int) -> OmegaTable:
+    """All word integrals along consecutive straight segments [z0, z1].
+
+    Each segment's words come from ``_segment_words``; the segments are
+    glued by the composition rule, value(w) = sum_k left(w[:k]) right(w[k:]),
+    on the integers: exact, with i i = -1, at the sum of the segments'
+    scales, and each word is rounded once, to ``mpc``.
+    """
+    values = scale = None
+    for z0, z1 in segments:
+        right, bits = _segment_words(cfg, poles, z0, z1, max_length)
+        if values is None:
+            values, scale = right, bits
+            continue
+        glued = {}
+        for word, (phase, _) in right.items():
+            total = 0
+            for k in range(len(word) + 1):
+                (left_phase, x), (right_phase, y) = values[word[:k]], right[word[k:]]
+                total += -x * y if left_phase & right_phase else x * y
+            glued[word] = phase, total
+        values, scale = glued, scale + bits
+    ctx = cfg.context
+    return OmegaTable(cfg, phi_label, segments[0][0], segments[-1][1], max_length,
+                      {word: _phase_value(*value, scale, ctx)
+                       for word, value in values.items() if word})
 
 
 def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
@@ -630,11 +701,7 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
     """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
     cfg = cfg or PrecisionConfig()
     pc, segments = _path(endpoint, phi, max_length, cfg)
-    table = None
-    for z0, z1 in segments:
-        seg = _segment_table(cfg, pc.phi_label, pc.points, z0, z1, max_length)
-        table = seg if table is None else chen_compose(table, seg)
-    return table
+    return _transport_table(cfg, pc.phi_label, pc.points, segments, max_length)
 
 
 def _inversion_sign(key: Word, letter: int) -> int:
@@ -653,50 +720,48 @@ def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
     which the integrals leave in place at v = -1.  The keys of size ``depth``
     need only that value at v = +1, which is linear in the parent's series:
     one dot per parent and letter with W_i, the adjoint step
-    (``_adjoint_step``) of V_() = (1, ..., 1).  The values stay integers at
-    scale 2^P from segment to segment and are converted once, at the end.
+    (``_adjoint_step``) of V_() = (1, ..., 1).  Every series and value is
+    one integer list or integer at scale 2^P with its phase, i^phase; the
+    phase of a key is fixed by its letters (``_segment_ratios``' plan), so
+    all its parents' terms and its start value share it.  The values stay
+    integers from segment to segment and are converted once, at the end.
     """
     ctx = cfg.context
     T = _series_terms(cfg)
     divisors = range(1, T + 1)
-    start: dict = {}      # key -> its value at the segment start, (re, im) at scale 2^P
+    start: dict = {}      # key -> (phase, its value at the segment start at scale 2^P)
     for z0, z1 in segments:
-        pairs, bits = _segment_ratios(cfg, poles, z0, z1)
-        layer = {(): ([1 << bits] + [0] * T, [0] * (T + 1))}
+        ratios, plan, bits = _segment_ratios(cfg, poles, z0, z1)
+        layer = {(): (0, [1 << bits] + [0] * T)}
         end = {}
         for _ in range(depth - 1):
-            children: dict = {}     # key -> (series re, series im, end re, end im)
-            for key, (s_re, s_im) in layer.items():
-                for letter, (c_re, c_im, e_re, e_im) in zip(
-                        (1, 2, 3), _integrate(s_re, s_im, pairs, bits)):
+            children: dict = {}     # key -> (phase, series, end value)
+            for key, (phase, s) in layer.items():
+                for letter, (c_phase, c, e) in zip(
+                        (1, 2, 3), _integrate(s, phase, ratios, plan, bits)):
                     child = tuple(sorted(key + (letter,)))
                     if child not in children:
                         # the child starts as the constant of its sigma at the segment start
-                        s0_re, s0_im = start.get(child, (0, 0))
-                        children[child] = [s0_re] + [0] * T, [s0_im] + [0] * T, s0_re, s0_im
+                        s0 = start.get(child, (c_phase, 0))[1]
+                        children[child] = c_phase, [s0] + [0] * T, s0
                     op = add if sign(key, letter) > 0 else sub
-                    a_re, a_im, a_end_re, a_end_im = children[child]
-                    children[child] = (list(map(op, a_re, c_re)), list(map(op, a_im, c_im)),
-                                       op(a_end_re, e_re), op(a_end_im, e_im))
+                    _, a, a_end = children[child]
+                    children[child] = c_phase, list(map(op, a, c)), op(a_end, e)
             layer = {child: acc[:2] for child, acc in children.items()}
-            end.update((child, acc[2:]) for child, acc in children.items())
-        functionals = [_dot_form(*w) for w in _adjoint_step([1 << bits] * (T + 1),
-                                                            [0] * (T + 1), pairs, bits, divisors)]
-        last: dict = {}       # key of size depth -> its end value, (re, im) at scale 2^2P
-        for key, (s_re, s_im) in layer.items():
-            s = s_re, s_im, list(map(add, s_re, s_im))
+            end.update((child, (acc[0], acc[2])) for child, acc in children.items())
+        functionals = list(_adjoint_step([1 << bits] * (T + 1), 0, ratios, plan, bits, divisors))
+        last: dict = {}       # key of size depth -> (phase, its end value at scale 2^2P)
+        for key, s in layer.items():
             for letter, w in zip((1, 2, 3), functionals):
                 child = tuple(sorted(key + (letter,)))
+                phase, e = _dot(s, w)
                 if child not in last:
-                    s0_re, s0_im = start.get(child, (0, 0))
-                    last[child] = s0_re << bits, s0_im << bits
-                e_re, e_im = _dot(s, w)
+                    last[child] = phase, start.get(child, (phase, 0))[1] << bits
                 op = add if sign(key, letter) > 0 else sub
-                a_re, a_im = last[child]
-                last[child] = op(a_re, e_re), op(a_im, e_im)
-        end.update((child, (re >> bits, im >> bits)) for child, (re, im) in last.items())
+                last[child] = phase, op(last[child][1], e)
+        end.update((child, (phase, x >> bits)) for child, (phase, x) in last.items())
         start = end
-    return {key: from_fixed_pair(re, im, bits, ctx) for key, (re, im) in start.items()}
+    return {key: _phase_value(phase, x, bits, ctx) for key, (phase, x) in start.items()}
 
 
 def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
@@ -810,23 +875,31 @@ def _first_level(top, poles, rule, bits: int, ctx) -> tuple:
     top_sq = _cmul(t_top, t_top, bits)
     squares = [h * h >> bits for h in half_nodes]
     moments = [w * h >> bits for h, w in zip(half_nodes, half_weights)]
-    pole_squares = [_cmul(p, p, bits) for p in poles]
+    # top^2 h_l^2 per node l: t^2 at the outer node and the inner grid's scale
+    scaled = [(top_sq[0] * hh >> bits, top_sq[1] * hh >> bits) for hh in squares]
+    n = len(squares)
+    sums = []     # per pole pair and node l: A_k and sum_m w_m h_m u_k, (re, im) each
+    for sq in [_cmul(p, p, bits) for p in poles]:
+        exact = [[0] * n for _ in range(4)]     # the same four parts, exact, per l
+        # u_k(top^2 h_l^2 h_m^2) is symmetric in (l, m): each entry is computed
+        # once, for m >= l, and added to row l and to row m
+        for l, (tt_re, tt_im) in enumerate(scaled):
+            u_re, u_im = zip(*[_inverse_gap((tt_re * s >> bits, tt_im * s >> bits), sq, bits)
+                               for s in squares[l:]])
+            for row, c, u in zip(exact, (half_weights, half_weights, moments, moments),
+                                 (u_re, u_im, u_re, u_im)):
+                row[l] += sum(map(mul, c[l:], u))
+                row[l + 1:] = map(add, row[l + 1:], [c[l] * x for x in u[1:]])
+        sums.append([((a_re >> bits, a_im >> bits), (b_re >> bits, b_im >> bits))
+                     for a_re, a_im, b_re, b_im in zip(*exact)])
     p1, p2 = poles
     points, weighted, inner = [], [], []
-    for h, w, hh in zip(half_nodes, half_weights, squares):
+    for h, w, tt, (a1, b1), (a2, b2) in zip(half_nodes, half_weights, scaled, *sums):
         t = (t_top[0] * h >> bits, t_top[1] * h >> bits)
         weight = (t_top[0] * w >> bits, t_top[1] * w >> bits)
         points.append(from_fixed_pair(*t, bits, ctx))
         weighted.append(tuple(from_fixed_pair(*_cmul(weight, f, bits), bits, ctx)
                               for f in _paired_forms(t, poles, bits)))
-        tt = (top_sq[0] * hh >> bits, top_sq[1] * hh >> bits)
-        sums = []     # per pole pair: A_k, then sum_l w_l h_l u_k
-        for sq in pole_squares:
-            u_re, u_im = zip(*[_inverse_gap((tt[0] * s >> bits, tt[1] * s >> bits), sq, bits)
-                               for s in squares])
-            sums.append([(sum(map(mul, c, u_re)) >> bits, sum(map(mul, c, u_im)) >> bits)
-                         for c in (half_weights, moments)])
-        (a1, b1), (a2, b2) = sums
         c1, c2 = _cmul(p1, a1, bits), _cmul(p2, a2, bits)
         # the factor 2 of every form is the shift by bits - 1
         inner.append(tuple(from_fixed_pair(*_cmul(factor, g, bits - 1), bits, ctx)

@@ -10,7 +10,7 @@ from lawsonarea import omega
 from lawsonarea.mpl import convert_word, li, mpl_spec
 from lawsonarea.engine import expand
 from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
-                              _cache_path, _segment_table, _values_digest,
+                              _cache_path, _transport_table, _values_digest,
                               build_signed_table, build_table, cached_table, canonical_phi,
                               chen_compose, clear_cache, gauss_legendre_rule, is_pi_over_4,
                               list_cache, load_table, parse_phi, punctures,
@@ -85,7 +85,7 @@ def test_chen_split_matches_direct(tables):
     ctx = CTX
     points = punctures(parse_phi("pi/4", CFG), CFG)
     cuts = [ctx.mpf(0), ctx.mpf(1) / 2, ctx.mpf(3) / 4, ctx.mpf(1)]
-    pieces = [_segment_table(CFG, "pi/4", points, ctx.mpc(a), ctx.mpc(b), 2)
+    pieces = [_transport_table(CFG, "pi/4", points, [(ctx.mpc(a), ctx.mpc(b))], 2)
               for a, b in zip(cuts[:-1], cuts[1:])]
     glued = pieces[0]
     for piece in pieces[1:]:
@@ -275,7 +275,7 @@ def test_precision_doubling_table():
 def _half_segment(phi, depth):
     """The transport table of the segment [0, 1/2] at 40 digits."""
     points = punctures(parse_phi(phi, CFG), CFG)
-    return _segment_table(CFG, phi, points, CTX.mpc(0), CTX.mpc("0.5"), depth)
+    return _transport_table(CFG, phi, points, [(CTX.mpc(0), CTX.mpc("0.5"))], depth)
 
 
 def _single_word(word, phi, cfg):
@@ -383,31 +383,43 @@ def _geometric_product(s_re, s_im, ratio, bits):
     return out_re, out_im
 
 
+# the letters whose form gives the two poles of a pair opposite residues, per endpoint
+FLIPS = {"1": {1, 3}, "i": {1, 2}}
+
+
 @pytest.mark.parametrize("endpoint", ["1", "i"])
 @pytest.mark.parametrize("phi", ["pi/4", "1.2", "0.3"])
 def test_pair_kernel_matches_four_poles(endpoint, phi):
-    """The conjugate-pole letter integrands against one complex recurrence
-    per pole, on every segment of the path, for a series with |S_j| <= 1."""
+    """The one-list letter integrands against one complex recurrence per
+    pole, on every segment of the path, for a real and for an imaginary
+    series with |S_j| <= 1."""
     pc, segments = omega._path(endpoint, phi, 1, CFG)
     T = omega._series_terms(CFG)
     rng = random.Random(7)
     for z0, z1 in segments:
-        pairs, bits = omega._segment_ratios(CFG, pc.points, z0, z1)
-        assert sorted(k for pair in pairs for k in pair[:2]) == [0, 1, 2, 3]
+        pair_ratios, plan, bits = omega._segment_ratios(CFG, pc.points, z0, z1)
+        assert len(pair_ratios) == 2
         mid, half = (z0 + z1) / 2, (z1 - z0) / 2
         rel = [p - mid for p in pc.points]       # at working precision, as in the kernel
         with CTX.workprec(bits):
             ratios = [to_fixed_pair(half / q, bits) for q in rel]
-        s_re, s_im = ([rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
-                      for _ in range(2))
-        per_pole = [_geometric_product(s_re, s_im, r, bits) for r in ratios]
-        for eps, got in zip(FORM_COEFFS, omega._letter_integrands(s_re, s_im, pairs, bits)):
-            for part in (0, 1):
-                expected = [sum(e * pole[part][j] for e, pole in zip(eps, per_pole))
-                            for j in range(T + 1)]
-                # rounding: 3 units in the pair kernel, 6 in the four recurrences, and
-                # 9/4 for each partner's ratio, which the pair kernel takes as conj(r)
-                assert max(map(abs, map(int.__sub__, got[part], expected))) <= 14
+        zero = [0] * (T + 1)
+        for phase in (0, 1):
+            s = [rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
+            # i^phase S as a (re, im) pair
+            per_pole = [_geometric_product(*((zero, s) if phase else (s, zero)), r, bits)
+                        for r in ratios]
+            got = omega._letter_integrands(s, phase, pair_ratios, plan, bits)
+            for letter, eps, (got_phase, got_ints) in zip((1, 2, 3), FORM_COEFFS, got):
+                assert got_phase == phase ^ (letter in FLIPS[endpoint]), letter
+                for part in (0, 1):
+                    expected = [sum(e * pole[part][j] for e, pole in zip(eps, per_pole))
+                                for j in range(T + 1)]
+                    # the part of the other phase is exactly zero in the one-list kernel
+                    ints = got_ints if part == got_phase else zero
+                    # rounding: 3 units in the pair kernel, 6 in the four recurrences, and
+                    # 9/4 for each partner's ratio, which the pair kernel takes as conj(r)
+                    assert max(map(abs, map(int.__sub__, ints, expected))) <= 14
 
 
 def test_segment_ratios_need_a_symmetry_axis():
@@ -415,6 +427,32 @@ def test_segment_ratios_need_a_symmetry_axis():
     poles = punctures(parse_phi("0.3", CFG), CFG)
     with pytest.raises(ValueError, match="symmetry axis"):
         omega._segment_ratios(CFG, poles, CTX.mpc(0), CTX.mpc("0.1", "0.1"))
+
+
+@pytest.mark.parametrize("endpoint", ["1", "i"])
+@pytest.mark.parametrize("phi", ["pi/4", "1.2", "0.3"])
+def test_values_have_the_phase_of_their_letters(endpoint, phi):
+    """Every sigma_c and every word value is exactly real or exactly
+    imaginary: i to the number of its letters whose form gives the two poles
+    of a pair opposite residues."""
+    signed = build_signed_table(endpoint, phi, 6, CFG)
+    words = build_table(endpoint, phi, 5, CFG)
+    for key, value in itertools.chain(signed.values.items(), words.values.items()):
+        flips = sum(letter in FLIPS[endpoint] for letter in key)
+        assert (CTX.re(value) if flips % 2 else CTX.im(value)) == 0, key
+        assert value != 0, key
+
+
+def test_letter_plan_rejects_a_mixed_letter(monkeypatch):
+    """A letter that takes one pole pair's sum and the other pair's
+    difference has no single phase, on either axis."""
+    monkeypatch.setattr(omega, "FORM_COEFFS", (FORM_COEFFS[0], (1, 1, 1, -1), FORM_COEFFS[2]))
+    for endpoint in ("1", "i"):
+        pc, segments = omega._path(endpoint, "pi/4", 1, CFG)
+        with pytest.raises(ValueError, match="sum and the other"):
+            omega._segment_ratios(CFG, pc.points, *segments[0])
+    with pytest.raises(ValueError, match="sum and the other"):
+        build_signed_table("1", "pi/4", 2, CFG)
 
 
 @pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 6), ("i", "1.2", 5)])
