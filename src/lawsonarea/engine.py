@@ -224,8 +224,11 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     def add(mmat, weight, value, deriv) -> None:
         s_re, s_im = to_fixed_pair(value, bits)
         acc = sums.setdefault(mmat, ({}, {}))
-        axpy(acc[0], weight * s_re, deriv)
-        axpy(acc[1], weight * s_im, deriv)
+        # sigma_c is exactly real or exactly imaginary (the phase rule of omega)
+        if s_re:
+            axpy(acc[0], weight * s_re, deriv)
+        if s_im:
+            axpy(acc[1], weight * s_im, deriv)
 
     # single letters: D^k of y_i is y_i^(k) itself
     for i in (1, 2, 3):

@@ -19,6 +19,12 @@ integral representation over [0, 1] with pole letters a_i = (z_i...z_d)^-1,
 split the path at x0 (composition of iterated integrals plus reversal of
 the second half under t -> 1-t), and evaluate each half as a power series
 at 0 whose terms decay geometrically, at most like ``_SPLIT_RATIO_LIMIT``^j.
+The nested sum has real coefficients, so Li(conj z) = conj Li(z) (Schwarz
+reflection): ``li`` evaluates a spec whose first non-real argument lies
+below the real axis as the conjugate of its mirror spec, so of each
+conjugate pair of specs only the one above the axis is summed.  All-real
+specs, such as the alternating MZVs of ``zeta_signed``, are summed as they
+are.
 
 Split kernel.  The first half is expanded in v = q/x0 and the second in
 v = q/x1, x1 = 1 - x0, so a pole a of either half enters only through one
@@ -61,13 +67,18 @@ into the 4^n signed depth-n polylogarithm terms with puncture-ratio
 arguments; it is a test oracle (the production path evaluates those words
 by series transport instead, see :mod:`lawsonarea.omega`).  The arguments
 depend only on the pole assignment and the letters only set the signs, so
-the 9 words of length 2 at one angle share the same 16 specs; ``li`` keeps
-each value in a process-wide cache keyed by (``MplSpec``, ``PrecisionConfig``).
+the 4^n (assignment, spec) pairs are built once per (phi, n, config) and
+the 9 words of length 2 at one angle share the same 16 spec objects;
+``li`` keeps each value in a process-wide cache keyed by (``MplSpec``,
+``PrecisionConfig``).  Conjugation permutes the four punctures
+(conj p1 = -p2, conj p2 = -p1), so the 16 specs form 8 mirror pairs, and
+the 12 words of length <= 2 at one angle take 10 split evaluations, not 20.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -322,8 +333,18 @@ def li(spec: MplSpec, cfg: PrecisionConfig):
     Memoised per (``MplSpec``, ``PrecisionConfig``), both frozen and hashable:
     the terms of ``convert_word`` depend only on the pole assignment, so the
     words at one angle share their polylogarithms.  Errors are not cached.
+    The nested sum has real coefficients, so Li(conj z) = conj Li(z)
+    (Schwarz reflection): a spec whose first non-real argument has a
+    negative imaginary part is the conjugate of ``li`` of its mirror spec,
+    all arguments conjugated, which the cache then shares with the mirror.
     """
     ctx = cfg.context
+    for z in spec.args:
+        if z.imag:
+            if z.imag < 0:
+                mirror = MplSpec(spec.indices, tuple(ctx.conj(a) for a in spec.args))
+                return ctx.conj(li(mirror, cfg))
+            break
     prods = _validate(spec, cfg)
     if spec.depth == 0:
         return ctx.mpc(1)
@@ -372,29 +393,23 @@ def convert_word(word: Word, phi, cfg: PrecisionConfig) -> SignedMplSum:
     n = len(word)
     if n < 1:
         raise ValueError("convert_word requires a nonempty word")
+    return SignedMplSum(tuple(
+        (math.prod((FORM_COEFFS[letter - 1][j] for letter, j in zip(word, assignment)),
+                   start=(-1) ** n), spec)
+        for assignment, spec in _assignment_specs(phi, n, cfg)))
+
+
+@functools.lru_cache(maxsize=None)
+def _assignment_specs(phi, n: int, cfg: PrecisionConfig) -> tuple:
+    """The 4^n (pole assignment, ``MplSpec``) pairs of the length-n words at
+    phi: the arguments depend only on the assignment, so they are built once
+    per (phi, n, config) and the words' terms share the spec objects."""
     ps = punctures(phi, cfg)
-    sign_all = (-1) ** n
-    terms = []
     ones = (1,) * n
-    for assignment in _tuples(4, n):
-        coeff = sign_all
-        for letter, j in zip(word, assignment):
-            coeff *= FORM_COEFFS[letter - 1][j]
-        args = []
-        for m in range(n - 1):
-            args.append(ps[assignment[m + 1]] / ps[assignment[m]])
-        args.append(1 / ps[assignment[n - 1]])
-        terms.append((coeff, MplSpec(ones, tuple(args))))
-    return SignedMplSum(tuple(terms))
-
-
-def _tuples(base: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(base, length - 1):
-        for j in range(base):
-            yield rest + (j,)
+    return tuple((assignment,
+                  MplSpec(ones, tuple(ps[b] / ps[a] for a, b in zip(assignment, assignment[1:]))
+                          + (1 / ps[assignment[-1]],)))
+                 for assignment in itertools.product(range(4), repeat=n))
 
 
 # ---------------------------------------------------------------------------

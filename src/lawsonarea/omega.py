@@ -196,9 +196,9 @@ bits at depth 10, 8 and 8).  With 24 extra bits no sigma moved by more than
 Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits +
 ``_QUADRATURE_EXTRA_BITS``, and share nothing with the transport kernel.
-Only the rule's nodes and weights and the level's entries are converted,
-each rounded once.  The budgets count the kernels' own roundings, in units
-of 2^-P.
+The rule's nodes and weights are rounded once to ``mpf``; the levels stay
+integers, and each word is one exact sum or dot of them, rounded once to
+``mpc``.  The budgets count the kernels' own roundings, in units of 2^-P.
 
 * Rule.  A step of the Legendre recurrence j P_j = (2j - 1) x P_{j-1} -
   (j - 1) P_{j-2} rounds at most 3 units (one shift, scaled by less than 2,
@@ -214,25 +214,29 @@ of 2^-P.
   rounding 1 - x^2, so under 2^20 units in all.
 * First level.  On the path to 1 or to i every node z and every inner node
   t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from both pole
-  pairs.  Each u = 1/(z^2 - p^2) costs one ``//`` of 2^(3P) by the exact
-  norm of z^2 - p^2, which carries about 6 units from rounding z^2 and p^2.
-  So u is off by at most 6/delta^2 + 4 units.  u_k(top^2 h_l^2 h_m^2) is
-  symmetric in the outer node l and the inner node m, so each pole pair's
-  grid is filled once for l <= m, n (n + 1)/2 divisions instead of n^2
-  (3 240 instead of 6 400 at n = 80); entry (m, l) takes z^2 rounded as
-  (top^2 h_l^2) h_m^2, with the same budget.  The inner sums
-  A_k = sum_l w_l u_k and B = sum_l w_l h_l (u1 - u2) are exact with
-  sum w_l = 1 and are rounded once.  The three inner integrals
-  2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms then carry at
-  most 4 (6/delta^2 + 5) + 8 units, below 2^9 for delta >= 0.29
+  pairs, and z^2 is real, so p2 = -conj p1 gives u2 = conj u1 (Schwarz
+  reflection).  Only u1 = 1/(z^2 - p1^2) is computed, by one ``//`` of
+  2^(3P) by the exact norm of z^2 - p1^2, which carries about 6 units from
+  rounding z^2 and p1^2; so u1 and its conjugate are off by at most
+  6/delta^2 + 4 units (p2 is exactly -conj p1 on the integers).  As floor
+  is not symmetric under negation, the conjugates are within one unit of
+  entries computed from conj(p1^2), and within 3 (measured, phi = 0.3) of
+  ones from p2^2.  The grid u1(top^2 h_l^2 h_m^2) is symmetric in the outer
+  node l and the inner node m, so it is filled for l <= m only, n (n + 1)/2
+  divisions (3 240 at n = 80; both pairs took 6 480), entry (m, l) taking
+  z^2 rounded as (top^2 h_l^2) h_m^2.  The sums A1 = sum_l w_l u1 and
+  Im sum_l w_l h_l u1 are exact with sum w_l = 1 and rounded once; p2's
+  are conjugates, so A2 = conj A1 and B is 2i times the second.  The
+  inner integrals 2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms
+  carry at most 4 (6/delta^2 + 5) + 8 units, below 2^9 for delta >= 0.29
   (phi in [0.3, 1.27]).
 
 ``_QUADRATURE_EXTRA_BITS = 24`` thus keeps both kernels' own rounding below
-2^-4 of a unit of the working precision for n <= 80.  Measured with no
-extra bits at 40 and 260 working digits, the 80-point rule lost 3 bits
-(7.6 to 8.4 units of the working precision) and the first levels at pi/6
-and 1.2 lost 7 bits (99 to 126 units).  With 24 extra bits the rule is
-within 0.5 and the levels within 2 units of a reference 30 digits up.
+2^-4 of a unit of the working precision for n <= 80.  Measured at 40 and
+260 working digits with no extra bits, the 80-point rule lost 3 bits (7.6
+to 8.4 units of the working precision) and the first levels at pi/6 and
+1.2 up to 275 units against the kernel with 120 extra bits; with 24, the
+rule is within 0.5 units of a reference 30 digits up, the levels 1.1e-5.
 """
 
 from __future__ import annotations
@@ -849,78 +853,79 @@ def _paired_forms(z, poles, bits: int) -> tuple:
     ``z`` and ``poles`` = (p1, p2) are (re, im) pairs at scale 2^bits, and so
     are the three results.  With u_k = 1/(z^2 - p_k^2): f1 = 2z(u1 - u2),
     f2 = 2(p1 u1 - p2 u2) and f3 = 2(p1 u1 + p2 u2), the ``FORM_COEFFS`` sums
-    over the four poles (p1, p2, -p1, -p2).
+    over the four poles (p1, p2, -p1, -p2).  Where z^2 is real (z on an axis,
+    as at every quadrature node), p2 = -conj p1 gives u2 = conj u1.
     """
     zz = _cmul(z, z, bits)
     p1, p2 = poles
-    u1, u2 = (_inverse_gap(zz, _cmul(p, p, bits), bits) for p in poles)
+    u1 = _inverse_gap(zz, _cmul(p1, p1, bits), bits)
+    u2 = (u1[0], -u1[1]) if zz[1] == 0 else _inverse_gap(zz, _cmul(p2, p2, bits), bits)
     a, b = _cmul(p1, u1, bits), _cmul(p2, u2, bits)
     f1 = _cmul(z, (u1[0] - u2[0], u1[1] - u2[1]), bits)
     return ((2 * f1[0], 2 * f1[1]), (2 * (a[0] - b[0]), 2 * (a[1] - b[1])),
             (2 * (a[0] + b[0]), 2 * (a[1] + b[1])))
 
 
-def _first_level(top, poles, rule, bits: int, ctx) -> tuple:
+def _cdot(x, y) -> tuple[int, int]:
+    """sum_l x_l y_l of two lists of (re, im) pairs, exact, at the product of their scales."""
+    return (sum(a * c - b * d for (a, b), (c, d) in zip(x, y)),
+            sum(a * d + b * c for (a, b), (c, d) in zip(x, y)))
+
+
+def _first_level(top, poles, rule, bits: int) -> tuple:
     """Gauss-Legendre nodes t of [0, top], weight times forms there, inner integrals.
 
-    ``poles`` = (p1, p2) and ``rule``, the nodes and weights mapped to
-    [0, 1], are integers at scale 2^bits; the three lists returned are
-    ``mpc``.  The inner integrals are the three first-level integrals from 0
-    to each t, by the same rule on [0, t]: with A_k = sum_l w_l u_k(t h_l)
-    and B = sum_l w_l h_l (u1 - u2)(t h_l) they are 2 t^2 B and
-    2 t (p1 A1 -+ p2 A2), each sum exact and rounded once.
+    All on integers at scale 2^bits: ``top``, ``poles`` = (p1, p2), ``rule``
+    mapped to [0, 1], the nodes and, per letter, the weighted forms and the
+    inner integrals at the nodes, as (re, im) pairs.  The inner integrals
+    from 0 to each t, by the same rule on [0, t], are 2 t^2 B and
+    2 t (p1 A1 -+ p2 A2), with A_k = sum_l w_l u_k(t h_l) and
+    B = sum_l w_l h_l (u1 - u2)(t h_l), each sum exact and rounded once.
+    top^2 must be real: then u2 = conj u1 on the grid, so only p1's is built.
     """
     half_nodes, half_weights = rule
-    t_top = to_fixed_pair(top, bits)
-    top_sq = _cmul(t_top, t_top, bits)
+    top_sq, top_sq_im = _cmul(top, top, bits)
+    if top_sq_im:
+        raise ValueError("the mirror pole rule needs a real top^2 (top on an axis)")
     squares = [h * h >> bits for h in half_nodes]
     moments = [w * h >> bits for h, w in zip(half_nodes, half_weights)]
     # top^2 h_l^2 per node l: t^2 at the outer node and the inner grid's scale
-    scaled = [(top_sq[0] * hh >> bits, top_sq[1] * hh >> bits) for hh in squares]
-    n = len(squares)
-    sums = []     # per pole pair and node l: A_k and sum_m w_m h_m u_k, (re, im) each
-    for sq in [_cmul(p, p, bits) for p in poles]:
-        exact = [[0] * n for _ in range(4)]     # the same four parts, exact, per l
-        # u_k(top^2 h_l^2 h_m^2) is symmetric in (l, m): each entry is computed
-        # once, for m >= l, and added to row l and to row m
-        for l, (tt_re, tt_im) in enumerate(scaled):
-            u_re, u_im = zip(*[_inverse_gap((tt_re * s >> bits, tt_im * s >> bits), sq, bits)
-                               for s in squares[l:]])
-            for row, c, u in zip(exact, (half_weights, half_weights, moments, moments),
-                                 (u_re, u_im, u_re, u_im)):
-                row[l] += sum(map(mul, c[l:], u))
-                row[l + 1:] = map(add, row[l + 1:], [c[l] * x for x in u[1:]])
-        sums.append([((a_re >> bits, a_im >> bits), (b_re >> bits, b_im >> bits))
-                     for a_re, a_im, b_re, b_im in zip(*exact)])
+    scaled = [top_sq * hh >> bits for hh in squares]
     p1, p2 = poles
-    points, weighted, inner = [], [], []
-    for h, w, tt, (a1, b1), (a2, b2) in zip(half_nodes, half_weights, scaled, *sums):
-        t = (t_top[0] * h >> bits, t_top[1] * h >> bits)
-        weight = (t_top[0] * w >> bits, t_top[1] * w >> bits)
-        points.append(from_fixed_pair(*t, bits, ctx))
-        weighted.append(tuple(from_fixed_pair(*_cmul(weight, f, bits), bits, ctx)
-                              for f in _paired_forms(t, poles, bits)))
-        c1, c2 = _cmul(p1, a1, bits), _cmul(p2, a2, bits)
-        # the factor 2 of every form is the shift by bits - 1
-        inner.append(tuple(from_fixed_pair(*_cmul(factor, g, bits - 1), bits, ctx)
-                           for factor, g in ((tt, (b1[0] - b2[0], b1[1] - b2[1])),
-                                             (t, (c1[0] - c2[0], c1[1] - c2[1])),
-                                             (t, (c1[0] + c2[0], c1[1] + c2[1])))))
-    return points, weighted, inner
+    sq = _cmul(p1, p1, bits)
+    exact = [[0] * len(squares) for _ in range(3)]     # A1 and Im sum_m w_m h_m u1, per l
+    # u1(top^2 h_l^2 h_m^2) is symmetric in (l, m): each entry is computed
+    # once, for m >= l, and added to row l and to row m
+    for l, tt in enumerate(scaled):
+        u_re, u_im = zip(*[_inverse_gap((tt * s >> bits, 0), sq, bits) for s in squares[l:]])
+        for row, c, u in zip(exact, (half_weights, half_weights, moments), (u_re, u_im, u_im)):
+            row[l] += sum(map(mul, c[l:], u))
+            row[l + 1:] = map(add, row[l + 1:], [c[l] * x for x in u[1:]])
+    points = [(top[0] * h >> bits, top[1] * h >> bits) for h in half_nodes]
+    weighted, inner = [], []
+    for t, w, tt, a_re, a_im, b_im in zip(points, half_weights, scaled, *exact):
+        weight = (top[0] * w >> bits, top[1] * w >> bits)
+        weighted.append([_cmul(weight, f, bits) for f in _paired_forms(t, poles, bits)])
+        a_re, a_im = a_re >> bits, a_im >> bits
+        # A2 = conj A1, B1 - B2 = 2i Im B1; each form's factor 2 is the shift by bits - 1
+        c1, c2 = _cmul(p1, (a_re, a_im), bits), _cmul(p2, (a_re, -a_im), bits)
+        inner.append([_cmul(factor, g, bits - 1)
+                      for factor, g in (((tt, 0), (0, 2 * (b_im >> bits))),
+                                        (t, (c1[0] - c2[0], c1[1] - c2[1])),
+                                        (t, (c1[0] + c2[0], c1[1] + c2[1])))])
+    return points, list(zip(*weighted)), list(zip(*inner))
 
 
-def _prefix_pairs(points, poles, rule, bits: int, ctx) -> list:
-    """At each node t of ``points``, the 9 length-2 word integrals from 0 to t.
-
-    Each comes from a second level on [0, t] (``_first_level``), which is
-    built once and dropped once its 9 sums are taken.
-    """
-    pairs = []
+def _prefix_pairs(points, poles, rule, bits: int) -> dict:
+    """Per length-2 word, its integrals from 0 to each node t of ``points``,
+    exact at scale 2^(2 bits), each from a second level on [0, t]
+    (``_first_level``) that is dropped once its 9 dots are taken."""
+    words = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    rows = []
     for t in points:
-        _, weighted, inner = _first_level(t, poles, rule, bits, ctx)
-        pairs.append({(a, b): ctx.fdot([i[a - 1] for i in inner], [wf[b - 1] for wf in weighted])
-                      for a in (1, 2, 3) for b in (1, 2, 3)})
-    return pairs
+        _, weighted, inner = _first_level(t, poles, rule, bits)
+        rows.append([_cdot(inner[a - 1], weighted[b - 1]) for a, b in words])
+    return dict(zip(words, zip(*rows)))
 
 
 def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
@@ -928,18 +933,15 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     """Nested Gauss-Legendre evaluation of one word integral, |word| <= 3.
 
     Each level uses the ``nodes``-point rule on [0, upper limit].  The first
-    level (the outer nodes, weight times the three form values at each, and
-    the three inner integrals from 0 to each node) is computed on integers at
-    scale 2^P, P = working bits + ``_QUADRATURE_EXTRA_BITS``, with the three
-    forms evaluated together from the pole pairs (``_paired_forms``), and is
-    kept as ``mpc`` in ``_quadrature_cache``, keyed by (endpoint, phi value
-    from ``parse_phi``, working digits, nodes).  So every word of length 1 or
-    2 at that key is one ``fdot`` over the cached level.  The first word of
-    length 3 at a key builds one more level per outer node (nodes^3 form
-    evaluations) and keeps, under the same key, the 9 length-2 integrals from
-    0 to each outer node (``_prefix_pairs``); every word of length 3 is then
-    one ``fdot`` too.  The rounding budget is in the module docstring.  This
-    exists purely as an independent cross-check of the transport tables and
+    level (``_first_level``: the outer nodes, weight times the three forms at
+    each, and the three inner integrals from 0 to each node) is kept as
+    integers at scale 2^P, P = working bits + ``_QUADRATURE_EXTRA_BITS``, in
+    ``_quadrature_cache``, keyed by (endpoint, phi value from ``parse_phi``,
+    working digits, nodes).  The first word of length 3 at a key adds one
+    level per outer node and keeps the 9 length-2 integrals from 0 to each
+    outer node (``_prefix_pairs``).  Every word is then one exact integer sum
+    or dot, rounded once to ``mpc``; the budget is in the module docstring.
+    This is purely an independent cross-check of the transport tables and
     uses nothing of theirs.
     """
     word = tuple(word)
@@ -952,27 +954,25 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     if not word:
         return ctx.mpc(1)
     key = (endpoint, phi_value, cfg.working_digits, nodes)
+    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
     # [outer nodes, weighted forms, inner integrals, prefix pairs or None]
     cached = _quadrature_cache.get(key)
     if cached is None or (len(word) == 3 and cached[3] is None):
-        bits = ctx.prec + _QUADRATURE_EXTRA_BITS
         xs, ws = gauss_legendre_rule(nodes, cfg)
         # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
         rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
                 [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
         poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
         if cached is None:
-            end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
-            cached = _quadrature_cache[key] = [*_first_level(end, poles, rule, bits, ctx), None]
+            end = (1 << bits, 0) if endpoint == "1" else (0, 1 << bits)
+            cached = _quadrature_cache[key] = [*_first_level(end, poles, rule, bits), None]
         if len(word) == 3:
-            cached[3] = _prefix_pairs(cached[0], poles, rule, bits, ctx)
+            cached[3] = _prefix_pairs(cached[0], poles, rule, bits)
     _, weighted, inner, pairs = cached
-    last = [wf[word[-1] - 1] for wf in weighted]
-    if len(word) == 1:
-        return ctx.fsum(last)
-    if len(word) == 2:
-        return ctx.fdot([i[word[0] - 1] for i in inner], last)
-    return ctx.fdot([p[word[:2]] for p in pairs], last)
+    # word[:-1] integrated from 0 to each outer node, at scale 2^((len(word) - 1) bits)
+    head = ([(1, 0)] * nodes if len(word) == 1 else
+            inner[word[0] - 1] if len(word) == 2 else pairs[word[:2]])
+    return from_fixed_pair(*_cdot(head, weighted[word[-1] - 1]), len(word) * bits, ctx)
 
 
 # ---------------------------------------------------------------------------

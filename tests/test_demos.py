@@ -12,7 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # one line of each demo's output; word_integrals.py is left out, because its
-# one length-3 quadrature takes about 3 s
+# one length-3 quadrature takes about 1 s (the demo 1.3 to 1.4 s of CPU,
+# against about 0.3 s for each demo here)
 LINES = {"area_expansion.py": "alpha_5 = 3.699626994497618439893380135471044617736",
          "polylogarithms.py": "Li_2(1)  = (1.64493406684822643647241516665 + 0.0j)"}
 

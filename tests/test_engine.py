@@ -370,3 +370,15 @@ def test_alpha9_matches_reference(digits):
     res = area_series(run(9, cfg, table=build_signed_table("1", "pi/4", 10, cfg)))
     assert res.alpha(8) == 0
     assert abs(res.alpha(9) - ctx.mpf(ALPHA9)) < ctx.mpf(10) ** (-(digits - 2))
+
+
+def test_frame_lower_skips_zero_parts(monkeypatch, signed40_pi4_L7):
+    """Each sigma_c is exactly real or exactly imaginary, and ``frame_lower``
+    multiplies no derivative map by its zero part."""
+    import lawsonarea.engine as engine
+    scalars = []
+    axpy = engine.axpy
+    monkeypatch.setattr(engine, "axpy",
+                        lambda acc, s, p: scalars.append(s) or axpy(acc, s, p))
+    run(5, CFG, table=signed40_pi4_L7)
+    assert scalars and all(scalars), scalars.count(0)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from lawsonarea.mpl import (DivergentSeriesError, _integral_word, _tail_products,
-                            convert_word, li, mpl_spec, series_extrapolated,
-                            series_partial_sum, zeta_signed)
+from lawsonarea import mpl
+from lawsonarea.mpl import (DivergentSeriesError, MplSpec, _integral_word, _split_value,
+                            _tail_products, convert_word, li, mpl_spec,
+                            series_extrapolated, series_partial_sum, zeta_signed)
+from lawsonarea.omega import parse_phi
 from lawsonarea.precision import PrecisionConfig, agreement_digits
 from lawsonarea.verify import (distribution_residual, li11_inversion_residual,
                                zagier_residual)
@@ -190,3 +192,50 @@ def test_split_path_at_term_ratio_near_0_9():
     # |z2|^cutoff is below 10^-55
     direct = series_partial_sum(spec, CFG, 4200)
     assert abs(li(spec, CFG) - direct) < CFG.eps(2)
+
+
+@pytest.mark.parametrize("phi", ["pi/6", "1.2"])
+def test_li_mirror_matches_direct_split(phi):
+    """A spec whose first non-real argument lies below the real axis is
+    evaluated as conj(li(mirror)); that agrees with the split kernel run on
+    the spec itself, at depth 1 and 2."""
+    cfg = PrecisionConfig(30)
+    ctx = cfg.context
+    checked = 0
+    for word in ((1,), (1, 1)):
+        for _, spec in convert_word(word, parse_phi(phi, cfg), cfg).terms:
+            if next(z for z in spec.args if z.imag).imag > 0:
+                continue
+            direct = (-1) ** spec.depth * _split_value(
+                _integral_word(spec, _tail_products(spec, cfg)), cfg)
+            mirror = MplSpec(spec.indices, tuple(ctx.conj(z) for z in spec.args))
+            assert abs(ctx.conj(li(mirror, cfg)) - direct) < cfg.eps(2), spec
+            assert li(spec, cfg) == ctx.conj(li(mirror, cfg))
+            checked += 1
+    assert checked == 2 + 8
+
+
+def test_triangle_words_take_one_split_per_mirror_pair(monkeypatch):
+    """The 12 words of length <= 2 at one angle need 20 split evaluations
+    pole by pole, and 10 with one per conjugate pair."""
+    cfg = PrecisionConfig(30)
+    calls = []
+    monkeypatch.setattr(mpl, "_split_value",
+                        lambda word, cfg: calls.append(word) or _split_value(word, cfg))
+    li.cache_clear()
+    phi = parse_phi("pi/6", cfg)
+    for word in [(a,) for a in (1, 2, 3)] + [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]:
+        convert_word(word, phi, cfg).value(cfg)
+    assert len(calls) == 10
+
+
+def test_li_keeps_real_specs_and_its_cache():
+    """All-real specs (alternating MZVs) are computed as they are, and ``li``
+    stays an ``lru_cache``."""
+    cfg = PrecisionConfig(30)
+    li.cache_clear()
+    zeta_signed([1, 2], [-1, -1], cfg)
+    assert li.cache_info().currsize == 1
+    spec = mpl_spec([2], [cfg.context.mpc("0.3", "-0.4")], cfg)
+    li(spec, cfg)
+    assert li.cache_info().currsize == 3      # the spec and its mirror

@@ -184,6 +184,30 @@ def test_paired_forms_match_form_coeffs():
             assert abs(value - expected) < cfg.eps(2) * max(1, abs(expected)), z
 
 
+def test_first_level_builds_one_pole_of_each_mirror_pair(monkeypatch):
+    """One first level at n nodes divides n(n + 1)/2 times on p1's symmetric
+    grid and once per outer node for the forms there, and none for p2, whose
+    values are conjugates; a top whose square is not real is refused."""
+    cfg = PrecisionConfig(20)
+    ctx = cfg.context
+    bits = ctx.prec + omega._QUADRATURE_EXTRA_BITS
+    n = 12
+    xs, ws = gauss_legendre_rule(n, cfg)
+    rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
+            [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
+    poles = [to_fixed_pair(p, bits) for p in punctures(parse_phi("pi/5", cfg), cfg)[:2]]
+    calls = []
+    inverse_gap = omega._inverse_gap
+    monkeypatch.setattr(omega, "_inverse_gap",
+                        lambda *args: calls.append(args) or inverse_gap(*args))
+    for top in ((1 << bits, 0), (0, 1 << bits)):
+        calls.clear()
+        omega._first_level(top, poles, rule, bits)
+        assert len(calls) == n * (n + 1) // 2 + n
+    with pytest.raises(ValueError):
+        omega._first_level((1 << bits, 1 << bits - 3), poles, rule, bits)
+
+
 def test_quadrature_length3_word_matches_transport():
     """Three nested levels: one more ``_first_level`` per outer node."""
     cfg = PrecisionConfig(25)
