@@ -2,28 +2,26 @@
 
 A word table (``build_table``) holds the values of every word integral up
 to a chosen length, for one endpoint (1 or i) and one opening angle phi.
-Tables are built by power series transport: the path is cut into segments
-short enough that every simple pole stays at least three half-lengths away
-from the segment midpoint, all word series for one segment are generated
-together by an O(terms) per-letter recurrence, and segments are glued with
-the composition rule for iterated integrals (prefix on the first path,
-suffix on the second), on the kernel's integers.  A signed table (``build_signed_table``) holds only
-the signed sum of the word integrals per letter multiset, which is all the
-order recursion reads; it is the one kind of table the on-disk cache
-holds.  A nested Gauss-Legendre quadrature provides an independent check
-for short words.
+A signed table (``build_signed_table``) holds only the signed sum of the
+word integrals per letter multiset, which is all the order recursion
+reads; it is the one kind of table the on-disk cache holds.  Both are
+built by power series transport: the path is cut into segments short
+enough that every simple pole stays at least three half-lengths away from
+the segment midpoint, and one driver (``_transport``) walks the words or
+the multisets layer by layer, one O(terms) per-letter recurrence per
+node, and glues the segments by initial value, on the kernel's integers.
+A nested Gauss-Legendre quadrature provides an independent check for
+short words.
 
 Transport kernel.  On a segment with midpoint m and half-length h every
-word series is expanded in v = (z - m)/h, so the segment is v in [-1, 1]
-and a pole q (relative to m) enters only through r = h/q, |r| <= 1/3.
-A series is held as one list of Python integers scaled by 2^P,
-P = working bits + ``_EXTRA_BITS``, and a phase: the series is i^phase
-times the list, phase 0 or 1.  Only the word values are converted to
-``mpc``.  A depth-L table meets in the middle: with a = L // 2 and
-b = L - a,
+series is expanded in v = (z - m)/h, so the segment is v in [-1, 1] and a
+pole q (relative to m) enters only through r = h/q, |r| <= 1/3.  A series
+is held as one list of Python integers scaled by 2^P, P = working bits +
+``_EXTRA_BITS``, and a phase: the series is i^phase times the list, phase
+0 or 1.  Only the values at the end of the path are converted to ``mpc``.
 
-* Forward half.  The series S_p of every prefix p with |p| <= a is built
-  from its parent's.  Multiplying a series by h/(h v - q) is the
+* Forward step.  A node's three letter integrals come from its series
+  S (``_integrate``).  Multiplying a series by h/(h v - q) is the
   recurrence K_j = (K_{j-1} - S_j) r.  Every segment lies on the real or
   the imaginary axis, and reflection across its line swaps the four poles
   in two pairs with conjugate ratios r and conj r (``_segment_ratios``).
@@ -40,8 +38,8 @@ b = L - a,
   residue and its difference where not (``_letter_integrands``).
   Integration divides by j + 1 with ``//``, and the values at v = -1 and
   v = +1 are plain sums of the even and odd coefficients (with E and O
-  those sums, the child's constant term is O - E and its value at the
-  segment end is 2 O).  Words of length <= a take that value.
+  those sums, the integral's constant term is O - E, so that it vanishes
+  at v = -1, and its value at the segment end is 2 O).
 * Phase rule.  A letter whose form gives the two poles of a pair opposite
   residues flips the phase: letters 1 and 3 on the real axis, where the
   pairs are (p1, conj p1) and (p2, conj p2), and letters 1 and 2 on the
@@ -50,28 +48,53 @@ b = L - a,
   have no single phase, and the letter plan of ``_segment_ratios`` raises
   ``ValueError`` for it.  The root series is 1, so every series, value
   functional and value of a word w is real or imaginary as w has an even
-  or odd number of flipping letters, and the composition rule keeps that
-  phase from segment to segment.
-* Adjoint half.  A word's value is linear in the series it starts from
-  (K.-T. Chen, "Iterated path integrals", Bull. AMS 83, 1977), so suffix s
-  has a value functional V_s with value(p s) = sum_m S_p,m V_s,m, a
-  dot with no conjugation.  V_() = (1, ..., 1) evaluates at
-  v = +1, and V_(a)+s is the transpose of one forward letter applied to
-  V_s (``_adjoint_step``): g_j = (V_{j+1} + (-1)^j V_0) // (j + 1) undoes
-  integration and the constant term, H_m = (H_{m+1} - g_m) r from H_T = 0
-  downwards is the product recurrence run backwards, and
-  V_(a)+s = sum_k eps_ak H^(k) with the ``FORM_COEFFS`` signs, by the same
-  pair kernel, so V_s has the phase of s.  The root series is 1, so words
-  of length a < |w| <= b take the value V_w,0.
-* Long words.  Each word longer than b is one dot of S_p, |p| = |w| - b,
-  with V_s, |s| = b: one integer ``sum(map(mul, ...))`` per word, negated
-  when both phases are 1 (i i = -1), at scale 2^-2P.  The suffixes are
-  walked depth-first and only the prefix series are stored.
-* Gluing.  The forward and adjoint values are shifted up to the dot words'
-  scale 2^2P, exactly, and a table over several segments composes them by
-  value(w) = sum_k left(w[:k]) right(w[k:]) on the integers, exactly, at
-  the sum of the segments' scales; each word is rounded once, to ``mpc``.
-  No ``chen_compose`` is involved.
+  or odd number of flipping letters, and gluing by initial value keeps
+  that phase from segment to segment.
+* Value functionals.  A letter integral's value at v = +1 is linear in the
+  series it starts from (K.-T. Chen, "Iterated path integrals", Bull. AMS
+  83, 1977): sum_m S_m W_i,m, a dot with no conjugation, negated when both
+  phases are 1 (i i = -1), at scale 2^-2P (``_dot``).  W_i is the
+  transpose of letter i's forward step applied to V_() = (1, ..., 1), the
+  value at v = +1 (``_value_functionals``): g_j = (V_{j+1} + (-1)^j V_0)
+  // (j + 1), which is 2^(P+1) // (j + 1) at even j and 0 at odd j,
+  undoes integration and the constant term, H_m = (H_{m+1} - g_m) r from
+  H_T = 0 downwards is the product recurrence run backwards, and
+  W_i = sum_k eps_ik H^(k) with the ``FORM_COEFFS`` signs, by the same
+  pair kernel, so W_i has the phase of letter i.
+
+One driver.  ``_transport`` walks the nodes of size 1..L layer by layer,
+holding one layer of series per segment.  ``child(key, letter)`` gives the
+node that a letter leads to and the sign +-1 with which the parent's
+letter integral enters it.  A node's series is the signed sum of its
+parents' letter integrals plus its value at the segment start: each
+letter integral vanishes at v = -1, so that value is the node's constant
+term, and its value at v = +1 is the start value plus the signed sum of
+the parents' end values.  The nodes of size L need only that end value,
+so on the last layer each parent and letter costs one integer dot with
+W_i in place of a forward step, summed exactly and shifted once per node
+and segment.  The values stay integers at scale 2^P, each with its phase,
+from segment to segment and are converted to ``mpc`` once, at the end; no
+``chen_compose`` is involved.
+
+* Word tables.  ``_word_child`` appends the letter with sign +, so each
+  word has one parent, its prefix, and the driver runs Chen's
+  d Omega(w i) = Omega(w) f_i.  A depth-L table takes (3^(L-1) - 1)/2
+  forward steps and 3^L dots per segment.
+* Signed tables.  With inv(w) the number of letter pairs of w out of
+  order, sigma_c = sum over the words w with letter counts c of
+  (-1)^inv(w) Omega(w).  Appending letter i to a word with counts c - e_i
+  puts it out of order with the sum_{j>i} c_j larger letters, so along
+  the path
+
+      d sigma_c = sum_i (-1)^(sum_{j>i} c_j) f_i sigma_(c - e_i),  sigma_0 = 1,
+
+  the holonomy of sum_i s_i omega_i M_i with commuting scalars s_i (Chen,
+  loc. cit.).  ``_multiset_child`` gives the child multiset as a
+  non-decreasing word with that sign, so a node has at most 3 parents and
+  a depth-L table has C(L + 3, 3) - 1 nodes; it takes C(L + 1, 3) forward
+  steps and 3 C(L + 1, 2) dots per segment.  With every sign +, the same
+  recurrence gives prod_i Omega(i)^(c_i) / c_i!, the shuffle identity
+  (R. Ree, Ann. Math. 68, 1958).
 
 Magnitude bound.  If the parent coefficients satisfy |S_j| <= M, the
 recurrence gives |K_j| <= (|K_{j-1}| + M)/3 <= M/2: the 1/3 decay keeps
@@ -79,119 +102,67 @@ every product coefficient below M/2, a pair's sum or difference below M,
 the letter integrand below 2M and coefficient j of the child below 2M/j.
 The child's constant term is at most 2M(1 + ln T), so the integers grow by
 at most a few bits per letter and never by a factor that depends on j.  In
-the adjoint |g_j| <= 2 max|V|/(j + 1), the same 1/3 damping keeps
-|H| <= max|g|/2 <= max|V|, and |V_(a)+s| <= 4 max|V_s| per letter: V grows
-by at most 2 bits per letter.
+the functionals |g_j| <= 2/(j + 1) (in units of 2^P), the same 1/3
+damping keeps |H| <= 1, and |W_i| <= 4.
 
-Rounding budget, in units of 2^-P.  Each r is rounded once per segment, and
-its partner takes conj(r), one unit from its own rounded ratio; both move a
-pole far less than its own working-precision error.  Each shift rounds
-once, and the recurrence damps an earlier rounding by |r| <= 1/3, so each
-part of a real-input product (``_real_product`` doubles it, from 2 S_j)
-carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does a pair's
-sum or difference, which is one part of one product.  The letter integrand
-carries at most 3, and coefficient j of the child at most 3/j + 1 after the
-division.  The endpoint sums add up T coefficients, so each forward letter
-adds at most T + 3(1 + ln T) fresh units to a word value, and a forward
-word of length a at most a (T + 3(1 + ln T)).  (Errors inherited from the
-prefix pass through the exact transport like any input error; measured,
-they are not amplified.)  For T <= 1000, that is working digits up to about
-460, and a <= 8 (L <= 16) the total is below 2^13 units.  An adjoint letter
-rounds g once and each product step once, damped by 1/3, so a pair's sum
-or difference carries at most (2 + 3)/2 = 5/2 units, and each entry of V
-gains at most 5, under 8 in modulus.  Moved through the exact transpose,
-that error e reaches a word value as sum_m S'_m e_m, where S' is the exact
-series of the word up to that letter.  On |v| <= 3/2 every integrand is at
-most 4 (1/(3 - 3/2)) = 8/3, so a series of k letters is at most (20/3)^k/k!
-there, and by Cauchy sum_m |S'_m| <= 3 (20/3)^k/k! <= 2^8.5.  So each
-adjoint letter costs at most 2^11.5 units and b <= 8 letters at most
-2^14.5; with the forward half that is below 2^15 units.  The dot's integer
-sum is exact and is rounded once, to working precision.  15 extra bits keep
-the kernel's own rounding below one unit of the working precision, and 9
-more keep it below 2^-9 of that unit, hence ``_EXTRA_BITS = 24``.  Measured
-with no extra bits at 50 working digits against 120 extra bits (T = 133,
-L = 8, on the two segments of the path to 1 at phi = pi/4), the forward
-words lost at most 6.6 and 6.2 bits and the dot words 2.0 and 1.5 bits,
-well inside the bound.  Every integer the one-list kernel forms is, one for
-one, the non-zero part of what a kernel on (re, im) pairs of lists forms on
-the same segment (that kernel's other part is exactly 0), so these budgets
-and measurements, and those of the signed kernel below, hold unchanged.
-
-Gluing budget.  The composition of the segments' integers is exact, so it
-adds no rounding of its own: a segment's kernel error e reaches a glued
-word w as sum_k (e(w[:k]) right(w[k:]) + left(w[:k]) e(w[k:])), the error
-of the exact composition of the kernel's segment values, and the one final
-rounding adds half a unit of the working precision.  Measured at 30
-target digits (40 working) over the 12 words of length <= 2, against a
-table at 60 digits, transport is at most 0.40 / 0.56 / 0.61 / 0.67 / 0.31
-units of 10^-40 off at phi = pi/6, pi/5, pi/4, 3pi/10 and pi/3; rounding
-each segment's words to ``mpc`` before composing them, as ``chen_compose``
-does, gave 1.20 / 0.56 / 0.61 / 0.66 / 0.31.
-
-Signed tables.  With inv(w) the number of letter pairs of w out of order,
-sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w).
-Appending letter i to a word with counts c - e_i puts it out of order with
-the sum_{j>i} c_j larger letters, so along the path
-
-    d sigma_c = sum_i (-1)^(sum_{j>i} c_j) f_i sigma_(c - e_i),  sigma_0 = 1,
-
-the holonomy of sum_i s_i omega_i M_i with commuting scalars s_i (Chen,
-loc. cit.).  With every sign +, the same recurrence gives
-prod_i Omega(i)^(c_i) / c_i!, the shuffle identity (R. Ree, Ann. Math. 68,
-1958).  ``_signed_transport`` walks the C(L + 3, 3) - 1 multisets of size
-1..L layer by layer, as non-decreasing words, holding one layer of series.
-A node's series is the signed sum of its parents' letter integrals, at most
-3 of them, each from the same forward step (``_integrate``) as the word
-table's forward half.  Segments are glued by initial value: each letter
-integral vanishes at v = -1, so the child's constant term is its sigma at
-the segment start, and its value at v = +1 is that sigma plus the signed
-sum of the parents' endpoint values.  The keys of size L need only that
-value, and a parent's endpoint value for letter i is linear in its series:
-sum_m S_p,m W_i,m, with W_i = V_(i) the adjoint step of V_() = (1, ..., 1),
-the word table's functional of one letter.  So on the last layer each
-parent and letter costs one integer dot, as a long word does, summed
-exactly at scale 2^-2P and shifted once per key and segment, in place of a
-forward step.  The sigma stay integers at scale 2^P, each with its phase,
-from segment to segment and are converted to ``mpc`` once, at the end; no
-``chen_compose`` is involved.
-
-Rounding budget of the signed kernel, in units of 2^-P.  The signed sums of
-integers are exact, so every fresh rounding is a forward step's or a
-functional's.  A letter integral carries at most 3/j + 1 units in
-coefficient j (as above), and its constant term is an exact sum of those
+Rounding budget, in units of 2^-P.  Each r is rounded once per segment,
+and its partner takes conj(r), one unit from its own rounded ratio; both
+move a pole far less than its own working-precision error.  Each shift
+rounds once, and the recurrence damps an earlier rounding by |r| <= 1/3,
+so each part of a real-input product (``_real_product`` doubles it, from
+2 S_j) carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does
+a pair's sum or difference, which is one part of one product.  The letter
+integrand carries at most 3, and coefficient j of the integral at most
+3/j + 1 after the division.  Its constant term is an exact sum of those
 coefficients, so as a function on [-1, 1] its error is sum_j e_j
-(v^(j+1) - (-1)^(j+1)), at most 2 (T + 3 (1 + ln T)) units; at most 3
-parents give F = 6 (T + 3 (1 + ln T)) fresh units per node and segment
-(2^9.9 at T = 133, 2^12.6 at T = 1000).  On the last layer the error e of
-W_i, at most 8 units per entry (one adjoint letter from the exact V_()),
-reaches a key as sum_m S_p,m e_m, at most 8 ||S_p||_1 per parent with
-||S_p||_1 = sum_m |S_p,m|, and the shift adds one unit.  By Cauchy
-||S_p||_1 <= 3 max_{|v| <= 3/2} |S_p(v)|; measured, it stays below 15 for
-every node of size <= 13 on the three paths below (5.3, 11.6 and 14.7), so
-a key of the last layer takes at most 3 * 8 * 15 + 1 < 2^8.5 fresh units
-per segment, less than F.  It has no children, so that error reaches sigma
-unchanged, and the parents' own errors pass through W_i like any input
-error.  An error of node c' then reaches node c through the exact transport
-over the rest of the path, a signed sum over the words with letter counts
-c - c'.  With Lambda_i the integral of |f_i| along the path, the iterated
-integrals of the |f_i| over those words sum to prod_i Lambda_i^(m_i) / m_i!
-(m = c - c'; the shuffle identity again), so the inherited error of c over
-all c' <= c and S segments is at most S F prod_i E_(c_i)(Lambda_i),
-E_n(x) = sum_{m <= n} x^m / m! < e^x.  On the path to 1 at pi/4, S = 2 and
-Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5, so the bound S F e^6.5 is
-below 2^20.2 units at T = 133 at every depth, and below 2^23 for T <= 1000.
-The bound grows as phi nears 0 or pi/2.  At T = 133 it stays below 2^24 up
-to depth 14 on the path to i at phi = 1.2 (S = 3, Lambda = (2.4, pi,
-3.35)), and up to depth 10 on the path to 1 at phi = 0.3 (S = 4,
-Lambda = (2.54, 3.78, pi)).  There ``_EXTRA_BITS = 24`` keeps the kernel's
-own rounding below one unit of the working precision.  Measured with no
-extra bits at 50 working digits (T = 133), against the same kernel with 120
-extra bits, sigma lost at most 8.7 bits at depth 10 and 8.8 at depth 14 on
-the path to 1 at pi/4, 9.8 bits at depth 8 and 10.5 at depth 14 on the path
-to i at 1.2, and 9.5 bits at depth 8 on the path to 1 at 0.3.  The keys of
-the last layer lost up to 0.4 bits more than the others (8.5, 9.4 and 9.1
-bits at depth 10, 8 and 8).  With 24 extra bits no sigma moved by more than
-2^-12 of a unit at depth 10 or 2^-9 at depth 14.
+(v^(j+1) - (-1)^(j+1)), at most 2 (T + 3 (1 + ln T)) units.  The signed
+sums of integers are exact, so every other fresh rounding is a
+functional's or a shift's.  A word has one parent and takes
+F = 2 (T + 3 (1 + ln T)) fresh units per segment (2^8.3 at T = 133, 2^11
+at T = 1000, which is working digits up to about 460); a multiset, with
+at most 3 parents, takes 3F.  W_i rounds g once from the exact V_() and
+each product step once, damped by 1/3, so a pair's sum or difference
+carries at most (2 + 3)/2 = 5/2 units and each entry of W_i at most 5,
+under 8 in modulus.  On the last layer that error e reaches a node as
+sum_m S_p,m e_m, at most 8 ||S_p||_1 per parent with ||S_p||_1 =
+sum_m |S_p,m|, and the shift adds one unit.  By Cauchy ||S_p||_1 <=
+3 max_{|v| <= 3/2} |S_p(v)|; measured, it stays below 8.2 for every node
+of size 7 of either table, and below 15 for every multiset of size <= 13
+(5.3, 11.6 and 14.7), on the three paths below.  So a multiset of the last
+layer takes at most 3 * 8 * 15 + 1 < 2^8.5 fresh units per segment, less
+than 3F, and a word at depth 8 at most 8 * 8.2 + 1 < 2^6.1, less than F.
+It has no children, so that error reaches the table unchanged, and the
+parents' own errors pass through W_i like any input error.  An error of
+node c' then reaches node c through the exact transport over the rest of
+the path: for a multiset a signed sum over the words with letter counts
+c - c', for a word the one word w[k:] with c' = w[:k].  With Lambda_i the
+integral of |f_i| along the path, the iterated integrals of the |f_i|
+over the words with counts m sum to prod_i Lambda_i^(m_i) / m_i! (the
+shuffle identity again), so the inherited error of c over all c' <= c and
+S segments is at most S 3F prod_i E_(c_i)(Lambda_i),
+E_n(x) = sum_{m <= n} x^m / m! < e^x, and that of a word, whose prefixes
+have distinct counts, at most a third of it.  On the path to 1 at pi/4,
+S = 2 and Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5, so the bound S 3F
+e^6.5 is below 2^20.2 units at T = 133 at every depth (2^18.6 for a
+word), and below 2^23 for T <= 1000.  The bound grows as phi nears 0 or
+pi/2.  At T = 133 it stays below 2^24 up to depth 14 on the path to i at
+phi = 1.2 (S = 3, Lambda = (2.4, pi, 3.35)), and up to depth 10 on the
+path to 1 at phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There
+``_EXTRA_BITS = 24`` keeps the kernel's own rounding below one unit of the
+working precision.  Measured with no extra bits at 50 working digits
+(T = 133), against the same kernel with 120 extra bits, sigma lost at most
+8.7 bits at depth 10 and 8.8 at depth 14 on the path to 1 at pi/4, 9.8
+bits at depth 8 and 10.5 at depth 14 on the path to i at 1.2, and 9.5
+bits at depth 8 on the path to 1 at 0.3.  The keys of the last layer lost
+up to 0.4 bits more than the others (8.5, 9.4 and 9.1 bits at depth 10,
+8 and 8).  With 24 extra bits no sigma moved by more than 2^-12 of a unit
+at depth 10 or 2^-9 at depth 14.  The words of a depth-8 table lost at
+most 8.2, 9.3 and 9.7 bits on the same three paths with no extra bits
+(8.0, 9.2 and 9.7 on the last layer), and with 24 extra bits none moved by
+more than 2^-14.5 of a unit.  Every integer the one-list kernel forms is,
+one for one, the non-zero part of what a kernel on (re, im) pairs of
+lists forms on the same segment (that kernel's other part is exactly 0),
+so these budgets and measurements hold for it unchanged.
 
 Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits +
@@ -247,7 +218,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle
 from operator import add, mul, sub
 from pathlib import Path
 
@@ -568,16 +538,19 @@ def _letter_integrands(s, phase: int, ratios, plan, bits: int):
         yield phase ^ flip, list(map(op, first[flip], second[flip]))
 
 
-def _adjoint_step(v, phase: int, ratios, plan, bits: int, divisors):
-    """Per letter 1, 2, 3: (phase, V_(letter)+s) from i^phase V_s, the transpose
-    of one forward letter.
+def _value_functionals(ratios, plan, bits: int, T: int):
+    """Per letter 1, 2, 3: (phase, W_i), the value at v = +1 of a series'
+    letter integral as a linear functional of the series.
 
-    Integration and the constant term give g_j = (V_{j+1} + (-1)^j V_0) // (j + 1);
-    the products, from the top down, H_m = (H_{m+1} - g_m) half/q from H_T = 0.
+    W_i is the transpose of one forward letter applied to V_() = (1, ..., 1),
+    the value at v = +1: integration and the constant term give
+    g_j = (V_{j+1} + (-1)^j V_0) // (j + 1), which is 2^(P+1) // (j + 1) at
+    even j and 0 at odd j; the products, from the top down,
+    H_m = (H_{m+1} - g_m) half/q from H_T = 0.
     """
-    g = [(x + s) // n for n, x, s in zip(divisors, v[1:], cycle((v[0], -v[0])))]
-    for new_phase, part in _letter_integrands(g[::-1], phase, ratios, plan, bits):
-        yield new_phase, part[::-1] + [0]
+    g = [(2 << bits) // (j + 1) if j % 2 == 0 else 0 for j in range(T)]
+    return [(phase, part[::-1] + [0])
+            for phase, part in _letter_integrands(g[::-1], 0, ratios, plan, bits)]
 
 
 def _dot(s, v) -> tuple[int, int]:
@@ -608,81 +581,11 @@ def _phase_value(phase: int, x: int, scale: int, ctx) -> mpmath.mpc:
     return from_fixed_pair(0, x, scale, ctx) if phase else from_fixed_pair(x, 0, scale, ctx)
 
 
-def _segment_words(cfg: PrecisionConfig, poles, z0, z1, max_length: int) -> tuple[dict, int]:
-    """All word integrals along the straight segment [z0, z1], as integers.
-
-    Returns ({word: (phase, integer)}, scale): word w has the value
-    i^phase integer 2^-scale, scale = 2P, the empty word included.  Series
-    are in v = (z - mid)/half, so the segment is v in [-1, 1].  Words of
-    length <= L // 2 come from forward series, longer ones from a forward
-    prefix dotted with the value functional of a suffix of length
-    L - L // 2; see the module docstring for both halves and the error
-    budget.  The forward and adjoint values, at scale 2^P, are shifted up
-    exactly.
-    """
-    T = _series_terms(cfg)
-    ratios, plan, bits = _segment_ratios(cfg, poles, z0, z1)
-    divisors = range(1, T + 1)
-    forward_depth = max_length // 2
-    adjoint_depth = max_length - forward_depth
-    values = {(): (0, 1 << 2 * bits)}
-    prefixes = []    # (word, (phase, series)), 1 <= |word| <= forward_depth
-
-    def forward(word, phase, s):
-        for letter, (new_phase, child, end) in zip(
-                (1, 2, 3), _integrate(s, phase, ratios, plan, bits)):
-            new_word = word + (letter,)
-            values[new_word] = new_phase, end << bits
-            prefixes.append((new_word, (new_phase, child)))
-            if len(new_word) < forward_depth:
-                forward(new_word, new_phase, child)
-
-    def adjoint(word, phase, v):
-        for letter, u in zip((1, 2, 3), _adjoint_step(v, phase, ratios, plan, bits, divisors)):
-            new_word = (letter,) + word
-            if len(new_word) > forward_depth:
-                # the root series is 1, so a word's value is its V_0
-                values[new_word] = u[0], u[1][0] << bits
-            if len(new_word) < adjoint_depth:
-                adjoint(new_word, *u)
-            else:
-                for prefix, s in prefixes:
-                    values[prefix + new_word] = _dot(s, u)
-
-    if forward_depth:
-        forward((), 0, [1 << bits] + [0] * T)
-    # V_() evaluates a series at v = +1
-    adjoint((), 0, [1 << bits] * (T + 1))
-    return values, 2 * bits
-
-
 def _transport_table(cfg: PrecisionConfig, phi_label: str, poles, segments,
                      max_length: int) -> OmegaTable:
-    """All word integrals along consecutive straight segments [z0, z1].
-
-    Each segment's words come from ``_segment_words``; the segments are
-    glued by the composition rule, value(w) = sum_k left(w[:k]) right(w[k:]),
-    on the integers: exact, with i i = -1, at the sum of the segments'
-    scales, and each word is rounded once, to ``mpc``.
-    """
-    values = scale = None
-    for z0, z1 in segments:
-        right, bits = _segment_words(cfg, poles, z0, z1, max_length)
-        if values is None:
-            values, scale = right, bits
-            continue
-        glued = {}
-        for word, (phase, _) in right.items():
-            total = 0
-            for k in range(len(word) + 1):
-                (left_phase, x), (right_phase, y) = values[word[:k]], right[word[k:]]
-                total += -x * y if left_phase & right_phase else x * y
-            glued[word] = phase, total
-        values, scale = glued, scale + bits
-    ctx = cfg.context
-    return OmegaTable(cfg, phi_label, segments[0][0], segments[-1][1], max_length,
-                      {word: _phase_value(*value, scale, ctx)
-                       for word, value in values.items() if word})
+    """All word integrals along consecutive straight segments [z0, z1]."""
+    values = _transport(cfg, poles, segments, max_length, _word_child)
+    return OmegaTable(cfg, phi_label, segments[0][0], segments[-1][1], max_length, values)
 
 
 def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
@@ -708,31 +611,38 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
     return _transport_table(cfg, pc.phi_label, pc.points, segments, max_length)
 
 
-def _inversion_sign(key: Word, letter: int) -> int:
-    """(-1)^inv: appending ``letter`` to a word with the letters of ``key``
+def _word_child(key: Word, letter: int) -> tuple[Word, int]:
+    """The word ``key`` with ``letter`` appended, with sign +."""
+    return key + (letter,), 1
+
+
+def _multiset_child(key: Word, letter: int) -> tuple[Word, int]:
+    """The multiset ``key`` with ``letter`` added, as a non-decreasing word,
+    and (-1)^inv: appending ``letter`` to a word with the letters of ``key``
     puts it out of order with every larger letter."""
-    return -1 if sum(k > letter for k in key) % 2 else 1
+    return tuple(sorted(key + (letter,))), -1 if sum(k > letter for k in key) % 2 else 1
 
 
-def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
-                      sign=_inversion_sign) -> dict:
-    """sigma at the end of the path for every non-decreasing key, 1 <= |key| <= depth.
+def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict:
+    """The value at the end of the path of every node 1 <= |key| <= depth.
 
-    Layer by layer over the keys: a child's series is the sum over its (at
-    most 3) parents of ``sign(parent, letter)`` times the parent's letter
-    integral (``_integrate``), plus the child's value at the segment start,
-    which the integrals leave in place at v = -1.  The keys of size ``depth``
-    need only that value at v = +1, which is linear in the parent's series:
-    one dot per parent and letter with W_i, the adjoint step
-    (``_adjoint_step``) of V_() = (1, ..., 1).  Every series and value is
-    one integer list or integer at scale 2^P with its phase, i^phase; the
-    phase of a key is fixed by its letters (``_segment_ratios``' plan), so
-    all its parents' terms and its start value share it.  The values stay
+    ``child(key, letter)`` gives the node that ``letter`` leads to from
+    ``key`` and the sign +-1 it enters with: ``_word_child`` makes every
+    word a node, with one parent, and ``_multiset_child`` every letter
+    multiset, whose value is sigma.  Layer by layer over the nodes: a
+    node's series is the signed sum over its parents of the parent's letter
+    integral (``_integrate``), plus the node's value at the segment start,
+    which the integrals leave in place at v = -1.  The nodes of size
+    ``depth`` need only that value at v = +1, which is linear in the
+    parent's series: one dot per parent and letter with the value
+    functional W_i (``_value_functionals``).  Every series and value is one
+    integer list or integer at scale 2^P with its phase, i^phase; the phase
+    of a node is fixed by its letters (``_segment_ratios``' plan), so all
+    its parents' terms and its start value share it.  The values stay
     integers from segment to segment and are converted once, at the end.
     """
     ctx = cfg.context
     T = _series_terms(cfg)
-    divisors = range(1, T + 1)
     start: dict = {}      # key -> (phase, its value at the segment start at scale 2^P)
     for z0, z1 in segments:
         ratios, plan, bits = _segment_ratios(cfg, poles, z0, z1)
@@ -743,27 +653,27 @@ def _signed_transport(cfg: PrecisionConfig, poles, segments, depth: int,
             for key, (phase, s) in layer.items():
                 for letter, (c_phase, c, e) in zip(
                         (1, 2, 3), _integrate(s, phase, ratios, plan, bits)):
-                    child = tuple(sorted(key + (letter,)))
-                    if child not in children:
-                        # the child starts as the constant of its sigma at the segment start
-                        s0 = start.get(child, (c_phase, 0))[1]
-                        children[child] = c_phase, [s0] + [0] * T, s0
-                    op = add if sign(key, letter) > 0 else sub
-                    _, a, a_end = children[child]
-                    children[child] = c_phase, list(map(op, a, c)), op(a_end, e)
-            layer = {child: acc[:2] for child, acc in children.items()}
-            end.update((child, (acc[0], acc[2])) for child, acc in children.items())
-        functionals = list(_adjoint_step([1 << bits] * (T + 1), 0, ratios, plan, bits, divisors))
+                    node, sign = child(key, letter)
+                    if node not in children:
+                        # the node starts as the constant of its value at the segment start
+                        s0 = start.get(node, (c_phase, 0))[1]
+                        children[node] = c_phase, [s0] + [0] * T, s0
+                    op = add if sign > 0 else sub
+                    _, a, a_end = children[node]
+                    children[node] = c_phase, list(map(op, a, c)), op(a_end, e)
+            layer = {node: acc[:2] for node, acc in children.items()}
+            end.update((node, (acc[0], acc[2])) for node, acc in children.items())
+        functionals = _value_functionals(ratios, plan, bits, T)
         last: dict = {}       # key of size depth -> (phase, its end value at scale 2^2P)
         for key, s in layer.items():
             for letter, w in zip((1, 2, 3), functionals):
-                child = tuple(sorted(key + (letter,)))
+                node, sign = child(key, letter)
                 phase, e = _dot(s, w)
-                if child not in last:
-                    last[child] = phase, start.get(child, (phase, 0))[1] << bits
-                op = add if sign(key, letter) > 0 else sub
-                last[child] = phase, op(last[child][1], e)
-        end.update((child, (phase, x >> bits)) for child, (phase, x) in last.items())
+                if node not in last:
+                    last[node] = phase, start.get(node, (phase, 0))[1] << bits
+                op = add if sign > 0 else sub
+                last[node] = phase, op(last[node][1], e)
+        end.update((node, (phase, x >> bits)) for node, (phase, x) in last.items())
         start = end
     return {key: _phase_value(phase, x, bits, ctx) for key, (phase, x) in start.items()}
 
@@ -775,7 +685,7 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
     cfg = cfg or PrecisionConfig()
     pc, segments = _path(endpoint, phi, depth, cfg)
     return SignedTable(cfg, pc.phi_label, endpoint, depth,
-                       _signed_transport(cfg, pc.points, segments, depth))
+                       _transport(cfg, pc.points, segments, depth, _multiset_child))
 
 
 # ---------------------------------------------------------------------------

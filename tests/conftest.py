@@ -6,7 +6,7 @@ from lawsonarea.precision import PrecisionConfig
 
 def pytest_addoption(parser):
     parser.addoption("--skip-stretch", action="store_true", default=False,
-                     help="skip the stretch-gated order-7 checks")
+                     help="skip the stretch checks (acceptance criteria 7 and 10)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -110,7 +110,6 @@ def test_criterion_6_alpha5(cfg40, signed40_pi4_L7):
 
 
 @pytest.mark.stretch
-@pytest.mark.slow
 def test_criterion_7_alpha7_stretch(cfg40):
     ctx = cfg40.context
     budget = 10

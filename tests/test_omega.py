@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -335,15 +336,10 @@ def test_segment_table_matches_single_word_transport(phi, depth):
             assert abs(table.value(word) - _single_word(word, phi, CFG)) < CFG.eps(2), word
 
 
-def test_segment_tables_of_two_depths_agree():
-    """Depths 6 and 7 split words differently between the two halves."""
-    shallow, deep = _half_segment("1.2", 6), _half_segment("1.2", 7)
-    for word in shallow.words():
-        assert abs(shallow.value(word) - deep.value(word)) < CFG.eps(2), word
-
-
 def test_shuffle_of_short_and_long_words_on_one_segment():
-    """Products of a forward word (length <= 4) and a dot word (length >= 5)."""
+    """Products of a word of length <= 2 and one of length 5 or 6: their
+    shuffles, of length 7 or 8, include words of the last layer, read off the
+    value functionals."""
     table = _half_segment("pi/4", 8)
     rng = random.Random(1)
     for _ in range(6):
@@ -384,13 +380,44 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
     the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
     depth = 6
     pc, segments = omega._path("1", "pi/4", depth, CFG)
-    plus = omega._signed_transport(CFG, pc.points, segments, depth,
-                                   sign=lambda key, letter: 1)
+    plus = omega._transport(CFG, pc.points, segments, depth,
+                            lambda key, letter: (tuple(sorted(key + (letter,))), 1))
     letters = [plus[(i,)] for i in (1, 2, 3)]
     for key, value in plus.items():
         counts = [key.count(i) for i in (1, 2, 3)]
         expected = math.prod(v ** c / math.factorial(c) for v, c in zip(letters, counts))
         assert abs(value - expected) < CFG.eps(2), key
+
+
+@pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 6), ("i", "1.2", 5)])
+def test_repeated_letter_words_equal_their_signed_sums(endpoint, phi, depth, tables):
+    """The word i^k is the one word of its letter counts and is in order, so
+    sigma equals its integral; both tables transport it from the same parent
+    series by the same driver, so the two values are equal to the bit."""
+    words = tables.get(endpoint, phi, depth, CFG)
+    signed = tables.signed(endpoint, phi, depth, CFG)
+    for letter in (1, 2, 3):
+        for k in range(1, depth + 1):
+            assert words.value((letter,) * k) == signed.value((letter,) * k), (letter, k)
+
+
+def test_one_driver_builds_both_tables(monkeypatch):
+    """Per segment, both table kinds take one forward step per node shorter
+    than depth - 1, one set of value functionals and one dot per node of
+    size depth - 1 and letter: 3^n words and C(n + 2, 2) multisets of size n."""
+    depth = 4
+    counts = collections.Counter()
+    for name in ("_integrate", "_value_functionals", "_dot"):
+        monkeypatch.setattr(omega, name, lambda *args, _name=name, _fn=getattr(omega, name):
+                            counts.update([_name]) or _fn(*args))
+    segments = len(omega._path("1", "pi/4", depth, CFG)[1])
+    for build, nodes in ((build_table, lambda n: 3 ** n),
+                         (build_signed_table, lambda n: math.comb(n + 2, 2))):
+        counts.clear()
+        build("1", "pi/4", depth, CFG)
+        assert counts == {"_integrate": segments * sum(map(nodes, range(depth - 1))),
+                          "_value_functionals": segments,
+                          "_dot": segments * 3 * nodes(depth - 1)}, build
 
 
 def _geometric_product(s_re, s_im, ratio, bits):
@@ -479,12 +506,18 @@ def test_letter_plan_rejects_a_mixed_letter(monkeypatch):
         build_signed_table("1", "pi/4", 2, CFG)
 
 
-@pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 6), ("i", "1.2", 5)])
-def test_last_signed_layer_matches_a_forward_step(endpoint, phi, depth):
-    """Keys of size ``depth`` come from value functionals at depth ``depth``
-    and from forward steps at depth ``depth + 1``."""
-    shallow = build_signed_table(endpoint, phi, depth, CFG)
-    deep = build_signed_table(endpoint, phi, depth + 1, CFG)
+@pytest.mark.parametrize("kind,endpoint,phi,depth", [
+    pytest.param("signed", "1", "pi/4", 6, id="1-pi/4-6"),
+    pytest.param("signed", "i", "1.2", 5, id="i-1.2-5"),
+    pytest.param("get", "1", "pi/4", 6, id="words-1-pi/4-6"),
+    pytest.param("get", "i", "1.2", 5, id="words-i-1.2-5")])
+def test_last_signed_layer_matches_a_forward_step(kind, endpoint, phi, depth, tables):
+    """Keys of size ``depth``, of a signed or a word table, come from value
+    functionals at depth ``depth`` and from forward steps at depth
+    ``depth + 1``."""
+    build = getattr(tables, kind)
+    shallow = build(endpoint, phi, depth, CFG)
+    deep = build(endpoint, phi, depth + 1, CFG)
     assert shallow.values.keys() <= deep.values.keys()
     for key, value in shallow.values.items():
         assert abs(value - deep.value(key)) < CFG.eps(2), key
