@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -72,11 +71,8 @@ def _cmd_expand(args) -> int:
         first = engine.first_order_general_phi(phi, cfg)
         payload = {
             "version": 1, "phi": phi, "precision": digits, "order": 1,
-            "first_order": {
-                name: _nstr(getattr(first, name), digits)
-                for name in ("a0", "a2", "b0", "b2", "c0", "c2", "r1", "theta1",
-                             "mean_curvature_slope", "willmore_slope", "area_slope")
-            },
+            "first_order": {name: _nstr(getattr(first, name), digits)
+                            for name in first.FIELDS},
         }
         if args.format == "json":
             print(json.dumps(payload, indent=2))
@@ -164,8 +160,9 @@ def _parse_mpl_arg(token: str, ctx):
     if low in ("-i", "-j", "-1j"):
         return ctx.mpc(0, -1)
     if low.startswith("u:"):
-        q = Fraction(low[2:])
-        return ctx.expjpi(ctx.mpf(q.numerator) / q.denominator)
+        num, _, den = low[2:].partition("/")
+        n, d = omega.parse_ratio(num, den, f"polylogarithm argument {token!r}", "u:n/d")
+        return ctx.expjpi(ctx.mpf(n) / d)
     try:
         if low.endswith("j"):
             body = t[:-1]

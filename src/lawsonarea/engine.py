@@ -41,7 +41,6 @@ general phi is available in closed form, no recursion needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -71,24 +70,29 @@ def _mat_mul(m1, m2):
         for i in range(2))
 
 
-@dataclass
 class DerivativeState:
-    """Derivatives of (a, b, c, r) and the frame, complete through ``order``."""
+    """Derivatives of (a, b, c, r) and the frame, complete through ``order``.
 
-    cfg: PrecisionConfig
-    phi_label: str
-    order: int
-    a: list
-    b: list
-    c: list
-    r: list
-    frames: list          # frames[m] = P^(m) at z = 1, m = 0..order+1
-    diagnostics: list = field(default_factory=list)
-    # Built from solved orders only, so never stale: (i, k) -> y_i^(k), and
-    # per letter multiset (a non-decreasing word) the list of t-derivatives
-    # of its product of y, as {degree: int} maps at ``frame_lower``'s scale.
-    _ys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    ``frames[m]`` is P^(m) at z = 1, m = 0..order+1.  The two private maps are
+    built from solved orders only, so never stale: ``_ys`` maps (i, k) to
+    y_i^(k), and ``_products`` maps each letter multiset (a non-decreasing
+    word) to the list of t-derivatives of its product of y, as
+    {degree: int} maps at ``frame_lower``'s scale.
+    """
+
+    __slots__ = ("cfg", "phi_label", "order", "a", "b", "c", "r", "frames",
+                 "diagnostics", "_ys", "_products")
+
+    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int, a: list,
+                 b: list, c: list, r: list, frames: list):
+        self.cfg = cfg
+        self.phi_label = phi_label
+        self.order = order
+        self.a, self.b, self.c, self.r = a, b, c, r
+        self.frames = frames
+        self.diagnostics = []
+        self._ys = {}
+        self._products = {}
 
     def x(self, i: int, k: int) -> LaurentPoly:
         return (self.a, self.b, self.c)[i - 1][k]
@@ -495,19 +499,29 @@ def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
 # area / Willmore / mean curvature series
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ExpansionResult:
-    """Taylor data of the area and Willmore energy at t = 0."""
+    """Taylor data of the area and Willmore energy at t = 0.
 
-    cfg: PrecisionConfig
-    phi_label: str
-    order: int
-    alphas: list                 # alpha_k, k = 1..order (real)
-    willmore: list               # Willmore coefficients (equal at pi/4)
-    mean_curvature: list         # H-series coefficients (zero at pi/4)
-    imag_residual: object
-    even_alpha_residual: object
-    diagnostics: list
+    ``alphas`` holds the real alpha_k, k = 1..order; ``willmore`` the Willmore
+    coefficients (equal to the alphas at pi/4) and ``mean_curvature`` the
+    H-series coefficients (zero at pi/4).
+    """
+
+    __slots__ = ("cfg", "phi_label", "order", "alphas", "willmore", "mean_curvature",
+                 "imag_residual", "even_alpha_residual", "diagnostics")
+
+    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int, alphas: list,
+                 willmore: list, mean_curvature: list, imag_residual, even_alpha_residual,
+                 diagnostics: list):
+        self.cfg = cfg
+        self.phi_label = phi_label
+        self.order = order
+        self.alphas = alphas
+        self.willmore = willmore
+        self.mean_curvature = mean_curvature
+        self.imag_residual = imag_residual
+        self.even_alpha_residual = even_alpha_residual
+        self.diagnostics = diagnostics
 
     def alpha(self, k: int):
         return self.alphas[k - 1]
@@ -588,22 +602,18 @@ def expand(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
 # first order at general phi (closed forms)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FirstOrderData:
     """Closed-form first derivatives of all parameters at t = 0."""
 
-    phi_label: str
-    a0: object
-    a2: object
-    b0: object
-    b2: object
-    c0: object
-    c2: object
-    r1: object
-    theta1: object
-    mean_curvature_slope: object
-    willmore_slope: object
-    area_slope: object
+    # the slopes ``cli`` prints by name, in its order
+    FIELDS = ("a0", "a2", "b0", "b2", "c0", "c2", "r1", "theta1",
+              "mean_curvature_slope", "willmore_slope", "area_slope")
+    __slots__ = ("phi_label",) + FIELDS
+
+    def __init__(self, *, phi_label: str, **values):
+        self.phi_label = phi_label
+        for name in self.FIELDS:
+            setattr(self, name, values[name])
 
     def a_poly(self, cfg: PrecisionConfig) -> LaurentPoly:
         return LaurentPoly(cfg, {0: self.a0, 2: self.a2})

@@ -20,7 +20,7 @@ and a scalar remainder).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 import mpmath
 

@@ -80,13 +80,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import mpmath
 
 from .omega import FORM_COEFFS, punctures
-from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
+from .precision import FrozenValue, PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word
 
 _DIRECT_SERIES_LIMIT = 0.70   # largest partial-product modulus for direct summation
@@ -98,19 +97,19 @@ class DivergentSeriesError(ValueError):
     """The requested polylogarithm lies outside the convergence region."""
 
 
-@dataclass(frozen=True)
-class MplSpec:
-    """Index string and arguments of one multiple polylogarithm."""
+class MplSpec(FrozenValue):
+    """Index string and arguments of one multiple polylogarithm; ``li``'s memo key."""
 
-    indices: tuple[int, ...]
-    args: tuple
+    __slots__ = ("indices", "args")
 
-    def __post_init__(self):
-        if len(self.indices) != len(self.args):
+    def __init__(self, indices: tuple[int, ...], args: tuple):
+        if len(indices) != len(args):
             raise ValueError("indices and arguments must have equal depth")
-        for n in self.indices:
+        for n in indices:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"indices must be positive integers, got {n!r}")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "args", args)
 
     @property
     def depth(self) -> int:
@@ -330,7 +329,7 @@ def _split_value(word: list, cfg: PrecisionConfig):
 def li(spec: MplSpec, cfg: PrecisionConfig):
     """Value of the convergent nested sum, to the config's target precision.
 
-    Memoised per (``MplSpec``, ``PrecisionConfig``), both frozen and hashable:
+    Memoised per (``MplSpec``, ``PrecisionConfig``), both immutable and equal by value:
     the terms of ``convert_word`` depend only on the pole assignment, so the
     words at one angle share their polylogarithms.  Errors are not cached.
     The nested sum has real coefficients, so Li(conj z) = conj Li(z)
@@ -368,11 +367,13 @@ def li(spec: MplSpec, cfg: PrecisionConfig):
 # iterated-integral words -> polylogarithms (oracle for the transport tables)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SignedMplSum:
-    """Integer-signed combination of polylogarithm terms."""
+    """Integer-signed combination of polylogarithm terms: (coefficient, ``MplSpec``) pairs."""
 
-    terms: tuple[tuple[int, MplSpec], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, MplSpec], ...]):
+        self.terms = terms
 
     def value(self, cfg: PrecisionConfig):
         """The signed sum, accumulated exactly and rounded once."""

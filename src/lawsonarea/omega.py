@@ -216,8 +216,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add, mul, sub
 from pathlib import Path
 
@@ -255,8 +253,8 @@ def parse_phi(text, cfg: PrecisionConfig):
         raise TypeError("phi must be given as an exact string (e.g. 'pi/4' or '0.3')")
     s = str(text).strip().replace(" ", "")
     if "pi" in s:
-        frac = _pi_fraction(s)
-        value = ctx.pi * frac.numerator / frac.denominator
+        num, den = _pi_fraction(s)
+        value = ctx.pi * num / den
     else:
         value = ctx.mpf(s)
     if not (0 < value < ctx.pi / 2):
@@ -264,13 +262,29 @@ def parse_phi(text, cfg: PrecisionConfig):
     return value
 
 
-def _pi_fraction(s: str) -> Fraction:
-    """The rational q of a spaceless description "q*pi", "pi/d" or "n*pi/d"."""
+def _pi_fraction(s: str) -> tuple[int, int]:
+    """The rational n/d of a spaceless description "n*pi", "pi/d" or "n*pi/d";
+    n may be a bare sign or left out."""
     num, _, den = s.partition("pi")
     num = num.rstrip("*")
-    den = den.lstrip("/")
-    return Fraction(int(num) if num and num != "+" else (-1 if num == "-" else 1),
-                    int(den) if den else 1)
+    return parse_ratio(num + "1" if num in ("", "+", "-") else num, den.lstrip("/"),
+                       f"phi {s!r}", "n*pi/d")
+
+
+def parse_ratio(num: str, den: str, label: str, form: str) -> tuple[int, int]:
+    """The integer literals num and den (den "" meaning 1) as n/d in lowest
+    terms with d > 0; a ValueError names ``label`` and its ``form`` otherwise."""
+    try:
+        n, d = int(num), int(den or 1)
+        if d < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{label} is not of the form {form} with integers n and d > 0") \
+            from None
+    if d == 0:
+        raise ValueError(f"{label} has a zero denominator")
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def canonical_phi(text) -> str:
@@ -283,9 +297,9 @@ def canonical_phi(text) -> str:
     s = str(text).strip().replace(" ", "")
     if "pi" not in s:
         return s
-    frac = _pi_fraction(s)
-    label = "pi" if frac.numerator == 1 else f"{frac.numerator}*pi"
-    return label if frac.denominator == 1 else f"{label}/{frac.denominator}"
+    num, den = _pi_fraction(s)
+    label = "pi" if num == 1 else f"{num}*pi"
+    return label if den == 1 else f"{label}/{den}"
 
 
 def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
@@ -315,19 +329,16 @@ def punctures(phi, cfg: PrecisionConfig) -> tuple:
     return (p1, p2, -p1, -p2)
 
 
-@dataclass(frozen=True)
 class PunctureConfig:
     """The four simple poles e^{i phi}, -e^{-i phi} and their negatives."""
 
-    phi_label: str
-    cfg: PrecisionConfig
-    phi: object = field(init=False, default=None)
-    points: tuple = field(init=False, default=None)
+    __slots__ = ("phi_label", "cfg", "phi", "points")
 
-    def __post_init__(self):
-        phi = parse_phi(self.phi_label, self.cfg)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "points", punctures(phi, self.cfg))
+    def __init__(self, phi_label: str, cfg: PrecisionConfig):
+        self.phi_label = phi_label
+        self.cfg = cfg
+        self.phi = parse_phi(phi_label, cfg)
+        self.points = punctures(self.phi, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,57 @@ computation can be replayed at a second precision for a self-check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import mpmath
 from mpmath.libmp import to_fixed
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
+class FrozenValue:
+    """An immutable value over its ``__slots__``: equal fields compare and hash
+    alike, so a subclass can key a memo.  ``__init__`` sets the fields with
+    ``object.__setattr__``; assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PrecisionConfig(FrozenValue):
     """Requested output precision plus guard digits for intermediate work.
 
     ``target_digits`` is what the caller may rely on; arithmetic happens at
-    ``working_digits = target_digits + guard_digits``.
+    ``working_digits = target_digits + guard_digits``.  Configs key the ``li``
+    memo and the per-config ``lru_cache`` tables.
     """
 
-    target_digits: int = 40
-    guard_digits: int = 10
+    __slots__ = ("target_digits", "guard_digits")
 
-    def __post_init__(self) -> None:
-        if self.target_digits < 10:
-            raise ValueError(f"target_digits must be >= 10, got {self.target_digits}")
-        if self.guard_digits < 10:
-            raise ValueError(f"guard_digits must be >= 10, got {self.guard_digits}")
+    def __init__(self, target_digits: int = 40, guard_digits: int = 10) -> None:
+        if target_digits < 10:
+            raise ValueError(f"target_digits must be >= 10, got {target_digits}")
+        if guard_digits < 10:
+            raise ValueError(f"guard_digits must be >= 10, got {guard_digits}")
+        object.__setattr__(self, "target_digits", target_digits)
+        object.__setattr__(self, "guard_digits", guard_digits)
 
     @property
     def working_digits(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 
 import mpmath
 
@@ -19,22 +18,27 @@ from .precision import PrecisionConfig
 from .words import letter, shuffle, stuffle
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    expected: str
-    computed: str
-    residual: object
-    passed: bool
-    stretch: bool = False
+    __slots__ = ("check_id", "expected", "computed", "residual", "passed", "stretch")
+
+    def __init__(self, *, check_id: str, expected: str, computed: str, residual,
+                 passed: bool, stretch: bool = False):
+        self.check_id = check_id
+        self.expected = expected
+        self.computed = computed
+        self.residual = residual
+        self.passed = passed
+        self.stretch = stretch
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    precision: int
-    tolerance: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("suite", "precision", "tolerance", "checks")
+
+    def __init__(self, suite: str, precision: int, tolerance: str):
+        self.suite = suite
+        self.precision = precision
+        self.tolerance = tolerance
+        self.checks = []
 
     def add(self, check_id: str, expected, computed, cfg: PrecisionConfig,
             tol, stretch: bool = False) -> None:

@@ -9,8 +9,9 @@ extra term merging two letters into one position.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 Word = tuple[int, ...]
 LinComb = dict[Word, int]
@@ -58,11 +59,13 @@ def shuffle(w1: Sequence[int], w2: Sequence[int]) -> LinComb:
     return dict(_shuffle_cached(tuple(w1), tuple(w2)))
 
 
-class MplLetter(NamedTuple):
-    """One letter Z_{n,z} of the nested-sum alphabet: weight n, argument z."""
+class MplLetter(namedtuple("MplLetter", "n z")):
+    """One letter Z_{n,z} of the nested-sum alphabet: weight n, argument z.
 
-    n: int
-    z: object  # an mpmath complex (hashable); products happen during stuffle
+    z is an mpmath complex (hashable); products happen during stuffle.
+    """
+
+    __slots__ = ()
 
     def merged(self, other: "MplLetter") -> "MplLetter":
         return MplLetter(self.n + other.n, self.z * other.z)

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import lawsonarea
 from lawsonarea.cli import main
+from lawsonarea.precision import PrecisionConfig
 
 
 def run_cli(capsys, *argv):
@@ -164,27 +166,88 @@ def test_verify_unknown_suite_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
-def test_expand_imports_neither_verify_nor_mpl(tmp_path):
-    """``expand`` loads only the modules it runs, and every public name of the
-    package still resolves."""
-    script = f"""
+def run_fresh(argv, **env):
+    """``argv`` in a fresh interpreter that finds this package first."""
+    src = str(Path(lawsonarea.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+# Standard modules that cost start-up time; a run may load one only if the
+# interpreter loads it anyway for ``import mpmath, argparse, json``.
+_HEAVY_PRELUDE = """
 import sys
+import mpmath, argparse, json
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+preloaded = {m for m in HEAVY if m in sys.modules}
+def assert_no_heavy_imports():
+    heavy = sorted(m for m in HEAVY if m in sys.modules and m not in preloaded)
+    assert not heavy, heavy
+"""
+
+
+def test_expand_imports_neither_verify_nor_mpl(tmp_path):
+    """``expand`` loads only the modules it runs, none of the heavy standard
+    ones, and every public name of the package still resolves."""
+    script = _HEAVY_PRELUDE + f"""
 import lawsonarea
 from lawsonarea.cli import main
 assert main(["expand", "--order", "1", "--precision", "20",
              "--cache-dir", {str(tmp_path)!r}]) == 0
 loaded = sorted(m for m in ("lawsonarea.verify", "lawsonarea.mpl") if m in sys.modules)
 assert not loaded, loaded
+assert_no_heavy_imports()
 for name in lawsonarea.__all__:
     getattr(lawsonarea, name)
 assert "lawsonarea.verify" not in sys.modules
 """
-    src = str(Path(lawsonarea.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = run_fresh(["-c", script])
     assert done.returncode == 0, done.stderr
+
+
+def test_oracle_routes_import_no_heavy_modules():
+    """Transport, quadrature and polylogarithms on one word, as the oracle
+    triangle runs them, load none of the heavy standard modules."""
+    script = _HEAVY_PRELUDE + """
+from lawsonarea import mpl, omega
+from lawsonarea.precision import PrecisionConfig
+cfg = PrecisionConfig(20)
+routes = (omega.build_table("1", "pi/6", 1, cfg).value((1,)),
+          omega.quadrature_oracle((1,), "1", "pi/6", cfg),
+          mpl.convert_word((1,), omega.parse_phi("pi/6", cfg), cfg).value(cfg))
+assert max(abs(v - routes[0]) for v in routes) < cfg.eps(4), routes
+assert_no_heavy_imports()
+"""
+    done = run_fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point_prints_alpha1(tmp_path):
+    """``python -m lawsonarea``, the entry point the benchmark times."""
+    done = run_fresh(["-m", "lawsonarea", "expand", "--order", "1", "--precision", "20",
+                      "--format", "json"], LAWSONAREA_CACHE_DIR=str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    ctx = PrecisionConfig(40).context
+    assert json.loads(done.stdout)["alpha_t"] == [mpmath.nstr(ctx.ln(2), 20)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["expand", "--order", "2", "--phi", "pi/0"], 1, "phi 'pi/0' has a zero denominator"),
+    (["omega", "--word", "1", "--phi", "pi/0"], 1, "phi 'pi/0' has a zero denominator"),
+    (["mpl", "--indices", "1", "--args", "u:1/0"], 2,
+     "polylogarithm argument 'u:1/0' has a zero denominator"),
+    (["expand", "--order", "2", "--phi", "pi/4/2"], 1,
+     "phi 'pi/4/2' is not of the form n*pi/d with integers n and d > 0"),
+    (["expand", "--order", "2", "--phi", "-pi/-6"], 1,
+     "phi '-pi/-6' is not of the form n*pi/d with integers n and d > 0"),
+    (["mpl", "--indices", "2", "--args", "u:1/2/3"], 2,
+     "polylogarithm argument 'u:1/2/3' is not of the form u:n/d with integers n and d > 0"),
+], ids=["expand-zero", "omega-zero", "mpl-zero", "expand-two-slashes", "expand-signed-d",
+        "mpl-two-slashes"])
+def test_zero_or_malformed_denominator_is_one_error_line(capsys, argv, code, message):
+    assert run_cli(capsys, *argv, "--precision", "20") == (code, "", f"error: {message}\n")
 
 
 def test_cache_list_and_clear(capsys, tmp_path):

@@ -47,6 +47,17 @@ def test_first_order_values_at_pi4():
     assert abs(first.area_slope + 8 * CTX.pi * log2) < CFG.eps(4)
 
 
+def test_first_order_data_has_the_fields_the_cli_prints():
+    """``cli._cmd_expand`` reads these by name, in this order."""
+    first = first_order_general_phi(" pi/6 ", CFG)
+    names = ("a0", "a2", "b0", "b2", "c0", "c2", "r1", "theta1",
+             "mean_curvature_slope", "willmore_slope", "area_slope")
+    assert first.FIELDS == names
+    assert all(isinstance(getattr(first, name), CTX.mpf) for name in names)
+    assert first.phi_label == "pi/6"
+    assert first.b_poly(CFG).coefficient(2) == first.b2
+
+
 def test_first_order_general_phi_signs():
     first = first_order_general_phi("pi/6", CFG)
     expected = -2 * CTX.sin(CTX.pi / 3) * CTX.ln(CTX.tan(CTX.pi / 6))

@@ -239,3 +239,23 @@ def test_li_keeps_real_specs_and_its_cache():
     spec = mpl_spec([2], [cfg.context.mpc("0.3", "-0.4")], cfg)
     li(spec, cfg)
     assert li.cache_info().currsize == 3      # the spec and its mirror
+
+
+def test_mpl_spec_validates_and_keys_the_li_memo():
+    cfg = PrecisionConfig(30)
+    z = cfg.context.mpc("0.5")
+    with pytest.raises(ValueError, match="equal depth"):
+        MplSpec((1, 2), (z,))
+    for bad in (0, -1, 1.0):
+        with pytest.raises(ValueError, match="positive integers"):
+            MplSpec((bad,), (z,))
+    li.cache_clear()
+    spec = mpl_spec([2], [z], cfg)
+    value = li(spec, cfg)
+    equal = MplSpec((2,), (cfg.context.mpc("0.5"),))
+    assert equal is not spec and equal == spec and hash(equal) == hash(spec)
+    assert li(equal, cfg) is value
+    assert (li.cache_info().hits, li.cache_info().currsize) == (1, 1)
+    assert equal != MplSpec((1,), (z,))
+    with pytest.raises(AttributeError):
+        spec.indices = (3,)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -29,12 +30,29 @@ def test_parse_phi():
     assert abs(parse_phi("pi/4", CFG) - CTX.pi / 4) == 0
     assert abs(parse_phi("3*pi/8", CFG) - 3 * CTX.pi / 8) == 0
     assert abs(parse_phi("0.3", CFG) - CTX.mpf("0.3")) == 0
+    assert abs(parse_phi("2*pi/8", CFG) - CTX.pi / 4) == 0
     with pytest.raises(ValueError):
         parse_phi("pi/2", CFG)
+    with pytest.raises(ValueError, match="strictly between"):
+        parse_phi("-pi/6", CFG)
     with pytest.raises(ValueError):
         parse_phi("0", CFG)
     with pytest.raises(TypeError):
         parse_phi(0.4, CFG)
+
+
+@pytest.mark.parametrize("label, reason", [
+    ("pi/0", "has a zero denominator"),
+    ("3*pi/0", "has a zero denominator"),
+    ("pi/4/2", "is not of the form n*pi/d"),
+    ("-pi/-6", "is not of the form n*pi/d"),
+    ("x*pi/4", "is not of the form n*pi/d"),
+])
+def test_phi_with_zero_or_malformed_denominator_is_a_value_error(label, reason):
+    """Both parsers name the bad phi in one ValueError, not a ZeroDivisionError."""
+    for parse in (lambda text: parse_phi(text, CFG), canonical_phi):
+        with pytest.raises(ValueError, match=re.escape(f"phi {label!r} {reason}")):
+            parse(label)
 
 
 def test_weight1_closed_forms_general_phi(tables):
@@ -625,9 +643,10 @@ def test_is_pi_over_4():
 
 def test_phi_spellings_share_one_cache_file(tmp_path):
     cfg = PrecisionConfig(20)
-    assert [canonical_phi(label) for label in ("pi/4", "1*pi/4", " pi/4 ", "2*pi/8")] \
-        == ["pi/4"] * 4
+    labels = ("pi/4", "1*pi/4", " pi/4 ", "2*pi/8", " pi / 4 ", "+pi/4")
+    assert [canonical_phi(label) for label in labels] == ["pi/4"] * len(labels)
     assert canonical_phi("3*pi/8") == "3*pi/8" and canonical_phi(" 0.3 ") == "0.3"
+    assert canonical_phi("6*pi/9") == "2*pi/3" and canonical_phi("-pi/6") == "-1*pi/6"
     # the existing name of pi/4 is kept, so caches written before stay valid
     assert (_cache_path(tmp_path, "1", "pi/4", 2, cfg).name
             == "omega_end1_phipi_over_4_L2_d20_g10.json")

@@ -69,11 +69,30 @@ def test_zeta_domain():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target_digits must be >= 10, got 9"):
         PrecisionConfig(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="guard_digits must be >= 10, got 5"):
         PrecisionConfig(40, guard_digits=5)
     assert PrecisionConfig(40).working_digits == 50
+    assert PrecisionConfig(10, 10).working_digits == 20
+
+
+def test_config_is_an_immutable_value():
+    """Equal configs compare and hash alike (they key ``li`` and the table
+    memos), and no field can be changed after construction."""
+    cfg = PrecisionConfig()
+    assert (cfg.target_digits, cfg.guard_digits) == (40, 10)
+    same = PrecisionConfig(target_digits=40, guard_digits=10)
+    assert cfg == same and hash(cfg) == hash(same) and len({cfg, same}) == 1
+    assert cfg != PrecisionConfig(40, 12) and cfg != PrecisionConfig(41)
+    assert cfg != (40, 10)
+    for change in (lambda: setattr(cfg, "target_digits", 50),
+                   lambda: setattr(cfg, "extra", 1),
+                   lambda: delattr(cfg, "guard_digits")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (cfg.target_digits, cfg.guard_digits) == (40, 10)
+    assert repr(PrecisionConfig(30, 12)) == "PrecisionConfig(target_digits=30, guard_digits=12)"
 
 
 @pytest.mark.parametrize("digits", [20, 40, 120])
