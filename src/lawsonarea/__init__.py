@@ -25,9 +25,8 @@ _EXPORTS = {
     "laurent": ("LaurentMatrix2", "LaurentPoly"),
     "mpl": ("DivergentSeriesError", "MplSpec", "SignedMplSum", "convert_word", "li",
             "mpl_spec", "zeta_signed"),
-    "omega": ("OmegaTable", "PunctureConfig", "SignedTable", "build_signed_table",
-              "build_table", "cached_table", "chen_compose", "clear_cache", "list_cache",
-              "parse_phi", "quadrature_oracle"),
+    "omega": ("OmegaTable", "SignedTable", "build_signed_table", "build_table",
+              "cached_table", "chen_compose", "parse_phi", "quadrature_oracle"),
     "precision": ("PrecisionConfig", "agreement_digits", "constant", "zeta"),
     "words": ("MplLetter", "letter", "parse_word", "shuffle", "stuffle"),
 }

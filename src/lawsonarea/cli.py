@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``expand`` (area/Willmore series), ``omega`` (one word
-integral), ``mpl`` (one polylogarithm), ``verify`` (identity suites), and
-``cache`` (list/clear the on-disk table cache).  All numeric output is
-rendered from the arbitrary-precision values directly; nothing passes
-through a machine float.  Exit codes: 0 success, 1 check failure, 2 usage
-error.
+integral), ``mpl`` (one polylogarithm) and ``verify`` (identity suites).
+Only ``expand --cache-dir DIR`` reads or writes a file of tables; every
+other run builds its tables in process.  All numeric output is rendered
+from the arbitrary-precision values directly; nothing passes through a
+machine float.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ _FORMATS = ("table", "json", "csv")
 
 def _cfg(args) -> PrecisionConfig:
     return PrecisionConfig(target_digits=args.precision)
-
-
-def _cache_dir(args) -> Path | None:
-    """The ``--cache-dir`` override, or None for ``omega.default_cache_dir``."""
-    return Path(args.cache_dir) if args.cache_dir else None
 
 
 def _nstr(value, digits: int) -> str:
@@ -87,7 +82,7 @@ def _cmd_expand(args) -> int:
         _write_artifact(args, payload)
         return 0
 
-    state = engine.run(args.order, cfg, phi=phi, cache_dir=_cache_dir(args))
+    state = engine.run(args.order, cfg, phi=phi, cache_dir=args.cache_dir or None)
     result = engine.area_series(state)
     payload = result.to_jsonable()
     payload["derivatives"] = state.derivatives_jsonable()
@@ -213,32 +208,13 @@ def _cmd_verify(args) -> int:
     from . import verify
     cfg = _cfg(args)
     names = args.suite or list(SUITE_NAMES)
-    reports = verify.run_suites(names, cfg, seed=args.seed, stretch=args.stretch,
-                                cache_dir=_cache_dir(args))
+    reports = verify.run_suites(names, cfg, seed=args.seed, stretch=args.stretch)
     if args.format == "json":
         print(verify.reports_to_json(reports))
     else:
         for rep in reports:
             print(rep.render())
     return 0 if all(rep.passed for rep in reports) else 1
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def _cmd_cache(args) -> int:
-    cache_dir = _cache_dir(args) or omega.default_cache_dir()
-    if args.cache_action == "list":
-        paths = omega.list_cache(cache_dir)
-        if not paths:
-            print(f"cache {cache_dir}: empty")
-        for p in paths:
-            print(p)
-        return 0
-    removed = omega.clear_cache(cache_dir)
-    print(f"removed {removed} cached table(s) from {cache_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterated integrals and multiple polylogarithms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phi_default="pi/4", cache_dir=True):
+    def common(p, phi_default="pi/4"):
         p.add_argument("--precision", type=int, default=40,
                        help="target decimal digits (default 40)")
         p.add_argument("--format", choices=_FORMATS, default="table")
-        if cache_dir:
-            p.add_argument("--cache-dir", default=None,
-                           help="override the table cache directory "
-                                "(env LAWSONAREA_CACHE_DIR)")
         if phi_default is not None:
             p.add_argument("--phi", default=phi_default,
                            help="opening angle: 'pi/4', 'pi/6' or a decimal "
@@ -269,17 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--order", type=int, required=True, help="expansion order N")
     p.add_argument("--output", default=None, help="write a JSON artifact here")
+    p.add_argument("--cache-dir", default=None,
+                   help="keep the signed table in this directory and reuse it "
+                        "(default: build it in process, write nothing)")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("omega", help="evaluate one word integral")
-    common(p, cache_dir=False)
+    common(p)
     p.add_argument("--word", required=True,
                    help="comma-separated letters over {1,2,3}; '' for the empty word")
     p.add_argument("--endpoint", choices=("1", "i"), default="1")
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("mpl", help="evaluate one multiple polylogarithm")
-    common(p, phi_default=None, cache_dir=False)
+    common(p, phi_default=None)
     p.add_argument("--indices", required=True, help="e.g. 1,1")
     p.add_argument("--args", required=True,
                    help="comma-separated arguments: 1, -1, i, -i, u:3/4 "
@@ -296,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stretch", action="store_true",
                    help="include the order-7 conjecture comparison")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("cache", help="manage the table cache")
-    p.add_argument("cache_action", choices=("list", "clear"))
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=_cmd_cache)
     return parser
 
 

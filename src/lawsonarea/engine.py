@@ -481,7 +481,8 @@ def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
     """Run the recursion at phi = pi/4 up to the requested order.
 
     ``table`` is an ``omega.SignedTable`` of depth at least ``order + 1``;
-    by default it comes from ``omega.cached_table``.
+    by default ``omega.cached_table`` builds it in process, or, given a
+    ``cache_dir``, loads it from there or builds and stores it there.
     """
     cfg = cfg or PrecisionConfig()
     if order < 1:
@@ -649,7 +650,7 @@ def first_order_general_phi(phi: str, cfg: PrecisionConfig | None = None) -> Fir
 
 
 def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
-                        table: SignedTable | None = None, cache_dir=None):
+                        table: SignedTable | None = None):
     """Residual of q'(0) = 2 pi r b against the endpoint-i word integrals.
 
     The left side is assembled from the numeric table at z = i, the right
@@ -658,7 +659,7 @@ def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
     cfg = cfg or PrecisionConfig()
     ctx = cfg.context
     if table is None:
-        table = cached_table("i", phi, 1, cfg, cache_dir)
+        table = cached_table("i", phi, 1, cfg)
     state = central_state(cfg, phi)
     q1 = LaurentMatrix2(cfg)
     for i in (1, 2, 3):

@@ -4,12 +4,13 @@ A word table (``build_table``) holds the values of every word integral up
 to a chosen length, for one endpoint (1 or i) and one opening angle phi.
 A signed table (``build_signed_table``) holds only the signed sum of the
 word integrals per letter multiset, which is all the order recursion
-reads; it is the one kind of table the on-disk cache holds.  Both are
-built by power series transport: the path is cut into segments short
-enough that every simple pole stays at least three half-lengths away from
-the segment midpoint, and one driver (``_transport``) walks the words or
-the multisets layer by layer, one O(terms) per-letter recurrence per
-node, and glues the segments by initial value, on the kernel's integers.
+reads; it is the one kind of table ``cached_table`` can keep on disk, in
+a directory the caller names.  Both are built by power series transport:
+the path is cut into segments short enough that every simple pole stays
+at least three half-lengths away from the segment midpoint, and one
+driver (``_transport``) walks the words or the multisets layer by layer,
+one O(terms) per-letter recurrence per node, and glues the segments by
+initial value, on the kernel's integers.
 A nested Gauss-Legendre quadrature provides an independent check for
 short words.
 
@@ -164,12 +165,12 @@ one for one, the non-zero part of what a kernel on (re, im) pairs of
 lists forms on the same segment (that kernel's other part is exactly 0),
 so these budgets and measurements hold for it unchanged.
 
-Quadrature oracle.  ``gauss_legendre_rule`` and ``_first_level`` run on
+Quadrature oracle.  ``_gauss_legendre`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits +
 ``_QUADRATURE_EXTRA_BITS``, and share nothing with the transport kernel.
-The rule's nodes and weights are rounded once to ``mpf``; the levels stay
-integers, and each word is one exact sum or dot of them, rounded once to
-``mpc``.  The budgets count the kernels' own roundings, in units of 2^-P.
+The rule and the levels stay integers, and each word is one exact sum or
+dot of them, rounded once to ``mpc``.  The budgets count the kernels' own
+roundings, in units of 2^-P.
 
 * Rule.  A step of the Legendre recurrence j P_j = (2j - 1) x P_{j-1} -
   (j - 1) P_{j-2} rounds at most 3 units (one shift, scaled by less than 2,
@@ -327,18 +328,6 @@ def punctures(phi, cfg: PrecisionConfig) -> tuple:
     p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
     p2 = -ctx.conj(p1)
     return (p1, p2, -p1, -p2)
-
-
-class PunctureConfig:
-    """The four simple poles e^{i phi}, -e^{-i phi} and their negatives."""
-
-    __slots__ = ("phi_label", "cfg", "phi", "points")
-
-    def __init__(self, phi_label: str, cfg: PrecisionConfig):
-        self.phi_label = phi_label
-        self.cfg = cfg
-        self.phi = parse_phi(phi_label, cfg)
-        self.points = punctures(self.phi, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -606,20 +595,20 @@ def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
         raise ValueError(f"endpoint must be one of {_ENDPOINTS}, got {endpoint!r}")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    pc = PunctureConfig(str(phi).strip(), cfg)
+    poles = punctures(parse_phi(str(phi), cfg), cfg)
     end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
-    cuts = _segment_split(complex(end), [complex(p) for p in pc.points])
+    cuts = _segment_split(complex(end), [complex(p) for p in poles])
     segments = [(ctx.mpf(sa) * end, ctx.mpf(sb) * end if sb != 1.0 else end)
                 for sa, sb in zip(cuts[:-1], cuts[1:])]
-    return pc, segments
+    return poles, segments
 
 
 def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
                 cfg: PrecisionConfig | None = None) -> OmegaTable:
     """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
     cfg = cfg or PrecisionConfig()
-    pc, segments = _path(endpoint, phi, max_length, cfg)
-    return _transport_table(cfg, pc.phi_label, pc.points, segments, max_length)
+    poles, segments = _path(endpoint, phi, max_length, cfg)
+    return _transport_table(cfg, str(phi), poles, segments, max_length)
 
 
 def _word_child(key: Word, letter: int) -> tuple[Word, int]:
@@ -694,29 +683,38 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
     """Transport sigma_c for every letter multiset c with 1 <= |c| <= depth
     from 0 to the endpoint (``"1"`` or ``"i"``); see the module docstring."""
     cfg = cfg or PrecisionConfig()
-    pc, segments = _path(endpoint, phi, depth, cfg)
-    return SignedTable(cfg, pc.phi_label, endpoint, depth,
-                       _transport(cfg, pc.points, segments, depth, _multiset_child))
+    poles, segments = _path(endpoint, phi, depth, cfg)
+    return SignedTable(cfg, str(phi), endpoint, depth,
+                       _transport(cfg, poles, segments, depth, _multiset_child))
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Legendre oracle
 # ---------------------------------------------------------------------------
 
+# (nodes, working digits) -> the rule's nodes and weights as integers at 2^P
 _gl_cache: dict[tuple[int, int], tuple] = {}
 # (endpoint, phi value, working digits, nodes) -> first level of the quadrature
 _quadrature_cache: dict[tuple, list] = {}
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
-    """Nodes and weights on [-1, 1] at working precision, by Newton on integers.
+    """Nodes and weights on [-1, 1] at working precision: ``_gauss_legendre``
+    with each node and weight rounded once to ``mpf``."""
+    ctx = cfg.context
+    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
+    nodes, weights = _gauss_legendre(n, cfg)
+    return [ctx.mpf((x, -bits)) for x in nodes], [ctx.mpf((w, -bits)) for w in weights]
+
+
+def _gauss_legendre(n: int, cfg: PrecisionConfig) -> tuple[list, list]:
+    """Nodes and weights on [-1, 1] as integers at scale 2^P, by Newton.
 
     The Legendre recurrence and Newton run on integers at scale 2^P,
     P = working bits + ``_QUADRATURE_EXTRA_BITS`` (budget in the module
     docstring).  Each root starts from cos(pi (4k - 1)/(4n + 2)), stops once
     its Newton step is below ``cfg.eps()`` and then takes one more, polishing
-    step.  Nodes are ascending, and each node and weight is rounded once to
-    ``mpf``.
+    step.  Nodes are ascending.
     """
     key = (n, cfg.working_digits)
     if key in _gl_cache:
@@ -751,8 +749,7 @@ def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
     # for odd n the last root is the middle node 0, which appears once
     full_nodes = [-x for x in nodes[:n // 2]] + nodes[::-1]
     full_weights = weights[:n // 2] + weights[::-1]
-    _gl_cache[key] = ([ctx.mpf((x, -bits)) for x in full_nodes],
-                      [ctx.mpf((w, -bits)) for w in full_weights])
+    _gl_cache[key] = full_nodes, full_weights
     return _gl_cache[key]
 
 
@@ -879,10 +876,9 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     # [outer nodes, weighted forms, inner integrals, prefix pairs or None]
     cached = _quadrature_cache.get(key)
     if cached is None or (len(word) == 3 and cached[3] is None):
-        xs, ws = gauss_legendre_rule(nodes, cfg)
+        xs, ws = _gauss_legendre(nodes, cfg)
         # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
-        rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
-                [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
+        rule = [(x + (1 << bits)) >> 1 for x in xs], [w >> 1 for w in ws]
         poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
         if cached is None:
             end = (1 << bits, 0) if endpoint == "1" else (0, 1 << bits)
@@ -897,15 +893,8 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
 
 
 # ---------------------------------------------------------------------------
-# on-disk cache
+# on-disk cache, used only when a directory is given
 # ---------------------------------------------------------------------------
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("LAWSONAREA_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "lawsonarea"
-
 
 def _cache_path(cache_dir: Path, endpoint: str, phi_label: str, max_length: int,
                 cfg: PrecisionConfig) -> Path:
@@ -926,11 +915,11 @@ def _values_digest(values: dict) -> str:
     return digest.hexdigest()
 
 
-def save_table(table: SignedTable, cache_dir: Path | None = None) -> Path:
-    """Write a signed table to the cache; word tables are not cached."""
+def save_table(table: SignedTable, cache_dir: Path) -> Path:
+    """Write a signed table to ``cache_dir``; word tables are not cached."""
     if not isinstance(table, SignedTable):
         raise TypeError(f"the cache holds signed tables only, got {type(table).__name__}")
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
+    cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cfg = table.cfg
     ctx = cfg.context
@@ -964,8 +953,8 @@ def save_table(table: SignedTable, cache_dir: Path | None = None) -> Path:
 
 
 def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
-               cache_dir: Path | None = None) -> SignedTable | None:
-    """The cached signed table for exactly this request, or None on a miss.
+               cache_dir: Path) -> SignedTable | None:
+    """The signed table in ``cache_dir`` for exactly this request, or None on a miss.
 
     A file counts only if its header (version, endpoint, phi label, digits,
     guard digits, depth) matches the request, its values hash to the stored
@@ -973,7 +962,6 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
     and no other.  Anything else, a missing key or unreadable JSON included,
     is a miss, which ``cached_table`` rebuilds and overwrites.
     """
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
     phi_label = canonical_phi(phi)
     path = _cache_path(cache_dir, endpoint, phi_label, max_length, cfg)
     ctx = cfg.context
@@ -1001,25 +989,14 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
 def cached_table(endpoint: str, phi: str, max_length: int,
                  cfg: PrecisionConfig | None = None,
                  cache_dir: Path | None = None) -> SignedTable:
-    """Load a signed table from the cache or build and store it."""
+    """The signed table from ``build_signed_table``, which writes nothing; with
+    a ``cache_dir``, loaded from there, or built and stored there on a miss."""
     cfg = cfg or PrecisionConfig()
+    if cache_dir is None:
+        return build_signed_table(endpoint, phi, max_length, cfg)
     table = load_table(endpoint, phi, max_length, cfg, cache_dir)
     if table is not None:
         return table
     table = build_signed_table(endpoint, phi, max_length, cfg)
     save_table(table, cache_dir)
     return table
-
-
-def list_cache(cache_dir: Path | None = None) -> list[Path]:
-    cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    if not cache_dir.exists():
-        return []
-    return sorted(cache_dir.glob("omega_*.json"))
-
-
-def clear_cache(cache_dir: Path | None = None) -> int:
-    paths = list_cache(cache_dir)
-    for p in paths:
-        p.unlink()
-    return len(paths)

@@ -307,12 +307,12 @@ def alpha3_factored_pieces(table: omega.OmegaTable) -> dict:
     }
 
 
-def alpha3_suite(cfg: PrecisionConfig, cache_dir=None,
+def alpha3_suite(cfg: PrecisionConfig,
                  table: omega.OmegaTable | None = None) -> SuiteReport:
     """Raw word-product formula, reduced formula, and the engine, vs 9/4 zeta(3).
 
     The two formulas read the word table ``table`` (built at depth 4 when
-    None); the engine runs on the cached signed table from ``cache_dir``.
+    None); the engine runs on a signed table it builds itself.
     """
     tol = _tol(cfg)
     report = SuiteReport("alpha3", cfg.target_digits, mpmath.nstr(tol, 2))
@@ -322,7 +322,7 @@ def alpha3_suite(cfg: PrecisionConfig, cache_dir=None,
         table = omega.build_table("1", "pi/4", 4, cfg)
     report.add("1-raw-formula", target, alpha3_raw(table), cfg, tol)
     report.add("2-simplified-formula", target, alpha3_simplified(table), cfg, tol)
-    state = engine.run(3, cfg, cache_dir=cache_dir)
+    state = engine.run(3, cfg)
     result = engine.area_series(state)
     report.add("3-engine", target, result.alpha(3), cfg, tol)
     return report.finalize()
@@ -375,8 +375,7 @@ def alpha7_conjecture_value(cfg: PrecisionConfig):
     return ctx.re(total)
 
 
-def conjecture_suite(cfg: PrecisionConfig, cache_dir=None,
-                     include_alpha7: bool = False,
+def conjecture_suite(cfg: PrecisionConfig, include_alpha7: bool = False,
                      state: engine.DerivativeState | None = None) -> SuiteReport:
     """Engine coefficients against the conjectured alternating-zeta forms.
 
@@ -387,7 +386,7 @@ def conjecture_suite(cfg: PrecisionConfig, cache_dir=None,
     report = SuiteReport("conjectures", cfg.target_digits, mpmath.nstr(tol, 2))
     order = 7 if include_alpha7 else 5
     if state is None or state.order < order:
-        state = engine.run(order, cfg, cache_dir=cache_dir)
+        state = engine.run(order, cfg)
     result = engine.area_series(state)
     report.add("1-alpha5-vs-mzv", alpha5_conjecture_value(cfg), result.alpha(5),
                cfg, tol, stretch=True)
@@ -589,18 +588,18 @@ def integral_identity_suite(cfg: PrecisionConfig,
 # driver
 # ---------------------------------------------------------------------------
 
-def run_suites(names, cfg: PrecisionConfig, seed: int = 0, stretch: bool = False,
-               cache_dir=None) -> list[SuiteReport]:
+def run_suites(names, cfg: PrecisionConfig, seed: int = 0,
+               stretch: bool = False) -> list[SuiteReport]:
     reports = []
     for name in names:
         if name == "closed-forms":
             reports.append(closed_form_suite(cfg))
         elif name == "alpha3":
-            reports.append(alpha3_suite(cfg, cache_dir))
+            reports.append(alpha3_suite(cfg))
         elif name == "parity":
             reports.append(parity_shuffle_stuffle_suite(cfg, seed))
         elif name == "conjectures":
-            reports.append(conjecture_suite(cfg, cache_dir, include_alpha7=stretch))
+            reports.append(conjecture_suite(cfg, include_alpha7=stretch))
         else:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     return reports

@@ -17,19 +17,6 @@ def pytest_collection_modifyitems(config, items):
                 item.add_marker(marker)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache(tmp_path_factory):
-    import os
-    cache = tmp_path_factory.mktemp("omega-cache")
-    old = os.environ.get("LAWSONAREA_CACHE_DIR")
-    os.environ["LAWSONAREA_CACHE_DIR"] = str(cache)
-    yield cache
-    if old is None:
-        os.environ.pop("LAWSONAREA_CACHE_DIR", None)
-    else:
-        os.environ["LAWSONAREA_CACHE_DIR"] = old
-
-
 @pytest.fixture(scope="session")
 def cfg40():
     return PrecisionConfig(40)

@@ -137,32 +137,34 @@ def test_mpl_errors(capsys):
 
 
 def test_mpl_has_no_cache_dir(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["mpl", "--indices", "2", "--args", "-1", "--cache-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "--cache-dir" in capsys.readouterr().err
+    """Only ``expand`` takes ``--cache-dir``; ``mpl`` and ``verify`` refuse it."""
+    for argv in (["mpl", "--indices", "2", "--args", "-1"],
+                 ["verify", "--suite", "closed-forms"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
-def test_verify_suite_exit_codes(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "alpha3",
-                           "--precision", "40", "--cache-dir", str(tmp_path))
+def test_verify_suite_exit_codes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "alpha3", "--precision", "40")
     assert code == 0
     assert "3/3 pass" in out
 
 
-def test_verify_json_format(capsys, tmp_path):
+def test_verify_json_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "closed-forms",
-                           "--precision", "40", "--format", "json",
-                           "--cache-dir", str(tmp_path))
+                           "--precision", "40", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["suite"] == "closed-forms"
     assert len(payload[0]["checks"]) == 9
 
 
-def test_verify_unknown_suite_usage_error(capsys, tmp_path):
+def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "bogus", "--cache-dir", str(tmp_path)])
+        main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
 
 
@@ -225,10 +227,12 @@ assert_no_heavy_imports()
 
 
 def test_module_entry_point_prints_alpha1(tmp_path):
-    """``python -m lawsonarea``, the entry point the benchmark times."""
+    """``python -m lawsonarea``, the entry point the benchmark times; with no
+    ``--cache-dir`` it writes nothing, not even under ``$HOME``."""
     done = run_fresh(["-m", "lawsonarea", "expand", "--order", "1", "--precision", "20",
-                      "--format", "json"], LAWSONAREA_CACHE_DIR=str(tmp_path))
+                      "--format", "json"], HOME=str(tmp_path))
     assert (done.returncode, done.stderr) == (0, "")
+    assert not any(tmp_path.iterdir())
     ctx = PrecisionConfig(40).context
     assert json.loads(done.stdout)["alpha_t"] == [mpmath.nstr(ctx.ln(2), 20)]
 
@@ -248,19 +252,6 @@ def test_module_entry_point_prints_alpha1(tmp_path):
         "mpl-two-slashes"])
 def test_zero_or_malformed_denominator_is_one_error_line(capsys, argv, code, message):
     assert run_cli(capsys, *argv, "--precision", "20") == (code, "", f"error: {message}\n")
-
-
-def test_cache_list_and_clear(capsys, tmp_path):
-    run_cli(capsys, "expand", "--order", "1", "--precision", "20",
-            "--cache-dir", str(tmp_path))
-    code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert "omega_end1" in out
-    code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert "removed 1" in out
-    code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(tmp_path))
-    assert "empty" in out
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,4 +1,4 @@
-"""The demos run to completion as scripts, on a cache of their own."""
+"""The demos run to completion as scripts."""
 
 import os
 import subprocess
@@ -19,9 +19,9 @@ LINES = {"area_expansion.py": "alpha_5 = 3.6996269944976184398933801354710446177
 
 
 @pytest.mark.parametrize("name", sorted(LINES))
-def test_demo_runs(name, tmp_path):
-    env = dict(os.environ, LAWSONAREA_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
