@@ -12,13 +12,15 @@ convergent on |z_i ... z_d| <= 1 (all i) provided (n_d, z_d) != (1, 1).
 
 Evaluation strategy
 -------------------
-Arguments well inside the polydisk are summed directly (the nested sum is
-geometric and a prefix-sum recursion makes the cost linear in the cutoff).
-On or near the unit circle the series crawls, so we switch to the iterated
-integral representation over [0, 1] with pole letters a_i = (z_i...z_d)^-1,
-split the path at x0 (composition of iterated integrals plus reversal of
-the second half under t -> 1-t), and evaluate each half as a power series
-at 0 whose terms decay geometrically, at most like ``_SPLIT_RATIO_LIMIT``^j.
+Every value comes from one kernel.  The nested sum is the iterated integral
+over [0, 1] with pole letters a_i = (z_i...z_d)^-1; ``li`` splits the path
+at x0 (composition of iterated integrals plus reversal of the second half
+under t -> 1-t) and evaluates each half as a power series at 0 whose terms
+decay geometrically, like rho^j for the term ratio rho < 1 of
+``_split_value``.  A zero argument zeroes every term, so such a spec is an
+exact 0 without a series.  The kernel refuses a spec only when its own
+rounding would exceed the budget below.  The direct nested sum
+(``series_partial_sum``) and its extrapolation are kept as test oracles.
 The nested sum has real coefficients, so Li(conj z) = conj Li(z) (Schwarz
 reflection): ``li`` evaluates a spec whose first non-real argument lies
 below the real axis as the conjugate of its mirror spec, so of each
@@ -53,14 +55,26 @@ max |dG| <= |r| max |dF|, so after w letters a coefficient carries at most
 3w units and a half's value, a sum of T + 1 coefficients, at most
 3w (T + 1); all roundings are floors, so these do not cancel.  Prefix and
 suffix values are iterated integrals whose letters each contribute at most
--ln(1 - |r|) <= 3, so they stay below about 1/(1 - |r|) <= 20, and the
-w + 1 products carry at most 2 (w + 1) 20 * 3w (T + 1) units.  For w <= 12
-and T <= 2^14 (250 working digits at the ratio limit take T = 12 000) that
-is below 2^28.2 units, so 32 extra bits keep the kernel's own rounding
-below 2^-3.8 of a unit of the working precision: ``_SPLIT_EXTRA_BITS = 32``.
+-ln(1 - |r|), so they stay below about 1/(1 - rho), and the w + 1 products
+carry at most 2 (w + 1) 3w (T + 1) / (1 - rho) units.  ``_split_value``
+refuses (``DivergentSeriesError``) a spec for which this bound exceeds
+2^(``_SPLIT_EXTRA_BITS`` - 3.8) = 2^28.2 units, so on every value it returns
+the kernel's own rounding stays below 2^-3.8 of a unit of the working
+precision.  With ``_SPLIT_EXTRA_BITS = 32`` that admits weight 12 at
+rho = 0.95 up to 358 working digits (T = 16 445), and Li_{2,1}(0.35, 0.995)
+at 40 digits (rho = 0.990, T = 13 370, 2^26.5 units), but not
+Li_{2,1}(0.35, 0.998) there (rho = 0.996, T = 33 403).
 Measured with no extra bits on Li_{2,1} at term ratio 0.94, the kernel lost
 11.3 bits at 40 digits (T = 2 168) and 13.4 bits at 250 digits
-(T = 9 961); with 16 or more extra bits it lost none.
+(T = 9 961); with 16 or more extra bits it lost none.  On
+Li_{2,1}(0.35, 0.98), rho = 0.961, no extra bits left the value 2^11.1
+units of the working precision off at 40 digits (T = 3 354) and 2^13.4
+units at 250 digits (T = 15 441); on Li_{2,1}(0.35, 0.995), rho = 0.990,
+2^13.2 units at 40 digits.  With 16 or 32 extra bits alike these fell to
+2^2.0, 2^2.0 and 2^6.2 units: what remains is the rounding of the poles and
+of their images 1 - a at the working precision, which the conditioning near
+the boundary amplifies and the guard digits absorb (with the poles 40 bits
+finer it is 2^-3.3 and 2^-0.6 units at 40 digits).
 
 ``convert_word`` turns an iterated-integral word over the surface forms
 into the 4^n signed depth-n polylogarithm terms with puncture-ratio
@@ -88,8 +102,6 @@ from .omega import FORM_COEFFS, punctures
 from .precision import FrozenValue, PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word
 
-_DIRECT_SERIES_LIMIT = 0.70   # largest partial-product modulus for direct summation
-_SPLIT_RATIO_LIMIT = 0.95     # refuse split evaluation beyond this term ratio
 _SPLIT_EXTRA_BITS = 32        # derived in the rounding budget of the module docstring
 
 
@@ -152,14 +164,14 @@ def _validate(spec: MplSpec, cfg: PrecisionConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# direct nested summation (arguments inside the polydisk)
+# direct nested summation (test oracles, independent of ``li``)
 # ---------------------------------------------------------------------------
 
 def series_partial_sum(spec: MplSpec, cfg: PrecisionConfig, cutoff: int):
     """Nested-series partial sum with the outermost index k_d <= cutoff.
 
-    Exact within rounding; the workhorse for small arguments and the raw
-    material of the extrapolation oracle below.
+    Exact within rounding; a reference the tests compare ``li`` against,
+    and the raw material of the extrapolation oracle below.
     """
     ctx = cfg.context
     if spec.depth == 0:
@@ -183,8 +195,11 @@ def series_extrapolated(spec: MplSpec, cfg: PrecisionConfig,
                         cutoff: int = 400, passes: int = 12):
     """Tail-extrapolated direct series: a slow but independent oracle.
 
-    For a unit-circle last argument z_d != 1 the partial-sum tail oscillates
-    like z_d^K / K^{n_d}; repeated weighted differencing
+    Tail products of modulus below 0.7 converge fast enough to sum directly
+    (``series_partial_sum``, cut off where the geometric tail falls below
+    the working precision), without calling ``li``.  For a unit-circle
+    last argument z_d != 1 the partial-sum tail oscillates like
+    z_d^K / K^{n_d}; repeated weighted differencing
     (S(K+1) - z_d S(K)) / (1 - z_d) gains roughly one power of K per pass.
     For z_d = 1 (then n_d >= 2) a power-law Richardson ladder is used.
     Intended for cross-checks at modest precision, depth 1 or 2.
@@ -193,8 +208,10 @@ def series_extrapolated(spec: MplSpec, cfg: PrecisionConfig,
     prods = _validate(spec, cfg)
     if spec.depth == 0:
         return ctx.mpc(1)
-    if max(abs(p) for p in prods) < _DIRECT_SERIES_LIMIT:
-        return li(spec, cfg)
+    maxmod = max(abs(p) for p in prods)
+    if maxmod < 0.7:
+        cutoff = int((cfg.working_digits + 6) * math.log(10) / -ctx.ln(maxmod)) + 10
+        return series_partial_sum(spec, cfg, cutoff)
     zd = spec.args[-1]
     if abs(zd - 1) > ctx.mpf("1e-6"):
         window = passes + 1
@@ -277,8 +294,10 @@ def _split_value(word: list, cfg: PrecisionConfig):
     contributes (-1)^(suffix length).  The split x0 equalizes the two
     halves' geometric term ratios, x0/r1 = (1 - x0)/r2, where r1 is the
     pole distance from 0 and r2 from 1; the common ratio 1/(r1 + r2) stays
-    below 1 because r1 >= 1 on the convergence region.  The integer kernel
-    and its rounding budget are in the module docstring.
+    below 1 because r1 >= 1 on the convergence region (within the tolerance
+    of ``_validate`` it can round to 1, and the word is refused).  The
+    integer kernel and its rounding budget, beyond which it refuses the
+    word, are in the module docstring.
     """
     ctx = cfg.context
     k = len(word)
@@ -289,10 +308,13 @@ def _split_value(word: list, cfg: PrecisionConfig):
     nonzero_images = [abs(b) for b in images if abs(b) > cfg.eps(4)]
     radius_second = min(nonzero_images + [mpmath.mpf(1)])
     ratio = float(1 / (radius_first + radius_second))
-    if ratio > _SPLIT_RATIO_LIMIT:
-        raise DivergentSeriesError(
-            f"argument too close to the divergent boundary (term ratio {ratio:.3f})")
+    if ratio >= 1:
+        raise DivergentSeriesError(f"argument on the divergent boundary (term ratio {ratio})")
     terms = int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 16
+    if 6 * (k + 1) * k * (terms + 1) / (1 - ratio) > 2 ** (_SPLIT_EXTRA_BITS - 3.8):
+        raise DivergentSeriesError(
+            f"argument too close to the divergent boundary (term ratio {ratio:.4f}, "
+            f"{terms} terms): the rounding would exceed the kernel's budget")
 
     x0 = ctx.mpf(float(radius_first / (radius_first + radius_second)))
     x1 = 1 - x0
@@ -329,6 +351,10 @@ def _split_value(word: list, cfg: PrecisionConfig):
 def li(spec: MplSpec, cfg: PrecisionConfig):
     """Value of the convergent nested sum, to the config's target precision.
 
+    After the mirror step below and ``_validate``, a spec with a zero
+    argument is an exact 0 and every other spec runs on the split kernel,
+    ``_split_value``; a spec outside that kernel's rounding budget (module
+    docstring) raises ``DivergentSeriesError`` rather than losing digits.
     Memoised per (``MplSpec``, ``PrecisionConfig``), both immutable and equal by value:
     the terms of ``convert_word`` depend only on the pole assignment, so the
     words at one angle share their polylogarithms.  Errors are not cached.
@@ -345,22 +371,9 @@ def li(spec: MplSpec, cfg: PrecisionConfig):
                 return ctx.conj(li(mirror, cfg))
             break
     prods = _validate(spec, cfg)
-    if spec.depth == 0:
-        return ctx.mpc(1)
-    maxmod = max(abs(p) for p in prods)
-    if maxmod <= _DIRECT_SERIES_LIMIT:
-        cutoff = int((cfg.working_digits + 6) * math.log(10) / -ctx.ln(maxmod)) + 10
-        return series_partial_sum(spec, cfg, cutoff)
-    word = _integral_word(spec, prods)
-    try:
-        return (-1) ** spec.depth * _split_value(word, cfg)
-    except DivergentSeriesError:
-        # poles crowding the far path end but arguments strictly inside the
-        # polydisk: the plain series still converges geometrically, if slowly
-        if maxmod < ctx.mpf("0.999"):
-            cutoff = int((cfg.working_digits + 6) * math.log(10) / -ctx.ln(maxmod)) + 10
-            return series_partial_sum(spec, cfg, cutoff)
-        raise
+    if not all(prods):
+        return ctx.mpc(0)   # a zero argument zeroes every term
+    return (-1) ** spec.depth * _split_value(_integral_word(spec, prods), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,9 @@ def test_mpl_values(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["im"].startswith("0.91596559417721901505")
+    code, out, _ = run_cli(capsys, "mpl", "--indices", "1,1", "--args", "0,0.98")
+    assert code == 0
+    assert "0.0 + 0.0*i" in out
 
 
 def test_mpl_decimal_pair(capsys):

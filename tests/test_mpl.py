@@ -56,6 +56,12 @@ def test_divergence_rejected():
         li(mpl_spec([2, 2], [4, 0.3], CFG), CFG)
     with pytest.raises(DivergentSeriesError):
         zeta_signed([2, 1], [1, 1], CFG)
+    with pytest.raises(DivergentSeriesError, match="budget"):
+        # term ratio 0.996: 3.4e4 terms, beyond the split kernel's rounding budget
+        li(mpl_spec([2, 1], ["0.35", "0.998"], CFG), CFG)
+    with pytest.raises(DivergentSeriesError, match="term ratio 1.0"):
+        # inside the polydisk's tolerance, but the pole sits on the path
+        li(mpl_spec([2], ["1." + "0" * 43 + "1"], CFG), CFG)
 
 
 def test_spec_validation():
@@ -81,14 +87,49 @@ def test_zeta_113bar_series_oracle():
     assert abs(oracle - cfg.context.mpf(ZETA_113BAR)) < cfg.context.mpf("1e-18")
 
 
+def _term_ratio(spec, cfg):
+    """The split kernel's geometric term ratio for ``spec``."""
+    word = _integral_word(spec, _tail_products(spec, cfg))
+    return 1 / (min(abs(a) for a in word if a != 0)
+                + min(abs(1 - a) for a in word if a != 0))
+
+
 def test_direct_series_agrees_with_split_path():
-    # argument just outside the direct-summation regime exercises the split
+    # both specs run the split kernel; spec_out lies past the old 0.95 ratio limit
     spec_in = mpl_spec([2, 1], ["0.35", "0.55"], CFG)
     spec_out = mpl_spec([2, 1], ["0.35", CTX.mpf("0.98")], CFG)
+    assert _term_ratio(spec_out, CFG) > 0.95
     direct = series_partial_sum(spec_out, CFG, 9000)
     split = li(spec_out, CFG)
     assert abs(direct - split) < CTX.mpf("1e-15")
     assert abs(li(spec_in, CFG) - series_partial_sum(spec_in, CFG, 400)) < CFG.eps(6)
+
+
+def test_li_has_one_route(monkeypatch):
+    """``li`` evaluates every spec on the split kernel, never the direct sum."""
+    def refuse(*args):
+        raise AssertionError("li summed the nested series")
+    monkeypatch.setattr(mpl, "series_partial_sum", refuse)
+    li.cache_clear()
+    for indices, args in (([2, 1], ["0.35", "0.55"]), ([2, 1], ["0.35", "0.98"]),
+                          ([4], ["0.5"]), ([5], ["0.5"])):
+        li(mpl_spec(indices, args, CFG), CFG)
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+def test_split_kernel_near_one_on_the_unit_circle(digits):
+    """Term ratio 0.971 and 0.952: inside the kernel's rounding budget."""
+    cfg = PrecisionConfig(digits)
+    ctx = cfg.context
+    for s, t in ((2, "0.03"), (3, "0.05")):
+        z = ctx.expj(ctx.mpf(t))
+        assert abs(li(mpl_spec([s], [z], cfg), cfg) - ctx.polylog(s, z)) < cfg.eps(2)
+
+
+def test_zero_argument_gives_exact_zero():
+    for z2 in ("0.5", "0.98"):
+        value = li(mpl_spec([1, 1], [0, z2], CFG), CFG)
+        assert value == 0 and isinstance(value, CTX.mpc)
 
 
 def test_convert_word_term_counts():
@@ -185,10 +226,7 @@ def test_split_path_at_term_ratio_near_0_9():
     """About 1 300 series terms at 40 digits: the kernel's budget at large T."""
     z2 = CTX.mpf("0.97") * CTX.expj(CTX.mpf("0.074"))
     spec = mpl_spec([2, 1], ["0.5", z2], CFG)
-    word = _integral_word(spec, _tail_products(spec, CFG))
-    ratio = 1 / (min(abs(a) for a in word if a != 0)
-                 + min(abs(1 - a) for a in word if a != 0))
-    assert 0.89 < ratio < 0.9
+    assert 0.89 < _term_ratio(spec, CFG) < 0.9
     # |z2|^cutoff is below 10^-55
     direct = series_partial_sum(spec, CFG, 4200)
     assert abs(li(spec, CFG) - direct) < CFG.eps(2)
