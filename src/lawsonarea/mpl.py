@@ -155,11 +155,8 @@ def _validate(spec: MplSpec, cfg: PrecisionConfig) -> list:
         if abs(p) > 1 + tol:
             raise DivergentSeriesError(
                 f"|z_{i + 1} ... z_d| = {float(abs(p)):.6f} > 1: outside convergence region")
-    if spec.depth:
-        if spec.args[-1] == 0:
-            raise DivergentSeriesError("last argument must be nonzero")
-        if spec.indices[-1] == 1 and abs(spec.args[-1] - 1) < tol:
-            raise DivergentSeriesError("Li with (n_d, z_d) = (1, 1) diverges")
+    if spec.depth and spec.indices[-1] == 1 and abs(spec.args[-1] - 1) < tol:
+        raise DivergentSeriesError("Li with (n_d, z_d) = (1, 1) diverges")
     return prods
 
 

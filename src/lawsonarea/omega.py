@@ -166,24 +166,51 @@ lists forms on the same segment (that kernel's other part is exactly 0),
 so these budgets and measurements hold for it unchanged.
 
 Quadrature oracle.  ``_gauss_legendre`` and ``_first_level`` run on
-integers of their own at scale 2^P, P = working bits +
-``_QUADRATURE_EXTRA_BITS``, and share nothing with the transport kernel.
-The rule and the levels stay integers, and each word is one exact sum or
-dot of them, rounded once to ``mpc``.  The budgets count the kernels' own
+integers of their own at scale 2^P, P = working bits plus the extra bits
+of ``_quadrature_bits``, and share nothing with the transport kernel.  The
+rule and the levels stay integers, and each word is one exact sum or dot
+of them, rounded once to ``mpc``.  The budgets count the kernels' own
 roundings, in units of 2^-P.
 
+* Nodes.  Mapped to x in [-1, 1], the path [0, end] sees a pole p at
+  w = 2p/end - 1, and the forms are analytic inside the Bernstein ellipse
+  E_rho of the nearest pole, rho = |w + (w^2 - 1)^(1/2)| > 1.  An inner level
+  on [0, t], t on the path, sees every pole at a larger rho, so one count
+  serves all three levels.  The n-point rule integrates a g that is
+  analytic in E_rho', |g| <= M there, to within (64/15) M rho'^(-2n) /
+  (rho'^2 - 1) (L. N. Trefethen, "Is Gauss quadrature better than
+  Clenshaw-Curtis?", SIAM Rev. 50, 2008, Thm 4.5).  Take rho' =
+  rho e^(-1/(2n)), so that rho'^(-2n) = e rho^(-2n).  Confocal ellipses are
+  closest on the major axis, so E_rho' keeps (rho - 1/rho)/(4n) from every
+  pole on E_rho, and a form, four terms 1/(x - w), is at most
+  M = 16 n/(rho - 1/rho) there.  So the error of a level on a form stays
+  below 2^-P once 2 n ln rho >= P ln 2 + m, m = ln((64/15) e M/(rho'^2 - 1)),
+  and ``_quadrature_size`` takes the least such n: it starts from the n of
+  m = 0 and P = working bits and raises n until it meets its own P and m,
+  which both grow with n.  m is 6.7 (3.4 nodes) at pi/6 and 30 target
+  digits and 8.3 (5.5 nodes) at phi = 0.3 and 60.  The words of length 2
+  and 3 integrate a form times inner integrals, sums of logarithms that
+  grow like ln n on E_rho'; P keeps at least 15 bits above the 2^-4 of a
+  working unit that the rounding takes (below), which covers them.
+  Measured at 30 target digits and pi/6, the worst of the 12 words of
+  length <= 2 falls by rho^8 = 2^11.3 per 4 nodes and reaches its floor, 0.4
+  units of 10^-40 against a table 30 digits up, at n = 50; the derived n
+  is 60 there, 55 at pi/5 and 50 at pi/4.
 * Rule.  A step of the Legendre recurrence j P_j = (2j - 1) x P_{j-1} -
   (j - 1) P_{j-2} rounds at most 3 units (one shift, scaled by less than 2,
   and one ``//``).  At x = cos(theta) a unit error at step i reaches P_n
   scaled by i |P_n Q_{i-1} - Q_n P_{i-1}| <= (4 / (pi sin(theta))) (i/n)^(1/2),
   since both Legendre functions are at most (2 / (pi j sin(theta)))^(1/2) in
   modulus, so P_n carries at most 2.5 n / sin(theta) units.  At the
-  outermost root of n = 80, sin(theta) is about 2.4/n, which gives under
-  2^13 units.  A node moves by that error divided by |P_n'| > 1.  A weight
-  2 (1 - x^2) / (n (x P_n - P_{n-1}))^2 has no division by the small
-  x^2 - 1.  Its relative error is twice that of P_{n-1}, which is above
-  0.0156 at every root of P_80, plus 1/(1 - x^2) < 2^10.1 units from
-  rounding 1 - x^2, so under 2^20 units in all.
+  outermost root sin(theta) > 2.38/(n + 1/2) (it tends to j_0,1 = 2.405;
+  checked for n = 10 to 320), which gives at most 1.05 n (n + 1/2) units.  A
+  node moves by that error divided by |P_n'| > 1.  A weight 2 (1 - x^2) /
+  (n (x P_n - P_{n-1}))^2 has no division by the small x^2 - 1.  Its
+  relative error is twice that of P_{n-1}, which is above 1.25/(n + 1/2) at
+  every root of P_n (it tends to j_0,1 J_1(j_0,1) = 1.248; checked likewise),
+  plus 1/(1 - x^2) < (n + 1/2)^2/5.6 units from rounding 1 - x^2: under
+  2 n^3 units in all for n >= 7, which is 2^20 at n = 80 and 2^23.7 at
+  n = 188, the count at 100 target digits and phi = 0.3.
 * First level.  On the path to 1 or to i every node z and every inner node
   t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from both pole
   pairs, and z^2 is real, so p2 = -conj p1 gives u2 = conj u1 (Schwarz
@@ -195,20 +222,24 @@ roundings, in units of 2^-P.
   entries computed from conj(p1^2), and within 3 (measured, phi = 0.3) of
   ones from p2^2.  The grid u1(top^2 h_l^2 h_m^2) is symmetric in the outer
   node l and the inner node m, so it is filled for l <= m only, n (n + 1)/2
-  divisions (3 240 at n = 80; both pairs took 6 480), entry (m, l) taking
-  z^2 rounded as (top^2 h_l^2) h_m^2.  The sums A1 = sum_l w_l u1 and
-  Im sum_l w_l h_l u1 are exact with sum w_l = 1 and rounded once; p2's
-  are conjugates, so A2 = conj A1 and B is 2i times the second.  The
-  inner integrals 2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms
-  carry at most 4 (6/delta^2 + 5) + 8 units, below 2^9 for delta >= 0.29
-  (phi in [0.3, 1.27]).
+  divisions (1 830 at n = 60; both pairs took twice as many), entry (m, l)
+  taking z^2 rounded as (top^2 h_l^2) h_m^2.  The sums A1 = sum_l w_l u1
+  and Im sum_l w_l h_l u1 are exact with sum w_l = 1 and rounded once; p2's
+  are conjugates, so A2 = conj A1 and B is 2i times the second.  The inner
+  integrals 2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms carry at
+  most 4 (6/delta^2 + 5) + 8 = 24/delta^2 + 28 units, below 2^9 for
+  delta >= 0.29 (phi in [0.3, 1.27]).
 
-``_QUADRATURE_EXTRA_BITS = 24`` thus keeps both kernels' own rounding below
-2^-4 of a unit of the working precision for n <= 80.  Measured at 40 and
-260 working digits with no extra bits, the 80-point rule lost 3 bits (7.6
-to 8.4 units of the working precision) and the first levels at pi/6 and
-1.2 up to 275 units against the kernel with 120 extra bits; with 24, the
-rule is within 0.5 units of a reference 30 digits up, the levels 1.1e-5.
+``_quadrature_bits`` thus takes P = working bits + 4 +
+ceil(log2(2 n^3 + 24/delta^2 + 28)), which keeps both kernels' own rounding
+below 2^-4 of a unit of the working precision at every n: 24 extra bits
+at n = 80, 28 at n = 188.  Measured at 40 and 260 working digits, at the n
+those precisions derive (60 and 71 at (1, pi/6) and (i, 1.2) at 40 digits,
+323 and 379 at 260), with no extra bits the rule lost 3.0 to 5.2 bits (8.3
+to 38 units of the working precision) and the first levels up to 1 220
+units against the kernel with 120 extra bits; with the derived 23 to 31
+extra bits the rule is within 1e-6 units, and the levels within 2.4e-5
+units, of a kernel 30 digits up on the same poles.
 """
 
 from __future__ import annotations
@@ -235,7 +266,6 @@ except ImportError:
 
 _CACHE_VERSION = 4
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
-_QUADRATURE_EXTRA_BITS = 24    # the quadrature oracle's own, derived likewise
 _ENDPOINTS = ("1", "i")
 
 
@@ -692,35 +722,71 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
 # Gauss-Legendre oracle
 # ---------------------------------------------------------------------------
 
-# (nodes, working digits) -> the rule's nodes and weights as integers at 2^P
-_gl_cache: dict[tuple[int, int], tuple] = {}
-# (endpoint, phi value, working digits, nodes) -> first level of the quadrature
+# (nodes, working digits, P) -> the rule's nodes and weights as integers at 2^P
+_gl_cache: dict[tuple[int, int, int], tuple] = {}
+# (endpoint, phi value, working digits) -> first level of the quadrature
 _quadrature_cache: dict[tuple, list] = {}
+
+
+def _quadrature_bits(n: int, delta: float, cfg: PrecisionConfig) -> int:
+    """The quadrature kernels' scale P: working bits and the extra bits that
+    keep the rule's own rounding (2 n^3 units) and a first level's
+    (24/delta^2 + 28 units) below 2^-4 of a unit of the working precision."""
+    return cfg.context.prec + 4 + math.ceil(math.log2(2 * n ** 3 + 24 / delta ** 2 + 28))
+
+
+def _bernstein_rho(pole: complex, end: complex) -> float:
+    """The parameter rho > 1 of the Bernstein ellipse of [0, end] through ``pole``:
+    |w + (w^2 - 1)^(1/2)| with w = 2 pole/end - 1, on the root of modulus above 1."""
+    w = 2 * pole / end - 1
+    root = (w * w - 1) ** 0.5
+    return max(abs(w + root), abs(w - root))
+
+
+def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[int, int]:
+    """The oracle's node count n and its scale P on the path to ``endpoint``.
+
+    n is the least count with n >= (P ln 2 + m)/(2 ln rho): rho is the
+    nearest pole's Bernstein parameter, m = ln((64/15) e M/(rho'^2 - 1)) with
+    rho' = rho e^(-1/(2n)) and M = 16 n/(rho - 1/rho), and P is
+    ``_quadrature_bits(n, delta, cfg)``.  The module docstring derives it.
+    """
+    phi = float(phi_value)
+    end = 1 if endpoint == "1" else 1j
+    rho = min(_bernstein_rho(complex(p), end) for p in punctures(phi_value, cfg))
+    delta = min(math.sin(phi), math.cos(phi))
+    n = math.ceil(cfg.context.prec * math.log(2) / (2 * math.log(rho)))
+    while True:
+        bits = _quadrature_bits(n, delta, cfg)
+        inner = rho * math.exp(-1 / (2 * n))      # rho', with rho'^(-2n) = e rho^(-2n)
+        bound = 64 / 15 * math.e * (16 * n / (rho - 1 / rho)) / (inner * inner - 1)
+        need = math.ceil((bits * math.log(2) + math.log(bound)) / (2 * math.log(rho)))
+        if need <= n:
+            return n, bits
+        n = need
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
     """Nodes and weights on [-1, 1] at working precision: ``_gauss_legendre``
     with each node and weight rounded once to ``mpf``."""
     ctx = cfg.context
-    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
-    nodes, weights = _gauss_legendre(n, cfg)
+    bits = _quadrature_bits(n, 1, cfg)
+    nodes, weights = _gauss_legendre(n, cfg, bits)
     return [ctx.mpf((x, -bits)) for x in nodes], [ctx.mpf((w, -bits)) for w in weights]
 
 
-def _gauss_legendre(n: int, cfg: PrecisionConfig) -> tuple[list, list]:
-    """Nodes and weights on [-1, 1] as integers at scale 2^P, by Newton.
+def _gauss_legendre(n: int, cfg: PrecisionConfig, bits: int) -> tuple[list, list]:
+    """Nodes and weights on [-1, 1] as integers at scale 2^bits, by Newton.
 
-    The Legendre recurrence and Newton run on integers at scale 2^P,
-    P = working bits + ``_QUADRATURE_EXTRA_BITS`` (budget in the module
-    docstring).  Each root starts from cos(pi (4k - 1)/(4n + 2)), stops once
+    The Legendre recurrence and Newton run on integers at scale 2^bits, as
+    ``_quadrature_bits`` sizes it (budget in the module docstring).  Each root starts from cos(pi (4k - 1)/(4n + 2)), stops once
     its Newton step is below ``cfg.eps()`` and then takes one more, polishing
     step.  Nodes are ascending.
     """
-    key = (n, cfg.working_digits)
+    key = (n, cfg.working_digits, bits)
     if key in _gl_cache:
         return _gl_cache[key]
     ctx = cfg.context
-    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
     one = 1 << bits
     tol = to_fixed_pair(cfg.eps(), bits)[0]
 
@@ -846,19 +912,19 @@ def _prefix_pairs(points, poles, rule, bits: int) -> dict:
     return dict(zip(words, zip(*rows)))
 
 
-def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
-                      nodes: int = 80) -> mpmath.mpc:
+def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig) -> mpmath.mpc:
     """Nested Gauss-Legendre evaluation of one word integral, |word| <= 3.
 
-    Each level uses the ``nodes``-point rule on [0, upper limit].  The first
-    level (``_first_level``: the outer nodes, weight times the three forms at
-    each, and the three inner integrals from 0 to each node) is kept as
-    integers at scale 2^P, P = working bits + ``_QUADRATURE_EXTRA_BITS``, in
-    ``_quadrature_cache``, keyed by (endpoint, phi value from ``parse_phi``,
-    working digits, nodes).  The first word of length 3 at a key adds one
-    level per outer node and keeps the 9 length-2 integrals from 0 to each
-    outer node (``_prefix_pairs``).  Every word is then one exact integer sum
-    or dot, rounded once to ``mpc``; the budget is in the module docstring.
+    Each level uses the n-point rule on [0, upper limit], with n and the
+    kernels' scale 2^P worked out from the precision and the nearest pole
+    (``_quadrature_size``; derivation and budget in the module docstring).
+    The first level (``_first_level``: the outer nodes, weight times the
+    three forms at each, and the three inner integrals from 0 to each node)
+    is kept as integers at scale 2^P in ``_quadrature_cache``, keyed by
+    (endpoint, phi value from ``parse_phi``, working digits).  The first word
+    of length 3 at a key adds one level per outer node and keeps the 9
+    length-2 integrals from 0 to each outer node (``_prefix_pairs``).  Every
+    word is then one exact integer sum or dot, rounded once to ``mpc``.
     This is purely an independent cross-check of the transport tables and
     uses nothing of theirs.
     """
@@ -871,23 +937,24 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig,
     phi_value = parse_phi(phi, cfg)
     if not word:
         return ctx.mpc(1)
-    key = (endpoint, phi_value, cfg.working_digits, nodes)
-    bits = ctx.prec + _QUADRATURE_EXTRA_BITS
-    # [outer nodes, weighted forms, inner integrals, prefix pairs or None]
+    key = (endpoint, phi_value, cfg.working_digits)
+    # [P, outer nodes, weighted forms, inner integrals, prefix pairs or None]
     cached = _quadrature_cache.get(key)
-    if cached is None or (len(word) == 3 and cached[3] is None):
-        xs, ws = _gauss_legendre(nodes, cfg)
+    if cached is None or (len(word) == 3 and cached[4] is None):
+        nodes, bits = _quadrature_size(endpoint, phi_value, cfg)
+        xs, ws = _gauss_legendre(nodes, cfg, bits)
         # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
         rule = [(x + (1 << bits)) >> 1 for x in xs], [w >> 1 for w in ws]
         poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
         if cached is None:
             end = (1 << bits, 0) if endpoint == "1" else (0, 1 << bits)
-            cached = _quadrature_cache[key] = [*_first_level(end, poles, rule, bits), None]
+            cached = _quadrature_cache[key] = [bits, *_first_level(end, poles, rule, bits),
+                                               None]
         if len(word) == 3:
-            cached[3] = _prefix_pairs(cached[0], poles, rule, bits)
-    _, weighted, inner, pairs = cached
+            cached[4] = _prefix_pairs(cached[1], poles, rule, bits)
+    bits, points, weighted, inner, pairs = cached
     # word[:-1] integrated from 0 to each outer node, at scale 2^((len(word) - 1) bits)
-    head = ([(1, 0)] * nodes if len(word) == 1 else
+    head = ([(1, 0)] * len(points) if len(word) == 1 else
             inner[word[0] - 1] if len(word) == 2 else pairs[word[:2]])
     return from_fixed_pair(*_cdot(head, weighted[word[-1] - 1]), len(word) * bits, ctx)
 

@@ -117,9 +117,11 @@ def test_mpl_values(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["im"].startswith("0.91596559417721901505")
-    code, out, _ = run_cli(capsys, "mpl", "--indices", "1,1", "--args", "0,0.98")
-    assert code == 0
-    assert "0.0 + 0.0*i" in out
+    # a zero argument, inner or last, gives an exact 0
+    for indices, args in (("1,1", "0,0.98"), ("1", "0"), ("2,1", "0.5,0")):
+        code, out, _ = run_cli(capsys, "mpl", "--indices", indices, "--args", args)
+        assert code == 0, (indices, args)
+        assert "0.0 + 0.0*i" in out, (indices, args)
 
 
 def test_mpl_decimal_pair(capsys):

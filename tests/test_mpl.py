@@ -127,9 +127,16 @@ def test_split_kernel_near_one_on_the_unit_circle(digits):
 
 
 def test_zero_argument_gives_exact_zero():
-    for z2 in ("0.5", "0.98"):
-        value = li(mpl_spec([1, 1], [0, z2], CFG), CFG)
-        assert value == 0 and isinstance(value, CTX.mpc)
+    """A zero argument, inner or last, zeroes every term of the nested sum."""
+    specs = [mpl_spec([1, 1], [0, z2], CFG) for z2 in ("0.5", "0.98")]
+    specs += [mpl_spec([1], [0], CFG), mpl_spec([2, 1], ["0.5", 0], CFG),
+              mpl_spec([1, 2], ["0.98", 0], CFG)]
+    for spec in specs:
+        value = li(spec, CFG)
+        assert value == 0 and isinstance(value, CTX.mpc), spec
+    for spec in specs[2:]:
+        assert series_partial_sum(spec, CFG, 50) == 0, spec
+        assert series_extrapolated(spec, CFG) == 0, spec
 
 
 def test_convert_word_term_counts():

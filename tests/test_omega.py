@@ -191,7 +191,7 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
 def test_paired_forms_match_form_coeffs():
     cfg = PrecisionConfig(30)
     ctx = cfg.context
-    bits = ctx.prec + omega._QUADRATURE_EXTRA_BITS
+    _, bits = omega._quadrature_size("1", parse_phi("0.7", cfg), cfg)
     points = punctures(parse_phi("0.7", cfg), cfg)
     poles = [to_fixed_pair(p, bits) for p in points[:2]]
     for z in (ctx.mpc("0.3", "0.4"), ctx.mpc("-1.2", "0.5"), ctx.mpc("0.1", "-2")):
@@ -208,8 +208,8 @@ def test_first_level_builds_one_pole_of_each_mirror_pair(monkeypatch):
     values are conjugates; a top whose square is not real is refused."""
     cfg = PrecisionConfig(20)
     ctx = cfg.context
-    bits = ctx.prec + omega._QUADRATURE_EXTRA_BITS
     n = 12
+    bits = omega._quadrature_bits(n, 1, cfg)
     xs, ws = gauss_legendre_rule(n, cfg)
     rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
             [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
@@ -231,7 +231,7 @@ def test_quadrature_length3_word_matches_transport():
     cfg = PrecisionConfig(25)
     table = build_table("1", "pi/4", 3, cfg)
     for word in [(2, 2, 3), (1, 3, 2)]:
-        quad = quadrature_oracle(word, "1", "pi/4", cfg, nodes=48)
+        quad = quadrature_oracle(word, "1", "pi/4", cfg)
         assert abs(quad - table.value(word)) < cfg.eps(2), word
 
 
@@ -240,26 +240,26 @@ def test_quadrature_length3_words_share_one_second_level(monkeypatch):
     node; a second one at the same key builds none and equals its value
     computed on an empty cache."""
     cfg = PrecisionConfig(20)
+    n, _ = omega._quadrature_size("1", parse_phi("pi/4", cfg), cfg)
     calls = []
     first_level = omega._first_level
     monkeypatch.setattr(omega, "_first_level",
                         lambda *args: calls.append(args[0]) or first_level(*args))
     omega._quadrature_cache.clear()
-    quadrature_oracle((2, 2, 3), "1", "pi/4", cfg, nodes=16)
-    assert len(calls) == 1 + 16
-    value = quadrature_oracle((1, 3, 2), "1", "pi/4", cfg, nodes=16)
-    assert len(calls) == 1 + 16
+    quadrature_oracle((2, 2, 3), "1", "pi/4", cfg)
+    assert len(calls) == 1 + n
+    value = quadrature_oracle((1, 3, 2), "1", "pi/4", cfg)
+    assert len(calls) == 1 + n
     omega._quadrature_cache.clear()
-    assert quadrature_oracle((1, 3, 2), "1", "pi/4", cfg, nodes=16) == value
+    assert quadrature_oracle((1, 3, 2), "1", "pi/4", cfg) == value
 
 
 def test_oracle_caches_are_keyed_by_every_input():
     """Cached oracle values equal fresh ones whatever order the keys come in."""
     cfg30, cfg40 = PrecisionConfig(30), PrecisionConfig(40)
     # 0.75 is exact in binary, so its parsed value is the same at both precisions
-    base = ("1", "0.75", cfg30, 40)
-    variants = [("i", "0.75", cfg30, 40), ("1", "pi/6", cfg30, 40),
-                ("1", "0.75", cfg40, 40), ("1", "0.75", cfg30, 80)]
+    base = ("1", "0.75", cfg30)
+    variants = [("i", "0.75", cfg30), ("1", "pi/6", cfg30), ("1", "0.75", cfg40)]
     calls = [call for variant in variants for call in (base, variant)]
     words = [(1,), (2, 1), (3, 2)]
     omega._quadrature_cache.clear()
@@ -267,7 +267,7 @@ def test_oracle_caches_are_keyed_by_every_input():
             for call in calls for word in words]
     assert len(omega._quadrature_cache) == 1 + len(variants)
     # a different spelling of the same angle reuses its entry
-    quadrature_oracle((2, 1), "1", "1*pi/6", cfg30, 40)
+    quadrature_oracle((2, 1), "1", "1*pi/6", cfg30)
     assert len(omega._quadrature_cache) == 1 + len(variants)
     spec = mpl_spec([1, 1], [cfg30.context.mpc(0, 1), "0.5"], cfg30)
     li_seen = [(cfg, li(spec, cfg)) for cfg in (cfg30, cfg40, cfg30, cfg40)]
@@ -292,6 +292,19 @@ def test_transport_matches_quadrature_endpoint_i():
         if word:
             quad = quadrature_oracle(word, "i", "1.2", cfg)
             assert abs(table.value(word) - quad) < cfg.eps(6), word
+
+
+def test_quadrature_keeps_every_digit_at_60_digits():
+    """The node count grows with the precision: at 60 target digits every
+    word of length <= 2 is within ten units of the working precision of a
+    transport table 30 digits up, on the paths with the nearest poles."""
+    cfg = PrecisionConfig(60)
+    for endpoint, phi in (("1", "0.3"), ("1", "pi/6"), ("i", "1.2")):
+        reference = build_table(endpoint, phi, 2, PrecisionConfig(90))
+        for word in reference.words():
+            if word:
+                quad = quadrature_oracle(word, endpoint, phi, cfg)
+                assert abs(quad - reference.value(word)) < cfg.eps(1), (endpoint, phi, word)
 
 
 @pytest.mark.parametrize("endpoint,phi", [("i", "0.3"), ("1", "1.2")])
