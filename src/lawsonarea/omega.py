@@ -726,6 +726,13 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
 _gl_cache: dict[tuple[int, int, int], tuple] = {}
 # (endpoint, phi value, working digits) -> first level of the quadrature
 _quadrature_cache: dict[tuple, list] = {}
+# The most nodes the oracle takes.  n grows like P/(2 ln rho), without bound
+# as phi nears 0 or pi/2 (56 182 at phi = 1e-6 and 30 digits).  At 30 digits
+# a first level of n nodes took 0.15 s at n = 200 and 0.38 s at 400, the
+# second level of a length-3 word 12 s and 102 s.  Every in-tree call takes
+# at most 126 nodes (60 digits); 400 covers the five benchmark angles through
+# 100 target digits (at most 188) and (i, 1.2) at 260 working digits (379).
+_MAX_NODES = 400
 
 
 def _quadrature_bits(n: int, delta: float, cfg: PrecisionConfig) -> int:
@@ -750,6 +757,7 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
     nearest pole's Bernstein parameter, m = ln((64/15) e M/(rho'^2 - 1)) with
     rho' = rho e^(-1/(2n)) and M = 16 n/(rho - 1/rho), and P is
     ``_quadrature_bits(n, delta, cfg)``.  The module docstring derives it.
+    A ``ValueError`` naming phi refuses an n above ``_MAX_NODES``.
     """
     phi = float(phi_value)
     end = 1 if endpoint == "1" else 1j
@@ -757,6 +765,10 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
     delta = min(math.sin(phi), math.cos(phi))
     n = math.ceil(cfg.context.prec * math.log(2) / (2 * math.log(rho)))
     while True:
+        if n > _MAX_NODES:
+            raise ValueError(f"the quadrature oracle at phi = {phi:.6g} needs more than "
+                             f"{_MAX_NODES} nodes at {cfg.target_digits} digits: a pole "
+                             "lies too close to the path")
         bits = _quadrature_bits(n, delta, cfg)
         inner = rho * math.exp(-1 / (2 * n))      # rho', with rho'^(-2n) = e rho^(-2n)
         bound = 64 / 15 * math.e * (16 * n / (rho - 1 / rho)) / (inner * inner - 1)

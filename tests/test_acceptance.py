@@ -181,20 +181,22 @@ def test_criterion_9_property_suites(cfg40, state40_o6, table40_pi4_L7):
         if abs(lhs - rhs) >= tol:
             failures.append(f"stuffle pair {k}")
 
-    # star/bar involution laws on random Laurent polynomials
+    # star/bar involution laws on random Laurent polynomials: each law holds
+    # to 0 units of 2^-P, since the integer kernel permutes and negates exact
+    # sums and rounds a product oddly (laurent's rounding budget)
     for k in range(20):
         coeffs = {d: ctx.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
                   for d in range(-3, 4) if rng.random() < 0.7}
         p = LaurentPoly(cfg40, coeffs)
         q = LaurentPoly(cfg40, {d: ctx.mpc(rng.uniform(-2, 2))
                                 for d in range(-2, 3)})
-        if (p.star().star() - p).max_abs() >= tol:
+        if not (p.star().star() - p).is_zero:
             failures.append(f"star involution {k}")
-        if (p.bar().bar() - p).max_abs() >= tol:
+        if not (p.bar().bar() - p).is_zero:
             failures.append(f"bar involution {k}")
-        if ((p * q).star() - p.star() * q.star()).max_abs() >= tol:
+        if not ((p * q).star() - p.star() * q.star()).is_zero:
             failures.append(f"star multiplicativity {k}")
-        if (p.star().bar() - p.bar().star()).max_abs() >= tol:
+        if not (p.star().bar() - p.bar().star()).is_zero:
             failures.append(f"star/bar commutation {k}")
 
     # degree and parity invariants at every computed engine order
@@ -204,7 +206,7 @@ def test_criterion_9_property_suites(cfg40, state40_o6, table40_pi4_L7):
                 continue
             if poly.min_degree() < 0 or poly.max_degree() > n + 1:
                 failures.append(f"degree bound at order {n}")
-            if any((d + n) % 2 == 0 for d in poly.coeffs):
+            if any((d + n) % 2 == 0 for d in poly.degrees()):
                 failures.append(f"parity at order {n}")
         if n % 2 == 1 and state40_o6.r[n] != 0:
             failures.append(f"odd-order r at order {n}")

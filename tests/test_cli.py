@@ -263,3 +263,17 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_expand_order7_digits_are_pinned(capsys):
+    """``expand --order 7 --precision 40 --format json`` prints the alpha_k,
+    their per-genus rescaling and the derivative polynomials exactly as
+    recorded in ``tests/data/expand_order7_precision40.json``."""
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "expand_order7_precision40.json").read_text())
+    code, out, _ = run_cli(capsys, "expand", "--order", "7", "--precision", "40",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for key in ("alpha_t", "alpha_per_genus", "derivatives"):
+        assert payload[key] == golden[key], key

@@ -5,10 +5,10 @@ import mpmath
 import pytest
 
 from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support,
-                               area_series, central_state, extract_a_r, extract_c,
+                               advance, area_series, central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
-from lawsonarea.laurent import LaurentPoly
+from lawsonarea.laurent import LaurentPoly, to_mpf
 from lawsonarea.omega import build_signed_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
 
@@ -73,12 +73,12 @@ def test_parity_and_symmetry_invariants(state40_o6):
     assert state40_o6.a[1].is_zero and state40_o6.a[2].is_zero
     for n in range(1, state40_o6.order + 1):
         for poly in (state40_o6.a[n], state40_o6.b[n], state40_o6.c[n]):
-            assert all(type(v) is CTX.mpf for v in poly.coeffs.values()), n
+            assert not poly.im, n
             if poly.is_zero:
                 continue
             assert poly.min_degree() >= 0
             assert poly.max_degree() <= n + 1
-            for deg in poly.coeffs:
+            for deg in poly.re:
                 assert (deg + n) % 2 == 1, (n, deg)
             assert poly.imag_residual() == 0
         # b = (-1)^n c and odd-order r vanish
@@ -198,7 +198,7 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
 def test_support_drops_dust():
     poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
     kept, diag = _support(poly, 2, CTX.mpf(1), "x", CFG)
-    assert set(kept.coeffs) == {1}
+    assert set(kept.re) == {1}
     assert diag["parity_residual"] == 0
 
 
@@ -206,8 +206,9 @@ def test_support_drops_and_reports_parity_dust():
     # scale 1e-10 keeps 1e-46 above the noise cut, below the parity tolerance
     poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-46")})
     kept, diag = _support(poly, 2, CTX.mpf("1e-10"), "x", CFG)
-    assert set(kept.coeffs) == {1}
-    assert diag["parity_residual"] == CTX.mpf("1e-46")
+    assert set(kept.re) == {1}
+    assert diag["parity_residual"] == poly.coefficient(2)
+    assert abs(diag["parity_residual"] - CTX.mpf("1e-46")) < to_mpf(1, CFG)   # 2^-P
 
 
 def test_support_rejects_parity_forbidden_coefficient():
@@ -234,7 +235,7 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
         return extract_a_r(4, state, c_n, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
 
     a_dust, r_dust, _ = with_extra("1e-50")
-    assert (a_dust - a_n).is_zero and abs(r_dust - r_n) < CFG.eps(8)
+    assert (a_dust - a_n).is_zero and to_mpf(abs(r_dust - r_n), CFG) < CFG.eps(8)
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
 
@@ -297,7 +298,8 @@ def test_carried_products_match_fresh(signed40_pi4_L7):
         fresh = frame_lower(n, state, signed40_pi4_L7)
         for i in range(2):
             for j in range(2):
-                assert carried[i, j].coeffs == fresh[i, j].coeffs, (n, i, j)
+                assert carried[i, j].re == fresh[i, j].re, (n, i, j)
+                assert carried[i, j].im == fresh[i, j].im, (n, i, j)
 
 
 def test_expansion_values_match_reference(state40_o6):
@@ -329,8 +331,8 @@ def _word_sum_frame_lower(n, state, table):
     def y(i, k, ells):          # the terms ells of the k-th derivative of r x_i
         total = {}
         for ell in ells:
-            axpy(total, math.comb(k, ell) * state.r[k - ell],
-                 {d: v.real for d, v in state.x(i, ell).coeffs.items()})
+            axpy(total, math.comb(k, ell) * to_mpf(state.r[k - ell], CFG),
+                 {d: to_mpf(v, CFG) for d, v in state.x(i, ell).re.items()})
         return total
 
     for i in (1, 2, 3):
@@ -369,7 +371,7 @@ def test_frame_lower_matches_word_sum(state40_o6, signed40_pi4_L7, table40_pi4_L
             for j in range(2):
                 entry = want[i][j]
                 tol = CFG.eps(2) * max([CTX.mpf(1)] + [abs(v) for v in entry.values()])
-                for d in got[i, j].coeffs.keys() | entry.keys():
+                for d in got[i, j].degrees() | entry.keys():
                     err = abs(got[i, j].coefficient(d) - entry.get(d, 0))
                     assert err <= tol, (n, i, j, d, mpmath.nstr(err, 3))
 
@@ -393,3 +395,23 @@ def test_frame_lower_skips_zero_parts(monkeypatch, signed40_pi4_L7):
                         lambda acc, s, p: scalars.append(s) or axpy(acc, s, p))
     run(5, CFG, table=signed40_pi4_L7)
     assert scalars and all(scalars), scalars.count(0)
+
+
+def test_order_recursion_runs_on_integers(monkeypatch, signed40_pi4_L7):
+    """Every polynomial of a run(5) state, and every r^(k), stores integers,
+    and an order of the recursion makes no ``mpc`` multiplication."""
+    from mpmath.ctx_mp_python import _mpc
+    state = run(4, CFG, table=signed40_pi4_L7)
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(_mpc, name, lambda s, t, mul=getattr(_mpc, name):
+                            products.append(t) or mul(s, t))
+    advance(state, signed40_pi4_L7)
+    assert products == []
+    assert CTX.mpc(0, 1) * 2 == 2 * CTX.mpc(0, 1) and len(products) == 2   # counted
+    monkeypatch.undo()
+    polys = state.a + state.b + state.c + [
+        frame[i, j] for frame in state.frames for i in range(2) for j in range(2)]
+    assert state.order == 5 and len(polys) == 3 * 6 + 4 * 7
+    assert all(type(v) is int for p in polys for v in (*p.re.values(), *p.im.values()))
+    assert all(type(v) is int for v in state.r)

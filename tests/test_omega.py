@@ -143,6 +143,16 @@ def test_quadrature_examples():
         quadrature_oracle((1, 1, 1, 1), "1", "pi/4", cfg)
 
 
+def test_quadrature_refuses_a_pole_next_to_the_path():
+    """Near phi = 0 the derived node count has no bound (56 182 at 1e-6): the
+    oracle refuses it at once, naming phi, instead of running for hours."""
+    import time
+    start = time.process_time()
+    with pytest.raises(ValueError, match="phi = 1e-06"):
+        quadrature_oracle((1,), "1", "1e-6", PrecisionConfig(30))
+    assert time.process_time() - start < 1
+
+
 def test_oracle_triangle_weight2():
     """Transport, quadrature and polylogarithm conversion must agree."""
     cfg = PrecisionConfig(30)
