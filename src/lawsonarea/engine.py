@@ -82,8 +82,9 @@ class DerivativeState:
     an integer at the polynomials' scale 2^P.  The two private maps are
     built from solved orders only, so never stale: ``_ys`` maps (i, k) to
     y_i^(k), and ``_products`` maps each letter multiset (a non-decreasing
-    word) to the list of t-derivatives of its product of y, as real
-    {degree: int} maps at scale 2^P.
+    word) to its ordered constant matrix product M_(w_1) ... M_(w_l) and the
+    list of t-derivatives of its product of y, as real {degree: int} maps at
+    scale 2^P.
     """
 
     __slots__ = ("cfg", "phi_label", "order", "a", "b", "c", "r", "frames",
@@ -187,13 +188,14 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     Carried products.  D^m of a multiset's product needs y^(k) for k <= m
     only, and a multiset of l letters contributes D^(n+1-l) and feeds its
     children up to D^(n-l), so at order n every derivative read is of a
-    solved order.  Each multiset's list of maps lives on the state
-    (``DerivativeState._products``) and is extended only by the orders it
-    lacks, so order n builds one new derivative per multiset of size <= n
-    and the first one of the multisets of size n + 1.  Nothing there depends
-    on the table.  A product of l letters at derivative order m has support
-    in [-l, m + l], so no rounding dust can cross the degree bound that
-    ``frame_derivative`` checks.
+    solved order.  Each multiset's constant matrix and list of maps live on
+    the state (``DerivativeState._products``): the matrix is multiplied out
+    once, when the multiset is first reached, and the list is extended only
+    by the orders it lacks, so order n builds one new derivative per
+    multiset of size <= n and the first one of the multisets of size n + 1.
+    Nothing there depends on the table.  A product of l letters at
+    derivative order m has support in [-l, m + l], so no rounding dust can
+    cross the degree bound that ``frame_derivative`` checks.
     """
     cfg = state.cfg
     if not isinstance(table, SignedTable):
@@ -219,7 +221,7 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
 
     # single letters: D^k of y_i is y_i^(k) itself
     for i in (1, 2, 3):
-        have = products.setdefault((i,), [])
+        have = products.setdefault((i,), (M_MATS[i - 1], []))[1]
         for k in range(len(have), n):
             have.append(state.solved_y(i, k).re)
         # single-letter cross terms (orders 1..n-1 of x against r)
@@ -227,7 +229,8 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         if cross:
             add(M_MATS[i - 1], n + 1, table.value((i,)), cross)
 
-    def descend(key, mmat, derivs) -> None:
+    def descend(key) -> None:
+        mmat, derivs = products[key]
         size = len(key)
         if size >= 2 and derivs[n + 1 - size]:
             add(mmat, math.perm(n + 1, size), table.value(key), derivs[n + 1 - size])
@@ -238,18 +241,20 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
             return
         for i in range(key[-1], 4):
             child_key = key + (i,)
-            child = products.setdefault(child_key, [])
-            ys = products[(i,)]
+            if child_key not in products:
+                products[child_key] = _mat_mul(mmat, M_MATS[i - 1]), []
+            child = products[child_key][1]
+            ys = products[(i,)][1]
             for s in range(len(child), max_child + 1):
                 total: dict = {}
                 for j in range(s + 1):
                     if derivs[j] and ys[s - j]:
                         add_product(total, math.comb(s, j), derivs[j], ys[s - j])
                 child.append(round_map(total, bits))
-            descend(child_key, _mat_mul(mmat, M_MATS[i - 1]), child)
+            descend(child_key)
 
     for i in (1, 2, 3):
-        descend((i,), M_MATS[i - 1], products[(i,)])
+        descend((i,))
 
     entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
     for mmat, (s_re, s_im) in sums.items():

@@ -40,7 +40,7 @@ carrying H_j = j G_j this is the geometric product H_{j+1} = (H_j - F_j) r
 G_j = F_j // j.  The prefix and the suffix series are each extended once
 per letter, so a weight-w value costs O(w T) coefficient operations.  The
 w + 1 products of prefix and suffix values are exact at scale 2^-2P, and
-their sum is rounded once, to ``mpc``.
+their sum is rounded once, to an ``mpc`` of P bits.
 
 Magnitude: |G_{j+1}| <= (j |G_j| + |F_j|) |r| / (j + 1) gives
 max |G| <= |r| max |F|, so no letter makes the integers longer than those
@@ -70,11 +70,19 @@ Measured with no extra bits on Li_{2,1} at term ratio 0.94, the kernel lost
 Li_{2,1}(0.35, 0.98), rho = 0.961, no extra bits left the value 2^11.1
 units of the working precision off at 40 digits (T = 3 354) and 2^13.4
 units at 250 digits (T = 15 441); on Li_{2,1}(0.35, 0.995), rho = 0.990,
-2^13.2 units at 40 digits.  With 16 or 32 extra bits alike these fell to
-2^2.0, 2^2.0 and 2^6.2 units: what remains is the rounding of the poles and
-of their images 1 - a at the working precision, which the conditioning near
-the boundary amplifies and the guard digits absorb (with the poles 40 bits
-finer it is 2^-3.3 and 2^-0.6 units at 40 digits).
+2^13.2 units at 40 digits.  With 16 or 32 extra bits alike these fell only
+to 2^2.0, 2^2.0 and 2^6.2 units while the poles and their images 1 - a were
+rounded to the working precision, a rounding that the conditioning near the
+boundary amplifies.  So every pole quantity is formed at 2^-P and rounded
+once there: the arguments that ``convert_word`` builds from the punctures
+(which ``omega.punctures`` gives at ``cfg.pole_bits`` = P), the tail
+products, the letters a_i = 1/(z_i...z_d), the images 1 - a and the ratios
+x0/a and x1/(1 - a).  ``li`` rounds the kernel's exact sum once, to 2^-P,
+not to the working precision, so a signed sum of its values
+(``SignedMplSum.value``) is exact until its own single rounding.  Against
+the kernel 60 digits up on the same binary arguments the three values
+above are now 2^-20.8, 2^-18.6 and 2^-18.8 units of the working precision
+off, and 0.10, 0.07 and 0.65 units once rounded to it.
 
 ``convert_word`` turns an iterated-integral word over the surface forms
 into the 4^n signed depth-n polylogarithm terms with puncture-ratio
@@ -97,6 +105,7 @@ import math
 from collections.abc import Sequence
 
 import mpmath
+from mpmath.libmp import mpf_neg
 
 from .omega import FORM_COEFFS, punctures
 from .precision import FrozenValue, PrecisionConfig, from_fixed_pair, to_fixed_pair
@@ -137,14 +146,27 @@ def mpl_spec(indices: Sequence[int], args: Sequence, cfg: PrecisionConfig) -> Mp
     return MplSpec(tuple(int(n) for n in indices), tuple(ctx.mpc(z) for z in args))
 
 
+def _split_bits(cfg: PrecisionConfig) -> int:
+    """The split kernel's scale P: working bits + ``_SPLIT_EXTRA_BITS``."""
+    return cfg.context.prec + _SPLIT_EXTRA_BITS
+
+
+def _conj(z, ctx):
+    """conj z exactly; ``ctx.conj`` rounds to the context's precision."""
+    re, im = z._mpc_
+    return ctx.make_mpc((re, mpf_neg(im)))
+
+
 def _tail_products(spec: MplSpec, cfg: PrecisionConfig) -> list:
-    """Products z_i * z_{i+1} * ... * z_d for i = 1..d (index 0-based list)."""
+    """Products z_i * z_{i+1} * ... * z_d for i = 1..d (index 0-based list),
+    at the split kernel's scale."""
     ctx = cfg.context
     prods = [ctx.mpc(1)] * spec.depth
     acc = ctx.mpc(1)
-    for i in range(spec.depth - 1, -1, -1):
-        acc = acc * spec.args[i]
-        prods[i] = acc
+    with ctx.workprec(_split_bits(cfg)):
+        for i in range(spec.depth - 1, -1, -1):
+            acc = acc * spec.args[i]
+            prods[i] = acc
     return prods
 
 
@@ -246,12 +268,14 @@ def _single_term(spec: MplSpec, cfg: PrecisionConfig, k_last: int):
 # split evaluation via the iterated-integral representation
 # ---------------------------------------------------------------------------
 
-def _integral_word(spec: MplSpec, prods) -> list:
-    """Pole letters of the integral representation: a_i then n_i - 1 zeros."""
+def _integral_word(spec: MplSpec, prods, cfg: PrecisionConfig) -> list:
+    """Pole letters of the integral representation: a_i = 1/prods[i], at the
+    split kernel's scale, then n_i - 1 zeros."""
     word = []
-    for i in range(spec.depth):
-        word.append(1 / prods[i])
-        word.extend([0] * (spec.indices[i] - 1))
+    with cfg.context.workprec(_split_bits(cfg)):
+        for i in range(spec.depth):
+            word.append(1 / prods[i])
+            word.extend([0] * (spec.indices[i] - 1))
     return word
 
 
@@ -294,14 +318,17 @@ def _split_value(word: list, cfg: PrecisionConfig):
     below 1 because r1 >= 1 on the convergence region (within the tolerance
     of ``_validate`` it can round to 1, and the word is refused).  The
     integer kernel and its rounding budget, beyond which it refuses the
-    word, are in the module docstring.
+    word, are in the module docstring; the value is rounded once, to the
+    kernel's scale 2^-P.
     """
     ctx = cfg.context
     k = len(word)
     if k == 0:
         return ctx.mpc(1)
+    bits = _split_bits(cfg)
     radius_first = min(abs(a) for a in word if a != 0)
-    images = [1 - a for a in word]
+    with ctx.workprec(bits):
+        images = [1 - a for a in word]
     nonzero_images = [abs(b) for b in images if abs(b) > cfg.eps(4)]
     radius_second = min(nonzero_images + [mpmath.mpf(1)])
     ratio = float(1 / (radius_first + radius_second))
@@ -315,7 +342,6 @@ def _split_value(word: list, cfg: PrecisionConfig):
 
     x0 = ctx.mpf(float(radius_first / (radius_first + radius_second)))
     x1 = 1 - x0
-    bits = ctx.prec + _SPLIT_EXTRA_BITS
     one = 1 << bits
     with ctx.workprec(bits):
         # each half in v = q/x, where pole a enters only as r = x/a
@@ -341,12 +367,17 @@ def _split_value(word: list, cfg: PrecisionConfig):
         s_re, s_im = suffix_vals[j]
         total_re += p_re * s_re - p_im * s_im
         total_im += p_re * s_im + p_im * s_re
-    return from_fixed_pair(total_re, total_im, 2 * bits, ctx)
+    with ctx.workprec(bits):
+        return from_fixed_pair(total_re, total_im, 2 * bits, ctx)
 
 
 @functools.lru_cache(maxsize=None)
 def li(spec: MplSpec, cfg: PrecisionConfig):
     """Value of the convergent nested sum, to the config's target precision.
+
+    The value is rounded once, to the split kernel's scale 2^-P, 32 bits
+    finer than the working precision (module docstring); arithmetic on it at
+    the working precision rounds it as usual.
 
     After the mirror step below and ``_validate``, a spec with a zero
     argument is an exact 0 and every other spec runs on the split kernel,
@@ -358,19 +389,22 @@ def li(spec: MplSpec, cfg: PrecisionConfig):
     The nested sum has real coefficients, so Li(conj z) = conj Li(z)
     (Schwarz reflection): a spec whose first non-real argument has a
     negative imaginary part is the conjugate of ``li`` of its mirror spec,
-    all arguments conjugated, which the cache then shares with the mirror.
+    all arguments conjugated exactly, which the cache then shares with the
+    mirror.
     """
     ctx = cfg.context
     for z in spec.args:
         if z.imag:
             if z.imag < 0:
-                mirror = MplSpec(spec.indices, tuple(ctx.conj(a) for a in spec.args))
-                return ctx.conj(li(mirror, cfg))
+                mirror = MplSpec(spec.indices, tuple(_conj(a, ctx) for a in spec.args))
+                return _conj(li(mirror, cfg), ctx)
             break
     prods = _validate(spec, cfg)
     if not all(prods):
         return ctx.mpc(0)   # a zero argument zeroes every term
-    return (-1) ** spec.depth * _split_value(_integral_word(spec, prods), cfg)
+    value = _split_value(_integral_word(spec, prods, cfg), cfg)
+    with ctx.workprec(_split_bits(cfg)):
+        return (-1) ** spec.depth * value
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +451,12 @@ def _assignment_specs(phi, n: int, cfg: PrecisionConfig) -> tuple:
     per (phi, n, config) and the words' terms share the spec objects."""
     ps = punctures(phi, cfg)
     ones = (1,) * n
-    return tuple((assignment,
-                  MplSpec(ones, tuple(ps[b] / ps[a] for a, b in zip(assignment, assignment[1:]))
-                          + (1 / ps[assignment[-1]],)))
-                 for assignment in itertools.product(range(4), repeat=n))
+    with cfg.context.workprec(_split_bits(cfg)):
+        return tuple((assignment,
+                      MplSpec(ones, tuple(ps[b] / ps[a]
+                                          for a, b in zip(assignment, assignment[1:]))
+                              + (1 / ps[assignment[-1]],)))
+                     for assignment in itertools.product(range(4), repeat=n))
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,17 @@ at most a few bits per letter and never by a factor that depends on j.  In
 the functionals |g_j| <= 2/(j + 1) (in units of 2^P), the same 1/3
 damping keeps |H| <= 1, and |W_i| <= 4.
 
-Rounding budget, in units of 2^-P.  Each r is rounded once per segment,
-and its partner takes conj(r), one unit from its own rounded ratio; both
-move a pole far less than its own working-precision error.  Each shift
-rounds once, and the recurrence damps an earlier rounding by |r| <= 1/3,
-so each part of a real-input product (``_real_product`` doubles it, from
-2 S_j) carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so does
-a pair's sum or difference, which is one part of one product.  The letter
-integrand carries at most 3, and coefficient j of the integral at most
-3/j + 1 after the division.  Its constant term is an exact sum of those
-coefficients, so as a function on [-1, 1] its error is sum_j e_j
+Rounding budget, in units of 2^-P.  The poles come from ``punctures`` at
+``cfg.pole_bits``, 8 bits finer than 2^-P (``precision`` module docstring);
+each r = h/(p - m) is formed there and rounded once per segment, to 2^-P,
+and its partner takes conj(r), one unit from its own rounded ratio.  Each
+shift rounds once, and the recurrence damps an earlier rounding by |r| <=
+1/3, so each part of a real-input product (``_real_product`` doubles it,
+from 2 S_j) carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so
+does a pair's sum or difference, which is one part of one product.  The
+letter integrand carries at most 3, and coefficient j of the integral at
+most 3/j + 1 after the division.  Its constant term is an exact sum of
+those coefficients, so as a function on [-1, 1] its error is sum_j e_j
 (v^(j+1) - (-1)^(j+1)), at most 2 (T + 3 (1 + ln T)) units.  The signed
 sums of integers are exact, so every other fresh rounding is a
 functional's or a shift's.  A word has one parent and takes
@@ -163,7 +164,12 @@ most 8.2, 9.3 and 9.7 bits on the same three paths with no extra bits
 more than 2^-14.5 of a unit.  Every integer the one-list kernel forms is,
 one for one, the non-zero part of what a kernel on (re, im) pairs of
 lists forms on the same segment (that kernel's other part is exactly 0),
-so these budgets and measurements hold for it unchanged.
+so these budgets and measurements hold for it unchanged.  Measured at 30
+target digits against tables 30 digits up, every word of the depth-3 word
+tables at (1, pi/6), (i, 1.2) and (1, 0.3) is within 3.5 / 3.6 / 7.3 units
+of the working precision, about the half unit in the last place of its
+final rounding; with the poles rounded to the working precision the
+forms amplified that rounding to 8.0 / 23.2 / 24.9 units.
 
 Quadrature oracle.  ``_gauss_legendre`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits plus the extra bits
@@ -211,10 +217,13 @@ roundings, in units of 2^-P.
   plus 1/(1 - x^2) < (n + 1/2)^2/5.6 units from rounding 1 - x^2: under
   2 n^3 units in all for n >= 7, which is 2^20 at n = 80 and 2^23.7 at
   n = 188, the count at 100 target digits and phi = 0.3.
-* First level.  On the path to 1 or to i every node z and every inner node
-  t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from both pole
-  pairs, and z^2 is real, so p2 = -conj p1 gives u2 = conj u1 (Schwarz
-  reflection).  Only u1 = 1/(z^2 - p1^2) is computed, by one ``//`` of
+* First level.  The poles p1 and p2 come from ``punctures`` at
+  ``cfg.pole_bits``, working bits + 32, and are rounded once, to 2^-P;
+  ``_quadrature_size`` refuses a P above that, which only delta < 4.2e-4
+  reaches (below).  On the path to 1 or to i every node z and every inner
+  node t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from
+  both pole pairs, and z^2 is real, so p2 = -conj p1 gives u2 = conj u1
+  (Schwarz reflection).  Only u1 = 1/(z^2 - p1^2) is computed, by one ``//`` of
   2^(3P) by the exact norm of z^2 - p1^2, which carries about 6 units from
   rounding z^2 and p1^2; so u1 and its conjugate are off by at most
   6/delta^2 + 4 units (p2 is exactly -conj p1 on the integers).  As floor
@@ -239,7 +248,12 @@ those precisions derive (60 and 71 at (1, pi/6) and (i, 1.2) at 40 digits,
 to 38 units of the working precision) and the first levels up to 1 220
 units against the kernel with 120 extra bits; with the derived 23 to 31
 extra bits the rule is within 1e-6 units, and the levels within 2.4e-5
-units, of a kernel 30 digits up on the same poles.
+units, of a kernel 30 digits up on the same poles.  Against a kernel 30
+digits up on its own poles, at the node count of the lower precision, the
+first level at (i, 1.2) and (1, pi/6) is within 1.8e-5 and 2.4e-5 units
+at 30 target digits and 6.0e-7 and 4.4e-7 at 250; with the poles rounded
+to the working precision it was 3.3 and 0.29 units off at 30 digits, and
+3.4 and 0.21 at 250.
 """
 
 from __future__ import annotations
@@ -253,7 +267,7 @@ from pathlib import Path
 
 import mpmath
 
-from .precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
+from .precision import POLE_EXTRA_BITS, PrecisionConfig, from_fixed_pair, to_fixed_pair
 from .words import Word, format_word, parse_word
 
 try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
@@ -264,7 +278,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _ENDPOINTS = ("1", "i")
 
@@ -274,21 +288,26 @@ _ENDPOINTS = ("1", "i")
 # ---------------------------------------------------------------------------
 
 def parse_phi(text, cfg: PrecisionConfig):
-    """Evaluate an exact phi description at working precision.
+    """Evaluate an exact phi description at ``cfg.pole_bits``.
 
     Accepts "pi", "pi/4", "3*pi/8" or a decimal string such as "0.3";
     never a machine float, so nothing is silently truncated to 53 bits.
+    The value carries the bits of the finest kernel scale (``precision``
+    module docstring); arithmetic on it at the working precision rounds as
+    usual.
     """
     ctx = cfg.context
     if isinstance(text, (int, mpmath.mpf)) or type(text) is float:
         raise TypeError("phi must be given as an exact string (e.g. 'pi/4' or '0.3')")
     s = str(text).strip().replace(" ", "")
-    if "pi" in s:
-        num, den = _pi_fraction(s)
-        value = ctx.pi * num / den
-    else:
-        value = ctx.mpf(s)
-    if not (0 < value < ctx.pi / 2):
+    with ctx.workprec(cfg.pole_bits):
+        if "pi" in s:
+            num, den = _pi_fraction(s)
+            value = ctx.pi * num / den
+        else:
+            value = ctx.mpf(s)
+        inside = 0 < value < ctx.pi / 2
+    if not inside:
         raise ValueError(f"phi = {s} must lie strictly between 0 and pi/2")
     return value
 
@@ -350,14 +369,17 @@ FORM_COEFFS = ((1, -1, 1, -1),
 
 
 def punctures(phi, cfg: PrecisionConfig) -> tuple:
-    """The four unit-circle branch points; phi strictly between 0 and pi/2."""
+    """The four unit-circle branch points (p1, p2, -p1, -p2), p2 = -conj p1,
+    at ``cfg.pole_bits``; phi strictly between 0 and pi/2, as ``parse_phi``
+    gives it."""
     ctx = cfg.context
-    phiv = ctx.mpf(phi)
-    if not (0 < phiv < ctx.pi / 2):
-        raise ValueError("phi must lie strictly between 0 and pi/2")
-    p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
-    p2 = -ctx.conj(p1)
-    return (p1, p2, -p1, -p2)
+    with ctx.workprec(cfg.pole_bits):
+        phiv = ctx.mpf(phi)
+        if not (0 < phiv < ctx.pi / 2):
+            raise ValueError("phi must lie strictly between 0 and pi/2")
+        p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
+        p2 = -ctx.conj(p1)
+        return (p1, p2, -p1, -p2)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +511,9 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, in
     Returns (ratios, plan, P).  The poles fall in two pairs (k, k'): pole k'
     is the mirror image m + (h / conj h) conj(p_k - m) of pole k across the
     segment's line (m the midpoint, h the half-length).  ``ratios`` holds
-    r = h/(p_k - m) of each pair's first pole k as a fixed-point pair; the
-    ratio of pole k' is taken as conj(r) exactly.  ``plan`` holds per
+    r = h/(p_k - m) of each pair's first pole k as a fixed-point pair,
+    formed from the poles at ``cfg.pole_bits`` and rounded once; the ratio
+    of pole k' is taken as conj(r) exactly.  ``plan`` holds per
     letter 1, 2, 3 its pair operation and its phase flip: flip 1 where the
     form gives the two poles of a pair opposite residues (the pair's
     difference, which turns a real series imaginary and an imaginary one
@@ -502,15 +525,17 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, in
     other pair's difference, which has no single phase.
     """
     ctx = cfg.context
-    mid = (z0 + z1) / 2
-    half = (z1 - z0) / 2
-    rel = [p - mid for p in poles]
+    bits = ctx.prec + _EXTRA_BITS
+    # the poles' offsets from the midpoint, at the poles' own scale
+    with ctx.workprec(cfg.pole_bits):
+        mid = (z0 + z1) / 2
+        half = (z1 - z0) / 2
+        rel = [p - mid for p in poles]
     margin = abs(half) * 3
     for q in rel:
         if margin > abs(q) * (1 + 1e-9):
             raise ValueError("segment too long for its pole gap; subdivision bug")
     turn = half / ctx.conj(half)
-    bits = ctx.prec + _EXTRA_BITS
     rest = list(range(len(poles)))
     pairs, ratios = [], []
     while rest:
@@ -521,7 +546,7 @@ def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, in
             raise ValueError("the segment's line is not a symmetry axis of the poles")
         rest.remove(partner)
         pairs.append((k, partner))
-        with ctx.workprec(bits):
+        with ctx.workprec(cfg.pole_bits):
             ratios.append(to_fixed_pair(half / rel[k], bits))
     (a, a2), (b, b2) = pairs
     plan = []
@@ -733,6 +758,13 @@ _quadrature_cache: dict[tuple, list] = {}
 # at most 126 nodes (60 digits); 400 covers the five benchmark angles through
 # 100 target digits (at most 188) and (i, 1.2) at 260 working digits (379).
 _MAX_NODES = 400
+# The most nodes a word of length 3 takes.  Its first call at a key builds
+# one second level per outer node, n levels of n (n + 1)/2 divisions, so its
+# cost grows as n^3: at 30 digits and pi/4 it took 0.28 / 1.7 / 3.7 / 6.7 s
+# of CPU at 50 / 100 / 128 / 150 nodes (102 s at 400).  Every in-tree
+# length-3 call takes at most 50 nodes; 128 admits the three nearest-pole
+# paths at 60 digits (at most 126).
+_MAX_NODES_LENGTH3 = 128
 
 
 def _quadrature_bits(n: int, delta: float, cfg: PrecisionConfig) -> int:
@@ -757,7 +789,11 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
     nearest pole's Bernstein parameter, m = ln((64/15) e M/(rho'^2 - 1)) with
     rho' = rho e^(-1/(2n)) and M = 16 n/(rho - 1/rho), and P is
     ``_quadrature_bits(n, delta, cfg)``.  The module docstring derives it.
-    A ``ValueError`` naming phi refuses an n above ``_MAX_NODES``.
+    A ``ValueError`` naming phi refuses an n above ``_MAX_NODES``, and a P
+    above ``cfg.pole_bits``, finer than the poles it would round: the
+    24/delta^2 term of ``_quadrature_bits`` gets there only as delta falls
+    below 4.2e-4, phi that close to 0 or pi/2 on the path away from its near
+    pole (the other path needs more than ``_MAX_NODES`` there).
     """
     phi = float(phi_value)
     end = 1 if endpoint == "1" else 1j
@@ -774,8 +810,14 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
         bound = 64 / 15 * math.e * (16 * n / (rho - 1 / rho)) / (inner * inner - 1)
         need = math.ceil((bits * math.log(2) + math.log(bound)) / (2 * math.log(rho)))
         if need <= n:
-            return n, bits
+            break
         n = need
+    if bits > cfg.pole_bits:
+        raise ValueError(f"the quadrature oracle at phi = {phi:.6g} needs "
+                         f"{bits - cfg.context.prec} extra bits at {cfg.target_digits} "
+                         f"digits, more than the {POLE_EXTRA_BITS} its poles carry: phi "
+                         "lies too close to 0 or pi/2")
+    return n, bits
 
 
 def gauss_legendre_rule(n: int, cfg: PrecisionConfig):
@@ -935,7 +977,9 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig) -> mp
     is kept as integers at scale 2^P in ``_quadrature_cache``, keyed by
     (endpoint, phi value from ``parse_phi``, working digits).  The first word
     of length 3 at a key adds one level per outer node and keeps the 9
-    length-2 integrals from 0 to each outer node (``_prefix_pairs``).  Every
+    length-2 integrals from 0 to each outer node (``_prefix_pairs``); a
+    ``ValueError`` naming phi refuses it, before any level is built, where n
+    exceeds ``_MAX_NODES_LENGTH3``, as that cost grows as n^3.  Every
     word is then one exact integer sum or dot, rounded once to ``mpc``.
     This is purely an independent cross-check of the transport tables and
     uses nothing of theirs.
@@ -954,6 +998,10 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig) -> mp
     cached = _quadrature_cache.get(key)
     if cached is None or (len(word) == 3 and cached[4] is None):
         nodes, bits = _quadrature_size(endpoint, phi_value, cfg)
+        if len(word) == 3 and nodes > _MAX_NODES_LENGTH3:
+            raise ValueError(f"the quadrature oracle at phi = {float(phi_value):.6g} needs "
+                             f"{nodes} nodes at {cfg.target_digits} digits, more than the "
+                             f"{_MAX_NODES_LENGTH3} a word of length 3 may take")
         xs, ws = _gauss_legendre(nodes, cfg, bits)
         # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
         rule = [(x + (1 << bits)) >> 1 for x in xs], [w >> 1 for w in ws]

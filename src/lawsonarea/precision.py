@@ -5,6 +5,34 @@ explicit :class:`PrecisionConfig`.  A config owns a private mpmath context
 whose precision equals ``target_digits + guard_digits``; the global
 ``mpmath.mp`` context is never touched, so two configs can coexist and a
 computation can be replayed at a second precision for a self-check.
+
+Phi and the poles.  Every word-integral route reads phi and the four
+punctures e^(+-i phi), -e^(+-i phi), and each runs a fixed-point kernel
+finer than the working precision: the transport at working bits +
+``omega._EXTRA_BITS`` = 24, the quadrature at working bits + 4 +
+ceil(log2(2 n^3 + 24/delta^2 + 28)), at most 31 under ``omega._MAX_NODES``
+= 400 (2 n^3 is 2^26.9 there) while delta = min(sin phi, cos phi) >= 0.002
+and at most 32 while delta >= 4.2e-4 (``omega._quadrature_size`` refuses a
+phi that needs more), and the polylogarithms at working bits +
+``mpl._SPLIT_EXTRA_BITS`` = 32.  A pole rounded to the working precision
+is off by up to half a unit there, which the forms amplify: at 30 target
+digits the transport's depth-3 word tables were 8.0 / 23.2 / 24.9 units of
+the working precision off at (1, pi/6), (i, 1.2) and (1, 0.3), the
+quadrature's first level 3.3 units at (i, 1.2), and at 40 digits
+Li_{2,1}(0.35, 0.995) 2^6.2 units, each far above its kernel's own
+rounding.  So ``omega.parse_phi`` and ``omega.punctures`` carry phi and the
+punctures at ``PrecisionConfig.pole_bits`` = working bits +
+``POLE_EXTRA_BITS``, 32, the finest of the three scales, and each route
+forms its own pole quantities from them at its own scale 2^-P and rounds
+each once there.  Arithmetic on these values outside such a ``workprec``
+block rounds them to the working precision, as for any value of the
+context.  Measured with the kernels unchanged: the depth-3 tables are 3.5
+/ 3.6 / 7.3 units off, the half unit in the last place of their final
+rounding; the first level is within 2.4e-5 units; the Li_{2,1} value is
+within 2^-18.8 units before its final rounding; and on the 12 words of
+length <= 2 at 30 digits the three routes round every nonzero part to the
+same binary value at pi/6, pi/5, pi/4, 3 pi/10 and pi/3, where some word
+at every one of those angles was one unit in the last place apart.
 """
 
 from __future__ import annotations
@@ -12,7 +40,10 @@ from __future__ import annotations
 import functools
 
 import mpmath
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
+
+# phi and the punctures: the finest kernel scale, derived in the module docstring
+POLE_EXTRA_BITS = 32
 
 
 class FrozenValue:
@@ -70,6 +101,15 @@ class PrecisionConfig(FrozenValue):
     def context(self) -> mpmath.ctx_mp.MPContext:
         """The mpmath context all values of this config live in (cached)."""
         return _context(self.working_digits)
+
+    @property
+    def pole_bits(self) -> int:
+        """Bits of phi and the punctures: working bits + ``POLE_EXTRA_BITS``.
+
+        Taken from the working digits, not from ``context.prec``, which a
+        ``workprec`` block raises.
+        """
+        return dps_to_prec(self.working_digits) + POLE_EXTRA_BITS
 
     def eps(self, digits_lost: int = 0) -> mpmath.mpf:
         """10^-(working_digits - digits_lost), the usual residual yardstick."""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -300,6 +301,24 @@ def test_carried_products_match_fresh(signed40_pi4_L7):
             for j in range(2):
                 assert carried[i, j].re == fresh[i, j].re, (n, i, j)
                 assert carried[i, j].im == fresh[i, j].im, (n, i, j)
+
+
+def test_matrix_products_are_built_once_per_multiset(monkeypatch, tables):
+    """Each letter multiset's constant matrix is multiplied out once per state,
+    when the multiset is first reached, not at every order: ``run(9)`` reaches
+    the C(13, 3) - 4 multisets of size 2..10 and makes one ``_mat_mul`` each."""
+    import lawsonarea.engine as engine
+    cfg = PrecisionConfig(40, guard_digits_for_order(9))
+    table = tables.signed("1", "pi/4", 10, cfg)
+    calls = []
+    mat_mul = engine._mat_mul
+    monkeypatch.setattr(engine, "_mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+    state = run(9, cfg, table=table)
+    multisets = [key for key in state._products if len(key) >= 2]
+    assert len(calls) == len(multisets) == math.comb(13, 3) - 4
+    for key in multisets:
+        assert state._products[key][0] == functools.reduce(
+            mat_mul, (M_MATS[i - 1] for i in key)), key
 
 
 def test_expansion_values_match_reference(state40_o6):

@@ -89,7 +89,7 @@ def test_zeta_113bar_series_oracle():
 
 def _term_ratio(spec, cfg):
     """The split kernel's geometric term ratio for ``spec``."""
-    word = _integral_word(spec, _tail_products(spec, cfg))
+    word = _integral_word(spec, _tail_products(spec, cfg), cfg)
     return 1 / (min(abs(a) for a in word if a != 0)
                 + min(abs(1 - a) for a in word if a != 0))
 
@@ -252,10 +252,16 @@ def test_li_mirror_matches_direct_split(phi):
             if next(z for z in spec.args if z.imag).imag > 0:
                 continue
             direct = (-1) ** spec.depth * _split_value(
-                _integral_word(spec, _tail_products(spec, cfg)), cfg)
-            mirror = MplSpec(spec.indices, tuple(ctx.conj(z) for z in spec.args))
-            assert abs(ctx.conj(li(mirror, cfg)) - direct) < cfg.eps(2), spec
-            assert li(spec, cfg) == ctx.conj(li(mirror, cfg))
+                _integral_word(spec, _tail_products(spec, cfg), cfg), cfg)
+            # the arguments and li's values carry cfg.pole_bits, the split
+            # kernel's scale, where conjugation is exact
+            with ctx.workprec(cfg.pole_bits):
+                mirror = MplSpec(spec.indices, tuple(ctx.conj(z) for z in spec.args))
+            value = li(mirror, cfg)
+            with ctx.workprec(cfg.pole_bits):
+                from_mirror = ctx.conj(value)
+            assert abs(from_mirror - direct) < cfg.eps(2), spec
+            assert li(spec, cfg) == from_mirror
             checked += 1
     assert checked == 2 + 8
 

@@ -26,10 +26,12 @@ I = CTX.mpc(0, 1)
 
 
 def test_parse_phi():
-    assert abs(parse_phi("pi/4", CFG) - CTX.pi / 4) == 0
-    assert abs(parse_phi("3*pi/8", CFG) - 3 * CTX.pi / 8) == 0
-    assert abs(parse_phi("0.3", CFG) - CTX.mpf("0.3")) == 0
-    assert abs(parse_phi("2*pi/8", CFG) - CTX.pi / 4) == 0
+    """phi is evaluated at the poles' scale, ``cfg.pole_bits``."""
+    with CTX.workprec(CFG.pole_bits):
+        assert abs(parse_phi("pi/4", CFG) - CTX.pi / 4) == 0
+        assert abs(parse_phi("3*pi/8", CFG) - 3 * CTX.pi / 8) == 0
+        assert abs(parse_phi("0.3", CFG) - CTX.mpf("0.3")) == 0
+        assert abs(parse_phi("2*pi/8", CFG) - CTX.pi / 4) == 0
     with pytest.raises(ValueError):
         parse_phi("pi/2", CFG)
     with pytest.raises(ValueError, match="strictly between"):
@@ -153,6 +155,46 @@ def test_quadrature_refuses_a_pole_next_to_the_path():
     assert time.process_time() - start < 1
 
 
+def test_quadrature_refuses_a_scale_finer_than_its_poles():
+    """Near pi/2 the path to 1 stays far from the poles, but the first
+    level's 24/delta^2 units would need more extra bits than phi and the
+    poles carry: refused at once, naming phi, where phi 4e-4 further from
+    pi/2 takes the poles' own scale less one bit."""
+    cfg = PrecisionConfig(30)
+    with pytest.raises(ValueError, match="phi = 1.5707 needs 36 extra bits"):
+        quadrature_oracle((1,), "1", "1.5707", cfg)
+    _, bits = omega._quadrature_size("1", parse_phi("1.5703", cfg), cfg)
+    assert bits == cfg.pole_bits - 1
+
+
+def test_quadrature_refuses_a_length3_word_above_its_node_cap(monkeypatch):
+    """At phi = 0.1 and 30 digits the derived count is above the length-3 cap
+    but below the general one: a word of length 2 runs, and one of length 3,
+    whose second levels would cost n^3, is refused at once, naming phi,
+    before any level is built."""
+    import time
+    cfg = PrecisionConfig(30)
+    n, _ = omega._quadrature_size("1", parse_phi("0.1", cfg), cfg)
+    assert omega._MAX_NODES_LENGTH3 < n <= omega._MAX_NODES
+    calls = []
+    first_level = omega._first_level
+    monkeypatch.setattr(omega, "_first_level",
+                        lambda *args: calls.append(args[0]) or first_level(*args))
+    omega._quadrature_cache.clear()
+    start = time.process_time()
+    with pytest.raises(ValueError, match="phi = 0.1 needs"):
+        quadrature_oracle((1, 2, 3), "1", "0.1", cfg)
+    assert time.process_time() - start < 1
+    assert calls == [] and not omega._quadrature_cache
+    quadrature_oracle((1, 2), "1", "0.1", cfg)
+    assert len(calls) == 1
+    start = time.process_time()
+    with pytest.raises(ValueError, match="phi = 0.1 needs"):
+        quadrature_oracle((1, 2, 3), "1", "0.1", cfg)
+    assert time.process_time() - start < 1
+    assert len(calls) == 1
+
+
 def test_oracle_triangle_weight2():
     """Transport, quadrature and polylogarithm conversion must agree."""
     cfg = PrecisionConfig(30)
@@ -165,6 +207,28 @@ def test_oracle_triangle_weight2():
         conv = convert_word(word, phi, cfg).value(cfg)
         assert abs(transport - quad) < ctx.mpf("1e-22")
         assert abs(transport - conv) < ctx.mpf("1e-22")
+
+
+@pytest.mark.parametrize("phi", ["pi/6", "pi/5", "pi/4", "3*pi/10", "pi/3"])
+def test_three_routes_agree_past_the_working_precision(phi):
+    """Transport, quadrature and polylogarithms on the 12 words of length
+    <= 2 at 30 digits, at the five angles of the benchmark's triangle.  Each
+    route takes phi and the poles at ``cfg.pole_bits`` and rounds its value
+    once, so each nonzero part rounds to the same binary value on all three
+    routes; the worst spread measured was 2.3e-46 (at pi/4, quadrature dust
+    in a part that is exactly zero), and with the poles at the working
+    precision it was one unit of the working precision, 9.2e-41 at pi/6 and
+    pi/3."""
+    cfg = PrecisionConfig(30)
+    ctx = cfg.context
+    table = build_table("1", phi, 2, cfg)
+    phi_value = parse_phi(phi, cfg)
+    words = [(i,) for i in (1, 2, 3)] + [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    for word in words:
+        routes = (table.value(word), quadrature_oracle(word, "1", phi, cfg),
+                  convert_word(word, phi_value, cfg).value(cfg))
+        spread = max(abs(a - b) for a in routes for b in routes)
+        assert spread < ctx.mpf("1e-44"), (word, spread)
 
 
 def test_shuffle_consistency(table40_pi4_L4):
@@ -325,6 +389,22 @@ def test_precision_doubling_depth5(endpoint, phi):
     th = build_table(endpoint, phi, 5, hi)
     for word in tl.words():
         assert abs(tl.value(word) - th.value(word)) < lo.eps(2), word
+
+
+@pytest.mark.parametrize("endpoint,phi,bound", [("1", "pi/6", 4), ("i", "1.2", 4),
+                                                ("1", "0.3", 8)])
+def test_depth3_word_tables_carry_only_their_last_rounding(endpoint, phi, bound):
+    """At 30 target digits every word of a depth-3 table is within ``bound``
+    units of 2^-prec of a table 30 digits up.  With the poles at the working
+    precision the worst words were 8.0 / 23.2 / 24.9 units off; taken at
+    ``cfg.pole_bits`` they read 3.5 / 3.6 / 7.3, about the half unit in the
+    last place of the values' final rounding (|Omega(2, 1)| = 4.36 at pi/6)."""
+    cfg = PrecisionConfig(30)
+    table = build_table(endpoint, phi, 3, cfg)
+    reference = build_table(endpoint, phi, 3, PrecisionConfig(60))
+    unit = reference.cfg.context.ldexp(1, -cfg.context.prec)
+    for word in table.words():
+        assert abs(table.value(word) - reference.value(word)) < bound * unit, word
 
 
 def test_precision_doubling_table():
@@ -490,10 +570,10 @@ def test_pair_kernel_matches_four_poles(endpoint, phi):
     for z0, z1 in segments:
         pair_ratios, plan, bits = omega._segment_ratios(CFG, poles, z0, z1)
         assert len(pair_ratios) == 2
-        mid, half = (z0 + z1) / 2, (z1 - z0) / 2
-        rel = [p - mid for p in poles]  # at working precision, as in the kernel
-        with CTX.workprec(bits):
-            ratios = [to_fixed_pair(half / q, bits) for q in rel]
+        # at the poles' own scale, as in the kernel
+        with CTX.workprec(CFG.pole_bits):
+            mid, half = (z0 + z1) / 2, (z1 - z0) / 2
+            ratios = [to_fixed_pair(half / (p - mid), bits) for p in poles]
         zero = [0] * (T + 1)
         for phase in (0, 1):
             s = [rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
@@ -593,9 +673,11 @@ def test_cached_table_transparency(tmp_path):
 def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
-    payload["version"] = 999
-    path.write_text(json.dumps(payload))
-    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    # 4 is the version whose poles were rounded to the working precision
+    for stale in (999, 4):
+        payload["version"] = stale
+        path.write_text(json.dumps(payload))
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, stale
     # a word table of version 3 is rebuilt as a signed table and its file overwritten
     payload["version"] = 3
     payload["values"] = {",".join(map(str, w)): {"re": "7", "im": "7"}
@@ -604,7 +686,7 @@ def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path.write_text(json.dumps(payload))
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.values == signed40_pi4_L4.values
-    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 4
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 5
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
 
 

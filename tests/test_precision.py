@@ -117,3 +117,21 @@ def test_contexts_are_independent():
 def test_guard_digits_rule():
     """10 guard digits through order 8 (cache names unchanged), 12 at order 9."""
     assert [guard_digits_for_order(n) for n in range(1, 10)] == [10] * 8 + [12]
+
+
+def test_pole_bits_cover_every_kernel_scale():
+    """phi and the punctures carry working bits + 32, no fewer than any
+    route's kernel scale: the transport's 24 extra bits, the polylogarithms'
+    32 and the quadrature's up to 31 at its 400-node cap with delta >= 0.002,
+    and 32 wherever delta >= 4.2e-4."""
+    from lawsonarea import mpl, omega
+    from lawsonarea.precision import POLE_EXTRA_BITS
+    assert omega._EXTRA_BITS <= POLE_EXTRA_BITS and mpl._SPLIT_EXTRA_BITS <= POLE_EXTRA_BITS
+    for digits in (10, 30, 250):
+        cfg = PrecisionConfig(digits)
+        assert cfg.pole_bits == cfg.context.prec + POLE_EXTRA_BITS
+        assert omega._quadrature_bits(omega._MAX_NODES, 0.002, cfg) == cfg.pole_bits - 1
+        assert omega._quadrature_bits(omega._MAX_NODES, 4.2e-4, cfg) == cfg.pole_bits
+        # a workprec block raises the context's precision, not the poles' scale
+        with cfg.context.workprec(cfg.pole_bits):
+            assert cfg.pole_bits == cfg.context.prec
