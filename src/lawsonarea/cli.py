@@ -5,7 +5,10 @@ integral), ``mpl`` (one polylogarithm) and ``verify`` (identity suites).
 Only ``expand --cache-dir DIR`` reads or writes a file of tables; every
 other run builds its tables in process.  All numeric output is rendered
 from the arbitrary-precision values directly; nothing passes through a
-machine float.  Exit codes: 0 success, 1 check failure, 2 usage error.
+machine float.  ``expand`` at pi/4 prints from the recursion's integers and
+imports no mpmath; the other subcommands, and ``expand --order 1`` at
+another phi, print ``mpmath`` values.  Exit codes: 0 success, 1 check
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import mpmath
 
 from . import SUITE_NAMES, engine, omega
 from .precision import PrecisionConfig, guard_digits_for_order
@@ -28,23 +29,21 @@ def _cfg(args) -> PrecisionConfig:
     return PrecisionConfig(target_digits=args.precision)
 
 
-def _nstr(value, digits: int) -> str:
-    return mpmath.nstr(value, digits, strip_zeros=False)
+def _nstr(value, cfg: PrecisionConfig) -> str:
+    return cfg.context.nstr(value, cfg.target_digits, strip_zeros=False)
 
 
 def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
     ctx = cfg.context
     v = ctx.mpc(value)
-    digits = cfg.target_digits
+    re, im = _nstr(ctx.re(v), cfg), _nstr(ctx.im(v), cfg)
     if fmt == "json":
-        print(json.dumps({"version": 1, "label": label,
-                          "re": _nstr(ctx.re(v), digits),
-                          "im": _nstr(ctx.im(v), digits)}))
+        print(json.dumps({"version": 1, "label": label, "re": re, "im": im}))
     elif fmt == "csv":
         print("label,re,im")
-        print(f"{label},{_nstr(ctx.re(v), digits)},{_nstr(ctx.im(v), digits)}")
+        print(f"{label},{re},{im}")
     else:
-        print(f"{label} = {_nstr(ctx.re(v), digits)} + {_nstr(ctx.im(v), digits)}*i")
+        print(f"{label} = {re} + {im}*i")
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,6 @@ def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
 
 def _cmd_expand(args) -> int:
     cfg = PrecisionConfig(args.precision, guard_digits_for_order(args.order))
-    ctx = cfg.context
     phi = args.phi.strip()
     is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi
     if args.order >= 2 and not is_pi4:
@@ -66,7 +64,7 @@ def _cmd_expand(args) -> int:
         first = engine.first_order_general_phi(phi, cfg)
         payload = {
             "version": 1, "phi": phi, "precision": digits, "order": 1,
-            "first_order": {name: _nstr(getattr(first, name), digits)
+            "first_order": {name: _nstr(getattr(first, name), cfg)
                             for name in first.FIELDS},
         }
         if args.format == "json":
@@ -91,14 +89,14 @@ def _cmd_expand(args) -> int:
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("order,re,im,residual")
-        for k, a in enumerate(result.alphas, 1):
-            print(f"{k},{_nstr(a, digits)},0.0,{mpmath.nstr(result.imag_residual, 3)}")
+        for k, a in enumerate(result.alpha_texts(strip_zeros=False), 1):
+            print(f"{k},{a},0.0,{result.imag_residual.format(3)}")
     else:
         print(state_note)
-        for k, a in enumerate(result.alphas, 1):
-            print(f"  alpha_{k} = {_nstr(a, digits)}")
-        print(f"  even-order residual {mpmath.nstr(result.even_alpha_residual, 3)}, "
-              f"imaginary leakage {mpmath.nstr(result.imag_residual, 3)}")
+        for k, a in enumerate(result.alpha_texts(strip_zeros=False), 1):
+            print(f"  alpha_{k} = {a}")
+        print(f"  even-order residual {result.even_alpha_residual.format(3)}, "
+              f"imaginary leakage {result.imag_residual.format(3)}")
         print("derivative polynomials (coefficient * lam^degree):")
         for row in payload["derivatives"]:
             k = row["order"]

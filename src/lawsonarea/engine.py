@@ -25,9 +25,14 @@ matrix) and the scalar r admit a recursion in the expansion order n:
 Every polynomial of the recursion, from the frame sums to the area
 coefficients, is a ``laurent.LaurentPoly`` on fixed-point integers at scale
 2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
-docstring.  Numbers are converted only at the edges: sigma_c as it is read
-from the table, the central values, and the residuals, alpha_k and printed
-coefficients on the way out.
+docstring.  So are the numbers the recursion reads: sigma_c, rounded once
+from the table's scale (``SignedTable.fixed``), the central values and
+cos(phi), sin(phi) from the pole e^(i phi) of ``omega.punctures_fixed``,
+and 1/(2 pi (n + 1)) and 2 pi (n + 1) from ``precision.pi_fixed``.  Every
+residual check compares integers exactly (``_exceeds``), the residuals are
+reported as exact ``Dyadic`` values, and the alpha_k and derivative
+polynomials are printed from their integers (``precision.to_decimal``); an
+``mpf`` is made only when a library caller asks for one.
 
 Every order asserts the structural invariants (polynomial degree <= n + 1,
 lambda-parity, reality, divisibility) and records their residuals; a
@@ -49,12 +54,10 @@ from __future__ import annotations
 
 import math
 
-import mpmath
-
 from .laurent import (LaurentPoly, LaurentMatrix2, add_product, axpy, fixed_bits,
                       round_map, to_mpf)
-from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi
-from .precision import PrecisionConfig, to_fixed_pair
+from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi, punctures_fixed
+from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
 M_MATS = (
@@ -66,6 +69,31 @@ M_MATS = (
 
 class EngineError(ArithmeticError):
     """A structural invariant of the recursion failed beyond tolerance."""
+
+
+def _exceeds(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig) -> bool:
+    """Whether a modulus exceeds a scale times eps(digits_lost), given both
+    squared at one scale: exact on the integers."""
+    return size_sq * cfg.eps_ratio(digits_lost) ** 2 > scale_sq
+
+
+def _below(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig) -> bool:
+    """Whether a modulus lies below a scale times eps(digits_lost), as ``_exceeds``."""
+    return size_sq * cfg.eps_ratio(digits_lost) ** 2 < scale_sq
+
+
+def _modulus(size_sq: int, cfg: PrecisionConfig) -> Dyadic:
+    """The square root of an integer at 2^2P, as a value at 2^-P to the
+    working bits: a residual as it is reported."""
+    extra = cfg.working_bits
+    return Dyadic(math.isqrt(size_sq << 2 * extra), -fixed_bits(cfg) - extra)
+
+
+def _unit(cfg: PrecisionConfig, phi: str, bits: int) -> tuple[int, int]:
+    """cos(phi) and sin(phi) at 2^bits, each rounded once from the pole
+    e^(i phi) that the transport reads."""
+    c, s = punctures_fixed(parse_phi(phi, cfg), cfg)[0]
+    return rescale(c, cfg.pole_bits, bits), rescale(s, cfg.pole_bits, bits)
 
 
 def _mat_mul(m1, m2):
@@ -123,7 +151,7 @@ class DerivativeState:
 
     def derivatives_jsonable(self) -> list:
         """Derivative polynomials at the target digits, as ``alpha_t`` is printed."""
-        digits = self.cfg.target_digits
+        digits, bits = self.cfg.target_digits, fixed_bits(self.cfg)
         out = []
         for k in range(1, self.order + 1):
             out.append({
@@ -131,22 +159,23 @@ class DerivativeState:
                 "a": self.a[k].to_jsonable(digits),
                 "b": self.b[k].to_jsonable(digits),
                 "c": self.c[k].to_jsonable(digits),
-                "r": mpmath.nstr(to_mpf(self.r[k], self.cfg), digits),
+                "r": to_decimal(self.r[k], -bits, digits),
             })
         return out
 
 
 def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
-    ctx = cfg.context
-    phiv = parse_phi(phi, cfg)
-    half = ctx.mpf(1) / 2
-    a0 = LaurentPoly(cfg, {-1: half, 1: -half})
-    b0 = LaurentPoly(cfg, {-1: -half * ctx.sin(phiv), 1: -half * ctx.sin(phiv)})
-    c0 = LaurentPoly(cfg, {-1: -half * ctx.cos(phiv), 1: -half * ctx.cos(phiv)})
+    """The order-0 state: a = (1/lambda - lambda)/2, b and c = -(sin phi,
+    cos phi)(1/lambda + lambda)/2, r = 1, each coefficient rounded once to 2^P."""
+    bits = fixed_bits(cfg)
+    half = 1 << (bits - 1)
+    c_half, b_half = (-x for x in _unit(cfg, phi, bits - 1))     # at 2^(P-1): halved
     return DerivativeState(
         cfg=cfg, phi_label=str(phi).strip(), order=0,
-        a=[a0], b=[b0], c=[c0], r=[1 << fixed_bits(cfg)],
-        frames=[LaurentMatrix2.identity(cfg)])
+        a=[LaurentPoly(cfg, re={-1: half, 1: -half})],
+        b=[LaurentPoly(cfg, re={-1: b_half, 1: b_half})],
+        c=[LaurentPoly(cfg, re={-1: c_half, 1: c_half})],
+        r=[1 << bits], frames=[LaurentMatrix2.identity(cfg)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +206,9 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     Fixed point.  a, b, c and r are real, so every derivative of a product
     is a real {degree: int} map at the polynomials' scale 2^P: each y_i^(k)
     is read as it is stored, each Leibniz sum is exact at 2^-2P and rounded
-    once (``laurent.round_map``), and sigma_c is converted on every call
-    (``to_fixed_pair``), since a state may be run against another table.
+    once (``laurent.round_map``), and sigma_c is rounded from the table's
+    scale on every call (``SignedTable.fixed``), since a state may be run
+    against another table.
     The products sigma_c times a derivative are summed exactly at 2^-2P into
     one {degree: (re, im)} pair of maps per constant matrix (at most 8: +-I
     and +-M_i); each matrix entry combines those with its Gaussian-integer
@@ -210,8 +240,8 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     # constant matrix -> {degree: re}, {degree: im} of its coefficient at 2^-2P
     sums: dict = {}
 
-    def add(mmat, weight, value, deriv) -> None:
-        s_re, s_im = to_fixed_pair(value, bits)
+    def add(mmat, weight, key, deriv) -> None:
+        s_re, s_im = table.fixed(key, bits)
         acc = sums.setdefault(mmat, ({}, {}))
         # sigma_c is exactly real or exactly imaginary (the phase rule of omega)
         if s_re:
@@ -227,13 +257,13 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         # single-letter cross terms (orders 1..n-1 of x against r)
         cross = state.y(i, n, range(1, n)).re
         if cross:
-            add(M_MATS[i - 1], n + 1, table.value((i,)), cross)
+            add(M_MATS[i - 1], n + 1, (i,), cross)
 
     def descend(key) -> None:
         mmat, derivs = products[key]
         size = len(key)
         if size >= 2 and derivs[n + 1 - size]:
-            add(mmat, math.perm(n + 1, size), table.value(key), derivs[n + 1 - size])
+            add(mmat, math.perm(n + 1, size), key, derivs[n + 1 - size])
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
         max_child = n - size
@@ -279,12 +309,15 @@ def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
     """Full P^(n+1) once the order-n derivatives are in the state."""
     if state.order < n:
         raise ValueError(f"state complete to {state.order} < requested order {n}")
+    cfg = state.cfg
     mat = frame_lower(n, state, table) if lower is None else lower
     for i in (1, 2, 3):
         # the Leibniz terms of y_i^(n) that hold an order-n unknown
         head = state.y(i, n, {0, n})
         if not head.is_zero:
-            mat = mat.add_scaled_constant(head.scale(n + 1), table.value((i,)),
+            s_re, s_im = table.fixed((i,), fixed_bits(cfg))
+            mat = mat.add_scaled_constant(head.scale(n + 1),
+                                          LaurentPoly(cfg, re={0: s_re}, im={0: s_im}),
                                           M_MATS[i - 1])
     if mat.max_abs_degree() > n + 1:
         raise EngineError(f"frame derivative order {n + 1} has degree "
@@ -309,50 +342,58 @@ def p_derivative(n: int, state: DerivativeState,
 # extraction of the order-n parameters
 # ---------------------------------------------------------------------------
 
-def _support(poly: LaurentPoly, n: int, scale, label: str,
+def _support(poly: LaurentPoly, n: int, scale_sq: int, label: str,
              cfg: PrecisionConfig) -> tuple:
     """Apply the order-n support rule to a real a^(n) or c^(n).
 
-    A coefficient below ``scale`` * eps(6), the residual tolerance of its
-    defining constraint, is indistinguishable from zero and dropped.  Of the
-    rest, a degree d with d + n even must vanish by parity: such dust up to
+    ``scale_sq`` is the square of the constraint's scale, at 2^2P.  A
+    coefficient below scale * eps(6), the residual tolerance of its defining
+    constraint, is indistinguishable from zero and dropped.  Of the rest, a
+    degree d with d + n even must vanish by parity: such dust up to
     max(|poly|, 1) * eps(6) is dropped and its peak reported as
     ``parity_residual``, anything larger raises.  Every other coefficient
     must lie in degrees 0..n+1.
     """
-    ctx = cfg.context
-    sizes = {d: to_mpf(abs(v), cfg) for d, v in poly.re.items()}
-    kept = {d: size for d, size in sizes.items() if size >= scale * cfg.eps(6)}
-    tol = max([ctx.mpf(1), *kept.values()]) * cfg.eps(6)
-    bad = ctx.mpf(0)
+    bits = fixed_bits(cfg)
+    kept = {d: v for d, v in poly.re.items() if not _below(v * v, scale_sq, 6, cfg)}
+    tol_sq = max([1 << 2 * bits, *(v * v for v in kept.values())])
+    bad = 0
     out = {}
-    for d, size in kept.items():
+    for d, v in kept.items():
         if (d + n) % 2 == 0:
-            if size > tol:
+            if _exceeds(v * v, tol_sq, 6, cfg):
                 raise EngineError(
                     f"{label}: parity-forbidden coefficient at degree {d} "
-                    f"has size {mpmath.nstr(size, 5)}")
-            bad = max(bad, size)
+                    f"has size {Dyadic(abs(v), -bits).format(5)}")
+            bad = max(bad, abs(v))
         elif 0 <= d <= n + 1:
-            out[d] = poly.re[d]
+            out[d] = v
         else:
             raise EngineError(f"{label} outside polynomial degree bound {n + 1}")
-    return LaurentPoly(cfg, re=out), {"parity_residual": bad}
+    return LaurentPoly(cfg, re=out), {"parity_residual": Dyadic(bad, -bits)}
+
+
+def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
+    """The constant polynomial of an integer at 2^P."""
+    return LaurentPoly(cfg, re={0: value})
 
 
 def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
     """Order-n c from reality and Sym-point constraints on p^(n+1)."""
-    ctx = cfg.context
-    factor = 1 / (2 * ctx.pi * (n + 1))
-    c_plus = (p_low.project("minus").star() - p_low.project("plus")).scale(factor)
+    bits = fixed_bits(cfg)
+    one_sq = 1 << 2 * bits
+    two_pi = 2 * pi_fixed(bits) * (n + 1)
+    factor = ((1 << 2 * bits) + two_pi // 2) // two_pi       # 1/(2 pi (n+1)) at 2^P
+    over_two_pi = _constant(cfg, factor)
+    c_plus = (p_low.project("minus").star() - p_low.project("plus")) * over_two_pi
     # the constant term makes c^(n)(i) = -factor p_low(i)
-    c_n = c_plus - c_plus.at_i() - p_low.at_i().scale(factor)
-    diag = {"imag_residual": c_n.imag_residual()}
-    if diag["imag_residual"] > max(c_n.max_abs(), ctx.mpf(1)) * cfg.eps(6):
-        raise EngineError(f"c^({n}) has imaginary leakage "
-                          f"{mpmath.nstr(diag['imag_residual'], 5)}")
-    c_n, parity = _support(c_n.realified(), n,
-                           max(p_low.max_abs() * abs(factor), ctx.mpf(1)), f"c^({n})", cfg)
+    c_n = c_plus - c_plus.at_i() - p_low.at_i() * over_two_pi
+    imag = c_n.imag_residual()
+    diag = {"imag_residual": Dyadic(imag, -bits)}
+    if _exceeds(imag * imag, max(c_n.max_abs_sq(), one_sq), 6, cfg):
+        raise EngineError(f"c^({n}) has imaginary leakage {diag['imag_residual'].format(5)}")
+    scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, one_sq)
+    c_n, parity = _support(c_n.realified(), n, scale_sq, f"c^({n})", cfg)
     diag.update(parity)
     return c_n, diag
 
@@ -361,7 +402,8 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
                 b_n: LaurentPoly) -> tuple:
     """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
     cfg = state.cfg
-    ctx = cfg.context
+    bits = fixed_bits(cfg)
+    one_sq = 1 << 2 * bits
     ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
     for k in range(1, n):
@@ -370,7 +412,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
             combo = (state.x(1, 0) * state.x(1, n - k)
                      - state.x(2, 0) * state.x(2, n - k)
                      - state.x(3, 0) * state.x(3, n - k))
-            k_low = k_low + combo * LaurentPoly(cfg, re={0: 2 * math.comb(n, k) * rv})
+            k_low = k_low + combo * _constant(cfg, 2 * math.comb(n, k) * rv)
     # the y products at k and n - k coincide, and so do their binomial weights
     for k in range(1, n // 2 + 1):
         combo = (ys[1, k] * ys[1, n - k]
@@ -380,35 +422,37 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
     # lambda * K_lower is a polynomial: its negative degrees are rounding
     # dust, at most eps(2) of max(its largest coefficient, 1)
     shifted = k_low.shift(1)
-    scale = max(shifted.max_abs(), ctx.mpf(1))
+    scale_sq = max(shifted.max_abs_sq(), one_sq)
     dust = shifted.project("minus")
-    if dust.max_abs() > scale * cfg.eps(2):
+    if _exceeds(dust.max_abs_sq(), scale_sq, 2, cfg):
         raise EngineError(
             f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
     quot, rem = shifted.project("geq0").divrem_l2m1()
-    div_residual = abs(rem.coefficient(0))
-    if div_residual > scale * cfg.eps(8):
+    div_sq = rem.re.get(0, 0) ** 2 + rem.im.get(0, 0) ** 2
+    div_residual = _modulus(div_sq, cfg)
+    if _exceeds(div_sq, scale_sq, 8, cfg):
         raise EngineError(
             f"(lambda^2 - 1) division at order {n} left a constant remainder "
-            f"{mpmath.nstr(div_residual, 5)}")
-    r_imag = to_mpf(abs(rem.im.get(1, 0)), cfg) / 2
-    if r_imag > scale * cfg.eps(6):
-        raise EngineError(f"r^({n}) has imaginary leakage {mpmath.nstr(r_imag, 5)}")
+            f"{div_residual.format(5)}")
+    r_im = abs(rem.im.get(1, 0))          # twice r's imaginary part
+    r_imag = Dyadic(r_im, -bits - 1)
+    if _exceeds(r_im * r_im, 4 * scale_sq, 6, cfg):
+        raise EngineError(f"r^({n}) has imaginary leakage {r_imag.format(5)}")
     r_n = rem.re.get(1, 0) >> 1         # half the remainder, rounded down
-    if to_mpf(abs(r_n), cfg) < scale * cfg.eps(6):
+    if _below(r_n * r_n, scale_sq, 6, cfg):
         r_n = 0
     diag = {"div_residual": div_residual, "r_imag_residual": r_imag,
             "k_lower": k_low}
     if n % 2 == 1:
-        diag["r_odd_residual"] = to_mpf(abs(r_n), cfg)
-        if diag["r_odd_residual"] > scale * cfg.eps(6):
+        diag["r_odd_residual"] = Dyadic(abs(r_n), -bits)
+        if _exceeds(r_n * r_n, scale_sq, 6, cfg):
             raise EngineError(f"r^({n}) should vanish at odd order, got "
-                              f"{mpmath.nstr(to_mpf(r_n, cfg), 5)}")
+                              f"{Dyadic(r_n, -bits).format(5)}")
         r_n = 0
     imag = quot.imag_residual()
-    if imag > max(quot.max_abs(), ctx.mpf(1)) * cfg.eps(6):
-        raise EngineError(f"a^({n}) has imaginary leakage {mpmath.nstr(imag, 5)}")
-    a_n, parity = _support(quot.realified(), n, scale, f"a^({n})", cfg)
+    if _exceeds(imag * imag, max(quot.max_abs_sq(), one_sq), 6, cfg):
+        raise EngineError(f"a^({n}) has imaginary leakage {Dyadic(imag, -bits).format(5)}")
+    a_n, parity = _support(quot.realified(), n, scale_sq, f"a^({n})", cfg)
     diag.update(parity)
     return a_n, r_n, diag
 
@@ -416,7 +460,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     """Extend the state by one order (phi = pi/4 only)."""
     cfg = state.cfg
-    ctx = cfg.context
+    bits = fixed_bits(cfg)
     n = state.order + 1
     if not is_pi_over_4(state.phi_label, cfg):
         raise ValueError("the order recursion requires phi = pi/4; general phi "
@@ -433,21 +477,22 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     state.order = n
 
     # residual diagnostics on the assembled constraints
-    r_poly = LaurentPoly(cfg, re={0: r_n})
-    p_full = (c_n + state.x(3, 0) * r_poly).scale(2 * ctx.pi * (n + 1)) + p_low
-    star_res = (p_full - p_full.star()).max_abs()
-    sym_res = p_full.at_i().max_abs()
+    r_poly = _constant(cfg, r_n)
+    two_pi = _constant(cfg, 2 * pi_fixed(bits) * (n + 1))
+    p_full = (c_n + state.x(3, 0) * r_poly) * two_pi + p_low
+    star_sq = (p_full - p_full.star()).max_abs_sq()
+    sym_sq = p_full.at_i().max_abs_sq()
     k_assembled = r_poly.scale(-2) + a_n.shift(-1) - a_n.shift(1) + diag_ar.pop("k_lower")
-    k_res = k_assembled.max_abs()
-    scale = max(p_full.max_abs(), ctx.mpf(1))
-    if star_res > scale * cfg.eps(6):
-        raise EngineError(f"star-reality residual {mpmath.nstr(star_res, 5)} at order {n}")
-    if sym_res > scale * cfg.eps(6):
-        raise EngineError(f"Sym-point residual {mpmath.nstr(sym_res, 5)} at order {n}")
-    if k_res > scale * cfg.eps(6):
-        raise EngineError(f"normalization residual {mpmath.nstr(k_res, 5)} at order {n}")
-    diag = {"order": n, "star_residual": star_res, "sym_residual": sym_res,
-            "normalization_residual": k_res}
+    k_sq = k_assembled.max_abs_sq()
+    scale_sq = max(p_full.max_abs_sq(), 1 << 2 * bits)
+    diag = {"order": n, "star_residual": _modulus(star_sq, cfg),
+            "sym_residual": _modulus(sym_sq, cfg),
+            "normalization_residual": _modulus(k_sq, cfg)}
+    for name, size_sq in (("star-reality", star_sq), ("Sym-point", sym_sq),
+                          ("normalization", k_sq)):
+        if _exceeds(size_sq, scale_sq, 6, cfg):
+            raise EngineError(f"{name} residual {_modulus(size_sq, cfg).format(5)} "
+                              f"at order {n}")
     diag.update(diag_c)
     diag.update(diag_ar)
     state.diagnostics.append(diag)
@@ -483,38 +528,66 @@ def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
 class ExpansionResult:
     """Taylor data of the area and Willmore energy at t = 0.
 
-    ``alphas`` holds the real alpha_k, k = 1..order; ``willmore`` the Willmore
-    coefficients (equal to the alphas at pi/4) and ``mean_curvature`` the
-    H-series coefficients (zero at pi/4).
+    ``alpha_fixed`` holds the real alpha_k, k = 1..order, as integers at the
+    polynomials' scale 2^P; ``alphas`` renders them as ``mpf``, and so do
+    ``willmore`` (the Willmore coefficients, equal to the alphas at pi/4)
+    and ``mean_curvature`` (the H-series coefficients, zero at pi/4).  The
+    residuals are exact ``Dyadic`` values.
     """
 
-    __slots__ = ("cfg", "phi_label", "order", "alphas", "willmore", "mean_curvature",
-                 "imag_residual", "even_alpha_residual", "diagnostics")
+    __slots__ = ("cfg", "phi_label", "order", "alpha_fixed", "imag_residual",
+                 "even_alpha_residual", "diagnostics")
 
-    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int, alphas: list,
-                 willmore: list, mean_curvature: list, imag_residual, even_alpha_residual,
+    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int,
+                 alpha_fixed: list, imag_residual: Dyadic, even_alpha_residual: Dyadic,
                  diagnostics: list):
         self.cfg = cfg
         self.phi_label = phi_label
         self.order = order
-        self.alphas = alphas
-        self.willmore = willmore
-        self.mean_curvature = mean_curvature
+        self.alpha_fixed = alpha_fixed
         self.imag_residual = imag_residual
         self.even_alpha_residual = even_alpha_residual
         self.diagnostics = diagnostics
 
+    @property
+    def alphas(self) -> list:
+        return [to_mpf(a, self.cfg) for a in self.alpha_fixed]
+
+    @property
+    def willmore(self) -> list:
+        # the family is minimal at pi/4: Willmore = area
+        return self.alphas
+
+    @property
+    def mean_curvature(self) -> list:
+        # ... and H = 0 identically
+        return [self.cfg.context.mpf(0)] * self.order
+
     def alpha(self, k: int):
-        return self.alphas[k - 1]
+        return to_mpf(self.alpha_fixed[k - 1], self.cfg)
 
     def per_genus_coefficients(self) -> list:
         """Coefficients in powers of 1/(g+1) = 2t."""
         ctx = self.cfg.context
         return [a / ctx.mpf(2) ** (k + 1) for k, a in enumerate(self.alphas)]
 
+    def alpha_texts(self, per_genus: bool = False, strip_zeros: bool = True) -> list:
+        """alpha_k (or its per-genus coefficient) at the target digits, as
+        ``mpmath.nstr`` prints the ``mpf`` of ``alphas`` (of
+        ``per_genus_coefficients``, which the division rounds to the working
+        bits)."""
+        bits, digits = fixed_bits(self.cfg), self.cfg.target_digits
+        out = []
+        for k, a in enumerate(self.alpha_fixed, 1):
+            value = Dyadic(a, -bits)
+            if per_genus:
+                value = value.rounded(self.cfg.working_bits)
+                value = Dyadic(value.man, value.exp - k)
+            out.append(value.format(digits, strip_zeros))
+        return out
+
     def to_jsonable(self) -> dict:
-        ctx = self.cfg.context
-        digits = self.cfg.target_digits
+        alpha_t = self.alpha_texts()
         return {
             "version": 1,
             "phi": self.phi_label,
@@ -522,36 +595,33 @@ class ExpansionResult:
             "guard_digits": self.cfg.guard_digits,
             "order": self.order,
             "area_prefactor": "8*pi",
-            "alpha_t": [mpmath.nstr(a, digits) for a in self.alphas],
-            "alpha_per_genus": [mpmath.nstr(a, digits)
-                                for a in self.per_genus_coefficients()],
-            "willmore_t": [mpmath.nstr(a, digits) for a in self.willmore],
-            "mean_curvature_t": [mpmath.nstr(a, digits) for a in self.mean_curvature],
-            "imag_residual": mpmath.nstr(self.imag_residual, 3),
-            "even_alpha_residual": mpmath.nstr(self.even_alpha_residual, 3),
+            "alpha_t": alpha_t,
+            "alpha_per_genus": self.alpha_texts(per_genus=True),
+            "willmore_t": list(alpha_t),
+            "mean_curvature_t": [Dyadic(0).format(self.cfg.target_digits)] * self.order,
+            "imag_residual": self.imag_residual.format(3),
+            "even_alpha_residual": self.even_alpha_residual.format(3),
             "order_diagnostics": [
-                {k: (v if isinstance(v, (int, str)) else mpmath.nstr(v, 3))
-                 for k, v in d.items()} for d in self.diagnostics],
+                {k: (v if isinstance(v, (int, str)) else v.format(3)) for k, v in d.items()}
+                for d in self.diagnostics],
         }
 
 
 def area_series(state: DerivativeState, order: int | None = None) -> ExpansionResult:
     """alpha_1..alpha_N with Area = 8 pi (1 - sum alpha_k t^k).
 
-    Each alpha_k is summed exactly on the integers of r, b, c and the
-    converted cos(phi), sin(phi), and rounded once, by its division by k!.
-    Every factor is real, so ``imag_residual`` is exactly 0.
+    Each alpha_k is summed exactly on the integers of r, b, c and cos(phi),
+    sin(phi) (rounded once from the pole e^(i phi)), and rounded once, by its
+    division by k!.  Every factor is real, so ``imag_residual`` is exactly 0.
     """
     cfg = state.cfg
-    ctx = cfg.context
     order = order or state.order
     if order > state.order:
         raise ValueError(f"state complete to order {state.order} < {order}")
     bits = fixed_bits(cfg)
-    phiv = parse_phi(state.phi_label, cfg)
-    cosp, sinp = to_fixed_pair(ctx.cos(phiv), bits)[0], to_fixed_pair(ctx.sin(phiv), bits)[0]
+    cosp, sinp = _unit(cfg, state.phi_label, bits)
     alphas = []
-    even_peak = ctx.mpf(0)
+    even_peak = 0
     for k in range(1, order + 1):
         total = 0           # at scale 2^3P
         for j in range(k + 1):
@@ -561,15 +631,13 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
                          - sinp * state.c[k - j].re.get(0, 0))
                 total += math.comb(k, j) * rv * mixed
         unit = math.factorial(k) << (2 * bits)
-        value = to_mpf((2 * total + unit) // (2 * unit), cfg)
+        value = (2 * total + unit) // (2 * unit)
         if k % 2 == 0:
             even_peak = max(even_peak, abs(value))
         alphas.append(value)
-    # the family is minimal at pi/4: H = 0 identically, Willmore = area
     return ExpansionResult(
-        cfg=cfg, phi_label=state.phi_label, order=order, alphas=alphas,
-        willmore=list(alphas), mean_curvature=[ctx.mpf(0)] * order,
-        imag_residual=ctx.mpf(0), even_alpha_residual=even_peak,
+        cfg=cfg, phi_label=state.phi_label, order=order, alpha_fixed=alphas,
+        imag_residual=Dyadic(0), even_alpha_residual=Dyadic(even_peak, -bits),
         diagnostics=list(state.diagnostics))
 
 

@@ -4,11 +4,14 @@ A polynomial keeps its coefficients as integers at scale 2^P, P =
 ``fixed_bits(cfg)`` = working bits + ``EXTRA_BITS``: the real parts in
 ``re`` and the imaginary parts in ``im``, two {degree: int} maps.  A real
 polynomial has an empty ``im``.  Only exact zeros are dropped, so rounding
-dust stays visible to the checks that decide what is zero.  Numbers enter
-and leave only at the edges: the constructor converts ``mpf``, ``mpc`` or
-Python numbers, and ``coefficient``, ``max_abs``, ``imag_residual``,
-``eval`` and ``to_jsonable`` render the integers exactly (``to_mpf``) for
-output and for the checks.  ``axpy``, ``add_product`` and ``round_map`` are
+dust stays visible to the checks that decide what is zero.  The order
+recursion builds every polynomial from integers and reads its checks off
+integers (``max_abs_sq``, ``imag_residual``), and ``to_jsonable`` prints the
+integers with ``precision.to_decimal``, so none of it touches mpmath.  For
+the tests, the oracles and the first-order closed forms the constructor
+also converts ``mpf``, ``mpc`` or Python numbers, and ``coefficient``,
+``max_abs`` and ``eval`` render the integers exactly as mpmath values
+(``to_mpf``).  ``axpy``, ``add_product`` and ``round_map`` are
 the kernels on {degree: int} maps behind ``+``, ``-`` and ``*``, shared with
 the engine's frame sums.  Besides plain arithmetic the class carries the two
 involutions used throughout,
@@ -70,22 +73,24 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 
-import mpmath
-from mpmath.libmp import from_man_exp, from_str, to_fixed, to_str
-
-from .precision import PrecisionConfig, to_fixed_pair
+from .precision import PrecisionConfig, to_decimal, to_fixed_pair
 
 _PARTS = ("plus", "minus", "zero", "geq0")
 EXTRA_BITS = 16    # derived in the rounding budget above
 
 
 def fixed_bits(cfg: PrecisionConfig) -> int:
-    """P: every coefficient under ``cfg`` is an integer at scale 2^P."""
-    return cfg.context.prec + EXTRA_BITS
+    """P: every coefficient under ``cfg`` is an integer at scale 2^P.
+
+    Taken from ``cfg.working_bits``, not from the context's precision, which a
+    caller's ``workprec`` block raises.
+    """
+    return cfg.working_bits + EXTRA_BITS
 
 
-def to_mpf(v: int, cfg: PrecisionConfig) -> mpmath.mpf:
+def to_mpf(v: int, cfg: PrecisionConfig):
     """The integer v at scale 2^P as an exact ``mpf`` of ``cfg``'s context."""
+    from mpmath.libmp import from_man_exp
     return cfg.context.make_mpf(from_man_exp(v, -fixed_bits(cfg)))
 
 
@@ -166,12 +171,16 @@ class LaurentPoly:
             return re
         return self.cfg.context.make_mpc((re._mpf_, to_mpf(self.im[degree], self.cfg)._mpf_))
 
-    def max_abs(self) -> mpmath.mpf:
-        """Largest coefficient modulus, rounded once from its exact square."""
-        sq = max((self.re.get(d, 0) ** 2 + self.im.get(d, 0) ** 2 for d in self.degrees()),
-                 default=0)
+    def max_abs_sq(self) -> int:
+        """The square of the largest coefficient modulus, exact, at scale 2^2P."""
+        return max((self.re.get(d, 0) ** 2 + self.im.get(d, 0) ** 2 for d in self.degrees()),
+                   default=0)
+
+    def max_abs(self):
+        """Largest coefficient modulus as an ``mpf``, rounded once from its exact square."""
+        from mpmath.libmp import from_man_exp
         ctx = self.cfg.context
-        return ctx.sqrt(ctx.make_mpf(from_man_exp(sq, -2 * fixed_bits(self.cfg))))
+        return ctx.sqrt(ctx.make_mpf(from_man_exp(self.max_abs_sq(), -2 * fixed_bits(self.cfg))))
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
         if self.cfg.working_digits != other.cfg.working_digits:
@@ -209,10 +218,22 @@ class LaurentPoly:
         return LaurentPoly(self.cfg, re=round_map(re, bits), im=round_map(im, bits))
 
     def scale(self, s) -> "LaurentPoly":
-        """Multiply by the number s: exact for a (Gaussian) integer that fits
-        the working precision, else s is converted and each coefficient
-        rounded once."""
-        return self * LaurentPoly(self.cfg, {0: s})
+        """Multiply by s: exact for a Gaussian integer (an ``int``, or a
+        ``complex`` with integral parts); a constant ``LaurentPoly`` (a number
+        at 2^P) or any other number, which is converted, multiplies with each
+        coefficient rounded once."""
+        if type(s) is int:
+            a, b = s, 0
+        elif type(s) is complex and s.real.is_integer() and s.imag.is_integer():
+            a, b = int(s.real), int(s.imag)
+        else:
+            return self * (s if isinstance(s, LaurentPoly) else LaurentPoly(self.cfg, {0: s}))
+        re, im = {}, {}
+        for acc, part, w in ((re, self.re, a), (re, self.im, -b), (im, self.im, a),
+                             (im, self.re, b)):
+            if w:
+                axpy(acc, w, part)
+        return LaurentPoly(self.cfg, re=re, im=im)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by lambda^k."""
@@ -254,7 +275,7 @@ class LaurentPoly:
         return LaurentPoly(self.cfg, re={0: by_power[0] - by_power[2]},
                            im={0: by_power[1] - by_power[3]})
 
-    def eval(self, lam0) -> mpmath.mpc:
+    def eval(self, lam0):
         """h(lam0) as an ``mpc``: at lambda = i exact and rounded once
         (``at_i``), elsewhere summed in ``mpc`` arithmetic."""
         ctx = self.cfg.context
@@ -290,9 +311,9 @@ class LaurentPoly:
 
     # -- reality helpers -------------------------------------------------------
 
-    def imag_residual(self) -> mpmath.mpf:
-        """Largest imaginary part over the support (coefficients should be real)."""
-        return to_mpf(max(map(abs, self.im.values()), default=0), self.cfg)
+    def imag_residual(self) -> int:
+        """Largest imaginary part over the support, at 2^P (coefficients should be real)."""
+        return max(map(abs, self.im.values()), default=0)
 
     def realified(self) -> "LaurentPoly":
         """Drop imaginary parts (use only after checking imag_residual)."""
@@ -310,13 +331,14 @@ class LaurentPoly:
         bits = fixed_bits(self.cfg)
 
         def text(v: int) -> str:
-            return to_str(from_man_exp(v, -bits), digits or len(str(abs(v))) + 3)
+            return to_decimal(v, -bits, digits or len(str(abs(v))) + 3)
 
         return [{"deg": d, "re": text(self.re.get(d, 0)), "im": text(self.im.get(d, 0))}
                 for d in sorted(self.degrees())]
 
     @classmethod
     def from_jsonable(cls, data: Iterable[Mapping], cfg: PrecisionConfig) -> "LaurentPoly":
+        from mpmath.libmp import from_str, to_fixed
         bits = fixed_bits(cfg)
 
         def fixed(text: str) -> int:     # the nearest integer at scale 2^bits
@@ -336,7 +358,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "LaurentPoly(0)"
-        terms = [f"({mpmath.nstr(self.coefficient(d), 8)})*lam^{d}"
+        terms = [f"({self.cfg.context.nstr(self.coefficient(d), 8)})*lam^{d}"
                  for d in sorted(self.degrees())]
         return "LaurentPoly(" + " + ".join(terms) + ")"
 

@@ -75,7 +75,8 @@ to 2^2.0, 2^2.0 and 2^6.2 units while the poles and their images 1 - a were
 rounded to the working precision, a rounding that the conditioning near the
 boundary amplifies.  So every pole quantity is formed at 2^-P and rounded
 once there: the arguments that ``convert_word`` builds from the punctures
-(which ``omega.punctures`` gives at ``cfg.pole_bits`` = P), the tail
+(``omega.punctures``, the integers of ``omega.punctures_fixed`` at
+``cfg.pole_bits`` = P, converted exactly), the tail
 products, the letters a_i = 1/(z_i...z_d), the images 1 - a and the ratios
 x0/a and x1/(1 - a).  ``li`` rounds the kernel's exact sum once, to 2^-P,
 not to the working precision, so a signed sum of its values
@@ -147,8 +148,12 @@ def mpl_spec(indices: Sequence[int], args: Sequence, cfg: PrecisionConfig) -> Mp
 
 
 def _split_bits(cfg: PrecisionConfig) -> int:
-    """The split kernel's scale P: working bits + ``_SPLIT_EXTRA_BITS``."""
-    return cfg.context.prec + _SPLIT_EXTRA_BITS
+    """The split kernel's scale P: working bits + ``_SPLIT_EXTRA_BITS``.
+
+    Taken from ``cfg.working_bits``, so a caller's ``workprec`` block does
+    not change the value that ``li`` computes and memoises.
+    """
+    return cfg.working_bits + _SPLIT_EXTRA_BITS
 
 
 def _conj(z, ctx):

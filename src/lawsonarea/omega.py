@@ -19,7 +19,8 @@ series is expanded in v = (z - m)/h, so the segment is v in [-1, 1] and a
 pole q (relative to m) enters only through r = h/q, |r| <= 1/3.  A series
 is held as one list of Python integers scaled by 2^P, P = working bits +
 ``_EXTRA_BITS``, and a phase: the series is i^phase times the list, phase
-0 or 1.  Only the values at the end of the path are converted to ``mpc``.
+0 or 1.  The values at the end of the path stay integers: a signed table
+keeps them as they are, and a word table converts each once to ``mpc``.
 
 * Forward step.  A node's three letter integrals come from its series
   S (``_integrate``).  Multiplying a series by h/(h v - q) is the
@@ -74,8 +75,7 @@ the parents' end values.  The nodes of size L need only that end value,
 so on the last layer each parent and letter costs one integer dot with
 W_i in place of a forward step, summed exactly and shifted once per node
 and segment.  The values stay integers at scale 2^P, each with its phase,
-from segment to segment and are converted to ``mpc`` once, at the end; no
-``chen_compose`` is involved.
+from segment to segment and at the end; no ``chen_compose`` is involved.
 
 * Word tables.  ``_word_child`` appends the letter with sign +, so each
   word has one parent, its prefix, and the driver runs Chen's
@@ -106,10 +106,12 @@ at most a few bits per letter and never by a factor that depends on j.  In
 the functionals |g_j| <= 2/(j + 1) (in units of 2^P), the same 1/3
 damping keeps |H| <= 1, and |W_i| <= 4.
 
-Rounding budget, in units of 2^-P.  The poles come from ``punctures`` at
-``cfg.pole_bits``, 8 bits finer than 2^-P (``precision`` module docstring);
-each r = h/(p - m) is formed there and rounded once per segment, to 2^-P,
-and its partner takes conj(r), one unit from its own rounded ratio.  Each
+Rounding budget, in units of 2^-P.  The poles are the integers of
+``punctures_fixed`` at ``cfg.pole_bits``, 8 bits finer than 2^-P
+(``precision`` module docstring), and the segment ends, floats, are exact
+there; each r = h/(p - m) is the exact quotient of those integers, rounded
+down once per segment to 2^-P, and its partner takes conj(r), one unit
+from its own rounded ratio.  Each
 shift rounds once, and the recurrence damps an earlier rounding by |r| <=
 1/3, so each part of a real-input product (``_real_product`` doubles it,
 from 2 S_j) carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so
@@ -217,13 +219,18 @@ roundings, in units of 2^-P.
   plus 1/(1 - x^2) < (n + 1/2)^2/5.6 units from rounding 1 - x^2: under
   2 n^3 units in all for n >= 7, which is 2^20 at n = 80 and 2^23.7 at
   n = 188, the count at 100 target digits and phi = 0.3.
-* First level.  The poles p1 and p2 come from ``punctures`` at
-  ``cfg.pole_bits``, working bits + 32, and are rounded once, to 2^-P;
+* First level.  The poles p1 and p2 are the integers of ``punctures_fixed``
+  at ``cfg.pole_bits``, working bits + 32, rounded down once, to 2^-P;
   ``_quadrature_size`` refuses a P above that, which only delta < 4.2e-4
-  reaches (below).  On the path to 1 or to i every node z and every inner
-  node t h_l keeps |z^2 - p^2| >= delta = min(sin(phi), cos(phi)) from
-  both pole pairs, and z^2 is real, so p2 = -conj p1 gives u2 = conj u1
-  (Schwarz reflection).  Only u1 = 1/(z^2 - p1^2) is computed, by one ``//`` of
+  would reach (below).  Every node z and every inner node t h_l has a real
+  z^2, in [0, 1] on the path to 1 and in [-1, 0] on the path to i, and
+  p1^2 = e^(2i phi), so |z^2 - p1^2|^2 = z^4 -+ 2 z^2 cos(2 phi) + 1.  On
+  the path away from phi's near pole (to 1 with phi >= pi/4, where
+  cos(2 phi) <= 0, and to i with phi <= pi/4) that is at least 1; on the
+  other it is at least sin(2 phi)^2 >= min(sin(phi), cos(phi))^2.  So every
+  node keeps |z^2 - p^2| >= delta from both pole pairs, delta = 1 on the
+  far path and min(sin(phi), cos(phi)) on the near one, and as z^2 is
+  real, p2 = -conj p1 gives u2 = conj u1 (Schwarz reflection).  Only u1 = 1/(z^2 - p1^2) is computed, by one ``//`` of
   2^(3P) by the exact norm of z^2 - p1^2, which carries about 6 units from
   rounding z^2 and p1^2; so u1 and its conjugate are off by at most
   6/delta^2 + 4 units (p2 is exactly -conj p1 on the integers).  As floor
@@ -236,8 +243,12 @@ roundings, in units of 2^-P.
   and Im sum_l w_l h_l u1 are exact with sum w_l = 1 and rounded once; p2's
   are conjugates, so A2 = conj A1 and B is 2i times the second.  The inner
   integrals 2 t^2 B and 2 t (p1 A1 -+ p2 A2) and the weighted forms carry at
-  most 4 (6/delta^2 + 5) + 8 = 24/delta^2 + 28 units, below 2^9 for
-  delta >= 0.29 (phi in [0.3, 1.27]).
+  most 4 (6/delta^2 + 5) + 8 = 24/delta^2 + 28 units: 52 on the far path,
+  below 2^9 on the near one for delta >= 0.29 (phi in [0.3, 1.27]).  At the
+  five angles pi/6 to pi/3 the 2 n^3 of the rule dominates, and P is the
+  same with either delta; near pi/2 on the path to 1 the far path's delta
+  keeps P at 21 extra bits at phi = 1.5707 and 30 digits, where cos(phi)
+  would ask for 36, more than the poles carry.
 
 ``_quadrature_bits`` thus takes P = working bits + 4 +
 ceil(log2(2 n^3 + 24/delta^2 + 28)), which keeps both kernels' own rounding
@@ -258,16 +269,17 @@ to the working precision it was 3.3 and 0.29 units off at 30 digits, and
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import re
 import tempfile
 from operator import add, mul, sub
 from pathlib import Path
 
-import mpmath
-
-from .precision import POLE_EXTRA_BITS, PrecisionConfig, from_fixed_pair, to_fixed_pair
+from .precision import (POLE_EXTRA_BITS, Dyadic, PrecisionConfig, cis_fixed, from_fixed_pair,
+                        pi_fixed, rescale, to_fixed_pair)
 from .words import Word, format_word, parse_word
 
 try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
@@ -278,7 +290,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _ENDPOINTS = ("1", "i")
 
@@ -287,29 +299,47 @@ _ENDPOINTS = ("1", "i")
 # phi parsing
 # ---------------------------------------------------------------------------
 
-def parse_phi(text, cfg: PrecisionConfig):
-    """Evaluate an exact phi description at ``cfg.pole_bits``.
+def parse_phi(text, cfg: PrecisionConfig) -> Dyadic:
+    """Evaluate an exact phi description, rounded once to ``cfg.pole_bits``
+    significant bits, to nearest.
 
     Accepts "pi", "pi/4", "3*pi/8" or a decimal string such as "0.3";
-    never a machine float, so nothing is silently truncated to 53 bits.
-    The value carries the bits of the finest kernel scale (``precision``
-    module docstring); arithmetic on it at the working precision rounds as
-    usual.
+    never a number, so nothing is silently truncated to 53 bits.  A rational
+    multiple of pi is rounded from the integer pi of ``precision.pi_fixed``
+    with 64 guard bits, a decimal from its exact value.  The value carries
+    the bits of the finest kernel scale (``precision`` module docstring); it
+    is a ``Dyadic``, which mpmath takes as an ``mpf``.
     """
-    ctx = cfg.context
-    if isinstance(text, (int, mpmath.mpf)) or type(text) is float:
+    if not isinstance(text, str):
         raise TypeError("phi must be given as an exact string (e.g. 'pi/4' or '0.3')")
-    s = str(text).strip().replace(" ", "")
-    with ctx.workprec(cfg.pole_bits):
-        if "pi" in s:
-            num, den = _pi_fraction(s)
-            value = ctx.pi * num / den
-        else:
-            value = ctx.mpf(s)
-        inside = 0 < value < ctx.pi / 2
+    s = text.strip().replace(" ", "")
+    bits = cfg.pole_bits
+    pi = pi_fixed(bits + 64)
+    if "pi" in s:
+        num, den = _pi_fraction(s)
+        inside = 0 < 2 * num < den
+        value = Dyadic.ratio(num * pi, den << (bits + 64), bits) if inside else None
+    else:
+        num, den = _decimal_fraction(s)
+        inside = num > 0 and num << (bits + 65) < pi * den
+        value = Dyadic.ratio(num, den, bits) if inside else None
     if not inside:
         raise ValueError(f"phi = {s} must lie strictly between 0 and pi/2")
     return value
+
+
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+
+
+def _decimal_fraction(s: str) -> tuple[int, int]:
+    """The exact n/d of a decimal literal such as "0.3", "-2.5" or "1e-6"."""
+    match = _DECIMAL.fullmatch(s)
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(f"phi {s!r} is neither a decimal nor of the form n*pi/d")
+    sign, whole, frac, power = match[1], match[2], match[3] or "", int(match[4] or 0)
+    num = int(sign + (whole + frac or "0"))
+    power -= len(frac)
+    return (num * 10 ** power, 1) if power >= 0 else (num, 10 ** -power)
 
 
 def _pi_fraction(s: str) -> tuple[int, int]:
@@ -353,8 +383,10 @@ def canonical_phi(text) -> str:
 
 
 def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
-    """Whether the phi description (validated by ``parse_phi``) is pi/4."""
-    return abs(parse_phi(text, cfg) - cfg.context.pi / 4) <= cfg.eps(2)
+    """Whether the phi description (validated by ``parse_phi``) is pi/4, to eps(2)."""
+    bits = cfg.pole_bits + 2
+    gap = abs(parse_phi(text, cfg).to_fixed(bits) - pi_fixed(cfg.pole_bits))
+    return gap * cfg.eps_ratio(2) <= 1 << bits
 
 
 def phi_slug(text: str) -> str:
@@ -368,18 +400,27 @@ FORM_COEFFS = ((1, -1, 1, -1),
                (1, 1, -1, -1))
 
 
-def punctures(phi, cfg: PrecisionConfig) -> tuple:
+@functools.lru_cache(maxsize=None)
+def punctures_fixed(phi: Dyadic, cfg: PrecisionConfig) -> tuple:
     """The four unit-circle branch points (p1, p2, -p1, -p2), p2 = -conj p1,
-    at ``cfg.pole_bits``; phi strictly between 0 and pi/2, as ``parse_phi``
-    gives it."""
-    ctx = cfg.context
-    with ctx.workprec(cfg.pole_bits):
-        phiv = ctx.mpf(phi)
-        if not (0 < phiv < ctx.pi / 2):
-            raise ValueError("phi must lie strictly between 0 and pi/2")
-        p1 = ctx.expjpi(phiv / ctx.pi)   # exp(i*phi) without a spurious mpf round-trip
-        p2 = -ctx.conj(p1)
-        return (p1, p2, -p1, -p2)
+    as (re, im) integer pairs at scale 2^``cfg.pole_bits``: p1 = e^(i phi) from
+    its series (``precision.cis_fixed``), for phi strictly between 0 and pi/2
+    as ``parse_phi`` gives it.  Every route forms its pole quantities from
+    these integers."""
+    bits = cfg.pole_bits
+    if not 0 < phi.to_fixed(bits + 1) < pi_fixed(bits):
+        raise ValueError("phi must lie strictly between 0 and pi/2")
+    c, s = cis_fixed(phi, bits)
+    return (c, s), (-c, s), (-c, -s), (c, -s)
+
+
+def punctures(phi: Dyadic, cfg: PrecisionConfig) -> tuple:
+    """The four branch points of ``punctures_fixed`` as exact ``mpc`` values,
+    for the polylogarithm oracle and the tests."""
+    from mpmath.libmp import from_man_exp
+    ctx, bits = cfg.context, cfg.pole_bits
+    return tuple(ctx.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
+                 for re, im in punctures_fixed(phi, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +443,7 @@ class OmegaTable:
         self.values = dict(values)
         self.values[()] = ctx.mpc(1)
 
-    def value(self, word) -> mpmath.mpc:
+    def value(self, word):
         word = tuple(word)
         if len(word) > self.max_length:
             raise KeyError(f"word {word} exceeds table depth {self.max_length}")
@@ -426,8 +467,12 @@ class SignedTable:
     sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w),
     inv(w) the number of letter pairs of w out of order, for every c with
     1 <= |c| <= ``max_length``.  Keys are non-decreasing words: (1, 1, 3) holds
-    sigma_(2,0,1) and (i,) holds Omega(i).  ``engine.frame_lower`` reads
-    nothing else of the word integrals.
+    sigma_(2,0,1) and (i,) holds Omega(i).  ``values`` maps each key to
+    (phase, x), sigma_c = i^phase x 2^-bits, as the transport leaves it, at
+    its scale ``bits`` = ``_transport_bits(cfg)``.  ``engine.frame_lower``
+    reads nothing else of the word integrals, each rounded once to its own
+    scale (``fixed``); ``value`` renders one as an ``mpc`` for the tests and
+    the oracles.
     """
 
     __slots__ = ("cfg", "phi_label", "endpoint", "max_length", "values")
@@ -440,11 +485,25 @@ class SignedTable:
         self.max_length = int(max_length)
         self.values = dict(values)
 
-    def value(self, key) -> mpmath.mpc:
+    @property
+    def bits(self) -> int:
+        return _transport_bits(self.cfg)
+
+    def _entry(self, key) -> tuple[int, int]:
         key = tuple(key)
         if len(key) > self.max_length:
             raise KeyError(f"key {key} exceeds table depth {self.max_length}")
         return self.values[key]
+
+    def value(self, key):
+        """sigma of ``key`` as an ``mpc`` at the working precision, rounded once."""
+        return _phase_value(*self._entry(key), self.bits, self.cfg.context)
+
+    def fixed(self, key, bits: int) -> tuple[int, int]:
+        """sigma of ``key`` as (re, im) integers at scale 2^bits, rounded once."""
+        phase, x = self._entry(key)
+        x = rescale(x, self.bits, bits)
+        return (0, x) if phase else (x, 0)
 
 
 def _all_words(max_length: int):
@@ -505,49 +564,56 @@ def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
     return int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 12
 
 
+def _transport_bits(cfg: PrecisionConfig) -> int:
+    """The transport kernel's scale P: working bits + ``_EXTRA_BITS``."""
+    return cfg.working_bits + _EXTRA_BITS
+
+
 def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, int]:
     """The pole-pair ratios of the segment [z0, z1], its letter plan, and the scale 2^P.
 
-    Returns (ratios, plan, P).  The poles fall in two pairs (k, k'): pole k'
-    is the mirror image m + (h / conj h) conj(p_k - m) of pole k across the
-    segment's line (m the midpoint, h the half-length).  ``ratios`` holds
-    r = h/(p_k - m) of each pair's first pole k as a fixed-point pair,
-    formed from the poles at ``cfg.pole_bits`` and rounded once; the ratio
-    of pole k' is taken as conj(r) exactly.  ``plan`` holds per
+    ``poles``, ``z0`` and ``z1`` are (re, im) integer pairs at one scale, as
+    ``_path`` gives them.  Returns (ratios, plan, P).  The poles fall in two
+    pairs (k, k'): pole k' is the mirror image m + (h / conj h) conj(p_k - m)
+    of pole k across the segment's line (m the midpoint, h the
+    half-length), exactly on the integers.  ``ratios`` holds r = h/(p_k - m)
+    = (z1 - z0)/(2 p_k - z0 - z1) of each pair's first pole k as a fixed-point
+    pair, the exact quotient of the integers rounded down once; the ratio of
+    pole k' is taken as conj(r).  ``plan`` holds per
     letter 1, 2, 3 its pair operation and its phase flip: flip 1 where the
     form gives the two poles of a pair opposite residues (the pair's
     difference, which turns a real series imaginary and an imaginary one
     real), 0 where the same (the sum), and ``add`` or ``sub`` as the second
     pair's first pole has the residue of pole 0, which is +1 in every form.
-    P = working bits + ``_EXTRA_BITS``.  Raises ``ValueError`` when a pole
+    P = ``_transport_bits(cfg)``.  Raises ``ValueError`` when a pole
     lies closer than three half-lengths to the midpoint, has no mirror
     image among the poles, or a letter would take one pair's sum and the
     other pair's difference, which has no single phase.
     """
-    ctx = cfg.context
-    bits = ctx.prec + _EXTRA_BITS
-    # the poles' offsets from the midpoint, at the poles' own scale
-    with ctx.workprec(cfg.pole_bits):
-        mid = (z0 + z1) / 2
-        half = (z1 - z0) / 2
-        rel = [p - mid for p in poles]
-    margin = abs(half) * 3
-    for q in rel:
-        if margin > abs(q) * (1 + 1e-9):
+    bits = _transport_bits(cfg)
+    h_re, h_im = z1[0] - z0[0], z1[1] - z0[1]          # twice the half-length
+    # twice each pole's offset from the midpoint
+    rel = [(2 * p_re - z0[0] - z1[0], 2 * p_im - z0[1] - z1[1]) for p_re, p_im in poles]
+    h_sq = h_re * h_re + h_im * h_im
+    for q_re, q_im in rel:
+        if 9 * h_sq * 10 ** 18 > (q_re * q_re + q_im * q_im) * (10 ** 9 + 1) ** 2:
             raise ValueError("segment too long for its pole gap; subdivision bug")
-    turn = half / ctx.conj(half)
+    # the image turn conj(q) of q times |h|^2, with turn = h^2/|h|^2
+    t_re, t_im = h_re * h_re - h_im * h_im, 2 * h_re * h_im
     rest = list(range(len(poles)))
     pairs, ratios = [], []
     while rest:
         k = rest.pop(0)
-        image = turn * ctx.conj(rel[k])
-        partner = next((j for j in rest if abs(rel[j] - image) <= cfg.eps(2)), None)
+        q_re, q_im = rel[k]
+        image = (t_re * q_re + t_im * q_im, t_im * q_re - t_re * q_im)
+        partner = next((j for j in rest if (rel[j][0] * h_sq, rel[j][1] * h_sq) == image), None)
         if partner is None:
             raise ValueError("the segment's line is not a symmetry axis of the poles")
         rest.remove(partner)
         pairs.append((k, partner))
-        with ctx.workprec(cfg.pole_bits):
-            ratios.append(to_fixed_pair(half / rel[k], bits))
+        q_sq = q_re * q_re + q_im * q_im
+        ratios.append((((h_re * q_re + h_im * q_im) << bits) // q_sq,
+                       ((h_im * q_re - h_re * q_im) << bits) // q_sq))
     (a, a2), (b, b2) = pairs
     plan = []
     for eps in FORM_COEFFS:
@@ -631,31 +697,39 @@ def _integrate(s, phase: int, ratios, plan, bits: int):
         yield new_phase, [odd - even] + c, 2 * odd
 
 
-def _phase_value(phase: int, x: int, scale: int, ctx) -> mpmath.mpc:
+def _phase_value(phase: int, x: int, scale: int, ctx):
     """The ``mpc`` i^phase x 2^-scale, rounded once."""
     return from_fixed_pair(0, x, scale, ctx) if phase else from_fixed_pair(x, 0, scale, ctx)
 
 
 def _transport_table(cfg: PrecisionConfig, phi_label: str, poles, segments,
                      max_length: int) -> OmegaTable:
-    """All word integrals along consecutive straight segments [z0, z1]."""
-    values = _transport(cfg, poles, segments, max_length, _word_child)
-    return OmegaTable(cfg, phi_label, segments[0][0], segments[-1][1], max_length, values)
+    """All word integrals along consecutive straight segments [z0, z1]
+    (integer pairs at ``cfg.pole_bits``), each rounded once to ``mpc``."""
+    ctx, bits = cfg.context, _transport_bits(cfg)
+    values = {key: _phase_value(phase, x, bits, ctx) for key, (phase, x)
+              in _transport(cfg, poles, segments, max_length, _word_child).items()}
+    start, end = (from_fixed_pair(*z, cfg.pole_bits, ctx)
+                  for z in (segments[0][0], segments[-1][1]))
+    return OmegaTable(cfg, phi_label, start, end, max_length, values)
 
 
 def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
-    """The poles and the segments [z0, z1] of the path from 0 to the endpoint."""
-    ctx = cfg.context
+    """The poles and the segments [z0, z1] of the path from 0 to the endpoint,
+    each point an exact (re, im) integer pair at ``cfg.pole_bits``."""
     if endpoint not in _ENDPOINTS:
         raise ValueError(f"endpoint must be one of {_ENDPOINTS}, got {endpoint!r}")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    poles = punctures(parse_phi(str(phi), cfg), cfg)
-    end = ctx.mpc(1) if endpoint == "1" else ctx.mpc(0, 1)
-    cuts = _segment_split(complex(end), [complex(p) for p in poles])
-    segments = [(ctx.mpf(sa) * end, ctx.mpf(sb) * end if sb != 1.0 else end)
-                for sa, sb in zip(cuts[:-1], cuts[1:])]
-    return poles, segments
+    poles = punctures_fixed(parse_phi(str(phi), cfg), cfg)
+    bits = cfg.pole_bits
+    axis = (1, 0) if endpoint == "1" else (0, 1)
+    cuts = _segment_split(complex(*axis), [complex(re / (1 << bits), im / (1 << bits))
+                                            for re, im in poles])
+    # each cut is a float, so exact at 2^bits
+    points = [(n << bits) // d for n, d in (cut.as_integer_ratio() for cut in cuts)]
+    ends = [(x * axis[0], x * axis[1]) for x in points]
+    return poles, list(zip(ends[:-1], ends[1:]))
 
 
 def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
@@ -694,9 +768,9 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
     integer list or integer at scale 2^P with its phase, i^phase; the phase
     of a node is fixed by its letters (``_segment_ratios``' plan), so all
     its parents' terms and its start value share it.  The values stay
-    integers from segment to segment and are converted once, at the end.
+    integers from segment to segment: returns {key: (phase, x)} at scale
+    2^P, P = ``_transport_bits(cfg)``.
     """
-    ctx = cfg.context
     T = _series_terms(cfg)
     start: dict = {}      # key -> (phase, its value at the segment start at scale 2^P)
     for z0, z1 in segments:
@@ -730,7 +804,7 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
                 last[node] = phase, op(last[node][1], e)
         end.update((node, (phase, x >> bits)) for node, (phase, x) in last.items())
         start = end
-    return {key: _phase_value(phase, x, bits, ctx) for key, (phase, x) in start.items()}
+    return start
 
 
 def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
@@ -771,7 +845,7 @@ def _quadrature_bits(n: int, delta: float, cfg: PrecisionConfig) -> int:
     """The quadrature kernels' scale P: working bits and the extra bits that
     keep the rule's own rounding (2 n^3 units) and a first level's
     (24/delta^2 + 28 units) below 2^-4 of a unit of the working precision."""
-    return cfg.context.prec + 4 + math.ceil(math.log2(2 * n ** 3 + 24 / delta ** 2 + 28))
+    return cfg.working_bits + 4 + math.ceil(math.log2(2 * n ** 3 + 24 / delta ** 2 + 28))
 
 
 def _bernstein_rho(pole: complex, end: complex) -> float:
@@ -788,18 +862,23 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
     n is the least count with n >= (P ln 2 + m)/(2 ln rho): rho is the
     nearest pole's Bernstein parameter, m = ln((64/15) e M/(rho'^2 - 1)) with
     rho' = rho e^(-1/(2n)) and M = 16 n/(rho - 1/rho), and P is
-    ``_quadrature_bits(n, delta, cfg)``.  The module docstring derives it.
+    ``_quadrature_bits(n, delta, cfg)``, with delta = 1 on the path away from
+    phi's near pole (to 1 with phi >= pi/4, to i with phi <= pi/4) and
+    min(sin phi, cos phi) on the other.  The module docstring derives both.
     A ``ValueError`` naming phi refuses an n above ``_MAX_NODES``, and a P
     above ``cfg.pole_bits``, finer than the poles it would round: the
     24/delta^2 term of ``_quadrature_bits`` gets there only as delta falls
-    below 4.2e-4, phi that close to 0 or pi/2 on the path away from its near
-    pole (the other path needs more than ``_MAX_NODES`` there).
+    below 4.2e-4, phi that close to 0 on the path to 1 or to pi/2 on the
+    path to i, where n already exceeds ``_MAX_NODES``.
     """
     phi = float(phi_value)
     end = 1 if endpoint == "1" else 1j
-    rho = min(_bernstein_rho(complex(p), end) for p in punctures(phi_value, cfg))
-    delta = min(math.sin(phi), math.cos(phi))
-    n = math.ceil(cfg.context.prec * math.log(2) / (2 * math.log(rho)))
+    q = cfg.pole_bits
+    rho = min(_bernstein_rho(complex(re / (1 << q), im / (1 << q)), end)
+              for re, im in punctures_fixed(phi_value, cfg))
+    far = (endpoint == "1") == (phi_value.to_fixed(q + 2) >= pi_fixed(q))
+    delta = 1 if far else min(math.sin(phi), math.cos(phi))
+    n = math.ceil(cfg.working_bits * math.log(2) / (2 * math.log(rho)))
     while True:
         if n > _MAX_NODES:
             raise ValueError(f"the quadrature oracle at phi = {phi:.6g} needs more than "
@@ -814,7 +893,7 @@ def _quadrature_size(endpoint: str, phi_value, cfg: PrecisionConfig) -> tuple[in
         n = need
     if bits > cfg.pole_bits:
         raise ValueError(f"the quadrature oracle at phi = {phi:.6g} needs "
-                         f"{bits - cfg.context.prec} extra bits at {cfg.target_digits} "
+                         f"{bits - cfg.working_bits} extra bits at {cfg.target_digits} "
                          f"digits, more than the {POLE_EXTRA_BITS} its poles carry: phi "
                          "lies too close to 0 or pi/2")
     return n, bits
@@ -966,7 +1045,7 @@ def _prefix_pairs(points, poles, rule, bits: int) -> dict:
     return dict(zip(words, zip(*rows)))
 
 
-def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig) -> mpmath.mpc:
+def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig):
     """Nested Gauss-Legendre evaluation of one word integral, |word| <= 3.
 
     Each level uses the n-point rule on [0, upper limit], with n and the
@@ -1005,7 +1084,8 @@ def quadrature_oracle(word, endpoint: str, phi: str, cfg: PrecisionConfig) -> mp
         xs, ws = _gauss_legendre(nodes, cfg, bits)
         # the rule mapped to [0, 1]: nodes (x + 1)/2, weights w/2
         rule = [(x + (1 << bits)) >> 1 for x in xs], [w >> 1 for w in ws]
-        poles = [to_fixed_pair(p, bits) for p in punctures(phi_value, cfg)[:2]]
+        drop = cfg.pole_bits - bits
+        poles = [(re >> drop, im >> drop) for re, im in punctures_fixed(phi_value, cfg)[:2]]
         if cached is None:
             end = (1 << bits, 0) if endpoint == "1" else (0, 1 << bits)
             cached = _quadrature_cache[key] = [bits, *_first_level(end, poles, rule, bits),
@@ -1043,19 +1123,20 @@ def _values_digest(values: dict) -> str:
 
 
 def save_table(table: SignedTable, cache_dir: Path) -> Path:
-    """Write a signed table to ``cache_dir``; word tables are not cached."""
+    """Write a signed table to ``cache_dir``; word tables are not cached.
+
+    Each sigma is stored as its integers at the transport's scale, "re" and
+    "im" in hexadecimal, the part of the other phase "0".
+    """
     if not isinstance(table, SignedTable):
         raise TypeError(f"the cache holds signed tables only, got {type(table).__name__}")
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     cfg = table.cfg
-    ctx = cfg.context
-    digits = cfg.working_digits + 15
-    values = {
-        format_word(w): {"re": mpmath.nstr(ctx.re(v), digits),
-                         "im": mpmath.nstr(ctx.im(v), digits)}
-        for w, v in sorted(table.values.items())
-    }
+    values = {}
+    for w, (phase, v) in sorted(table.values.items()):
+        re, im = (0, v) if phase else (v, 0)
+        values[format_word(w)] = {"re": format(re, "x"), "im": format(im, "x")}
     payload = {
         "version": _CACHE_VERSION,
         "endpoint": table.endpoint,
@@ -1079,6 +1160,14 @@ def save_table(table: SignedTable, cache_dir: Path) -> Path:
     return path
 
 
+def _cached_value(item: dict) -> tuple[int, int]:
+    """(phase, x) of a stored sigma; a value with both parts nonzero is no sigma."""
+    re, im = int(item["re"], 16), int(item["im"], 16)
+    if re and im:
+        raise ValueError("a sigma is real or imaginary")
+    return (1, im) if im else (0, re)
+
+
 def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
                cache_dir: Path) -> SignedTable | None:
     """The signed table in ``cache_dir`` for exactly this request, or None on a miss.
@@ -1086,12 +1175,12 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
     A file counts only if its header (version, endpoint, phi label, digits,
     guard digits, depth) matches the request, its values hash to the stored
     SHA-256, and it holds every non-decreasing key of length 1..``max_length``
-    and no other.  Anything else, a missing key or unreadable JSON included,
-    is a miss, which ``cached_table`` rebuilds and overwrites.
+    and no other, each one real or imaginary.  Anything else, a missing key
+    or unreadable JSON included, is a miss, which ``cached_table`` rebuilds
+    and overwrites.
     """
     phi_label = canonical_phi(phi)
     path = _cache_path(cache_dir, endpoint, phi_label, max_length, cfg)
-    ctx = cfg.context
     expected = (_CACHE_VERSION, endpoint, phi_label, cfg.target_digits,
                 cfg.guard_digits, max_length)
     try:
@@ -1101,7 +1190,7 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
                                                 "guard_digits", "max_length"))
         if header != expected or payload["sha256"] != _values_digest(payload["values"]):
             return None
-        values = {parse_word(key): ctx.mpc(ctx.mpf(item["re"]), ctx.mpf(item["im"]))
+        values = {parse_word(key): _cached_value(item)
                   for key, item in payload["values"].items()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None

@@ -214,6 +214,40 @@ assert "lawsonarea.verify" not in sys.modules
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("cache", ["none", "miss", "hit"])
+def test_expand_at_pi4_imports_no_mpmath(tmp_path, cache):
+    """``expand`` at pi/4 runs on integers from phi to the printed digits: in
+    a fresh interpreter it prints alpha_3 and never loads ``mpmath``, with
+    its table built in process, built and stored in ``--cache-dir``, or
+    loaded from there."""
+    argv = ["expand", "--order", "3", "--precision", "40", "--format", "json"]
+    if cache != "none":
+        argv += ["--cache-dir", str(tmp_path)]
+    if cache == "hit":
+        main(argv)
+    script = f"""
+import sys
+from lawsonarea.cli import main
+assert main({argv!r}) == 0
+assert not [m for m in sys.modules if m.startswith("mpmath")], "mpmath was imported"
+"""
+    done = run_fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+    ctx = PrecisionConfig(40).context
+    alpha3 = ctx.mpf(json.loads(done.stdout)["alpha_t"][2])
+    assert abs(alpha3 - ctx.mpf(9) / 4 * ctx.zeta(3)) < ctx.mpf("1e-39")
+    assert len(list(tmp_path.glob("omega_*.json"))) == (cache != "none")
+
+
+def test_expand_general_phi_order1_in_a_fresh_interpreter():
+    """Away from pi/4 ``expand --order 1`` prints the closed forms, on mpmath."""
+    done = run_fresh(["-m", "lawsonarea", "expand", "--order", "1", "--phi", "0.3",
+                      "--format", "json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    first = json.loads(done.stdout)["first_order"]
+    assert first.keys() >= {"a0", "area_slope"} and first["r1"] == "0.0"
+
+
 def test_oracle_routes_import_no_heavy_modules():
     """Transport, quadrature and polylogarithms on one word, as the oracle
     triangle runs them, load none of the heavy standard modules."""

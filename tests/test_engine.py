@@ -9,7 +9,7 @@ from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support,
                                advance, area_series, central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
-from lawsonarea.laurent import LaurentPoly, to_mpf
+from lawsonarea.laurent import LaurentPoly, fixed_bits, to_mpf
 from lawsonarea.omega import build_signed_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
 
@@ -191,14 +191,21 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
     import copy
     broken = copy.copy(signed40_pi4_L4)
     broken.values = dict(signed40_pi4_L4.values)
-    broken.values[(3,)] = broken.values[(3,)] + 1   # poison sigma_(0,0,1) = Omega(3)
+    phase, x = broken.values[(3,)]
+    # poison sigma_(0,0,1) = Omega(3): its imaginary value i x made real
+    broken.values[(3,)] = 1 - phase, x
     with pytest.raises(EngineError):
         run(2, CFG, table=broken)
 
 
+# a scale of 1 and of 1e-10, squared at 2^2P, as ``_support`` takes it
+ONE_SQ = 1 << 2 * fixed_bits(CFG)
+TINY_SQ = LaurentPoly(CFG, {0: CTX.mpf("1e-10")}).re[0] ** 2
+
+
 def test_support_drops_dust():
     poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
-    kept, diag = _support(poly, 2, CTX.mpf(1), "x", CFG)
+    kept, diag = _support(poly, 2, ONE_SQ, "x", CFG)
     assert set(kept.re) == {1}
     assert diag["parity_residual"] == 0
 
@@ -206,7 +213,7 @@ def test_support_drops_dust():
 def test_support_drops_and_reports_parity_dust():
     # scale 1e-10 keeps 1e-46 above the noise cut, below the parity tolerance
     poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-46")})
-    kept, diag = _support(poly, 2, CTX.mpf("1e-10"), "x", CFG)
+    kept, diag = _support(poly, 2, TINY_SQ, "x", CFG)
     assert set(kept.re) == {1}
     assert diag["parity_residual"] == poly.coefficient(2)
     assert abs(diag["parity_residual"] - CTX.mpf("1e-46")) < to_mpf(1, CFG)   # 2^-P
@@ -215,14 +222,14 @@ def test_support_drops_and_reports_parity_dust():
 def test_support_rejects_parity_forbidden_coefficient():
     poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-30")})
     with pytest.raises(EngineError, match="parity-forbidden"):
-        _support(poly, 2, CTX.mpf(1), "x", CFG)
+        _support(poly, 2, ONE_SQ, "x", CFG)
 
 
 @pytest.mark.parametrize("degree", [-1, 5])
 def test_support_rejects_degree_outside_window(degree):
     poly = LaurentPoly(CFG, {1: 1, degree: 1})
     with pytest.raises(EngineError, match="degree bound"):
-        _support(poly, 2, CTX.mpf(1), "x", CFG)
+        _support(poly, 2, ONE_SQ, "x", CFG)
 
 
 def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):

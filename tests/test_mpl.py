@@ -310,3 +310,21 @@ def test_mpl_spec_validates_and_keys_the_li_memo():
     assert equal != MplSpec((1,), (z,))
     with pytest.raises(AttributeError):
         spec.indices = (3,)
+
+
+def test_li_memo_ignores_a_callers_workprec():
+    """``li`` takes its kernel's scale from the working digits, so a first
+    call inside a caller's ``workprec`` block memoises the value that a
+    fresh cache computes outside it, at the kernel's 168 bits, not a value
+    of the raised precision."""
+    cfg = PrecisionConfig(30)
+    ctx = cfg.context
+    spec = mpl_spec([2, 1], [ctx.mpf("0.35"), ctx.mpf("0.9")], cfg)
+    li.cache_clear()
+    with ctx.workprec(ctx.prec + 200):
+        li(spec, cfg)
+    value = li(spec, cfg)
+    li.cache_clear()
+    fresh = li(spec, cfg)
+    assert value == fresh
+    assert max(part._mpf_[3] for part in (value.real, value.imag)) <= mpl._split_bits(cfg) == 168

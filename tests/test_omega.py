@@ -15,10 +15,11 @@ from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTab
                               _cache_path, _transport_table, _values_digest,
                               build_signed_table, build_table, cached_table, canonical_phi,
                               chen_compose, gauss_legendre_rule, is_pi_over_4, load_table,
-                              parse_phi, punctures, quadrature_oracle, save_table)
+                              parse_phi, punctures, punctures_fixed, quadrature_oracle,
+                              save_table)
 from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
-from lawsonarea.words import shuffle
+from lawsonarea.words import parse_word, shuffle
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context
@@ -102,10 +103,11 @@ def test_chen_constant_path(table40_pi4_L4):
 
 
 def test_chen_split_matches_direct(tables):
-    ctx = CTX
-    points = punctures(parse_phi("pi/4", CFG), CFG)
-    cuts = [ctx.mpf(0), ctx.mpf(1) / 2, ctx.mpf(3) / 4, ctx.mpf(1)]
-    pieces = [_transport_table(CFG, "pi/4", points, [(ctx.mpc(a), ctx.mpc(b))], 2)
+    points = punctures_fixed(parse_phi("pi/4", CFG), CFG)
+    bits = CFG.pole_bits
+    # 0, 1/2, 3/4 and 1 as points at 2^pole_bits
+    cuts = [(0, 0), (1 << bits - 1, 0), (3 << bits - 2, 0), (1 << bits, 0)]
+    pieces = [_transport_table(CFG, "pi/4", points, [(a, b)], 2)
               for a, b in zip(cuts[:-1], cuts[1:])]
     glued = pieces[0]
     for piece in pieces[1:]:
@@ -155,16 +157,36 @@ def test_quadrature_refuses_a_pole_next_to_the_path():
     assert time.process_time() - start < 1
 
 
-def test_quadrature_refuses_a_scale_finer_than_its_poles():
-    """Near pi/2 the path to 1 stays far from the poles, but the first
-    level's 24/delta^2 units would need more extra bits than phi and the
-    poles carry: refused at once, naming phi, where phi 4e-4 further from
-    pi/2 takes the poles' own scale less one bit."""
+def test_quadrature_far_path_near_pi_over_2_needs_no_extra_bits():
+    """On the path to 1 with phi >= pi/4, and to i with phi <= pi/4, every
+    node keeps |z^2 - p^2| >= 1, so the first level's budget takes delta = 1
+    there: near pi/2 the path to 1 runs at 21 extra bits at 30 digits, where
+    delta = cos phi would ask for 36, more than the poles' 32, and agrees
+    with transport to the working precision; the mirror path, to i near 0,
+    takes the same scale."""
     cfg = PrecisionConfig(30)
-    with pytest.raises(ValueError, match="phi = 1.5707 needs 36 extra bits"):
-        quadrature_oracle((1,), "1", "1.5707", cfg)
-    _, bits = omega._quadrature_size("1", parse_phi("1.5703", cfg), cfg)
-    assert bits == cfg.pole_bits - 1
+    table = build_table("1", "1.5707", 2, cfg)
+    for word in table.words():
+        if word:
+            quad = quadrature_oracle(word, "1", "1.5707", cfg)
+            assert abs(quad - table.value(word)) < cfg.eps(), word
+    far = [omega._quadrature_size(end, parse_phi(phi, cfg), cfg)
+           for end, phi in (("1", "1.5707"), ("i", "0.0001"))]
+    assert far == [(38, cfg.working_bits + 21)] * 2
+
+
+@pytest.mark.parametrize("digits", [30, 40, 60])
+def test_quadrature_scale_is_unchanged_at_the_benchmark_angles(digits):
+    """delta = 1 on the far path leaves P as it was with delta = min(sin phi,
+    cos phi) at the five angles of the benchmark's triangle, and at (i, 1.2)
+    and (1, 0.3), the near paths, delta is min(sin phi, cos phi)."""
+    cfg = PrecisionConfig(digits)
+    for endpoint, phi in [("1", a) for a in ("pi/6", "pi/5", "pi/4", "3*pi/10", "pi/3")] + [
+            ("i", "1.2"), ("1", "0.3")]:
+        value = parse_phi(phi, cfg)
+        n, bits = omega._quadrature_size(endpoint, value, cfg)
+        near = min(math.sin(float(value)), math.cos(float(value)))
+        assert bits == omega._quadrature_bits(n, near, cfg), (endpoint, phi)
 
 
 def test_quadrature_refuses_a_length3_word_above_its_node_cap(monkeypatch):
@@ -419,8 +441,8 @@ def test_precision_doubling_table():
 @functools.lru_cache(maxsize=None)
 def _half_segment(phi, depth):
     """The transport table of the segment [0, 1/2] at 40 digits."""
-    points = punctures(parse_phi(phi, CFG), CFG)
-    return _transport_table(CFG, phi, points, [(CTX.mpc(0), CTX.mpc("0.5"))], depth)
+    points = punctures_fixed(parse_phi(phi, CFG), CFG)
+    return _transport_table(CFG, phi, points, [((0, 0), (1 << CFG.pole_bits - 1, 0))], depth)
 
 
 def _single_word(word, phi, cfg):
@@ -500,8 +522,10 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
     the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
     depth = 6
     poles, segments = omega._path("1", "pi/4", depth, CFG)
-    plus = omega._transport(CFG, poles, segments, depth,
-                            lambda key, letter: (tuple(sorted(key + (letter,))), 1))
+    plus = {key: omega._phase_value(phase, x, omega._transport_bits(CFG), CTX)
+            for key, (phase, x) in omega._transport(
+                CFG, poles, segments, depth,
+                lambda key, letter: (tuple(sorted(key + (letter,))), 1)).items()}
     letters = [plus[(i,)] for i in (1, 2, 3)]
     for key, value in plus.items():
         counts = [key.count(i) for i in (1, 2, 3)]
@@ -572,8 +596,9 @@ def test_pair_kernel_matches_four_poles(endpoint, phi):
         assert len(pair_ratios) == 2
         # at the poles' own scale, as in the kernel
         with CTX.workprec(CFG.pole_bits):
+            z0, z1, *points = (from_fixed_pair(*z, CFG.pole_bits, CTX) for z in (z0, z1, *poles))
             mid, half = (z0 + z1) / 2, (z1 - z0) / 2
-            ratios = [to_fixed_pair(half / (p - mid), bits) for p in poles]
+            ratios = [to_fixed_pair(half / (p - mid), bits) for p in points]
         zero = [0] * (T + 1)
         for phase in (0, 1):
             s = [rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
@@ -595,9 +620,10 @@ def test_pair_kernel_matches_four_poles(endpoint, phi):
 
 def test_segment_ratios_need_a_symmetry_axis():
     """Off the real and imaginary axes the poles have no mirror images."""
-    poles = punctures(parse_phi("0.3", CFG), CFG)
+    poles = punctures_fixed(parse_phi("0.3", CFG), CFG)
+    tenth = (1 << CFG.pole_bits) // 10
     with pytest.raises(ValueError, match="symmetry axis"):
-        omega._segment_ratios(CFG, poles, CTX.mpc(0), CTX.mpc("0.1", "0.1"))
+        omega._segment_ratios(CFG, poles, (0, 0), (tenth, tenth))
 
 
 @pytest.mark.parametrize("endpoint", ["1", "i"])
@@ -608,7 +634,8 @@ def test_values_have_the_phase_of_their_letters(endpoint, phi):
     of a pair opposite residues."""
     signed = build_signed_table(endpoint, phi, 6, CFG)
     words = build_table(endpoint, phi, 5, CFG)
-    for key, value in itertools.chain(signed.values.items(), words.values.items()):
+    for key, value in itertools.chain(((key, signed.value(key)) for key in signed.values),
+                                      words.values.items()):
         flips = sum(letter in FLIPS[endpoint] for letter in key)
         assert (CTX.re(value) if flips % 2 else CTX.im(value)) == 0, key
         assert value != 0, key
@@ -639,8 +666,8 @@ def test_last_signed_layer_matches_a_forward_step(kind, endpoint, phi, depth, ta
     shallow = build(endpoint, phi, depth, CFG)
     deep = build(endpoint, phi, depth + 1, CFG)
     assert shallow.values.keys() <= deep.values.keys()
-    for key, value in shallow.values.items():
-        assert abs(value - deep.value(key)) < CFG.eps(2), key
+    for key in shallow.values:
+        assert abs(shallow.value(key) - deep.value(key)) < CFG.eps(2), key
 
 
 def test_cache_roundtrip(tmp_path, signed40_pi4_L4, table40_pi4_L4):
@@ -686,8 +713,28 @@ def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path.write_text(json.dumps(payload))
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.values == signed40_pi4_L4.values
-    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 5
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 6
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
+
+
+def test_version5_cache_file_is_a_miss_and_rebuilt(tmp_path, signed40_pi4_L4):
+    """A file of version 5, which held sigma as mpmath decimal strings under
+    a matching digest, is a miss: the table is rebuilt from the transport and
+    the file overwritten with the integers of version 6."""
+    path = save_table(signed40_pi4_L4, tmp_path)
+    payload = json.loads(path.read_text())
+    payload["version"] = 5
+    for key in payload["values"]:
+        value = signed40_pi4_L4.value(parse_word(key))
+        payload["values"][key] = {"re": CTX.nstr(CTX.re(value), CFG.working_digits + 15),
+                                  "im": CTX.nstr(CTX.im(value), CFG.working_digits + 15)}
+    payload["sha256"] = _values_digest(payload["values"])
+    path.write_text(json.dumps(payload))
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
+    assert rebuilt.values == signed40_pi4_L4.values
+    assert json.loads(path.read_text())["version"] == 6
+    assert load_table("1", "pi/4", 4, CFG, tmp_path).values == signed40_pi4_L4.values
 
 
 def test_corrupt_word_value_is_rebuilt(tmp_path):

@@ -4,8 +4,9 @@ from math import comb
 import mpmath
 import pytest
 
-from lawsonarea.precision import (PrecisionConfig, agreement_digits, constant,
-                                 guard_digits_for_order, zeta)
+from lawsonarea.precision import (Dyadic, PrecisionConfig, agreement_digits, cis_fixed,
+                                 constant, guard_digits_for_order, pi_fixed, to_decimal,
+                                 zeta)
 
 # 55 digits from the exact-rational alternating central-binomial series
 # (5/2) * sum (-1)^(k-1) / (k^3 C(2k,k)); tail below 10^-55 after 90 terms.
@@ -129,9 +130,73 @@ def test_pole_bits_cover_every_kernel_scale():
     assert omega._EXTRA_BITS <= POLE_EXTRA_BITS and mpl._SPLIT_EXTRA_BITS <= POLE_EXTRA_BITS
     for digits in (10, 30, 250):
         cfg = PrecisionConfig(digits)
-        assert cfg.pole_bits == cfg.context.prec + POLE_EXTRA_BITS
+        assert cfg.pole_bits == cfg.working_bits + POLE_EXTRA_BITS == cfg.context.prec + 32
         assert omega._quadrature_bits(omega._MAX_NODES, 0.002, cfg) == cfg.pole_bits - 1
         assert omega._quadrature_bits(omega._MAX_NODES, 4.2e-4, cfg) == cfg.pole_bits
         # a workprec block raises the context's precision, not the poles' scale
         with cfg.context.workprec(cfg.pole_bits):
             assert cfg.pole_bits == cfg.context.prec
+
+
+def test_working_bits_is_mpmaths_precision():
+    """``working_bits`` restates mpmath's ``dps_to_prec`` of the working digits,
+    and a ``workprec`` block does not move it."""
+    from mpmath.libmp import dps_to_prec
+    for digits in range(10, 400, 7):
+        cfg = PrecisionConfig(digits)
+        assert cfg.working_bits == dps_to_prec(cfg.working_digits) == cfg.context.prec
+        with cfg.context.workprec(cfg.working_bits + 100):
+            assert cfg.working_bits == dps_to_prec(cfg.working_digits)
+
+
+def _to_decimal_cases():
+    """(mantissa, exponent) pairs: random ones, carries 9...9 at and beyond
+    the printed digits, zero, negative values, and leading digits on both
+    sides of the fixed-point range."""
+    import random
+    rng = random.Random(24)
+    cases = [(0, 0), (1, 0), (-1, 0), (5, -1), (-5, -1)]
+    for _ in range(400):
+        bits = rng.choice([1, 7, 60, 170, 240, 400])
+        cases.append((rng.randrange(-(1 << bits), 1 << bits), rng.randint(-700, 200)))
+    for k in (3, 35, 40, 41, 43, 60, 64):
+        nines = 10 ** k - 1
+        for e in (-250, -200, -130, -60, -19, -3, 0, 5, 40):
+            cases += [(nines, e), (-nines, e), ((nines << 40) + (1 << 39), e - 40)]
+    for power in range(-25, 70, 3):     # leading digit across min_fixed and max_fixed
+        num, den = (7 * 10 ** power, 1) if power >= 0 else (7, 10 ** -power)
+        value = Dyadic.ratio(num, den, 200)
+        cases += [(value.man, value.exp), (-value.man, value.exp)]
+    return cases
+
+
+def test_to_decimal_matches_mpmath_to_str():
+    """The integer formatter prints every binary rational as mpmath's
+    ``to_str`` does, at 3 and at 35 to 60 digits, with and without
+    ``strip_zeros``."""
+    from mpmath.libmp import from_man_exp, to_str
+    for man, exp in _to_decimal_cases():
+        for digits in (3, *range(35, 61)):
+            for strip in (True, False):
+                assert to_decimal(man, exp, digits, strip) == \
+                    to_str(from_man_exp(man, exp), digits, strip_zeros=strip), \
+                    (man, exp, digits, strip)
+
+
+@pytest.mark.parametrize("digits", [35, 40, 45, 300])
+def test_integer_pi_and_unit_point_are_within_one_unit(digits):
+    """pi by Machin's formula, and cos phi and sin phi from the series of
+    e^(i phi), are within one unit of mpmath at ``pole_bits``, for the five
+    angles of the benchmark's triangle and for 0.3 and 1.2."""
+    from lawsonarea.omega import parse_phi
+    cfg = PrecisionConfig(digits)
+    bits = cfg.pole_bits
+    ctx = mpmath.mp.clone()
+    ctx.prec = bits + 64
+    unit = ctx.ldexp(1, bits)
+    assert abs(pi_fixed(bits) - ctx.pi * unit) <= 1
+    for phi in ("pi/6", "pi/5", "pi/4", "3*pi/10", "pi/3", "0.3", "1.2"):
+        value = parse_phi(phi, cfg)
+        cos, sin = cis_fixed(value, bits)
+        assert abs(cos - ctx.cos(value) * unit) <= 1, phi
+        assert abs(sin - ctx.sin(value) * unit) <= 1, phi
