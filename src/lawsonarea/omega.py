@@ -9,60 +9,69 @@ a directory the caller names.  Both are built by power series transport:
 the path is cut into segments short enough that every simple pole stays
 at least three half-lengths away from the segment midpoint, and one
 driver (``_transport``) walks the words or the multisets layer by layer,
-one O(terms) per-letter recurrence per node, and glues the segments by
-initial value, on the kernel's integers.
+one real recurrence per node on the forms' common denominator, and glues
+the segments by initial value, on the kernel's integers.
 A nested Gauss-Legendre quadrature provides an independent check for
 short words.
 
-Transport kernel.  On a segment with midpoint m and half-length h every
-series is expanded in v = (z - m)/h, so the segment is v in [-1, 1] and a
-pole q (relative to m) enters only through r = h/q, |r| <= 1/3.  A series
-is held as one list of Python integers scaled by 2^P, P = working bits +
-``_EXTRA_BITS``, and a phase: the series is i^phase times the list, phase
-0 or 1.  The values at the end of the path stay integers: a signed table
-keeps them as they are, and a word table converts each once to ``mpc``.
+Transport kernel.  The three forms, the ``FORM_COEFFS`` sums over the
+poles (p1, p2, -p1, -p2) with p1 = e^(i phi) = c + i s and p2 = -conj p1,
+share one denominator, as p1 p2 = -1 and p1^2 + p2^2 = 2 cos 2phi:
 
-* Forward step.  A node's three letter integrals come from its series
-  S (``_integrate``).  Multiplying a series by h/(h v - q) is the
-  recurrence K_j = (K_{j-1} - S_j) r.  Every segment lies on the real or
-  the imaginary axis, and reflection across its line swaps the four poles
-  in two pairs with conjugate ratios r and conj r (``_segment_ratios``).
-  For a real series S with product P(r), a pair gives the real
-  P(r) + P(conj r) = 2 Re P(r) and the imaginary P(r) - P(conj r) =
-  2i Im P(r).  An imaginary series i S runs its product with conj r, and
-  then its pair sum is i 2 Re P(r) and its difference the real
-  -2 Im P(r): so at either phase one product per pair (four integer
-  multiplies and two shifts per coefficient) gives the sum as its real
-  part at the series' phase and the difference as its imaginary part at
-  the other phase.  Every form has residues +-1, so each letter integrand
-  is the sum or the difference of the same part of the two pairs'
-  products, taking a pair's sum where the form gives its poles the same
-  residue and its difference where not (``_letter_integrands``).
-  Integration divides by j + 1 with ``//``, and the values at v = -1 and
-  v = +1 are plain sums of the even and odd coefficients (with E and O
-  those sums, the integral's constant term is O - E, so that it vanishes
-  at v = -1, and its value at the segment end is 2 O).
-* Phase rule.  A letter whose form gives the two poles of a pair opposite
-  residues flips the phase: letters 1 and 3 on the real axis, where the
-  pairs are (p1, conj p1) and (p2, conj p2), and letters 1 and 2 on the
-  imaginary axis, where they are (p1, -conj p1) and (-p1, conj p1).  A
-  letter that took one pair's sum and the other pair's difference would
-  have no single phase, and the letter plan of ``_segment_ratios`` raises
-  ``ValueError`` for it.  The root series is 1, so every series, value
-  functional and value of a word w is real or imaginary as w has an even
-  or odd number of flipping letters, and gluing by initial value keeps
-  that phase from segment to segment.
+    f1 = 4i sin(2 phi) lambda / D,   f2 = 4 cos(phi) (lambda^2 - 1) / D,
+    f3 = 4i sin(phi) (lambda^2 + 1) / D,   D = lambda^4 - 2 cos(2 phi) lambda^2 + 1
+
+(D. V. and G. V. Chudnovsky, "Computer algebra in the service of
+mathematical physics and number theory", 1990, and J. van der Hoeven,
+"Fast evaluation of holonomic functions", Theoret. Comput. Sci. 210, 1999,
+on such small-height recurrences).  Every segment lies on the axis u = 1 or
+u = i, lambda = u x with x real, so there f_i dlambda = 4 k_i N_i(x) dx /
+D_u(x) with D_u(x) = x^4 - 2 kappa_u x^2 + 1, kappa_1 = cos 2phi = -kappa_i:
+N = (x, x^2 - 1, x^2 + 1) and k = (i 2cs, c, i s) on the real axis, and, as
+dlambda = i dx, N = (x, x^2 + 1, x^2 - 1) and k = (-i 2cs, -i c, s) on the
+imaginary one.  The transport runs the real forms 4 N_i/D_u: every series
+is one list of Python integers at scale 2^P, P = working bits +
+``_EXTRA_BITS``, and every value one integer, and each key's value is
+multiplied by the product of its letters' k_i once, at the end of the path
+(``_with_constants``).  kappa_u, c and s come from the pole p1 of
+``punctures_fixed`` at ``cfg.pole_bits``.  A signed table keeps the values
+as (phase, integer); a word table converts each once to ``mpc``.
+
+* Segments.  On a segment with midpoint m and half-length h every series is
+  expanded in v = (x - m)/h, so the segment is v in [-1, 1].
+  ``_segment_split`` rounds each inner cut down to a short dyadic, so m =
+  M/2^e and h = H/2^e with small integers (e = 10 or 11 and H below 2^9 on
+  the benchmark paths), and 2^(4e) D_u(m + h v) = sum_k (A_k - 2 kappa_u B_k)
+  v^k with the small integers A_k of (M + H v)^4 + 2^(4e) and B_k of
+  2^(2e) (M + H v)^2 (``_segment_kernel``).  Every pole stays three
+  half-lengths from the midpoint, so the roots v_k of d(v) = D_u(m + h v)
+  have |v_k| >= 3.
+* Forward step.  A node's three letter integrals come from its series S
+  (``_forward_step``) through one recurrence, Q = H S/d (``_divide``):
+  Q_j = (H 2^(4e) S_j - sum_{k=1..4} (A_k - 2 kappa_u B_k) Q_(j-k)) r with
+  r = 1/(A_0 - 2 kappa_u B_0).  The A_k and B_k products are small, kappa_u
+  meets the B part in one product and r the rest in another; at pi/4 kappa
+  is a unit or less, so its product is cheap on its own.  The letters'
+  integrands 4 h N_i(x) S/D are then (M + H v) Q 2^-(2e - 2) and
+  ((M + H v)^2 -+ t 2^(2e)) Q 2^-(3e - 2), t = 1 on the real axis and -1 on
+  the imaginary one: products with two or three small terms, the common
+  factor 4 taken off each shift.  Integration divides by j + 1 with ``//``,
+  and the values at v = -1 and v = +1 are plain sums of the even and odd
+  coefficients (with E and O those sums, the integral's constant term is
+  O - E, so that it vanishes at v = -1, and its value at the segment end is
+  2 O).
+* Phase rule.  Every series and value the transport forms is real.  A
+  key's phase is its constant's: i to the number of its letters whose k_i
+  is imaginary, letters 1 and 3 on the real axis and 1 and 2 on the
+  imaginary one.
 * Value functionals.  A letter integral's value at v = +1 is linear in the
   series it starts from (K.-T. Chen, "Iterated path integrals", Bull. AMS
-  83, 1977): sum_m S_m W_i,m, a dot with no conjugation, negated when both
-  phases are 1 (i i = -1), at scale 2^-2P (``_dot``).  W_i is the
-  transpose of letter i's forward step applied to V_() = (1, ..., 1), the
-  value at v = +1 (``_value_functionals``): g_j = (V_{j+1} + (-1)^j V_0)
-  // (j + 1), which is 2^(P+1) // (j + 1) at even j and 0 at odd j,
-  undoes integration and the constant term, H_m = (H_{m+1} - g_m) r from
-  H_T = 0 downwards is the product recurrence run backwards, and
-  W_i = sum_k eps_ik H^(k) with the ``FORM_COEFFS`` signs, by the same
-  pair kernel, so W_i has the phase of letter i.
+  83, 1977): sum_m S_m W_i,m, an exact dot at scale 2^-2P (``_dot``).  W_i
+  is the transposed step applied to V_() = (1, ..., 1), the value at v = +1
+  (``_value_functionals``): the integration functional g_j = 2/(j + 1) at
+  even j and 0 at odd j, then the numerator, G_m = sum_k n_ik g_(m+k), then
+  the 1/d recurrence run backwards, H_m from H_T down, which is ``_divide``
+  on the reversed list.
 
 One driver.  ``_transport`` walks the nodes of size 1..L layer by layer,
 holding one layer of series per segment.  ``child(key, letter)`` gives the
@@ -74,8 +83,9 @@ term, and its value at v = +1 is the start value plus the signed sum of
 the parents' end values.  The nodes of size L need only that end value,
 so on the last layer each parent and letter costs one integer dot with
 W_i in place of a forward step, summed exactly and shifted once per node
-and segment.  The values stay integers at scale 2^P, each with its phase,
-from segment to segment and at the end; no ``chen_compose`` is involved.
+and segment.  The values stay real integers at scale 2^P from segment to
+segment, and take their constants at the end; no ``chen_compose`` is
+involved.
 
 * Word tables.  ``_word_child`` appends the letter with sign +, so each
   word has one parent, its prefix, and the driver runs Chen's
@@ -95,83 +105,90 @@ from segment to segment and at the end; no ``chen_compose`` is involved.
   a depth-L table has C(L + 3, 3) - 1 nodes; it takes C(L + 1, 3) forward
   steps and 3 C(L + 1, 2) dots per segment.  With every sign +, the same
   recurrence gives prod_i Omega(i)^(c_i) / c_i!, the shuffle identity
-  (R. Ree, Ann. Math. 68, 1958).
+  (R. Ree, Ann. Math. 68, 1958).  As every word of a multiset has the same
+  letters, the constants commute with both sums.
 
-Magnitude bound.  If the parent coefficients satisfy |S_j| <= M, the
-recurrence gives |K_j| <= (|K_{j-1}| + M)/3 <= M/2: the 1/3 decay keeps
-every product coefficient below M/2, a pair's sum or difference below M,
-the letter integrand below 2M and coefficient j of the child below 2M/j.
-The child's constant term is at most 2M(1 + ln T), so the integers grow by
-at most a few bits per letter and never by a factor that depends on j.  In
-the functionals |g_j| <= 2/(j + 1) (in units of 2^P), the same 1/3
-damping keeps |H| <= 1, and |W_i| <= 4.
+Magnitude bound.  d(v) = d_0 prod_k (1 - v/v_k) with |v_k| >= 3, so the
+coefficients of d_0/d(v) sum in modulus to at most (1 - 1/3)^-4 = 81/16.
+If the parent coefficients satisfy |S_j| <= M, the integrand of letter i
+has coefficients below (81/16) 4 h ||N_i(m + h v)||_1 M / |d_0|, which is
+below 12.3 M on the benchmark paths (|d_0| = D_u(m) >= 0.32), and
+coefficient j of the child below that over j; the child's constant term
+is at most (1 + ln T) times it.  So the integers grow by a few bits per
+letter and never by a factor that depends on j.  The forms over their
+constants grow faster than the forms, by 1/|k_i| per letter; the values
+they give are sigma over the product of the k_i.
 
 Rounding budget, in units of 2^-P.  The poles are the integers of
 ``punctures_fixed`` at ``cfg.pole_bits``, 8 bits finer than 2^-P
-(``precision`` module docstring), and the segment ends, floats, are exact
-there; each r = h/(p - m) is the exact quotient of those integers, rounded
-down once per segment to 2^-P, and its partner takes conj(r), one unit
-from its own rounded ratio.  Each
-shift rounds once, and the recurrence damps an earlier rounding by |r| <=
-1/3, so each part of a real-input product (``_real_product`` doubles it,
-from 2 S_j) carries at most 1 + 1/3 + 1/9 + ... = 3/2 fresh units, and so
-does a pair's sum or difference, which is one part of one product.  The
-letter integrand carries at most 3, and coefficient j of the integral at
-most 3/j + 1 after the division.  Its constant term is an exact sum of
-those coefficients, so as a function on [-1, 1] its error is sum_j e_j
-(v^(j+1) - (-1)^(j+1)), at most 2 (T + 3 (1 + ln T)) units.  The signed
-sums of integers are exact, so every other fresh rounding is a
-functional's or a shift's.  A word has one parent and takes
-F = 2 (T + 3 (1 + ln T)) fresh units per segment (2^8.3 at T = 133, 2^11
-at T = 1000, which is working digits up to about 460); a multiset, with
-at most 3 parents, takes 3F.  W_i rounds g once from the exact V_() and
-each product step once, damped by 1/3, so a pair's sum or difference
-carries at most (2 + 3)/2 = 5/2 units and each entry of W_i at most 5,
-under 8 in modulus.  On the last layer that error e reaches a node as
-sum_m S_p,m e_m, at most 8 ||S_p||_1 per parent with ||S_p||_1 =
-sum_m |S_p,m|, and the shift adds one unit.  By Cauchy ||S_p||_1 <=
-3 max_{|v| <= 3/2} |S_p(v)|; measured, it stays below 8.2 for every node
-of size 7 of either table, and below 15 for every multiset of size <= 13
-(5.3, 11.6 and 14.7), on the three paths below.  So a multiset of the last
-layer takes at most 3 * 8 * 15 + 1 < 2^8.5 fresh units per segment, less
-than 3F, and a word at depth 8 at most 8 * 8.2 + 1 < 2^6.1, less than F.
-It has no children, so that error reaches the table unchanged, and the
+(``precision`` module docstring), and the segment ends, short dyadics, are
+exact there.  cos 2 phi = c^2 - s^2 is floored once at 2^-pole_bits, and
+r and 2 kappa_u r once at 2^-s, s one bit above the length of the integer
+(A_0 - 2 kappa_u B_0) 2^pole_bits, so r keeps pole_bits + 2 bits and moves
+Q by at most 2^-pole_bits of itself.  Each Q_j is floored once, and the recurrence damps
+an earlier error by the coefficients of d_0/d, so Q carries at most 81/16
+units.  The numerators are exact, and their shifts by 2e - 2 and 3e - 2,
+with e >= 10, pass Q's error on to the integrand divided by at least
+2^e / (4 ((|m| + h)^2 + 1)): below 0.04 units.  The shift and the division
+by j + 1 floor once together (floor(floor(x/a)/b) = floor(x/(ab))), so
+coefficient j of the integral carries at most 1 + 0.04/(j + 1) units.  Its
+constant term is an exact sum of those coefficients, so as a function on
+[-1, 1] its error is sum_j e_j (v^(j+1) - (-1)^(j+1)), at most
+F = 2 (T + 0.04 (1 + ln T)) units (2^8.1 at T = 133, 2^11 at T = 1000,
+which is working digits up to about 460).  The signed sums of integers are
+exact, so every other fresh rounding is a functional's or a shift's.  A
+word has one parent and takes F fresh units per segment; a multiset, with
+at most 3 parents, takes 3F.  W_i floors g at 2^-(P + sigma), every G_m is
+exact, and the backward recurrence floors each entry once at
+2^-(P + 2 sigma), so each entry of W_i carries at most one unit, its final
+shift's (measured below one unit at (1, pi/6), (1, pi/4), (i, 1.2) and
+(1, 0.3)).  On the last
+layer that error reaches a node as sum_m S_p,m e_m, at most ||S_p||_1 =
+sum_m |S_p,m| per parent, and the shift adds one unit; in units of the
+node's own constant, which its parent's constant times |k_i| <= 1 bounds,
+||S_p||_1 times the parent's |constant| stayed below 7.3 for every word
+of size 7 and below 0.2 for every multiset of size 13 on the three paths
+below.  So a multiset of the last layer takes at most 3 * 0.2 + 1 fresh
+units per segment and a word at depth 8 at most 7.3 + 1, less than F.  It
+has no children, so that error reaches the table unchanged, and the
 parents' own errors pass through W_i like any input error.  An error of
 node c' then reaches node c through the exact transport over the rest of
 the path: for a multiset a signed sum over the words with letter counts
 c - c', for a word the one word w[k:] with c' = w[:k].  With Lambda_i the
-integral of |f_i| along the path, the iterated integrals of the |f_i|
-over the words with counts m sum to prod_i Lambda_i^(m_i) / m_i! (the
-shuffle identity again), so the inherited error of c over all c' <= c and
-S segments is at most S 3F prod_i E_(c_i)(Lambda_i),
-E_n(x) = sum_{m <= n} x^m / m! < e^x, and that of a word, whose prefixes
-have distinct counts, at most a third of it.  On the path to 1 at pi/4,
-S = 2 and Lambda = (pi/2, 1.76, pi), sum Lambda < 6.5, so the bound S 3F
-e^6.5 is below 2^20.2 units at T = 133 at every depth (2^18.6 for a
-word), and below 2^23 for T <= 1000.  The bound grows as phi nears 0 or
-pi/2.  At T = 133 it stays below 2^24 up to depth 14 on the path to i at
-phi = 1.2 (S = 3, Lambda = (2.4, pi, 3.35)), and up to depth 10 on the
-path to 1 at phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There
-``_EXTRA_BITS = 24`` keeps the kernel's own rounding below one unit of the
-working precision.  Measured with no extra bits at 50 working digits
-(T = 133), against the same kernel with 120 extra bits, sigma lost at most
-8.7 bits at depth 10 and 8.8 at depth 14 on the path to 1 at pi/4, 9.8
-bits at depth 8 and 10.5 at depth 14 on the path to i at 1.2, and 9.5
-bits at depth 8 on the path to 1 at 0.3.  The keys of the last layer lost
-up to 0.4 bits more than the others (8.5, 9.4 and 9.1 bits at depth 10,
-8 and 8).  With 24 extra bits no sigma moved by more than 2^-12 of a unit
-at depth 10 or 2^-9 at depth 14.  The words of a depth-8 table lost at
-most 8.2, 9.3 and 9.7 bits on the same three paths with no extra bits
-(8.0, 9.2 and 9.7 on the last layer), and with 24 extra bits none moved by
-more than 2^-14.5 of a unit.  Every integer the one-list kernel forms is,
-one for one, the non-zero part of what a kernel on (re, im) pairs of
-lists forms on the same segment (that kernel's other part is exactly 0),
-so these budgets and measurements hold for it unchanged.  Measured at 30
-target digits against tables 30 digits up, every word of the depth-3 word
-tables at (1, pi/6), (i, 1.2) and (1, 0.3) is within 3.5 / 3.6 / 7.3 units
-of the working precision, about the half unit in the last place of its
-final rounding; with the poles rounded to the working precision the
-forms amplified that rounding to 8.0 / 23.2 / 24.9 units.
+integral of |f_i| along the path, the iterated integrals of the |f_i| over
+the words with counts m sum to prod_i Lambda_i^(m_i) / m_i! (the shuffle
+identity again).  The forms over their constants have the integrals
+Lambda_i/|k_i|, and the end multiplies by prod_i |k_i|^(c_i), so the
+inherited error of c over all c' <= c and S segments is at most
+S 3F prod_i |k_i|^(c'_i) E_(c_i)(Lambda_i) <= S 3F prod_i E_(c_i)(Lambda_i),
+E_n(x) = sum_{m <= n} x^m / m! < e^x, as |k_i| <= 1; that of a word, whose
+prefixes have distinct counts, is at most a third of it.  The constants
+are exact: the product of a key's k_i is formed exactly at
+2^-(2 |key| pole_bits), and the value takes it in one product and one
+shift, one more unit.  On the path to 1 at pi/4, S = 2 and Lambda =
+(pi/2, 1.76, pi), sum Lambda < 6.5, so the bound S 3F e^6.5 is below
+2^20.1 units at T = 133 at every depth (2^18.5 for a word), and below 2^23
+for T <= 1000.  The bound grows as phi nears 0 or pi/2.  At T = 133 it
+stays below 2^24 up to depth 14 on the path to i at phi = 1.2 (S = 3,
+Lambda = (2.4, pi, 3.35)), and up to depth 10 on the path to 1 at
+phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There ``_EXTRA_BITS = 24``
+keeps the kernel's own rounding below one unit of the working precision.
+Measured with no extra bits at 50 working digits (T = 133), against the
+same kernel with 120 extra bits, sigma lost at most 9.0 bits at depth 10
+and 14 on the path to 1 at pi/4, 9.6 bits at depth 8 and 9.7 at depth 14
+on the path to i at 1.2, and 9.9 bits at depth 8 on the path to 1 at 0.3
+(the pole-pair kernel this replaced: 8.7, 8.8, 10.4, 10.5 and 10.4).  The
+keys of the last layer lost at most 8.4, 9.6 and 9.8 bits at depth 10, 8
+and 8.  With 24 extra bits no sigma moved by more than 2^-14.2 of a unit.
+The words of a depth-8 table lost at most 8.5, 8.4 and 8.7 bits on the
+same three paths with no extra bits (8.2, 9.3 and 9.7 before; 8.0, 7.8
+and 8.1 on the last layer), and with 24 extra bits none moved by more than
+2^-15.3 of a unit.  Measured at 30 target digits against tables 30 digits
+up, every word of the depth-3 word tables at (1, pi/6), (i, 1.2) and
+(1, 0.3) is within 3.5 / 3.6 / 7.3 units of the working precision, about
+the half unit in the last place of its final rounding; with the poles
+rounded to the working precision the forms amplified that rounding to
+8.0 / 23.2 / 24.9 units.
 
 Quadrature oracle.  ``_gauss_legendre`` and ``_first_level`` run on
 integers of their own at scale 2^P, P = working bits plus the extra bits
@@ -275,7 +292,8 @@ import math
 import os
 import re
 import tempfile
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, floordiv, mul, rshift, sub
 from pathlib import Path
 
 from .precision import (POLE_EXTRA_BITS, Dyadic, PrecisionConfig, cis_fixed, from_fixed_pair,
@@ -290,7 +308,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_CACHE_VERSION = 6
+_CACHE_VERSION = 7
 _EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _ENDPOINTS = ("1", "i")
 
@@ -537,14 +555,22 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
 # ---------------------------------------------------------------------------
 
 def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
-    """Greedy subdivision of [0, end]: half-length <= ratio * midpoint pole gap."""
+    """Greedy subdivision of [0, end]: half-length <= ratio * midpoint pole gap.
+
+    Each inner cut is rounded down to a multiple of 2^-k, a power of two
+    between 2^-8 and 2^-7 times its segment's half-length, so that a
+    segment's midpoint and half-length are short dyadics (``_segment_kernel``).
+    That shortens the segment by less than 1 %, and as the gap is
+    1-Lipschitz, the shorter half-length h' < h keeps h' <= gap/3 at the new
+    midpoint: gap(s + h') >= gap(s + h) - (h - h') >= 2h + h' >= 3h'.
+    """
     def gap(s: float) -> float:
         z = s * end
         return min(abs(z - complex(p)) for p in poles)
 
     cuts = [0.0]
-    s = 0.0
-    while s < 1.0:
+    while cuts[-1] < 1.0:
+        s = cuts[-1]
         h = gap(s) * ratio
         for _ in range(8):
             h = gap(min(s + h, 1.0)) * ratio
@@ -552,11 +578,8 @@ def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
         while h > 1e-6 and h > gap(s + h) * ratio:
             h *= 0.9
         s_next = s + 2 * h
-        if s_next >= 1.0 - 1e-12:
-            cuts.append(1.0)
-            break
-        cuts.append(s_next)
-        s = s_next
+        cuts.append(1.0 if s_next >= 1.0 - 1e-12 else
+                    s_next - math.fmod(s_next, math.ldexp(1.0, math.frexp(h)[1] - 8)))
     return cuts
 
 
@@ -569,132 +592,112 @@ def _transport_bits(cfg: PrecisionConfig) -> int:
     return cfg.working_bits + _EXTRA_BITS
 
 
-def _segment_ratios(cfg: PrecisionConfig, poles, z0, z1) -> tuple[list, list, int]:
-    """The pole-pair ratios of the segment [z0, z1], its letter plan, and the scale 2^P.
+def _segment_kernel(cfg: PrecisionConfig, poles, z0, z1) -> tuple:
+    """The recurrence and the numerators of the segment [z0, z1].
 
-    ``poles``, ``z0`` and ``z1`` are (re, im) integer pairs at one scale, as
-    ``_path`` gives them.  Returns (ratios, plan, P).  The poles fall in two
-    pairs (k, k'): pole k' is the mirror image m + (h / conj h) conj(p_k - m)
-    of pole k across the segment's line (m the midpoint, h the
-    half-length), exactly on the integers.  ``ratios`` holds r = h/(p_k - m)
-    = (z1 - z0)/(2 p_k - z0 - z1) of each pair's first pole k as a fixed-point
-    pair, the exact quotient of the integers rounded down once; the ratio of
-    pole k' is taken as conj(r).  ``plan`` holds per
-    letter 1, 2, 3 its pair operation and its phase flip: flip 1 where the
-    form gives the two poles of a pair opposite residues (the pair's
-    difference, which turns a real series imaginary and an imaginary one
-    real), 0 where the same (the sum), and ``add`` or ``sub`` as the second
-    pair's first pole has the residue of pole 0, which is +1 in every form.
-    P = ``_transport_bits(cfg)``.  Raises ``ValueError`` when a pole
-    lies closer than three half-lengths to the midpoint, has no mirror
-    image among the poles, or a letter would take one pair's sum and the
-    other pair's difference, which has no single phase.
+    ``poles`` (p1 = e^(i phi) first), ``z0`` and ``z1`` are (re, im) integer
+    pairs at ``cfg.pole_bits``, as ``_path`` gives them.  The segment lies on
+    the axis u = 1 or u = i, its points lambda = u x, x = (M + H v)/2^e for v
+    in [-1, 1], with integers M, H and e >= 10 in lowest terms.  Returns
+    (imaginary, recurrence, numerators):
+
+    * recurrence = (H 2^(4e), A_1..A_4, B_1, B_2, r, 2 kappa_u r, s) for
+      ``_divide``: 2^(4e) D_u(x) = sum_k (A_k - 2 kappa_u B_k) v^k, A from
+      (M + H v)^4 + 2^(4e), B from 2^(2e) (M + H v)^2, kappa_u = t cos 2 phi
+      from p1 at ``cfg.pole_bits``, t = 1 on the real axis and -1 on the
+      imaginary one, and r = 1/(A_0 - 2 kappa_u B_0), r and 2 kappa_u r
+      floored at 2^-s (module docstring);
+    * numerators = (M, H, e, t): letter 1 takes M + H v, letters 2 and 3
+      (M + H v)^2 -+ t 2^(2e).
+
+    Raises ``ValueError`` when the segment lies on neither axis or a pole
+    lies closer than three half-lengths to its midpoint.
     """
-    bits = _transport_bits(cfg)
-    h_re, h_im = z1[0] - z0[0], z1[1] - z0[1]          # twice the half-length
-    # twice each pole's offset from the midpoint
-    rel = [(2 * p_re - z0[0] - z1[0], 2 * p_im - z0[1] - z1[1]) for p_re, p_im in poles]
-    h_sq = h_re * h_re + h_im * h_im
-    for q_re, q_im in rel:
-        if 9 * h_sq * 10 ** 18 > (q_re * q_re + q_im * q_im) * (10 ** 9 + 1) ** 2:
+    pole_bits = cfg.pole_bits
+    (x0, y0), (x1, y1) = z0, z1
+    for p_re, p_im in poles:
+        # twice the half-length against twice the pole's offset from the midpoint
+        if 9 * ((x1 - x0) ** 2 + (y1 - y0) ** 2) * 10 ** 18 > (
+                (2 * p_re - x0 - x1) ** 2 + (2 * p_im - y0 - y1) ** 2) * (10 ** 9 + 1) ** 2:
             raise ValueError("segment too long for its pole gap; subdivision bug")
-    # the image turn conj(q) of q times |h|^2, with turn = h^2/|h|^2
-    t_re, t_im = h_re * h_re - h_im * h_im, 2 * h_re * h_im
-    rest = list(range(len(poles)))
-    pairs, ratios = [], []
-    while rest:
-        k = rest.pop(0)
-        q_re, q_im = rel[k]
-        image = (t_re * q_re + t_im * q_im, t_im * q_re - t_re * q_im)
-        partner = next((j for j in rest if (rel[j][0] * h_sq, rel[j][1] * h_sq) == image), None)
-        if partner is None:
-            raise ValueError("the segment's line is not a symmetry axis of the poles")
-        rest.remove(partner)
-        pairs.append((k, partner))
-        q_sq = q_re * q_re + q_im * q_im
-        ratios.append((((h_re * q_re + h_im * q_im) << bits) // q_sq,
-                       ((h_im * q_re - h_re * q_im) << bits) // q_sq))
-    (a, a2), (b, b2) = pairs
-    plan = []
-    for eps in FORM_COEFFS:
-        flip = int(eps[a] != eps[a2])
-        if flip != (eps[b] != eps[b2]):
-            raise ValueError("a letter takes one pole pair's sum and the other's difference")
-        plan.append((add if eps[a] == eps[b] else sub, flip))
-    return ratios, plan, bits
+    imaginary = bool(y0 or y1)
+    if imaginary and (x0 or x1):
+        raise ValueError("the segment lies on neither the real nor the imaginary axis")
+    m, h = (y0 + y1, y1 - y0) if imaginary else (x0 + x1, x1 - x0)
+    # in lowest terms, but e >= 10: Q's rounding then reaches an integrand below 2^-4 units
+    drop = min(((m | h) & -(m | h)).bit_length() - 1, pole_bits - 9)
+    m, h, e, t = m >> drop, h >> drop, pole_bits + 1 - drop, -1 if imaginary else 1
+    c, s = poles[0]
+    two_kappa = 2 * t * ((c * c - s * s) >> pole_bits)
+    a = [math.comb(4, k) * m ** (4 - k) * h ** k for k in range(5)]
+    b = [math.comb(2, k) * m ** (2 - k) * h ** k << 2 * e for k in range(3)]
+    d0 = (a[0] + (1 << 4 * e) << pole_bits) - two_kappa * b[0]
+    shift = d0.bit_length() + 1
+    return imaginary, (h << 4 * e, *a[1:], *b[1:], (1 << pole_bits + shift) // d0,
+                       (two_kappa << shift) // d0, shift), (m, h, e, t)
 
 
-def _real_product(s, ratio, bits: int) -> tuple[list, list]:
-    """Coefficients of 2 S(v) half/(half v - q) for a real series S:
-    K_j = (K_{j-1} - 2 S_j) r, r = half/q."""
-    r_re, r_im = ratio
-    k_re = k_im = 0
-    out_re, out_im = [], []
-    for a in s:
-        x = k_re - a - a
-        k_re, k_im = (x * r_re - k_im * r_im) >> bits, (x * r_im + k_im * r_re) >> bits
-        out_re.append(k_re)
-        out_im.append(k_im)
-    return out_re, out_im
+def _divide(s, recurrence) -> list:
+    """H S(v)/d(v), d(v) = D_u(x) of the segment, by the recurrence
+    Q_j = (H 2^(4e) S_j - sum_{k=1..4} (A_k - 2 kappa_u B_k) Q_(j-k)) r on
+    integers: the A_k and B_k products are small, and the B_k ones meet
+    2 kappa_u r and the others r in one product each; each coefficient is
+    floored once."""
+    top, a1, a2, a3, a4, b1, b2, r, r_kappa, shift = recurrence
+    q1 = q2 = q3 = q4 = 0
+    out = []
+    for x in s:
+        q1, q2, q3, q4 = ((x * top - a1 * q1 - a2 * q2 - a3 * q3 - a4 * q4) * r
+                          + (b1 * q1 + b2 * q2) * r_kappa) >> shift, q1, q2, q3
+        out.append(q1)
+    return out
 
 
-def _letter_integrands(s, phase: int, ratios, plan, bits: int):
-    """Per letter 1, 2, 3: (phase, coefficients) of i^phase S(v) times its form
-    on the segment, for a real integer series S.
-
-    With P(r) the product of S with pole ratio r, a pair (r, conj r) gives
-    P(r) + P(conj r) = 2 Re P(r) and P(r) - P(conj r) = 2i Im P(r).  A real
-    series (phase 0) runs ``_real_product``, which doubles, with r; an
-    imaginary one (phase 1) with conj r, whose product 2 conj P(r) has the
-    real part 2 Re P(r) of i's pair sum and the imaginary part -2 Im P(r) =
-    i 2i Im P(r) of i's pair difference.  So either way a pair's sum is the
-    real part of one product at the series' own phase and its difference
-    the imaginary part at the other phase, and a letter (``plan``, from
-    ``_segment_ratios``) adds or subtracts the same part of the two pairs'
-    products.  One ``_real_product`` runs per pair.
+def _forward_step(s, kernel):
+    """The forward step of one node S: per letter 1, 2, 3, the antiderivative
+    of S times the letter's form over its constant that vanishes at v = -1,
+    and its value at v = +1.  Yields (series, value) on the scale of S.
     """
-    first, second = (_real_product(s, (r_re, -r_im) if phase else (r_re, r_im), bits)
-                     for r_re, r_im in ratios)
-    for op, flip in plan:
-        yield phase ^ flip, list(map(op, first[flip], second[flip]))
-
-
-def _value_functionals(ratios, plan, bits: int, T: int):
-    """Per letter 1, 2, 3: (phase, W_i), the value at v = +1 of a series'
-    letter integral as a linear functional of the series.
-
-    W_i is the transpose of one forward letter applied to V_() = (1, ..., 1),
-    the value at v = +1: integration and the constant term give
-    g_j = (V_{j+1} + (-1)^j V_0) // (j + 1), which is 2^(P+1) // (j + 1) at
-    even j and 0 at odd j; the products, from the top down,
-    H_m = (H_{m+1} - g_m) half/q from H_T = 0.
-    """
-    g = [(2 << bits) // (j + 1) if j % 2 == 0 else 0 for j in range(T)]
-    return [(phase, part[::-1] + [0])
-            for phase, part in _letter_integrands(g[::-1], 0, ratios, plan, bits)]
-
-
-def _dot(s, v) -> tuple[int, int]:
-    """sum_m S_m V_m of two (phase, integers) series, with no conjugation:
-    (phase, integer) at the product of their scales, where i i = -1."""
-    (s_phase, s_ints), (v_phase, v_ints) = s, v
-    total = sum(map(mul, s_ints, v_ints))
-    return s_phase ^ v_phase, -total if s_phase & v_phase else total
-
-
-def _integrate(s, phase: int, ratios, plan, bits: int):
-    """The forward step of one node i^phase S: per letter 1, 2, 3, the
-    antiderivative of the series times the letter's form that vanishes at
-    v = -1, and its value at v = +1.
-
-    Yields (phase, series, value) on the scale of S.
-    """
-    for new_phase, part in _letter_integrands(s, phase, ratios, plan, bits):
-        # coefficients of v^1..v^T; the top coefficient of the integrand is dropped
-        c = [x // n for n, x in zip(range(1, len(part)), part)]
+    _, recurrence, (m, h, e, t) = kernel
+    q = _divide(s, recurrence)
+    line = list(map(add, map(mul, q, repeat(m)), map(mul, [0] + q, repeat(h))))
+    square = list(map(add, map(mul, line, repeat(m)), map(mul, [0] + line, repeat(h))))
+    one = list(map(mul, q, repeat(t << 2 * e)))
+    for part, shift in zip((line, map(sub, square, one), map(add, square, one)),
+                           (2 * e - 2, 3 * e - 2, 3 * e - 2)):
+        # the integrand's coefficients of v^0..v^(T-1) divided by j + 1: those of v^1..v^T
+        c = list(map(floordiv, map(rshift, part, repeat(shift)), range(1, len(s))))
         # c[j] multiplies v^(j+1), so the odd powers sit at even j
         odd, even = sum(c[0::2]), sum(c[1::2])
-        yield new_phase, [odd - even] + c, 2 * odd
+        yield [odd - even] + c, 2 * odd
+
+
+def _value_functionals(kernel, bits: int, T: int) -> list:
+    """Per letter 1, 2, 3: W_i, the value at v = +1 of a series' letter
+    integral as a linear functional of the series, at scale 2^bits.
+
+    W_i is the transpose of the forward step applied to V_() = (1, ..., 1),
+    the value at v = +1 (K.-T. Chen, "Iterated path integrals", Bull. AMS
+    83, 1977): integration and the constant term give g_j = 2/(j + 1) at
+    even j < T and 0 at odd j, floored at scale 2^(bits + sigma); the
+    numerator's transpose G_m = sum_k n_k g_(m+k) is exact; and
+    W_i = H L^T G 2^-sigma, L the series of 1/d, is ``_divide`` run from the
+    top down, then shifted by 2 sigma.
+    """
+    _, recurrence, (m, h, e, t) = kernel
+    one = t << 2 * e
+    functionals = []
+    for numerator, sigma in (((m, h), 2 * e - 2), ((m * m - one, 2 * m * h, h * h), 3 * e - 2),
+                             ((m * m + one, 2 * m * h, h * h), 3 * e - 2)):
+        g = [0 if j % 2 else (2 << bits + sigma) // (j + 1) for j in range(T)]
+        transposed = [sum(map(mul, numerator, g[i:i + 3])) for i in range(T)]
+        functionals.append([w >> 2 * sigma for w in _divide(transposed[::-1], recurrence)[::-1]])
+    return functionals
+
+
+def _dot(s, w) -> int:
+    """sum_m S_m W_m, exact, at the product of their scales."""
+    return sum(map(mul, s, w))
 
 
 def _phase_value(phase: int, x: int, scale: int, ctx):
@@ -760,51 +763,67 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
     word a node, with one parent, and ``_multiset_child`` every letter
     multiset, whose value is sigma.  Layer by layer over the nodes: a
     node's series is the signed sum over its parents of the parent's letter
-    integral (``_integrate``), plus the node's value at the segment start,
-    which the integrals leave in place at v = -1.  The nodes of size
+    integral (``_forward_step``), plus the node's value at the segment
+    start, which the integrals leave in place at v = -1.  The nodes of size
     ``depth`` need only that value at v = +1, which is linear in the
     parent's series: one dot per parent and letter with the value
-    functional W_i (``_value_functionals``).  Every series and value is one
-    integer list or integer at scale 2^P with its phase, i^phase; the phase
-    of a node is fixed by its letters (``_segment_ratios``' plan), so all
-    its parents' terms and its start value share it.  The values stay
-    integers from segment to segment: returns {key: (phase, x)} at scale
-    2^P, P = ``_transport_bits(cfg)``.
+    functional W_i (``_value_functionals``).  The forms enter over their
+    constants, so every series and value is one real integer list or
+    integer at scale 2^P, from segment to segment; at the end of the path
+    each value is multiplied by its key's constant (``_with_constants``).
+    Returns {key: (phase, x)} at scale 2^P, P = ``_transport_bits(cfg)``.
     """
-    T = _series_terms(cfg)
-    start: dict = {}      # key -> (phase, its value at the segment start at scale 2^P)
-    for z0, z1 in segments:
-        ratios, plan, bits = _segment_ratios(cfg, poles, z0, z1)
-        layer = {(): (0, [1 << bits] + [0] * T)}
+    T, bits = _series_terms(cfg), _transport_bits(cfg)
+    kernels = [_segment_kernel(cfg, poles, z0, z1) for z0, z1 in segments]
+    if len({kernel[0] for kernel in kernels}) > 1:
+        raise ValueError("the path's segments lie on both axes")
+    start: dict = {}      # key -> its value at the segment start at scale 2^P
+    for kernel in kernels:
+        layer = {(): [1 << bits] + [0] * T}
         end = {}
         for _ in range(depth - 1):
-            children: dict = {}     # key -> (phase, series, end value)
-            for key, (phase, s) in layer.items():
-                for letter, (c_phase, c, e) in zip(
-                        (1, 2, 3), _integrate(s, phase, ratios, plan, bits)):
+            children: dict = {}     # key -> (series, end value)
+            for key, s in layer.items():
+                for letter, (c, e) in zip((1, 2, 3), _forward_step(s, kernel)):
                     node, sign = child(key, letter)
-                    if node not in children:
-                        # the node starts as the constant of its value at the segment start
-                        s0 = start.get(node, (c_phase, 0))[1]
-                        children[node] = c_phase, [s0] + [0] * T, s0
+                    # a node starts as the constant of its value at the segment start
+                    s0 = start.get(node, 0)
+                    a, a_end = children.get(node) or ([s0] + [0] * T, s0)
                     op = add if sign > 0 else sub
-                    _, a, a_end = children[node]
-                    children[node] = c_phase, list(map(op, a, c)), op(a_end, e)
-            layer = {node: acc[:2] for node, acc in children.items()}
-            end.update((node, (acc[0], acc[2])) for node, acc in children.items())
-        functionals = _value_functionals(ratios, plan, bits, T)
-        last: dict = {}       # key of size depth -> (phase, its end value at scale 2^2P)
+                    children[node] = list(map(op, a, c)), op(a_end, e)
+            layer = {node: series for node, (series, _) in children.items()}
+            end.update((node, value) for node, (_, value) in children.items())
+        functionals = _value_functionals(kernel, bits, T)
+        last: dict = {}       # key of size depth -> its end value at scale 2^2P
         for key, s in layer.items():
             for letter, w in zip((1, 2, 3), functionals):
                 node, sign = child(key, letter)
-                phase, e = _dot(s, w)
-                if node not in last:
-                    last[node] = phase, start.get(node, (phase, 0))[1] << bits
-                op = add if sign > 0 else sub
-                last[node] = phase, op(last[node][1], e)
-        end.update((node, (phase, x >> bits)) for node, (phase, x) in last.items())
+                x = last.get(node, start.get(node, 0) << bits)
+                last[node] = x + _dot(s, w) if sign > 0 else x - _dot(s, w)
+        end.update((node, x >> bits) for node, x in last.items())
         start = end
-    return start
+    return _with_constants(start, kernels[0][0], poles[0], cfg.pole_bits)
+
+
+def _with_constants(values: dict, imaginary: bool, pole, pole_bits: int) -> dict:
+    """{key: (phase, x)}: each value times its key's constant.
+
+    Letter i's form is 4 k_i times its numerator over D_u, with |k_i| <= 1:
+    k = (i 2cs, c, i s) on the real axis and (-i 2cs, -i c, s) on the
+    imaginary one, c + i s the pole e^(i phi) at ``pole_bits``.  A key takes
+    the product of its letters' k_i, exact at scale 2^(2 |key| pole_bits),
+    in one product and one shift.
+    """
+    c, s = pole
+    t = -1 if imaginary else 1
+    letters = (None, (1, 2 * t * c * s), (int(imaginary), t * c << pole_bits),
+               (1 - imaginary, s << pole_bits))
+    out = {}
+    for key, x in values.items():
+        turns = sum(letters[letter][0] for letter in key)
+        k = math.prod(letters[letter][1] for letter in key)
+        out[key] = turns % 2, (-x if turns % 4 > 1 else x) * k >> 2 * pole_bits * len(key)
+    return out
 
 
 def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,

@@ -10,7 +10,7 @@ import pytest
 
 from lawsonarea import omega
 from lawsonarea.mpl import convert_word, li, mpl_spec
-from lawsonarea.engine import expand
+from lawsonarea.engine import M_MATS, expand
 from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
                               _cache_path, _transport_table, _values_digest,
                               build_signed_table, build_table, cached_table, canonical_phi,
@@ -551,7 +551,7 @@ def test_one_driver_builds_both_tables(monkeypatch):
     size depth - 1 and letter: 3^n words and C(n + 2, 2) multisets of size n."""
     depth = 4
     counts = collections.Counter()
-    for name in ("_integrate", "_value_functionals", "_dot"):
+    for name in ("_forward_step", "_value_functionals", "_dot"):
         monkeypatch.setattr(omega, name, lambda *args, _name=name, _fn=getattr(omega, name):
                             counts.update([_name]) or _fn(*args))
     segments = len(omega._path("1", "pi/4", depth, CFG)[1])
@@ -559,7 +559,7 @@ def test_one_driver_builds_both_tables(monkeypatch):
                          (build_signed_table, lambda n: math.comb(n + 2, 2))):
         counts.clear()
         build("1", "pi/4", depth, CFG)
-        assert counts == {"_integrate": segments * sum(map(nodes, range(depth - 1))),
+        assert counts == {"_forward_step": segments * sum(map(nodes, range(depth - 1))),
                           "_value_functionals": segments,
                           "_dot": segments * 3 * nodes(depth - 1)}, build
 
@@ -582,48 +582,80 @@ def _geometric_product(s_re, s_im, ratio, bits):
 FLIPS = {"1": {1, 3}, "i": {1, 2}}
 
 
+def _form_constants(endpoint, phi, cfg):
+    """Each letter's form over 4 k_i N_i / D, from the closed forms: on the real
+    axis k = (i 2cs, c, i s); on the imaginary one dlambda = i dmu gives
+    (-i 2cs, -i c, s); c + i s is the pole e^(i phi) at ``cfg.pole_bits``."""
+    ctx = cfg.context
+    c, s = (ctx.mpf((x, -cfg.pole_bits)) for x in punctures_fixed(parse_phi(phi, cfg), cfg)[0])
+    i = ctx.mpc(0, 1)
+    return (i * 2 * c * s, c, i * s) if endpoint == "1" else (-i * 2 * c * s, -i * c, s)
+
+
 @pytest.mark.parametrize("endpoint", ["1", "i"])
 @pytest.mark.parametrize("phi", ["pi/4", "1.2", "0.3"])
 def test_pair_kernel_matches_four_poles(endpoint, phi):
-    """The one-list letter integrands against one complex recurrence per
-    pole, on every segment of the path, for a real and for an imaginary
-    series with |S_j| <= 1."""
+    """The forward step on the pole pairs' common denominator against one
+    complex recurrence per pole, on every segment of the path, for a real
+    series with |S_j| <= 1: each letter's coefficients of v^1..v^T, times
+    the letter's constant, equal the four poles' FORM_COEFFS sum of the
+    integrand divided by j + 1.  The per-pole reference rounds each step
+    (3/2 units per part) and its ratio (9/4), 15 units over the four poles;
+    the step's integrand carries at most 1.1 units, and its division by
+    j + 1 floors once more: at most 16.1/(j + 1) + 1 units in all."""
     poles, segments = omega._path(endpoint, phi, 1, CFG)
-    T = omega._series_terms(CFG)
+    T, bits = omega._series_terms(CFG), omega._transport_bits(CFG)
     rng = random.Random(7)
     for z0, z1 in segments:
-        pair_ratios, plan, bits = omega._segment_ratios(CFG, poles, z0, z1)
-        assert len(pair_ratios) == 2
+        kernel = omega._segment_kernel(CFG, poles, z0, z1)
+        assert kernel[0] == (endpoint == "i")
         # at the poles' own scale, as in the kernel
         with CTX.workprec(CFG.pole_bits):
             z0, z1, *points = (from_fixed_pair(*z, CFG.pole_bits, CTX) for z in (z0, z1, *poles))
             mid, half = (z0 + z1) / 2, (z1 - z0) / 2
             ratios = [to_fixed_pair(half / (p - mid), bits) for p in points]
-        zero = [0] * (T + 1)
-        for phase in (0, 1):
-            s = [rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
-            # i^phase S as a (re, im) pair
-            per_pole = [_geometric_product(*((zero, s) if phase else (s, zero)), r, bits)
-                        for r in ratios]
-            got = omega._letter_integrands(s, phase, pair_ratios, plan, bits)
-            for letter, eps, (got_phase, got_ints) in zip((1, 2, 3), FORM_COEFFS, got):
-                assert got_phase == phase ^ (letter in FLIPS[endpoint]), letter
-                for part in (0, 1):
-                    expected = [sum(e * pole[part][j] for e, pole in zip(eps, per_pole))
-                                for j in range(T + 1)]
-                    # the part of the other phase is exactly zero in the one-list kernel
-                    ints = got_ints if part == got_phase else zero
-                    # rounding: 3 units in the pair kernel, 6 in the four recurrences, and
-                    # 9/4 for each partner's ratio, which the pair kernel takes as conj(r)
-                    assert max(map(abs, map(int.__sub__, ints, expected))) <= 14
+        s = [rng.randrange(-1 << bits, 1 << bits) for _ in range(T + 1)]
+        per_pole = [_geometric_product(s, [0] * (T + 1), r, bits) for r in ratios]
+        steps = omega._forward_step(s, kernel)
+        with CTX.workprec(CFG.pole_bits + 64):
+            constants = _form_constants(endpoint, phi, CFG)
+            for letter, eps, k, (series, _) in zip((1, 2, 3), FORM_COEFFS, constants, steps):
+                for j, x in enumerate(series[1:]):
+                    expected = CTX.mpc(*(sum(e * pole[part][j] for e, pole in zip(eps, per_pole))
+                                         for part in (0, 1))) / (j + 1)
+                    assert abs(k * x - expected) <= 16.1 / (j + 1) + 1, (letter, j)
 
 
-def test_segment_ratios_need_a_symmetry_axis():
-    """Off the real and imaginary axes the poles have no mirror images."""
+def test_segment_kernel_needs_an_axis():
+    """The recurrence is real only on the real or the imaginary axis: a
+    segment off both is refused, and so is a path whose segments lie on both."""
     poles = punctures_fixed(parse_phi("0.3", CFG), CFG)
     tenth = (1 << CFG.pole_bits) // 10
-    with pytest.raises(ValueError, match="symmetry axis"):
-        omega._segment_ratios(CFG, poles, (0, 0), (tenth, tenth))
+    with pytest.raises(ValueError, match="neither the real nor the imaginary axis"):
+        omega._segment_kernel(CFG, poles, (0, 0), (tenth, tenth))
+    with pytest.raises(ValueError, match="both axes"):
+        omega._transport(CFG, poles, [((0, 0), (tenth, 0)), ((0, 0), (0, tenth))], 2,
+                         omega._word_child)
+
+
+@pytest.mark.parametrize("phi", ["0.3", "pi/4", "1.2"])
+def test_closed_forms_match_form_coeffs(phi):
+    """The transport's forms, 4 k_i N_i(lambda)/D(lambda) with
+    D = lambda^4 - 2 cos(2 phi) lambda^2 + 1, N = (lambda, lambda^2 - 1,
+    lambda^2 + 1) and k = (i 2cs, c, i s), are the quadrature's and the
+    polylogarithms' FORM_COEFFS sums over the four poles, at 60 digits, on
+    the real axis, on the imaginary axis and off both."""
+    cfg = PrecisionConfig(60)
+    ctx = cfg.context
+    points = punctures(parse_phi(phi, cfg), cfg)
+    c, s = ctx.re(points[0]), ctx.im(points[0])
+    constants = _form_constants("1", phi, cfg)
+    for lam in (ctx.mpc("0.3"), ctx.mpc("1.7"), ctx.mpc(0, "0.4"), ctx.mpc(0, "-1.3"),
+                ctx.mpc("0.5", "0.7"), ctx.mpc("-1.1", "0.2")):
+        denominator = lam ** 4 - 2 * (c * c - s * s) * lam ** 2 + 1
+        for k, numerator, eps in zip(constants, (lam, lam ** 2 - 1, lam ** 2 + 1), FORM_COEFFS):
+            pole_sum = sum(e / (lam - p) for e, p in zip(eps, points))
+            assert abs(4 * k * numerator / denominator - pole_sum) < cfg.eps(2), (phi, lam)
 
 
 @pytest.mark.parametrize("endpoint", ["1", "i"])
@@ -641,16 +673,47 @@ def test_values_have_the_phase_of_their_letters(endpoint, phi):
         assert value != 0, key
 
 
-def test_letter_plan_rejects_a_mixed_letter(monkeypatch):
-    """A letter that takes one pole pair's sum and the other pair's
-    difference has no single phase, on either axis."""
-    monkeypatch.setattr(omega, "FORM_COEFFS", (FORM_COEFFS[0], (1, 1, 1, -1), FORM_COEFFS[2]))
-    for endpoint in ("1", "i"):
-        poles, segments = omega._path(endpoint, "pi/4", 1, CFG)
-        with pytest.raises(ValueError, match="sum and the other"):
-            omega._segment_ratios(CFG, poles, *segments[0])
-    with pytest.raises(ValueError, match="sum and the other"):
-        build_signed_table("1", "pi/4", 2, CFG)
+def _det_residuals(table, perturbed=None):
+    """Per multiset c with 1 <= |c| <= depth, the coefficient of y^c in
+    det F(y), F(y) = sum_c sigma_c y^c M1^c1 M2^c2 M3^c3 with the engine's
+    ``M_MATS``, over its bound 8 * 2^-prec * sum_{a+b=c} |sigma_a| |sigma_b|:
+    each product of two sigmas, rounded once to the working precision, is off
+    by a few units of its size.  ``perturbed`` maps keys to factors."""
+    ctx = table.cfg.context
+    counts_of = lambda key: tuple(key.count(letter) for letter in (1, 2, 3))
+    F = {(0, 0, 0): [[1, 0], [0, 1]]}
+    for key in table.values:
+        matrix = [[1, 0], [0, 1]]
+        for letter in key:
+            m = M_MATS[letter - 1]
+            matrix = [[sum(matrix[r][k] * m[k][col] for k in (0, 1)) for col in (0, 1)]
+                      for r in (0, 1)]
+        sigma = table.value(key) * (perturbed or {}).get(key, 1)
+        F[counts_of(key)] = [[sigma * ctx.mpc(x) for x in row] for row in matrix]
+    size = {c: max(abs(x) for row in f for x in row) for c, f in F.items()}
+    ratios = {}
+    for c in F:
+        if c == (0, 0, 0):
+            continue
+        residual, scale = 0, 0
+        for a in itertools.product(*(range(n + 1) for n in c)):
+            b = tuple(n - k for n, k in zip(c, a))
+            residual += F[a][0][0] * F[b][1][1] - F[a][0][1] * F[b][1][0]
+            scale += size[a] * size[b]
+        ratios[c] = abs(residual) / (8 * ctx.ldexp(scale, -ctx.prec))
+    return ratios
+
+
+@pytest.mark.parametrize("endpoint,phi,depth", [("1", "pi/4", 8), ("i", "1.2", 6)])
+def test_signed_tables_have_det_f_one(endpoint, phi, depth, tables):
+    """The frame solves a 2x2 system whose coefficient sum_i s_i omega_i M_i is
+    traceless, so det F(y) = 1 identically (Liouville): every coefficient of
+    y^c, 1 <= |c| <= depth, vanishes within its bound.  One sigma below the
+    top layer moved by 1e-30 relative breaks it."""
+    cfg = PrecisionConfig(40, 12)
+    table = tables.signed(endpoint, phi, depth, cfg)
+    assert max(_det_residuals(table).values()) <= 1
+    assert max(_det_residuals(table, {(1, 2, 3): 1 + cfg.context.mpf("1e-30")}).values()) > 1
 
 
 @pytest.mark.parametrize("kind,endpoint,phi,depth", [
@@ -700,8 +763,8 @@ def test_cached_table_transparency(tmp_path):
 def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
-    # 4 is the version whose poles were rounded to the working precision
-    for stale in (999, 4):
+    # 4 rounded the poles to the working precision; 6 held the pole-pair kernel's integers
+    for stale in (999, 4, 6):
         payload["version"] = stale
         path.write_text(json.dumps(payload))
         assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, stale
@@ -713,14 +776,14 @@ def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path.write_text(json.dumps(payload))
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.values == signed40_pi4_L4.values
-    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 6
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 7
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
 
 
 def test_version5_cache_file_is_a_miss_and_rebuilt(tmp_path, signed40_pi4_L4):
     """A file of version 5, which held sigma as mpmath decimal strings under
     a matching digest, is a miss: the table is rebuilt from the transport and
-    the file overwritten with the integers of version 6."""
+    the file overwritten with the transport's integers at the current version."""
     path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
     payload["version"] = 5
@@ -733,7 +796,7 @@ def test_version5_cache_file_is_a_miss_and_rebuilt(tmp_path, signed40_pi4_L4):
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.values == signed40_pi4_L4.values
-    assert json.loads(path.read_text())["version"] == 6
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION
     assert load_table("1", "pi/4", 4, CFG, tmp_path).values == signed40_pi4_L4.values
 
 
