@@ -22,10 +22,28 @@ matrix) and the scalar r admit a recursion in the expansion order n:
    a^(n) + 2 lambda r^(n): dividing by lambda^2 - 1 yields a^(n) as the
    quotient and r^(n) from the remainder.
 
+Why the recursion is real.  On the real axis letters 1 and 3 carry
+imaginary constants (the phase rule of ``omega``), so sigma_c = i^p x_c with
+x_c real and p = (c1 + c3) mod 2 for the letter counts c.  M_1 = i diag(1, -1)
+and M_3 = i [[0, 1], [-1, 0]] are i times real matrices and M_2 is real, so
+M^(c) = M_1^c1 M_2^c2 M_3^c3 is i^(c1 + c3) times a real integer matrix,
+T_c = i^p M^(c) is a real integer matrix, and sigma_c M^(c) = x_c T_c.  The
+central a, b, c and r are real, so every frame derivative P^(m) at z = 1,
+a sum of real derivative products times x_c T_c, is real, and so are p, K,
+a^(n) and c^(n), which are read off them by real operations.  The only
+complex number of the recursion is a value at the Sym point lambda = i
+(``LaurentPoly.at_i``), a pair of integers.  ``frame_lower`` checks each
+sigma_c's phase against (c1 + c3) mod 2 as it reads it, so a table of the
+wrong phase raises ``EngineError``.  (A trace of every polynomial built
+with a nonzero imaginary part, when ``LaurentPoly`` still held one, in runs
+to orders 9 and 13 at 40 digits and order 7 at 45, found them only in the
+sigma constant of the frame's head terms and its product, in the values at
+i and in ``extract_c``'s arithmetic on them.)
+
 Every polynomial of the recursion, from the frame sums to the area
-coefficients, is a ``laurent.LaurentPoly`` on fixed-point integers at scale
-2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
-docstring.  So are the numbers the recursion reads: sigma_c, rounded once
+coefficients, is a real ``laurent.LaurentPoly`` on fixed-point integers at
+scale 2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
+docstring.  So are the numbers the recursion reads: x_c, rounded once
 from the table's scale (``SignedTable.fixed``), the central values and
 cos(phi), sin(phi) from the pole e^(i phi) of ``omega.punctures_fixed``,
 and 1/(2 pi (n + 1)) and 2 pi (n + 1) from ``precision.pi_fixed``.  Every
@@ -65,6 +83,13 @@ M_MATS = (
     ((0, 1), (1, 0)),
     ((0, 1j), (-1j, 0)),
 )
+# The real T_c = i^p M^(c) of the module docstring, step by step: appending
+# letter i to a multiset of phase p multiplies T by i^(p' - p) M_i, p' the
+# child's phase.  _T_STEPS[0] holds the single letters' T_(i).
+_T_STEPS = (
+    (((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (1, 0))),     # i M_1, M_2, i M_3
+    (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0))),     # -i M_1, M_2, -i M_3
+)
 
 
 class EngineError(ArithmeticError):
@@ -103,6 +128,16 @@ def _mat_mul(m1, m2):
         for i in range(2))
 
 
+def _sigma_x(table: SignedTable, key, phase: int, bits: int) -> int:
+    """x_c of sigma_c = i^p x_c at 2^bits, rounded once, once its phase p is
+    checked to be ``phase`` = (c1 + c3) mod 2."""
+    p, x = table.fixed(key, bits)
+    if p != phase:
+        raise EngineError(f"sigma of {key} carries i^{p}, not i^{phase}: "
+                          "not a signed table along the real axis")
+    return x
+
+
 class DerivativeState:
     """Derivatives of (a, b, c, r) and the frame, complete through ``order``.
 
@@ -110,9 +145,9 @@ class DerivativeState:
     an integer at the polynomials' scale 2^P.  The two private maps are
     built from solved orders only, so never stale: ``_ys`` maps (i, k) to
     y_i^(k), and ``_products`` maps each letter multiset (a non-decreasing
-    word) to its ordered constant matrix product M_(w_1) ... M_(w_l) and the
-    list of t-derivatives of its product of y, as real {degree: int} maps at
-    scale 2^P.
+    word) to its real constant matrix T_c = i^p M_(w_1) ... M_(w_l) (module
+    docstring) and the list of t-derivatives of its product of y, as
+    {degree: int} maps at scale 2^P.
     """
 
     __slots__ = ("cfg", "phi_label", "order", "a", "b", "c", "r", "frames",
@@ -206,19 +241,20 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     Fixed point.  a, b, c and r are real, so every derivative of a product
     is a real {degree: int} map at the polynomials' scale 2^P: each y_i^(k)
     is read as it is stored, each Leibniz sum is exact at 2^-2P and rounded
-    once (``laurent.round_map``), and sigma_c is rounded from the table's
-    scale on every call (``SignedTable.fixed``), since a state may be run
-    against another table.
-    The products sigma_c times a derivative are summed exactly at 2^-2P into
-    one {degree: (re, im)} pair of maps per constant matrix (at most 8: +-I
-    and +-M_i); each matrix entry combines those with its Gaussian-integer
-    entry of the matrix, and each coefficient is rounded once.  The budget
-    of these roundings is in ``laurent``'s docstring.
+    once (``laurent.round_map``), and x_c of sigma_c = i^p x_c is rounded
+    from the table's scale on every call (``SignedTable.fixed``), since a
+    state may be run against another table; its phase p must be
+    (c1 + c3) mod 2, and the table must run to z = 1 at the state's phi.
+    sigma_c M^(c) = x_c T_c with T_c real (module docstring), so the products
+    x_c times a derivative are summed exactly at 2^-2P into one {degree: int}
+    map per matrix T_c; each matrix entry adds those times its entry of T_c,
+    0 or +-1, and each coefficient is rounded once.  The budget of these
+    roundings is in ``laurent``'s docstring.
 
     Carried products.  D^m of a multiset's product needs y^(k) for k <= m
     only, and a multiset of l letters contributes D^(n+1-l) and feeds its
     children up to D^(n-l), so at order n every derivative read is of a
-    solved order.  Each multiset's constant matrix and list of maps live on
+    solved order.  Each multiset's matrix T_c and list of maps live on
     the state (``DerivativeState._products``): the matrix is multiplied out
     once, when the multiset is first reached, and the list is extended only
     by the orders it lacks, so order n builds one new derivative per
@@ -231,39 +267,38 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     if not isinstance(table, SignedTable):
         raise TypeError("frame_lower reads signed sums per letter multiset "
                         f"(omega.build_signed_table), got {type(table).__name__}")
+    if table.endpoint != "1" or parse_phi(table.phi_label, cfg) != parse_phi(state.phi_label, cfg):
+        raise ValueError(f"the table runs to z = {table.endpoint} at phi = {table.phi_label}; "
+                         f"the recursion reads z = 1 at phi = {state.phi_label}")
     if table.max_length < n + 1:
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
         return LaurentMatrix2(cfg)
     bits = fixed_bits(cfg)
     products = state._products
-    # constant matrix -> {degree: re}, {degree: im} of its coefficient at 2^-2P
+    # matrix T_c -> {degree: int} of its coefficient at 2^-2P
     sums: dict = {}
 
-    def add(mmat, weight, key, deriv) -> None:
-        s_re, s_im = table.fixed(key, bits)
-        acc = sums.setdefault(mmat, ({}, {}))
-        # sigma_c is exactly real or exactly imaginary (the phase rule of omega)
-        if s_re:
-            axpy(acc[0], weight * s_re, deriv)
-        if s_im:
-            axpy(acc[1], weight * s_im, deriv)
+    def add(tmat, weight, key, phase, deriv) -> None:
+        x = _sigma_x(table, key, phase, bits)
+        if x:
+            axpy(sums.setdefault(tmat, {}), weight * x, deriv)
 
     # single letters: D^k of y_i is y_i^(k) itself
     for i in (1, 2, 3):
-        have = products.setdefault((i,), (M_MATS[i - 1], []))[1]
+        tmat, have = products.setdefault((i,), (_T_STEPS[0][i - 1], []))
         for k in range(len(have), n):
             have.append(state.solved_y(i, k).re)
         # single-letter cross terms (orders 1..n-1 of x against r)
         cross = state.y(i, n, range(1, n)).re
         if cross:
-            add(M_MATS[i - 1], n + 1, (i,), cross)
+            add(tmat, n + 1, (i,), int(i != 2), cross)
 
-    def descend(key) -> None:
-        mmat, derivs = products[key]
+    def descend(key, phase) -> None:
+        tmat, derivs = products[key]
         size = len(key)
         if size >= 2 and derivs[n + 1 - size]:
-            add(mmat, math.perm(n + 1, size), key, derivs[n + 1 - size])
+            add(tmat, math.perm(n + 1, size), key, phase, derivs[n + 1 - size])
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
         max_child = n - size
@@ -272,7 +307,7 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         for i in range(key[-1], 4):
             child_key = key + (i,)
             if child_key not in products:
-                products[child_key] = _mat_mul(mmat, M_MATS[i - 1]), []
+                products[child_key] = _mat_mul(tmat, _T_STEPS[phase][i - 1]), []
             child = products[child_key][1]
             ys = products[(i,)][1]
             for s in range(len(child), max_child + 1):
@@ -281,27 +316,19 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
                     if derivs[j] and ys[s - j]:
                         add_product(total, math.comb(s, j), derivs[j], ys[s - j])
                 child.append(round_map(total, bits))
-            descend(child_key)
+            descend(child_key, phase ^ (i != 2))
 
     for i in (1, 2, 3):
-        descend((i,))
+        descend((i,), int(i != 2))
 
-    entries = [[({}, {}), ({}, {})], [({}, {}), ({}, {})]]
-    for mmat, (s_re, s_im) in sums.items():
+    entries = [[{}, {}], [{}, {}]]
+    for tmat, total in sums.items():
         for i in range(2):
             for j in range(2):
-                # every entry of a product of M_MATS is 0, +-1 or +-1j
-                m_re, m_im = int(mmat[i][j].real), int(mmat[i][j].imag)
-                e_re, e_im = entries[i][j]
-                if m_re:
-                    axpy(e_re, m_re, s_re)
-                    axpy(e_im, m_re, s_im)
-                if m_im:
-                    axpy(e_re, -m_im, s_im)
-                    axpy(e_im, m_im, s_re)
-    return LaurentMatrix2(cfg, [
-        [LaurentPoly(cfg, re=round_map(e_re, bits), im=round_map(e_im, bits))
-         for e_re, e_im in row] for row in entries])
+                if tmat[i][j]:          # every entry of a T_c is 0 or +-1
+                    axpy(entries[i][j], tmat[i][j], total)
+    return LaurentMatrix2(cfg, [[LaurentPoly(cfg, re=round_map(e, bits)) for e in row]
+                                for row in entries])
 
 
 def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
@@ -315,10 +342,9 @@ def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
         # the Leibniz terms of y_i^(n) that hold an order-n unknown
         head = state.y(i, n, {0, n})
         if not head.is_zero:
-            s_re, s_im = table.fixed((i,), fixed_bits(cfg))
-            mat = mat.add_scaled_constant(head.scale(n + 1),
-                                          LaurentPoly(cfg, re={0: s_re}, im={0: s_im}),
-                                          M_MATS[i - 1])
+            x = _sigma_x(table, (i,), int(i != 2), fixed_bits(cfg))
+            mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, x),
+                                          _T_STEPS[0][i - 1])
     if mat.max_abs_degree() > n + 1:
         raise EngineError(f"frame derivative order {n + 1} has degree "
                           f"{mat.max_abs_degree()} > {n + 1}")
@@ -386,14 +412,18 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
     factor = ((1 << 2 * bits) + two_pi // 2) // two_pi       # 1/(2 pi (n+1)) at 2^P
     over_two_pi = _constant(cfg, factor)
     c_plus = (p_low.project("minus").star() - p_low.project("plus")) * over_two_pi
-    # the constant term makes c^(n)(i) = -factor p_low(i)
-    c_n = c_plus - c_plus.at_i() - p_low.at_i() * over_two_pi
-    imag = c_n.imag_residual()
+    # the constant term makes c^(n)(i) = -factor p_low(i), each part of the
+    # product rounded once; c_plus has positive degrees only
+    (c_re, c_im), p_at_i = c_plus.at_i(), p_low.at_i()
+    low_re, low_im = (round_map({0: v * factor}, bits)[0] for v in p_at_i)
+    const, imag = -c_re - low_re, abs(c_im + low_im)
+    c_n = c_plus + _constant(cfg, const)
     diag = {"imag_residual": Dyadic(imag, -bits)}
-    if _exceeds(imag * imag, max(c_n.max_abs_sq(), one_sq), 6, cfg):
+    if _exceeds(imag * imag, max(c_n.max_abs_sq(), const * const + imag * imag, one_sq),
+                6, cfg):
         raise EngineError(f"c^({n}) has imaginary leakage {diag['imag_residual'].format(5)}")
     scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, one_sq)
-    c_n, parity = _support(c_n.realified(), n, scale_sq, f"c^({n})", cfg)
+    c_n, parity = _support(c_n, n, scale_sq, f"c^({n})", cfg)
     diag.update(parity)
     return c_n, diag
 
@@ -428,31 +458,23 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
         raise EngineError(
             f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
     quot, rem = shifted.project("geq0").divrem_l2m1()
-    div_sq = rem.re.get(0, 0) ** 2 + rem.im.get(0, 0) ** 2
+    div_sq = rem.re.get(0, 0) ** 2
     div_residual = _modulus(div_sq, cfg)
     if _exceeds(div_sq, scale_sq, 8, cfg):
         raise EngineError(
             f"(lambda^2 - 1) division at order {n} left a constant remainder "
             f"{div_residual.format(5)}")
-    r_im = abs(rem.im.get(1, 0))          # twice r's imaginary part
-    r_imag = Dyadic(r_im, -bits - 1)
-    if _exceeds(r_im * r_im, 4 * scale_sq, 6, cfg):
-        raise EngineError(f"r^({n}) has imaginary leakage {r_imag.format(5)}")
     r_n = rem.re.get(1, 0) >> 1         # half the remainder, rounded down
     if _below(r_n * r_n, scale_sq, 6, cfg):
         r_n = 0
-    diag = {"div_residual": div_residual, "r_imag_residual": r_imag,
-            "k_lower": k_low}
+    diag = {"div_residual": div_residual, "k_lower": k_low}
     if n % 2 == 1:
         diag["r_odd_residual"] = Dyadic(abs(r_n), -bits)
         if _exceeds(r_n * r_n, scale_sq, 6, cfg):
             raise EngineError(f"r^({n}) should vanish at odd order, got "
                               f"{Dyadic(r_n, -bits).format(5)}")
         r_n = 0
-    imag = quot.imag_residual()
-    if _exceeds(imag * imag, max(quot.max_abs_sq(), one_sq), 6, cfg):
-        raise EngineError(f"a^({n}) has imaginary leakage {Dyadic(imag, -bits).format(5)}")
-    a_n, parity = _support(quot.realified(), n, scale_sq, f"a^({n})", cfg)
+    a_n, parity = _support(quot, n, scale_sq, f"a^({n})", cfg)
     diag.update(parity)
     return a_n, r_n, diag
 
@@ -481,7 +503,8 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     two_pi = _constant(cfg, 2 * pi_fixed(bits) * (n + 1))
     p_full = (c_n + state.x(3, 0) * r_poly) * two_pi + p_low
     star_sq = (p_full - p_full.star()).max_abs_sq()
-    sym_sq = p_full.at_i().max_abs_sq()
+    sym_re, sym_im = p_full.at_i()
+    sym_sq = sym_re * sym_re + sym_im * sym_im
     k_assembled = r_poly.scale(-2) + a_n.shift(-1) - a_n.shift(1) + diag_ar.pop("k_lower")
     k_sq = k_assembled.max_abs_sq()
     scale_sq = max(p_full.max_abs_sq(), 1 << 2 * bits)
@@ -665,9 +688,6 @@ class FirstOrderData:
         for name in self.FIELDS:
             setattr(self, name, values[name])
 
-    def a_poly(self, cfg: PrecisionConfig) -> LaurentPoly:
-        return LaurentPoly(cfg, {0: self.a0, 2: self.a2})
-
     def b_poly(self, cfg: PrecisionConfig) -> LaurentPoly:
         return LaurentPoly(cfg, {0: self.b0, 2: self.b2})
 
@@ -704,15 +724,21 @@ def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
 
     The left side is assembled from the numeric table at z = i, the right
     side from the central values; only the weight-1 integral at i enters.
+    On the path to i the sigma are complex, so the residual is summed in
+    ``mpc`` arithmetic, coefficient by coefficient: q'(0) = sum_i x_i Omega(i)
+    M_i, whose entries (1, 0) + (0, 1), times i, must equal 2 pi b.
     """
     cfg = cfg or PrecisionConfig()
     ctx = cfg.context
     if table is None:
         table = cached_table("i", phi, 1, cfg)
     state = central_state(cfg, phi)
-    q1 = LaurentMatrix2(cfg)
+    residual = {}
     for i in (1, 2, 3):
-        q1 = q1.add_scaled_constant(state.x(i, 0), table.value((i,)), M_MATS[i - 1])
-    lhs = (q1[1, 0] + q1[0, 1]).scale(ctx.mpc(0, 1))
-    rhs = state.x(2, 0).scale(2 * ctx.pi)
-    return (lhs - rhs).max_abs()
+        m = M_MATS[i - 1]
+        weight = 1j * (m[1][0] + m[0][1]) * table.value((i,))
+        for d in state.x(i, 0).degrees():
+            residual[d] = residual.get(d, 0) + weight * state.x(i, 0).coefficient(d)
+    for d in state.x(2, 0).degrees():
+        residual[d] -= 2 * ctx.pi * state.x(2, 0).coefficient(d)
+    return max(abs(v) for v in residual.values())

@@ -1,42 +1,41 @@
-"""Finite Laurent polynomials in the loop parameter lambda, on fixed-point integers.
+"""Finite real Laurent polynomials in the loop parameter lambda, on fixed-point integers.
 
-A polynomial keeps its coefficients as integers at scale 2^P, P =
-``fixed_bits(cfg)`` = working bits + ``EXTRA_BITS``: the real parts in
-``re`` and the imaginary parts in ``im``, two {degree: int} maps.  A real
-polynomial has an empty ``im``.  Only exact zeros are dropped, so rounding
-dust stays visible to the checks that decide what is zero.  The order
-recursion builds every polynomial from integers and reads its checks off
-integers (``max_abs_sq``, ``imag_residual``), and ``to_jsonable`` prints the
-integers with ``precision.to_decimal``, so none of it touches mpmath.  For
-the tests, the oracles and the first-order closed forms the constructor
-also converts ``mpf``, ``mpc`` or Python numbers, and ``coefficient``,
-``max_abs`` and ``eval`` render the integers exactly as mpmath values
-(``to_mpf``).  ``axpy``, ``add_product`` and ``round_map`` are
-the kernels on {degree: int} maps behind ``+``, ``-`` and ``*``, shared with
-the engine's frame sums.  Besides plain arithmetic the class carries the two
-involutions used throughout,
+A polynomial keeps its real coefficients as integers at scale 2^P, P =
+``fixed_bits(cfg)`` = working bits + ``EXTRA_BITS``, in one {degree: int}
+map, ``re``.  Every polynomial of the order recursion is real: a, b, c and r
+are, and so is every frame derivative at z = 1 (``engine``'s docstring).
+Only exact zeros are dropped, so rounding dust stays visible to the checks
+that decide what is zero.  The order recursion builds every polynomial from
+integers and reads its checks off integers (``max_abs_sq``, ``at_i``), and
+``to_jsonable`` prints the integers with ``precision.to_decimal``, so none
+of it touches mpmath.  For the tests and the first-order closed forms the
+constructor also converts real ``mpf`` or Python numbers, and
+``coefficient`` and ``max_abs`` render the integers exactly as mpmath
+values (``to_mpf``).  ``axpy``, ``add_product`` and ``round_map`` are the
+kernels on {degree: int} maps behind ``+``, ``-`` and ``*``, shared with the
+engine's frame sums.  Besides plain arithmetic the class carries the
+involution used throughout,
 
-    star(h)(lam) = conj(h(1/conj(lam)))   (degree k -> -k, conjugated)
-    bar(h)(lam)  = conj(h(conj(lam)))     (coefficient-wise conjugation)
+    star(h)(lam) = conj(h(1/conj(lam)))   (degree k -> -k)
 
 support projections onto positive / negative / constant / nonnegative
-degrees, evaluation, exact at lambda = i (``at_i``), and exact division
-with remainder by lambda^2 - 1 (the step that splits an order-n curvature
-constraint into a polynomial part and a scalar remainder).
+degrees, the value at lambda = i as a pair of integers (``at_i``), and
+exact division with remainder by lambda^2 - 1 (the step that splits an
+order-n curvature constraint into a polynomial part and a scalar
+remainder).
 
-Rounding budget, in units u = 2^-P per real or imaginary part.
+Rounding budget, in units u = 2^-P per coefficient.
 
 * Converting a number rounds it down to a multiple of u, an error below one
   unit, and none for an ``mpf`` of the working precision with modulus at
   least 2^-(EXTRA_BITS + 1).
-* Sums, differences, integer multiples, ``star``, ``bar``, ``shift``,
-  ``project``, ``at_i`` and ``divrem_l2m1`` are exact.  So ``star`` and
-  ``bar`` are exact involutions that commute with each other and with
-  every sum.
+* Sums, differences, integer multiples, ``star``, ``shift``, ``project``,
+  ``at_i`` and ``divrem_l2m1`` are exact.  So ``star`` is an exact
+  involution that commutes with every sum.
 * A product is summed exactly at u^2 and rounded to nearest once per
-  coefficient, ties away from zero: at most u/2 per part.  That rounding
-  is odd (round(-x) = -round(x)), so ``star`` and ``bar``, which only
-  permute and negate the exact sums, are exactly multiplicative.
+  coefficient, ties away from zero: at most u/2.  That rounding is odd
+  (round(-x) = -round(x)), so ``star``, which only permutes the exact sums,
+  is exactly multiplicative.
 * ``scale`` by a number is a product with its conversion: an integer is
   exact, and any other s adds its own conversion error times the l1 norm
   |h| (the sum of the coefficients' moduli) to the u/2.
@@ -47,31 +46,31 @@ The engine's frame sums (``engine.frame_lower``) are where the units pile
 up.  The error e_c[s] of the s-th derivative of a multiset's product
 c = c' + e_i is at most N/2 + sum_j C(s, j) (e_c'[j] |y_i^(s-j)| + |D^j_c'|
 e_y[s-j]), N the number of coefficients of the result and e_y[k] that of
-y_i^(k).  Converting sigma_c adds at most sqrt(2) units times |D_c|, the
-derivative it multiplies, and the sums after that are exact.  So the frame
-sums carry at most B_n = sum_c (n+1)!/(n+1-l)! (|sigma_c| e_c + sqrt(2)
-|D_c|) units, the cross terms counted alike.  Evaluated along the recursion
-at 40 digits, B_n grows with the sizes of the summands, from 2^7.3 at order
-1 to 2^40.2 at order 9 and 2^61.4 at order 13, but stays below 2^7.1
-max(F_n, 1), F_n the largest coefficient of the frame sums, at every order
-through 13.  7 extra bits keep that rounding below one unit of the working
-precision at the scale max(F_n, 1), and 9 more keep it below 2^-9 of that
-unit, hence ``EXTRA_BITS = 16``.  The rest of an order (``p_derivative``,
-the extraction and the area series) forms about 5n products and 2n
-scales of polynomials of at most 2n + 3 coefficients, each adding at most
-u/2 a coefficient to the errors it propagates, which the same 9 bits
-cover.  Measured at 40 digits against the same code with 120 extra bits,
-every a, b, c coefficient and alpha_k was within 4.9e-4 units of the
-working precision (at the scale max(|x|, 1)) through order 9 with 12 guard
-digits, and within 1.5e-3 through order 13 with 50; with no extra bits,
-247 and 1.0e4 units.  The ``mpf`` extraction this replaced was 27 and 716
-units off.
+y_i^(k).  Rounding sigma_c's one real integer x_c from the table's scale
+adds at most one unit times |D_c|, the derivative it multiplies, and the
+sums after that are exact.  So the frame sums carry at most B_n = sum_c
+(n+1)!/(n+1-l)! (|sigma_c| e_c + |D_c|) units, the cross terms counted
+alike.  Evaluated along the recursion at 40 digits with sqrt(2) |D_c| in
+place of |D_c|, an upper bound, B_n grows with the sizes of the summands,
+from 2^7.3 at order 1 to 2^40.2 at order 9 and 2^61.4 at order 13, but
+stays below 2^7.1 max(F_n, 1), F_n the largest coefficient of the frame
+sums, at every order through 13.  7 extra bits keep that rounding below one
+unit of the working precision at the scale max(F_n, 1), and 9 more keep it
+below 2^-9 of that unit, hence ``EXTRA_BITS = 16``.  The rest of an order
+(``p_derivative``, the extraction and the area series) forms about 5n
+products and 2n scales of polynomials of at most 2n + 3 coefficients, each
+adding at most u/2 a coefficient to the errors it propagates, which the
+same 9 bits cover.  Measured at 40 digits against the same code with 120
+extra bits, every a, b, c coefficient and alpha_k was within 4.9e-4 units
+of the working precision (at the scale max(|x|, 1)) through order 9 with
+12 guard digits, and within 1.5e-3 through order 13 with 50; with no extra
+bits, 247 and 1.0e4 units.  The ``mpf`` extraction this replaced was 27
+and 716 units off.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .precision import PrecisionConfig, to_decimal, to_fixed_pair
 
@@ -116,30 +115,30 @@ def round_map(acc: Mapping, bits: int) -> dict:
 
 
 class LaurentPoly:
-    """Finitely supported map {integer degree -> complex coefficient}, kept
-    as the integer maps ``re`` and ``im`` at scale 2^P.
+    """Finitely supported map {integer degree -> real coefficient}, kept as
+    the integer map ``re`` at scale 2^P.
 
     Which small coefficients are rounding dust is left to the caller, which
     knows the scale of the constraint that produced them.
     """
 
-    __slots__ = ("cfg", "re", "im")
+    __slots__ = ("cfg", "re")
 
     def __init__(self, cfg: PrecisionConfig, coeffs: Mapping[int, object] | None = None, *,
-                 re: Mapping[int, int] | None = None, im: Mapping[int, int] | None = None):
-        """From numbers ``coeffs`` {degree: value}, each rounded down to a multiple
-        of 2^-P, or from integer maps ``re`` and ``im`` at scale 2^P."""
+                 re: Mapping[int, int] | None = None):
+        """From real numbers ``coeffs`` {degree: value}, each rounded down to a
+        multiple of 2^-P, or from the integer map ``re`` at scale 2^P."""
         self.cfg = cfg
         self.re = {d: v for d, v in re.items() if v} if re else {}
-        self.im = {d: v for d, v in im.items() if v} if im else {}
         if coeffs:
             bits, convert = fixed_bits(cfg), cfg.context.convert
             for deg, val in coeffs.items():
-                v_re, v_im = to_fixed_pair(convert(val), bits)
-                if v_re:
-                    self.re[int(deg)] = v_re
-                if v_im:
-                    self.im[int(deg)] = v_im
+                z = convert(val)
+                if z.imag:
+                    raise ValueError(f"coefficient {val} at degree {deg} is not real")
+                v = to_fixed_pair(z, bits)[0]
+                if v:
+                    self.re[int(deg)] = v
 
     @classmethod
     def zero(cls, cfg: PrecisionConfig) -> "LaurentPoly":
@@ -149,38 +148,32 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not self.re
 
-    def degrees(self) -> set:
-        return self.re.keys() | self.im.keys()
+    def degrees(self):
+        return self.re.keys()
 
     def min_degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return min(self.degrees())
+        return min(self.re)
 
     def max_degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
-        return max(self.degrees())
+        return max(self.re)
 
     def coefficient(self, degree: int):
-        """The coefficient as an exact ``mpf``, or ``mpc`` where it has an imaginary part."""
-        re = to_mpf(self.re.get(degree, 0), self.cfg)
-        if degree not in self.im:
-            return re
-        return self.cfg.context.make_mpc((re._mpf_, to_mpf(self.im[degree], self.cfg)._mpf_))
+        """The coefficient as an exact ``mpf``."""
+        return to_mpf(self.re.get(degree, 0), self.cfg)
 
     def max_abs_sq(self) -> int:
         """The square of the largest coefficient modulus, exact, at scale 2^2P."""
-        return max((self.re.get(d, 0) ** 2 + self.im.get(d, 0) ** 2 for d in self.degrees()),
-                   default=0)
+        return max((v * v for v in self.re.values()), default=0)
 
     def max_abs(self):
-        """Largest coefficient modulus as an ``mpf``, rounded once from its exact square."""
-        from mpmath.libmp import from_man_exp
-        ctx = self.cfg.context
-        return ctx.sqrt(ctx.make_mpf(from_man_exp(self.max_abs_sq(), -2 * fixed_bits(self.cfg))))
+        """Largest coefficient modulus as an ``mpf``, exact."""
+        return to_mpf(max(map(abs, self.re.values()), default=0), self.cfg)
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
         if self.cfg.working_digits != other.cfg.working_digits:
@@ -192,10 +185,9 @@ class LaurentPoly:
 
     def _plus(self, other: "LaurentPoly", s: int) -> "LaurentPoly":
         self._check_compatible(other)
-        re, im = dict(self.re), dict(self.im)
+        re = dict(self.re)
         axpy(re, s, other.re)
-        axpy(im, s, other.im)
-        return LaurentPoly(self.cfg, re=re, im=im)
+        return LaurentPoly(self.cfg, re=re)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, 1)
@@ -209,45 +201,25 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
         re: dict = {}
-        im: dict = {}
         add_product(re, 1, self.re, other.re)
-        add_product(re, -1, self.im, other.im)
-        add_product(im, 1, self.re, other.im)
-        add_product(im, 1, self.im, other.re)
-        bits = fixed_bits(self.cfg)
-        return LaurentPoly(self.cfg, re=round_map(re, bits), im=round_map(im, bits))
+        return LaurentPoly(self.cfg, re=round_map(re, fixed_bits(self.cfg)))
 
     def scale(self, s) -> "LaurentPoly":
-        """Multiply by s: exact for a Gaussian integer (an ``int``, or a
-        ``complex`` with integral parts); a constant ``LaurentPoly`` (a number
-        at 2^P) or any other number, which is converted, multiplies with each
-        coefficient rounded once."""
+        """Multiply by s: exact for an ``int``; a constant ``LaurentPoly`` (a
+        number at 2^P) or any other real number, which is converted,
+        multiplies with each coefficient rounded once."""
         if type(s) is int:
-            a, b = s, 0
-        elif type(s) is complex and s.real.is_integer() and s.imag.is_integer():
-            a, b = int(s.real), int(s.imag)
-        else:
-            return self * (s if isinstance(s, LaurentPoly) else LaurentPoly(self.cfg, {0: s}))
-        re, im = {}, {}
-        for acc, part, w in ((re, self.re, a), (re, self.im, -b), (im, self.im, a),
-                             (im, self.re, b)):
-            if w:
-                axpy(acc, w, part)
-        return LaurentPoly(self.cfg, re=re, im=im)
+            return LaurentPoly(self.cfg, re={d: s * v for d, v in self.re.items()})
+        return self * (s if isinstance(s, LaurentPoly) else LaurentPoly(self.cfg, {0: s}))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by lambda^k."""
-        return LaurentPoly(self.cfg, re={d + k: v for d, v in self.re.items()},
-                           im={d + k: v for d, v in self.im.items()})
+        return LaurentPoly(self.cfg, re={d + k: v for d, v in self.re.items()})
 
-    # -- involutions and projections ------------------------------------------
+    # -- involution and projections -------------------------------------------
 
     def star(self) -> "LaurentPoly":
-        return LaurentPoly(self.cfg, re={-d: v for d, v in self.re.items()},
-                           im={-d: -v for d, v in self.im.items()})
-
-    def bar(self) -> "LaurentPoly":
-        return LaurentPoly(self.cfg, re=self.re, im={d: -v for d, v in self.im.items()})
+        return LaurentPoly(self.cfg, re={-d: v for d, v in self.re.items()})
 
     def project(self, part: str) -> "LaurentPoly":
         if part == "plus":
@@ -260,31 +232,17 @@ class LaurentPoly:
             keep = lambda d: d >= 0
         else:
             raise ValueError(f"unknown part {part!r}; expected one of {_PARTS}")
-        return LaurentPoly(self.cfg, re={d: v for d, v in self.re.items() if keep(d)},
-                           im={d: v for d, v in self.im.items() if keep(d)})
+        return LaurentPoly(self.cfg, re={d: v for d, v in self.re.items() if keep(d)})
 
     # -- evaluation and division ----------------------------------------------
 
-    def at_i(self) -> "LaurentPoly":
-        """h(i) as a constant polynomial, exact: i^d rotates each coefficient."""
+    def at_i(self) -> tuple[int, int]:
+        """h(i) as its real and imaginary parts, integers at 2^P, exact: i^d
+        rotates each coefficient."""
         by_power = [0, 0, 0, 0]       # coefficient sums by the power of i they carry
         for d, v in self.re.items():
             by_power[d % 4] += v
-        for d, v in self.im.items():
-            by_power[(d + 1) % 4] += v
-        return LaurentPoly(self.cfg, re={0: by_power[0] - by_power[2]},
-                           im={0: by_power[1] - by_power[3]})
-
-    def eval(self, lam0):
-        """h(lam0) as an ``mpc``: at lambda = i exact and rounded once
-        (``at_i``), elsewhere summed in ``mpc`` arithmetic."""
-        ctx = self.cfg.context
-        z = ctx.mpc(lam0)
-        if z == 0 and not self.is_zero and self.min_degree() < 0:
-            raise ZeroDivisionError("evaluation at 0 with negative-degree support")
-        if z == ctx.j:
-            return ctx.mpc(self.at_i().coefficient(0))
-        return ctx.mpc(ctx.fsum(self.coefficient(d) * z ** d for d in self.degrees()))
+        return by_power[0] - by_power[2], by_power[1] - by_power[3]
 
     def divrem_l2m1(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Divide a plain polynomial by lambda^2 - 1, exactly.
@@ -294,72 +252,31 @@ class LaurentPoly:
         """
         if not self.is_zero and self.min_degree() < 0:
             raise ValueError("divrem_l2m1 requires a polynomial without negative degrees")
-        parts = []
-        for part in (self.re, self.im):
-            rem = dict(part)
-            quot = {}
-            # every degree from the top down, including gaps that the folding
-            # of the degree above fills
-            for deg in range(max(rem, default=0), 1, -1):
-                c = rem.pop(deg, 0)
-                quot[deg - 2] = c
-                rem[deg - 2] = rem.get(deg - 2, 0) + c
-            parts.append((quot, rem))
-        (q_re, r_re), (q_im, r_im) = parts
-        return (LaurentPoly(self.cfg, re=q_re, im=q_im),
-                LaurentPoly(self.cfg, re=r_re, im=r_im))
-
-    # -- reality helpers -------------------------------------------------------
-
-    def imag_residual(self) -> int:
-        """Largest imaginary part over the support, at 2^P (coefficients should be real)."""
-        return max(map(abs, self.im.values()), default=0)
-
-    def realified(self) -> "LaurentPoly":
-        """Drop imaginary parts (use only after checking imag_residual)."""
-        return LaurentPoly(self.cfg, re=self.re)
+        rem = dict(self.re)
+        quot = {}
+        # every degree from the top down, including gaps that the folding of
+        # the degree above fills
+        for deg in range(max(rem, default=0), 1, -1):
+            c = rem.pop(deg, 0)
+            quot[deg - 2] = c
+            rem[deg - 2] = rem.get(deg - 2, 0) + c
+        return LaurentPoly(self.cfg, re=quot), LaurentPoly(self.cfg, re=rem)
 
     # -- serialization ----------------------------------------------------------
 
     def to_jsonable(self, digits: int | None = None) -> list[dict]:
         """Coefficients as decimal strings of ``digits`` significant digits,
-        each rounded once from the exact integers.
-
-        By default each part gets three digits more than its integer has, so
-        ``from_jsonable`` (``dumps``/``loads``) reads back the same integers.
-        """
+        each rounded once from the exact integers (by default three digits
+        more than the integer has), with the imaginary part "0.0"."""
         bits = fixed_bits(self.cfg)
-
-        def text(v: int) -> str:
-            return to_decimal(v, -bits, digits or len(str(abs(v))) + 3)
-
-        return [{"deg": d, "re": text(self.re.get(d, 0)), "im": text(self.im.get(d, 0))}
-                for d in sorted(self.degrees())]
-
-    @classmethod
-    def from_jsonable(cls, data: Iterable[Mapping], cfg: PrecisionConfig) -> "LaurentPoly":
-        from mpmath.libmp import from_str, to_fixed
-        bits = fixed_bits(cfg)
-
-        def fixed(text: str) -> int:     # the nearest integer at scale 2^bits
-            return (to_fixed(from_str(text, bits + 4 * len(text), "n"), bits + 1) + 1) >> 1
-
-        data = list(data)
-        return cls(cfg, re={int(item["deg"]): fixed(item["re"]) for item in data},
-                   im={int(item["deg"]): fixed(item["im"]) for item in data})
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def loads(cls, text: str, cfg: PrecisionConfig) -> "LaurentPoly":
-        return cls.from_jsonable(json.loads(text), cfg)
+        return [{"deg": d, "re": to_decimal(v, -bits, digits or len(str(abs(v))) + 3),
+                 "im": "0.0"} for d, v in sorted(self.re.items())]
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "LaurentPoly(0)"
         terms = [f"({self.cfg.context.nstr(self.coefficient(d), 8)})*lam^{d}"
-                 for d in sorted(self.degrees())]
+                 for d in sorted(self.re)]
         return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
@@ -388,10 +305,9 @@ class LaurentMatrix2:
         return self.entries[idx[0]][idx[1]]
 
     def add_scaled_constant(self, poly: LaurentPoly, scalar, mat2x2) -> "LaurentMatrix2":
-        """self + poly * scalar * mat2x2, with mat2x2 a constant 2x2 of numbers.
+        """self + poly * scalar * mat2x2, with mat2x2 a constant 2x2 of integers.
 
-        poly * scalar is rounded once; entries of mat2x2 that are Gaussian
-        integers multiply it exactly.
+        poly * scalar is rounded once, and the integers multiply it exactly.
         """
         term = poly.scale(scalar)
         return LaurentMatrix2(self.cfg, [
@@ -399,8 +315,7 @@ class LaurentMatrix2:
             for row, mrow in zip(self.entries, mat2x2)])
 
     def max_abs_degree(self) -> int:
-        return max((abs(d) for row in self.entries for e in row for d in e.degrees()),
-                   default=0)
+        return max((abs(d) for row in self.entries for e in row for d in e.re), default=0)
 
     def __repr__(self) -> str:
         return (f"LaurentMatrix2([[{self.entries[0][0]!r}, {self.entries[0][1]!r}], "

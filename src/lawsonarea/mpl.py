@@ -137,10 +137,6 @@ class MplSpec(FrozenValue):
     def depth(self) -> int:
         return len(self.indices)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.indices)
-
 
 def mpl_spec(indices: Sequence[int], args: Sequence, cfg: PrecisionConfig) -> MplSpec:
     ctx = cfg.context

@@ -488,7 +488,7 @@ class SignedTable:
     sigma_(2,0,1) and (i,) holds Omega(i).  ``values`` maps each key to
     (phase, x), sigma_c = i^phase x 2^-bits, as the transport leaves it, at
     its scale ``bits`` = ``_transport_bits(cfg)``.  ``engine.frame_lower``
-    reads nothing else of the word integrals, each rounded once to its own
+    reads nothing else of the word integrals, each x rounded once to its own
     scale (``fixed``); ``value`` renders one as an ``mpc`` for the tests and
     the oracles.
     """
@@ -518,10 +518,9 @@ class SignedTable:
         return _phase_value(*self._entry(key), self.bits, self.cfg.context)
 
     def fixed(self, key, bits: int) -> tuple[int, int]:
-        """sigma of ``key`` as (re, im) integers at scale 2^bits, rounded once."""
+        """sigma of ``key`` as (phase, x), sigma = i^phase x 2^-bits, x rounded once."""
         phase, x = self._entry(key)
-        x = rescale(x, self.bits, bits)
-        return (0, x) if phase else (x, 0)
+        return phase, rescale(x, self.bits, bits)
 
 
 def _all_words(max_length: int):

@@ -299,13 +299,14 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_expand_order7_digits_are_pinned(capsys):
-    """``expand --order 7 --precision 40 --format json`` prints the alpha_k,
+@pytest.mark.parametrize("order, digits", [(5, 35), (7, 40), (9, 45)])
+def test_expand_digits_are_pinned(capsys, order, digits):
+    """``expand --order N --precision D --format json`` prints the alpha_k,
     their per-genus rescaling and the derivative polynomials exactly as
-    recorded in ``tests/data/expand_order7_precision40.json``."""
+    recorded in ``tests/data/expand_orderN_precisionD.json``."""
     golden = json.loads((Path(__file__).parent / "data" /
-                         "expand_order7_precision40.json").read_text())
-    code, out, _ = run_cli(capsys, "expand", "--order", "7", "--precision", "40",
+                         f"expand_order{order}_precision{digits}.json").read_text())
+    code, out, _ = run_cli(capsys, "expand", "--order", str(order), "--precision", str(digits),
                            "--format", "json")
     assert code == 0
     payload = json.loads(out)

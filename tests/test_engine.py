@@ -74,14 +74,12 @@ def test_parity_and_symmetry_invariants(state40_o6):
     assert state40_o6.a[1].is_zero and state40_o6.a[2].is_zero
     for n in range(1, state40_o6.order + 1):
         for poly in (state40_o6.a[n], state40_o6.b[n], state40_o6.c[n]):
-            assert not poly.im, n
             if poly.is_zero:
                 continue
             assert poly.min_degree() >= 0
             assert poly.max_degree() <= n + 1
             for deg in poly.re:
                 assert (deg + n) % 2 == 1, (n, deg)
-            assert poly.imag_residual() == 0
         # b = (-1)^n c and odd-order r vanish
         assert (state40_o6.b[n] - state40_o6.c[n].scale((-1) ** n)).max_abs() == 0
         if n % 2 == 1:
@@ -307,13 +305,13 @@ def test_carried_products_match_fresh(signed40_pi4_L7):
         for i in range(2):
             for j in range(2):
                 assert carried[i, j].re == fresh[i, j].re, (n, i, j)
-                assert carried[i, j].im == fresh[i, j].im, (n, i, j)
 
 
 def test_matrix_products_are_built_once_per_multiset(monkeypatch, tables):
     """Each letter multiset's constant matrix is multiplied out once per state,
     when the multiset is first reached, not at every order: ``run(9)`` reaches
-    the C(13, 3) - 4 multisets of size 2..10 and makes one ``_mat_mul`` each."""
+    the C(13, 3) - 4 multisets of size 2..10 and makes one ``_mat_mul`` each.
+    The matrix kept is the real T_c = i^p M^(c), p = (c1 + c3) mod 2."""
     import lawsonarea.engine as engine
     cfg = PrecisionConfig(40, guard_digits_for_order(9))
     table = tables.signed("1", "pi/4", 10, cfg)
@@ -324,8 +322,11 @@ def test_matrix_products_are_built_once_per_multiset(monkeypatch, tables):
     multisets = [key for key in state._products if len(key) >= 2]
     assert len(calls) == len(multisets) == math.comb(13, 3) - 4
     for key in multisets:
-        assert state._products[key][0] == functools.reduce(
-            mat_mul, (M_MATS[i - 1] for i in key)), key
+        phase = 1j ** (sum(i != 2 for i in key) % 2)
+        m_c = functools.reduce(mat_mul, (M_MATS[i - 1] for i in key))
+        assert state._products[key][0] == tuple(tuple(phase * v for v in row)
+                                                for row in m_c), key
+        assert all(type(v) is int for row in state._products[key][0] for v in row), key
 
 
 def test_expansion_values_match_reference(state40_o6):
@@ -411,6 +412,32 @@ def test_alpha9_matches_reference(digits):
     assert abs(res.alpha(9) - ctx.mpf(ALPHA9)) < ctx.mpf(10) ** (-(digits - 2))
 
 
+def test_alpha11_and_alpha13_match_reference():
+    """``expand --order 13 --precision 40`` prints alpha_11 and alpha_13 as
+    found by runs at 34, 50 and 60 guard digits, in all 40 digits."""
+    cfg = PrecisionConfig(40, guard_digits_for_order(13))
+    res = area_series(run(13, cfg, table=build_signed_table("1", "pi/4", 14, cfg)))
+    texts = res.alpha_texts()
+    assert texts[9] == texts[11] == "0.0"
+    assert texts[10] == "-260.9317297748582460588527568354450168419"
+    assert texts[12] == "26311.75666632241667824049728000376568319"
+
+
+@pytest.mark.parametrize("endpoint, phi", [("1", "0.7"), ("1", "pi/3"), ("i", "pi/4")])
+def test_engine_rejects_a_table_of_another_angle_or_endpoint(tables, endpoint, phi):
+    """The recursion at pi/4 reads sigma along [0, 1] at pi/4 only: a table
+    of another angle or to z = i raises, where it used to print a wrong
+    alpha_3 (3.99370... at 0.7, 0.77777... at pi/3, against 2.70462...)."""
+    with pytest.raises(ValueError, match="recursion reads z = 1 at phi = pi/4"):
+        run(5, CFG, table=tables.signed(endpoint, phi, 6, CFG))
+
+
+def test_engine_compares_angles_by_value(signed40_pi4_L4):
+    """Spellings of pi/4 other than the table's name the same angle."""
+    assert signed40_pi4_L4.phi_label == "pi/4"
+    assert run(3, CFG, phi=" 2*pi / 8", table=signed40_pi4_L4).order == 3
+
+
 def test_frame_lower_skips_zero_parts(monkeypatch, signed40_pi4_L7):
     """Each sigma_c is exactly real or exactly imaginary, and ``frame_lower``
     multiplies no derivative map by its zero part."""
@@ -439,5 +466,5 @@ def test_order_recursion_runs_on_integers(monkeypatch, signed40_pi4_L7):
     polys = state.a + state.b + state.c + [
         frame[i, j] for frame in state.frames for i in range(2) for j in range(2)]
     assert state.order == 5 and len(polys) == 3 * 6 + 4 * 7
-    assert all(type(v) is int for p in polys for v in (*p.re.values(), *p.im.values()))
+    assert all(type(v) is int for p in polys for v in p.re.values())
     assert all(type(v) is int for v in state.r)
