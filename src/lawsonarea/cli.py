@@ -88,15 +88,14 @@ def _cmd_expand(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        print("order,re,im,residual")
+        print("order,re,im")
         for k, a in enumerate(result.alpha_texts(strip_zeros=False), 1):
-            print(f"{k},{a},0.0,{result.imag_residual.format(3)}")
+            print(f"{k},{a},0.0")
     else:
         print(state_note)
         for k, a in enumerate(result.alpha_texts(strip_zeros=False), 1):
             print(f"  alpha_{k} = {a}")
-        print(f"  even-order residual {result.even_alpha_residual.format(3)}, "
-              f"imaginary leakage {result.imag_residual.format(3)}")
+        print(f"  even-order residual {result.even_alpha_residual.format(3)}")
         print("derivative polynomials (coefficient * lam^degree):")
         for row in payload["derivatives"]:
             k = row["order"]

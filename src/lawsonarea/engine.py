@@ -43,14 +43,15 @@ i and in ``extract_c``'s arithmetic on them.)
 Every polynomial of the recursion, from the frame sums to the area
 coefficients, is a real ``laurent.LaurentPoly`` on fixed-point integers at
 scale 2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
-docstring.  So are the numbers the recursion reads: x_c, rounded once
-from the table's scale (``SignedTable.fixed``), the central values and
-cos(phi), sin(phi) from the pole e^(i phi) of ``omega.punctures_fixed``,
-and 1/(2 pi (n + 1)) and 2 pi (n + 1) from ``precision.pi_fixed``.  Every
-residual check compares integers exactly (``_exceeds``), the residuals are
-reported as exact ``Dyadic`` values, and the alpha_k and derivative
-polynomials are printed from their integers (``precision.to_decimal``); an
-``mpf`` is made only when a library caller asks for one.
+docstring.  So are the numbers the recursion reads: x_c, the signed
+table's own integers at the same scale ``cfg.fixed_bits``; the central
+values and cos(phi), sin(phi) from the pole e^(i phi) of
+``omega.punctures_fixed``; and 1/(2 pi (n + 1)) and 2 pi (n + 1) from
+``precision.pi_fixed``.  Every residual check compares integers exactly
+(``_exceeds``), the residuals are reported as exact ``Dyadic`` values, and
+the alpha_k and derivative polynomials are printed from their integers
+(``precision.to_decimal``); an ``mpf`` is made only when a library caller
+asks for one.
 
 Every order asserts the structural invariants (polynomial degree <= n + 1,
 lambda-parity, reality, divisibility) and records their residuals; a
@@ -72,8 +73,7 @@ from __future__ import annotations
 
 import math
 
-from .laurent import (LaurentPoly, LaurentMatrix2, add_product, axpy, fixed_bits,
-                      round_map, to_mpf)
+from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy, round_map, to_mpf
 from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi, punctures_fixed
 from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal
 
@@ -111,7 +111,7 @@ def _modulus(size_sq: int, cfg: PrecisionConfig) -> Dyadic:
     """The square root of an integer at 2^2P, as a value at 2^-P to the
     working bits: a residual as it is reported."""
     extra = cfg.working_bits
-    return Dyadic(math.isqrt(size_sq << 2 * extra), -fixed_bits(cfg) - extra)
+    return Dyadic(math.isqrt(size_sq << 2 * extra), -cfg.fixed_bits - extra)
 
 
 def _unit(cfg: PrecisionConfig, phi: str, bits: int) -> tuple[int, int]:
@@ -128,10 +128,10 @@ def _mat_mul(m1, m2):
         for i in range(2))
 
 
-def _sigma_x(table: SignedTable, key, phase: int, bits: int) -> int:
-    """x_c of sigma_c = i^p x_c at 2^bits, rounded once, once its phase p is
-    checked to be ``phase`` = (c1 + c3) mod 2."""
-    p, x = table.fixed(key, bits)
+def _sigma_x(table: SignedTable, key, phase: int) -> int:
+    """x_c of sigma_c = i^p x_c at 2^P, as the table holds it, once its phase
+    p is checked to be ``phase`` = (c1 + c3) mod 2."""
+    p, x = table.values[key]
     if p != phase:
         raise EngineError(f"sigma of {key} carries i^{p}, not i^{phase}: "
                           "not a signed table along the real axis")
@@ -176,7 +176,7 @@ class DerivativeState:
             rv = self.r[k - ell]
             if rv:
                 axpy(total, math.comb(k, ell) * rv, self.x(i, ell).re)
-        return LaurentPoly(self.cfg, re=round_map(total, fixed_bits(self.cfg)))
+        return LaurentPoly(self.cfg, re=round_map(total, self.cfg.fixed_bits))
 
     def solved_y(self, i: int, k: int) -> LaurentPoly:
         """y_i^(k) of a solved order k, built once per state."""
@@ -186,7 +186,7 @@ class DerivativeState:
 
     def derivatives_jsonable(self) -> list:
         """Derivative polynomials at the target digits, as ``alpha_t`` is printed."""
-        digits, bits = self.cfg.target_digits, fixed_bits(self.cfg)
+        digits, bits = self.cfg.target_digits, self.cfg.fixed_bits
         out = []
         for k in range(1, self.order + 1):
             out.append({
@@ -202,7 +202,7 @@ class DerivativeState:
 def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
     """The order-0 state: a = (1/lambda - lambda)/2, b and c = -(sin phi,
     cos phi)(1/lambda + lambda)/2, r = 1, each coefficient rounded once to 2^P."""
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     half = 1 << (bits - 1)
     c_half, b_half = (-x for x in _unit(cfg, phi, bits - 1))     # at 2^(P-1): halved
     return DerivativeState(
@@ -241,13 +241,13 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     Fixed point.  a, b, c and r are real, so every derivative of a product
     is a real {degree: int} map at the polynomials' scale 2^P: each y_i^(k)
     is read as it is stored, each Leibniz sum is exact at 2^-2P and rounded
-    once (``laurent.round_map``), and x_c of sigma_c = i^p x_c is rounded
-    from the table's scale on every call (``SignedTable.fixed``), since a
-    state may be run against another table; its phase p must be
-    (c1 + c3) mod 2, and the table must run to z = 1 at the state's phi.
-    sigma_c M^(c) = x_c T_c with T_c real (module docstring), so the products
-    x_c times a derivative are summed exactly at 2^-2P into one {degree: int}
-    map per matrix T_c; each matrix entry adds those times its entry of T_c,
+    once (``laurent.round_map``), and x_c of sigma_c = i^p x_c is the
+    table's integer as it is: the table must share the state's working
+    precision, and with it the scale 2^P, and run to z = 1 at the state's
+    phi, and sigma_c's phase p must be (c1 + c3) mod 2.  sigma_c M^(c) =
+    x_c T_c with T_c real (module docstring), so the products x_c times a
+    derivative are summed exactly at 2^-2P into one {degree: int} map per
+    matrix T_c; each matrix entry adds those times its entry of T_c,
     0 or +-1, and each coefficient is rounded once.  The budget of these
     roundings is in ``laurent``'s docstring.
 
@@ -267,6 +267,9 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     if not isinstance(table, SignedTable):
         raise TypeError("frame_lower reads signed sums per letter multiset "
                         f"(omega.build_signed_table), got {type(table).__name__}")
+    if table.cfg.working_digits != cfg.working_digits:
+        raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
+                         f"the recursion runs at {cfg.working_digits}")
     if table.endpoint != "1" or parse_phi(table.phi_label, cfg) != parse_phi(state.phi_label, cfg):
         raise ValueError(f"the table runs to z = {table.endpoint} at phi = {table.phi_label}; "
                          f"the recursion reads z = 1 at phi = {state.phi_label}")
@@ -274,13 +277,13 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
         return LaurentMatrix2(cfg)
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     products = state._products
     # matrix T_c -> {degree: int} of its coefficient at 2^-2P
     sums: dict = {}
 
     def add(tmat, weight, key, phase, deriv) -> None:
-        x = _sigma_x(table, key, phase, bits)
+        x = _sigma_x(table, key, phase)
         if x:
             axpy(sums.setdefault(tmat, {}), weight * x, deriv)
 
@@ -342,7 +345,7 @@ def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
         # the Leibniz terms of y_i^(n) that hold an order-n unknown
         head = state.y(i, n, {0, n})
         if not head.is_zero:
-            x = _sigma_x(table, (i,), int(i != 2), fixed_bits(cfg))
+            x = _sigma_x(table, (i,), int(i != 2))
             mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, x),
                                           _T_STEPS[0][i - 1])
     if mat.max_abs_degree() > n + 1:
@@ -380,7 +383,7 @@ def _support(poly: LaurentPoly, n: int, scale_sq: int, label: str,
     ``parity_residual``, anything larger raises.  Every other coefficient
     must lie in degrees 0..n+1.
     """
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     kept = {d: v for d, v in poly.re.items() if not _below(v * v, scale_sq, 6, cfg)}
     tol_sq = max([1 << 2 * bits, *(v * v for v in kept.values())])
     bad = 0
@@ -406,7 +409,7 @@ def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
 
 def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
     """Order-n c from reality and Sym-point constraints on p^(n+1)."""
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     one_sq = 1 << 2 * bits
     two_pi = 2 * pi_fixed(bits) * (n + 1)
     factor = ((1 << 2 * bits) + two_pi // 2) // two_pi       # 1/(2 pi (n+1)) at 2^P
@@ -432,7 +435,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
                 b_n: LaurentPoly) -> tuple:
     """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
     cfg = state.cfg
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     one_sq = 1 << 2 * bits
     ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
@@ -482,7 +485,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     """Extend the state by one order (phi = pi/4 only)."""
     cfg = state.cfg
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     n = state.order + 1
     if not is_pi_over_4(state.phi_label, cfg):
         raise ValueError("the order recursion requires phi = pi/4; general phi "
@@ -558,17 +561,15 @@ class ExpansionResult:
     residuals are exact ``Dyadic`` values.
     """
 
-    __slots__ = ("cfg", "phi_label", "order", "alpha_fixed", "imag_residual",
-                 "even_alpha_residual", "diagnostics")
+    __slots__ = ("cfg", "phi_label", "order", "alpha_fixed", "even_alpha_residual",
+                 "diagnostics")
 
     def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int,
-                 alpha_fixed: list, imag_residual: Dyadic, even_alpha_residual: Dyadic,
-                 diagnostics: list):
+                 alpha_fixed: list, even_alpha_residual: Dyadic, diagnostics: list):
         self.cfg = cfg
         self.phi_label = phi_label
         self.order = order
         self.alpha_fixed = alpha_fixed
-        self.imag_residual = imag_residual
         self.even_alpha_residual = even_alpha_residual
         self.diagnostics = diagnostics
 
@@ -599,7 +600,7 @@ class ExpansionResult:
         ``mpmath.nstr`` prints the ``mpf`` of ``alphas`` (of
         ``per_genus_coefficients``, which the division rounds to the working
         bits)."""
-        bits, digits = fixed_bits(self.cfg), self.cfg.target_digits
+        bits, digits = self.cfg.fixed_bits, self.cfg.target_digits
         out = []
         for k, a in enumerate(self.alpha_fixed, 1):
             value = Dyadic(a, -bits)
@@ -622,7 +623,6 @@ class ExpansionResult:
             "alpha_per_genus": self.alpha_texts(per_genus=True),
             "willmore_t": list(alpha_t),
             "mean_curvature_t": [Dyadic(0).format(self.cfg.target_digits)] * self.order,
-            "imag_residual": self.imag_residual.format(3),
             "even_alpha_residual": self.even_alpha_residual.format(3),
             "order_diagnostics": [
                 {k: (v if isinstance(v, (int, str)) else v.format(3)) for k, v in d.items()}
@@ -635,13 +635,13 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
 
     Each alpha_k is summed exactly on the integers of r, b, c and cos(phi),
     sin(phi) (rounded once from the pole e^(i phi)), and rounded once, by its
-    division by k!.  Every factor is real, so ``imag_residual`` is exactly 0.
+    division by k!.
     """
     cfg = state.cfg
     order = order or state.order
     if order > state.order:
         raise ValueError(f"state complete to order {state.order} < {order}")
-    bits = fixed_bits(cfg)
+    bits = cfg.fixed_bits
     cosp, sinp = _unit(cfg, state.phi_label, bits)
     alphas = []
     even_peak = 0
@@ -660,7 +660,7 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
         alphas.append(value)
     return ExpansionResult(
         cfg=cfg, phi_label=state.phi_label, order=order, alpha_fixed=alphas,
-        imag_residual=Dyadic(0), even_alpha_residual=Dyadic(even_peak, -bits),
+        even_alpha_residual=Dyadic(even_peak, -bits),
         diagnostics=list(state.diagnostics))
 
 

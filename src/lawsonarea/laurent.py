@@ -1,9 +1,9 @@
 """Finite real Laurent polynomials in the loop parameter lambda, on fixed-point integers.
 
 A polynomial keeps its real coefficients as integers at scale 2^P, P =
-``fixed_bits(cfg)`` = working bits + ``EXTRA_BITS``, in one {degree: int}
-map, ``re``.  Every polynomial of the order recursion is real: a, b, c and r
-are, and so is every frame derivative at z = 1 (``engine``'s docstring).
+``cfg.fixed_bits`` (``precision``), in one {degree: int} map, ``re``.
+Every polynomial of the order recursion is real: a, b, c and r are, and so
+is every frame derivative at z = 1 (``engine``'s docstring).
 Only exact zeros are dropped, so rounding dust stays visible to the checks
 that decide what is zero.  The order recursion builds every polynomial from
 integers and reads its checks off integers (``max_abs_sq``, ``at_i``), and
@@ -24,11 +24,11 @@ exact division with remainder by lambda^2 - 1 (the step that splits an
 order-n curvature constraint into a polynomial part and a scalar
 remainder).
 
-Rounding budget, in units u = 2^-P per coefficient.
+Rounding budget, in units u = 2^-P per coefficient, P = working bits + 24.
 
 * Converting a number rounds it down to a multiple of u, an error below one
   unit, and none for an ``mpf`` of the working precision with modulus at
-  least 2^-(EXTRA_BITS + 1).
+  least 2^-25.
 * Sums, differences, integer multiples, ``star``, ``shift``, ``project``,
   ``at_i`` and ``divrem_l2m1`` are exact.  So ``star`` is an exact
   involution that commutes with every sum.
@@ -46,26 +46,30 @@ The engine's frame sums (``engine.frame_lower``) are where the units pile
 up.  The error e_c[s] of the s-th derivative of a multiset's product
 c = c' + e_i is at most N/2 + sum_j C(s, j) (e_c'[j] |y_i^(s-j)| + |D^j_c'|
 e_y[s-j]), N the number of coefficients of the result and e_y[k] that of
-y_i^(k).  Rounding sigma_c's one real integer x_c from the table's scale
-adds at most one unit times |D_c|, the derivative it multiplies, and the
-sums after that are exact.  So the frame sums carry at most B_n = sum_c
-(n+1)!/(n+1-l)! (|sigma_c| e_c + |D_c|) units, the cross terms counted
-alike.  Evaluated along the recursion at 40 digits with sqrt(2) |D_c| in
-place of |D_c|, an upper bound, B_n grows with the sizes of the summands,
-from 2^7.3 at order 1 to 2^40.2 at order 9 and 2^61.4 at order 13, but
-stays below 2^7.1 max(F_n, 1), F_n the largest coefficient of the frame
-sums, at every order through 13.  7 extra bits keep that rounding below one
-unit of the working precision at the scale max(F_n, 1), and 9 more keep it
-below 2^-9 of that unit, hence ``EXTRA_BITS = 16``.  The rest of an order
+y_i^(k).  sigma_c's one real integer x_c is the signed table's own, at
+this same scale (``omega``'s budget bounds its error), so its products with
+the derivative D_c it multiplies, and the sums after them, are exact.  So
+the frame sums carry at most B_n = sum_c (n+1)!/(n+1-l)! |sigma_c| e_c
+units, the cross terms counted alike.  Evaluated along the recursion at 40
+digits, with the term sqrt(2) |D_c| per multiset that a rescale of x_c once
+added still counted, an upper bound, B_n grows with the sizes of the
+summands, from 2^7.3 at order 1 to 2^40.2 at order 9 and 2^61.4 at order
+13, but stays below 2^7.1 max(F_n, 1), F_n the largest coefficient of the
+frame sums, at every order through 13.  7 extra bits keep that rounding
+below one unit of the working precision at the scale max(F_n, 1), and the
+other 17 of the 24 keep it below 2^-17 of that unit; the recursion would
+need 7 + 9 = 16, and takes the transport's 24 (``precision``) so that it
+reads the table's integers as they are.  The rest of an order
 (``p_derivative``, the extraction and the area series) forms about 5n
 products and 2n scales of polynomials of at most 2n + 3 coefficients, each
 adding at most u/2 a coefficient to the errors it propagates, which the
-same 9 bits cover.  Measured at 40 digits against the same code with 120
-extra bits, every a, b, c coefficient and alpha_k was within 4.9e-4 units
-of the working precision (at the scale max(|x|, 1)) through order 9 with
-12 guard digits, and within 1.5e-3 through order 13 with 50; with no extra
-bits, 247 and 1.0e4 units.  The ``mpf`` extraction this replaced was 27
-and 716 units off.
+same 17 bits cover.  Measured at 40 target digits against the same
+recursion at 120 extra bits on the same table (its integers shifted up
+exactly), every a, b, c coefficient and alpha_k was within 3.0e-5 units of
+the working precision (at the scale max(|x|, 1)) through order 9 with 12
+guard digits, 2.1e-4 through order 13 with 20 and 3.5e-4 through order 17
+with 28; at 16 extra bits 1.4e-3, 0.030 and 0.062 units, and with none 634,
+8.4e3 and 4.2e3.
 """
 
 from __future__ import annotations
@@ -75,22 +79,12 @@ from collections.abc import Mapping
 from .precision import PrecisionConfig, to_decimal, to_fixed_pair
 
 _PARTS = ("plus", "minus", "zero", "geq0")
-EXTRA_BITS = 16    # derived in the rounding budget above
-
-
-def fixed_bits(cfg: PrecisionConfig) -> int:
-    """P: every coefficient under ``cfg`` is an integer at scale 2^P.
-
-    Taken from ``cfg.working_bits``, not from the context's precision, which a
-    caller's ``workprec`` block raises.
-    """
-    return cfg.working_bits + EXTRA_BITS
 
 
 def to_mpf(v: int, cfg: PrecisionConfig):
     """The integer v at scale 2^P as an exact ``mpf`` of ``cfg``'s context."""
     from mpmath.libmp import from_man_exp
-    return cfg.context.make_mpf(from_man_exp(v, -fixed_bits(cfg)))
+    return cfg.context.make_mpf(from_man_exp(v, -cfg.fixed_bits))
 
 
 def axpy(acc: dict, s: int, p: Mapping) -> None:
@@ -131,7 +125,7 @@ class LaurentPoly:
         self.cfg = cfg
         self.re = {d: v for d, v in re.items() if v} if re else {}
         if coeffs:
-            bits, convert = fixed_bits(cfg), cfg.context.convert
+            bits, convert = cfg.fixed_bits, cfg.context.convert
             for deg, val in coeffs.items():
                 z = convert(val)
                 if z.imag:
@@ -202,7 +196,7 @@ class LaurentPoly:
         self._check_compatible(other)
         re: dict = {}
         add_product(re, 1, self.re, other.re)
-        return LaurentPoly(self.cfg, re=round_map(re, fixed_bits(self.cfg)))
+        return LaurentPoly(self.cfg, re=round_map(re, self.cfg.fixed_bits))
 
     def scale(self, s) -> "LaurentPoly":
         """Multiply by s: exact for an ``int``; a constant ``LaurentPoly`` (a
@@ -268,7 +262,7 @@ class LaurentPoly:
         """Coefficients as decimal strings of ``digits`` significant digits,
         each rounded once from the exact integers (by default three digits
         more than the integer has), with the imaginary part "0.0"."""
-        bits = fixed_bits(self.cfg)
+        bits = self.cfg.fixed_bits
         return [{"deg": d, "re": to_decimal(v, -bits, digits or len(str(abs(v))) + 3),
                  "im": "0.0"} for d, v in sorted(self.re.items())]
 
@@ -298,7 +292,7 @@ class LaurentMatrix2:
 
     @classmethod
     def identity(cls, cfg: PrecisionConfig) -> "LaurentMatrix2":
-        one, zero = LaurentPoly(cfg, re={0: 1 << fixed_bits(cfg)}), LaurentPoly.zero(cfg)
+        one, zero = LaurentPoly(cfg, re={0: 1 << cfg.fixed_bits}), LaurentPoly.zero(cfg)
         return cls(cfg, [[one, zero], [zero, one]])
 
     def __getitem__(self, idx: tuple[int, int]) -> LaurentPoly:

@@ -33,7 +33,7 @@ v = q/x1, x1 = 1 - x0, so a pole a of either half enters only through one
 ratio r = x/a, rounded once, with |r| at most the term ratio, and a
 series' value at the end of its half is the plain sum of its T + 1
 coefficients.  Coefficients are complex numbers held as pairs of Python
-integers scaled by 2^P, P = working bits + ``_SPLIT_EXTRA_BITS``.  A letter
+integers scaled by 2^P, P = ``cfg.pole_bits``, the poles' scale.  A letter
 with pole a maps coefficients F to G by G_{j+1} = (j G_j - F_j) r / (j + 1);
 carrying H_j = j G_j this is the geometric product H_{j+1} = (H_j - F_j) r
 (four multiplies, two shifts) and G_j = H_j // j, and the pole at 0 gives
@@ -58,9 +58,9 @@ suffix values are iterated integrals whose letters each contribute at most
 -ln(1 - |r|), so they stay below about 1/(1 - rho), and the w + 1 products
 carry at most 2 (w + 1) 3w (T + 1) / (1 - rho) units.  ``_split_value``
 refuses (``DivergentSeriesError``) a spec for which this bound exceeds
-2^(``_SPLIT_EXTRA_BITS`` - 3.8) = 2^28.2 units, so on every value it returns
+2^(``POLE_EXTRA_BITS`` - 3.8) = 2^28.2 units, so on every value it returns
 the kernel's own rounding stays below 2^-3.8 of a unit of the working
-precision.  With ``_SPLIT_EXTRA_BITS = 32`` that admits weight 12 at
+precision.  With 32 extra bits that admits weight 12 at
 rho = 0.95 up to 358 working digits (T = 16 445), and Li_{2,1}(0.35, 0.995)
 at 40 digits (rho = 0.990, T = 13 370, 2^26.5 units), but not
 Li_{2,1}(0.35, 0.998) there (rho = 0.996, T = 33 403).
@@ -109,11 +109,9 @@ import mpmath
 from mpmath.libmp import mpf_neg
 
 from .omega import FORM_COEFFS, punctures
-from .precision import FrozenValue, PrecisionConfig, from_fixed_pair, to_fixed_pair
+from .precision import (POLE_EXTRA_BITS, FrozenValue, PrecisionConfig, from_fixed_pair,
+                        to_fixed_pair)
 from .words import Word
-
-_SPLIT_EXTRA_BITS = 32        # derived in the rounding budget of the module docstring
-
 
 class DivergentSeriesError(ValueError):
     """The requested polylogarithm lies outside the convergence region."""
@@ -143,15 +141,6 @@ def mpl_spec(indices: Sequence[int], args: Sequence, cfg: PrecisionConfig) -> Mp
     return MplSpec(tuple(int(n) for n in indices), tuple(ctx.mpc(z) for z in args))
 
 
-def _split_bits(cfg: PrecisionConfig) -> int:
-    """The split kernel's scale P: working bits + ``_SPLIT_EXTRA_BITS``.
-
-    Taken from ``cfg.working_bits``, so a caller's ``workprec`` block does
-    not change the value that ``li`` computes and memoises.
-    """
-    return cfg.working_bits + _SPLIT_EXTRA_BITS
-
-
 def _conj(z, ctx):
     """conj z exactly; ``ctx.conj`` rounds to the context's precision."""
     re, im = z._mpc_
@@ -164,7 +153,7 @@ def _tail_products(spec: MplSpec, cfg: PrecisionConfig) -> list:
     ctx = cfg.context
     prods = [ctx.mpc(1)] * spec.depth
     acc = ctx.mpc(1)
-    with ctx.workprec(_split_bits(cfg)):
+    with ctx.workprec(cfg.pole_bits):
         for i in range(spec.depth - 1, -1, -1):
             acc = acc * spec.args[i]
             prods[i] = acc
@@ -273,7 +262,7 @@ def _integral_word(spec: MplSpec, prods, cfg: PrecisionConfig) -> list:
     """Pole letters of the integral representation: a_i = 1/prods[i], at the
     split kernel's scale, then n_i - 1 zeros."""
     word = []
-    with cfg.context.workprec(_split_bits(cfg)):
+    with cfg.context.workprec(cfg.pole_bits):
         for i in range(spec.depth):
             word.append(1 / prods[i])
             word.extend([0] * (spec.indices[i] - 1))
@@ -326,7 +315,7 @@ def _split_value(word: list, cfg: PrecisionConfig):
     k = len(word)
     if k == 0:
         return ctx.mpc(1)
-    bits = _split_bits(cfg)
+    bits = cfg.pole_bits
     radius_first = min(abs(a) for a in word if a != 0)
     with ctx.workprec(bits):
         images = [1 - a for a in word]
@@ -336,7 +325,7 @@ def _split_value(word: list, cfg: PrecisionConfig):
     if ratio >= 1:
         raise DivergentSeriesError(f"argument on the divergent boundary (term ratio {ratio})")
     terms = int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 16
-    if 6 * (k + 1) * k * (terms + 1) / (1 - ratio) > 2 ** (_SPLIT_EXTRA_BITS - 3.8):
+    if 6 * (k + 1) * k * (terms + 1) / (1 - ratio) > 2 ** (POLE_EXTRA_BITS - 3.8):
         raise DivergentSeriesError(
             f"argument too close to the divergent boundary (term ratio {ratio:.4f}, "
             f"{terms} terms): the rounding would exceed the kernel's budget")
@@ -404,7 +393,7 @@ def li(spec: MplSpec, cfg: PrecisionConfig):
     if not all(prods):
         return ctx.mpc(0)   # a zero argument zeroes every term
     value = _split_value(_integral_word(spec, prods, cfg), cfg)
-    with ctx.workprec(_split_bits(cfg)):
+    with ctx.workprec(cfg.pole_bits):
         return (-1) ** spec.depth * value
 
 
@@ -452,7 +441,7 @@ def _assignment_specs(phi, n: int, cfg: PrecisionConfig) -> tuple:
     per (phi, n, config) and the words' terms share the spec objects."""
     ps = punctures(phi, cfg)
     ones = (1,) * n
-    with cfg.context.workprec(_split_bits(cfg)):
+    with cfg.context.workprec(cfg.pole_bits):
         return tuple((assignment,
                       MplSpec(ones, tuple(ps[b] / ps[a]
                                           for a, b in zip(assignment, assignment[1:]))

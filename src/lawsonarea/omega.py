@@ -30,12 +30,12 @@ D_u(x) with D_u(x) = x^4 - 2 kappa_u x^2 + 1, kappa_1 = cos 2phi = -kappa_i:
 N = (x, x^2 - 1, x^2 + 1) and k = (i 2cs, c, i s) on the real axis, and, as
 dlambda = i dx, N = (x, x^2 + 1, x^2 - 1) and k = (-i 2cs, -i c, s) on the
 imaginary one.  The transport runs the real forms 4 N_i/D_u: every series
-is one list of Python integers at scale 2^P, P = working bits +
-``_EXTRA_BITS``, and every value one integer, and each key's value is
-multiplied by the product of its letters' k_i once, at the end of the path
-(``_with_constants``).  kappa_u, c and s come from the pole p1 of
-``punctures_fixed`` at ``cfg.pole_bits``.  A signed table keeps the values
-as (phase, integer); a word table converts each once to ``mpc``.
+is one list of Python integers at scale 2^P, P = ``cfg.fixed_bits``, and
+every value one integer, and each key's value is multiplied by the product
+of its letters' k_i once, at the end of the path (``_with_constants``).
+kappa_u, c and s come from the pole p1 of ``punctures_fixed`` at
+``cfg.pole_bits``.  A signed table keeps the values as (phase, integer); a
+word table converts each once to ``mpc``.
 
 * Segments.  On a segment with midpoint m and half-length h every series is
   expanded in v = (x - m)/h, so the segment is v in [-1, 1].
@@ -171,15 +171,17 @@ shift, one more unit.  On the path to 1 at pi/4, S = 2 and Lambda =
 for T <= 1000.  The bound grows as phi nears 0 or pi/2.  At T = 133 it
 stays below 2^24 up to depth 14 on the path to i at phi = 1.2 (S = 3,
 Lambda = (2.4, pi, 3.35)), and up to depth 10 on the path to 1 at
-phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There ``_EXTRA_BITS = 24``
-keeps the kernel's own rounding below one unit of the working precision.
-Measured with no extra bits at 50 working digits (T = 133), against the
-same kernel with 120 extra bits, sigma lost at most 9.0 bits at depth 10
-and 14 on the path to 1 at pi/4, 9.6 bits at depth 8 and 9.7 at depth 14
-on the path to i at 1.2, and 9.9 bits at depth 8 on the path to 1 at 0.3
-(the pole-pair kernel this replaced: 8.7, 8.8, 10.4, 10.5 and 10.4).  The
-keys of the last layer lost at most 8.4, 9.6 and 9.8 bits at depth 10, 8
-and 8.  With 24 extra bits no sigma moved by more than 2^-14.2 of a unit.
+phi = 0.3 (S = 4, Lambda = (2.54, 3.78, pi)).  There 24 extra bits keep the
+kernel's own rounding below one unit of the working precision, hence
+``precision.FIXED_EXTRA_BITS = 24``, the scale at which the order recursion
+reads the signed table as well.  Measured with no extra bits at 50 working
+digits (T = 133), against the same kernel with 120 extra bits, sigma lost
+at most 9.0 bits at depth 10 and 14 on the path to 1 at pi/4, 9.6 bits at
+depth 8 and 9.7 at depth 14 on the path to i at 1.2, and 9.9 bits at depth
+8 on the path to 1 at 0.3 (the pole-pair kernel this replaced: 8.7, 8.8,
+10.4, 10.5 and 10.4).  The keys of the last layer lost at most 8.4, 9.6 and
+9.8 bits at depth 10, 8 and 8.  With 24 extra bits no sigma moved by more
+than 2^-14.2 of a unit.
 The words of a depth-8 table lost at most 8.5, 8.4 and 8.7 bits on the
 same three paths with no extra bits (8.2, 9.3 and 9.7 before; 8.0, 7.8
 and 8.1 on the last layer), and with 24 extra bits none moved by more than
@@ -297,7 +299,7 @@ from operator import add, floordiv, mul, rshift, sub
 from pathlib import Path
 
 from .precision import (POLE_EXTRA_BITS, Dyadic, PrecisionConfig, cis_fixed, from_fixed_pair,
-                        pi_fixed, rescale, to_fixed_pair)
+                        pi_fixed, to_fixed_pair)
 from .words import Word, format_word, parse_word
 
 try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
@@ -309,7 +311,6 @@ except ImportError:
         from hashlib import sha256
 
 _CACHE_VERSION = 7
-_EXTRA_BITS = 24     # derived in the rounding budget of the module docstring
 _ENDPOINTS = ("1", "i")
 
 
@@ -486,11 +487,11 @@ class SignedTable:
     inv(w) the number of letter pairs of w out of order, for every c with
     1 <= |c| <= ``max_length``.  Keys are non-decreasing words: (1, 1, 3) holds
     sigma_(2,0,1) and (i,) holds Omega(i).  ``values`` maps each key to
-    (phase, x), sigma_c = i^phase x 2^-bits, as the transport leaves it, at
-    its scale ``bits`` = ``_transport_bits(cfg)``.  ``engine.frame_lower``
-    reads nothing else of the word integrals, each x rounded once to its own
-    scale (``fixed``); ``value`` renders one as an ``mpc`` for the tests and
-    the oracles.
+    (phase, x), sigma_c = i^phase x 2^-P, as the transport leaves it, at
+    P = ``cfg.fixed_bits``.  ``engine.frame_lower`` reads nothing else of
+    the word integrals, and reads these integers as they are, at the scale
+    of its polynomials; ``value`` renders one as an ``mpc`` for the tests
+    and the oracles.
     """
 
     __slots__ = ("cfg", "phi_label", "endpoint", "max_length", "values")
@@ -503,24 +504,12 @@ class SignedTable:
         self.max_length = int(max_length)
         self.values = dict(values)
 
-    @property
-    def bits(self) -> int:
-        return _transport_bits(self.cfg)
-
-    def _entry(self, key) -> tuple[int, int]:
+    def value(self, key):
+        """sigma of ``key`` as an ``mpc`` at the working precision, rounded once."""
         key = tuple(key)
         if len(key) > self.max_length:
             raise KeyError(f"key {key} exceeds table depth {self.max_length}")
-        return self.values[key]
-
-    def value(self, key):
-        """sigma of ``key`` as an ``mpc`` at the working precision, rounded once."""
-        return _phase_value(*self._entry(key), self.bits, self.cfg.context)
-
-    def fixed(self, key, bits: int) -> tuple[int, int]:
-        """sigma of ``key`` as (phase, x), sigma = i^phase x 2^-bits, x rounded once."""
-        phase, x = self._entry(key)
-        return phase, rescale(x, self.bits, bits)
+        return _phase_value(*self.values[key], self.cfg.fixed_bits, self.cfg.context)
 
 
 def _all_words(max_length: int):
@@ -584,11 +573,6 @@ def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
 
 def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
     return int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 12
-
-
-def _transport_bits(cfg: PrecisionConfig) -> int:
-    """The transport kernel's scale P: working bits + ``_EXTRA_BITS``."""
-    return cfg.working_bits + _EXTRA_BITS
 
 
 def _segment_kernel(cfg: PrecisionConfig, poles, z0, z1) -> tuple:
@@ -708,7 +692,7 @@ def _transport_table(cfg: PrecisionConfig, phi_label: str, poles, segments,
                      max_length: int) -> OmegaTable:
     """All word integrals along consecutive straight segments [z0, z1]
     (integer pairs at ``cfg.pole_bits``), each rounded once to ``mpc``."""
-    ctx, bits = cfg.context, _transport_bits(cfg)
+    ctx, bits = cfg.context, cfg.fixed_bits
     values = {key: _phase_value(phase, x, bits, ctx) for key, (phase, x)
               in _transport(cfg, poles, segments, max_length, _word_child).items()}
     start, end = (from_fixed_pair(*z, cfg.pole_bits, ctx)
@@ -770,9 +754,9 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
     constants, so every series and value is one real integer list or
     integer at scale 2^P, from segment to segment; at the end of the path
     each value is multiplied by its key's constant (``_with_constants``).
-    Returns {key: (phase, x)} at scale 2^P, P = ``_transport_bits(cfg)``.
+    Returns {key: (phase, x)} at scale 2^P, P = ``cfg.fixed_bits``.
     """
-    T, bits = _series_terms(cfg), _transport_bits(cfg)
+    T, bits = _series_terms(cfg), cfg.fixed_bits
     kernels = [_segment_kernel(cfg, poles, z0, z1) for z0, z1 in segments]
     if len({kernel[0] for kernel in kernels}) > 1:
         raise ValueError("the path's segments lie on both axes")
@@ -1143,8 +1127,8 @@ def _values_digest(values: dict) -> str:
 def save_table(table: SignedTable, cache_dir: Path) -> Path:
     """Write a signed table to ``cache_dir``; word tables are not cached.
 
-    Each sigma is stored as its integers at the transport's scale, "re" and
-    "im" in hexadecimal, the part of the other phase "0".
+    Each sigma is stored as its integers at scale 2^``cfg.fixed_bits``, "re"
+    and "im" in hexadecimal, the part of the other phase "0".
     """
     if not isinstance(table, SignedTable):
         raise TypeError(f"the cache holds signed tables only, got {type(table).__name__}")

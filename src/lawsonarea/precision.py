@@ -2,32 +2,36 @@
 
 A :class:`PrecisionConfig` fixes the working precision, ``target_digits +
 guard_digits``, and every scale derived from it: ``working_bits`` (mpmath's
-``dps_to_prec`` of the working digits) and the kernels' finer fixed-point
-scales.  The order recursion and the transport run on Python integers at
-such scales 2^P, from the parsing of phi to the printed digits: pi comes
-from Machin's formula (``pi_fixed``), e^(i phi) from its series
-(``cis_fixed``), the residual yardsticks eps(k) = 10^-(working digits - k)
-enter as the integers 1/eps(k) (``eps_ratio``), and ``to_decimal`` prints a
-binary rational as mpmath's ``to_str`` would (R. P. Brent and
-P. Zimmermann, *Modern Computer Arithmetic*, CUP 2010, 1.7 and ch. 4), so
-``expand`` at pi/4 imports no mpmath.  ``Dyadic`` holds an exact binary
-rational that mpmath reads as an ``mpf``.  mpmath runs where it computes:
-the oracles, the word tables, ``mpl``, ``verify`` and the order-1 closed
-forms at general phi.  For them a config owns a private mpmath context at
-the working precision, built on first use (``context``); the global
-``mpmath.mp`` context is never touched, so two configs can coexist and a
-computation can be replayed at a second precision for a self-check.
+``dps_to_prec`` of the working digits) and two finer fixed-point scales:
+``fixed_bits`` = working bits + 24 for every series, table entry and
+polynomial coefficient (the transport's budget in ``omega`` sets the 24,
+and the recursion's in ``laurent`` needs 16 of them, so it reads a signed
+table's integers as they are), and ``pole_bits`` = working bits + 32 for
+phi, the punctures (below) and ``mpl``'s split kernel, whose budget needs
+its P to be the poles'.  The order recursion and the transport run on
+Python integers at these scales 2^P, from the parsing of phi to the printed
+digits: pi comes from Machin's formula (``pi_fixed``), e^(i phi) from its
+series (``cis_fixed``), the residual yardsticks eps(k) = 10^-(working
+digits - k) enter as the integers 1/eps(k) (``eps_ratio``), and
+``to_decimal`` prints a binary rational as mpmath's ``to_str`` would (R. P.
+Brent and P. Zimmermann, *Modern Computer Arithmetic*, CUP 2010, 1.7 and
+ch. 4), so ``expand`` at pi/4 imports no mpmath.  ``Dyadic`` holds an exact
+binary rational that mpmath reads as an ``mpf``.  mpmath runs where it
+computes: the oracles, the word tables, ``mpl``, ``verify`` and the order-1
+closed forms at general phi.  For them a config owns a private mpmath
+context at the working precision, built on first use (``context``); the
+global ``mpmath.mp`` context is never touched, so two configs can coexist
+and a computation can be replayed at a second precision for a self-check.
 
 Phi and the poles.  Every word-integral route reads phi and the four
 punctures e^(+-i phi), -e^(+-i phi), and each runs a fixed-point kernel
-finer than the working precision: the transport at working bits +
-``omega._EXTRA_BITS`` = 24, the quadrature at working bits + 4 +
-ceil(log2(2 n^3 + 24/delta^2 + 28)), at most 31 under ``omega._MAX_NODES``
-= 400 (2 n^3 is 2^26.9 there) while delta >= 0.002 and at most 32 while
-delta >= 4.2e-4 (delta is 1 on the path away from phi's near pole and
-min(sin phi, cos phi) on the other; ``omega._quadrature_size`` refuses a
-phi that needs more), and the polylogarithms at working bits +
-``mpl._SPLIT_EXTRA_BITS`` = 32.  A pole rounded to the working precision
+finer than the working precision: the transport at ``fixed_bits``, the
+quadrature at working bits + 4 + ceil(log2(2 n^3 + 24/delta^2 + 28)), at
+most 31 under ``omega._MAX_NODES`` = 400 (2 n^3 is 2^26.9 there) while
+delta >= 0.002 and at most 32 while delta >= 4.2e-4 (delta is 1 on the
+path away from phi's near pole and min(sin phi, cos phi) on the other;
+``omega._quadrature_size`` refuses a phi that needs more), and the
+polylogarithms at ``pole_bits``.  A pole rounded to the working precision
 is off by up to half a unit there, which the forms amplify: at 30 target
 digits the transport's depth-3 word tables were 8.0 / 23.2 / 24.9 units of
 the working precision off at (1, pi/6), (i, 1.2) and (1, 0.3), the
@@ -53,7 +57,8 @@ from __future__ import annotations
 import functools
 import math
 
-# phi and the punctures: the finest kernel scale, derived in the module docstring
+# the two scales of the module docstring: series, tables and polynomials; phi, poles and mpl
+FIXED_EXTRA_BITS = 24
 POLE_EXTRA_BITS = 32
 
 
@@ -121,6 +126,11 @@ class PrecisionConfig(FrozenValue):
     def context(self):
         """The mpmath context of this config, at ``working_bits`` (built on first use)."""
         return _context(self.working_digits)
+
+    @property
+    def fixed_bits(self) -> int:
+        """Bits of every series, table entry and polynomial coefficient."""
+        return self.working_bits + FIXED_EXTRA_BITS
 
     @property
     def pole_bits(self) -> int:

@@ -48,7 +48,7 @@ def test_expand_csv(capsys, tmp_path):
                            "--format", "csv", "--cache-dir", str(tmp_path))
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "order,re,im,residual"
+    assert lines[0] == "order,re,im"
     assert lines[1].startswith("1,0.693147180559945309")
 
 

@@ -9,7 +9,7 @@ from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support,
                                advance, area_series, central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
-from lawsonarea.laurent import LaurentPoly, fixed_bits, to_mpf
+from lawsonarea.laurent import LaurentPoly, to_mpf
 from lawsonarea.omega import build_signed_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
 
@@ -197,7 +197,7 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
 
 
 # a scale of 1 and of 1e-10, squared at 2^2P, as ``_support`` takes it
-ONE_SQ = 1 << 2 * fixed_bits(CFG)
+ONE_SQ = 1 << 2 * CFG.fixed_bits
 TINY_SQ = LaurentPoly(CFG, {0: CTX.mpf("1e-10")}).re[0] ** 2
 
 
@@ -413,23 +413,34 @@ def test_alpha9_matches_reference(digits):
 
 
 def test_alpha11_and_alpha13_match_reference():
-    """``expand --order 13 --precision 40`` prints alpha_11 and alpha_13 as
-    found by runs at 34, 50 and 60 guard digits, in all 40 digits."""
-    cfg = PrecisionConfig(40, guard_digits_for_order(13))
-    res = area_series(run(13, cfg, table=build_signed_table("1", "pi/4", 14, cfg)))
+    """``expand --order 17 --precision 40`` prints alpha_11, alpha_13,
+    alpha_15 and alpha_17 as found by runs at more guard digits (34, 50 and
+    60 for the first two), in all 40 digits."""
+    cfg = PrecisionConfig(40, guard_digits_for_order(17))
+    res = area_series(run(17, cfg, table=build_signed_table("1", "pi/4", 18, cfg)))
     texts = res.alpha_texts()
-    assert texts[9] == texts[11] == "0.0"
+    assert texts[9] == texts[11] == texts[13] == texts[15] == "0.0"
     assert texts[10] == "-260.9317297748582460588527568354450168419"
     assert texts[12] == "26311.75666632241667824049728000376568319"
+    assert texts[14] == "219897.7526067197482348266274038050133502"
+    assert texts[16] == "-204390.9874969168798762233265690206768251"
 
 
-@pytest.mark.parametrize("endpoint, phi", [("1", "0.7"), ("1", "pi/3"), ("i", "pi/4")])
-def test_engine_rejects_a_table_of_another_angle_or_endpoint(tables, endpoint, phi):
-    """The recursion at pi/4 reads sigma along [0, 1] at pi/4 only: a table
-    of another angle or to z = i raises, where it used to print a wrong
-    alpha_3 (3.99370... at 0.7, 0.77777... at pi/3, against 2.70462...)."""
-    with pytest.raises(ValueError, match="recursion reads z = 1 at phi = pi/4"):
-        run(5, CFG, table=tables.signed(endpoint, phi, 6, CFG))
+@pytest.mark.parametrize("endpoint, phi, digits, match", [
+    ("1", "0.7", 40, "recursion reads z = 1 at phi = pi/4"),
+    ("1", "pi/3", 40, "recursion reads z = 1 at phi = pi/4"),
+    ("i", "pi/4", 40, "recursion reads z = 1 at phi = pi/4"),
+    ("1", "pi/4", 45, "table holds 55 working digits; the recursion runs at 50"),
+], ids=["1-0.7", "1-pi/3", "i-pi/4", "1-pi/4-45digits"])
+def test_engine_rejects_a_table_of_another_angle_or_endpoint(tables, endpoint, phi, digits,
+                                                              match):
+    """The recursion at pi/4 reads sigma along [0, 1] at pi/4, as integers
+    at its own scale, only: a table of another angle or to z = i raises,
+    where it used to print a wrong alpha_3 (3.99370... at 0.7, 0.77777... at
+    pi/3, against 2.70462...), and so does a table at 45 target digits,
+    whose integers lie at another scale."""
+    with pytest.raises(ValueError, match=match):
+        run(5, CFG, table=tables.signed(endpoint, phi, 6, PrecisionConfig(digits)))
 
 
 def test_engine_compares_angles_by_value(signed40_pi4_L4):

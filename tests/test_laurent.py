@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from lawsonarea.laurent import LaurentMatrix2, LaurentPoly, fixed_bits, round_map
+from lawsonarea.laurent import LaurentMatrix2, LaurentPoly, round_map
 from lawsonarea.precision import PrecisionConfig
 
 CFG = PrecisionConfig(40)
@@ -72,7 +72,7 @@ def test_involution_laws():
 def test_product_rounds_once_and_oddly():
     """A product is the exact integer sum at 2^-2P, rounded once to nearest
     with ties away from zero, so negating a factor negates the result."""
-    bits = fixed_bits(CFG)
+    bits = CFG.fixed_bits
     rng = random.Random(13)
     for _ in range(10):
         p, q = random_poly(rng), random_poly(rng)
@@ -99,7 +99,7 @@ def test_projections():
 
 def test_at_i():
     """h(i) as its real and imaginary parts, integers at 2^P."""
-    one = 1 << fixed_bits(CFG)
+    one = 1 << CFG.fixed_bits
     assert (lam(-1) + lam(1)).at_i() == (0, 0)
     assert lam(2).at_i() == (-one, 0) and lam(3, 2).at_i() == (0, -2 * one)
     assert (lam(-1, 3) + lam(0, 5)).at_i() == (5 * one, -3 * one)

@@ -327,4 +327,4 @@ def test_li_memo_ignores_a_callers_workprec():
     li.cache_clear()
     fresh = li(spec, cfg)
     assert value == fresh
-    assert max(part._mpf_[3] for part in (value.real, value.imag)) <= mpl._split_bits(cfg) == 168
+    assert max(part._mpf_[3] for part in (value.real, value.imag)) <= cfg.pole_bits == 168

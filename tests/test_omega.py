@@ -522,7 +522,7 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
     the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
     depth = 6
     poles, segments = omega._path("1", "pi/4", depth, CFG)
-    plus = {key: omega._phase_value(phase, x, omega._transport_bits(CFG), CTX)
+    plus = {key: omega._phase_value(phase, x, CFG.fixed_bits, CTX)
             for key, (phase, x) in omega._transport(
                 CFG, poles, segments, depth,
                 lambda key, letter: (tuple(sorted(key + (letter,))), 1)).items()}
@@ -604,7 +604,7 @@ def test_pair_kernel_matches_four_poles(endpoint, phi):
     the step's integrand carries at most 1.1 units, and its division by
     j + 1 floors once more: at most 16.1/(j + 1) + 1 units in all."""
     poles, segments = omega._path(endpoint, phi, 1, CFG)
-    T, bits = omega._series_terms(CFG), omega._transport_bits(CFG)
+    T, bits = omega._series_terms(CFG), CFG.fixed_bits
     rng = random.Random(7)
     for z0, z1 in segments:
         kernel = omega._segment_kernel(CFG, poles, z0, z1)
