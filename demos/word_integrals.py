@@ -40,7 +40,8 @@ print(f"  {dict(combo)}")
 print(f"  lhs - rhs = {mpmath.nstr(abs(lhs - rhs), 3)}")
 
 print("\npath composition: a constant path changes nothing")
-endpoint_table = OmegaTable.constant_path(cfg, "pi/4", 1, 4)
+# the constant path at the table's end point, an exact integer pair
+endpoint_table = OmegaTable.constant_path(cfg, "pi/4", table.ends[1], 4)
 recomposed = chen_compose(table, endpoint_table)
 worst = max(abs(recomposed.value(w) - table.value(w)) for w in table.words())
 print(f"  worst deviation {mpmath.nstr(worst, 3)}")

@@ -27,7 +27,7 @@ _EXPORTS = {
             "mpl_spec", "zeta_signed"),
     "omega": ("OmegaTable", "SignedTable", "build_signed_table", "build_table",
               "cached_table", "chen_compose", "parse_phi", "quadrature_oracle"),
-    "precision": ("PrecisionConfig", "agreement_digits", "constant", "zeta"),
+    "precision": ("PrecisionConfig", "agreement_digits"),
     "words": ("MplLetter", "letter", "parse_word", "shuffle", "stuffle"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -80,7 +80,8 @@ def _cmd_expand(args) -> int:
         _write_artifact(args, payload)
         return 0
 
-    state = engine.run(args.order, cfg, phi=phi, cache_dir=args.cache_dir or None)
+    table = omega.cached_table("1", phi, args.order + 1, cfg, args.cache_dir or None)
+    state = engine.run(args.order, cfg, phi=phi, table=table)
     result = engine.area_series(state)
     payload = result.to_jsonable()
     payload["derivatives"] = state.derivatives_jsonable()
@@ -218,6 +219,15 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, else a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:     # a ValueError is argparse's "invalid integer value"
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lawsonarea",
@@ -226,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, phi_default="pi/4"):
-        p.add_argument("--precision", type=int, default=40,
-                       help="target decimal digits (default 40)")
+        p.add_argument("--precision", type=_int_at_least(10), default=40,
+                       help="target decimal digits, at least 10 (default 40)")
         p.add_argument("--format", choices=_FORMATS, default="table")
         if phi_default is not None:
             p.add_argument("--phi", default=phi_default,
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="compute the area/Willmore series")
     common(p)
-    p.add_argument("--order", type=int, required=True, help="expansion order N")
+    p.add_argument("--order", type=_int_at_least(1), required=True, help="expansion order N >= 1")
     p.add_argument("--output", default=None, help="write a JSON artifact here")
     p.add_argument("--cache-dir", default=None,
                    help="keep the signed table in this directory and reuse it "

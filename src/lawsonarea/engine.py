@@ -74,7 +74,9 @@ from __future__ import annotations
 import math
 
 from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy, round_map, to_mpf
-from .omega import SignedTable, cached_table, is_pi_over_4, parse_phi, punctures_fixed
+# cached_table is not called here; perfbench/selftest.py reads engine.cached_table
+from .omega import (SignedTable, build_signed_table, cached_table,  # noqa: F401
+                    is_pi_over_4, parse_phi, punctures_fixed)
 from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
@@ -270,9 +272,10 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     if table.cfg.working_digits != cfg.working_digits:
         raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
                          f"the recursion runs at {cfg.working_digits}")
-    if table.endpoint != "1" or parse_phi(table.phi_label, cfg) != parse_phi(state.phi_label, cfg):
-        raise ValueError(f"the table runs to z = {table.endpoint} at phi = {table.phi_label}; "
-                         f"the recursion reads z = 1 at phi = {state.phi_label}")
+    if (table.ends != ((0, 0), (1 << cfg.pole_bits, 0))
+            or parse_phi(table.phi_label, cfg) != parse_phi(state.phi_label, cfg)):
+        raise ValueError(f"the table is of another path than [0, 1] or of phi = "
+                         f"{table.phi_label}; the recursion reads z = 1 at phi = {state.phi_label}")
     if table.max_length < n + 1:
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
@@ -528,18 +531,17 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
 
 
 def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
-        table: SignedTable | None = None, cache_dir=None) -> DerivativeState:
+        table: SignedTable | None = None) -> DerivativeState:
     """Run the recursion at phi = pi/4 up to the requested order.
 
     ``table`` is an ``omega.SignedTable`` of depth at least ``order + 1``;
-    by default ``omega.cached_table`` builds it in process, or, given a
-    ``cache_dir``, loads it from there or builds and stores it there.
+    by default ``omega.build_signed_table`` builds it in process.
     """
     cfg = cfg or PrecisionConfig()
     if order < 1:
         raise ValueError("order must be >= 1")
     if table is None:
-        table = cached_table("1", phi, order + 1, cfg, cache_dir)
+        table = build_signed_table("1", phi, order + 1, cfg)
     state = central_state(cfg, phi)
     state.frames.append(frame_derivative(0, state, table))
     while state.order < order:
@@ -665,9 +667,9 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
 
 
 def expand(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
-           table: SignedTable | None = None, cache_dir=None) -> ExpansionResult:
+           table: SignedTable | None = None) -> ExpansionResult:
     """Convenience: run the recursion and extract the area series."""
-    state = run(order, cfg, phi, table, cache_dir)
+    state = run(order, cfg, phi, table)
     return area_series(state)
 
 
@@ -731,7 +733,7 @@ def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
     cfg = cfg or PrecisionConfig()
     ctx = cfg.context
     if table is None:
-        table = cached_table("i", phi, 1, cfg)
+        table = build_signed_table("i", phi, 1, cfg)
     state = central_state(cfg, phi)
     residual = {}
     for i in (1, 2, 3):

@@ -34,8 +34,9 @@ is one list of Python integers at scale 2^P, P = ``cfg.fixed_bits``, and
 every value one integer, and each key's value is multiplied by the product
 of its letters' k_i once, at the end of the path (``_with_constants``).
 kappa_u, c and s come from the pole p1 of ``punctures_fixed`` at
-``cfg.pole_bits``.  A signed table keeps the values as (phase, integer); a
-word table converts each once to ``mpc``.
+``cfg.pole_bits``.  Both kinds of table keep the values as the transport
+leaves them, (phase, integer), and round one once to ``mpc`` when it is read
+(``OmegaTable.value``).
 
 * Segments.  On a segment with midpoint m and half-length h every series is
   expanded in v = (x - m)/h, so the segment is v in [-1, 1].
@@ -84,8 +85,9 @@ the parents' end values.  The nodes of size L need only that end value,
 so on the last layer each parent and letter costs one integer dot with
 W_i in place of a forward step, summed exactly and shifted once per node
 and segment.  The values stay real integers at scale 2^P from segment to
-segment, and take their constants at the end; no ``chen_compose`` is
-involved.
+segment, and take their constants at the end.  ``chen_compose`` glues
+tables of consecutive paths on the same integers, for the tests and the
+demos; the transport itself never calls it.
 
 * Word tables.  ``_word_child`` appends the letter with sign +, so each
   word has one parent, its prefix, and the driver runs Chen's
@@ -294,7 +296,7 @@ import math
 import os
 import re
 import tempfile
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, floordiv, mul, rshift, sub
 from pathlib import Path
 
@@ -447,26 +449,31 @@ def punctures(phi: Dyadic, cfg: PrecisionConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 class OmegaTable:
-    """Immutable word -> value map for one path, phi and precision."""
+    """Word integrals of one path, phi and precision, as the transport leaves them.
 
-    __slots__ = ("cfg", "phi_label", "start", "end", "max_length", "values")
+    ``values`` maps each key to (phase, x), i^phase x 2^-P at P =
+    ``cfg.fixed_bits``: every word of length <= ``max_length``, the empty word
+    holding 1.  ``ends`` are the path's start and end as exact (re, im)
+    integer pairs at ``cfg.pole_bits``.  ``value`` rounds one entry once to
+    ``mpc`` when it is read.
+    """
 
-    def __init__(self, cfg: PrecisionConfig, phi_label: str, start, end,
-                 max_length: int, values: dict):
-        ctx = cfg.context
+    __slots__ = ("cfg", "phi_label", "ends", "max_length", "values")
+
+    def __init__(self, cfg: PrecisionConfig, phi_label: str, ends, max_length: int,
+                 values: dict):
         self.cfg = cfg
         self.phi_label = canonical_phi(phi_label)
-        self.start = ctx.mpc(start)
-        self.end = ctx.mpc(end)
+        self.ends = tuple(ends)
         self.max_length = int(max_length)
         self.values = dict(values)
-        self.values[()] = ctx.mpc(1)
 
-    def value(self, word):
-        word = tuple(word)
-        if len(word) > self.max_length:
-            raise KeyError(f"word {word} exceeds table depth {self.max_length}")
-        return self.values[word]
+    def value(self, key):
+        """The entry of ``key`` as an ``mpc`` at the working precision, rounded
+        once; a ``KeyError`` for a key the table does not hold."""
+        phase, x = self.values[tuple(key)]
+        pair = (0, x) if phase else (x, 0)
+        return from_fixed_pair(*pair, self.cfg.fixed_bits, self.cfg.context)
 
     def words(self):
         return self.values.keys()
@@ -474,68 +481,54 @@ class OmegaTable:
     @classmethod
     def constant_path(cls, cfg: PrecisionConfig, phi_label: str, point,
                       max_length: int) -> "OmegaTable":
-        """Table of the constant path at ``point``: 1 on the empty word, else 0."""
-        zero = cfg.context.mpc(0)
-        values = {w: zero for w in _all_words(max_length) if w}
-        return cls(cfg, phi_label, point, point, max_length, values)
+        """Table of the constant path at ``point``, an (re, im) integer pair at
+        ``cfg.pole_bits``: 1 on the empty word, else 0."""
+        return cls(cfg, phi_label, (point, point), max_length,
+                   {w: (0, 0 if w else 1 << cfg.fixed_bits) for w in _all_words(max_length)})
 
 
-class SignedTable:
+class SignedTable(OmegaTable):
     """Signed sums of word integrals per letter multiset, for one path, phi and precision.
 
     sigma_c = sum over the words w with letter counts c of (-1)^inv(w) Omega(w),
     inv(w) the number of letter pairs of w out of order, for every c with
     1 <= |c| <= ``max_length``.  Keys are non-decreasing words: (1, 1, 3) holds
-    sigma_(2,0,1) and (i,) holds Omega(i).  ``values`` maps each key to
-    (phase, x), sigma_c = i^phase x 2^-P, as the transport leaves it, at
-    P = ``cfg.fixed_bits``.  ``engine.frame_lower`` reads nothing else of
-    the word integrals, and reads these integers as they are, at the scale
-    of its polynomials; ``value`` renders one as an ``mpc`` for the tests
-    and the oracles.
+    sigma_(2,0,1) and (i,) holds Omega(i); no key is empty.
+    ``engine.frame_lower`` reads nothing else of the word integrals, and
+    reads the integers of ``values`` as they are, at the scale of its
+    polynomials.
     """
 
-    __slots__ = ("cfg", "phi_label", "endpoint", "max_length", "values")
 
-    def __init__(self, cfg: PrecisionConfig, phi_label: str, endpoint: str,
-                 max_length: int, values: dict):
-        self.cfg = cfg
-        self.phi_label = canonical_phi(phi_label)
-        self.endpoint = endpoint
-        self.max_length = int(max_length)
-        self.values = dict(values)
-
-    def value(self, key):
-        """sigma of ``key`` as an ``mpc`` at the working precision, rounded once."""
-        key = tuple(key)
-        if len(key) > self.max_length:
-            raise KeyError(f"key {key} exceeds table depth {self.max_length}")
-        return _phase_value(*self.values[key], self.cfg.fixed_bits, self.cfg.context)
-
-
-def _all_words(max_length: int):
-    out = [()]
-    layer = [()]
-    for _ in range(max_length):
-        layer = [w + (letter,) for w in layer for letter in (1, 2, 3)]
-        out.extend(layer)
-    return out
+def _all_words(max_length: int) -> list:
+    """Every word of length 0..max_length, shortest first, each length in lexicographic order."""
+    return [w for n in range(max_length + 1) for w in product((1, 2, 3), repeat=n)]
 
 
 def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
-    """Table over the concatenated path: sum of prefix x suffix products."""
+    """Word table over the concatenated path: per word, the sum of its prefix x
+    suffix products, exact at 2^-2P and floored once to 2^-P.  The left path
+    must end on the right one's start, integer for integer, and each sum
+    must be real or imaginary."""
     cfg = left.cfg
     if cfg.working_digits != right.cfg.working_digits:
         raise ValueError("precision mismatch between composed tables")
     if left.phi_label != right.phi_label:
         raise ValueError("phi mismatch between composed tables")
-    if abs(left.end - right.start) > cfg.eps(2) * 100:
+    if left.ends[1] != right.ends[0]:
         raise ValueError("paths do not compose: left endpoint differs from right start")
     depth = min(left.max_length, right.max_length)
-    fdot, lv, rv = cfg.context.fdot, left.values, right.values
-    # fdot multiplies exactly and rounds once per word
-    values = {word: fdot([(lv[word[:k]], rv[word[k:]]) for k in range(len(word) + 1)])
-              for word in _all_words(depth)}
-    return OmegaTable(cfg, left.phi_label, left.start, right.end, depth, values)
+    lv, rv, bits = left.values, right.values, cfg.fixed_bits
+    values = {}
+    for word in _all_words(depth):
+        parts = [0, 0]      # the real and the imaginary part at 2^-2P
+        for k in range(len(word) + 1):
+            (p, x), (q, y) = lv[word[:k]], rv[word[k:]]
+            parts[(p + q) % 2] += -x * y if (p + q) > 1 else x * y
+        if parts[0] and parts[1]:
+            raise ValueError(f"the composed value of {word} is neither real nor imaginary")
+        values[word] = (1, parts[1] >> bits) if parts[1] else (0, parts[0] >> bits)
+    return OmegaTable(cfg, left.phi_label, (left.ends[0], right.ends[1]), depth, values)
 
 
 # ---------------------------------------------------------------------------
@@ -683,23 +676,6 @@ def _dot(s, w) -> int:
     return sum(map(mul, s, w))
 
 
-def _phase_value(phase: int, x: int, scale: int, ctx):
-    """The ``mpc`` i^phase x 2^-scale, rounded once."""
-    return from_fixed_pair(0, x, scale, ctx) if phase else from_fixed_pair(x, 0, scale, ctx)
-
-
-def _transport_table(cfg: PrecisionConfig, phi_label: str, poles, segments,
-                     max_length: int) -> OmegaTable:
-    """All word integrals along consecutive straight segments [z0, z1]
-    (integer pairs at ``cfg.pole_bits``), each rounded once to ``mpc``."""
-    ctx, bits = cfg.context, cfg.fixed_bits
-    values = {key: _phase_value(phase, x, bits, ctx) for key, (phase, x)
-              in _transport(cfg, poles, segments, max_length, _word_child).items()}
-    start, end = (from_fixed_pair(*z, cfg.pole_bits, ctx)
-                  for z in (segments[0][0], segments[-1][1]))
-    return OmegaTable(cfg, phi_label, start, end, max_length, values)
-
-
 def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
     """The poles and the segments [z0, z1] of the path from 0 to the endpoint,
     each point an exact (re, im) integer pair at ``cfg.pole_bits``."""
@@ -718,12 +694,20 @@ def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
     return poles, list(zip(ends[:-1], ends[1:]))
 
 
+def _path_ends(endpoint: str, bits: int) -> tuple:
+    """The ends of the path from 0 to ``endpoint``, ``"1"`` or ``"i"``, as
+    (re, im) integer pairs at scale 2^bits."""
+    return (0, 0), ((1 << bits, 0) if endpoint == "1" else (0, 1 << bits))
+
+
 def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
                 cfg: PrecisionConfig | None = None) -> OmegaTable:
     """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
     cfg = cfg or PrecisionConfig()
     poles, segments = _path(endpoint, phi, max_length, cfg)
-    return _transport_table(cfg, str(phi), poles, segments, max_length)
+    values = _transport(cfg, poles, segments, max_length, _word_child)
+    values[()] = 0, 1 << cfg.fixed_bits
+    return OmegaTable(cfg, str(phi), (segments[0][0], segments[-1][1]), max_length, values)
 
 
 def _word_child(key: Word, letter: int) -> tuple[Word, int]:
@@ -815,7 +799,7 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
     from 0 to the endpoint (``"1"`` or ``"i"``); see the module docstring."""
     cfg = cfg or PrecisionConfig()
     poles, segments = _path(endpoint, phi, depth, cfg)
-    return SignedTable(cfg, str(phi), endpoint, depth,
+    return SignedTable(cfg, str(phi), (segments[0][0], segments[-1][1]), depth,
                        _transport(cfg, poles, segments, depth, _multiset_child))
 
 
@@ -1139,9 +1123,10 @@ def save_table(table: SignedTable, cache_dir: Path) -> Path:
     for w, (phase, v) in sorted(table.values.items()):
         re, im = (0, v) if phase else (v, 0)
         values[format_word(w)] = {"re": format(re, "x"), "im": format(im, "x")}
+    endpoint = "i" if table.ends[1][1] else "1"
     payload = {
         "version": _CACHE_VERSION,
-        "endpoint": table.endpoint,
+        "endpoint": endpoint,
         "phi": table.phi_label,
         "digits": cfg.target_digits,
         "guard_digits": cfg.guard_digits,
@@ -1149,7 +1134,7 @@ def save_table(table: SignedTable, cache_dir: Path) -> Path:
         "sha256": _values_digest(values),
         "values": values,
     }
-    path = _cache_path(cache_dir, table.endpoint, table.phi_label, table.max_length, cfg)
+    path = _cache_path(cache_dir, endpoint, table.phi_label, table.max_length, cfg)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -1201,7 +1186,7 @@ def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
     if len(values) != math.comb(max_length + 3, 3) - 1 or not all(
             1 <= len(key) <= max_length and list(key) == sorted(key) for key in values):
         return None
-    return SignedTable(cfg, phi_label, endpoint, max_length, values)
+    return SignedTable(cfg, phi_label, _path_ends(endpoint, cfg.pole_bits), max_length, values)
 
 
 def cached_table(endpoint: str, phi: str, max_length: int,

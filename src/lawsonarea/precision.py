@@ -154,13 +154,14 @@ def guard_digits_for_order(order: int) -> int:
     The order recursion uses up more digits at each order, and its residual
     checks (``engine.EngineError``) compare against multiples of eps of the
     working precision, so a high order needs more guard digits, not looser
-    checks.  Measured at pi/4: order 8 passes every check with 10 guard
-    digits at 35, 40 and 45 target digits.  Order 9 fails the
-    (lambda^2 - 1) division check with 10 (constant remainder 2.33e-42 at
-    40 digits); with 11 it passes at 40 and 45 target digits but fails at
-    35 (remainder 1.66e-38), and with 12 it passes at all three.  Above
-    order 9 the rule extrapolates; the worst residual grew by about 1.2
-    digits per order through order 9.
+    checks.  The rule was set when order 9 failed the (lambda^2 - 1)
+    division check with 10 guard digits (constant remainder 2.33e-42 at 40
+    digits) and, with 11, at 35 target digits.  Measured again once the
+    recursion ran on one integer scale, order 9 at pi/4 passes every check
+    with 10, 11 and 12 guard digits at 35, 40 and 45 target digits, and
+    alpha_9 prints the same digits with all three.  The rule is kept until
+    the guard digits are derived from the recursion's measured digit loss;
+    above order 9 it extrapolates.
     """
     return 10 + 2 * max(0, order - 8)
 
@@ -389,36 +390,6 @@ def to_fixed_pair(z, bits: int) -> tuple[int, int]:
 def from_fixed_pair(re: int, im: int, scale: int, ctx):
     """The ``mpc`` (re + i im) 2^-scale of context ``ctx``, each part rounded once."""
     return ctx.mpc(ctx.mpf((re, -scale)), ctx.mpf((im, -scale)))
-
-
-_KNOWN_CONSTANTS = ("pi", "log2", "euler_log")
-
-
-def constant(name: str, cfg: PrecisionConfig, x=None):
-    """Named mathematical constant at working precision.
-
-    ``euler_log`` takes the positive argument ``x`` and returns log(x).
-    """
-    ctx = cfg.context
-    if name == "pi":
-        return +ctx.pi
-    if name == "log2":
-        return ctx.ln(ctx.mpf(2))
-    if name == "euler_log":
-        if x is None:
-            raise ValueError("euler_log requires an argument")
-        xv = ctx.mpf(x)
-        if xv <= 0:
-            raise ValueError(f"euler_log argument must be positive, got {x}")
-        return ctx.ln(xv)
-    raise ValueError(f"unknown constant {name!r}; expected one of {_KNOWN_CONSTANTS}")
-
-
-def zeta(n: int, cfg: PrecisionConfig):
-    """Riemann zeta at an integer n >= 2, at working precision."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"zeta requires an integer n >= 2, got {n!r}")
-    return cfg.context.zeta(n)
 
 
 def agreement_digits(x, y, cfg: PrecisionConfig) -> float:

@@ -293,6 +293,40 @@ def test_zero_or_malformed_denominator_is_one_error_line(capsys, argv, code, mes
     assert run_cli(capsys, *argv, "--precision", "20") == (code, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--order", "0"], "argument --order: expected an integer >= 1, got '0'"),
+    (["expand", "--order", "-2"], "argument --order: expected an integer >= 1, got '-2'"),
+    (["expand", "--order", "x"], "argument --order: invalid integer value: 'x'"),
+    (["expand", "--order", "2", "--precision", "5"],
+     "argument --precision: expected an integer >= 10, got '5'"),
+    (["omega", "--word", "1", "--precision", "9"],
+     "argument --precision: expected an integer >= 10, got '9'"),
+], ids=["order-0", "order-negative", "order-text", "expand-precision-5", "omega-precision-9"])
+def test_out_of_range_order_or_precision_is_a_usage_error(capsys, argv, message):
+    """The parser refuses them, exit 2, before any check can run (exit 1)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_word_table_imports_no_mpmath():
+    """A word table holds the transport's integers: building one at pi/4 in a
+    fresh interpreter loads no ``mpmath``, which only reading a value does."""
+    script = """
+import sys
+from lawsonarea import omega
+from lawsonarea.precision import PrecisionConfig
+table = omega.build_table("1", "pi/4", 3, PrecisionConfig(30))
+assert len(table.words()) == 40
+assert not [m for m in sys.modules if m.startswith("mpmath")], "mpmath was imported"
+table.value((2, 2, 3))
+assert "mpmath" in sys.modules
+"""
+    done = run_fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

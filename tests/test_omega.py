@@ -12,7 +12,7 @@ from lawsonarea import omega
 from lawsonarea.mpl import convert_word, li, mpl_spec
 from lawsonarea.engine import M_MATS, expand
 from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
-                              _cache_path, _transport_table, _values_digest,
+                              _cache_path, _values_digest,
                               build_signed_table, build_table, cached_table, canonical_phi,
                               chen_compose, gauss_legendre_rule, is_pi_over_4, load_table,
                               parse_phi, punctures, punctures_fixed, quadrature_oracle,
@@ -95,24 +95,34 @@ def test_build_table_validation():
         build_table("1", "pi/1", 2, CFG)
 
 
+def _segment_table(phi, z0, z1, depth):
+    """The word table of the one segment [z0, z1], (re, im) pairs at
+    ``CFG.pole_bits``, straight from the transport's integers."""
+    poles = punctures_fixed(parse_phi(phi, CFG), CFG)
+    values = omega._transport(CFG, poles, [(z0, z1)], depth, omega._word_child)
+    values[()] = 0, 1 << CFG.fixed_bits
+    return OmegaTable(CFG, phi, (z0, z1), depth, values)
+
+
 def test_chen_constant_path(table40_pi4_L4):
-    const = OmegaTable.constant_path(CFG, "pi/4", 1, 4)
+    const = OmegaTable.constant_path(CFG, "pi/4", table40_pi4_L4.ends[1], 4)
     composed = chen_compose(table40_pi4_L4, const)
+    assert composed.values == table40_pi4_L4.values
     for word in table40_pi4_L4.words():
         assert abs(composed.value(word) - table40_pi4_L4.value(word)) == 0
 
 
 def test_chen_split_matches_direct(tables):
-    points = punctures_fixed(parse_phi("pi/4", CFG), CFG)
+    """Three segments of [0, 1] glued on the integers match the direct table."""
     bits = CFG.pole_bits
     # 0, 1/2, 3/4 and 1 as points at 2^pole_bits
     cuts = [(0, 0), (1 << bits - 1, 0), (3 << bits - 2, 0), (1 << bits, 0)]
-    pieces = [_transport_table(CFG, "pi/4", points, [(a, b)], 2)
-              for a, b in zip(cuts[:-1], cuts[1:])]
+    pieces = [_segment_table("pi/4", a, b, 2) for a, b in zip(cuts[:-1], cuts[1:])]
     glued = pieces[0]
     for piece in pieces[1:]:
         glued = chen_compose(glued, piece)
     direct = tables.get("1", "pi/4", 2, CFG)
+    assert glued.ends == direct.ends and glued.words() == direct.words()
     for word in direct.words():
         assert abs(glued.value(word) - direct.value(word)) < CFG.eps(6), word
     # single letters compose additively
@@ -122,16 +132,49 @@ def test_chen_split_matches_direct(tables):
 
 
 def test_chen_compose_guards(table40_pi4_L4):
+    end = table40_pi4_L4.ends[1]
     other_cfg = PrecisionConfig(60)
     other = build_table("1", "pi/4", 1, other_cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="precision"):
         chen_compose(table40_pi4_L4, other)
-    mismatched = OmegaTable.constant_path(CFG, "0.3", 1, 4)
-    with pytest.raises(ValueError):
+    mismatched = OmegaTable.constant_path(CFG, "0.3", end, 4)
+    with pytest.raises(ValueError, match="phi"):
         chen_compose(table40_pi4_L4, mismatched)
-    wrong_anchor = OmegaTable.constant_path(CFG, "pi/4", CTX.mpc(0, 1), 4)
-    with pytest.raises(ValueError):
+    wrong_anchor = OmegaTable.constant_path(CFG, "pi/4", (0, 1 << CFG.pole_bits), 4)
+    with pytest.raises(ValueError, match="do not compose"):
         chen_compose(table40_pi4_L4, wrong_anchor)
+
+
+@pytest.mark.parametrize("offset", [(1, 0), (-1, 0), (0, 1)])
+def test_chen_compose_needs_equal_ends(table40_pi4_L4, offset):
+    """Path ends are exact integers at ``pole_bits``: a right piece that
+    starts one unit away from the left one's end is refused."""
+    (x, y), (dx, dy) = table40_pi4_L4.ends[1], offset
+    near = OmegaTable.constant_path(CFG, "pi/4", (x + dx, y + dy), 4)
+    with pytest.raises(ValueError, match="do not compose"):
+        chen_compose(table40_pi4_L4, near)
+
+
+def test_chen_compose_refuses_a_complex_sum():
+    """A word on a path that turns from the real to the imaginary axis is
+    neither real nor imaginary, which a (phase, x) entry cannot hold."""
+    eighth = 1 << CFG.pole_bits - 3
+    left = _segment_table("pi/4", (eighth, 0), (0, 0), 1)
+    right = _segment_table("pi/4", (0, 0), (0, eighth), 1)
+    with pytest.raises(ValueError, match="neither real nor imaginary"):
+        chen_compose(left, right)
+
+
+def test_word_and_signed_tables_share_their_letters(tables):
+    """The single letters of the word and the signed table of one path are
+    the same (phase, x) integers: one driver, one representation."""
+    for endpoint, phi in (("1", "pi/4"), ("i", "1.2")):
+        words = tables.get(endpoint, phi, 2, CFG)
+        signed = tables.signed(endpoint, phi, 2, CFG)
+        assert words.ends == signed.ends
+        for letter in (1, 2, 3):
+            assert words.values[(letter,)] == signed.values[(letter,)], (endpoint, letter)
+            assert type(words.values[(letter,)][1]) is int
 
 
 def test_quadrature_examples():
@@ -441,8 +484,7 @@ def test_precision_doubling_table():
 @functools.lru_cache(maxsize=None)
 def _half_segment(phi, depth):
     """The transport table of the segment [0, 1/2] at 40 digits."""
-    points = punctures_fixed(parse_phi(phi, CFG), CFG)
-    return _transport_table(CFG, phi, points, [((0, 0), (1 << CFG.pole_bits - 1, 0))], depth)
+    return _segment_table(phi, (0, 0), (1 << CFG.pole_bits - 1, 0), depth)
 
 
 def _single_word(word, phi, cfg):
@@ -494,11 +536,11 @@ def test_shuffle_of_short_and_long_words_on_one_segment():
 def _signed_sums(table):
     """sigma_c of a word table: (-1)^inv(w) Omega(w) summed per non-decreasing key."""
     sums = {}
-    for word, value in table.values.items():
+    for word in table.words():
         if word:
             key = tuple(sorted(word))
             inv = sum(a > b for a, b in itertools.combinations(word, 2))
-            sums[key] = sums.get(key, 0) + (-1) ** inv * value
+            sums[key] = sums.get(key, 0) + (-1) ** inv * table.value(word)
     return sums
 
 
@@ -522,12 +564,11 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
     the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
     depth = 6
     poles, segments = omega._path("1", "pi/4", depth, CFG)
-    plus = {key: omega._phase_value(phase, x, CFG.fixed_bits, CTX)
-            for key, (phase, x) in omega._transport(
-                CFG, poles, segments, depth,
-                lambda key, letter: (tuple(sorted(key + (letter,))), 1)).items()}
-    letters = [plus[(i,)] for i in (1, 2, 3)]
-    for key, value in plus.items():
+    plus = OmegaTable(CFG, "pi/4", omega._path_ends("1", CFG.pole_bits), depth, omega._transport(
+        CFG, poles, segments, depth, lambda key, letter: (tuple(sorted(key + (letter,))), 1)))
+    letters = [plus.value((i,)) for i in (1, 2, 3)]
+    for key in plus.words():
+        value = plus.value(key)
         counts = [key.count(i) for i in (1, 2, 3)]
         expected = math.prod(v ** c / math.factorial(c) for v, c in zip(letters, counts))
         assert abs(value - expected) < CFG.eps(2), key
@@ -666,8 +707,8 @@ def test_values_have_the_phase_of_their_letters(endpoint, phi):
     of a pair opposite residues."""
     signed = build_signed_table(endpoint, phi, 6, CFG)
     words = build_table(endpoint, phi, 5, CFG)
-    for key, value in itertools.chain(((key, signed.value(key)) for key in signed.values),
-                                      words.values.items()):
+    for key, value in ((key, table.value(key)) for table in (signed, words)
+                       for key in table.words()):
         flips = sum(letter in FLIPS[endpoint] for letter in key)
         assert (CTX.re(value) if flips % 2 else CTX.im(value)) == 0, key
         assert value != 0, key
@@ -803,13 +844,13 @@ def test_version5_cache_file_is_a_miss_and_rebuilt(tmp_path, signed40_pi4_L4):
 def test_corrupt_word_value_is_rebuilt(tmp_path):
     """A cached value that was tampered with is a miss, not an input."""
     cfg = PrecisionConfig(20)
-    expand(3, cfg, cache_dir=tmp_path)
+    expand(3, cfg, table=cached_table("1", "pi/4", 4, cfg, tmp_path))
     (path,) = tmp_path.glob("omega_*.json")
     payload = json.loads(path.read_text())
     good = payload["values"]["1,2,3"]
     payload["values"]["1,2,3"] = {"re": "5", "im": "0"}
     path.write_text(json.dumps(payload))
-    alpha3 = expand(3, cfg, cache_dir=tmp_path).alpha(3)
+    alpha3 = expand(3, cfg, table=cached_table("1", "pi/4", 4, cfg, tmp_path)).alpha(3)
     ctx = cfg.context
     assert abs(alpha3 - ctx.mpf(9) / 4 * ctx.zeta(3)) < ctx.mpf("1e-18")
     assert json.loads(path.read_text())["values"]["1,2,3"] == good

@@ -5,8 +5,7 @@ import mpmath
 import pytest
 
 from lawsonarea.precision import (Dyadic, PrecisionConfig, agreement_digits, cis_fixed,
-                                 constant, guard_digits_for_order, pi_fixed, to_decimal,
-                                 zeta)
+                                 guard_digits_for_order, pi_fixed, to_decimal)
 
 # 55 digits from the exact-rational alternating central-binomial series
 # (5/2) * sum (-1)^(k-1) / (k^3 C(2k,k)); tail below 10^-55 after 90 terms.
@@ -29,44 +28,8 @@ def test_zeta3_oracle_matches_frozen_digits():
 
 def test_zeta3_matches_oracle():
     cfg = PrecisionConfig(45)
-    v = zeta(3, cfg)
+    v = cfg.context.zeta(3)
     assert abs(v - cfg.context.mpf(ZETA3_FROZEN)) < cfg.eps(2)
-
-
-def test_constants():
-    cfg = PrecisionConfig(12)
-    ctx = cfg.context
-    assert mpmath.nstr(constant("pi", cfg), 12) == "3.14159265359"
-    assert abs(constant("log2", cfg) - ctx.ln(2)) == 0
-    assert constant("euler_log", cfg, 1) == 0
-    assert abs(constant("euler_log", cfg, 2) - constant("log2", cfg)) < cfg.eps(2)
-
-
-def test_constant_errors():
-    cfg = PrecisionConfig(20)
-    with pytest.raises(ValueError):
-        constant("tau", cfg)
-    with pytest.raises(ValueError):
-        constant("euler_log", cfg, -3)
-    with pytest.raises(ValueError):
-        constant("euler_log", cfg)
-
-
-def test_zeta_euler_identities():
-    cfg = PrecisionConfig(40)
-    ctx = cfg.context
-    pi = ctx.pi
-    assert abs(zeta(2, cfg) - pi ** 2 / 6) < cfg.eps(2)
-    assert abs(zeta(4, cfg) - pi ** 4 / 90) < cfg.eps(2)
-    assert abs(zeta(6, cfg) - pi ** 6 / 945) < cfg.eps(2)
-
-
-def test_zeta_domain():
-    cfg = PrecisionConfig(20)
-    with pytest.raises(ValueError):
-        zeta(1, cfg)
-    with pytest.raises(ValueError):
-        zeta(2.5, cfg)
 
 
 def test_config_validation():
@@ -100,10 +63,8 @@ def test_config_is_an_immutable_value():
 def test_precision_doubling_selfcheck(digits):
     lo = PrecisionConfig(digits)
     hi = PrecisionConfig(digits + 10)
-    for name in ("pi", "log2"):
-        assert agreement_digits(constant(name, lo), constant(name, hi), lo) \
-            >= digits - 2
-    assert agreement_digits(zeta(3, lo), zeta(3, hi), lo) >= digits - 2
+    for value in (lambda ctx: ctx.pi, lambda ctx: ctx.ln(2), lambda ctx: ctx.zeta(3)):
+        assert agreement_digits(value(lo.context), value(hi.context), lo) >= digits - 2
 
 
 def test_contexts_are_independent():
