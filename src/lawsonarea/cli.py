@@ -59,11 +59,10 @@ def _cmd_expand(args) -> int:
               "(the order recursion requires phi = pi/4)", file=sys.stderr)
         return 2
 
-    digits = cfg.target_digits
     if args.order == 1 and not is_pi4:
         first = engine.first_order_general_phi(phi, cfg)
         payload = {
-            "version": 1, "phi": phi, "precision": digits, "order": 1,
+            "version": 1, "phi": phi, "precision": cfg.target_digits, "order": 1,
             "first_order": {name: _nstr(getattr(first, name), cfg)
                             for name in first.FIELDS},
         }
@@ -80,12 +79,13 @@ def _cmd_expand(args) -> int:
         _write_artifact(args, payload)
         return 0
 
-    table = omega.cached_table("1", phi, args.order + 1, cfg, args.cache_dir or None)
-    state = engine.run(args.order, cfg, phi=phi, table=table)
+    # every spelling of pi/4 runs the recursion at the constant engine.PHI
+    table = omega.cached_table("1", engine.PHI, args.order + 1, cfg, args.cache_dir or None)
+    state = engine.run(args.order, cfg, table=table)
     result = engine.area_series(state)
     payload = result.to_jsonable()
     payload["derivatives"] = state.derivatives_jsonable()
-    state_note = f"Area = 8*pi*(1 - sum alpha_k t^k), t = 1/(2g+2), phi = {phi}"
+    state_note = f"Area = 8*pi*(1 - sum alpha_k t^k), t = 1/(2g+2), phi = {engine.PHI}"
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":

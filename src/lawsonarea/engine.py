@@ -2,7 +2,13 @@
 
 At the minimal angle (phi = pi/4, where the Sym rotation angle is constant)
 the four parameter functions a, b, c (Laurent coefficients of the residue
-matrix) and the scalar r admit a recursion in the expansion order n:
+matrix) and the scalar r admit a recursion in the expansion order n.  The
+recursion runs at that angle only, so pi/4 is a constant here (``PHI``), not
+an input: the state and the results carry no angle, and the one table check
+(``frame_lower``) asks ``omega.is_pi_over_4``, the package's single rule for
+pi/4, whether the table's angle equals it by value.  Only the order-1 closed
+forms (``first_order_general_phi``) and the q-check (``q_first_order_check``)
+take a phi.  The recursion, order by order:
 
 1. Assemble the lower-order part of the frame derivative P^(n+1) at z = 1
    from word integrals and Leibniz products of known derivatives.  The
@@ -45,7 +51,7 @@ coefficients, is a real ``laurent.LaurentPoly`` on fixed-point integers at
 scale 2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
 docstring.  So are the numbers the recursion reads: x_c, the signed
 table's own integers at the same scale ``cfg.fixed_bits``; the central
-values and cos(phi), sin(phi) from the pole e^(i phi) of
+values and cos(pi/4), sin(pi/4) from the pole e^(i pi/4) of
 ``omega.punctures_fixed``; and 1/(2 pi (n + 1)) and 2 pi (n + 1) from
 ``precision.pi_fixed``.  Every residual check compares integers exactly
 (``_exceeds``), the residuals are reported as exact ``Dyadic`` values, and
@@ -65,8 +71,9 @@ are projected away before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0));
 Taylor coefficients alpha_k (Area = 8 pi (1 - sum alpha_k t^k)) follow from
-the stored derivatives by one more Leibniz pass.  First-order data at
-general phi is available in closed form, no recursion needed.
+the stored derivatives by one more Leibniz pass.  At pi/4 the family is
+minimal, so the Willmore coefficients equal the alpha_k and the mean
+curvature vanishes identically.
 """
 
 from __future__ import annotations
@@ -78,6 +85,9 @@ from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy, round_map, 
 from .omega import (SignedTable, build_signed_table, cached_table,  # noqa: F401
                     is_pi_over_4, parse_phi, punctures_fixed)
 from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal
+
+# The angle of the order recursion.
+PHI = "pi/4"
 
 # Constant 2x2 matrices attached to the three forms (exact Gaussian integers).
 M_MATS = (
@@ -116,10 +126,10 @@ def _modulus(size_sq: int, cfg: PrecisionConfig) -> Dyadic:
     return Dyadic(math.isqrt(size_sq << 2 * extra), -cfg.fixed_bits - extra)
 
 
-def _unit(cfg: PrecisionConfig, phi: str, bits: int) -> tuple[int, int]:
-    """cos(phi) and sin(phi) at 2^bits, each rounded once from the pole
-    e^(i phi) that the transport reads."""
-    c, s = punctures_fixed(parse_phi(phi, cfg), cfg)[0]
+def _unit(cfg: PrecisionConfig, bits: int) -> tuple[int, int]:
+    """cos(pi/4) and sin(pi/4) at 2^bits, each rounded once from the pole
+    e^(i pi/4) that the transport reads."""
+    c, s = punctures_fixed(parse_phi(PHI, cfg), cfg)[0]
     return rescale(c, cfg.pole_bits, bits), rescale(s, cfg.pole_bits, bits)
 
 
@@ -152,13 +162,11 @@ class DerivativeState:
     {degree: int} maps at scale 2^P.
     """
 
-    __slots__ = ("cfg", "phi_label", "order", "a", "b", "c", "r", "frames",
-                 "diagnostics", "_ys", "_products")
+    __slots__ = ("cfg", "order", "a", "b", "c", "r", "frames", "diagnostics", "_ys", "_products")
 
-    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int, a: list,
-                 b: list, c: list, r: list, frames: list):
+    def __init__(self, *, cfg: PrecisionConfig, order: int, a: list, b: list, c: list,
+                 r: list, frames: list):
         self.cfg = cfg
-        self.phi_label = phi_label
         self.order = order
         self.a, self.b, self.c, self.r = a, b, c, r
         self.frames = frames
@@ -201,14 +209,15 @@ class DerivativeState:
         return out
 
 
-def central_state(cfg: PrecisionConfig, phi: str = "pi/4") -> DerivativeState:
-    """The order-0 state: a = (1/lambda - lambda)/2, b and c = -(sin phi,
-    cos phi)(1/lambda + lambda)/2, r = 1, each coefficient rounded once to 2^P."""
+def central_state(cfg: PrecisionConfig) -> DerivativeState:
+    """The order-0 state at pi/4: a = (1/lambda - lambda)/2, b and c =
+    -(sin phi, cos phi)(1/lambda + lambda)/2, r = 1, each coefficient
+    rounded once to 2^P."""
     bits = cfg.fixed_bits
     half = 1 << (bits - 1)
-    c_half, b_half = (-x for x in _unit(cfg, phi, bits - 1))     # at 2^(P-1): halved
+    c_half, b_half = (-x for x in _unit(cfg, bits - 1))     # at 2^(P-1): halved
     return DerivativeState(
-        cfg=cfg, phi_label=str(phi).strip(), order=0,
+        cfg=cfg, order=0,
         a=[LaurentPoly(cfg, re={-1: half, 1: -half})],
         b=[LaurentPoly(cfg, re={-1: b_half, 1: b_half})],
         c=[LaurentPoly(cfg, re={-1: c_half, 1: c_half})],
@@ -245,13 +254,13 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     is read as it is stored, each Leibniz sum is exact at 2^-2P and rounded
     once (``laurent.round_map``), and x_c of sigma_c = i^p x_c is the
     table's integer as it is: the table must share the state's working
-    precision, and with it the scale 2^P, and run to z = 1 at the state's
-    phi, and sigma_c's phase p must be (c1 + c3) mod 2.  sigma_c M^(c) =
-    x_c T_c with T_c real (module docstring), so the products x_c times a
-    derivative are summed exactly at 2^-2P into one {degree: int} map per
-    matrix T_c; each matrix entry adds those times its entry of T_c,
-    0 or +-1, and each coefficient is rounded once.  The budget of these
-    roundings is in ``laurent``'s docstring.
+    precision, and with it the scale 2^P, and run to z = 1 at pi/4
+    (``omega.is_pi_over_4``), and sigma_c's phase p must be (c1 + c3) mod
+    2.  sigma_c M^(c) = x_c T_c with T_c real (module docstring), so the
+    products x_c times a derivative are summed exactly at 2^-2P into one
+    {degree: int} map per matrix T_c; each matrix entry adds those times its
+    entry of T_c, 0 or +-1, and each coefficient is rounded once.  The
+    budget of these roundings is in ``laurent``'s docstring.
 
     Carried products.  D^m of a multiset's product needs y^(k) for k <= m
     only, and a multiset of l letters contributes D^(n+1-l) and feeds its
@@ -272,10 +281,9 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     if table.cfg.working_digits != cfg.working_digits:
         raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
                          f"the recursion runs at {cfg.working_digits}")
-    if (table.ends != ((0, 0), (1 << cfg.pole_bits, 0))
-            or parse_phi(table.phi_label, cfg) != parse_phi(state.phi_label, cfg)):
+    if table.ends != ((0, 0), (1 << cfg.pole_bits, 0)) or not is_pi_over_4(table.phi_label, cfg):
         raise ValueError(f"the table is of another path than [0, 1] or of phi = "
-                         f"{table.phi_label}; the recursion reads z = 1 at phi = {state.phi_label}")
+                         f"{table.phi_label}; the recursion reads z = 1 at phi = {PHI}")
     if table.max_length < n + 1:
         raise ValueError(f"table depth {table.max_length} < required {n + 1}")
     if n == 0:
@@ -486,13 +494,10 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
 
 
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
-    """Extend the state by one order (phi = pi/4 only)."""
+    """Extend the state by one order."""
     cfg = state.cfg
     bits = cfg.fixed_bits
     n = state.order + 1
-    if not is_pi_over_4(state.phi_label, cfg):
-        raise ValueError("the order recursion requires phi = pi/4; general phi "
-                         "is limited to the first-order closed forms")
     f_low = frame_lower(n, state, table)
     p_low = p_derivative(n, state, f_low)
     c_n, diag_c = extract_c(n, p_low, cfg)
@@ -530,7 +535,7 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     return state
 
 
-def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
+def run(order: int, cfg: PrecisionConfig | None = None,
         table: SignedTable | None = None) -> DerivativeState:
     """Run the recursion at phi = pi/4 up to the requested order.
 
@@ -541,8 +546,8 @@ def run(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
     if order < 1:
         raise ValueError("order must be >= 1")
     if table is None:
-        table = build_signed_table("1", phi, order + 1, cfg)
-    state = central_state(cfg, phi)
+        table = build_signed_table("1", PHI, order + 1, cfg)
+    state = central_state(cfg)
     state.frames.append(frame_derivative(0, state, table))
     while state.order < order:
         advance(state, table)
@@ -557,19 +562,15 @@ class ExpansionResult:
     """Taylor data of the area and Willmore energy at t = 0.
 
     ``alpha_fixed`` holds the real alpha_k, k = 1..order, as integers at the
-    polynomials' scale 2^P; ``alphas`` renders them as ``mpf``, and so do
-    ``willmore`` (the Willmore coefficients, equal to the alphas at pi/4)
-    and ``mean_curvature`` (the H-series coefficients, zero at pi/4).  The
-    residuals are exact ``Dyadic`` values.
+    polynomials' scale 2^P; ``alphas`` and ``alpha`` render them as ``mpf``.
+    The residuals are exact ``Dyadic`` values.
     """
 
-    __slots__ = ("cfg", "phi_label", "order", "alpha_fixed", "even_alpha_residual",
-                 "diagnostics")
+    __slots__ = ("cfg", "order", "alpha_fixed", "even_alpha_residual", "diagnostics")
 
-    def __init__(self, *, cfg: PrecisionConfig, phi_label: str, order: int,
-                 alpha_fixed: list, even_alpha_residual: Dyadic, diagnostics: list):
+    def __init__(self, *, cfg: PrecisionConfig, order: int, alpha_fixed: list,
+                 even_alpha_residual: Dyadic, diagnostics: list):
         self.cfg = cfg
-        self.phi_label = phi_label
         self.order = order
         self.alpha_fixed = alpha_fixed
         self.even_alpha_residual = even_alpha_residual
@@ -579,17 +580,10 @@ class ExpansionResult:
     def alphas(self) -> list:
         return [to_mpf(a, self.cfg) for a in self.alpha_fixed]
 
-    @property
-    def willmore(self) -> list:
-        # the family is minimal at pi/4: Willmore = area
-        return self.alphas
-
-    @property
-    def mean_curvature(self) -> list:
-        # ... and H = 0 identically
-        return [self.cfg.context.mpf(0)] * self.order
-
     def alpha(self, k: int):
+        """alpha_k as an ``mpf``, k = 1..order."""
+        if not 1 <= k <= self.order:
+            raise ValueError(f"alpha_{k} is outside orders 1..{self.order}")
         return to_mpf(self.alpha_fixed[k - 1], self.cfg)
 
     def per_genus_coefficients(self) -> list:
@@ -616,13 +610,14 @@ class ExpansionResult:
         alpha_t = self.alpha_texts()
         return {
             "version": 1,
-            "phi": self.phi_label,
+            "phi": PHI,
             "precision": self.cfg.target_digits,
             "guard_digits": self.cfg.guard_digits,
             "order": self.order,
             "area_prefactor": "8*pi",
             "alpha_t": alpha_t,
             "alpha_per_genus": self.alpha_texts(per_genus=True),
+            # the family is minimal at pi/4: Willmore = area, and H = 0
             "willmore_t": list(alpha_t),
             "mean_curvature_t": [Dyadic(0).format(self.cfg.target_digits)] * self.order,
             "even_alpha_residual": self.even_alpha_residual.format(3),
@@ -635,16 +630,16 @@ class ExpansionResult:
 def area_series(state: DerivativeState, order: int | None = None) -> ExpansionResult:
     """alpha_1..alpha_N with Area = 8 pi (1 - sum alpha_k t^k).
 
-    Each alpha_k is summed exactly on the integers of r, b, c and cos(phi),
-    sin(phi) (rounded once from the pole e^(i phi)), and rounded once, by its
-    division by k!.
+    Each alpha_k is summed exactly on the integers of r, b, c and cos(pi/4),
+    sin(pi/4) (rounded once from the pole e^(i pi/4)), and rounded once, by
+    its division by k!.  ``order`` defaults to the state's.
     """
     cfg = state.cfg
-    order = order or state.order
-    if order > state.order:
-        raise ValueError(f"state complete to order {state.order} < {order}")
+    order = state.order if order is None else order
+    if not 1 <= order <= state.order:
+        raise ValueError(f"order {order} is outside the state's orders 1..{state.order}")
     bits = cfg.fixed_bits
-    cosp, sinp = _unit(cfg, state.phi_label, bits)
+    cosp, sinp = _unit(cfg, bits)
     alphas = []
     even_peak = 0
     for k in range(1, order + 1):
@@ -661,15 +656,15 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
             even_peak = max(even_peak, abs(value))
         alphas.append(value)
     return ExpansionResult(
-        cfg=cfg, phi_label=state.phi_label, order=order, alpha_fixed=alphas,
+        cfg=cfg, order=order, alpha_fixed=alphas,
         even_alpha_residual=Dyadic(even_peak, -bits),
         diagnostics=list(state.diagnostics))
 
 
-def expand(order: int, cfg: PrecisionConfig | None = None, phi: str = "pi/4",
+def expand(order: int, cfg: PrecisionConfig | None = None,
            table: SignedTable | None = None) -> ExpansionResult:
     """Convenience: run the recursion and extract the area series."""
-    state = run(order, cfg, phi, table)
+    state = run(order, cfg, table)
     return area_series(state)
 
 
@@ -689,12 +684,6 @@ class FirstOrderData:
         self.phi_label = phi_label
         for name in self.FIELDS:
             setattr(self, name, values[name])
-
-    def b_poly(self, cfg: PrecisionConfig) -> LaurentPoly:
-        return LaurentPoly(cfg, {0: self.b0, 2: self.b2})
-
-    def c_poly(self, cfg: PrecisionConfig) -> LaurentPoly:
-        return LaurentPoly(cfg, {0: self.c0, 2: self.c2})
 
 
 def first_order_general_phi(phi: str, cfg: PrecisionConfig | None = None) -> FirstOrderData:
@@ -725,22 +714,24 @@ def q_first_order_check(phi: str, cfg: PrecisionConfig | None = None,
     """Residual of q'(0) = 2 pi r b against the endpoint-i word integrals.
 
     The left side is assembled from the numeric table at z = i, the right
-    side from the central values; only the weight-1 integral at i enters.
-    On the path to i the sigma are complex, so the residual is summed in
-    ``mpc`` arithmetic, coefficient by coefficient: q'(0) = sum_i x_i Omega(i)
-    M_i, whose entries (1, 0) + (0, 1), times i, must equal 2 pi b.
+    side from the central values at phi, a = (1/lambda - lambda)/2 and b,
+    c = -(sin phi, cos phi)(1/lambda + lambda)/2, formed in ``mpf``; only the
+    weight-1 integral at i enters.  On the path to i the sigma are complex,
+    so the residual is summed in ``mpc`` arithmetic, coefficient by
+    coefficient: q'(0) = sum_i x_i Omega(i) M_i, whose entries (1, 0) +
+    (0, 1), times i, must equal 2 pi b.
     """
     cfg = cfg or PrecisionConfig()
     ctx = cfg.context
     if table is None:
         table = build_signed_table("i", phi, 1, cfg)
-    state = central_state(cfg, phi)
-    residual = {}
+    phiv = parse_phi(phi, cfg)
+    half, b_half, c_half = ctx.mpf(1) / 2, -ctx.sin(phiv) / 2, -ctx.cos(phiv) / 2
+    central = ({-1: half, 1: -half}, {-1: b_half, 1: b_half}, {-1: c_half, 1: c_half})
+    residual = {d: -2 * ctx.pi * v for d, v in central[1].items()}
     for i in (1, 2, 3):
         m = M_MATS[i - 1]
         weight = 1j * (m[1][0] + m[0][1]) * table.value((i,))
-        for d in state.x(i, 0).degrees():
-            residual[d] = residual.get(d, 0) + weight * state.x(i, 0).coefficient(d)
-    for d in state.x(2, 0).degrees():
-        residual[d] -= 2 * ctx.pi * state.x(2, 0).coefficient(d)
+        for d, v in central[i - 1].items():
+            residual[d] += weight * v
     return max(abs(v) for v in residual.values())

@@ -404,10 +404,15 @@ def canonical_phi(text) -> str:
 
 
 def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
-    """Whether the phi description (validated by ``parse_phi``) is pi/4, to eps(2)."""
-    bits = cfg.pole_bits + 2
-    gap = abs(parse_phi(text, cfg).to_fixed(bits) - pi_fixed(cfg.pole_bits))
-    return gap * cfg.eps_ratio(2) <= 1 << bits
+    """Whether the phi description (validated by ``parse_phi``) is pi/4: equal
+    by value to ``parse_phi("pi/4")``, both rounded to ``cfg.pole_bits``.
+
+    The package's one rule for pi/4, the angle of the order recursion: the
+    CLI picks the recursion with it, and ``engine.frame_lower`` checks its
+    table's angle with it.  "2*pi/8", " pi / 4 " and a decimal of pi/4 with
+    enough digits all pass; a decimal that rounds to another value does not.
+    """
+    return parse_phi(text, cfg) == parse_phi("pi/4", cfg)
 
 
 def phi_slug(text: str) -> str:
@@ -509,7 +514,11 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
     """Word table over the concatenated path: per word, the sum of its prefix x
     suffix products, exact at 2^-2P and floored once to 2^-P.  The left path
     must end on the right one's start, integer for integer, and each sum
-    must be real or imaginary."""
+    must be real or imaginary.  Only word tables compose: a signed sum does
+    not split into prefix and suffix sums, and a ``SignedTable`` raises
+    ``TypeError``."""
+    if isinstance(left, SignedTable) or isinstance(right, SignedTable):
+        raise TypeError("chen_compose composes word tables, not signed tables")
     cfg = left.cfg
     if cfg.working_digits != right.cfg.working_digits:
         raise ValueError("precision mismatch between composed tables")
@@ -535,8 +544,15 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
 # transport along one segment
 # ---------------------------------------------------------------------------
 
-def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
-    """Greedy subdivision of [0, end]: half-length <= ratio * midpoint pole gap.
+# A segment's half-length over the gap from its midpoint to the nearest pole:
+# every pole lies at least three half-lengths away, so the series in v of
+# ``_segment_kernel`` converge like 3^-j, which ``_series_terms`` assumes.
+_SEGMENT_RATIO = 1.0 / 3.0
+
+
+def _segment_split(end, poles) -> list[float]:
+    """Greedy subdivision of [0, end]: half-length <= ``_SEGMENT_RATIO`` times
+    the midpoint's pole gap.
 
     Each inner cut is rounded down to a multiple of 2^-k, a power of two
     between 2^-8 and 2^-7 times its segment's half-length, so that a
@@ -552,11 +568,11 @@ def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
     cuts = [0.0]
     while cuts[-1] < 1.0:
         s = cuts[-1]
-        h = gap(s) * ratio
+        h = gap(s) * _SEGMENT_RATIO
         for _ in range(8):
-            h = gap(min(s + h, 1.0)) * ratio
+            h = gap(min(s + h, 1.0)) * _SEGMENT_RATIO
         h *= 0.98
-        while h > 1e-6 and h > gap(s + h) * ratio:
+        while h > 1e-6 and h > gap(s + h) * _SEGMENT_RATIO:
             h *= 0.9
         s_next = s + 2 * h
         cuts.append(1.0 if s_next >= 1.0 - 1e-12 else
@@ -564,8 +580,8 @@ def _segment_split(end, poles, ratio: float = 1.0 / 3.0) -> list[float]:
     return cuts
 
 
-def _series_terms(cfg: PrecisionConfig, ratio: float = 1.0 / 3.0) -> int:
-    return int((cfg.working_digits + 8) * math.log(10) / -math.log(ratio)) + 12
+def _series_terms(cfg: PrecisionConfig) -> int:
+    return int((cfg.working_digits + 8) * math.log(10) / -math.log(_SEGMENT_RATIO)) + 12
 
 
 def _segment_kernel(cfg: PrecisionConfig, poles, z0, z1) -> tuple:

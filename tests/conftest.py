@@ -18,6 +18,13 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(scope="session")
+def pi_over_4_80():
+    """pi/4 as an 80-digit decimal: a spelling of pi/4 by value only."""
+    return ("0.78539816339744830961566084581987572104929234984377"
+            "645524373614807695410157155225")
+
+
+@pytest.fixture(scope="session")
 def cfg40():
     return PrecisionConfig(40)
 

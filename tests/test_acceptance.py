@@ -133,15 +133,19 @@ def test_criterion_8_first_order_suite(cfg40, state40_o6):
     ctx = cfg40.context
     tol = ctx.mpf("1e-30")
     first = first_order_general_phi("pi/4", cfg40)
-    worst = max((state40_o6.b[1] - first.b_poly(cfg40)).max_abs(),
-                (state40_o6.c[1] - first.c_poly(cfg40)).max_abs(),
-                state40_o6.a[1].max_abs(),
-                abs(state40_o6.r[1]))
+    # b^(1) and c^(1) against the closed forms, degree by degree, on the same degrees
+    closed = ((state40_o6.b[1], {0: first.b0, 2: first.b2}),
+              (state40_o6.c[1], {0: first.c0, 2: first.c2}))
+    degrees_ok = all(set(poly.degrees()) == set(forms) for poly, forms in closed)
+    worst = max([abs(poly.coefficient(d) - v) for poly, forms in closed
+                 for d, v in forms.items()]
+                + [state40_o6.a[1].max_abs(), abs(state40_o6.r[1])])
     slope_err = abs(first.willmore_slope + 8 * ctx.pi * ctx.ln(2))
     q1 = q_first_order_check("pi/4", cfg40)
     q2 = q_first_order_check("0.4", cfg40)
-    ok = worst < tol and slope_err < tol and q1 < tol and q2 < tol
-    _report(8, ok, f"first-order closed forms {mpmath.nstr(worst, 3)}, "
+    ok = degrees_ok and worst < tol and slope_err < tol and q1 < tol and q2 < tol
+    _report(8, ok, f"first-order closed forms {mpmath.nstr(worst, 3)} "
+                   f"(same degrees: {degrees_ok}), "
                    f"slope {mpmath.nstr(slope_err, 3)}, q-residuals "
                    f"{mpmath.nstr(q1, 3)} / {mpmath.nstr(q2, 3)}")
 

@@ -72,6 +72,19 @@ def test_expand_pi4_spelled_as_value(capsys, tmp_path):
                              "--precision", "20", "--cache-dir", str(tmp_path))
     assert code == 0, err
     assert "alpha_3 = 2.7046280321090871421" in out
+    assert out.startswith("Area = 8*pi*(1 - sum alpha_k t^k), t = 1/(2g+2), phi = pi/4\n")
+
+
+def test_expand_prints_the_same_bytes_for_every_spelling_of_pi4(capsys, pi_over_4_80):
+    """The recursion runs at the constant pi/4: any spelling that equals it
+    by value prints what --phi pi/4 prints, "phi": "pi/4" included."""
+    outputs = {}
+    for phi in ("pi/4", "2*pi/8", " pi / 4 ", pi_over_4_80):
+        code, outputs[phi], err = run_cli(capsys, "expand", "--order", "5", "--precision",
+                                          "40", "--format", "json", "--phi", phi)
+        assert code == 0, err
+    assert json.loads(outputs["pi/4"])["phi"] == "pi/4"
+    assert len(set(outputs.values())) == 1
 
 
 def test_omega_value_and_empty_word(capsys):

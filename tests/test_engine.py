@@ -19,7 +19,7 @@ ALPHA9 = "-459.5656763714886336332528952560965619955262720306898451994"
 
 
 def test_central_values_determinant():
-    state = central_state(CFG, "pi/4")
+    state = central_state(CFG)
     combo = (state.x(1, 0) * state.x(1, 0) - state.x(2, 0) * state.x(2, 0)
              - state.x(3, 0) * state.x(3, 0))
     expected = LaurentPoly(CFG, {0: -1})
@@ -27,9 +27,14 @@ def test_central_values_determinant():
 
 
 def test_first_order_matches_closed_forms(state40_o6):
+    """b^(1) and c^(1) of the recursion hold the closed forms' degrees 0 and 2
+    and no other, and match them degree by degree."""
     first = first_order_general_phi("pi/4", CFG)
-    assert (state40_o6.b[1] - first.b_poly(CFG)).max_abs() < CFG.eps(6)
-    assert (state40_o6.c[1] - first.c_poly(CFG)).max_abs() < CFG.eps(6)
+    for poly, closed in ((state40_o6.b[1], {0: first.b0, 2: first.b2}),
+                         (state40_o6.c[1], {0: first.c0, 2: first.c2})):
+        assert set(poly.degrees()) == set(closed)
+        for degree, value in closed.items():
+            assert abs(poly.coefficient(degree) - value) < CFG.eps(6), degree
     assert state40_o6.a[1].max_abs() < CFG.eps(6)           # sin(2 phi) log tan phi = 0
     assert state40_o6.r[1] == 0
 
@@ -56,7 +61,6 @@ def test_first_order_data_has_the_fields_the_cli_prints():
     assert first.FIELDS == names
     assert all(isinstance(getattr(first, name), CTX.mpf) for name in names)
     assert first.phi_label == "pi/6"
-    assert first.b_poly(CFG).coefficient(2) == first.b2
 
 
 def test_first_order_general_phi_signs():
@@ -107,8 +111,9 @@ def test_area_series_low_orders(state40_o6):
     assert abs(res.alpha(6)) < CFG.eps(6)
     assert res.even_alpha_residual < CFG.eps(6)
     # Willmore = area at the minimal angle, H-series identically zero
-    assert res.willmore == res.alphas
-    assert all(h == 0 for h in res.mean_curvature)
+    payload = res.to_jsonable()
+    assert payload["willmore_t"] == payload["alpha_t"]
+    assert set(payload["mean_curvature_t"]) == {"0.0"}
 
 
 def test_per_genus_rescaling(state40_o6):
@@ -131,13 +136,19 @@ def test_result_json_schema(state40_o6):
 def test_truncated_series_extraction(state40_o6):
     res = area_series(state40_o6, order=3)
     assert len(res.alphas) == 3
-    with pytest.raises(ValueError):
-        area_series(state40_o6, order=7)
+    for order in (7, 0, -1):
+        with pytest.raises(ValueError, match="outside the state's orders 1..6"):
+            area_series(state40_o6, order=order)
 
 
-def test_general_phi_rejected_beyond_first_order():
-    with pytest.raises(ValueError):
-        run(2, CFG, phi="0.5")
+def test_alpha_refuses_orders_outside_the_series(state40_o6):
+    """alpha(k) reads k = 1..order only: a k <= 0 must not index the list
+    from its end and return alpha_N or alpha_(N-1)."""
+    res = area_series(state40_o6, order=3)
+    assert res.alpha(3) == res.alphas[2]
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"alpha_{k} is outside orders 1..3"):
+            res.alpha(k)
 
 
 def test_frame_requires_complete_state(state40_o6, signed40_pi4_L7):
@@ -443,10 +454,18 @@ def test_engine_rejects_a_table_of_another_angle_or_endpoint(tables, endpoint, p
         run(5, CFG, table=tables.signed(endpoint, phi, 6, PrecisionConfig(digits)))
 
 
-def test_engine_compares_angles_by_value(signed40_pi4_L4):
-    """Spellings of pi/4 other than the table's name the same angle."""
-    assert signed40_pi4_L4.phi_label == "pi/4"
-    assert run(3, CFG, phi=" 2*pi / 8", table=signed40_pi4_L4).order == 3
+def test_engine_compares_angles_by_value(signed40_pi4_L4, pi_over_4_80):
+    """The recursion takes a table of any spelling of pi/4: one built at
+    " 2*pi / 8", and one labelled with an 80-digit decimal of pi/4, which
+    ``omega.is_pi_over_4`` reads as the same value."""
+    import copy
+    spelled = build_signed_table("1", " 2*pi / 8", 4, CFG)
+    assert spelled.values == signed40_pi4_L4.values
+    decimal = copy.copy(signed40_pi4_L4)
+    decimal.phi_label = pi_over_4_80
+    expected = area_series(run(3, CFG, table=signed40_pi4_L4)).alpha_fixed
+    for table in (spelled, decimal):
+        assert area_series(run(3, CFG, table=table)).alpha_fixed == expected
 
 
 def test_frame_lower_skips_zero_parts(monkeypatch, signed40_pi4_L7):

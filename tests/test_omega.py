@@ -131,8 +131,14 @@ def test_chen_split_matches_direct(tables):
         assert abs(total - direct.value((letter,))) < CFG.eps(6)
 
 
-def test_chen_compose_guards(table40_pi4_L4):
+def test_chen_compose_guards(table40_pi4_L4, tables):
     end = table40_pi4_L4.ends[1]
+    # a signed sum does not split into prefix and suffix sums: a signed table
+    # on either side is refused by its type
+    signed = tables.signed("1", "pi/4", 2, CFG)
+    for left, right in ((signed, table40_pi4_L4), (table40_pi4_L4, signed)):
+        with pytest.raises(TypeError, match="word tables"):
+            chen_compose(left, right)
     other_cfg = PrecisionConfig(60)
     other = build_table("1", "pi/4", 1, other_cfg)
     with pytest.raises(ValueError, match="precision"):
@@ -889,10 +895,13 @@ def test_cache_header_must_match_request(tmp_path, signed40_pi4_L4):
         assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, key
 
 
-def test_is_pi_over_4():
-    for label in ("pi/4", "1*pi/4", "2*pi/8", " pi / 4 "):
+def test_is_pi_over_4(pi_over_4_80):
+    """pi/4 is what rounds to parse_phi("pi/4") at ``pole_bits``, exactly:
+    a 55-digit decimal, 4e-56 off pi/4 and so below eps(2) at 40 digits, is
+    another angle."""
+    for label in ("pi/4", "1*pi/4", "2*pi/8", " pi / 4 ", pi_over_4_80):
         assert is_pi_over_4(label, CFG), label
-    for label in ("pi/6", "0.785398"):
+    for label in ("pi/6", "0.785398", pi_over_4_80[:57]):
         assert not is_pi_over_4(label, CFG), label
 
 
