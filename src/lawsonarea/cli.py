@@ -96,7 +96,6 @@ def _cmd_expand(args) -> int:
         print(state_note)
         for k, a in enumerate(result.alpha_texts(strip_zeros=False), 1):
             print(f"  alpha_{k} = {a}")
-        print(f"  even-order residual {result.even_alpha_residual.format(3)}")
         print("derivative polynomials (coefficient * lam^degree):")
         for row in payload["derivatives"]:
             k = row["order"]

@@ -23,7 +23,8 @@ take a phi.  The recursion, order by order:
 2. The reality condition p = star(p) on the trace coordinate
    p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
    Sym-point condition p(i) = 0 pins its constant term.
-3. b^(n) = (-1)^n c^(n) by the angle-reflection symmetry.
+3. b^(n) = (-1)^n c^(n) by the angle-reflection symmetry.  The state
+   stores c alone and reads b from it (``DerivativeState.x``).
 4. The normalization det(r A) = -1 gives lambda * K_lower = (lambda^2 - 1)
    a^(n) + 2 lambda r^(n): dividing by lambda^2 - 1 yields a^(n) as the
    quotient and r^(n) from the remainder.
@@ -40,18 +41,29 @@ a^(n) and c^(n), which are read off them by real operations.  The only
 complex number of the recursion is a value at the Sym point lambda = i
 (``LaurentPoly.at_i``), a pair of integers.  ``frame_lower`` checks each
 sigma_c's phase against (c1 + c3) mod 2 as it reads it, so a table of the
-wrong phase raises ``EngineError``.  (A trace of every polynomial built
-with a nonzero imaginary part, when ``LaurentPoly`` still held one, in runs
-to orders 9 and 13 at 40 digits and order 7 at 45, found them only in the
-sigma constant of the frame's head terms and its product, in the values at
-i and in ``extract_c``'s arithmetic on them.)
+wrong phase raises ``EngineError``.
+
+Why the even alpha_k vanish.  At pi/4, cos(phi) = sin(phi) = u, so the
+central b and c, -(sin phi, cos phi)(1/lambda + lambda)/2, are one
+polynomial: ``_unit`` rounds u once from the real part of the pole
+e^(i pi/4), and b0 = c0 holds by construction, not because two roundings
+agree.  With step 3, b^(m) = (-1)^m c^(m) at every m, that is b(t) = c(-t).
+r^(j) is set to exactly 0 at every odd j (``extract_a_r`` checks that it is
+dust first, ``r_odd_residual``), so r is even in t.  Hence y_2^(k) =
+sum_l C(k, l) r^(k-l) b^(l), in which only even k - l enter and (-1)^l =
+(-1)^k, is (-1)^k y_3^(k) as an exact sum at 2^-2P, and since
+``laurent.round_map`` is odd (round(-x) = -round(x)) the rounded integers
+agree too: y_2(t) = y_3(-t) exactly.  The area series sums, for alpha_k,
+C(k, j) r^(j) u (b^(k-j) - c^(k-j)) at degree 0 over j; at even k only even
+j enter, where b^(k-j) = c^(k-j), so every even alpha_k is exactly 0.  No
+runtime check of the mirror is made: it would test only this construction.
 
 Every polynomial of the recursion, from the frame sums to the area
 coefficients, is a real ``laurent.LaurentPoly`` on fixed-point integers at
 scale 2^P, and so is every r^(k); the rounding budget is in ``laurent``'s
 docstring.  So are the numbers the recursion reads: x_c, the signed
 table's own integers at the same scale ``cfg.fixed_bits``; the central
-values and cos(pi/4), sin(pi/4) from the pole e^(i pi/4) of
+values and cos(pi/4) = sin(pi/4) from the pole e^(i pi/4) of
 ``omega.punctures_fixed``; and 1/(2 pi (n + 1)) and 2 pi (n + 1) from
 ``precision.pi_fixed``.  Every residual check compares integers exactly
 (``_exceeds``), the residuals are reported as exact ``Dyadic`` values, and
@@ -69,11 +81,12 @@ dust and rejects anything else outside degrees 0..n+1.  The negative
 degrees of lambda * K_lower are dust up to eps(2) of max(its peak, 1) and
 are projected away before the division.
 
-The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0));
-Taylor coefficients alpha_k (Area = 8 pi (1 - sum alpha_k t^k)) follow from
-the stored derivatives by one more Leibniz pass.  At pi/4 the family is
-minimal, so the Willmore coefficients equal the alpha_k and the mean
-curvature vanishes identically.
+The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0)),
+b0 and c0 here the degree-0 coefficients; Taylor coefficients alpha_k
+(Area = 8 pi (1 - sum alpha_k t^k)) follow from the stored derivatives by
+one more Leibniz pass.  At pi/4 the family is minimal, so the Willmore
+coefficients equal the alpha_k and the mean curvature vanishes
+identically.
 """
 
 from __future__ import annotations
@@ -126,11 +139,11 @@ def _modulus(size_sq: int, cfg: PrecisionConfig) -> Dyadic:
     return Dyadic(math.isqrt(size_sq << 2 * extra), -cfg.fixed_bits - extra)
 
 
-def _unit(cfg: PrecisionConfig, bits: int) -> tuple[int, int]:
-    """cos(pi/4) and sin(pi/4) at 2^bits, each rounded once from the pole
-    e^(i pi/4) that the transport reads."""
-    c, s = punctures_fixed(parse_phi(PHI, cfg), cfg)[0]
-    return rescale(c, cfg.pole_bits, bits), rescale(s, cfg.pole_bits, bits)
+def _unit(cfg: PrecisionConfig, bits: int) -> int:
+    """cos(pi/4) = sin(pi/4) at 2^bits: the real part of the pole e^(i pi/4)
+    that the transport reads, rounded once.  One value serves both, so
+    b0 = c0 by construction (module docstring)."""
+    return rescale(punctures_fixed(parse_phi(PHI, cfg), cfg)[0][0], cfg.pole_bits, bits)
 
 
 def _mat_mul(m1, m2):
@@ -153,29 +166,33 @@ def _sigma_x(table: SignedTable, key, phase: int) -> int:
 class DerivativeState:
     """Derivatives of (a, b, c, r) and the frame, complete through ``order``.
 
-    ``frames[m]`` is P^(m) at z = 1, m = 0..order+1, and ``r[k]`` is r^(k) as
-    an integer at the polynomials' scale 2^P.  The two private maps are
-    built from solved orders only, so never stale: ``_ys`` maps (i, k) to
-    y_i^(k), and ``_products`` maps each letter multiset (a non-decreasing
-    word) to its real constant matrix T_c = i^p M_(w_1) ... M_(w_l) (module
-    docstring) and the list of t-derivatives of its product of y, as
-    {degree: int} maps at scale 2^P.
+    ``a[k]`` and ``c[k]`` are a^(k) and c^(k); b is not stored, since
+    b^(k) = (-1)^k c^(k) (``x``).  ``frames[m]`` is P^(m) at z = 1,
+    m = 0..order+1, and ``r[k]`` is r^(k) as an integer at the polynomials'
+    scale 2^P.  The two private maps are built from solved orders only, so
+    never stale: ``_ys`` maps (i, k) to y_i^(k), and ``_products`` maps each
+    letter multiset (a non-decreasing word) to its real constant matrix
+    T_c = i^p M_(w_1) ... M_(w_l) (module docstring) and the list of
+    t-derivatives of its product of y, as {degree: int} maps at scale 2^P.
     """
 
-    __slots__ = ("cfg", "order", "a", "b", "c", "r", "frames", "diagnostics", "_ys", "_products")
+    __slots__ = ("cfg", "order", "a", "c", "r", "frames", "diagnostics", "_ys", "_products")
 
-    def __init__(self, *, cfg: PrecisionConfig, order: int, a: list, b: list, c: list,
-                 r: list, frames: list):
+    def __init__(self, *, cfg: PrecisionConfig, order: int, a: list, c: list, r: list,
+                 frames: list):
         self.cfg = cfg
         self.order = order
-        self.a, self.b, self.c, self.r = a, b, c, r
+        self.a, self.c, self.r = a, c, r
         self.frames = frames
         self.diagnostics = []
         self._ys = {}
         self._products = {}
 
     def x(self, i: int, k: int) -> LaurentPoly:
-        return (self.a, self.b, self.c)[i - 1][k]
+        """x_i^(k) of (x_1, x_2, x_3) = (a, b, c), b^(k) read as (-1)^k c^(k)."""
+        if i == 1:
+            return self.a[k]
+        return -self.c[k] if i == 2 and k % 2 else self.c[k]
 
     def y(self, i: int, k: int, ells=None) -> LaurentPoly:
         """k-th derivative of r * x_i by the Leibniz rule over the stored
@@ -202,7 +219,7 @@ class DerivativeState:
             out.append({
                 "order": k,
                 "a": self.a[k].to_jsonable(digits),
-                "b": self.b[k].to_jsonable(digits),
+                "b": self.x(2, k).to_jsonable(digits),
                 "c": self.c[k].to_jsonable(digits),
                 "r": to_decimal(self.r[k], -bits, digits),
             })
@@ -210,16 +227,15 @@ class DerivativeState:
 
 
 def central_state(cfg: PrecisionConfig) -> DerivativeState:
-    """The order-0 state at pi/4: a = (1/lambda - lambda)/2, b and c =
-    -(sin phi, cos phi)(1/lambda + lambda)/2, r = 1, each coefficient
-    rounded once to 2^P."""
+    """The order-0 state at pi/4: a = (1/lambda - lambda)/2, c =
+    -cos(phi)(1/lambda + lambda)/2, and so b = -sin(phi)(1/lambda + lambda)/2
+    = c, r = 1, each coefficient rounded once to 2^P."""
     bits = cfg.fixed_bits
     half = 1 << (bits - 1)
-    c_half, b_half = (-x for x in _unit(cfg, bits - 1))     # at 2^(P-1): halved
+    c_half = -_unit(cfg, bits - 1)      # at 2^(P-1): halved
     return DerivativeState(
         cfg=cfg, order=0,
         a=[LaurentPoly(cfg, re={-1: half, 1: -half})],
-        b=[LaurentPoly(cfg, re={-1: b_half, 1: b_half})],
         c=[LaurentPoly(cfg, re={-1: c_half, 1: c_half})],
         r=[1 << bits], frames=[LaurentMatrix2.identity(cfg)])
 
@@ -442,13 +458,13 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
     return c_n, diag
 
 
-def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly,
-                b_n: LaurentPoly) -> tuple:
+def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
     """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
     cfg = state.cfg
     bits = cfg.fixed_bits
     one_sq = 1 << 2 * bits
     ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
+    b_n = -c_n if n % 2 else c_n        # step 3
     k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
     for k in range(1, n):
         rv = state.r[k]
@@ -501,10 +517,8 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     f_low = frame_lower(n, state, table)
     p_low = p_derivative(n, state, f_low)
     c_n, diag_c = extract_c(n, p_low, cfg)
-    b_n = c_n.scale((-1) ** n)
     state.c.append(c_n)
-    state.b.append(b_n)
-    a_n, r_n, diag_ar = extract_a_r(n, state, c_n, b_n)
+    a_n, r_n, diag_ar = extract_a_r(n, state, c_n)
     state.a.append(a_n)
     state.r.append(r_n)
     state.order = n
@@ -562,18 +576,18 @@ class ExpansionResult:
     """Taylor data of the area and Willmore energy at t = 0.
 
     ``alpha_fixed`` holds the real alpha_k, k = 1..order, as integers at the
-    polynomials' scale 2^P; ``alphas`` and ``alpha`` render them as ``mpf``.
-    The residuals are exact ``Dyadic`` values.
+    polynomials' scale 2^P, each even one exactly 0 (module docstring);
+    ``alphas`` and ``alpha`` render them as ``mpf``.  The residuals of
+    ``diagnostics`` are exact ``Dyadic`` values.
     """
 
-    __slots__ = ("cfg", "order", "alpha_fixed", "even_alpha_residual", "diagnostics")
+    __slots__ = ("cfg", "order", "alpha_fixed", "diagnostics")
 
     def __init__(self, *, cfg: PrecisionConfig, order: int, alpha_fixed: list,
-                 even_alpha_residual: Dyadic, diagnostics: list):
+                 diagnostics: list):
         self.cfg = cfg
         self.order = order
         self.alpha_fixed = alpha_fixed
-        self.even_alpha_residual = even_alpha_residual
         self.diagnostics = diagnostics
 
     @property
@@ -586,25 +600,28 @@ class ExpansionResult:
             raise ValueError(f"alpha_{k} is outside orders 1..{self.order}")
         return to_mpf(self.alpha_fixed[k - 1], self.cfg)
 
+    def _per_genus(self) -> list:
+        """alpha_k / 2^k, the coefficients in powers of 1/(g+1) = 2t, each
+        rounded once to the working bits."""
+        out = []
+        for k, a in enumerate(self.alpha_fixed, 1):
+            value = Dyadic(a, -self.cfg.fixed_bits).rounded(self.cfg.working_bits)
+            out.append(Dyadic(value.man, value.exp - k))
+        return out
+
     def per_genus_coefficients(self) -> list:
-        """Coefficients in powers of 1/(g+1) = 2t."""
+        """Coefficients in powers of 1/(g+1) = 2t, as ``mpf``: the values
+        that ``alpha_texts(per_genus=True)`` prints."""
         ctx = self.cfg.context
-        return [a / ctx.mpf(2) ** (k + 1) for k, a in enumerate(self.alphas)]
+        return [ctx.mpf(v) for v in self._per_genus()]
 
     def alpha_texts(self, per_genus: bool = False, strip_zeros: bool = True) -> list:
         """alpha_k (or its per-genus coefficient) at the target digits, as
         ``mpmath.nstr`` prints the ``mpf`` of ``alphas`` (of
-        ``per_genus_coefficients``, which the division rounds to the working
-        bits)."""
-        bits, digits = self.cfg.fixed_bits, self.cfg.target_digits
-        out = []
-        for k, a in enumerate(self.alpha_fixed, 1):
-            value = Dyadic(a, -bits)
-            if per_genus:
-                value = value.rounded(self.cfg.working_bits)
-                value = Dyadic(value.man, value.exp - k)
-            out.append(value.format(digits, strip_zeros))
-        return out
+        ``per_genus_coefficients``)."""
+        values = (self._per_genus() if per_genus
+                  else [Dyadic(a, -self.cfg.fixed_bits) for a in self.alpha_fixed])
+        return [v.format(self.cfg.target_digits, strip_zeros) for v in values]
 
     def to_jsonable(self) -> dict:
         alpha_t = self.alpha_texts()
@@ -620,7 +637,6 @@ class ExpansionResult:
             # the family is minimal at pi/4: Willmore = area, and H = 0
             "willmore_t": list(alpha_t),
             "mean_curvature_t": [Dyadic(0).format(self.cfg.target_digits)] * self.order,
-            "even_alpha_residual": self.even_alpha_residual.format(3),
             "order_diagnostics": [
                 {k: (v if isinstance(v, (int, str)) else v.format(3)) for k, v in d.items()}
                 for d in self.diagnostics],
@@ -630,35 +646,29 @@ class ExpansionResult:
 def area_series(state: DerivativeState, order: int | None = None) -> ExpansionResult:
     """alpha_1..alpha_N with Area = 8 pi (1 - sum alpha_k t^k).
 
-    Each alpha_k is summed exactly on the integers of r, b, c and cos(pi/4),
-    sin(pi/4) (rounded once from the pole e^(i pi/4)), and rounded once, by
-    its division by k!.  ``order`` defaults to the state's.
+    Each alpha_k is summed exactly on the integers of r, b, c and
+    u = cos(pi/4) = sin(pi/4) (rounded once from the pole e^(i pi/4)), and
+    rounded once, by its division by k!; an even one is exactly 0 (module
+    docstring).  ``order`` defaults to the state's.
     """
     cfg = state.cfg
     order = state.order if order is None else order
     if not 1 <= order <= state.order:
         raise ValueError(f"order {order} is outside the state's orders 1..{state.order}")
     bits = cfg.fixed_bits
-    cosp, sinp = _unit(cfg, bits)
+    u = _unit(cfg, bits)
     alphas = []
-    even_peak = 0
     for k in range(1, order + 1):
-        total = 0           # at scale 2^3P
+        total = 0           # at scale 2^2P, and u * total at 2^3P
         for j in range(k + 1):
             rv = state.r[j]
             if rv:
-                mixed = (cosp * state.b[k - j].re.get(0, 0)
-                         - sinp * state.c[k - j].re.get(0, 0))
+                mixed = state.x(2, k - j).re.get(0, 0) - state.x(3, k - j).re.get(0, 0)
                 total += math.comb(k, j) * rv * mixed
         unit = math.factorial(k) << (2 * bits)
-        value = (2 * total + unit) // (2 * unit)
-        if k % 2 == 0:
-            even_peak = max(even_peak, abs(value))
-        alphas.append(value)
-    return ExpansionResult(
-        cfg=cfg, order=order, alpha_fixed=alphas,
-        even_alpha_residual=Dyadic(even_peak, -bits),
-        diagnostics=list(state.diagnostics))
+        alphas.append((2 * u * total + unit) // (2 * unit))
+    return ExpansionResult(cfg=cfg, order=order, alpha_fixed=alphas,
+                           diagnostics=list(state.diagnostics))
 
 
 def expand(order: int, cfg: PrecisionConfig | None = None,

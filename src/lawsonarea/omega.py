@@ -512,17 +512,17 @@ def _all_words(max_length: int) -> list:
 
 def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
     """Word table over the concatenated path: per word, the sum of its prefix x
-    suffix products, exact at 2^-2P and floored once to 2^-P.  The left path
-    must end on the right one's start, integer for integer, and each sum
-    must be real or imaginary.  Only word tables compose: a signed sum does
-    not split into prefix and suffix sums, and a ``SignedTable`` raises
-    ``TypeError``."""
+    suffix products, exact at 2^-2P and floored once to 2^-P.  The two
+    angles must be equal by value (``parse_phi``), the left path must end on
+    the right one's start, integer for integer, and each sum must be real or
+    imaginary.  Only word tables compose: a signed sum does not split into
+    prefix and suffix sums, and a ``SignedTable`` raises ``TypeError``."""
     if isinstance(left, SignedTable) or isinstance(right, SignedTable):
         raise TypeError("chen_compose composes word tables, not signed tables")
     cfg = left.cfg
     if cfg.working_digits != right.cfg.working_digits:
         raise ValueError("precision mismatch between composed tables")
-    if left.phi_label != right.phi_label:
+    if parse_phi(left.phi_label, cfg) != parse_phi(right.phi_label, cfg):
         raise ValueError("phi mismatch between composed tables")
     if left.ends[1] != right.ends[0]:
         raise ValueError("paths do not compose: left endpoint differs from right start")

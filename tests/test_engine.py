@@ -30,7 +30,7 @@ def test_first_order_matches_closed_forms(state40_o6):
     """b^(1) and c^(1) of the recursion hold the closed forms' degrees 0 and 2
     and no other, and match them degree by degree."""
     first = first_order_general_phi("pi/4", CFG)
-    for poly, closed in ((state40_o6.b[1], {0: first.b0, 2: first.b2}),
+    for poly, closed in ((state40_o6.x(2, 1), {0: first.b0, 2: first.b2}),
                          (state40_o6.c[1], {0: first.c0, 2: first.c2})):
         assert set(poly.degrees()) == set(closed)
         for degree, value in closed.items():
@@ -77,17 +77,25 @@ def test_parity_and_symmetry_invariants(state40_o6):
     # structural zeros stay exact, with no rounding dust left in them
     assert state40_o6.a[1].is_zero and state40_o6.a[2].is_zero
     for n in range(1, state40_o6.order + 1):
-        for poly in (state40_o6.a[n], state40_o6.b[n], state40_o6.c[n]):
+        for poly in (state40_o6.a[n], state40_o6.c[n]):
             if poly.is_zero:
                 continue
             assert poly.min_degree() >= 0
             assert poly.max_degree() <= n + 1
             for deg in poly.re:
                 assert (deg + n) % 2 == 1, (n, deg)
-        # b = (-1)^n c and odd-order r vanish
-        assert (state40_o6.b[n] - state40_o6.c[n].scale((-1) ** n)).max_abs() == 0
+        # odd-order r vanish
         if n % 2 == 1:
             assert state40_o6.r[n] == 0
+    # b(t) = c(-t): b^(n) prints as c^(n), sign-flipped at odd n
+    rows = state40_o6.derivatives_jsonable()
+    assert [row["order"] for row in rows] == list(range(1, 7))
+    for row in rows:
+        c_terms = row["c"]
+        if row["order"] % 2:
+            c_terms = [dict(t, re=t["re"][1:] if t["re"].startswith("-") else "-" + t["re"])
+                       for t in c_terms]
+        assert row["c"] and row["b"] == c_terms, row["order"]
 
 
 def test_frame_degree_bounds(state40_o6):
@@ -109,7 +117,9 @@ def test_area_series_low_orders(state40_o6):
     assert abs(res.alpha(3) - CTX.mpf(9) / 4 * CTX.zeta(3)) < CFG.eps(6)
     assert abs(res.alpha(4)) < CFG.eps(6)
     assert abs(res.alpha(6)) < CFG.eps(6)
-    assert res.even_alpha_residual < CFG.eps(6)
+    # b(t) = c(-t), r even in t and cos = sin make every even alpha_k exactly 0
+    for k in range(2, res.order + 1, 2):
+        assert res.alpha_fixed[k - 1] == 0, k
     # Willmore = area at the minimal angle, H-series identically zero
     payload = res.to_jsonable()
     assert payload["willmore_t"] == payload["alpha_t"]
@@ -121,6 +131,8 @@ def test_per_genus_rescaling(state40_o6):
     per_g = res.per_genus_coefficients()
     assert abs(per_g[0] - res.alpha(1) / 2) == 0
     assert abs(per_g[2] - res.alpha(3) / 8) == 0
+    # one rounding: the values are the ones alpha_texts prints
+    assert [CTX.nstr(v, CFG.target_digits) for v in per_g] == res.alpha_texts(per_genus=True)
 
 
 def test_result_json_schema(state40_o6):
@@ -246,30 +258,41 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
     eps(2) of its peak (350 at order 4), and raise above that."""
     state = run(3, CFG, table=signed40_pi4_L7)
     c_n, _ = extract_c(4, p_derivative(4, state, frame_lower(4, state, signed40_pi4_L7)), CFG)
-    a_n, r_n, _ = extract_a_r(4, state, c_n, c_n)
+    a_n, r_n, _ = extract_a_r(4, state, c_n)
 
-    def with_extra(size):      # b^(4) plus size * lambda^-1 puts size/sqrt(2) on lambda^-1
-        return extract_a_r(4, state, c_n, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+    def with_extra(size):      # c^(4) plus size * lambda^-1, which b^(4) = c^(4) doubles,
+        # puts sqrt(2) size on lambda^-1
+        return extract_a_r(4, state, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
 
-    a_dust, r_dust, _ = with_extra("1e-50")
+    # 1.4e-47 lies above eps(2) = 1e-48 of the floor 1, below eps(2) of the peak
+    a_dust, r_dust, _ = with_extra("1e-47")
     assert (a_dust - a_n).is_zero and to_mpf(abs(r_dust - r_n), CFG) < CFG.eps(8)
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
 
 
 def test_negative_degrees_tolerance_floor_at_odd_order(signed40_pi4_L7):
-    """At order 3 lambda * K_lower's peak is rounding dust, so its negative
-    degrees are measured against max(peak, 1): dust up to eps(2) is projected
-    away, and anything above it raises."""
+    """At order 3 lambda * K_lower is exactly 0, so its negative degrees are
+    measured against max(peak, 1): dust up to eps(2) is projected away, and
+    anything above it raises.  b^(n) = -c^(n) cancels c^(n) there, and with
+    a^(1) = a^(2) = r^(1) = r^(2) = 0 only the stored y_2, y_3 of orders 1
+    and 2 enter: the perturbation goes on y_3^(2)."""
     state = run(2, CFG, table=signed40_pi4_L7)
     c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, signed40_pi4_L7)), CFG)
-    b_n = -c_n
-    a_n, r_n, _ = extract_a_r(3, state, c_n, b_n)
+    a_n, r_n, diag = extract_a_r(3, state, c_n)
+    assert diag["k_lower"].is_zero
+    y32 = state.solved_y(3, 2)
 
-    def with_extra(size):      # size on lambda^-1 of b^(3)
-        return extract_a_r(3, state, c_n, b_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+    def with_extra(size):      # size * lambda^-2 on y_3^(2) enters as -6 y_3^(1) times
+        # it: 2.9 size on lambda^-1
+        state._ys[3, 2] = y32 + LaurentPoly(CFG, {-2: CTX.mpf(size)})
+        try:
+            return extract_a_r(3, state, c_n)
+        finally:
+            state._ys[3, 2] = y32
 
-    a_dust, r_dust, _ = with_extra("1e-60")
+    a_dust, r_dust, diag = with_extra("1e-50")
+    assert not diag["k_lower"].is_zero
     assert (a_dust - a_n).is_zero and r_dust == r_n == 0
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
@@ -431,6 +454,8 @@ def test_alpha11_and_alpha13_match_reference():
     res = area_series(run(17, cfg, table=build_signed_table("1", "pi/4", 18, cfg)))
     texts = res.alpha_texts()
     assert texts[9] == texts[11] == texts[13] == texts[15] == "0.0"
+    for k in range(2, 18, 2):
+        assert res.alpha_fixed[k - 1] == 0, k
     assert texts[10] == "-260.9317297748582460588527568354450168419"
     assert texts[12] == "26311.75666632241667824049728000376568319"
     assert texts[14] == "219897.7526067197482348266274038050133502"
@@ -493,7 +518,7 @@ def test_order_recursion_runs_on_integers(monkeypatch, signed40_pi4_L7):
     assert products == []
     assert CTX.mpc(0, 1) * 2 == 2 * CTX.mpc(0, 1) and len(products) == 2   # counted
     monkeypatch.undo()
-    polys = state.a + state.b + state.c + [
+    polys = state.a + [state.x(2, k) for k in range(6)] + state.c + [
         frame[i, j] for frame in state.frames for i in range(2) for j in range(2)]
     assert state.order == 5 and len(polys) == 3 * 6 + 4 * 7
     assert all(type(v) is int for p in polys for v in p.re.values())

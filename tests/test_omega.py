@@ -151,6 +151,21 @@ def test_chen_compose_guards(table40_pi4_L4, tables):
         chen_compose(table40_pi4_L4, wrong_anchor)
 
 
+def test_chen_compose_compares_angles_by_value(tables, pi_over_4_80):
+    """A table at "pi/4" and one labelled with an 80-digit decimal of pi/4
+    are at one angle, as ``is_pi_over_4`` reads them: they compose either
+    way round, and the tables built at the two spellings hold equal values."""
+    spelled = tables.get("1", "pi/4", 2, CFG)
+    decimal = tables.get("1", pi_over_4_80, 2, CFG)
+    assert decimal.values == spelled.values
+    end = spelled.ends[1]
+    for table, other_label in ((spelled, pi_over_4_80), (decimal, "pi/4")):
+        const = OmegaTable.constant_path(CFG, other_label, end, 2)
+        composed = chen_compose(table, const)
+        assert composed.values == table.values
+        assert composed.phi_label == table.phi_label
+
+
 @pytest.mark.parametrize("offset", [(1, 0), (-1, 0), (0, 1)])
 def test_chen_compose_needs_equal_ends(table40_pi4_L4, offset):
     """Path ends are exact integers at ``pole_bits``: a right piece that
