@@ -33,6 +33,12 @@ def _nstr(value, cfg: PrecisionConfig) -> str:
     return cfg.context.nstr(value, cfg.target_digits, strip_zeros=False)
 
 
+def _usage_error(message) -> int:
+    """Print one error line and return the usage-error exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
     ctx = cfg.context
     v = ctx.mpc(value)
@@ -53,7 +59,10 @@ def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
 def _cmd_expand(args) -> int:
     cfg = PrecisionConfig(args.precision, guard_digits_for_order(args.order))
     phi = args.phi.strip()
-    is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi
+    try:
+        is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi
+    except ValueError as exc:
+        return _usage_error(exc)
     if args.order >= 2 and not is_pi4:
         print("error: general-phi engine limited to order 1 "
               "(the order recursion requires phi = pi/4)", file=sys.stderr)
@@ -124,13 +133,17 @@ def _write_artifact(args, payload) -> None:
 
 def _cmd_omega(args) -> int:
     cfg = _cfg(args)
-    word = parse_word(args.word)
+    try:
+        word = parse_word(args.word)
+        omega.parse_phi(args.phi, cfg)
+    except ValueError as exc:
+        return _usage_error(exc)
     if not word:
         _print_complex(1, cfg, args.format, "omega()")
         return 0
-    table = omega.build_table(args.endpoint, args.phi, len(word), cfg)
+    value = omega.entry_value(omega.word_entry(args.endpoint, args.phi, word, cfg), cfg)
     label = f"omega({format_word(word)})@{args.endpoint},phi={args.phi}"
-    _print_complex(table.value(word), cfg, args.format, label)
+    _print_complex(value, cfg, args.format, label)
     return 0
 
 
@@ -180,18 +193,15 @@ def _cmd_mpl(args) -> int:
     try:
         indices = [int(tok) for tok in args.indices.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: malformed index list {args.indices!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"malformed index list {args.indices!r}")
     tokens = [tok for tok in args.args.split(",") if tok.strip()]
     if len(tokens) != len(indices):
-        print("error: indices and args must have the same depth", file=sys.stderr)
-        return 2
+        return _usage_error("indices and args must have the same depth")
     try:
         zs = [_parse_mpl_arg(tok, ctx) for tok in tokens]
         value = mpl.li(mpl.mpl_spec(indices, zs, cfg), cfg)
     except (argparse.ArgumentTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     label = f"Li_{{{args.indices}}}({args.args})"
     _print_complex(value, cfg, args.format, label)
     return 0

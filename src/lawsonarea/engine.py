@@ -43,17 +43,43 @@ complex number of the recursion is a value at the Sym point lambda = i
 sigma_c's phase against (c1 + c3) mod 2 as it reads it, so a table of the
 wrong phase raises ``EngineError``.
 
-Why the even alpha_k vanish.  At pi/4, cos(phi) = sin(phi) = u, so the
-central b and c, -(sin phi, cos phi)(1/lambda + lambda)/2, are one
-polynomial: ``_unit`` rounds u once from the real part of the pole
-e^(i pi/4), and b0 = c0 holds by construction, not because two roundings
-agree.  With step 3, b^(m) = (-1)^m c^(m) at every m, that is b(t) = c(-t).
-r^(j) is set to exactly 0 at every odd j (``extract_a_r`` checks that it is
-dust first, ``r_odd_residual``), so r is even in t.  Hence y_2^(k) =
-sum_l C(k, l) r^(k-l) b^(l), in which only even k - l enter and (-1)^l =
-(-1)^k, is (-1)^k y_3^(k) as an exact sum at 2^-2P, and since
-``laurent.round_map`` is odd (round(-x) = -round(x)) the rounded integers
-agree too: y_2(t) = y_3(-t) exactly.  The area series sums, for alpha_k,
+The 2<->3 mirror.  At pi/4, cos(phi) = sin(phi) = u, so the central b and
+c, -(sin phi, cos phi)(1/lambda + lambda)/2, are one polynomial: ``_unit``
+rounds u once from the real part of the pole e^(i pi/4), and b0 = c0 holds
+by construction, not because two roundings agree.  With step 3, b^(m) =
+(-1)^m c^(m) at every m, that is b(t) = c(-t).  r^(j) is set to exactly 0 at
+every odd j (``extract_a_r`` checks that it is dust first,
+``r_odd_residual``), so r is even in t, and so is a: at odd n every term of
+K_lower holds an odd-order a, r or y_1 or cancels by the mirror, so K_lower
+and a^(n) are exactly 0.  Hence y_2^(k) = sum_l C(k, l) r^(k-l) b^(l), in
+which only even k - l enter and (-1)^l = (-1)^k, is (-1)^k y_3^(k) as an
+exact sum at 2^-2P, and since ``laurent.round_map`` is odd (round(-x) =
+-round(x)) the rounded integers agree too: y_2(t) = y_3(-t) exactly.  The
+state builds y_1 and y_3 alone and reads y_2 as the sign flip
+(``DerivativeState.y``), and ``extract_a_r`` and ``frame_derivative`` read
+letter 2 from letter 3.
+
+The products.  y_1 is even in t, so the product of y over a letter
+multiset c = (c1, c2, c3) and over its mirror m = (c1, c3, c2) are one
+function at t and -t: D^s of m's product is (-1)^s times c's.  The state
+keeps the products of the multisets with c2 <= c3 only, and
+``frame_lower`` adds x_c T_c D^s and (-1)^s x_m T_m D^s from one list.  A
+self-mirror multiset (c2 = c3) has a product even in t, so its odd
+derivatives are exactly 0; they are stored as empty maps and never
+computed.  Each kept multiset has one kept parent: drop a 3 if c2 < c3, a
+2 if c2 = c3 > 0, a 1 if it holds only 1s.  So its children are +3
+always, +2 iff c3 = c2 + 1 and +1 iff c2 = c3 = 0, and a letter-2 factor
+is read as the signed y_3.  The table stays whole: sigma has no such
+symmetry.
+
+T_c from the letter counts.  With Z = diag(1, -1), X = [[0, 1], [1, 0]]
+and J = [[0, 1], [-1, 0]], M_1 = i Z, M_2 = X and M_3 = i J, and Z^2 = X^2
+= 1, J^2 = -1.  So M^(c) = i^q (-1)^floor(c3/2) Z^(c1 mod 2) X^(c2 mod 2)
+J^(c3 mod 2), q = c1 + c3, and with p = q mod 2, i^(p + q) =
+(-1)^(floor(q/2) + p): T_c = (-1)^(floor(q/2) + q mod 2 + floor(c3/2))
+Z^(c1 mod 2) X^(c2 mod 2) J^(c3 mod 2) (``_t_matrix``).
+
+Why the even alpha_k vanish.  The area series sums, for alpha_k,
 C(k, j) r^(j) u (b^(k-j) - c^(k-j)) at degree 0 over j; at even k only even
 j enter, where b^(k-j) = c^(k-j), so every even alpha_k is exactly 0.  No
 runtime check of the mirror is made: it would test only this construction.
@@ -108,13 +134,14 @@ M_MATS = (
     ((0, 1), (1, 0)),
     ((0, 1j), (-1j, 0)),
 )
-# The real T_c = i^p M^(c) of the module docstring, step by step: appending
-# letter i to a multiset of phase p multiplies T by i^(p' - p) M_i, p' the
-# child's phase.  _T_STEPS[0] holds the single letters' T_(i).
-_T_STEPS = (
-    (((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (1, 0))),     # i M_1, M_2, i M_3
-    (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, 1), (-1, 0))),     # -i M_1, M_2, -i M_3
-)
+# Z^(c1 mod 2) X^(c2 mod 2) J^(c3 mod 2) by the parities of the letter counts
+# (module docstring): ZX = J, ZJ = X, XJ = -Z and ZXJ = -1.
+_PARITY_MATS = {
+    (0, 0, 0): ((1, 0), (0, 1)), (1, 0, 0): ((1, 0), (0, -1)),
+    (0, 1, 0): ((0, 1), (1, 0)), (0, 0, 1): ((0, 1), (-1, 0)),
+    (1, 1, 0): ((0, 1), (-1, 0)), (1, 0, 1): ((0, 1), (1, 0)),
+    (0, 1, 1): ((-1, 0), (0, 1)), (1, 1, 1): ((-1, 0), (0, -1)),
+}
 
 
 class EngineError(ArithmeticError):
@@ -146,11 +173,23 @@ def _unit(cfg: PrecisionConfig, bits: int) -> int:
     return rescale(punctures_fixed(parse_phi(PHI, cfg), cfg)[0][0], cfg.pole_bits, bits)
 
 
-def _mat_mul(m1, m2):
-    """Product of two constant 2x2 matrices."""
-    return tuple(
-        tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2))
-        for i in range(2))
+def _t_matrix(c1: int, c2: int, c3: int) -> tuple:
+    """The real T_c = i^p M^(c) of the letter counts c (module docstring)."""
+    q = c1 + c3
+    mat = _PARITY_MATS[c1 % 2, c2 % 2, c3 % 2]
+    if (q // 2 + q % 2 + c3 // 2) % 2:
+        return tuple(tuple(-v for v in row) for row in mat)
+    return mat
+
+
+def _word(c1: int, c2: int, c3: int) -> tuple:
+    """The non-decreasing word of the letter counts c: a table key."""
+    return (1,) * c1 + (2,) * c2 + (3,) * c3
+
+
+def _flip(poly: LaurentPoly, k: int) -> LaurentPoly:
+    """(-1)^k poly: a k-th t-derivative read through the 2<->3 mirror."""
+    return -poly if k % 2 else poly
 
 
 def _sigma_x(table: SignedTable, key, phase: int) -> int:
@@ -170,10 +209,11 @@ class DerivativeState:
     b^(k) = (-1)^k c^(k) (``x``).  ``frames[m]`` is P^(m) at z = 1,
     m = 0..order+1, and ``r[k]`` is r^(k) as an integer at the polynomials'
     scale 2^P.  The two private maps are built from solved orders only, so
-    never stale: ``_ys`` maps (i, k) to y_i^(k), and ``_products`` maps each
-    letter multiset (a non-decreasing word) to its real constant matrix
-    T_c = i^p M_(w_1) ... M_(w_l) (module docstring) and the list of
-    t-derivatives of its product of y, as {degree: int} maps at scale 2^P.
+    never stale: ``_ys`` maps (i, k) to y_i^(k) for i = 1, 3, and
+    ``_products`` maps each letter multiset with c2 <= c3 (a non-decreasing
+    word) to the list of t-derivatives of its product of y, as
+    {degree: int} maps at scale 2^P; a self-mirror multiset's odd ones are
+    empty (module docstring, "The products").
     """
 
     __slots__ = ("cfg", "order", "a", "c", "r", "frames", "diagnostics", "_ys", "_products")
@@ -192,12 +232,15 @@ class DerivativeState:
         """x_i^(k) of (x_1, x_2, x_3) = (a, b, c), b^(k) read as (-1)^k c^(k)."""
         if i == 1:
             return self.a[k]
-        return -self.c[k] if i == 2 and k % 2 else self.c[k]
+        return _flip(self.c[k], k) if i == 2 else self.c[k]
 
     def y(self, i: int, k: int, ells=None) -> LaurentPoly:
         """k-th derivative of r * x_i by the Leibniz rule over the stored
         lists: the terms C(k, ell) r^(k-ell) x_i^(ell) for ell in ``ells``,
-        all of 0..k by default."""
+        all of 0..k by default.  y_2^(k) is read as (-1)^k y_3^(k), which it
+        equals exactly (module docstring)."""
+        if i == 2:
+            return _flip(self.y(3, k, ells), k)
         total: dict = {}
         for ell in range(k + 1) if ells is None else ells:
             rv = self.r[k - ell]
@@ -206,7 +249,10 @@ class DerivativeState:
         return LaurentPoly(self.cfg, re=round_map(total, self.cfg.fixed_bits))
 
     def solved_y(self, i: int, k: int) -> LaurentPoly:
-        """y_i^(k) of a solved order k, built once per state."""
+        """y_i^(k) of a solved order k, built once per state for i = 1, 3;
+        y_2^(k) is read from y_3^(k)."""
+        if i == 2:
+            return _flip(self.solved_y(3, k), k)
         if (i, k) not in self._ys:
             self._ys[i, k] = self.y(i, k)
         return self._ys[i, k]
@@ -260,10 +306,11 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     letter pairs of w out of order.  So the words enter only through the
     signed sum sigma_c of their integrals per letter multiset c, which
     ``table`` (an ``omega.SignedTable``) holds under the non-decreasing word
-    of c.  The multisets are walked as the tree of non-decreasing words:
-    each multiset's ordered matrix product and product derivatives come
-    from those of its parent (the multiset without its last letter), and its
-    sigma_c is multiplied in once: 80 multisets at order 5, 282 at order 9.
+    of c.  Of each 2<->3 mirror pair (module docstring) only the multiset
+    with c2 <= c3 is walked, on the tree of its one kept parent: its product
+    derivatives come from the parent's, and its sigma_c and its mirror's are
+    multiplied in once each: 47 of the 80 multisets at order 5, 158 of the
+    282 at order 9.
 
     Fixed point.  a, b, c and r are real, so every derivative of a product
     is a real {degree: int} map at the polynomials' scale 2^P: each y_i^(k)
@@ -272,23 +319,24 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     table's integer as it is: the table must share the state's working
     precision, and with it the scale 2^P, and run to z = 1 at pi/4
     (``omega.is_pi_over_4``), and sigma_c's phase p must be (c1 + c3) mod
-    2.  sigma_c M^(c) = x_c T_c with T_c real (module docstring), so the
-    products x_c times a derivative are summed exactly at 2^-2P into one
-    {degree: int} map per matrix T_c; each matrix entry adds those times its
-    entry of T_c, 0 or +-1, and each coefficient is rounded once.  The
-    budget of these roundings is in ``laurent``'s docstring.
+    2.  sigma_c M^(c) = x_c T_c with T_c real, read off the letter counts
+    (``_t_matrix``), so the products x_c times a derivative are summed
+    exactly at 2^-2P into one {degree: int} map per matrix T_c; each matrix
+    entry adds those times its entry of T_c, 0 or +-1, and each coefficient
+    is rounded once.  The budget of these roundings is in ``laurent``'s
+    docstring.
 
     Carried products.  D^m of a multiset's product needs y^(k) for k <= m
     only, and a multiset of l letters contributes D^(n+1-l) and feeds its
     children up to D^(n-l), so at order n every derivative read is of a
-    solved order.  Each multiset's matrix T_c and list of maps live on
-    the state (``DerivativeState._products``): the matrix is multiplied out
-    once, when the multiset is first reached, and the list is extended only
-    by the orders it lacks, so order n builds one new derivative per
-    multiset of size <= n and the first one of the multisets of size n + 1.
-    Nothing there depends on the table.  A product of l letters at
-    derivative order m has support in [-l, m + l], so no rounding dust can
-    cross the degree bound that ``frame_derivative`` checks.
+    solved order.  Each kept multiset's list of maps lives on the state
+    (``DerivativeState._products``) and is extended only by the orders it
+    lacks, so order n builds one new derivative per kept multiset of size
+    <= n and the first one of those of size n + 1, the odd ones of a
+    self-mirror multiset excepted.  Nothing there depends on the table.  A
+    product of l letters at derivative order m has support in [-l, m + l],
+    so no rounding dust can cross the degree bound that
+    ``frame_derivative`` checks.
     """
     cfg = state.cfg
     if not isinstance(table, SignedTable):
@@ -309,47 +357,61 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     # matrix T_c -> {degree: int} of its coefficient at 2^-2P
     sums: dict = {}
 
-    def add(tmat, weight, key, phase, deriv) -> None:
-        x = _sigma_x(table, key, phase)
+    def add_one(c1, c2, c3, weight, deriv) -> None:
+        x = _sigma_x(table, _word(c1, c2, c3), (c1 + c3) % 2)
         if x:
-            axpy(sums.setdefault(tmat, {}), weight * x, deriv)
+            axpy(sums.setdefault(_t_matrix(c1, c2, c3), {}), weight * x, deriv)
 
-    # single letters: D^k of y_i is y_i^(k) itself
-    for i in (1, 2, 3):
-        tmat, have = products.setdefault((i,), (_T_STEPS[0][i - 1], []))
-        for k in range(len(have), n):
-            have.append(state.solved_y(i, k).re)
+    def add(c1, c2, c3, weight, deriv, s) -> None:
+        """weight x_c T_c D^s for the multiset c and, unless c2 = c3, for its
+        mirror (c1, c3, c2), whose D^s is (-1)^s times c's."""
+        add_one(c1, c2, c3, weight, deriv)
+        if c2 != c3:
+            add_one(c1, c3, c2, -weight if s % 2 else weight, deriv)
+
+    # single letters: D^k of y_i is y_i^(k) itself, and y_2 is read from y_3
+    ys = {}
+    for i in (1, 3):
+        ys[i] = products.setdefault((i,), [])
+        for k in range(len(ys[i]), n):
+            ys[i].append(state.solved_y(i, k).re)
         # single-letter cross terms (orders 1..n-1 of x against r)
         cross = state.y(i, n, range(1, n)).re
         if cross:
-            add(tmat, n + 1, (i,), int(i != 2), cross)
+            add(int(i == 1), 0, int(i == 3), n + 1, cross, n)
 
-    def descend(key, phase) -> None:
-        tmat, derivs = products[key]
-        size = len(key)
+    def descend(c1, c2, c3) -> None:
+        derivs = products[_word(c1, c2, c3)]
+        size = c1 + c2 + c3
         if size >= 2 and derivs[n + 1 - size]:
-            add(tmat, math.perm(n + 1, size), key, phase, derivs[n + 1 - size])
+            add(c1, c2, c3, math.perm(n + 1, size), derivs[n + 1 - size], n + 1 - size)
         # a multiset of size l >= 2 contributes derivative order n+1-l and
         # feeds its children orders up to n-l; single letters only feed.
         max_child = n - size
         if max_child < 0:
             return
-        for i in range(key[-1], 4):
-            child_key = key + (i,)
-            if child_key not in products:
-                products[child_key] = _mat_mul(tmat, _T_STEPS[phase][i - 1]), []
-            child = products[child_key][1]
-            ys = products[(i,)][1]
+        children = [(c1, c2, c3 + 1, 3)]
+        if c3 == c2 + 1:
+            children.append((c1, c2 + 1, c3, 2))
+        if c2 == c3 == 0:
+            children.append((c1 + 1, c2, c3, 1))
+        for d1, d2, d3, letter in children:
+            child = products.setdefault(_word(d1, d2, d3), [])
+            factor = ys[1 if letter == 1 else 3]
             for s in range(len(child), max_child + 1):
                 total: dict = {}
-                for j in range(s + 1):
-                    if derivs[j] and ys[s - j]:
-                        add_product(total, math.comb(s, j), derivs[j], ys[s - j])
+                if d2 != d3 or s % 2 == 0:      # a self-mirror product is even in t
+                    for j in range(s + 1):
+                        if derivs[j] and factor[s - j]:
+                            w = math.comb(s, j)
+                            # a letter-2 factor: y_2^(s-j) = (-1)^(s-j) y_3^(s-j)
+                            add_product(total, -w if letter == 2 and (s - j) % 2 else w,
+                                        derivs[j], factor[s - j])
                 child.append(round_map(total, bits))
-            descend(child_key, phase ^ (i != 2))
+            descend(d1, d2, d3)
 
-    for i in (1, 2, 3):
-        descend((i,), int(i != 2))
+    descend(1, 0, 0)
+    descend(0, 0, 1)
 
     entries = [[{}, {}], [{}, {}]]
     for tmat, total in sums.items():
@@ -374,7 +436,7 @@ def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
         if not head.is_zero:
             x = _sigma_x(table, (i,), int(i != 2))
             mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, x),
-                                          _T_STEPS[0][i - 1])
+                                          _t_matrix(int(i == 1), int(i == 2), int(i == 3)))
     if mat.max_abs_degree() > n + 1:
         raise EngineError(f"frame derivative order {n + 1} has degree "
                           f"{mat.max_abs_degree()} > {n + 1}")
@@ -463,21 +525,25 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
     cfg = state.cfg
     bits = cfg.fixed_bits
     one_sq = 1 << 2 * bits
-    ys = {(i, k): state.solved_y(i, k) for i in (1, 2, 3) for k in range(1, n)}
-    b_n = -c_n if n % 2 else c_n        # step 3
-    k_low = (state.x(2, 0) * b_n).scale(-2) + (state.x(3, 0) * c_n).scale(-2)
+    ys = {(i, k): state.solved_y(i, k) for i in (1, 3) for k in range(1, n)}
+    # letter 2 is letter 3 at -t (module docstring): at even n the b and y_2
+    # terms double the c and y_3 ones, at odd n they cancel them, and neither
+    # is formed
+    even = n % 2 == 0
+    c0 = state.c[0]
+    k_low = (c0 * c_n).scale(-4) if even else LaurentPoly(cfg)
     for k in range(1, n):
         rv = state.r[k]
         if rv:
-            combo = (state.x(1, 0) * state.x(1, n - k)
-                     - state.x(2, 0) * state.x(2, n - k)
-                     - state.x(3, 0) * state.x(3, n - k))
+            combo = state.a[0] * state.a[n - k]
+            if even:
+                combo = combo - (c0 * state.c[n - k]).scale(2)
             k_low = k_low + combo * _constant(cfg, 2 * math.comb(n, k) * rv)
     # the y products at k and n - k coincide, and so do their binomial weights
     for k in range(1, n // 2 + 1):
-        combo = (ys[1, k] * ys[1, n - k]
-                 - ys[2, k] * ys[2, n - k]
-                 - ys[3, k] * ys[3, n - k])
+        combo = ys[1, k] * ys[1, n - k]
+        if even:
+            combo = combo - (ys[3, k] * ys[3, n - k]).scale(2)
         k_low = k_low + combo.scale(math.comb(n, k) * (1 if 2 * k == n else 2))
     # lambda * K_lower is a polynomial: its negative degrees are rounding
     # dust, at most eps(2) of max(its largest coefficient, 1)
@@ -663,7 +729,8 @@ def area_series(state: DerivativeState, order: int | None = None) -> ExpansionRe
         for j in range(k + 1):
             rv = state.r[j]
             if rv:
-                mixed = state.x(2, k - j).re.get(0, 0) - state.x(3, k - j).re.get(0, 0)
+                # b^(m) - c^(m) = ((-1)^m - 1) c^(m)
+                mixed = -2 * state.c[k - j].re.get(0, 0) if (k - j) % 2 else 0
                 total += math.comb(k, j) * rv * mixed
         unit = math.factorial(k) << (2 * bits)
         alphas.append((2 * u * total + unit) // (2 * unit))

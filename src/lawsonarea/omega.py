@@ -92,7 +92,9 @@ demos; the transport itself never calls it.
 * Word tables.  ``_word_child`` appends the letter with sign +, so each
   word has one parent, its prefix, and the driver runs Chen's
   d Omega(w i) = Omega(w) f_i.  A depth-L table takes (3^(L-1) - 1)/2
-  forward steps and 3^L dots per segment.
+  forward steps and 3^L dots per segment.  One word alone (``word_entry``)
+  needs only its prefixes (``_prefix_child``): L - 1 forward steps and
+  one dot.
 * Signed tables.  With inv(w) the number of letter pairs of w out of
   order, sigma_c = sum over the words w with letter counts c of
   (-1)^inv(w) Omega(w).  Appending letter i to a word with counts c - e_i
@@ -476,9 +478,7 @@ class OmegaTable:
     def value(self, key):
         """The entry of ``key`` as an ``mpc`` at the working precision, rounded
         once; a ``KeyError`` for a key the table does not hold."""
-        phase, x = self.values[tuple(key)]
-        pair = (0, x) if phase else (x, 0)
-        return from_fixed_pair(*pair, self.cfg.fixed_bits, self.cfg.context)
+        return entry_value(self.values[tuple(key)], self.cfg)
 
     def words(self):
         return self.values.keys()
@@ -726,6 +726,34 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
     return OmegaTable(cfg, str(phi), (segments[0][0], segments[-1][1]), max_length, values)
 
 
+def word_entry(endpoint: str, phi: str, word, cfg: PrecisionConfig | None = None) -> tuple:
+    """The entry (phase, x) of one non-empty word, as
+    ``build_table(endpoint, phi, len(word), cfg)`` holds it: the transport
+    follows only the word's prefixes, L - 1 forward steps and one dot per
+    segment."""
+    cfg = cfg or PrecisionConfig()
+    word = tuple(word)
+    poles, segments = _path(endpoint, phi, len(word), cfg)
+    return _transport(cfg, poles, segments, len(word), _prefix_child(word))[word]
+
+
+def entry_value(entry: tuple, cfg: PrecisionConfig):
+    """A table entry (phase, x) as an ``mpc`` at the working precision,
+    rounded once."""
+    phase, x = entry
+    pair = (0, x) if phase else (x, 0)
+    return from_fixed_pair(*pair, cfg.fixed_bits, cfg.context)
+
+
+def _prefix_child(word: Word):
+    """A ``child`` of ``_transport`` that appends a letter, as ``_word_child``,
+    with sign + where that gives a prefix of ``word`` and else 0, no node."""
+    def child(key: Word, letter: int) -> tuple[Word, int]:
+        node = key + (letter,)
+        return node, int(word[:len(node)] == node)
+    return child
+
+
 def _word_child(key: Word, letter: int) -> tuple[Word, int]:
     """The word ``key`` with ``letter`` appended, with sign +."""
     return key + (letter,), 1
@@ -742,14 +770,15 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
     """The value at the end of the path of every node 1 <= |key| <= depth.
 
     ``child(key, letter)`` gives the node that ``letter`` leads to from
-    ``key`` and the sign +-1 it enters with: ``_word_child`` makes every
-    word a node, with one parent, and ``_multiset_child`` every letter
-    multiset, whose value is sigma.  Layer by layer over the nodes: a
-    node's series is the signed sum over its parents of the parent's letter
-    integral (``_forward_step``), plus the node's value at the segment
-    start, which the integrals leave in place at v = -1.  The nodes of size
-    ``depth`` need only that value at v = +1, which is linear in the
-    parent's series: one dot per parent and letter with the value
+    ``key`` and the sign +-1 it enters with, or 0 where it leads to no
+    node: ``_word_child`` makes every word a node, with one parent,
+    ``_prefix_child`` only the prefixes of one word, and ``_multiset_child``
+    every letter multiset, whose value is sigma.  Layer by layer over the
+    nodes: a node's series is the signed sum over its parents of the
+    parent's letter integral (``_forward_step``), plus the node's value at
+    the segment start, which the integrals leave in place at v = -1.  The
+    nodes of size ``depth`` need only that value at v = +1, which is linear
+    in the parent's series: one dot per parent and letter with the value
     functional W_i (``_value_functionals``).  The forms enter over their
     constants, so every series and value is one real integer list or
     integer at scale 2^P, from segment to segment; at the end of the path
@@ -769,6 +798,8 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
             for key, s in layer.items():
                 for letter, (c, e) in zip((1, 2, 3), _forward_step(s, kernel)):
                     node, sign = child(key, letter)
+                    if not sign:
+                        continue
                     # a node starts as the constant of its value at the segment start
                     s0 = start.get(node, 0)
                     a, a_end = children.get(node) or ([s0] + [0] * T, s0)
@@ -781,6 +812,8 @@ def _transport(cfg: PrecisionConfig, poles, segments, depth: int, child) -> dict
         for key, s in layer.items():
             for letter, w in zip((1, 2, 3), functionals):
                 node, sign = child(key, letter)
+                if not sign:
+                    continue
                 x = last.get(node, start.get(node, 0) << bits)
                 last[node] = x + _dot(s, w) if sign > 0 else x - _dot(s, w)
         end.update((node, x >> bits) for node, x in last.items())

@@ -106,8 +106,21 @@ def test_omega_endpoint_i(capsys):
 
 def test_omega_bad_word(capsys):
     code, _, err = run_cli(capsys, "omega", "--word", "2,7")
-    assert code == 1
+    assert code == 2
     assert "alphabet" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "--word", "1", "--phi", "2"], "phi = 2 must lie strictly between 0 and pi/2"),
+    (["omega", "--word", "", "--phi", "2"], "phi = 2 must lie strictly between 0 and pi/2"),
+    (["expand", "--order", "3", "--phi", "2"], "phi = 2 must lie strictly between 0 and pi/2"),
+    (["expand", "--order", "3", "--phi", "abc"],
+     "phi 'abc' is neither a decimal nor of the form n*pi/d"),
+], ids=["omega-2", "omega-empty-word-2", "expand-2", "expand-abc"])
+def test_bad_phi_is_a_usage_error(capsys, argv, message):
+    """A phi outside (0, pi/2) or not a phi at all is refused with exit 2,
+    which the CLI keeps for usage errors; 1 is a failed check."""
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_omega_has_no_cache_dir(capsys, tmp_path):
@@ -289,21 +302,22 @@ def test_module_entry_point_prints_alpha1(tmp_path):
     assert json.loads(done.stdout)["alpha_t"] == [mpmath.nstr(ctx.ln(2), 20)]
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (["expand", "--order", "2", "--phi", "pi/0"], 1, "phi 'pi/0' has a zero denominator"),
-    (["omega", "--word", "1", "--phi", "pi/0"], 1, "phi 'pi/0' has a zero denominator"),
-    (["mpl", "--indices", "1", "--args", "u:1/0"], 2,
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--order", "2", "--phi", "pi/0"], "phi 'pi/0' has a zero denominator"),
+    (["omega", "--word", "1", "--phi", "pi/0"], "phi 'pi/0' has a zero denominator"),
+    (["mpl", "--indices", "1", "--args", "u:1/0"],
      "polylogarithm argument 'u:1/0' has a zero denominator"),
-    (["expand", "--order", "2", "--phi", "pi/4/2"], 1,
+    (["expand", "--order", "2", "--phi", "pi/4/2"],
      "phi 'pi/4/2' is not of the form n*pi/d with integers n and d > 0"),
-    (["expand", "--order", "2", "--phi", "-pi/-6"], 1,
+    (["expand", "--order", "2", "--phi", "-pi/-6"],
      "phi '-pi/-6' is not of the form n*pi/d with integers n and d > 0"),
-    (["mpl", "--indices", "2", "--args", "u:1/2/3"], 2,
+    (["mpl", "--indices", "2", "--args", "u:1/2/3"],
      "polylogarithm argument 'u:1/2/3' is not of the form u:n/d with integers n and d > 0"),
 ], ids=["expand-zero", "omega-zero", "mpl-zero", "expand-two-slashes", "expand-signed-d",
         "mpl-two-slashes"])
-def test_zero_or_malformed_denominator_is_one_error_line(capsys, argv, code, message):
-    assert run_cli(capsys, *argv, "--precision", "20") == (code, "", f"error: {message}\n")
+def test_zero_or_malformed_denominator_is_one_error_line(capsys, argv, message):
+    """A usage error, exit 2, for phi as for a polylogarithm argument."""
+    assert run_cli(capsys, *argv, "--precision", "20") == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,9 +5,9 @@ import math
 import mpmath
 import pytest
 
-from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support,
-                               advance, area_series, central_state, extract_a_r, extract_c,
-                               first_order_general_phi, frame_derivative,
+from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support, _t_matrix,
+                               _word, advance, area_series, central_state, extract_a_r,
+                               extract_c, first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly, to_mpf
 from lawsonarea.omega import build_signed_table
@@ -274,22 +274,25 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
 def test_negative_degrees_tolerance_floor_at_odd_order(signed40_pi4_L7):
     """At order 3 lambda * K_lower is exactly 0, so its negative degrees are
     measured against max(peak, 1): dust up to eps(2) is projected away, and
-    anything above it raises.  b^(n) = -c^(n) cancels c^(n) there, and with
-    a^(1) = a^(2) = r^(1) = r^(2) = 0 only the stored y_2, y_3 of orders 1
-    and 2 enter: the perturbation goes on y_3^(2)."""
+    anything above it raises.  At odd n the b/c and 2/3 terms cancel by the
+    mirror and are not formed, and with a^(1) = a^(2) = r^(1) = r^(2) = 0
+    the one term formed is the product of y_1^(1) and y_1^(2), both 0: the
+    perturbation puts 1 on y_1^(2) and the dust on y_1^(1)."""
     state = run(2, CFG, table=signed40_pi4_L7)
     c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, signed40_pi4_L7)), CFG)
     a_n, r_n, diag = extract_a_r(3, state, c_n)
     assert diag["k_lower"].is_zero
-    y32 = state.solved_y(3, 2)
+    assert state.solved_y(1, 1).is_zero and state.solved_y(1, 2).is_zero
 
-    def with_extra(size):      # size * lambda^-2 on y_3^(2) enters as -6 y_3^(1) times
-        # it: 2.9 size on lambda^-1
-        state._ys[3, 2] = y32 + LaurentPoly(CFG, {-2: CTX.mpf(size)})
+    def with_extra(size):      # size * lambda^-2 on y_1^(1), times y_1^(2) = 1 and
+        # C(3, 1) twice, puts 6 size on lambda^-1
+        saved = dict(state._ys)
+        state._ys[1, 1] = LaurentPoly(CFG, {-2: CTX.mpf(size)})
+        state._ys[1, 2] = LaurentPoly(CFG, {0: 1})
         try:
             return extract_a_r(3, state, c_n)
         finally:
-            state._ys[3, 2] = y32
+            state._ys.update(saved)
 
     a_dust, r_dust, diag = with_extra("1e-50")
     assert not diag["k_lower"].is_zero
@@ -319,13 +322,14 @@ def test_m_mats_anticommute_to_sorted_order():
 
 
 def test_solved_y_is_built_once(monkeypatch, tables):
-    """An order-7 run builds each y_i^(k), k = 0..6, once: 21 full Leibniz sums."""
+    """An order-7 run builds each y_i^(k), i = 1, 3 and k = 0..6, once: 14
+    full Leibniz sums.  y_2 is read from y_3 and never summed."""
     full = []
     y = DerivativeState.y
     monkeypatch.setattr(DerivativeState, "y", lambda self, i, k, ells=None: (
         ells is None and full.append((i, k))) or y(self, i, k, ells))
     run(7, CFG, table=tables.signed("1", "pi/4", 8, CFG))
-    assert sorted(full) == [(i, k) for i in (1, 2, 3) for k in range(7)]
+    assert sorted(full) == [(i, k) for i in (1, 3) for k in range(7)]
 
 
 def test_carried_products_match_fresh(signed40_pi4_L7):
@@ -341,26 +345,49 @@ def test_carried_products_match_fresh(signed40_pi4_L7):
                 assert carried[i, j].re == fresh[i, j].re, (n, i, j)
 
 
-def test_matrix_products_are_built_once_per_multiset(monkeypatch, tables):
-    """Each letter multiset's constant matrix is multiplied out once per state,
-    when the multiset is first reached, not at every order: ``run(9)`` reaches
-    the C(13, 3) - 4 multisets of size 2..10 and makes one ``_mat_mul`` each.
-    The matrix kept is the real T_c = i^p M^(c), p = (c1 + c3) mod 2."""
+def test_t_matrix_from_letter_counts():
+    """The closed form of T_c = i^p M^(c), p = (c1 + c3) mod 2, from the letter
+    counts equals the product of the letters' matrices for every multiset
+    of size 1..10, both halves of each 2<->3 mirror pair, and is a real
+    integer matrix."""
+    def mat_mul(m1, m2):
+        return tuple(tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2))
+                     for i in range(2))
+
+    count = 0
+    for size in range(1, 11):
+        for key in itertools.combinations_with_replacement((1, 2, 3), size):
+            c1, c2, c3 = (key.count(i) for i in (1, 2, 3))
+            assert _word(c1, c2, c3) == key
+            phase = 1j ** ((c1 + c3) % 2)
+            m_c = functools.reduce(mat_mul, (M_MATS[i - 1] for i in key))
+            t_c = _t_matrix(c1, c2, c3)
+            assert t_c == tuple(tuple(phase * v for v in row) for row in m_c), key
+            assert all(type(v) is int for row in t_c for v in row), key
+            count += 1
+    assert count == math.comb(13, 3) - 1
+
+
+def test_products_kept_for_one_half_of_each_mirror_pair(monkeypatch, tables):
+    """``run(9)`` keeps the product derivatives of exactly the multisets with
+    c2 <= c3 of size 1..10 (160 of the 285), a self-mirror multiset's odd
+    derivatives are exactly empty, and the Leibniz products of the carried
+    lists take at most half the 2 439 calls that both halves took."""
     import lawsonarea.engine as engine
     cfg = PrecisionConfig(40, guard_digits_for_order(9))
     table = tables.signed("1", "pi/4", 10, cfg)
     calls = []
-    mat_mul = engine._mat_mul
-    monkeypatch.setattr(engine, "_mat_mul", lambda *args: calls.append(args) or mat_mul(*args))
+    add_product = engine.add_product
+    monkeypatch.setattr(engine, "add_product",
+                        lambda *args: calls.append(1) or add_product(*args))
     state = run(9, cfg, table=table)
-    multisets = [key for key in state._products if len(key) >= 2]
-    assert len(calls) == len(multisets) == math.comb(13, 3) - 4
-    for key in multisets:
-        phase = 1j ** (sum(i != 2 for i in key) % 2)
-        m_c = functools.reduce(mat_mul, (M_MATS[i - 1] for i in key))
-        assert state._products[key][0] == tuple(tuple(phase * v for v in row)
-                                                for row in m_c), key
-        assert all(type(v) is int for row in state._products[key][0] for v in row), key
+    kept = {_word(c1, c2, c3) for c1 in range(11) for c2 in range(11) for c3 in range(c2, 11)
+            if 1 <= c1 + c2 + c3 <= 10}
+    assert set(state._products) == kept and len(kept) == 160
+    for key, derivs in state._products.items():
+        if key.count(2) == key.count(3):
+            assert all(derivs[s] == {} for s in range(1, len(derivs), 2)), key
+    assert 0 < len(calls) <= 2439 // 2
 
 
 def test_expansion_values_match_reference(state40_o6):

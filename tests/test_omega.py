@@ -626,6 +626,24 @@ def test_one_driver_builds_both_tables(monkeypatch):
                           "_dot": segments * 3 * nodes(depth - 1)}, build
 
 
+@pytest.mark.parametrize("endpoint, phi", [("1", "pi/4"), ("i", "0.3")])
+def test_word_entry_follows_only_the_prefixes(monkeypatch, tables, endpoint, phi):
+    """One word's entry, transported along its prefixes alone, holds the
+    integers of the whole table of its length, for every word of length
+    <= 4; it takes L - 1 forward steps and one dot per segment."""
+    for length in range(1, 5):
+        table = tables.get(endpoint, phi, length, CFG)
+        for word in itertools.product((1, 2, 3), repeat=length):
+            assert omega.word_entry(endpoint, phi, word, CFG) == table.values[word], word
+    counts = collections.Counter()
+    for name in ("_forward_step", "_dot"):
+        monkeypatch.setattr(omega, name, lambda *args, _name=name, _fn=getattr(omega, name):
+                            counts.update([_name]) or _fn(*args))
+    omega.word_entry(endpoint, phi, (3, 1, 2, 2), CFG)
+    segments = len(omega._path(endpoint, phi, 4, CFG)[1])
+    assert counts == {"_forward_step": 3 * segments, "_dot": segments}
+
+
 def _geometric_product(s_re, s_im, ratio, bits):
     """Coefficients of S(v) * half/(half*v - q): K_j = (K_{j-1} - S_j) * half/q."""
     r_re, r_im = ratio
