@@ -26,8 +26,9 @@ take a phi.  The recursion, order by order:
 3. b^(n) = (-1)^n c^(n) by the angle-reflection symmetry.  The state
    stores c alone and reads b from it (``DerivativeState.x``).
 4. The normalization det(r A) = -1 gives lambda * K_lower = (lambda^2 - 1)
-   a^(n) + 2 lambda r^(n): dividing by lambda^2 - 1 yields a^(n) as the
-   quotient and r^(n) from the remainder.
+   a^(n) + 2 lambda r^(n): at even n, dividing by lambda^2 - 1 yields a^(n)
+   as the quotient and r^(n) from the remainder.  At odd n both are exactly
+   0 (below, "The two parities") and are set, not solved.
 
 Why the recursion is real.  On the real axis letters 1 and 3 carry
 imaginary constants (the phase rule of ``omega``), so sigma_c = i^p x_c with
@@ -47,11 +48,8 @@ The 2<->3 mirror.  At pi/4, cos(phi) = sin(phi) = u, so the central b and
 c, -(sin phi, cos phi)(1/lambda + lambda)/2, are one polynomial: ``_unit``
 rounds u once from the real part of the pole e^(i pi/4), and b0 = c0 holds
 by construction, not because two roundings agree.  With step 3, b^(m) =
-(-1)^m c^(m) at every m, that is b(t) = c(-t).  r^(j) is set to exactly 0 at
-every odd j (``extract_a_r`` checks that it is dust first,
-``r_odd_residual``), so r is even in t, and so is a: at odd n every term of
-K_lower holds an odd-order a, r or y_1 or cancels by the mirror, so K_lower
-and a^(n) are exactly 0.  Hence y_2^(k) = sum_l C(k, l) r^(k-l) b^(l), in
+(-1)^m c^(m) at every m, that is b(t) = c(-t).  r and a are even in t
+("The two parities"), so y_2^(k) = sum_l C(k, l) r^(k-l) b^(l), in
 which only even k - l enter and (-1)^l = (-1)^k, is (-1)^k y_3^(k) as an
 exact sum at 2^-2P, and since ``laurent.round_map`` is odd (round(-x) =
 -round(x)) the rounded integers agree too: y_2(t) = y_3(-t) exactly.  The
@@ -97,15 +95,30 @@ the alpha_k and derivative polynomials are printed from their integers
 (``precision.to_decimal``); an ``mpf`` is made only when a library caller
 asks for one.
 
-Every order asserts the structural invariants (polynomial degree <= n + 1,
-lambda-parity, reality, divisibility) and records their residuals; a
-violation above tolerance raises :class:`EngineError` instead of silently
-absorbing precision loss.  No small coefficient is dropped while a result is
-computed: a^(n) and c^(n) pass one support rule (``_support``) that zeroes
-coefficients below their constraint's tolerance, drops parity-forbidden
-dust and rejects anything else outside degrees 0..n+1.  The negative
-degrees of lambda * K_lower are dust up to eps(2) of max(its peak, 1) and
-are projected away before the division.
+The two parities.  In t: r^(j) and a^(j) vanish at every odd j, by
+induction on the order.  At odd n every b/c and y_2/y_3 pair of K_lower
+cancels by the mirror, and every other term holds an odd-order r, a or
+y_1 = r a, so K_lower = 0 and with it a^(n) = r^(n) = 0: ``advance`` sets
+them and solves the normalization at even n only.  In lambda: x_i^(k) has
+only degrees of parity k + 1 (the central a, b, c have degrees +-1), and so
+has y_i^(k), whose r^(k-l) vanish unless l = k mod 2; a product of l of them
+at derivative order s has parity s + l, so P^(m), a sum of such terms with
+s + l = m, has parity m mod 2, and so have the frame products of p^(m).
+Sums, products, ``star`` and ``laurent.round_map`` create no degree, so
+these parities are exact, not up to dust: c^(n) and a^(n) have degrees of
+parity n + 1 only, lambda * K_lower has odd degrees only at even n, and its
+(lambda^2 - 1) division leaves a constant remainder of exactly 0.
+
+Every order asserts the structural invariants: the polynomial degree <= n +
+1, the lambda-parity exactly (a coefficient at a parity-forbidden degree, or
+a constant remainder of the division, raises), and the reality, Sym-point
+and normalization residuals, which are recorded; a violation raises
+:class:`EngineError` instead of silently absorbing precision loss.  No small
+coefficient is dropped while a result is computed: a^(n) and c^(n) pass one
+support rule (``_support``) that zeroes coefficients below their
+constraint's tolerance and rejects anything else outside the parity-allowed
+degrees 0..n+1.  The negative degrees of lambda * K_lower are dust up to
+eps(2) of max(its peak, 1) and are projected away before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0)),
 b0 and c0 here the degree-0 coefficients; Taylor coefficients alpha_k
@@ -461,34 +474,27 @@ def p_derivative(n: int, state: DerivativeState,
 # ---------------------------------------------------------------------------
 
 def _support(poly: LaurentPoly, n: int, scale_sq: int, label: str,
-             cfg: PrecisionConfig) -> tuple:
+             cfg: PrecisionConfig) -> LaurentPoly:
     """Apply the order-n support rule to a real a^(n) or c^(n).
 
     ``scale_sq`` is the square of the constraint's scale, at 2^2P.  A
     coefficient below scale * eps(6), the residual tolerance of its defining
-    constraint, is indistinguishable from zero and dropped.  Of the rest, a
-    degree d with d + n even must vanish by parity: such dust up to
-    max(|poly|, 1) * eps(6) is dropped and its peak reported as
-    ``parity_residual``, anything larger raises.  Every other coefficient
-    must lie in degrees 0..n+1.
+    constraint, is indistinguishable from zero and dropped.  Every other
+    coefficient must lie in degrees 0..n+1 at a degree d with d + n odd: the
+    lambda-parity is exact (module docstring), so a forbidden degree raises.
     """
-    bits = cfg.fixed_bits
-    kept = {d: v for d, v in poly.re.items() if not _below(v * v, scale_sq, 6, cfg)}
-    tol_sq = max([1 << 2 * bits, *(v * v for v in kept.values())])
-    bad = 0
     out = {}
-    for d, v in kept.items():
+    for d, v in poly.re.items():
+        if _below(v * v, scale_sq, 6, cfg):
+            continue
         if (d + n) % 2 == 0:
-            if _exceeds(v * v, tol_sq, 6, cfg):
-                raise EngineError(
-                    f"{label}: parity-forbidden coefficient at degree {d} "
-                    f"has size {Dyadic(abs(v), -bits).format(5)}")
-            bad = max(bad, abs(v))
-        elif 0 <= d <= n + 1:
-            out[d] = v
-        else:
+            raise EngineError(
+                f"{label}: parity-forbidden coefficient at degree {d} "
+                f"has size {Dyadic(abs(v), -cfg.fixed_bits).format(5)}")
+        if not 0 <= d <= n + 1:
             raise EngineError(f"{label} outside polynomial degree bound {n + 1}")
-    return LaurentPoly(cfg, re=out), {"parity_residual": Dyadic(bad, -bits)}
+        out[d] = v
+    return LaurentPoly(cfg, re=out)
 
 
 def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
@@ -515,64 +521,48 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
                 6, cfg):
         raise EngineError(f"c^({n}) has imaginary leakage {diag['imag_residual'].format(5)}")
     scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, one_sq)
-    c_n, parity = _support(c_n, n, scale_sq, f"c^({n})", cfg)
-    diag.update(parity)
-    return c_n, diag
+    return _support(c_n, n, scale_sq, f"c^({n})", cfg), diag
 
 
 def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
-    """Order-n a and r from dividing the curvature constraint by lambda^2 - 1."""
+    """Order-n a and r, n even, from dividing the curvature constraint by
+    lambda^2 - 1, and K_lower.  At odd n both are exactly 0 (module
+    docstring, "The two parities"): there is nothing to solve."""
+    if n % 2:
+        raise ValueError(f"a^({n}) and r^({n}) vanish at odd order; only even "
+                         "orders are extracted")
     cfg = state.cfg
-    bits = cfg.fixed_bits
-    one_sq = 1 << 2 * bits
     ys = {(i, k): state.solved_y(i, k) for i in (1, 3) for k in range(1, n)}
     # letter 2 is letter 3 at -t (module docstring): at even n the b and y_2
-    # terms double the c and y_3 ones, at odd n they cancel them, and neither
-    # is formed
-    even = n % 2 == 0
+    # terms double the c and y_3 ones, and are not formed
     c0 = state.c[0]
-    k_low = (c0 * c_n).scale(-4) if even else LaurentPoly(cfg)
+    k_low = (c0 * c_n).scale(-4)
     for k in range(1, n):
         rv = state.r[k]
         if rv:
-            combo = state.a[0] * state.a[n - k]
-            if even:
-                combo = combo - (c0 * state.c[n - k]).scale(2)
+            combo = state.a[0] * state.a[n - k] - (c0 * state.c[n - k]).scale(2)
             k_low = k_low + combo * _constant(cfg, 2 * math.comb(n, k) * rv)
     # the y products at k and n - k coincide, and so do their binomial weights
     for k in range(1, n // 2 + 1):
-        combo = ys[1, k] * ys[1, n - k]
-        if even:
-            combo = combo - (ys[3, k] * ys[3, n - k]).scale(2)
+        combo = ys[1, k] * ys[1, n - k] - (ys[3, k] * ys[3, n - k]).scale(2)
         k_low = k_low + combo.scale(math.comb(n, k) * (1 if 2 * k == n else 2))
     # lambda * K_lower is a polynomial: its negative degrees are rounding
     # dust, at most eps(2) of max(its largest coefficient, 1)
     shifted = k_low.shift(1)
-    scale_sq = max(shifted.max_abs_sq(), one_sq)
+    scale_sq = max(shifted.max_abs_sq(), 1 << 2 * cfg.fixed_bits)
     dust = shifted.project("minus")
     if _exceeds(dust.max_abs_sq(), scale_sq, 2, cfg):
         raise EngineError(
             f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
     quot, rem = shifted.project("geq0").divrem_l2m1()
-    div_sq = rem.re.get(0, 0) ** 2
-    div_residual = _modulus(div_sq, cfg)
-    if _exceeds(div_sq, scale_sq, 8, cfg):
-        raise EngineError(
-            f"(lambda^2 - 1) division at order {n} left a constant remainder "
-            f"{div_residual.format(5)}")
+    # lambda * K_lower has odd degrees only, so the constant remainder is 0
+    if rem.re.get(0):
+        raise EngineError(f"(lambda^2 - 1) division at order {n} left a constant "
+                          f"remainder {Dyadic(rem.re[0], -cfg.fixed_bits).format(5)}")
     r_n = rem.re.get(1, 0) >> 1         # half the remainder, rounded down
     if _below(r_n * r_n, scale_sq, 6, cfg):
         r_n = 0
-    diag = {"div_residual": div_residual, "k_lower": k_low}
-    if n % 2 == 1:
-        diag["r_odd_residual"] = Dyadic(abs(r_n), -bits)
-        if _exceeds(r_n * r_n, scale_sq, 6, cfg):
-            raise EngineError(f"r^({n}) should vanish at odd order, got "
-                              f"{Dyadic(r_n, -bits).format(5)}")
-        r_n = 0
-    a_n, parity = _support(quot, n, scale_sq, f"a^({n})", cfg)
-    diag.update(parity)
-    return a_n, r_n, diag
+    return _support(quot, n, scale_sq, f"a^({n})", cfg), r_n, k_low
 
 
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
@@ -584,7 +574,10 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     p_low = p_derivative(n, state, f_low)
     c_n, diag_c = extract_c(n, p_low, cfg)
     state.c.append(c_n)
-    a_n, r_n, diag_ar = extract_a_r(n, state, c_n)
+    if n % 2:       # a and r are even in t (module docstring)
+        a_n, r_n = LaurentPoly(cfg), 0
+    else:
+        a_n, r_n, k_low = extract_a_r(n, state, c_n)
     state.a.append(a_n)
     state.r.append(r_n)
     state.order = n
@@ -593,22 +586,19 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     r_poly = _constant(cfg, r_n)
     two_pi = _constant(cfg, 2 * pi_fixed(bits) * (n + 1))
     p_full = (c_n + state.x(3, 0) * r_poly) * two_pi + p_low
-    star_sq = (p_full - p_full.star()).max_abs_sq()
     sym_re, sym_im = p_full.at_i()
-    sym_sq = sym_re * sym_re + sym_im * sym_im
-    k_assembled = r_poly.scale(-2) + a_n.shift(-1) - a_n.shift(1) + diag_ar.pop("k_lower")
-    k_sq = k_assembled.max_abs_sq()
+    residuals = {"star_residual": (p_full - p_full.star()).max_abs_sq(),
+                 "sym_residual": sym_re * sym_re + sym_im * sym_im}
+    if n % 2 == 0:      # at odd n a^(n), r^(n) and K_lower are all exactly 0
+        k_assembled = r_poly.scale(-2) + a_n.shift(-1) - a_n.shift(1) + k_low
+        residuals["normalization_residual"] = k_assembled.max_abs_sq()
     scale_sq = max(p_full.max_abs_sq(), 1 << 2 * bits)
-    diag = {"order": n, "star_residual": _modulus(star_sq, cfg),
-            "sym_residual": _modulus(sym_sq, cfg),
-            "normalization_residual": _modulus(k_sq, cfg)}
-    for name, size_sq in (("star-reality", star_sq), ("Sym-point", sym_sq),
-                          ("normalization", k_sq)):
+    diag = {"order": n}
+    for name, size_sq in residuals.items():
+        diag[name] = _modulus(size_sq, cfg)
         if _exceeds(size_sq, scale_sq, 6, cfg):
-            raise EngineError(f"{name} residual {_modulus(size_sq, cfg).format(5)} "
-                              f"at order {n}")
+            raise EngineError(f"{name} {diag[name].format(5)} at order {n}")
     diag.update(diag_c)
-    diag.update(diag_ar)
     state.diagnostics.append(diag)
 
     state.frames.append(frame_derivative(n, state, table, lower=f_low))

@@ -104,9 +104,16 @@ def test_frame_degree_bounds(state40_o6):
 
 
 def test_residual_diagnostics_small(state40_o6):
+    """Each order reports the star, Sym-point and imaginary residuals, and an
+    even order the normalization residual too: at odd n a^(n), r^(n) and
+    K_lower are exactly 0 and there is nothing to normalize."""
+    assert [diag["order"] for diag in state40_o6.diagnostics] == list(range(1, 7))
     for diag in state40_o6.diagnostics:
-        for key in ("star_residual", "sym_residual", "normalization_residual",
-                    "div_residual"):
+        keys = {"order", "star_residual", "sym_residual", "imag_residual"}
+        if diag["order"] % 2 == 0:
+            keys.add("normalization_residual")
+        assert set(diag) == keys, diag["order"]
+        for key in keys - {"order"}:
             assert diag[key] < CFG.eps(8) * 100, (diag["order"], key)
 
 
@@ -226,18 +233,18 @@ TINY_SQ = LaurentPoly(CFG, {0: CTX.mpf("1e-10")}).re[0] ** 2
 
 def test_support_drops_dust():
     poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
-    kept, diag = _support(poly, 2, ONE_SQ, "x", CFG)
-    assert set(kept.re) == {1}
-    assert diag["parity_residual"] == 0
+    kept = _support(poly, 2, ONE_SQ, "x", CFG)
+    assert kept.re == {1: poly.re[1]}
 
 
-def test_support_drops_and_reports_parity_dust():
-    # scale 1e-10 keeps 1e-46 above the noise cut, below the parity tolerance
+def test_support_rejects_parity_dust_above_the_noise_cut():
+    """The lambda-parity is exact, so nothing at a forbidden degree is dust:
+    at scale 1e-10, 1e-46 lies above the noise cut and raises."""
     poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-46")})
-    kept, diag = _support(poly, 2, TINY_SQ, "x", CFG)
-    assert set(kept.re) == {1}
-    assert diag["parity_residual"] == poly.coefficient(2)
-    assert abs(diag["parity_residual"] - CTX.mpf("1e-46")) < to_mpf(1, CFG)   # 2^-P
+    with pytest.raises(EngineError, match="parity-forbidden coefficient at degree 2"):
+        _support(poly, 2, TINY_SQ, "x", CFG)
+    # below the noise cut it is dropped as any other coefficient is
+    assert set(_support(poly, 2, ONE_SQ, "x", CFG).re) == {1}
 
 
 def test_support_rejects_parity_forbidden_coefficient():
@@ -271,34 +278,48 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
         with_extra("1e-40")
 
 
-def test_negative_degrees_tolerance_floor_at_odd_order(signed40_pi4_L7):
-    """At order 3 lambda * K_lower is exactly 0, so its negative degrees are
-    measured against max(peak, 1): dust up to eps(2) is projected away, and
-    anything above it raises.  At odd n the b/c and 2/3 terms cancel by the
-    mirror and are not formed, and with a^(1) = a^(2) = r^(1) = r^(2) = 0
-    the one term formed is the product of y_1^(1) and y_1^(2), both 0: the
-    perturbation puts 1 on y_1^(2) and the dust on y_1^(1)."""
-    state = run(2, CFG, table=signed40_pi4_L7)
-    c_n, _ = extract_c(3, p_derivative(3, state, frame_lower(3, state, signed40_pi4_L7)), CFG)
-    a_n, r_n, diag = extract_a_r(3, state, c_n)
-    assert diag["k_lower"].is_zero
-    assert state.solved_y(1, 1).is_zero and state.solved_y(1, 2).is_zero
+@pytest.fixture(scope="module")
+def order2_inputs(signed40_pi4_L7):
+    """The order-1 state and c^(2), the inputs of ``extract_a_r(2, ...)``."""
+    state = run(1, CFG, table=signed40_pi4_L7)
+    c_n, _ = extract_c(2, p_derivative(2, state, frame_lower(2, state, signed40_pi4_L7)), CFG)
+    return state, c_n
 
-    def with_extra(size):      # size * lambda^-2 on y_1^(1), times y_1^(2) = 1 and
-        # C(3, 1) twice, puts 6 size on lambda^-1
-        saved = dict(state._ys)
-        state._ys[1, 1] = LaurentPoly(CFG, {-2: CTX.mpf(size)})
-        state._ys[1, 2] = LaurentPoly(CFG, {0: 1})
-        try:
-            return extract_a_r(3, state, c_n)
-        finally:
-            state._ys.update(saved)
 
-    a_dust, r_dust, diag = with_extra("1e-50")
-    assert not diag["k_lower"].is_zero
-    assert (a_dust - a_n).is_zero and r_dust == r_n == 0
+def test_negative_degrees_tolerance_floor(order2_inputs):
+    """At order 2 lambda * K_lower is pure dust (its peak below 1e-57), so its
+    negative degrees are measured against max(peak, 1): dust up to eps(2) is
+    projected away, and anything above it raises."""
+    state, c_n = order2_inputs
+    a_n, r_n, k_low = extract_a_r(2, state, c_n)
+    assert a_n.is_zero and r_n == 0
+    assert k_low.max_abs() < CTX.mpf("1e-57")
+
+    def with_extra(size):      # c^(2) plus size * lambda^-1: c0 (1/lambda + lambda)
+        # and the factor -4 put 2 sqrt(2) size on lambda^-1 of lambda * K_lower
+        return extract_a_r(2, state, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+
+    a_dust, r_dust, k_dust = with_extra("1e-50")
+    assert not k_dust.is_zero
+    assert a_dust.is_zero and r_dust == 0
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
+
+
+def test_division_remainder_is_exactly_zero(order2_inputs):
+    """lambda * K_lower has odd degrees only, so the constant remainder of its
+    (lambda^2 - 1) division is exactly 0: 1e-50 on c^(2)'s parity-forbidden
+    degree 0, far below any tolerance, raises."""
+    state, c_n = order2_inputs
+    with pytest.raises(EngineError, match="constant remainder"):
+        extract_a_r(2, state, c_n + LaurentPoly(CFG, {0: CTX.mpf("1e-50")}))
+
+
+def test_extract_a_r_refuses_odd_orders(state40_o6):
+    """a and r are even in t: at odd n there is nothing to extract."""
+    for n in (1, 3, 5):
+        with pytest.raises(ValueError, match="odd order"):
+            extract_a_r(n, state40_o6, state40_o6.c[n])
 
 
 def test_m_mats_anticommute_to_sorted_order():
