@@ -64,9 +64,8 @@ def _cmd_expand(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
     if args.order >= 2 and not is_pi4:
-        print("error: general-phi engine limited to order 1 "
-              "(the order recursion requires phi = pi/4)", file=sys.stderr)
-        return 2
+        return _usage_error("general-phi engine limited to order 1 "
+                            "(the order recursion requires phi = pi/4)")
 
     if args.order == 1 and not is_pi4:
         first = engine.first_order_general_phi(phi, cfg)

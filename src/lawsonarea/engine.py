@@ -21,8 +21,10 @@ take a phi.  The recursion, order by order:
    kept on the state and extended by one derivative per order
    (``frame_lower``).
 2. The reality condition p = star(p) on the trace coordinate
-   p = P11 P21 - P12 P22 determines the positive-degree part of c^(n); the
-   Sym-point condition p(i) = 0 pins its constant term.
+   p = P11 P21 - P12 P22 determines the positive-degree part of c^(n).  At
+   odd n the Sym-point condition p(i) = 0 pins its constant term; at even n
+   it holds by itself and c^(n) has no constant term (below, "The two
+   parities").
 3. b^(n) = (-1)^n c^(n) by the angle-reflection symmetry.  The state
    stores c alone and reads b from it (``DerivativeState.x``).
 4. The normalization det(r A) = -1 gives lambda * K_lower = (lambda^2 - 1)
@@ -38,9 +40,11 @@ M^(c) = M_1^c1 M_2^c2 M_3^c3 is i^(c1 + c3) times a real integer matrix,
 T_c = i^p M^(c) is a real integer matrix, and sigma_c M^(c) = x_c T_c.  The
 central a, b, c and r are real, so every frame derivative P^(m) at z = 1,
 a sum of real derivative products times x_c T_c, is real, and so are p, K,
-a^(n) and c^(n), which are read off them by real operations.  The only
-complex number of the recursion is a value at the Sym point lambda = i
-(``LaurentPoly.at_i``), a pair of integers.  ``frame_lower`` checks each
+a^(n) and c^(n), which are read off them by real operations.  The
+recursion solves with no complex number: the values at the Sym point
+lambda = i that pin c^(n)'s constant at odd n are real by parity, and only
+``advance``'s Sym-point residual reads both parts of p(i)
+(``LaurentPoly.at_i``, a pair of integers).  ``frame_lower`` checks each
 sigma_c's phase against (c1 + c3) mod 2 as it reads it, so a table of the
 wrong phase raises ``EngineError``.
 
@@ -105,20 +109,27 @@ has y_i^(k), whose r^(k-l) vanish unless l = k mod 2; a product of l of them
 at derivative order s has parity s + l, so P^(m), a sum of such terms with
 s + l = m, has parity m mod 2, and so have the frame products of p^(m).
 Sums, products, ``star`` and ``laurent.round_map`` create no degree, so
-these parities are exact, not up to dust: c^(n) and a^(n) have degrees of
-parity n + 1 only, lambda * K_lower has odd degrees only at even n, and its
-(lambda^2 - 1) division leaves a constant remainder of exactly 0.
+these parities are exact, not up to dust: p_lower^(n+1), c^(n) and a^(n)
+have degrees of parity n + 1 only, lambda * K_lower has odd degrees only at
+even n, and its (lambda^2 - 1) division leaves a constant remainder of
+exactly 0.  So the Sym-point condition is a condition at odd n only: there
+p^(n+1) has even degrees and every value at lambda = i is real, one real
+equation for c^(n)'s constant term.  At even n p^(n+1) has odd degrees only
+and, once reality makes it star-symmetric, its coefficients at d and -d
+are equal while i^(-d) = -i^d, so p(i) = 0 identically and c^(n) takes no
+constant term.
 
 Every order asserts the structural invariants: the polynomial degree <= n +
-1, the lambda-parity exactly (a coefficient at a parity-forbidden degree, or
-a constant remainder of the division, raises), and the reality, Sym-point
-and normalization residuals, which are recorded; a violation raises
-:class:`EngineError` instead of silently absorbing precision loss.  No small
-coefficient is dropped while a result is computed: a^(n) and c^(n) pass one
-support rule (``_support``) that zeroes coefficients below their
-constraint's tolerance and rejects anything else outside the parity-allowed
-degrees 0..n+1.  The negative degrees of lambda * K_lower are dust up to
-eps(2) of max(its peak, 1) and are projected away before the division.
+1, the lambda-parity exactly (a coefficient of p_lower at a parity-forbidden
+degree, at any size, or a constant remainder of the division raises), and
+the reality, Sym-point and normalization residuals, which are recorded; a
+violation raises :class:`EngineError` instead of silently absorbing
+precision loss.  No small coefficient is dropped while a result is computed:
+a^(n) and c^(n) pass one support rule (``_support``) that zeroes
+coefficients below their constraint's tolerance and rejects anything else
+outside the parity-allowed degrees 0..n+1.  The negative degrees of
+lambda * K_lower are dust up to eps(2) of max(its peak, 1) and are projected
+away before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0)),
 b0 and c0 here the degree-0 coefficients; Taylor coefficients alpha_k
@@ -458,14 +469,21 @@ def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
 
 def p_derivative(n: int, state: DerivativeState,
                  frame_low: LaurentMatrix2) -> LaurentPoly:
-    """Lower-order part of the (n+1)-st derivative of p = P11 P21 - P12 P22."""
+    """Lower-order part of the (n+1)-st derivative of p = P11 P21 - P12 P22.
+
+    Its lambda-parity n + 1 is exact (module docstring, "The two
+    parities"), so any coefficient at a degree d with d + n even raises."""
     p_low = frame_low[1, 0] - frame_low[0, 1]
     for k in range(1, n + 1):
         pk = state.frames[k]
         pm = state.frames[n + 1 - k]
         p_low = p_low + (pk[0, 0] * pm[1, 0] - pk[0, 1] * pm[1, 1]).scale(math.comb(n + 1, k))
-    if not p_low.is_zero and max(abs(p_low.min_degree()), p_low.max_degree()) > n + 1:
-        raise EngineError(f"p_lower^({n + 1}) exceeds degree bound {n + 1}")
+    for d, v in p_low.re.items():
+        if abs(d) > n + 1:
+            raise EngineError(f"p_lower^({n + 1}) exceeds degree bound {n + 1}")
+        if (d + n) % 2 == 0:
+            raise EngineError(f"p_lower^({n + 1}): parity-forbidden coefficient at degree "
+                              f"{d} of size {Dyadic(abs(v), -state.cfg.fixed_bits).format(5)}")
     return p_low
 
 
@@ -502,26 +520,23 @@ def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
     return LaurentPoly(cfg, re={0: value})
 
 
-def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> tuple:
-    """Order-n c from reality and Sym-point constraints on p^(n+1)."""
+def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
+    """Order-n c from the reality and Sym-point constraints on p^(n+1).
+
+    Reality gives the positive degrees.  At odd n the Sym-point condition
+    pins the constant term from the real parts at lambda = i, the only parts
+    there; at even n it holds by itself (module docstring, "The two
+    parities"), and nothing is evaluated at i."""
     bits = cfg.fixed_bits
-    one_sq = 1 << 2 * bits
     two_pi = 2 * pi_fixed(bits) * (n + 1)
     factor = ((1 << 2 * bits) + two_pi // 2) // two_pi       # 1/(2 pi (n+1)) at 2^P
-    over_two_pi = _constant(cfg, factor)
-    c_plus = (p_low.project("minus").star() - p_low.project("plus")) * over_two_pi
-    # the constant term makes c^(n)(i) = -factor p_low(i), each part of the
-    # product rounded once; c_plus has positive degrees only
-    (c_re, c_im), p_at_i = c_plus.at_i(), p_low.at_i()
-    low_re, low_im = (round_map({0: v * factor}, bits)[0] for v in p_at_i)
-    const, imag = -c_re - low_re, abs(c_im + low_im)
-    c_n = c_plus + _constant(cfg, const)
-    diag = {"imag_residual": Dyadic(imag, -bits)}
-    if _exceeds(imag * imag, max(c_n.max_abs_sq(), const * const + imag * imag, one_sq),
-                6, cfg):
-        raise EngineError(f"c^({n}) has imaginary leakage {diag['imag_residual'].format(5)}")
-    scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, one_sq)
-    return _support(c_n, n, scale_sq, f"c^({n})", cfg), diag
+    c_n = (p_low.project("minus").star() - p_low.project("plus")) * _constant(cfg, factor)
+    if n % 2:
+        # c^(n)(i) = -factor p_low(i), each part of the product rounded once
+        low = round_map({0: p_low.at_i()[0] * factor}, bits)[0]
+        c_n = c_n + _constant(cfg, -c_n.at_i()[0] - low)
+    scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, 1 << 2 * bits)
+    return _support(c_n, n, scale_sq, f"c^({n})", cfg)
 
 
 def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
@@ -572,7 +587,7 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
     n = state.order + 1
     f_low = frame_lower(n, state, table)
     p_low = p_derivative(n, state, f_low)
-    c_n, diag_c = extract_c(n, p_low, cfg)
+    c_n = extract_c(n, p_low, cfg)
     state.c.append(c_n)
     if n % 2:       # a and r are even in t (module docstring)
         a_n, r_n = LaurentPoly(cfg), 0
@@ -598,7 +613,6 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
         diag[name] = _modulus(size_sq, cfg)
         if _exceeds(size_sq, scale_sq, 6, cfg):
             raise EngineError(f"{name} {diag[name].format(5)} at order {n}")
-    diag.update(diag_c)
     state.diagnostics.append(diag)
 
     state.frames.append(frame_derivative(n, state, table, lower=f_low))

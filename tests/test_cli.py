@@ -64,7 +64,8 @@ def test_expand_general_phi_order2_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "expand", "--order", "2", "--phi", "0.5",
                            "--precision", "20", "--cache-dir", str(tmp_path))
     assert code == 2
-    assert "limited to order 1" in err
+    assert err == ("error: general-phi engine limited to order 1 "
+                   "(the order recursion requires phi = pi/4)\n")
 
 
 def test_expand_pi4_spelled_as_value(capsys, tmp_path):

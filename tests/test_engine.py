@@ -9,9 +9,9 @@ from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support, _
                                _word, advance, area_series, central_state, extract_a_r,
                                extract_c, first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
-from lawsonarea.laurent import LaurentPoly, to_mpf
+from lawsonarea.laurent import LaurentMatrix2, LaurentPoly, to_mpf
 from lawsonarea.omega import build_signed_table
-from lawsonarea.precision import PrecisionConfig, guard_digits_for_order
+from lawsonarea.precision import PrecisionConfig, guard_digits_for_order, pi_fixed
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context
@@ -104,12 +104,12 @@ def test_frame_degree_bounds(state40_o6):
 
 
 def test_residual_diagnostics_small(state40_o6):
-    """Each order reports the star, Sym-point and imaginary residuals, and an
-    even order the normalization residual too: at odd n a^(n), r^(n) and
-    K_lower are exactly 0 and there is nothing to normalize."""
+    """Each order reports the star and Sym-point residuals, and an even order
+    the normalization residual too: at odd n a^(n), r^(n) and K_lower are
+    exactly 0 and there is nothing to normalize."""
     assert [diag["order"] for diag in state40_o6.diagnostics] == list(range(1, 7))
     for diag in state40_o6.diagnostics:
-        keys = {"order", "star_residual", "sym_residual", "imag_residual"}
+        keys = {"order", "star_residual", "sym_residual"}
         if diag["order"] % 2 == 0:
             keys.add("normalization_residual")
         assert set(diag) == keys, diag["order"]
@@ -264,7 +264,7 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
     """lambda * K_lower's negative degrees are projected away as dust up to
     eps(2) of its peak (350 at order 4), and raise above that."""
     state = run(3, CFG, table=signed40_pi4_L7)
-    c_n, _ = extract_c(4, p_derivative(4, state, frame_lower(4, state, signed40_pi4_L7)), CFG)
+    c_n = extract_c(4, p_derivative(4, state, frame_lower(4, state, signed40_pi4_L7)), CFG)
     a_n, r_n, _ = extract_a_r(4, state, c_n)
 
     def with_extra(size):      # c^(4) plus size * lambda^-1, which b^(4) = c^(4) doubles,
@@ -282,7 +282,7 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
 def order2_inputs(signed40_pi4_L7):
     """The order-1 state and c^(2), the inputs of ``extract_a_r(2, ...)``."""
     state = run(1, CFG, table=signed40_pi4_L7)
-    c_n, _ = extract_c(2, p_derivative(2, state, frame_lower(2, state, signed40_pi4_L7)), CFG)
+    c_n = extract_c(2, p_derivative(2, state, frame_lower(2, state, signed40_pi4_L7)), CFG)
     return state, c_n
 
 
@@ -313,6 +313,39 @@ def test_division_remainder_is_exactly_zero(order2_inputs):
     state, c_n = order2_inputs
     with pytest.raises(EngineError, match="constant remainder"):
         extract_a_r(2, state, c_n + LaurentPoly(CFG, {0: CTX.mpf("1e-50")}))
+
+
+def test_p_derivative_rejects_parity_dust(order2_inputs, signed40_pi4_L7):
+    """p_lower^(3) has odd degrees only, exactly: 1e-50 at degree 0 of
+    P^(3)_lower[1, 0], far below any tolerance, raises where it is formed."""
+    state, _ = order2_inputs
+    f_low = frame_lower(2, state, signed40_pi4_L7)
+    p_derivative(2, state, f_low)
+    entries = [list(row) for row in f_low.entries]
+    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {0: CTX.mpf("1e-50")})
+    with pytest.raises(EngineError, match="parity-forbidden coefficient at degree 0"):
+        p_derivative(2, state, LaurentMatrix2(CFG, entries))
+
+
+def test_extract_c_pins_the_constant_at_odd_orders_only(state40_o6, signed40_pi4_L7):
+    """At even n p_lower^(n+1) and c^(n) have odd degrees only, so their real
+    parts at i are exactly 0 and c^(n) has no constant term.  At odd n their
+    imaginary parts at i are exactly 0, and the constant makes
+    c^(n)(i) 2 pi (n+1) + p_lower(i) vanish up to the rounding of c^(n)(i),
+    half a unit of 2^-P times 2 pi (n+1)."""
+    bits = CFG.fixed_bits
+    for n in range(1, 7):
+        p_low = p_derivative(n, state40_o6, frame_lower(n, state40_o6, signed40_pi4_L7))
+        c_n = extract_c(n, p_low, CFG)
+        assert c_n.re == state40_o6.c[n].re, n
+        (c_re, c_im), (p_re, p_im) = c_n.at_i(), p_low.at_i()
+        if n % 2 == 0:
+            assert 0 not in c_n.re and c_re == 0 and p_re == 0, n
+            continue
+        assert 0 in c_n.re and c_im == 0 and p_im == 0, n
+        two_pi = 2 * pi_fixed(bits) * (n + 1)
+        sym = abs(c_re * two_pi + (p_re << bits))       # at 2^2P
+        assert sym <= two_pi // 2 + (1 << bits), n
 
 
 def test_extract_a_r_refuses_odd_orders(state40_o6):
