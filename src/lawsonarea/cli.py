@@ -243,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterated integrals and multiple polylogarithms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, phi_default="pi/4"):
+    def common(p, phi_default="pi/4", formats=_FORMATS):
         p.add_argument("--precision", type=_int_at_least(10), default=40,
                        help="target decimal digits, at least 10 (default 40)")
-        p.add_argument("--format", choices=_FORMATS, default="table")
+        p.add_argument("--format", choices=formats, default="table")
         if phi_default is not None:
             p.add_argument("--phi", default=phi_default,
                            help="opening angle: 'pi/4', 'pi/6' or a decimal "
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mpl)
 
     p = sub.add_parser("verify", help="run identity suites")
-    common(p, phi_default=None)
+    common(p, phi_default=None, formats=("table", "json"))
     p.set_defaults(precision=45)
     p.add_argument("--suite", action="append", choices=SUITE_NAMES,
                    help="suite to run (repeatable; default: all)")

@@ -109,27 +109,29 @@ has y_i^(k), whose r^(k-l) vanish unless l = k mod 2; a product of l of them
 at derivative order s has parity s + l, so P^(m), a sum of such terms with
 s + l = m, has parity m mod 2, and so have the frame products of p^(m).
 Sums, products, ``star`` and ``laurent.round_map`` create no degree, so
-these parities are exact, not up to dust: p_lower^(n+1), c^(n) and a^(n)
-have degrees of parity n + 1 only, lambda * K_lower has odd degrees only at
-even n, and its (lambda^2 - 1) division leaves a constant remainder of
-exactly 0.  So the Sym-point condition is a condition at odd n only: there
-p^(n+1) has even degrees and every value at lambda = i is real, one real
-equation for c^(n)'s constant term.  At even n p^(n+1) has odd degrees only
-and, once reality makes it star-symmetric, its coefficients at d and -d
-are equal while i^(-d) = -i^d, so p(i) = 0 identically and c^(n) takes no
-constant term.
+these parities are exact, not up to dust, and so are the degree bounds:
+p_lower^(n+1) has degrees of parity n + 1 in -(n+1)..n+1, and at even n
+lambda * K_lower has odd degrees in -1..n+3.  One rule (``_check_degrees``)
+checks both where they are formed, at any size.  The rest then holds by
+construction: c^(n), folded from p_lower, has degrees of parity n + 1 in
+0..n+1; lambda * K_lower less its dust at -1 is an odd polynomial, so its
+(lambda^2 - 1) division leaves a remainder at degree 1 only and a quotient
+a^(n) of odd degrees in 1..n+1.  So the Sym-point condition is a condition
+at odd n only: there p^(n+1) has even degrees and every value at lambda = i
+is real, one real equation for c^(n)'s constant term.  At even n p^(n+1)
+has odd degrees only and, once reality makes it star-symmetric, its
+coefficients at d and -d are equal while i^(-d) = -i^d, so p(i) = 0
+identically and c^(n) takes no constant term.
 
-Every order asserts the structural invariants: the polynomial degree <= n +
-1, the lambda-parity exactly (a coefficient of p_lower at a parity-forbidden
-degree, at any size, or a constant remainder of the division raises), and
-the reality, Sym-point and normalization residuals, which are recorded; a
-violation raises :class:`EngineError` instead of silently absorbing
-precision loss.  No small coefficient is dropped while a result is computed:
-a^(n) and c^(n) pass one support rule (``_support``) that zeroes
-coefficients below their constraint's tolerance and rejects anything else
-outside the parity-allowed degrees 0..n+1.  The negative degrees of
-lambda * K_lower are dust up to eps(2) of max(its peak, 1) and are projected
-away before the division.
+Every order asserts the structural invariants: the frame derivative's
+degree <= n + 1, the degrees and lambda-parity of p_lower and lambda *
+K_lower exactly (above), and the reality, Sym-point and normalization
+residuals, which are recorded; a violation raises :class:`EngineError`
+instead of silently absorbing precision loss.  No small coefficient is
+dropped while a result is computed: a^(n) and c^(n) pass one noise cut
+(``_support``) that zeroes coefficients below their constraint's tolerance.
+The one negative degree of lambda * K_lower, -1, is dust up to eps(2) of
+max(its peak, 1) and is dropped before the division.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0)),
 b0 and c0 here the degree-0 coefficients; Taylor coefficients alpha_k
@@ -181,6 +183,23 @@ def _exceeds(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig
 def _below(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig) -> bool:
     """Whether a modulus lies below a scale times eps(digits_lost), as ``_exceeds``."""
     return size_sq * cfg.eps_ratio(digits_lost) ** 2 < scale_sq
+
+
+def _check_degrees(poly: LaurentPoly, parity: int, low: int, high: int, label: str,
+                   cfg: PrecisionConfig) -> None:
+    """Raise :class:`EngineError` on any coefficient of ``poly``, at any size,
+    at a degree d of another parity than ``parity`` or outside low..high: the
+    recursion's lambda-parity and degree bounds are exact (module docstring,
+    "The two parities"), so nothing there is rounding dust."""
+    for d, v in poly.re.items():
+        if (d - parity) % 2:
+            fault = "parity-forbidden coefficient"
+        elif not low <= d <= high:
+            fault = f"coefficient outside degrees {low}..{high}"
+        else:
+            continue
+        raise EngineError(f"{label}: {fault} at degree {d} of size "
+                          f"{Dyadic(abs(v), -cfg.fixed_bits).format(5)}")
 
 
 def _modulus(size_sq: int, cfg: PrecisionConfig) -> Dyadic:
@@ -471,19 +490,14 @@ def p_derivative(n: int, state: DerivativeState,
                  frame_low: LaurentMatrix2) -> LaurentPoly:
     """Lower-order part of the (n+1)-st derivative of p = P11 P21 - P12 P22.
 
-    Its lambda-parity n + 1 is exact (module docstring, "The two
-    parities"), so any coefficient at a degree d with d + n even raises."""
+    Its lambda-parity n + 1 and its degree bound n + 1 are exact (module
+    docstring, "The two parities"): any coefficient outside them raises."""
     p_low = frame_low[1, 0] - frame_low[0, 1]
     for k in range(1, n + 1):
         pk = state.frames[k]
         pm = state.frames[n + 1 - k]
         p_low = p_low + (pk[0, 0] * pm[1, 0] - pk[0, 1] * pm[1, 1]).scale(math.comb(n + 1, k))
-    for d, v in p_low.re.items():
-        if abs(d) > n + 1:
-            raise EngineError(f"p_lower^({n + 1}) exceeds degree bound {n + 1}")
-        if (d + n) % 2 == 0:
-            raise EngineError(f"p_lower^({n + 1}): parity-forbidden coefficient at degree "
-                              f"{d} of size {Dyadic(abs(v), -state.cfg.fixed_bits).format(5)}")
+    _check_degrees(p_low, n + 1, -(n + 1), n + 1, f"p_lower^({n + 1})", state.cfg)
     return p_low
 
 
@@ -491,28 +505,16 @@ def p_derivative(n: int, state: DerivativeState,
 # extraction of the order-n parameters
 # ---------------------------------------------------------------------------
 
-def _support(poly: LaurentPoly, n: int, scale_sq: int, label: str,
-             cfg: PrecisionConfig) -> LaurentPoly:
-    """Apply the order-n support rule to a real a^(n) or c^(n).
+def _support(poly: LaurentPoly, scale_sq: int, cfg: PrecisionConfig) -> LaurentPoly:
+    """The noise cut of a real a^(n) or c^(n): drop each coefficient below
+    scale * eps(6), the residual tolerance of its defining constraint.
 
-    ``scale_sq`` is the square of the constraint's scale, at 2^2P.  A
-    coefficient below scale * eps(6), the residual tolerance of its defining
-    constraint, is indistinguishable from zero and dropped.  Every other
-    coefficient must lie in degrees 0..n+1 at a degree d with d + n odd: the
-    lambda-parity is exact (module docstring), so a forbidden degree raises.
-    """
-    out = {}
-    for d, v in poly.re.items():
-        if _below(v * v, scale_sq, 6, cfg):
-            continue
-        if (d + n) % 2 == 0:
-            raise EngineError(
-                f"{label}: parity-forbidden coefficient at degree {d} "
-                f"has size {Dyadic(abs(v), -cfg.fixed_bits).format(5)}")
-        if not 0 <= d <= n + 1:
-            raise EngineError(f"{label} outside polynomial degree bound {n + 1}")
-        out[d] = v
-    return LaurentPoly(cfg, re=out)
+    ``scale_sq`` is the square of the constraint's scale, at 2^2P.  Degrees
+    and parity need no check here: both polynomials inherit them from
+    p_lower and lambda * K_lower, which are checked where they are formed
+    (module docstring, "The two parities")."""
+    return LaurentPoly(cfg, re={d: v for d, v in poly.re.items()
+                                if not _below(v * v, scale_sq, 6, cfg)})
 
 
 def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
@@ -536,7 +538,7 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
         low = round_map({0: p_low.at_i()[0] * factor}, bits)[0]
         c_n = c_n + _constant(cfg, -c_n.at_i()[0] - low)
     scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, 1 << 2 * bits)
-    return _support(c_n, n, scale_sq, f"c^({n})", cfg)
+    return _support(c_n, scale_sq, cfg)
 
 
 def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
@@ -561,23 +563,21 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
     for k in range(1, n // 2 + 1):
         combo = ys[1, k] * ys[1, n - k] - (ys[3, k] * ys[3, n - k]).scale(2)
         k_low = k_low + combo.scale(math.comb(n, k) * (1 if 2 * k == n else 2))
-    # lambda * K_lower is a polynomial: its negative degrees are rounding
-    # dust, at most eps(2) of max(its largest coefficient, 1)
     shifted = k_low.shift(1)
+    _check_degrees(shifted, 1, -1, n + 3, f"lambda * K_lower^({n})", cfg)
+    # lambda * K_lower is a polynomial: its one negative degree, -1, is
+    # rounding dust, at most eps(2) of max(its largest coefficient, 1)
     scale_sq = max(shifted.max_abs_sq(), 1 << 2 * cfg.fixed_bits)
-    dust = shifted.project("minus")
-    if _exceeds(dust.max_abs_sq(), scale_sq, 2, cfg):
-        raise EngineError(
-            f"lambda * K_lower^({n}) kept negative degrees {dust.min_degree()}")
-    quot, rem = shifted.project("geq0").divrem_l2m1()
-    # lambda * K_lower has odd degrees only, so the constant remainder is 0
-    if rem.re.get(0):
-        raise EngineError(f"(lambda^2 - 1) division at order {n} left a constant "
-                          f"remainder {Dyadic(rem.re[0], -cfg.fixed_bits).format(5)}")
+    dust = shifted.re.get(-1, 0)
+    if _exceeds(dust * dust, scale_sq, 2, cfg):
+        raise EngineError(f"lambda * K_lower^({n}): negative degrees are not dust: "
+                          f"{Dyadic(abs(dust), -cfg.fixed_bits).format(5)} at degree -1")
+    # an odd polynomial: the remainder lies at degree 1 alone
+    quot, rem = shifted.project("plus").divrem_l2m1()
     r_n = rem.re.get(1, 0) >> 1         # half the remainder, rounded down
     if _below(r_n * r_n, scale_sq, 6, cfg):
         r_n = 0
-    return _support(quot, n, scale_sq, f"a^({n})", cfg), r_n, k_low
+    return _support(quot, scale_sq, cfg), r_n, k_low
 
 
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:

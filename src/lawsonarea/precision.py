@@ -155,8 +155,8 @@ def guard_digits_for_order(order: int) -> int:
     checks (``engine.EngineError``) compare against multiples of eps of the
     working precision, so a high order needs more guard digits, not looser
     checks.  The rule was set when order 9 failed the (lambda^2 - 1)
-    division check with 10 guard digits (constant remainder 2.33e-42 at 40
-    digits) and, with 11, at 35 target digits.  Measured again once the
+    division check with 10 guard digits (a remainder of 2.33e-42 at degree 0
+    at 40 digits) and, with 11, at 35 target digits.  Measured again once the
     recursion ran on one integer scale, order 9 at pi/4 passes every check
     with 10, 11 and 12 guard digits at 35, 40 and 45 target digits, and
     alpha_9 prints the same digits with all three.  The rule is kept until

@@ -200,6 +200,17 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_csv_format_is_a_usage_error(capsys):
+    """``verify`` prints a table or JSON only: ``--format csv`` exits 2 and
+    runs no suite, where it used to print the table format unasked."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "alpha3", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
 def run_fresh(argv, **env):
     """``argv`` in a fresh interpreter that finds this package first."""
     src = str(Path(lawsonarea.__file__).resolve().parent.parent)

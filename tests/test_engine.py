@@ -226,38 +226,40 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
         run(2, CFG, table=broken)
 
 
-# a scale of 1 and of 1e-10, squared at 2^2P, as ``_support`` takes it
+# a scale of 1, squared at 2^2P, as ``_support`` takes it
 ONE_SQ = 1 << 2 * CFG.fixed_bits
-TINY_SQ = LaurentPoly(CFG, {0: CTX.mpf("1e-10")}).re[0] ** 2
 
 
 def test_support_drops_dust():
     poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
-    kept = _support(poly, 2, ONE_SQ, "x", CFG)
+    kept = _support(poly, ONE_SQ, CFG)
     assert kept.re == {1: poly.re[1]}
 
 
-def test_support_rejects_parity_dust_above_the_noise_cut():
-    """The lambda-parity is exact, so nothing at a forbidden degree is dust:
-    at scale 1e-10, 1e-46 lies above the noise cut and raises."""
-    poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-46")})
-    with pytest.raises(EngineError, match="parity-forbidden coefficient at degree 2"):
-        _support(poly, 2, TINY_SQ, "x", CFG)
-    # below the noise cut it is dropped as any other coefficient is
-    assert set(_support(poly, 2, ONE_SQ, "x", CFG).re) == {1}
+def test_noise_cut_acts_on_a2_alone(monkeypatch, tables):
+    """The noise cut's one load-bearing use: true a^(2) and r^(2) are 0, and
+    the cut drops the few units of 2^-P that the (lambda^2 - 1) division of
+    lambda * K_lower^(2)'s dust leaves in a^(2) (8 and 16 units at degrees 3
+    and 1 here).  Through order 13 at 40 digits, at the guard digits
+    ``expand`` uses, it drops no other coefficient of any a^(n) or c^(n)."""
+    import lawsonarea.engine as engine
+    cfg = PrecisionConfig(40, guard_digits_for_order(13))
+    calls = []
+    support = engine._support
 
+    def recorded(poly, scale_sq, cfg):
+        out = support(poly, scale_sq, cfg)
+        calls.append((out, {d: v for d, v in poly.re.items() if d not in out.re}))
+        return out
 
-def test_support_rejects_parity_forbidden_coefficient():
-    poly = LaurentPoly(CFG, {1: 1, 2: CTX.mpf("1e-30")})
-    with pytest.raises(EngineError, match="parity-forbidden"):
-        _support(poly, 2, ONE_SQ, "x", CFG)
-
-
-@pytest.mark.parametrize("degree", [-1, 5])
-def test_support_rejects_degree_outside_window(degree):
-    poly = LaurentPoly(CFG, {1: 1, degree: 1})
-    with pytest.raises(EngineError, match="degree bound"):
-        _support(poly, 2, ONE_SQ, "x", CFG)
+    monkeypatch.setattr(engine, "_support", recorded)
+    state = run(13, cfg, table=tables.signed("1", "pi/4", 14, cfg))
+    assert len(calls) == 13 + 6             # c^(n) at every order, a^(n) at even ones
+    assert state.a[2].is_zero
+    for out, dropped in calls:
+        if dropped:
+            assert out is state.a[2], dropped
+            assert len(dropped) <= 2 and all(abs(v) <= 1 << 5 for v in dropped.values())
 
 
 def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
@@ -306,13 +308,65 @@ def test_negative_degrees_tolerance_floor(order2_inputs):
         with_extra("1e-40")
 
 
+def with_c_term(state, c_n, degree, size):
+    """``extract_a_r(2, ...)`` on c^(2) plus size * lambda^degree, which
+    c0 (1/lambda + lambda) and the factor -4 put on degrees degree and
+    degree + 2 of lambda * K_lower."""
+    return extract_a_r(2, state, c_n + LaurentPoly(CFG, {degree: CTX.mpf(size)}))
+
+
 def test_division_remainder_is_exactly_zero(order2_inputs):
-    """lambda * K_lower has odd degrees only, so the constant remainder of its
-    (lambda^2 - 1) division is exactly 0: 1e-50 on c^(2)'s parity-forbidden
-    degree 0, far below any tolerance, raises."""
+    """lambda * K_lower has odd degrees only, so the remainder of its
+    (lambda^2 - 1) division has no constant term: 1e-50 on c^(2)'s
+    parity-forbidden degree 0, far below any tolerance, raises where
+    lambda * K_lower is formed."""
     state, c_n = order2_inputs
-    with pytest.raises(EngineError, match="constant remainder"):
-        extract_a_r(2, state, c_n + LaurentPoly(CFG, {0: CTX.mpf("1e-50")}))
+    with pytest.raises(EngineError, match=r"lambda \* K_lower\^\(2\): parity-forbidden "
+                                          "coefficient at degree [02] "):
+        with_c_term(state, c_n, 0, "1e-50")
+
+
+def test_lambda_k_lower_rejects_even_degrees_whose_remainder_cancels(order2_inputs):
+    """c^(2) + 1e-50 - 1e-50 lambda^2 puts dust of one size and opposite
+    signs on degrees 0 and 4 of lambda * K_lower (their terms at degree 2
+    cancel exactly): a division by lambda^2 - 1 leaves them no remainder,
+    and the even-degree dust they leave in a^(2) lies below the noise cut,
+    so only the check where lambda * K_lower is formed sees them."""
+    state, c_n = order2_inputs
+    extra = LaurentPoly(CFG, {0: CTX.mpf("1e-50"), 2: -CTX.mpf("1e-50")})
+    with pytest.raises(EngineError, match="parity-forbidden coefficient at degree [04] "):
+        extract_a_r(2, state, c_n + extra)
+
+
+@pytest.mark.parametrize("size", ["1e-50", "1"])
+def test_lambda_k_lower_rejects_an_even_degree(order2_inputs, size):
+    """Nothing at an even degree of lambda * K_lower is dust, at any size:
+    c^(2) + size * lambda^2 reaches its degrees 2 and 4 and raises."""
+    state, c_n = order2_inputs
+    with pytest.raises(EngineError, match="parity-forbidden coefficient at degree [24] "):
+        with_c_term(state, c_n, 2, size)
+
+
+@pytest.mark.parametrize("degree", [-3, 7])
+def test_lambda_k_lower_rejects_degrees_outside_its_window(order2_inputs, degree):
+    """At order 2 lambda * K_lower has odd degrees in -1..5: 1e-50 at degree
+    -3 or n + 5 = 7, far below any tolerance, raises."""
+    state, c_n = order2_inputs
+    with pytest.raises(EngineError, match=f"coefficient outside degrees -1..5 at degree "
+                                          f"{degree} "):
+        with_c_term(state, c_n, degree if degree < 0 else degree - 2, "1e-50")
+
+
+def test_p_lower_rejects_degrees_outside_its_window(order2_inputs, signed40_pi4_L7):
+    """p_lower^(3) has odd degrees in -3..3, by the same rule as lambda *
+    K_lower: 1e-50 at degree 5 of P^(3)_lower[1, 0] raises."""
+    state, _ = order2_inputs
+    f_low = frame_lower(2, state, signed40_pi4_L7)
+    entries = [list(row) for row in f_low.entries]
+    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {5: CTX.mpf("1e-50")})
+    with pytest.raises(EngineError, match=r"p_lower\^\(3\): coefficient outside degrees "
+                                          "-3..3 at degree 5 "):
+        p_derivative(2, state, LaurentMatrix2(CFG, entries))
 
 
 def test_p_derivative_rejects_parity_dust(order2_inputs, signed40_pi4_L7):
