@@ -10,9 +10,8 @@ an independent quadrature evaluation.
 
 import mpmath
 
-from lawsonarea import (PrecisionConfig, build_table, chen_compose,
+from lawsonarea import (PrecisionConfig, build_table, chen_compose, constant_path,
                         quadrature_oracle, shuffle)
-from lawsonarea.omega import OmegaTable
 from lawsonarea.verify import closed_forms_pi4
 
 cfg = PrecisionConfig(target_digits=30)
@@ -41,7 +40,7 @@ print(f"  lhs - rhs = {mpmath.nstr(abs(lhs - rhs), 3)}")
 
 print("\npath composition: a constant path changes nothing")
 # the constant path at the table's end point, an exact integer pair
-endpoint_table = OmegaTable.constant_path(cfg, "pi/4", table.ends[1], 4)
+endpoint_table = constant_path(cfg, "pi/4", table.ends[1], 4)
 recomposed = chen_compose(table, endpoint_table)
 worst = max(abs(recomposed.value(w) - table.value(w)) for w in table.words())
 print(f"  worst deviation {mpmath.nstr(worst, 3)}")

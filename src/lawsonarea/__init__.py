@@ -23,12 +23,13 @@ _EXPORTS = {
                "expand", "first_order_general_phi", "frame_derivative",
                "q_first_order_check", "run"),
     "laurent": ("LaurentMatrix2", "LaurentPoly"),
-    "mpl": ("DivergentSeriesError", "MplSpec", "SignedMplSum", "convert_word", "li",
-            "mpl_spec", "zeta_signed"),
+    "mpl": ("DivergentSeriesError", "MplLetter", "MplSpec", "SignedMplSum", "convert_word",
+            "letter", "li", "mpl_spec", "stuffle", "zeta_signed"),
     "omega": ("OmegaTable", "SignedTable", "build_signed_table", "build_table",
-              "cached_table", "chen_compose", "parse_phi", "quadrature_oracle"),
+              "cached_table", "parse_phi"),
+    "oracle": ("chen_compose", "constant_path", "quadrature_oracle"),
     "precision": ("PrecisionConfig", "agreement_digits"),
-    "words": ("MplLetter", "letter", "parse_word", "shuffle", "stuffle"),
+    "words": ("parse_word", "shuffle"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -128,8 +128,9 @@ degree <= n + 1, the degrees and lambda-parity of p_lower and lambda *
 K_lower exactly (above), and the reality, Sym-point and normalization
 residuals, which are recorded; a violation raises :class:`EngineError`
 instead of silently absorbing precision loss.  No small coefficient is
-dropped while a result is computed: a^(n) and c^(n) pass one noise cut
-(``_support``) that zeroes coefficients below their constraint's tolerance.
+dropped while a result is computed: a^(n) alone passes one noise cut
+(``_support``) that zeroes coefficients below its constraint's tolerance;
+at every order run so far it drops only a^(2)'s division dust.
 The one negative degree of lambda * K_lower, -1, is dust up to eps(2) of
 max(its peak, 1) and is dropped before the division.
 
@@ -506,13 +507,13 @@ def p_derivative(n: int, state: DerivativeState,
 # ---------------------------------------------------------------------------
 
 def _support(poly: LaurentPoly, scale_sq: int, cfg: PrecisionConfig) -> LaurentPoly:
-    """The noise cut of a real a^(n) or c^(n): drop each coefficient below
+    """The noise cut of a real a^(n): drop each coefficient below
     scale * eps(6), the residual tolerance of its defining constraint.
 
     ``scale_sq`` is the square of the constraint's scale, at 2^2P.  Degrees
-    and parity need no check here: both polynomials inherit them from
-    p_lower and lambda * K_lower, which are checked where they are formed
-    (module docstring, "The two parities")."""
+    and parity need no check here: a^(n) inherits them from lambda *
+    K_lower, which is checked where it is formed (module docstring, "The
+    two parities")."""
     return LaurentPoly(cfg, re={d: v for d, v in poly.re.items()
                                 if not _below(v * v, scale_sq, 6, cfg)})
 
@@ -537,8 +538,7 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
         # c^(n)(i) = -factor p_low(i), each part of the product rounded once
         low = round_map({0: p_low.at_i()[0] * factor}, bits)[0]
         c_n = c_n + _constant(cfg, -c_n.at_i()[0] - low)
-    scale_sq = max(p_low.max_abs_sq() * factor * factor >> 2 * bits, 1 << 2 * bits)
-    return _support(c_n, scale_sq, cfg)
+    return c_n
 
 
 def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:

@@ -96,6 +96,14 @@ the 9 words of length 2 at one angle share the same 16 spec objects;
 ``PrecisionConfig``).  Conjugation permutes the four punctures
 (conj p1 = -p2, conj p2 = -p1), so the 16 specs form 8 mirror pairs, and
 the 12 words of length <= 2 at one angle take 10 split evaluations, not 20.
+
+Letters.  A nested sum's index and argument form one letter Z_{n,z}
+(``MplLetter``, built checked by ``letter``), and its word has weight
+sum n (``word_weight``).  The product of two such sums is the stuffle
+(quasi-shuffle) product of their words, ``stuffle``: a shuffle plus a term
+that merges two letters into Z_{n+m,zw} (M. E. Hoffman, "Quasi-shuffle
+products", J. Algebraic Combin. 11, 2000), which ``verify``'s identity
+suite checks against ``li``.
 """
 
 from __future__ import annotations
@@ -103,6 +111,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 
 import mpmath
@@ -447,6 +456,62 @@ def _assignment_specs(phi, n: int, cfg: PrecisionConfig) -> tuple:
                                           for a, b in zip(assignment, assignment[1:]))
                               + (1 / ps[assignment[-1]],)))
                      for assignment in itertools.product(range(4), repeat=n))
+
+
+# ---------------------------------------------------------------------------
+# letters of the nested sums and their stuffle product
+# ---------------------------------------------------------------------------
+
+class MplLetter(namedtuple("MplLetter", "n z")):
+    """One letter Z_{n,z} of the nested-sum alphabet: weight n, argument z.
+
+    z is an mpmath complex (hashable); products happen during stuffle.
+    """
+
+    __slots__ = ()
+
+    def merged(self, other: "MplLetter") -> "MplLetter":
+        return MplLetter(self.n + other.n, self.z * other.z)
+
+
+def letter(n: int, z) -> MplLetter:
+    if n < 1:
+        raise ValueError(f"letter weight must be a positive integer, got {n}")
+    if z == 0:
+        raise ValueError("letter argument must be nonzero")
+    return MplLetter(n, z)
+
+
+LetterWord = tuple[MplLetter, ...]
+
+
+def stuffle(w1: Sequence[MplLetter], w2: Sequence[MplLetter]) -> dict[LetterWord, int]:
+    """Stuffle (quasi-shuffle) product of two letter sequences.
+
+    Recursion: interleave like a shuffle, plus a third term that stuffs the
+    two leading letters into a single merged letter.
+    """
+    w1 = tuple(w1)
+    w2 = tuple(w2)
+    if not w1:
+        return {w2: 1}
+    if not w2:
+        return {w1: 1}
+    out: dict[LetterWord, int] = {}
+
+    def _acc(prefix: MplLetter, combo: dict[LetterWord, int]) -> None:
+        for word, mult in combo.items():
+            key = (prefix,) + word
+            out[key] = out.get(key, 0) + mult
+
+    _acc(w1[0], stuffle(w1[1:], w2))
+    _acc(w2[0], stuffle(w1, w2[1:]))
+    _acc(w1[0].merged(w2[0]), stuffle(w1[1:], w2[1:]))
+    return out
+
+
+def word_weight(word: Sequence[MplLetter]) -> int:
+    return sum(l.n for l in word)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ Phi and the poles.  Every word-integral route reads phi and the four
 punctures e^(+-i phi), -e^(+-i phi), and each runs a fixed-point kernel
 finer than the working precision: the transport at ``fixed_bits``, the
 quadrature at working bits + 4 + ceil(log2(2 n^3 + 24/delta^2 + 28)), at
-most 31 under ``omega._MAX_NODES`` = 400 (2 n^3 is 2^26.9 there) while
+most 31 under ``oracle._MAX_NODES`` = 400 (2 n^3 is 2^26.9 there) while
 delta >= 0.002 and at most 32 while delta >= 4.2e-4 (delta is 1 on the
 path away from phi's near pole and min(sin phi, cos phi) on the other;
-``omega._quadrature_size`` refuses a phi that needs more), and the
+``oracle._quadrature_size`` refuses a phi that needs more), and the
 polylogarithms at ``pole_bits``.  A pole rounded to the working precision
 is off by up to half a unit there, which the forms amplify: at 30 target
 digits the transport's depth-3 word tables were 8.0 / 23.2 / 24.9 units of

@@ -15,7 +15,7 @@ import mpmath
 
 from . import SUITE_NAMES, engine, mpl, omega
 from .precision import PrecisionConfig
-from .words import letter, shuffle, stuffle
+from .words import shuffle
 
 
 class CheckResult:
@@ -521,14 +521,14 @@ def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, seed: int = 0,
     report.add("06-stuffle-log2", _li(cfg, [1], [-1]) ** 2,
                2 * _li(cfg, [1, 1], [-1, -1]) + _li(cfg, [2], [1]), cfg, tol)
     for k in range(2):
-        w1 = tuple(letter(rng.randint(1, 3),
-                          ctx.mpf(rng.randint(2, 6)) / 10 * _sample_unit(rng, ctx))
+        w1 = tuple(mpl.letter(rng.randint(1, 3),
+                              ctx.mpf(rng.randint(2, 6)) / 10 * _sample_unit(rng, ctx))
                    for _ in range(rng.randint(1, 2)))
-        w2 = (letter(rng.randint(1, 3),
-                     ctx.mpf(rng.randint(2, 6)) / 10 * _sample_unit(rng, ctx)),)
+        w2 = (mpl.letter(rng.randint(1, 3),
+                         ctx.mpf(rng.randint(2, 6)) / 10 * _sample_unit(rng, ctx)),)
         lhs = _stuffle_lhs(w1, cfg) * _stuffle_lhs(w2, cfg)
         rhs = ctx.mpc(0)
-        for word, mult in stuffle(w1, w2).items():
+        for word, mult in mpl.stuffle(w1, w2).items():
             rhs += mult * _stuffle_lhs(word, cfg)
         report.add(f"07-stuffle-sampled-{k}", lhs, rhs, cfg, tol)
 

@@ -15,12 +15,13 @@ import pytest
 from lawsonarea.engine import (area_series, first_order_general_phi,
                                q_first_order_check, run)
 from lawsonarea.laurent import LaurentPoly
-from lawsonarea.mpl import convert_word, li, mpl_spec
-from lawsonarea.omega import build_signed_table, build_table, parse_phi, quadrature_oracle
+from lawsonarea.mpl import convert_word, letter, li, mpl_spec, stuffle
+from lawsonarea.omega import build_signed_table, build_table, parse_phi
+from lawsonarea.oracle import quadrature_oracle
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import (alpha5_conjecture_value, closed_form_suite,
                                integral_identity_suite)
-from lawsonarea.words import letter, shuffle, stuffle
+from lawsonarea.words import shuffle
 
 ALPHA5_PAPER = "3.69962699449761843989338013547104461773632954830910"
 ALPHA7_PAPER = "-53.1688000602634657601186493744463143722221041377109"

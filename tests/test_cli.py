@@ -234,14 +234,16 @@ def assert_no_heavy_imports():
 
 
 def test_expand_imports_neither_verify_nor_mpl(tmp_path):
-    """``expand`` loads only the modules it runs, none of the heavy standard
-    ones, and every public name of the package still resolves."""
+    """``expand`` loads only the modules it runs: not the identity suites,
+    the polylogarithms or the transport's oracles, and none of the heavy
+    standard modules; every public name of the package still resolves."""
     script = _HEAVY_PRELUDE + f"""
 import lawsonarea
 from lawsonarea.cli import main
 assert main(["expand", "--order", "1", "--precision", "20",
              "--cache-dir", {str(tmp_path)!r}]) == 0
-loaded = sorted(m for m in ("lawsonarea.verify", "lawsonarea.mpl") if m in sys.modules)
+loaded = sorted(m for m in ("lawsonarea.verify", "lawsonarea.mpl", "lawsonarea.oracle")
+                if m in sys.modules)
 assert not loaded, loaded
 assert_no_heavy_imports()
 for name in lawsonarea.__all__:
@@ -301,6 +303,28 @@ assert_no_heavy_imports()
 """
     done = run_fresh(["-c", script])
     assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_install_finds_every_name():
+    """``perfbench/child.py``'s ``install`` wraps the package's functions by
+    module attribute name (``omega.quadrature_oracle``, ``engine.advance``,
+    ``mpl.li``, ...): in a fresh interpreter every name it reads resolves,
+    and ``restore`` leaves no wrapper behind."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    script = f"""
+import sys
+sys.path.insert(0, {str(perfbench)!r})
+from child import install
+from tracer import Tracer
+tracer = Tracer()
+try:
+    install(tracer)
+finally:
+    tracer.restore()
+assert tracer.leftover_wrappers() == [], tracer.leftover_wrappers()
+"""
+    done = run_fresh(["-c", script])
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_module_entry_point_prints_alpha1(tmp_path):

@@ -4,13 +4,12 @@ import pytest
 
 from lawsonarea import mpl
 from lawsonarea.mpl import (DivergentSeriesError, MplSpec, _integral_word, _split_value,
-                            _tail_products, convert_word, li, mpl_spec,
-                            series_extrapolated, series_partial_sum, zeta_signed)
+                            _tail_products, convert_word, letter, li, mpl_spec,
+                            series_extrapolated, series_partial_sum, stuffle, zeta_signed)
 from lawsonarea.omega import parse_phi
 from lawsonarea.precision import PrecisionConfig, agreement_digits
 from lawsonarea.verify import (distribution_residual, li11_inversion_residual,
                                zagier_residual)
-from lawsonarea.words import letter, stuffle
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context

@@ -8,15 +8,16 @@ import re
 
 import pytest
 
-from lawsonarea import omega
+from lawsonarea import omega, oracle
 from lawsonarea.mpl import convert_word, li, mpl_spec
 from lawsonarea.engine import M_MATS, expand
 from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
                               _cache_path, _values_digest,
                               build_signed_table, build_table, cached_table, canonical_phi,
-                              chen_compose, gauss_legendre_rule, is_pi_over_4, load_table,
-                              parse_phi, punctures, punctures_fixed, quadrature_oracle,
+                              is_pi_over_4, load_table, parse_phi, punctures, punctures_fixed,
                               save_table)
+from lawsonarea.oracle import (chen_compose, constant_path, gauss_legendre_rule,
+                               quadrature_oracle)
 from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
 from lawsonarea.words import parse_word, shuffle
@@ -105,7 +106,7 @@ def _segment_table(phi, z0, z1, depth):
 
 
 def test_chen_constant_path(table40_pi4_L4):
-    const = OmegaTable.constant_path(CFG, "pi/4", table40_pi4_L4.ends[1], 4)
+    const = constant_path(CFG, "pi/4", table40_pi4_L4.ends[1], 4)
     composed = chen_compose(table40_pi4_L4, const)
     assert composed.values == table40_pi4_L4.values
     for word in table40_pi4_L4.words():
@@ -143,10 +144,10 @@ def test_chen_compose_guards(table40_pi4_L4, tables):
     other = build_table("1", "pi/4", 1, other_cfg)
     with pytest.raises(ValueError, match="precision"):
         chen_compose(table40_pi4_L4, other)
-    mismatched = OmegaTable.constant_path(CFG, "0.3", end, 4)
+    mismatched = constant_path(CFG, "0.3", end, 4)
     with pytest.raises(ValueError, match="phi"):
         chen_compose(table40_pi4_L4, mismatched)
-    wrong_anchor = OmegaTable.constant_path(CFG, "pi/4", (0, 1 << CFG.pole_bits), 4)
+    wrong_anchor = constant_path(CFG, "pi/4", (0, 1 << CFG.pole_bits), 4)
     with pytest.raises(ValueError, match="do not compose"):
         chen_compose(table40_pi4_L4, wrong_anchor)
 
@@ -160,7 +161,7 @@ def test_chen_compose_compares_angles_by_value(tables, pi_over_4_80):
     assert decimal.values == spelled.values
     end = spelled.ends[1]
     for table, other_label in ((spelled, pi_over_4_80), (decimal, "pi/4")):
-        const = OmegaTable.constant_path(CFG, other_label, end, 2)
+        const = constant_path(CFG, other_label, end, 2)
         composed = chen_compose(table, const)
         assert composed.values == table.values
         assert composed.phi_label == table.phi_label
@@ -171,7 +172,7 @@ def test_chen_compose_needs_equal_ends(table40_pi4_L4, offset):
     """Path ends are exact integers at ``pole_bits``: a right piece that
     starts one unit away from the left one's end is refused."""
     (x, y), (dx, dy) = table40_pi4_L4.ends[1], offset
-    near = OmegaTable.constant_path(CFG, "pi/4", (x + dx, y + dy), 4)
+    near = constant_path(CFG, "pi/4", (x + dx, y + dy), 4)
     with pytest.raises(ValueError, match="do not compose"):
         chen_compose(table40_pi4_L4, near)
 
@@ -234,7 +235,7 @@ def test_quadrature_far_path_near_pi_over_2_needs_no_extra_bits():
         if word:
             quad = quadrature_oracle(word, "1", "1.5707", cfg)
             assert abs(quad - table.value(word)) < cfg.eps(), word
-    far = [omega._quadrature_size(end, parse_phi(phi, cfg), cfg)
+    far = [oracle._quadrature_size(end, parse_phi(phi, cfg), cfg)
            for end, phi in (("1", "1.5707"), ("i", "0.0001"))]
     assert far == [(38, cfg.working_bits + 21)] * 2
 
@@ -248,9 +249,9 @@ def test_quadrature_scale_is_unchanged_at_the_benchmark_angles(digits):
     for endpoint, phi in [("1", a) for a in ("pi/6", "pi/5", "pi/4", "3*pi/10", "pi/3")] + [
             ("i", "1.2"), ("1", "0.3")]:
         value = parse_phi(phi, cfg)
-        n, bits = omega._quadrature_size(endpoint, value, cfg)
+        n, bits = oracle._quadrature_size(endpoint, value, cfg)
         near = min(math.sin(float(value)), math.cos(float(value)))
-        assert bits == omega._quadrature_bits(n, near, cfg), (endpoint, phi)
+        assert bits == oracle._quadrature_bits(n, near, cfg), (endpoint, phi)
 
 
 def test_quadrature_refuses_a_length3_word_above_its_node_cap(monkeypatch):
@@ -260,18 +261,18 @@ def test_quadrature_refuses_a_length3_word_above_its_node_cap(monkeypatch):
     before any level is built."""
     import time
     cfg = PrecisionConfig(30)
-    n, _ = omega._quadrature_size("1", parse_phi("0.1", cfg), cfg)
-    assert omega._MAX_NODES_LENGTH3 < n <= omega._MAX_NODES
+    n, _ = oracle._quadrature_size("1", parse_phi("0.1", cfg), cfg)
+    assert oracle._MAX_NODES_LENGTH3 < n <= oracle._MAX_NODES
     calls = []
-    first_level = omega._first_level
-    monkeypatch.setattr(omega, "_first_level",
+    first_level = oracle._first_level
+    monkeypatch.setattr(oracle, "_first_level",
                         lambda *args: calls.append(args[0]) or first_level(*args))
-    omega._quadrature_cache.clear()
+    oracle._quadrature_cache.clear()
     start = time.process_time()
     with pytest.raises(ValueError, match="phi = 0.1 needs"):
         quadrature_oracle((1, 2, 3), "1", "0.1", cfg)
     assert time.process_time() - start < 1
-    assert calls == [] and not omega._quadrature_cache
+    assert calls == [] and not oracle._quadrature_cache
     quadrature_oracle((1, 2), "1", "0.1", cfg)
     assert len(calls) == 1
     start = time.process_time()
@@ -351,11 +352,11 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
 def test_paired_forms_match_form_coeffs():
     cfg = PrecisionConfig(30)
     ctx = cfg.context
-    _, bits = omega._quadrature_size("1", parse_phi("0.7", cfg), cfg)
+    _, bits = oracle._quadrature_size("1", parse_phi("0.7", cfg), cfg)
     points = punctures(parse_phi("0.7", cfg), cfg)
     poles = [to_fixed_pair(p, bits) for p in points[:2]]
     for z in (ctx.mpc("0.3", "0.4"), ctx.mpc("-1.2", "0.5"), ctx.mpc("0.1", "-2")):
-        forms = omega._paired_forms(to_fixed_pair(z, bits), poles, bits)
+        forms = oracle._paired_forms(to_fixed_pair(z, bits), poles, bits)
         for value, eps in zip(forms, FORM_COEFFS):
             value = from_fixed_pair(*value, bits, ctx)
             expected = sum(e / (z - p) for e, p in zip(eps, points))
@@ -369,21 +370,21 @@ def test_first_level_builds_one_pole_of_each_mirror_pair(monkeypatch):
     cfg = PrecisionConfig(20)
     ctx = cfg.context
     n = 12
-    bits = omega._quadrature_bits(n, 1, cfg)
+    bits = oracle._quadrature_bits(n, 1, cfg)
     xs, ws = gauss_legendre_rule(n, cfg)
     rule = ([(to_fixed_pair(x, bits)[0] + (1 << bits)) >> 1 for x in xs],
             [to_fixed_pair(w, bits)[0] >> 1 for w in ws])
     poles = [to_fixed_pair(p, bits) for p in punctures(parse_phi("pi/5", cfg), cfg)[:2]]
     calls = []
-    inverse_gap = omega._inverse_gap
-    monkeypatch.setattr(omega, "_inverse_gap",
+    inverse_gap = oracle._inverse_gap
+    monkeypatch.setattr(oracle, "_inverse_gap",
                         lambda *args: calls.append(args) or inverse_gap(*args))
     for top in ((1 << bits, 0), (0, 1 << bits)):
         calls.clear()
-        omega._first_level(top, poles, rule, bits)
+        oracle._first_level(top, poles, rule, bits)
         assert len(calls) == n * (n + 1) // 2 + n
     with pytest.raises(ValueError):
-        omega._first_level((1 << bits, 1 << bits - 3), poles, rule, bits)
+        oracle._first_level((1 << bits, 1 << bits - 3), poles, rule, bits)
 
 
 def test_quadrature_length3_word_matches_transport():
@@ -400,17 +401,17 @@ def test_quadrature_length3_words_share_one_second_level(monkeypatch):
     node; a second one at the same key builds none and equals its value
     computed on an empty cache."""
     cfg = PrecisionConfig(20)
-    n, _ = omega._quadrature_size("1", parse_phi("pi/4", cfg), cfg)
+    n, _ = oracle._quadrature_size("1", parse_phi("pi/4", cfg), cfg)
     calls = []
-    first_level = omega._first_level
-    monkeypatch.setattr(omega, "_first_level",
+    first_level = oracle._first_level
+    monkeypatch.setattr(oracle, "_first_level",
                         lambda *args: calls.append(args[0]) or first_level(*args))
-    omega._quadrature_cache.clear()
+    oracle._quadrature_cache.clear()
     quadrature_oracle((2, 2, 3), "1", "pi/4", cfg)
     assert len(calls) == 1 + n
     value = quadrature_oracle((1, 3, 2), "1", "pi/4", cfg)
     assert len(calls) == 1 + n
-    omega._quadrature_cache.clear()
+    oracle._quadrature_cache.clear()
     assert quadrature_oracle((1, 3, 2), "1", "pi/4", cfg) == value
 
 
@@ -422,25 +423,25 @@ def test_oracle_caches_are_keyed_by_every_input():
     variants = [("i", "0.75", cfg30), ("1", "pi/6", cfg30), ("1", "0.75", cfg40)]
     calls = [call for variant in variants for call in (base, variant)]
     words = [(1,), (2, 1), (3, 2)]
-    omega._quadrature_cache.clear()
+    oracle._quadrature_cache.clear()
     seen = [(call, word, quadrature_oracle(word, *call))
             for call in calls for word in words]
-    assert len(omega._quadrature_cache) == 1 + len(variants)
+    assert len(oracle._quadrature_cache) == 1 + len(variants)
     # a different spelling of the same angle reuses its entry
     quadrature_oracle((2, 1), "1", "1*pi/6", cfg30)
-    assert len(omega._quadrature_cache) == 1 + len(variants)
+    assert len(oracle._quadrature_cache) == 1 + len(variants)
     spec = mpl_spec([1, 1], [cfg30.context.mpc(0, 1), "0.5"], cfg30)
     li_seen = [(cfg, li(spec, cfg)) for cfg in (cfg30, cfg40, cfg30, cfg40)]
     assert li.cache_info().currsize >= 2
     for call in [base] + variants:
-        omega._quadrature_cache.clear()
+        oracle._quadrature_cache.clear()
         li.cache_clear()
         fresh = {word: quadrature_oracle(word, *call) for word in words}
         for seen_call, word, value in seen:
             if seen_call == call:
                 assert value == fresh[word], (call, word)
     for cfg, value in li_seen:
-        omega._quadrature_cache.clear()
+        oracle._quadrature_cache.clear()
         li.cache_clear()
         assert li(spec, cfg) == value, cfg
 

@@ -87,14 +87,14 @@ def test_pole_bits_cover_every_kernel_scale():
     the polylogarithms' 32 (``pole_bits`` itself) and the quadrature's up
     to 31 at its 400-node cap with delta >= 0.002, and 32 wherever
     delta >= 4.2e-4."""
-    from lawsonarea import omega
+    from lawsonarea import oracle
     from lawsonarea.precision import POLE_EXTRA_BITS
     for digits in (10, 30, 250):
         cfg = PrecisionConfig(digits)
         assert cfg.pole_bits == cfg.working_bits + POLE_EXTRA_BITS == cfg.context.prec + 32
         assert cfg.fixed_bits == cfg.working_bits + 24 < cfg.pole_bits
-        assert omega._quadrature_bits(omega._MAX_NODES, 0.002, cfg) == cfg.pole_bits - 1
-        assert omega._quadrature_bits(omega._MAX_NODES, 4.2e-4, cfg) == cfg.pole_bits
+        assert oracle._quadrature_bits(oracle._MAX_NODES, 0.002, cfg) == cfg.pole_bits - 1
+        assert oracle._quadrature_bits(oracle._MAX_NODES, 4.2e-4, cfg) == cfg.pole_bits
         # a workprec block raises the context's precision, not the poles' scale
         with cfg.context.workprec(cfg.pole_bits):
             assert cfg.pole_bits == cfg.context.prec

@@ -3,9 +3,9 @@ from math import comb
 
 import pytest
 
+from lawsonarea.mpl import letter, stuffle, word_weight
 from lawsonarea.precision import PrecisionConfig
-from lawsonarea.words import (format_word, letter, parse_word, shuffle, stuffle,
-                              word_weight)
+from lawsonarea.words import format_word, parse_word, shuffle
 
 CFG = PrecisionConfig(30)
 CTX = CFG.context
