@@ -28,9 +28,10 @@ take a phi.  The recursion, order by order:
 3. b^(n) = (-1)^n c^(n) by the angle-reflection symmetry.  The state
    stores c alone and reads b from it (``DerivativeState.x``).
 4. The normalization det(r A) = -1 gives lambda * K_lower = (lambda^2 - 1)
-   a^(n) + 2 lambda r^(n): at even n, dividing by lambda^2 - 1 yields a^(n)
-   as the quotient and r^(n) from the remainder.  At odd n both are exactly
-   0 (below, "The two parities") and are set, not solved.
+   a^(n) + 2 lambda r^(n): at even n >= 4, dividing by lambda^2 - 1 yields
+   a^(n) as the quotient and r^(n) from the remainder.  At odd n both are
+   exactly 0 (below, "The two parities") and are set, not solved; at n = 2
+   K_lower is 0 (below, "The order-2 identity"), and so are both.
 
 Why the recursion is real.  On the real axis letters 1 and 3 carry
 imaginary constants (the phase rule of ``omega``), so sigma_c = i^p x_c with
@@ -123,16 +124,43 @@ has odd degrees only and, once reality makes it star-symmetric, its
 coefficients at d and -d are equal while i^(-d) = -i^d, so p(i) = 0
 identically and c^(n) takes no constant term.
 
+The order-2 identity.  K_lower^(2) = 0 for any table, and with it a^(2) =
+r^(2) = 0.  By the parities of c, T_c is +-1, +-Z, +-X or +-J
+(``_t_matrix``), so P = (1 + alpha) 1 + beta Z + gamma X + delta J with
+scalar alpha, beta, gamma, delta, and p = 2 (beta gamma - (1 + alpha)
+delta).  Expand P = 1 + sum_c t^|c| y^c x_c T_c to t^3, with T_1 = -Z,
+T_2 = X, T_3 = -J, T_(1,2) = -J and a^(1) = r^(1) = 0, so y_1 = a0 +
+O(t^2) and y_2, y_3 = c0 -+ t c^(1) + O(t^2); x_3 is read as pi, as
+``extract_c`` reads it.  star is multiplicative, a0 = (1/lambda -
+lambda)/2 is star-odd, b0 = c0 = -h (1/lambda + lambda) is star-even, and
+c0(i) = 0.  Let m = x_(1,2) - x_1 x_2.  Order 1: [t^2] p = 2 (pi c^(1) +
+m a0 c0) with a0 c0 = h (lambda^2 - lambda^-2)/2 star-odd, so reality
+gives c^(1) the degree-2 coefficient kappa = -h m / pi, and the Sym point,
+c^(1)(i) = 0, gives its constant the same: c^(1) = kappa (1 + lambda^2).
+Order 2: each term of [t^3] p whose y are all of order 0 holds a0 an even
+number of times (the classes of its factors fix the parity of their c1)
+and is star-even.  What is left is U = (c^(2) + r^(2) c0)/2, through
+delta's -t x_3 y_3, and a0 c^(1) = kappa (1/lambda - lambda^3)/2, through
+beta gamma and delta's -t^2 x_(1,2) y_1 y_2: [t^3] p = 2 (pi U - m a0
+c^(1)) + star-even.  With m = -pi kappa / h and r^(2) c0 star-even,
+reality asks c^(2)/2 + (kappa^2 / 2h)(1/lambda - lambda^3) to be
+star-even, and c^(2) has degrees 1 and 3 only: c^(2) = (kappa^2 / h)
+(lambda + lambda^3).  So c0 c^(2) = -kappa^2 (1 + lambda^2)^2 =
+-(c^(1))^2, and K_lower^(2) = -4 (c0 c^(2) + (y_3^(1))^2) = 0; lambda *
+K_lower = (lambda^2 - 1) a^(2) + 2 lambda r^(2) then forces a^(2) =
+r^(2) = 0.  At pi/4, h = 1/(2 sqrt(2)) and kappa = -ln(2)/sqrt(2): to
+second order in t, (b, c) turns by the angle 2 ln(2) lambda t, and
+b^2 + c^2 does not move.  So ``extract_a_r`` forms and checks lambda *
+K_lower^(2), its rounding dust, and does not divide it.
+
 Every order asserts the structural invariants: the frame derivative's
 degree <= n + 1, the degrees and lambda-parity of p_lower and lambda *
 K_lower exactly (above), and the reality, Sym-point and normalization
 residuals, which are recorded; a violation raises :class:`EngineError`
 instead of silently absorbing precision loss.  No small coefficient is
-dropped while a result is computed: a^(n) alone passes one noise cut
-(``_support``) that zeroes coefficients below its constraint's tolerance;
-at every order run so far it drops only a^(2)'s division dust.
-The one negative degree of lambda * K_lower, -1, is dust up to eps(2) of
-max(its peak, 1) and is dropped before the division.
+dropped while a result is computed.  The one negative degree of lambda *
+K_lower, -1, is dust up to eps(2) of max(its peak, 1), and the division
+reads the positive degrees alone.
 
 The area of the closed surface is 8 pi (1 - r (cos(phi) b0 - sin(phi) c0)),
 b0 and c0 here the degree-0 coefficients; Taylor coefficients alpha_k
@@ -179,11 +207,6 @@ def _exceeds(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig
     """Whether a modulus exceeds a scale times eps(digits_lost), given both
     squared at one scale: exact on the integers."""
     return size_sq * cfg.eps_ratio(digits_lost) ** 2 > scale_sq
-
-
-def _below(size_sq: int, scale_sq: int, digits_lost: int, cfg: PrecisionConfig) -> bool:
-    """Whether a modulus lies below a scale times eps(digits_lost), as ``_exceeds``."""
-    return size_sq * cfg.eps_ratio(digits_lost) ** 2 < scale_sq
 
 
 def _check_degrees(poly: LaurentPoly, parity: int, low: int, high: int, label: str,
@@ -506,18 +529,6 @@ def p_derivative(n: int, state: DerivativeState,
 # extraction of the order-n parameters
 # ---------------------------------------------------------------------------
 
-def _support(poly: LaurentPoly, scale_sq: int, cfg: PrecisionConfig) -> LaurentPoly:
-    """The noise cut of a real a^(n): drop each coefficient below
-    scale * eps(6), the residual tolerance of its defining constraint.
-
-    ``scale_sq`` is the square of the constraint's scale, at 2^2P.  Degrees
-    and parity need no check here: a^(n) inherits them from lambda *
-    K_lower, which is checked where it is formed (module docstring, "The
-    two parities")."""
-    return LaurentPoly(cfg, re={d: v for d, v in poly.re.items()
-                                if not _below(v * v, scale_sq, 6, cfg)})
-
-
 def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
     """The constant polynomial of an integer at 2^P."""
     return LaurentPoly(cfg, re={0: value})
@@ -542,9 +553,13 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
 
 
 def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
-    """Order-n a and r, n even, from dividing the curvature constraint by
-    lambda^2 - 1, and K_lower.  At odd n both are exactly 0 (module
-    docstring, "The two parities"): there is nothing to solve."""
+    """Order-n a and r, n even, and K_lower.  lambda * K_lower is formed and
+    checked at every even n; from n = 4 on its (lambda^2 - 1) division gives
+    a^(n) as the quotient and r^(n) as half the remainder.  At n = 2
+    K_lower is 0 for any table (module docstring, "The order-2 identity"),
+    so a^(2) = r^(2) = 0 and K_lower^(2), its rounding dust, is returned
+    undivided for the normalization residual.  At odd n a and r are exactly
+    0 (module docstring, "The two parities"): there is nothing to solve."""
     if n % 2:
         raise ValueError(f"a^({n}) and r^({n}) vanish at odd order; only even "
                          "orders are extracted")
@@ -572,12 +587,11 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
     if _exceeds(dust * dust, scale_sq, 2, cfg):
         raise EngineError(f"lambda * K_lower^({n}): negative degrees are not dust: "
                           f"{Dyadic(abs(dust), -cfg.fixed_bits).format(5)} at degree -1")
+    if n == 2:      # K_lower^(2) = 0 (module docstring): nothing to divide
+        return LaurentPoly(cfg), 0, k_low
     # an odd polynomial: the remainder lies at degree 1 alone
     quot, rem = shifted.project("plus").divrem_l2m1()
-    r_n = rem.re.get(1, 0) >> 1         # half the remainder, rounded down
-    if _below(r_n * r_n, scale_sq, 6, cfg):
-        r_n = 0
-    return _support(quot, scale_sq, cfg), r_n, k_low
+    return quot, rem.re.get(1, 0) >> 1, k_low     # r^(n): half the remainder, rounded down
 
 
 def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:

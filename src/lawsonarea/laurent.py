@@ -8,10 +8,12 @@ Only exact zeros are dropped, so rounding dust stays visible to the checks
 that decide what is zero.  The order recursion builds every polynomial from
 integers and reads its checks off integers (``max_abs_sq``, ``at_i``), and
 ``to_jsonable`` prints the integers with ``precision.to_decimal``, so none
-of it touches mpmath.  For the tests and the first-order closed forms the
+of it touches mpmath.  For the tests and for library callers the
 constructor also converts real ``mpf`` or Python numbers, and
 ``coefficient`` and ``max_abs`` render the integers exactly as mpmath
-values (``to_mpf``).  ``axpy``, ``add_product`` and ``round_map`` are the
+values (``to_mpf``); the first-order closed forms
+(``engine.first_order_general_phi``) are ``mpf`` values and build no
+polynomial.  ``axpy``, ``add_product`` and ``round_map`` are the
 kernels on {degree: int} maps behind ``+``, ``-`` and ``*``, shared with the
 engine's frame sums.  Besides plain arithmetic the class carries the
 involution used throughout,

@@ -171,6 +171,11 @@ def _tail_products(spec: MplSpec, cfg: PrecisionConfig) -> list:
 
 def _validate(spec: MplSpec, cfg: PrecisionConfig) -> list:
     tol = cfg.eps(4) * 1000
+    # a non-finite argument makes a NaN tail product, which compares False
+    # with any bound below
+    for i, z in enumerate(spec.args):
+        if not cfg.context.isfinite(z):
+            raise DivergentSeriesError(f"z_{i + 1} = {z} is not a finite number")
     prods = _tail_products(spec, cfg)
     for i, p in enumerate(prods):
         if abs(p) > 1 + tol:

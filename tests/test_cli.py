@@ -168,6 +168,15 @@ def test_mpl_errors(capsys):
     assert code == 2
 
 
+def test_mpl_refuses_non_finite_arguments(capsys):
+    """A non-finite argument is a usage error that names it, not a crash in
+    the kernel's integer conversion."""
+    for arg in ("inf", "-inf", "nan"):
+        code, out, err = run_cli(capsys, "mpl", "--indices", "1", "--args", arg)
+        assert code == 2 and not out, arg
+        assert "z_1 = " in err and "is not a finite number" in err, arg
+
+
 def test_mpl_has_no_cache_dir(capsys, tmp_path):
     """Only ``expand`` takes ``--cache-dir``; ``mpl`` and ``verify`` refuse it."""
     for argv in (["mpl", "--indices", "2", "--args", "-1"],

@@ -1,11 +1,12 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _support, _t_matrix,
+from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _t_matrix,
                                _word, advance, area_series, central_state, extract_a_r,
                                extract_c, first_order_general_phi, frame_derivative,
                                frame_lower, p_derivative, q_first_order_check, run)
@@ -226,43 +227,6 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
         run(2, CFG, table=broken)
 
 
-# a scale of 1, squared at 2^2P, as ``_support`` takes it
-ONE_SQ = 1 << 2 * CFG.fixed_bits
-
-
-def test_support_drops_dust():
-    poly = LaurentPoly(CFG, {1: 1, 3: CTX.mpf("1e-50")})
-    kept = _support(poly, ONE_SQ, CFG)
-    assert kept.re == {1: poly.re[1]}
-
-
-def test_noise_cut_acts_on_a2_alone(monkeypatch, tables):
-    """The noise cut's one load-bearing use: true a^(2) and r^(2) are 0, and
-    the cut drops the few units of 2^-P that the (lambda^2 - 1) division of
-    lambda * K_lower^(2)'s dust leaves in a^(2) (8 and 16 units at degrees 3
-    and 1 here).  Through order 13 at 40 digits, at the guard digits
-    ``expand`` uses, it drops no other coefficient of any a^(n); c^(n)
-    passes no cut."""
-    import lawsonarea.engine as engine
-    cfg = PrecisionConfig(40, guard_digits_for_order(13))
-    calls = []
-    support = engine._support
-
-    def recorded(poly, scale_sq, cfg):
-        out = support(poly, scale_sq, cfg)
-        calls.append((out, {d: v for d, v in poly.re.items() if d not in out.re}))
-        return out
-
-    monkeypatch.setattr(engine, "_support", recorded)
-    state = run(13, cfg, table=tables.signed("1", "pi/4", 14, cfg))
-    assert len(calls) == 6                  # a^(n) at the even orders
-    assert state.a[2].is_zero
-    for out, dropped in calls:
-        if dropped:
-            assert out is state.a[2], dropped
-            assert len(dropped) <= 2 and all(abs(v) <= 1 << 5 for v in dropped.values())
-
-
 def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
     """lambda * K_lower's negative degrees are projected away as dust up to
     eps(2) of its peak (350 at order 4), and raise above that."""
@@ -291,8 +255,9 @@ def order2_inputs(signed40_pi4_L7):
 
 def test_negative_degrees_tolerance_floor(order2_inputs):
     """At order 2 lambda * K_lower is pure dust (its peak below 1e-57), so its
-    negative degrees are measured against max(peak, 1): dust up to eps(2) is
-    projected away, and anything above it raises."""
+    negative degrees are measured against max(peak, 1): dust up to eps(2)
+    passes, and anything above it raises.  a^(2) = r^(2) = 0 by
+    construction (``test_order2_identity``), so only K_lower is returned."""
     state, c_n = order2_inputs
     a_n, r_n, k_low = extract_a_r(2, state, c_n)
     assert a_n.is_zero and r_n == 0
@@ -302,11 +267,72 @@ def test_negative_degrees_tolerance_floor(order2_inputs):
         # and the factor -4 put 2 sqrt(2) size on lambda^-1 of lambda * K_lower
         return extract_a_r(2, state, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
 
-    a_dust, r_dust, k_dust = with_extra("1e-50")
-    assert not k_dust.is_zero
-    assert a_dust.is_zero and r_dust == 0
+    assert not with_extra("1e-50")[2].is_zero
     with pytest.raises(EngineError, match="negative degrees"):
         with_extra("1e-40")
+
+
+@pytest.mark.parametrize("target, guard", [(35, 10), (40, 10), (40, 36), (100, 10), (200, 12)])
+def test_order2_identity(tables, target, guard):
+    """The engine docstring's "order-2 identity" on the recursion's integers:
+    c^(1) = kappa (1 + lambda^2), kappa = -h m / pi, c^(2) = -(m kappa / pi)
+    (lambda + lambda^3), which is (kappa^2 / h)(lambda + lambda^3), and
+    c0 c^(2) + (c^(1))^2 = 0, with h = -c0's coefficient, m = x_(1,2) -
+    x_(1,) x_(2,) from the table and pi = ``pi_fixed``.
+
+    The bounds, in units u = 2^-P, follow laurent's rounding budget: a
+    product rounds each coefficient by at most u/2, and errors propagate as
+    e_p |q| + |p| e_q, |q| the sum of q's coefficients' moduli.  Rounding is
+    odd and star only permutes, so a product of star-even or star-odd
+    factors has that parity exactly, errors included; c^(n) reads p_lower at
+    degree d > 0 only as p_(-d) - p_d, from which every star-even part
+    cancels.  At pi/4, |x_(1,)| = pi/2, |x_(2,)| = 1.763, |x_(1,2)| = 1.586,
+    |kappa| = 0.490 and h = 0.354.
+    * Order 1: p_lower^(2) is star-odd exactly, so p_lower^(2)(i) = 0 and
+      c^(1)'s degree-0 and degree-2 integers are equal.  A coefficient of
+      p_lower^(2) carries 2 |x_(1,2)| u from the frame sums' one product
+      a0 c0, u from their two entries and 2 (2.56 + 3.81) u from the two
+      products of P^(1)'s entries; p_(-2) - p_2 twice that, 33.8 u, times
+      1/(4 pi), plus the factor's u/2 times 4 pi |kappa| and the product's
+      u/2: 6.3 u.
+    * Order 2: the frame sums' D^1 of (1, 2) carries 6 |x_(1,2)| u and
+      their two entries u; of the four products of P^(1) and P^(2) entries
+      two are star-even, and the two others, scaled by 3, carry 6.88 u and
+      3.42 u (P^(2)'s letter-2 and letter-3 terms round u/2 each).  So
+      p_(-d) - p_d carries 82.8 u, and c^(2), after 1/(6 pi), the factor's
+      u/2 times 6 pi |c^(2)_d| and the product's u/2: 11.3 u.
+    * The identity: its degrees 0 and 4 are kappa e_1 - h e_2, e_n the
+      errors above, and degree 2 twice that, plus the two products' u/2
+      each: 8.1 u and 15.2 u.
+    Against the closed forms at pi/4, kappa = -ln(2)/sqrt(2) and
+    kappa^2 / h = sqrt(2) ln(2)^2, the table's error adds: omega's budget
+    holds each sigma within 2^23 u (series of at most 1000 terms), which
+    moves kappa by at most 0.49 and c^(2) by 1.36 times that, so both lie
+    within one unit of the working precision, 2^24 u.
+    """
+    cfg = PrecisionConfig(target, guard)
+    bits = cfg.fixed_bits
+    table = tables.signed("1", "pi/4", 3, cfg)
+    state = run(2, cfg, table=table)
+    c0, c1, c2 = state.c[:3]
+    x1, x2, x12 = (table.values[key][1] for key in ((1,), (2,), (1, 2)))
+    h, pi = -c0.re[1], pi_fixed(bits)
+    m = Fraction((x12 << bits) - x1 * x2, 1 << bits)        # at 2^P, as h and pi
+    assert set(c1.re) == {0, 2} and c1.re[0] == c1.re[2]
+    assert abs(c1.re[2] - (-h * m / pi)) <= Fraction(63, 10)
+    assert set(c2.re) == {1, 3}
+    for d in (1, 3):
+        assert abs(c2.re[d] - (-m * c1.re[2] / pi)) <= Fraction(113, 10), d
+    identity = c0 * c2 + c1 * c1
+    assert set(identity.re) <= {0, 2, 4}
+    for d, bound in ((0, Fraction(81, 10)), (2, Fraction(152, 10)), (4, Fraction(81, 10))):
+        assert abs(identity.re.get(d, 0)) <= bound, d
+    with mpmath.workprec(bits + 32):
+        kappa = -mpmath.ln(2) / mpmath.sqrt(2)
+        gamma = 2 * mpmath.sqrt(2) * kappa ** 2        # kappa^2 / h at h = 1/(2 sqrt(2))
+        for poly, degrees, value in ((c1, (0, 2), kappa), (c2, (1, 3), gamma)):
+            for d in degrees:
+                assert abs(poly.re[d] - value * 2 ** bits) <= 2 ** (bits - cfg.working_bits), d
 
 
 def with_c_term(state, c_n, degree, size):

@@ -63,6 +63,16 @@ def test_divergence_rejected():
         li(mpl_spec([2], ["1." + "0" * 43 + "1"], CFG), CFG)
 
 
+@pytest.mark.parametrize("arg", ["nan", "inf", "-inf", complex(0.5, float("nan"))])
+def test_non_finite_arguments_rejected(arg):
+    """A NaN tail product compares False with any bound, so a non-finite
+    argument, last or inner, is refused by name before any series runs."""
+    for indices, args, position in (([1], [arg], 1), ([2, 1], ["0.5", arg], 2),
+                                    ([2, 1], [arg, "0.5"], 1)):
+        with pytest.raises(DivergentSeriesError, match=f"z_{position} = .* is not a finite"):
+            li(mpl_spec(indices, args, CFG), CFG)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         mpl_spec([1, 2], [0.5], CFG)
