@@ -5,10 +5,11 @@ integral), ``mpl`` (one polylogarithm) and ``verify`` (identity suites).
 Only ``expand --cache-dir DIR`` reads or writes a file of tables; every
 other run builds its tables in process.  All numeric output is rendered
 from the arbitrary-precision values directly; nothing passes through a
-machine float.  ``expand`` at pi/4 prints from the recursion's integers and
-imports no mpmath; the other subcommands, and ``expand --order 1`` at
-another phi, print ``mpmath`` values.  Exit codes: 0 success, 1 check
-failure, 2 usage error.
+machine float, and ``mpl`` prints each part at the digits that ``li``'s
+absolute error bound holds (``_held_text``).  ``expand`` at pi/4 prints
+from the recursion's integers and imports no mpmath; the other
+subcommands, and ``expand --order 1`` at another phi, print ``mpmath``
+values.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,10 +40,37 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _print_complex(value, cfg: PrecisionConfig, fmt: str, label: str) -> None:
-    ctx = cfg.context
-    v = ctx.mpc(value)
-    re, im = _nstr(ctx.re(v), cfg), _nstr(ctx.im(v), cfg)
+def _complex_texts(value, cfg: PrecisionConfig) -> tuple:
+    """The (re, im) texts of a complex value at the target digits."""
+    v = cfg.context.mpc(value)
+    return _nstr(v.real, cfg), _nstr(v.imag, cfg)
+
+
+def _held_text(part, cfg: PrecisionConfig) -> str:
+    """A real part of an ``mpl.li`` value at the significant digits that
+    ``li``'s absolute error bound holds, the target's at most.
+
+    ``li`` is accurate to an absolute 2^-W, W = ``cfg.working_bits``: by
+    ``mpl``'s rounding budget the kernel's own rounding stays below 2^-3.8
+    of that unit, and the value is rounded once more, to 2^-P, 2^-32 of it.
+    Printed at D significant digits, its leading digit at 10^e, the part is
+    also off by half a unit of 10^(e-D+1), so every printed digit holds to
+    one unit in the last place once 2^-W <= 10^(e-D+1)/2, which D =
+    floor(log10(|part| 2^(W-1))) meets since |part| < 10^(e+1).  (Where D
+    is below the target, |part| < 10^-9 and its rounding to the working
+    bits, as ``_cmd_mpl`` reads it, adds under 10^-9 units.)  A part of
+    modulus >= 10^-guard keeps all target digits, as (W - 1) log10(2) >
+    working digits + 0.5; one of no held digit prints as 0.0.
+    """
+    shift = part.exp + cfg.working_bits - 1
+    whole = abs(part.man) << shift if shift >= 0 else abs(part.man) >> -shift
+    digits = min(cfg.target_digits, len(str(whole)) - 1)
+    return cfg.context.nstr(part, digits, strip_zeros=False) if digits > 0 else "0.0"
+
+
+def _print_complex(texts, fmt: str, label: str) -> None:
+    """Print a complex value given as the texts of its (re, im) parts."""
+    re, im = texts
     if fmt == "json":
         print(json.dumps({"version": 1, "label": label, "re": re, "im": im}))
     elif fmt == "csv":
@@ -138,11 +166,11 @@ def _cmd_omega(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
     if not word:
-        _print_complex(1, cfg, args.format, "omega()")
+        _print_complex(_complex_texts(1, cfg), args.format, "omega()")
         return 0
     value = omega.entry_value(omega.word_entry(args.endpoint, args.phi, word, cfg), cfg)
     label = f"omega({format_word(word)})@{args.endpoint},phi={args.phi}"
-    _print_complex(value, cfg, args.format, label)
+    _print_complex(_complex_texts(value, cfg), args.format, label)
     return 0
 
 
@@ -193,6 +221,9 @@ def _cmd_mpl(args) -> int:
         indices = [int(tok) for tok in args.indices.split(",") if tok.strip()]
     except ValueError:
         return _usage_error(f"malformed index list {args.indices!r}")
+    if not indices:
+        return _usage_error(f"empty index list {args.indices!r}: a polylogarithm "
+                            "has at least one index")
     tokens = [tok for tok in args.args.split(",") if tok.strip()]
     if len(tokens) != len(indices):
         return _usage_error("indices and args must have the same depth")
@@ -202,7 +233,9 @@ def _cmd_mpl(args) -> int:
     except (argparse.ArgumentTypeError, ValueError) as exc:
         return _usage_error(exc)
     label = f"Li_{{{args.indices}}}({args.args})"
-    _print_complex(value, cfg, args.format, label)
+    value = ctx.mpc(value)
+    _print_complex((_held_text(value.real, cfg), _held_text(value.imag, cfg)), args.format,
+                   label)
     return 0
 
 

@@ -5,10 +5,10 @@ the four parameter functions a, b, c (Laurent coefficients of the residue
 matrix) and the scalar r admit a recursion in the expansion order n.  The
 recursion runs at that angle only, so pi/4 is a constant here (``PHI``), not
 an input: the state and the results carry no angle, and the one table check
-(``frame_lower``) asks ``omega.is_pi_over_4``, the package's single rule for
-pi/4, whether the table's angle equals it by value.  Only the order-1 closed
-forms (``first_order_general_phi``) and the q-check (``q_first_order_check``)
-take a phi.  The recursion, order by order:
+(``read_sigma``, once per run) asks ``omega.is_pi_over_4``, the package's
+single rule for pi/4, whether the table's angle equals it by value.  Only
+the order-1 closed forms (``first_order_general_phi``) and the q-check
+(``q_first_order_check``) take a phi.  The recursion, order by order:
 
 1. Assemble the lower-order part of the frame derivative P^(n+1) at z = 1
    from word integrals and Leibniz products of known derivatives.  The
@@ -16,7 +16,8 @@ take a phi.  The recursion, order by order:
    on its letter counts, and the constant matrices ``M_MATS`` anticommute,
    so M_w is a sign times the product of its letters in sorted order.  The
    word integrals therefore enter only as their signed sum per letter
-   multiset, which ``omega.build_signed_table`` transports directly.  Each
+   multiset, which ``omega.build_signed_table`` transports directly and
+   ``read_sigma`` reads into the state once, as it is created.  Each
    multiset's product derivatives, which depend only on solved orders, are
    kept on the state and extended by one derivative per order
    (``frame_lower``).
@@ -45,9 +46,10 @@ a^(n) and c^(n), which are read off them by real operations.  The
 recursion solves with no complex number: the values at the Sym point
 lambda = i that pin c^(n)'s constant at odd n are real by parity, and only
 ``advance``'s Sym-point residual reads both parts of p(i)
-(``LaurentPoly.at_i``, a pair of integers).  ``frame_lower`` checks each
-sigma_c's phase against (c1 + c3) mod 2 as it reads it, so a table of the
-wrong phase raises ``EngineError``.
+(``LaurentPoly.at_i``, a pair of integers).  ``read_sigma`` checks every
+sigma_c's phase against (c1 + c3) mod 2 once, when ``run`` creates the
+state, so a table of the wrong phase raises ``EngineError`` at any depth,
+read or not, before the first order.
 
 The 2<->3 mirror.  At pi/4, cos(phi) = sin(phi) = u, so the central b and
 c, -(sin phi, cos phi)(1/lambda + lambda)/2, are one polynomial: ``_unit``
@@ -65,7 +67,8 @@ letter 2 from letter 3.
 The products.  y_1 is even in t, so the product of y over a letter
 multiset c = (c1, c2, c3) and over its mirror m = (c1, c3, c2) are one
 function at t and -t: D^s of m's product is (-1)^s times c's.  The state
-keeps the products of the multisets with c2 <= c3 only, and
+keeps the products of the multisets of two or more letters with c2 <= c3
+only (a single letter's are the y_i^(k) themselves), and
 ``frame_lower`` adds x_c T_c D^s and (-1)^s x_m T_m D^s from one list.  A
 self-mirror multiset (c2 = c3) has a product even in t, so its odd
 derivatives are exactly 0; they are stored as empty maps and never
@@ -124,6 +127,17 @@ has odd degrees only and, once reality makes it star-symmetric, its
 coefficients at d and -d are equal while i^(-d) = -i^d, so p(i) = 0
 identically and c^(n) takes no constant term.
 
+The frame's degree bound.  The windows above, c^(n) (and so b^(n)) in
+0..n+1 and a^(n) in 1..n+1, and the central a0, b0 and c0 at degrees +-1
+give every x_i^(k) degrees in -1..k+1, and so every y_i^(k) = sum_l
+C(k, l) r^(k-l) x_i^(l).  A product of l letters at
+derivative order s, a Leibniz sum of products of l such y whose orders add
+up to s, has degrees in -l..s+l; P^(n+1) reads it at s = n + 1 - l, that is
+in -l..n+1 with l <= n + 1, and its single-letter terms, the y_i^(n) of the
+cross and head terms, lie in -1..n+1.  So P^(n+1) has degrees in
+-(n+1)..n+1 by construction, rounding included (``round_map`` creates no
+degree), and ``frame_derivative`` checks nothing there.
+
 The order-2 identity.  K_lower^(2) = 0 for any table, and with it a^(2) =
 r^(2) = 0.  By the parities of c, T_c is +-1, +-Z, +-X or +-J
 (``_t_matrix``), so P = (1 + alpha) 1 + beta Z + gamma X + delta J with
@@ -153,11 +167,11 @@ second order in t, (b, c) turns by the angle 2 ln(2) lambda t, and
 b^2 + c^2 does not move.  So ``extract_a_r`` forms and checks lambda *
 K_lower^(2), its rounding dust, and does not divide it.
 
-Every order asserts the structural invariants: the frame derivative's
-degree <= n + 1, the degrees and lambda-parity of p_lower and lambda *
-K_lower exactly (above), and the reality, Sym-point and normalization
-residuals, which are recorded; a violation raises :class:`EngineError`
-instead of silently absorbing precision loss.  No small coefficient is
+Every order asserts the structural invariants: the degrees and
+lambda-parity of p_lower and lambda * K_lower exactly (above), and the
+reality, Sym-point and normalization residuals, which are recorded; a
+violation raises :class:`EngineError` instead of silently absorbing
+precision loss.  No small coefficient is
 dropped while a result is computed.  The one negative degree of lambda *
 K_lower, -1, is dust up to eps(2) of max(its peak, 1), and the division
 reads the positive degrees alone.
@@ -249,24 +263,39 @@ def _t_matrix(c1: int, c2: int, c3: int) -> tuple:
     return mat
 
 
-def _word(c1: int, c2: int, c3: int) -> tuple:
-    """The non-decreasing word of the letter counts c: a table key."""
-    return (1,) * c1 + (2,) * c2 + (3,) * c3
-
-
 def _flip(poly: LaurentPoly, k: int) -> LaurentPoly:
     """(-1)^k poly: a k-th t-derivative read through the 2<->3 mirror."""
     return -poly if k % 2 else poly
 
 
-def _sigma_x(table: SignedTable, key, phase: int) -> int:
-    """x_c of sigma_c = i^p x_c at 2^P, as the table holds it, once its phase
-    p is checked to be ``phase`` = (c1 + c3) mod 2."""
-    p, x = table.values[key]
-    if p != phase:
-        raise EngineError(f"sigma of {key} carries i^{p}, not i^{phase}: "
-                          "not a signed table along the real axis")
-    return x
+def read_sigma(table: SignedTable, cfg: PrecisionConfig) -> dict:
+    """x_c of every sigma_c = i^p x_c of ``table``, keyed by the letter counts
+    c = (c1, c2, c3), as the integers at 2^P that the table holds.
+
+    The one check of the recursion's table, made once per run: it must be an
+    ``omega.SignedTable`` (``TypeError``) at the recursion's working
+    precision, and with it the scale 2^P, and run to z = 1 at pi/4
+    (``omega.is_pi_over_4``; ``ValueError``), and every sigma_c's phase p,
+    at any depth, must be (c1 + c3) mod 2 (``EngineError``; module
+    docstring).  Whether the table is deep enough is asked per order
+    (``frame_lower``)."""
+    if not isinstance(table, SignedTable):
+        raise TypeError("frame_lower reads signed sums per letter multiset "
+                        f"(omega.build_signed_table), got {type(table).__name__}")
+    if table.cfg.working_digits != cfg.working_digits:
+        raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
+                         f"the recursion runs at {cfg.working_digits}")
+    if table.ends != ((0, 0), (1 << cfg.pole_bits, 0)) or not is_pi_over_4(table.phi_label, cfg):
+        raise ValueError(f"the table is of another path than [0, 1] or of phi = "
+                         f"{table.phi_label}; the recursion reads z = 1 at phi = {PHI}")
+    sigma = {}
+    for key, (p, x) in table.values.items():
+        c1, c2, c3 = (key.count(i) for i in (1, 2, 3))
+        if p != (c1 + c3) % 2:
+            raise EngineError(f"sigma of {key} carries i^{p}, not i^{(c1 + c3) % 2}: "
+                              "not a signed table along the real axis")
+        sigma[c1, c2, c3] = x
+    return sigma
 
 
 class DerivativeState:
@@ -275,22 +304,26 @@ class DerivativeState:
     ``a[k]`` and ``c[k]`` are a^(k) and c^(k); b is not stored, since
     b^(k) = (-1)^k c^(k) (``x``).  ``frames[m]`` is P^(m) at z = 1,
     m = 0..order+1, and ``r[k]`` is r^(k) as an integer at the polynomials'
-    scale 2^P.  The two private maps are built from solved orders only, so
-    never stale: ``_ys`` maps (i, k) to y_i^(k) for i = 1, 3, and
-    ``_products`` maps each letter multiset with c2 <= c3 (a non-decreasing
-    word) to the list of t-derivatives of its product of y, as
-    {degree: int} maps at scale 2^P; a self-mirror multiset's odd ones are
-    empty (module docstring, "The products").
+    scale 2^P.  ``sigma`` is the run's table as ``read_sigma`` checked it,
+    x_c by letter counts c, and every later order reads it.  The two
+    private maps are built from solved orders only, so never stale: ``_ys``
+    maps (i, k) to y_i^(k) for i = 1, 3, and ``_products`` maps the letter
+    counts of each multiset of two or more letters with c2 <= c3 to the
+    list of t-derivatives of its product of y, as {degree: int} maps at
+    scale 2^P; a self-mirror multiset's odd ones are empty (module
+    docstring, "The products").
     """
 
-    __slots__ = ("cfg", "order", "a", "c", "r", "frames", "diagnostics", "_ys", "_products")
+    __slots__ = ("cfg", "order", "a", "c", "r", "frames", "sigma", "diagnostics", "_ys",
+                 "_products")
 
     def __init__(self, *, cfg: PrecisionConfig, order: int, a: list, c: list, r: list,
-                 frames: list):
+                 frames: list, sigma: dict):
         self.cfg = cfg
         self.order = order
         self.a, self.c, self.r = a, c, r
         self.frames = frames
+        self.sigma = sigma
         self.diagnostics = []
         self._ys = {}
         self._products = {}
@@ -339,10 +372,11 @@ class DerivativeState:
         return out
 
 
-def central_state(cfg: PrecisionConfig) -> DerivativeState:
+def central_state(cfg: PrecisionConfig, table: SignedTable) -> DerivativeState:
     """The order-0 state at pi/4: a = (1/lambda - lambda)/2, c =
     -cos(phi)(1/lambda + lambda)/2, and so b = -sin(phi)(1/lambda + lambda)/2
-    = c, r = 1, each coefficient rounded once to 2^P."""
+    = c, r = 1, each coefficient rounded once to 2^P, and the signed table
+    that every order reads, checked once (``read_sigma``)."""
     bits = cfg.fixed_bits
     half = 1 << (bits - 1)
     c_half = -_unit(cfg, bits - 1)      # at 2^(P-1): halved
@@ -350,14 +384,14 @@ def central_state(cfg: PrecisionConfig) -> DerivativeState:
         cfg=cfg, order=0,
         a=[LaurentPoly(cfg, re={-1: half, 1: -half})],
         c=[LaurentPoly(cfg, re={-1: c_half, 1: c_half})],
-        r=[1 << bits], frames=[LaurentMatrix2.identity(cfg)])
+        r=[1 << bits], frames=[LaurentMatrix2.identity(cfg)], sigma=read_sigma(table, cfg))
 
 
 # ---------------------------------------------------------------------------
 # frame derivatives from word integrals
 # ---------------------------------------------------------------------------
 
-def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMatrix2:
+def frame_lower(n: int, state: DerivativeState) -> LaurentMatrix2:
     """Part of P^(n+1) determined by derivatives of order below n.
 
     Sum over words w of length l = 2..n+1 of (n+1)!/(n+1-l)! times the
@@ -371,22 +405,21 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     The ``M_MATS`` anticommute pairwise, so M_w is (-1)^inv(w) times the
     product of its letters in non-decreasing order, inv(w) counting the
     letter pairs of w out of order.  So the words enter only through the
-    signed sum sigma_c of their integrals per letter multiset c, which
-    ``table`` (an ``omega.SignedTable``) holds under the non-decreasing word
-    of c.  Of each 2<->3 mirror pair (module docstring) only the multiset
-    with c2 <= c3 is walked, on the tree of its one kept parent: its product
-    derivatives come from the parent's, and its sigma_c and its mirror's are
-    multiplied in once each: 47 of the 80 multisets at order 5, 158 of the
-    282 at order 9.
+    signed sum sigma_c of their integrals per letter multiset c, which the
+    state holds as ``read_sigma`` checked it (``DerivativeState.sigma``).
+    The table must reach n + 1 letters (``ValueError``).  Of each 2<->3
+    mirror pair (module docstring) only the multiset with c2 <= c3 is
+    walked, on the tree of its one kept parent: its product derivatives
+    come from the parent's, and its sigma_c and its mirror's are multiplied
+    in once each: 47 of the 80 multisets at order 5, 158 of the 282 at
+    order 9.
 
     Fixed point.  a, b, c and r are real, so every derivative of a product
     is a real {degree: int} map at the polynomials' scale 2^P: each y_i^(k)
     is read as it is stored, each Leibniz sum is exact at 2^-2P and rounded
     once (``laurent.round_map``), and x_c of sigma_c = i^p x_c is the
-    table's integer as it is: the table must share the state's working
-    precision, and with it the scale 2^P, and run to z = 1 at pi/4
-    (``omega.is_pi_over_4``), and sigma_c's phase p must be (c1 + c3) mod
-    2.  sigma_c M^(c) = x_c T_c with T_c real, read off the letter counts
+    table's integer as it is, at the state's scale 2^P (``read_sigma``).
+    sigma_c M^(c) = x_c T_c with T_c real, read off the letter counts
     (``_t_matrix``), so the products x_c times a derivative are summed
     exactly at 2^-2P into one {degree: int} map per matrix T_c; each matrix
     entry adds those times its entry of T_c, 0 or +-1, and each coefficient
@@ -399,33 +432,23 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
     solved order.  Each kept multiset's list of maps lives on the state
     (``DerivativeState._products``) and is extended only by the orders it
     lacks, so order n builds one new derivative per kept multiset of size
-    <= n and the first one of those of size n + 1, the odd ones of a
-    self-mirror multiset excepted.  Nothing there depends on the table.  A
-    product of l letters at derivative order m has support in [-l, m + l],
-    so no rounding dust can cross the degree bound that
-    ``frame_derivative`` checks.
+    2..n and the first one of those of size n + 1, the odd ones of a
+    self-mirror multiset excepted; a single letter's D^k is y_i^(k), read
+    as the state keeps it (``DerivativeState.solved_y``).  Nothing there
+    depends on the table.  Every product lies within the frame's degree
+    bound (module docstring, "The frame's degree bound").
     """
     cfg = state.cfg
-    if not isinstance(table, SignedTable):
-        raise TypeError("frame_lower reads signed sums per letter multiset "
-                        f"(omega.build_signed_table), got {type(table).__name__}")
-    if table.cfg.working_digits != cfg.working_digits:
-        raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
-                         f"the recursion runs at {cfg.working_digits}")
-    if table.ends != ((0, 0), (1 << cfg.pole_bits, 0)) or not is_pi_over_4(table.phi_label, cfg):
-        raise ValueError(f"the table is of another path than [0, 1] or of phi = "
-                         f"{table.phi_label}; the recursion reads z = 1 at phi = {PHI}")
-    if table.max_length < n + 1:
-        raise ValueError(f"table depth {table.max_length} < required {n + 1}")
-    if n == 0:
-        return LaurentMatrix2(cfg)
+    sigma = state.sigma
+    if (0, 0, n + 1) not in sigma:
+        raise ValueError(f"table depth {max(map(sum, sigma))} < required {n + 1}")
     bits = cfg.fixed_bits
     products = state._products
     # matrix T_c -> {degree: int} of its coefficient at 2^-2P
     sums: dict = {}
 
     def add_one(c1, c2, c3, weight, deriv) -> None:
-        x = _sigma_x(table, _word(c1, c2, c3), (c1 + c3) % 2)
+        x = sigma[c1, c2, c3]
         if x:
             axpy(sums.setdefault(_t_matrix(c1, c2, c3), {}), weight * x, deriv)
 
@@ -437,18 +460,16 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
             add_one(c1, c3, c2, -weight if s % 2 else weight, deriv)
 
     # single letters: D^k of y_i is y_i^(k) itself, and y_2 is read from y_3
-    ys = {}
+    ys = {i: [state.solved_y(i, k).re for k in range(n)] for i in (1, 3)}
     for i in (1, 3):
-        ys[i] = products.setdefault((i,), [])
-        for k in range(len(ys[i]), n):
-            ys[i].append(state.solved_y(i, k).re)
         # single-letter cross terms (orders 1..n-1 of x against r)
         cross = state.y(i, n, range(1, n)).re
         if cross:
             add(int(i == 1), 0, int(i == 3), n + 1, cross, n)
 
-    def descend(c1, c2, c3) -> None:
-        derivs = products[_word(c1, c2, c3)]
+    def descend(c1, c2, c3, derivs) -> None:
+        """Add the multiset c's term and extend and walk its children, from
+        ``derivs``, the t-derivatives of its product."""
         size = c1 + c2 + c3
         if size >= 2 and derivs[n + 1 - size]:
             add(c1, c2, c3, math.perm(n + 1, size), derivs[n + 1 - size], n + 1 - size)
@@ -463,7 +484,7 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
         if c2 == c3 == 0:
             children.append((c1 + 1, c2, c3, 1))
         for d1, d2, d3, letter in children:
-            child = products.setdefault(_word(d1, d2, d3), [])
+            child = products.setdefault((d1, d2, d3), [])
             factor = ys[1 if letter == 1 else 3]
             for s in range(len(child), max_child + 1):
                 total: dict = {}
@@ -475,10 +496,10 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
                             add_product(total, -w if letter == 2 and (s - j) % 2 else w,
                                         derivs[j], factor[s - j])
                 child.append(round_map(total, bits))
-            descend(d1, d2, d3)
+            descend(d1, d2, d3, child)
 
-    descend(1, 0, 0)
-    descend(0, 0, 1)
+    descend(1, 0, 0, ys[1])
+    descend(0, 0, 1, ys[3])
 
     entries = [[{}, {}], [{}, {}]]
     for tmat, total in sums.items():
@@ -490,23 +511,22 @@ def frame_lower(n: int, state: DerivativeState, table: SignedTable) -> LaurentMa
                                 for row in entries])
 
 
-def frame_derivative(n: int, state: DerivativeState, table: SignedTable,
-                     lower: LaurentMatrix2 | None = None) -> LaurentMatrix2:
-    """Full P^(n+1) once the order-n derivatives are in the state."""
+def frame_derivative(n: int, state: DerivativeState, lower: LaurentMatrix2) -> LaurentMatrix2:
+    """Full P^(n+1) once the order-n derivatives are in the state: ``lower``,
+    its part ``frame_lower`` gives, plus the terms that hold an order-n
+    unknown.  Its degrees lie in -(n+1)..n+1 by construction (module
+    docstring, "The frame's degree bound")."""
     if state.order < n:
         raise ValueError(f"state complete to {state.order} < requested order {n}")
     cfg = state.cfg
-    mat = frame_lower(n, state, table) if lower is None else lower
+    mat = lower
     for i in (1, 2, 3):
         # the Leibniz terms of y_i^(n) that hold an order-n unknown
         head = state.y(i, n, {0, n})
         if not head.is_zero:
-            x = _sigma_x(table, (i,), int(i != 2))
-            mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, x),
-                                          _t_matrix(int(i == 1), int(i == 2), int(i == 3)))
-    if mat.max_abs_degree() > n + 1:
-        raise EngineError(f"frame derivative order {n + 1} has degree "
-                          f"{mat.max_abs_degree()} > {n + 1}")
+            c = (int(i == 1), int(i == 2), int(i == 3))
+            mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, state.sigma[c]),
+                                          _t_matrix(*c))
     return mat
 
 
@@ -594,12 +614,12 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
     return quot, rem.re.get(1, 0) >> 1, k_low     # r^(n): half the remainder, rounded down
 
 
-def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
+def advance(state: DerivativeState) -> DerivativeState:
     """Extend the state by one order."""
     cfg = state.cfg
     bits = cfg.fixed_bits
     n = state.order + 1
-    f_low = frame_lower(n, state, table)
+    f_low = frame_lower(n, state)
     p_low = p_derivative(n, state, f_low)
     c_n = extract_c(n, p_low, cfg)
     state.c.append(c_n)
@@ -629,7 +649,7 @@ def advance(state: DerivativeState, table: SignedTable) -> DerivativeState:
             raise EngineError(f"{name} {diag[name].format(5)} at order {n}")
     state.diagnostics.append(diag)
 
-    state.frames.append(frame_derivative(n, state, table, lower=f_low))
+    state.frames.append(frame_derivative(n, state, f_low))
     return state
 
 
@@ -638,17 +658,19 @@ def run(order: int, cfg: PrecisionConfig | None = None,
     """Run the recursion at phi = pi/4 up to the requested order.
 
     ``table`` is an ``omega.SignedTable`` of depth at least ``order + 1``;
-    by default ``omega.build_signed_table`` builds it in process.
+    by default ``omega.build_signed_table`` builds it in process.  It is
+    read and checked once, into the state (``read_sigma``), and the orders
+    read it from there.
     """
     cfg = cfg or PrecisionConfig()
     if order < 1:
         raise ValueError("order must be >= 1")
     if table is None:
         table = build_signed_table("1", PHI, order + 1, cfg)
-    state = central_state(cfg)
-    state.frames.append(frame_derivative(0, state, table))
+    state = central_state(cfg, table)
+    state.frames.append(frame_derivative(0, state, LaurentMatrix2(cfg)))
     while state.order < order:
-        advance(state, table)
+        advance(state)
     return state
 
 

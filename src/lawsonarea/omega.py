@@ -318,7 +318,7 @@ def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
     by value to ``parse_phi("pi/4")``, both rounded to ``cfg.pole_bits``.
 
     The package's one rule for pi/4, the angle of the order recursion: the
-    CLI picks the recursion with it, and ``engine.frame_lower`` checks its
+    CLI picks the recursion with it, and ``engine.read_sigma`` checks its
     table's angle with it.  "2*pi/8", " pi / 4 " and a decimal of pi/4 with
     enough digits all pass; a decimal that rounds to another value does not.
     """
@@ -399,9 +399,9 @@ class SignedTable(OmegaTable):
     inv(w) the number of letter pairs of w out of order, for every c with
     1 <= |c| <= ``max_length``.  Keys are non-decreasing words: (1, 1, 3) holds
     sigma_(2,0,1) and (i,) holds Omega(i); no key is empty.
-    ``engine.frame_lower`` reads nothing else of the word integrals, and
-    reads the integers of ``values`` as they are, at the scale of its
-    polynomials.
+    The order recursion reads nothing else of the word integrals: it reads
+    the integers of ``values`` once per run, as they are, at the scale of
+    its polynomials (``engine.read_sigma``).
     """
 
 

@@ -177,6 +177,46 @@ def test_mpl_refuses_non_finite_arguments(capsys):
         assert "z_1 = " in err and "is not a finite number" in err, arg
 
 
+def test_mpl_refuses_an_empty_index_list(capsys):
+    """No index is no polylogarithm: a usage error, not Li = 1."""
+    for indices, args in ((",", ","), ("", "")):
+        code, out, err = run_cli(capsys, "mpl", "--indices", indices, "--args", args)
+        assert code == 2 and not out, indices
+        assert "empty index list" in err, indices
+
+
+@pytest.mark.parametrize("indices, args, digits", [
+    ("2,1", "1e40,1e-40", 10), ("2", "1e-30", 20), ("1", "1e-70", 0)])
+def test_mpl_prints_only_the_digits_that_hold(capsys, indices, args, digits):
+    """``li`` is accurate to an absolute 2^-W, W the working bits, so a small
+    part prints only the significant digits that bound holds (40 at
+    modulus >= 10^-guard), none at all below it.  Every printed digit is
+    checked, to one unit in its last place, against a direct series at 80
+    digits: for Li_{2,1}(1e40, 1e-40), where z1 z2 = 1, the nested sum
+    grouped by j = k2 - k1, sum_j z2^j sum_k 1/(k^2 (k + j))."""
+    code, out, _ = run_cli(capsys, "mpl", "--indices", indices, "--args", args,
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    with mpmath.workdps(80):
+        z = [mpmath.mpf(a) for a in args.split(",")]
+        if indices == "2,1":
+            ref = sum(z[1] ** j * mpmath.nsum(lambda k: 1 / (k ** 2 * (k + j)), [1, mpmath.inf])
+                      for j in (1, 2, 3))
+        else:
+            ref = sum(z[0] ** k / k ** int(indices) for k in range(1, 5))
+        mantissa, _, exponent = payload["re"].partition("e")
+        held = mantissa.replace(".", "").lstrip("0")
+        assert len(held) == digits, payload["re"]
+        if digits:
+            last_place = mpmath.mpf(10) ** (int(exponent) - len(mantissa.split(".")[1]))
+            assert abs(mpmath.mpf(payload["re"]) - ref) <= last_place
+        else:
+            working_bits = PrecisionConfig(40).working_bits
+            assert payload["re"] == "0.0" and abs(ref) <= mpmath.mpf(2) ** -working_bits
+    assert payload["im"] == "0.0"
+
+
 def test_mpl_has_no_cache_dir(capsys, tmp_path):
     """Only ``expand`` takes ``--cache-dir``; ``mpl`` and ``verify`` refuse it."""
     for argv in (["mpl", "--indices", "2", "--args", "-1"],

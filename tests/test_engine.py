@@ -6,10 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _t_matrix,
-                               _word, advance, area_series, central_state, extract_a_r,
-                               extract_c, first_order_general_phi, frame_derivative,
-                               frame_lower, p_derivative, q_first_order_check, run)
+from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _t_matrix, advance,
+                               area_series, central_state, extract_a_r, extract_c,
+                               first_order_general_phi, frame_derivative, frame_lower,
+                               p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentMatrix2, LaurentPoly, to_mpf
 from lawsonarea.omega import build_signed_table
 from lawsonarea.precision import PrecisionConfig, guard_digits_for_order, pi_fixed
@@ -19,8 +19,8 @@ CTX = CFG.context
 ALPHA9 = "-459.5656763714886336332528952560965619955262720306898451994"
 
 
-def test_central_values_determinant():
-    state = central_state(CFG)
+def test_central_values_determinant(signed40_pi4_L4):
+    state = central_state(CFG, signed40_pi4_L4)
     combo = (state.x(1, 0) * state.x(1, 0) - state.x(2, 0) * state.x(2, 0)
              - state.x(3, 0) * state.x(3, 0))
     expected = LaurentPoly(CFG, {0: -1})
@@ -171,23 +171,25 @@ def test_alpha_refuses_orders_outside_the_series(state40_o6):
             res.alpha(k)
 
 
-def test_frame_requires_complete_state(state40_o6, signed40_pi4_L7):
+def test_frame_requires_complete_state(state40_o6):
     with pytest.raises(ValueError):
-        frame_derivative(7, state40_o6, signed40_pi4_L7)
+        frame_derivative(7, state40_o6, LaurentMatrix2(CFG))
 
 
 def test_table_depth_guard(cfg40, tables):
     shallow = tables.signed("1", "pi/4", 1, cfg40)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"table depth 1 < required 2"):
         run(2, cfg40, table=shallow)
 
 
-def test_engine_rejects_word_tables(state40_o6, table40_pi4_L4, table40_pi4_L7):
-    """The engine reads signed sums per letter multiset, never a word table."""
+def test_engine_rejects_word_tables(table40_pi4_L4, table40_pi4_L7):
+    """The engine reads signed sums per letter multiset, never a word table:
+    ``run`` refuses one as it creates the state, the one place that reads a
+    table."""
     with pytest.raises(TypeError, match="signed"):
         run(3, CFG, table=table40_pi4_L4)
     with pytest.raises(TypeError, match="signed"):
-        frame_lower(3, state40_o6, table40_pi4_L7)
+        central_state(CFG, table40_pi4_L7)
 
 
 def test_q_first_order_check():
@@ -227,11 +229,38 @@ def test_engine_error_is_raised_on_corrupt_table(signed40_pi4_L4):
         run(2, CFG, table=broken)
 
 
+def test_every_sigma_phase_is_checked_once_per_run(signed40_pi4_L7):
+    """The table is checked as the state is created, at every depth: a sigma
+    of the wrong phase at seven letters, which run(3) never reads, raises
+    before the first order."""
+    import copy
+    broken = copy.copy(signed40_pi4_L7)
+    broken.values = dict(signed40_pi4_L7.values)
+    key = (1, 2, 2, 3, 3, 3, 3)
+    phase, x = broken.values[key]
+    broken.values[key] = 1 - phase, x
+    with pytest.raises(EngineError, match=r"sigma of \(1, 2, 2, 3, 3, 3, 3\) carries i\^0, "
+                                          r"not i\^1"):
+        run(3, CFG, table=broken)
+
+
+@pytest.mark.parametrize("order", [5, 13])
+def test_run_asks_is_pi_over_4_once(monkeypatch, tables, order):
+    """One run checks its table's angle once, not at every order."""
+    import lawsonarea.engine as engine
+    calls = []
+    is_pi_over_4 = engine.is_pi_over_4
+    monkeypatch.setattr(engine, "is_pi_over_4",
+                        lambda *args: calls.append(args) or is_pi_over_4(*args))
+    run(order, CFG, table=tables.signed("1", "pi/4", order + 1, CFG))
+    assert len(calls) == 1
+
+
 def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
     """lambda * K_lower's negative degrees are projected away as dust up to
     eps(2) of its peak (350 at order 4), and raise above that."""
     state = run(3, CFG, table=signed40_pi4_L7)
-    c_n = extract_c(4, p_derivative(4, state, frame_lower(4, state, signed40_pi4_L7)), CFG)
+    c_n = extract_c(4, p_derivative(4, state, frame_lower(4, state)), CFG)
     a_n, r_n, _ = extract_a_r(4, state, c_n)
 
     def with_extra(size):      # c^(4) plus size * lambda^-1, which b^(4) = c^(4) doubles,
@@ -249,7 +278,7 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
 def order2_inputs(signed40_pi4_L7):
     """The order-1 state and c^(2), the inputs of ``extract_a_r(2, ...)``."""
     state = run(1, CFG, table=signed40_pi4_L7)
-    c_n = extract_c(2, p_derivative(2, state, frame_lower(2, state, signed40_pi4_L7)), CFG)
+    c_n = extract_c(2, p_derivative(2, state, frame_lower(2, state)), CFG)
     return state, c_n
 
 
@@ -384,11 +413,11 @@ def test_lambda_k_lower_rejects_degrees_outside_its_window(order2_inputs, degree
         with_c_term(state, c_n, degree if degree < 0 else degree - 2, "1e-50")
 
 
-def test_p_lower_rejects_degrees_outside_its_window(order2_inputs, signed40_pi4_L7):
+def test_p_lower_rejects_degrees_outside_its_window(order2_inputs):
     """p_lower^(3) has odd degrees in -3..3, by the same rule as lambda *
     K_lower: 1e-50 at degree 5 of P^(3)_lower[1, 0] raises."""
     state, _ = order2_inputs
-    f_low = frame_lower(2, state, signed40_pi4_L7)
+    f_low = frame_lower(2, state)
     entries = [list(row) for row in f_low.entries]
     entries[1][0] = entries[1][0] + LaurentPoly(CFG, {5: CTX.mpf("1e-50")})
     with pytest.raises(EngineError, match=r"p_lower\^\(3\): coefficient outside degrees "
@@ -396,11 +425,11 @@ def test_p_lower_rejects_degrees_outside_its_window(order2_inputs, signed40_pi4_
         p_derivative(2, state, LaurentMatrix2(CFG, entries))
 
 
-def test_p_derivative_rejects_parity_dust(order2_inputs, signed40_pi4_L7):
+def test_p_derivative_rejects_parity_dust(order2_inputs):
     """p_lower^(3) has odd degrees only, exactly: 1e-50 at degree 0 of
     P^(3)_lower[1, 0], far below any tolerance, raises where it is formed."""
     state, _ = order2_inputs
-    f_low = frame_lower(2, state, signed40_pi4_L7)
+    f_low = frame_lower(2, state)
     p_derivative(2, state, f_low)
     entries = [list(row) for row in f_low.entries]
     entries[1][0] = entries[1][0] + LaurentPoly(CFG, {0: CTX.mpf("1e-50")})
@@ -408,7 +437,7 @@ def test_p_derivative_rejects_parity_dust(order2_inputs, signed40_pi4_L7):
         p_derivative(2, state, LaurentMatrix2(CFG, entries))
 
 
-def test_extract_c_pins_the_constant_at_odd_orders_only(state40_o6, signed40_pi4_L7):
+def test_extract_c_pins_the_constant_at_odd_orders_only(state40_o6):
     """At even n p_lower^(n+1) and c^(n) have odd degrees only, so their real
     parts at i are exactly 0 and c^(n) has no constant term.  At odd n their
     imaginary parts at i are exactly 0, and the constant makes
@@ -416,7 +445,7 @@ def test_extract_c_pins_the_constant_at_odd_orders_only(state40_o6, signed40_pi4
     half a unit of 2^-P times 2 pi (n+1)."""
     bits = CFG.fixed_bits
     for n in range(1, 7):
-        p_low = p_derivative(n, state40_o6, frame_lower(n, state40_o6, signed40_pi4_L7))
+        p_low = p_derivative(n, state40_o6, frame_lower(n, state40_o6))
         c_n = extract_c(n, p_low, CFG)
         assert c_n.re == state40_o6.c[n].re, n
         (c_re, c_im), (p_re, p_im) = c_n.at_i(), p_low.at_i()
@@ -472,9 +501,9 @@ def test_carried_products_match_fresh(signed40_pi4_L7):
     the same frame sums, digit for digit, as ones built afresh."""
     state = run(5, CFG, table=signed40_pi4_L7)
     for n in range(1, 7):
-        carried = frame_lower(n, state, signed40_pi4_L7)
+        carried = frame_lower(n, state)
         state._products.clear()
-        fresh = frame_lower(n, state, signed40_pi4_L7)
+        fresh = frame_lower(n, state)
         for i in range(2):
             for j in range(2):
                 assert carried[i, j].re == fresh[i, j].re, (n, i, j)
@@ -493,7 +522,6 @@ def test_t_matrix_from_letter_counts():
     for size in range(1, 11):
         for key in itertools.combinations_with_replacement((1, 2, 3), size):
             c1, c2, c3 = (key.count(i) for i in (1, 2, 3))
-            assert _word(c1, c2, c3) == key
             phase = 1j ** ((c1 + c3) % 2)
             m_c = functools.reduce(mat_mul, (M_MATS[i - 1] for i in key))
             t_c = _t_matrix(c1, c2, c3)
@@ -505,9 +533,11 @@ def test_t_matrix_from_letter_counts():
 
 def test_products_kept_for_one_half_of_each_mirror_pair(monkeypatch, tables):
     """``run(9)`` keeps the product derivatives of exactly the multisets with
-    c2 <= c3 of size 1..10 (160 of the 285), a self-mirror multiset's odd
-    derivatives are exactly empty, and the Leibniz products of the carried
-    lists take at most half the 2 439 calls that both halves took."""
+    c2 <= c3 of size 2..10 (158 of the 282), keyed by their letter counts; a
+    single letter's are the state's y_i^(k), not kept twice.  A self-mirror
+    multiset's odd derivatives are exactly empty, and the Leibniz products
+    of the carried lists take at most half the 2 439 calls that both halves
+    took."""
     import lawsonarea.engine as engine
     cfg = PrecisionConfig(40, guard_digits_for_order(9))
     table = tables.signed("1", "pi/4", 10, cfg)
@@ -516,11 +546,11 @@ def test_products_kept_for_one_half_of_each_mirror_pair(monkeypatch, tables):
     monkeypatch.setattr(engine, "add_product",
                         lambda *args: calls.append(1) or add_product(*args))
     state = run(9, cfg, table=table)
-    kept = {_word(c1, c2, c3) for c1 in range(11) for c2 in range(11) for c3 in range(c2, 11)
-            if 1 <= c1 + c2 + c3 <= 10}
-    assert set(state._products) == kept and len(kept) == 160
+    kept = {(c1, c2, c3) for c1 in range(11) for c2 in range(11) for c3 in range(c2, 11)
+            if 2 <= c1 + c2 + c3 <= 10}
+    assert set(state._products) == kept and len(kept) == 158
     for key, derivs in state._products.items():
-        if key.count(2) == key.count(3):
+        if key[1] == key[2]:
             assert all(derivs[s] == {} for s in range(1, len(derivs), 2)), key
     assert 0 < len(calls) <= 2439 // 2
 
@@ -586,9 +616,9 @@ def _word_sum_frame_lower(n, state, table):
     return entries
 
 
-def test_frame_lower_matches_word_sum(state40_o6, signed40_pi4_L7, table40_pi4_L7):
+def test_frame_lower_matches_word_sum(state40_o6, table40_pi4_L7):
     for n in range(1, 7):
-        got = frame_lower(n, state40_o6, signed40_pi4_L7)
+        got = frame_lower(n, state40_o6)
         want = _word_sum_frame_lower(n, state40_o6, table40_pi4_L7)
         for i in range(2):
             for j in range(2):
@@ -676,7 +706,7 @@ def test_order_recursion_runs_on_integers(monkeypatch, signed40_pi4_L7):
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(_mpc, name, lambda s, t, mul=getattr(_mpc, name):
                             products.append(t) or mul(s, t))
-    advance(state, signed40_pi4_L7)
+    advance(state)
     assert products == []
     assert CTX.mpc(0, 1) * 2 == 2 * CTX.mpc(0, 1) and len(products) == 2   # counted
     monkeypatch.undo()
