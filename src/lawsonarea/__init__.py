@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The identity suites of ``verify``, named here so that the command-line
 # parser can offer them without importing ``verify``.
-SUITE_NAMES = ("closed-forms", "alpha3", "parity", "conjectures")
+SUITE_NAMES = ("closed-forms", "alpha3", "parity", "conjectures", "integral-identities")
 
 _EXPORTS = {
     "engine": ("DerivativeState", "EngineError", "ExpansionResult", "area_series",

@@ -188,11 +188,11 @@ from __future__ import annotations
 
 import math
 
-from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy, round_map, to_mpf
+from .laurent import LaurentPoly, LaurentMatrix2, add_product, axpy, round_map
 # cached_table is not called here; perfbench/selftest.py reads engine.cached_table
 from .omega import (SignedTable, build_signed_table, cached_table,  # noqa: F401
                     is_pi_over_4, parse_phi, punctures_fixed)
-from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal
+from .precision import Dyadic, PrecisionConfig, pi_fixed, rescale, to_decimal, to_mpf
 
 # The angle of the order recursion.
 PHI = "pi/4"
@@ -518,15 +518,13 @@ def frame_derivative(n: int, state: DerivativeState, lower: LaurentMatrix2) -> L
     docstring, "The frame's degree bound")."""
     if state.order < n:
         raise ValueError(f"state complete to {state.order} < requested order {n}")
-    cfg = state.cfg
     mat = lower
     for i in (1, 2, 3):
         # the Leibniz terms of y_i^(n) that hold an order-n unknown
         head = state.y(i, n, {0, n})
         if not head.is_zero:
             c = (int(i == 1), int(i == 2), int(i == 3))
-            mat = mat.add_scaled_constant(head.scale(n + 1), _constant(cfg, state.sigma[c]),
-                                          _t_matrix(*c))
+            mat = mat.add_scaled_constant(head.scale(n + 1), state.sigma[c], _t_matrix(*c))
     return mat
 
 
@@ -549,11 +547,6 @@ def p_derivative(n: int, state: DerivativeState,
 # extraction of the order-n parameters
 # ---------------------------------------------------------------------------
 
-def _constant(cfg: PrecisionConfig, value: int) -> LaurentPoly:
-    """The constant polynomial of an integer at 2^P."""
-    return LaurentPoly(cfg, re={0: value})
-
-
 def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
     """Order-n c from the reality and Sym-point constraints on p^(n+1).
 
@@ -564,11 +557,11 @@ def extract_c(n: int, p_low: LaurentPoly, cfg: PrecisionConfig) -> LaurentPoly:
     bits = cfg.fixed_bits
     two_pi = 2 * pi_fixed(bits) * (n + 1)
     factor = ((1 << 2 * bits) + two_pi // 2) // two_pi       # 1/(2 pi (n+1)) at 2^P
-    c_n = (p_low.project("minus").star() - p_low.project("plus")) * _constant(cfg, factor)
+    c_n = (p_low.project("minus").star() - p_low.project("plus")).times(factor)
     if n % 2:
         # c^(n)(i) = -factor p_low(i), each part of the product rounded once
         low = round_map({0: p_low.at_i()[0] * factor}, bits)[0]
-        c_n = c_n + _constant(cfg, -c_n.at_i()[0] - low)
+        c_n = c_n + LaurentPoly(cfg, {0: -c_n.at_i()[0] - low})
     return c_n
 
 
@@ -593,7 +586,7 @@ def extract_a_r(n: int, state: DerivativeState, c_n: LaurentPoly) -> tuple:
         rv = state.r[k]
         if rv:
             combo = state.a[0] * state.a[n - k] - (c0 * state.c[n - k]).scale(2)
-            k_low = k_low + combo * _constant(cfg, 2 * math.comb(n, k) * rv)
+            k_low = k_low + combo.times(2 * math.comb(n, k) * rv)
     # the y products at k and n - k coincide, and so do their binomial weights
     for k in range(1, n // 2 + 1):
         combo = ys[1, k] * ys[1, n - k] - (ys[3, k] * ys[3, n - k]).scale(2)
@@ -632,14 +625,12 @@ def advance(state: DerivativeState) -> DerivativeState:
     state.order = n
 
     # residual diagnostics on the assembled constraints
-    r_poly = _constant(cfg, r_n)
-    two_pi = _constant(cfg, 2 * pi_fixed(bits) * (n + 1))
-    p_full = (c_n + state.x(3, 0) * r_poly) * two_pi + p_low
+    p_full = (c_n + state.x(3, 0).times(r_n)).times(2 * pi_fixed(bits) * (n + 1)) + p_low
     sym_re, sym_im = p_full.at_i()
     residuals = {"star_residual": (p_full - p_full.star()).max_abs_sq(),
                  "sym_residual": sym_re * sym_re + sym_im * sym_im}
     if n % 2 == 0:      # at odd n a^(n), r^(n) and K_lower are all exactly 0
-        k_assembled = r_poly.scale(-2) + a_n.shift(-1) - a_n.shift(1) + k_low
+        k_assembled = LaurentPoly(cfg, {0: -2 * r_n}) + a_n.shift(-1) - a_n.shift(1) + k_low
         residuals["normalization_residual"] = k_assembled.max_abs_sq()
     scale_sq = max(p_full.max_abs_sq(), 1 << 2 * bits)
     diag = {"order": n}

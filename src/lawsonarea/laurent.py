@@ -5,42 +5,36 @@ A polynomial keeps its real coefficients as integers at scale 2^P, P =
 Every polynomial of the order recursion is real: a, b, c and r are, and so
 is every frame derivative at z = 1 (``engine``'s docstring).
 Only exact zeros are dropped, so rounding dust stays visible to the checks
-that decide what is zero.  The order recursion builds every polynomial from
-integers and reads its checks off integers (``max_abs_sq``, ``at_i``), and
-``to_jsonable`` prints the integers with ``precision.to_decimal``, so none
-of it touches mpmath.  For the tests and for library callers the
-constructor also converts real ``mpf`` or Python numbers, and
-``coefficient`` and ``max_abs`` render the integers exactly as mpmath
-values (``to_mpf``); the first-order closed forms
-(``engine.first_order_general_phi``) are ``mpf`` values and build no
-polynomial.  ``axpy``, ``add_product`` and ``round_map`` are the
-kernels on {degree: int} maps behind ``+``, ``-`` and ``*``, shared with the
-engine's frame sums.  Besides plain arithmetic the class carries the
+that decide what is zero.  The constructor takes the integer map alone,
+the order recursion reads its checks off integers (``max_abs_sq``,
+``at_i``), and ``to_jsonable`` prints the integers with
+``precision.to_decimal``, so nothing here touches mpmath.  An integer
+multiplies through ``scale``, a number at 2^P through ``times``.
+``axpy``, ``add_product`` and ``round_map`` are the kernels on
+{degree: int} maps behind ``+``, ``-``, ``*`` and ``times``, shared with
+the engine's frame sums.  Besides plain arithmetic the class carries the
 involution used throughout,
 
     star(h)(lam) = conj(h(1/conj(lam)))   (degree k -> -k)
 
-support projections onto positive / negative / constant / nonnegative
-degrees, the value at lambda = i as a pair of integers (``at_i``), and
-exact division with remainder by lambda^2 - 1 (the step that splits an
-order-n curvature constraint into a polynomial part and a scalar
-remainder).
+support projections onto positive / negative degrees, the value at
+lambda = i as a pair of integers (``at_i``), and exact division with
+remainder by lambda^2 - 1 (the step that splits an order-n curvature
+constraint into a polynomial part and a scalar remainder).
 
 Rounding budget, in units u = 2^-P per coefficient, P = working bits + 24.
 
-* Converting a number rounds it down to a multiple of u, an error below one
-  unit, and none for an ``mpf`` of the working precision with modulus at
-  least 2^-25.
-* Sums, differences, integer multiples, ``star``, ``shift``, ``project``,
-  ``at_i`` and ``divrem_l2m1`` are exact.  So ``star`` is an exact
-  involution that commutes with every sum.
+* Sums, differences, ``star``, ``shift``, ``project``, ``at_i`` and
+  ``divrem_l2m1`` are exact.  So ``star`` is an exact involution that
+  commutes with every sum.
 * A product is summed exactly at u^2 and rounded to nearest once per
   coefficient, ties away from zero: at most u/2.  That rounding is odd
   (round(-x) = -round(x)), so ``star``, which only permutes the exact sums,
   is exactly multiplicative.
-* ``scale`` by a number is a product with its conversion: an integer is
-  exact, and any other s adds its own conversion error times the l1 norm
-  |h| (the sum of the coefficients' moduli) to the u/2.
+* An integer multiple (``scale``) is exact.
+* A product with a number v at 2^P (``times``) is the product with the
+  constant polynomial v: each p_d v is exact at u^2 and rounded once, at
+  most u/2.
 * Through a product the errors of the factors propagate as
   e_p |q| + |p| e_q, to first order.
 
@@ -63,7 +57,7 @@ other 17 of the 24 keep it below 2^-17 of that unit; the recursion would
 need 7 + 9 = 16, and takes the transport's 24 (``precision``) so that it
 reads the table's integers as they are.  The rest of an order
 (``p_derivative``, the extraction and the area series) forms about 5n
-products and 2n scales of polynomials of at most 2n + 3 coefficients, each
+products and 2n ``times`` of polynomials of at most 2n + 3 coefficients, each
 adding at most u/2 a coefficient to the errors it propagates, which the
 same 17 bits cover.  Measured at 40 target digits against the same
 recursion at 120 extra bits on the same table (its integers shifted up
@@ -78,15 +72,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .precision import PrecisionConfig, to_decimal, to_fixed_pair
-
-_PARTS = ("plus", "minus", "zero", "geq0")
-
-
-def to_mpf(v: int, cfg: PrecisionConfig):
-    """The integer v at scale 2^P as an exact ``mpf`` of ``cfg``'s context."""
-    from mpmath.libmp import from_man_exp
-    return cfg.context.make_mpf(from_man_exp(v, -cfg.fixed_bits))
+from .precision import PrecisionConfig, to_decimal
 
 
 def axpy(acc: dict, s: int, p: Mapping) -> None:
@@ -120,25 +106,11 @@ class LaurentPoly:
 
     __slots__ = ("cfg", "re")
 
-    def __init__(self, cfg: PrecisionConfig, coeffs: Mapping[int, object] | None = None, *,
-                 re: Mapping[int, int] | None = None):
-        """From real numbers ``coeffs`` {degree: value}, each rounded down to a
-        multiple of 2^-P, or from the integer map ``re`` at scale 2^P."""
+    def __init__(self, cfg: PrecisionConfig, re: Mapping[int, int] | None = None):
+        """From the integer map ``re`` {degree: coefficient at 2^P}; the
+        zero polynomial when it is empty or None."""
         self.cfg = cfg
         self.re = {d: v for d, v in re.items() if v} if re else {}
-        if coeffs:
-            bits, convert = cfg.fixed_bits, cfg.context.convert
-            for deg, val in coeffs.items():
-                z = convert(val)
-                if z.imag:
-                    raise ValueError(f"coefficient {val} at degree {deg} is not real")
-                v = to_fixed_pair(z, bits)[0]
-                if v:
-                    self.re[int(deg)] = v
-
-    @classmethod
-    def zero(cls, cfg: PrecisionConfig) -> "LaurentPoly":
-        return cls(cfg)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -146,30 +118,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.re
 
-    def degrees(self):
-        return self.re.keys()
-
-    def min_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.re)
-
-    def max_degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.re)
-
-    def coefficient(self, degree: int):
-        """The coefficient as an exact ``mpf``."""
-        return to_mpf(self.re.get(degree, 0), self.cfg)
-
     def max_abs_sq(self) -> int:
         """The square of the largest coefficient modulus, exact, at scale 2^2P."""
         return max((v * v for v in self.re.values()), default=0)
-
-    def max_abs(self):
-        """Largest coefficient modulus as an ``mpf``, exact."""
-        return to_mpf(max(map(abs, self.re.values()), default=0), self.cfg)
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
         if self.cfg.working_digits != other.cfg.working_digits:
@@ -183,7 +134,7 @@ class LaurentPoly:
         self._check_compatible(other)
         re = dict(self.re)
         axpy(re, s, other.re)
-        return LaurentPoly(self.cfg, re=re)
+        return LaurentPoly(self.cfg, re)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, 1)
@@ -198,37 +149,32 @@ class LaurentPoly:
         self._check_compatible(other)
         re: dict = {}
         add_product(re, 1, self.re, other.re)
-        return LaurentPoly(self.cfg, re=round_map(re, self.cfg.fixed_bits))
+        return LaurentPoly(self.cfg, round_map(re, self.cfg.fixed_bits))
 
-    def scale(self, s) -> "LaurentPoly":
-        """Multiply by s: exact for an ``int``; a constant ``LaurentPoly`` (a
-        number at 2^P) or any other real number, which is converted,
-        multiplies with each coefficient rounded once."""
-        if type(s) is int:
-            return LaurentPoly(self.cfg, re={d: s * v for d, v in self.re.items()})
-        return self * (s if isinstance(s, LaurentPoly) else LaurentPoly(self.cfg, {0: s}))
+    def scale(self, k: int) -> "LaurentPoly":
+        """Multiply by the integer k, exactly."""
+        return LaurentPoly(self.cfg, {d: k * v for d, v in self.re.items()})
+
+    def times(self, v: int) -> "LaurentPoly":
+        """Multiply by the number v at 2^P, each coefficient rounded once."""
+        return LaurentPoly(self.cfg, round_map({d: p * v for d, p in self.re.items()},
+                                               self.cfg.fixed_bits))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by lambda^k."""
-        return LaurentPoly(self.cfg, re={d + k: v for d, v in self.re.items()})
+        return LaurentPoly(self.cfg, {d + k: v for d, v in self.re.items()})
 
     # -- involution and projections -------------------------------------------
 
     def star(self) -> "LaurentPoly":
-        return LaurentPoly(self.cfg, re={-d: v for d, v in self.re.items()})
+        return LaurentPoly(self.cfg, {-d: v for d, v in self.re.items()})
 
     def project(self, part: str) -> "LaurentPoly":
-        if part == "plus":
-            keep = lambda d: d > 0
-        elif part == "minus":
-            keep = lambda d: d < 0
-        elif part == "zero":
-            keep = lambda d: d == 0
-        elif part == "geq0":
-            keep = lambda d: d >= 0
-        else:
-            raise ValueError(f"unknown part {part!r}; expected one of {_PARTS}")
-        return LaurentPoly(self.cfg, re={d: v for d, v in self.re.items() if keep(d)})
+        """The terms of positive (``"plus"``) or negative (``"minus"``) degree."""
+        if part not in ("plus", "minus"):
+            raise ValueError(f"unknown part {part!r}; expected 'plus' or 'minus'")
+        sign = 1 if part == "plus" else -1
+        return LaurentPoly(self.cfg, {d: v for d, v in self.re.items() if sign * d > 0})
 
     # -- evaluation and division ----------------------------------------------
 
@@ -246,7 +192,7 @@ class LaurentPoly:
         Returns (quotient, remainder) with deg(remainder) <= 1 and
         self = quotient * (lambda^2 - 1) + remainder.
         """
-        if not self.is_zero and self.min_degree() < 0:
+        if min(self.re, default=0) < 0:
             raise ValueError("divrem_l2m1 requires a polynomial without negative degrees")
         rem = dict(self.re)
         quot = {}
@@ -256,24 +202,17 @@ class LaurentPoly:
             c = rem.pop(deg, 0)
             quot[deg - 2] = c
             rem[deg - 2] = rem.get(deg - 2, 0) + c
-        return LaurentPoly(self.cfg, re=quot), LaurentPoly(self.cfg, re=rem)
+        return LaurentPoly(self.cfg, quot), LaurentPoly(self.cfg, rem)
 
     # -- serialization ----------------------------------------------------------
 
-    def to_jsonable(self, digits: int | None = None) -> list[dict]:
+    def to_jsonable(self, digits: int) -> list[dict]:
         """Coefficients as decimal strings of ``digits`` significant digits,
-        each rounded once from the exact integers (by default three digits
-        more than the integer has), with the imaginary part "0.0"."""
+        each rounded once from the exact integers, with the imaginary part
+        "0.0"."""
         bits = self.cfg.fixed_bits
-        return [{"deg": d, "re": to_decimal(v, -bits, digits or len(str(abs(v))) + 3),
-                 "im": "0.0"} for d, v in sorted(self.re.items())]
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = [f"({self.cfg.context.nstr(self.coefficient(d), 8)})*lam^{d}"
-                 for d in sorted(self.re)]
-        return "LaurentPoly(" + " + ".join(terms) + ")"
+        return [{"deg": d, "re": to_decimal(v, -bits, digits), "im": "0.0"}
+                for d, v in sorted(self.re.items())]
 
 
 class LaurentMatrix2:
@@ -284,7 +223,7 @@ class LaurentMatrix2:
     def __init__(self, cfg: PrecisionConfig, entries=None):
         self.cfg = cfg
         if entries is None:
-            zero = LaurentPoly.zero(cfg)
+            zero = LaurentPoly(cfg)
             entries = [[zero, zero], [zero, zero]]
         self.entries = entries
         for row in self.entries:
@@ -294,25 +233,19 @@ class LaurentMatrix2:
 
     @classmethod
     def identity(cls, cfg: PrecisionConfig) -> "LaurentMatrix2":
-        one, zero = LaurentPoly(cfg, re={0: 1 << cfg.fixed_bits}), LaurentPoly.zero(cfg)
+        one, zero = LaurentPoly(cfg, {0: 1 << cfg.fixed_bits}), LaurentPoly(cfg)
         return cls(cfg, [[one, zero], [zero, one]])
 
     def __getitem__(self, idx: tuple[int, int]) -> LaurentPoly:
         return self.entries[idx[0]][idx[1]]
 
-    def add_scaled_constant(self, poly: LaurentPoly, scalar, mat2x2) -> "LaurentMatrix2":
-        """self + poly * scalar * mat2x2, with mat2x2 a constant 2x2 of integers.
+    def add_scaled_constant(self, poly: LaurentPoly, scalar: int, mat2x2) -> "LaurentMatrix2":
+        """self + poly * scalar * mat2x2, with scalar a number at 2^P and
+        mat2x2 a constant 2x2 of integers.
 
         poly * scalar is rounded once, and the integers multiply it exactly.
         """
-        term = poly.scale(scalar)
+        term = poly.times(scalar)
         return LaurentMatrix2(self.cfg, [
             [e + term.scale(m) if m else e for e, m in zip(row, mrow)]
             for row, mrow in zip(self.entries, mat2x2)])
-
-    def max_abs_degree(self) -> int:
-        return max((abs(d) for row in self.entries for e in row for d in e.re), default=0)
-
-    def __repr__(self) -> str:
-        return (f"LaurentMatrix2([[{self.entries[0][0]!r}, {self.entries[0][1]!r}], "
-                f"[{self.entries[1][0]!r}, {self.entries[1][1]!r}]])")

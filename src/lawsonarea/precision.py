@@ -387,6 +387,12 @@ def to_fixed_pair(z, bits: int) -> tuple[int, int]:
     return to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
 
 
+def to_mpf(v: int, cfg: PrecisionConfig):
+    """The integer v at scale 2^P as an exact ``mpf`` of ``cfg``'s context."""
+    from mpmath.libmp import from_man_exp
+    return cfg.context.make_mpf(from_man_exp(v, -cfg.fixed_bits))
+
+
 def from_fixed_pair(re: int, im: int, scale: int, ctx):
     """The ``mpc`` (re + i im) 2^-scale of context ``ctx``, each part rounded once."""
     return ctx.mpc(ctx.mpf((re, -scale)), ctx.mpf((im, -scale)))

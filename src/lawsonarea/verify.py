@@ -124,13 +124,11 @@ def closed_forms_pi4(cfg: PrecisionConfig) -> dict:
     }
 
 
-def closed_form_suite(cfg: PrecisionConfig,
-                      table: omega.OmegaTable | None = None) -> SuiteReport:
-    """All nine closed-form values at phi = pi/4 against the transport table."""
+def closed_form_suite(cfg: PrecisionConfig, table: omega.OmegaTable) -> SuiteReport:
+    """All nine closed-form values at phi = pi/4 against the word table
+    ``table`` at z = 1 (depth 4)."""
     tol = _tol(cfg)
     report = SuiteReport("closed-forms", cfg.target_digits, mpmath.nstr(tol, 2))
-    if table is None:
-        table = omega.build_table("1", "pi/4", 4, cfg)
     for idx, (word, expected) in enumerate(sorted(closed_forms_pi4(cfg).items()), 1):
         label = ",".join(map(str, word))
         report.add(f"{idx:02d}-omega-{label}", expected, table.value(word), cfg, tol)
@@ -307,19 +305,16 @@ def alpha3_factored_pieces(table: omega.OmegaTable) -> dict:
     }
 
 
-def alpha3_suite(cfg: PrecisionConfig,
-                 table: omega.OmegaTable | None = None) -> SuiteReport:
+def alpha3_suite(cfg: PrecisionConfig, table: omega.OmegaTable) -> SuiteReport:
     """Raw word-product formula, reduced formula, and the engine, vs 9/4 zeta(3).
 
-    The two formulas read the word table ``table`` (built at depth 4 when
-    None); the engine runs on a signed table it builds itself.
+    The two formulas read the word table ``table`` at z = 1 (depth 4); the
+    engine runs on a signed table it builds itself.
     """
     tol = _tol(cfg)
     report = SuiteReport("alpha3", cfg.target_digits, mpmath.nstr(tol, 2))
     ctx = cfg.context
     target = ctx.mpf(9) / 4 * ctx.zeta(3)
-    if table is None:
-        table = omega.build_table("1", "pi/4", 4, cfg)
     report.add("1-raw-formula", target, alpha3_raw(table), cfg, tol)
     report.add("2-simplified-formula", target, alpha3_simplified(table), cfg, tol)
     state = engine.run(3, cfg)
@@ -487,9 +482,10 @@ def _sample_unit(rng: random.Random, ctx):
     return ctx.expjpi(ctx.mpf(rng.randint(1, 15)) / 8)
 
 
-def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, seed: int = 0,
-                                 table: omega.OmegaTable | None = None) -> SuiteReport:
-    """Sampled inversion, shuffle, stuffle, distribution and reduction checks."""
+def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, table: omega.OmegaTable,
+                                 seed: int = 0) -> SuiteReport:
+    """Sampled inversion, shuffle, stuffle, distribution and reduction checks;
+    the shuffle checks read the word table ``table`` at z = 1 (depth 4)."""
     tol = _tol(cfg)
     report = SuiteReport("parity", cfg.target_digits, mpmath.nstr(tol, 2))
     ctx = cfg.context
@@ -504,8 +500,6 @@ def parity_shuffle_stuffle_suite(cfg: PrecisionConfig, seed: int = 0,
     report.add("03-li21-inversion", zero,
                li21_inversion_residual(ctx.mpc(0, 1), eta, cfg), cfg, tol)
 
-    if table is None:
-        table = omega.build_table("1", "pi/4", 4, cfg)
     report.add("04-shuffle-single", table.value((1,)) * table.value((2,)),
                table.value((1, 2)) + table.value((2, 1)), cfg, tol)
     for k in range(3):
@@ -590,19 +584,22 @@ def integral_identity_suite(cfg: PrecisionConfig,
 
 def run_suites(names, cfg: PrecisionConfig, seed: int = 0,
                stretch: bool = False) -> list[SuiteReport]:
-    reports = []
+    """The named suites in order.  The closed-form, alpha_3 and parity
+    suites share one depth-4 word table at z = 1, built once when any of
+    them runs."""
     for name in names:
-        if name == "closed-forms":
-            reports.append(closed_form_suite(cfg))
-        elif name == "alpha3":
-            reports.append(alpha3_suite(cfg))
-        elif name == "parity":
-            reports.append(parity_shuffle_stuffle_suite(cfg, seed))
-        elif name == "conjectures":
-            reports.append(conjecture_suite(cfg, include_alpha7=stretch))
-        else:
+        if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    return reports
+    table = (omega.build_table("1", "pi/4", 4, cfg)
+             if {"closed-forms", "alpha3", "parity"} & set(names) else None)
+    suites = {
+        "closed-forms": lambda: closed_form_suite(cfg, table),
+        "alpha3": lambda: alpha3_suite(cfg, table),
+        "parity": lambda: parity_shuffle_stuffle_suite(cfg, table, seed),
+        "conjectures": lambda: conjecture_suite(cfg, include_alpha7=stretch),
+        "integral-identities": lambda: integral_identity_suite(cfg),
+    }
+    return [suites[name]() for name in names]
 
 
 def reports_to_json(reports) -> str:

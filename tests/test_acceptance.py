@@ -18,7 +18,7 @@ from lawsonarea.laurent import LaurentPoly
 from lawsonarea.mpl import convert_word, letter, li, mpl_spec, stuffle
 from lawsonarea.omega import build_signed_table, build_table, parse_phi
 from lawsonarea.oracle import quadrature_oracle
-from lawsonarea.precision import PrecisionConfig
+from lawsonarea.precision import PrecisionConfig, to_fixed_pair, to_mpf
 from lawsonarea.verify import (alpha5_conjecture_value, closed_form_suite,
                                integral_identity_suite)
 from lawsonarea.words import shuffle
@@ -134,10 +134,11 @@ def test_criterion_8_first_order_suite(cfg40, state40_o6):
     # b^(1) and c^(1) against the closed forms, degree by degree, on the same degrees
     closed = ((state40_o6.x(2, 1), {0: first.b0, 2: first.b2}),
               (state40_o6.c[1], {0: first.c0, 2: first.c2}))
-    degrees_ok = all(set(poly.degrees()) == set(forms) for poly, forms in closed)
-    worst = max([abs(poly.coefficient(d) - v) for poly, forms in closed
+    degrees_ok = all(set(poly.re) == set(forms) for poly, forms in closed)
+    worst = max([abs(to_mpf(poly.re.get(d, 0), cfg40) - v) for poly, forms in closed
                  for d, v in forms.items()]
-                + [state40_o6.a[1].max_abs(), abs(state40_o6.r[1])])
+                + [to_mpf(max(map(abs, state40_o6.a[1].re.values()), default=0), cfg40),
+                   abs(state40_o6.r[1])])
     slope_err = abs(first.willmore_slope + 8 * ctx.pi * ctx.ln(2))
     q1 = q_first_order_check("pi/4", cfg40)
     q2 = q_first_order_check("0.4", cfg40)
@@ -186,11 +187,14 @@ def test_criterion_9_property_suites(cfg40, state40_o6, table40_pi4_L7):
     # star involution laws on random real Laurent polynomials: each law holds
     # to 0 units of 2^-P, since the integer kernel permutes exact sums and
     # rounds a product oddly (laurent's rounding budget)
+    def fixed(value):       # a real number at 2^P, rounded down
+        return to_fixed_pair(ctx.mpf(value), cfg40.fixed_bits)[0]
+
     for k in range(20):
-        coeffs = {d: ctx.mpf(rng.uniform(-2, 2))
+        coeffs = {d: fixed(rng.uniform(-2, 2))
                   for d in range(-3, 4) if rng.random() < 0.7}
         p = LaurentPoly(cfg40, coeffs)
-        q = LaurentPoly(cfg40, {d: ctx.mpf(rng.uniform(-2, 2))
+        q = LaurentPoly(cfg40, {d: fixed(rng.uniform(-2, 2))
                                 for d in range(-2, 3)})
         if not (p.star().star() - p).is_zero:
             failures.append(f"star involution {k}")
@@ -202,9 +206,9 @@ def test_criterion_9_property_suites(cfg40, state40_o6, table40_pi4_L7):
         for poly in (state40_o6.a[n], state40_o6.x(2, n), state40_o6.c[n]):
             if poly.is_zero:
                 continue
-            if poly.min_degree() < 0 or poly.max_degree() > n + 1:
+            if min(poly.re) < 0 or max(poly.re) > n + 1:
                 failures.append(f"degree bound at order {n}")
-            if any((d + n) % 2 == 0 for d in poly.degrees()):
+            if any((d + n) % 2 == 0 for d in poly.re):
                 failures.append(f"parity at order {n}")
         if n % 2 == 1 and state40_o6.r[n] != 0:
             failures.append(f"odd-order r at order {n}")

@@ -243,6 +243,17 @@ def test_verify_json_format(capsys):
     assert len(payload[0]["checks"]) == 9
 
 
+def test_verify_integral_identities(capsys):
+    """The general-phi first-order integral identities run from the command
+    line: six checks at the default 45 digits, all passing."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "integral-identities",
+                           "--format", "json")
+    assert code == 0
+    report, = json.loads(out)
+    assert report["suite"] == "integral-identities" and report["passed"]
+    assert len(report["checks"]) == 6 and all(c["passed"] for c in report["checks"])
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])

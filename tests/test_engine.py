@@ -10,21 +10,32 @@ from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _t_matrix, 
                                area_series, central_state, extract_a_r, extract_c,
                                first_order_general_phi, frame_derivative, frame_lower,
                                p_derivative, q_first_order_check, run)
-from lawsonarea.laurent import LaurentMatrix2, LaurentPoly, to_mpf
+from lawsonarea.laurent import LaurentMatrix2, LaurentPoly
 from lawsonarea.omega import build_signed_table
-from lawsonarea.precision import PrecisionConfig, guard_digits_for_order, pi_fixed
+from lawsonarea.precision import (PrecisionConfig, guard_digits_for_order, pi_fixed,
+                                  to_fixed_pair, to_mpf)
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context
 ALPHA9 = "-459.5656763714886336332528952560965619955262720306898451994"
 
 
+def fixed(value):
+    """A real number at 2^P, rounded down (``precision.to_fixed_pair``)."""
+    return to_fixed_pair(CTX.mpf(value), CFG.fixed_bits)[0]
+
+
+def max_abs(poly):
+    """The largest coefficient modulus of ``poly`` as an exact ``mpf``."""
+    return to_mpf(max(map(abs, poly.re.values()), default=0), CFG)
+
+
 def test_central_values_determinant(signed40_pi4_L4):
     state = central_state(CFG, signed40_pi4_L4)
     combo = (state.x(1, 0) * state.x(1, 0) - state.x(2, 0) * state.x(2, 0)
              - state.x(3, 0) * state.x(3, 0))
-    expected = LaurentPoly(CFG, {0: -1})
-    assert (combo - expected).max_abs() < CFG.eps(4)
+    expected = LaurentPoly(CFG, {0: fixed(-1)})
+    assert max_abs(combo - expected) < CFG.eps(4)
 
 
 def test_first_order_matches_closed_forms(state40_o6):
@@ -33,10 +44,10 @@ def test_first_order_matches_closed_forms(state40_o6):
     first = first_order_general_phi("pi/4", CFG)
     for poly, closed in ((state40_o6.x(2, 1), {0: first.b0, 2: first.b2}),
                          (state40_o6.c[1], {0: first.c0, 2: first.c2})):
-        assert set(poly.degrees()) == set(closed)
+        assert set(poly.re) == set(closed)
         for degree, value in closed.items():
-            assert abs(poly.coefficient(degree) - value) < CFG.eps(6), degree
-    assert state40_o6.a[1].max_abs() < CFG.eps(6)           # sin(2 phi) log tan phi = 0
+            assert abs(to_mpf(poly.re[degree], CFG) - value) < CFG.eps(6), degree
+    assert max_abs(state40_o6.a[1]) < CFG.eps(6)           # sin(2 phi) log tan phi = 0
     assert state40_o6.r[1] == 0
 
 
@@ -81,8 +92,8 @@ def test_parity_and_symmetry_invariants(state40_o6):
         for poly in (state40_o6.a[n], state40_o6.c[n]):
             if poly.is_zero:
                 continue
-            assert poly.min_degree() >= 0
-            assert poly.max_degree() <= n + 1
+            assert min(poly.re) >= 0
+            assert max(poly.re) <= n + 1
             for deg in poly.re:
                 assert (deg + n) % 2 == 1, (n, deg)
         # odd-order r vanish
@@ -101,7 +112,7 @@ def test_parity_and_symmetry_invariants(state40_o6):
 
 def test_frame_degree_bounds(state40_o6):
     for m, frame in enumerate(state40_o6.frames):
-        assert frame.max_abs_degree() <= max(m, 0)
+        assert all(abs(d) <= m for row in frame.entries for e in row for d in e.re)
 
 
 def test_residual_diagnostics_small(state40_o6):
@@ -265,7 +276,7 @@ def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
 
     def with_extra(size):      # c^(4) plus size * lambda^-1, which b^(4) = c^(4) doubles,
         # puts sqrt(2) size on lambda^-1
-        return extract_a_r(4, state, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+        return extract_a_r(4, state, c_n + LaurentPoly(CFG, {-1: fixed(size)}))
 
     # 1.4e-47 lies above eps(2) = 1e-48 of the floor 1, below eps(2) of the peak
     a_dust, r_dust, _ = with_extra("1e-47")
@@ -290,11 +301,11 @@ def test_negative_degrees_tolerance_floor(order2_inputs):
     state, c_n = order2_inputs
     a_n, r_n, k_low = extract_a_r(2, state, c_n)
     assert a_n.is_zero and r_n == 0
-    assert k_low.max_abs() < CTX.mpf("1e-57")
+    assert max_abs(k_low) < CTX.mpf("1e-57")
 
     def with_extra(size):      # c^(2) plus size * lambda^-1: c0 (1/lambda + lambda)
         # and the factor -4 put 2 sqrt(2) size on lambda^-1 of lambda * K_lower
-        return extract_a_r(2, state, c_n + LaurentPoly(CFG, {-1: CTX.mpf(size)}))
+        return extract_a_r(2, state, c_n + LaurentPoly(CFG, {-1: fixed(size)}))
 
     assert not with_extra("1e-50")[2].is_zero
     with pytest.raises(EngineError, match="negative degrees"):
@@ -368,7 +379,7 @@ def with_c_term(state, c_n, degree, size):
     """``extract_a_r(2, ...)`` on c^(2) plus size * lambda^degree, which
     c0 (1/lambda + lambda) and the factor -4 put on degrees degree and
     degree + 2 of lambda * K_lower."""
-    return extract_a_r(2, state, c_n + LaurentPoly(CFG, {degree: CTX.mpf(size)}))
+    return extract_a_r(2, state, c_n + LaurentPoly(CFG, {degree: fixed(size)}))
 
 
 def test_division_remainder_is_exactly_zero(order2_inputs):
@@ -389,7 +400,7 @@ def test_lambda_k_lower_rejects_even_degrees_whose_remainder_cancels(order2_inpu
     and the even-degree dust they leave in a^(2) lies below the noise cut,
     so only the check where lambda * K_lower is formed sees them."""
     state, c_n = order2_inputs
-    extra = LaurentPoly(CFG, {0: CTX.mpf("1e-50"), 2: -CTX.mpf("1e-50")})
+    extra = LaurentPoly(CFG, {0: fixed("1e-50"), 2: fixed(-CTX.mpf("1e-50"))})
     with pytest.raises(EngineError, match="parity-forbidden coefficient at degree [04] "):
         extract_a_r(2, state, c_n + extra)
 
@@ -419,7 +430,7 @@ def test_p_lower_rejects_degrees_outside_its_window(order2_inputs):
     state, _ = order2_inputs
     f_low = frame_lower(2, state)
     entries = [list(row) for row in f_low.entries]
-    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {5: CTX.mpf("1e-50")})
+    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {5: fixed("1e-50")})
     with pytest.raises(EngineError, match=r"p_lower\^\(3\): coefficient outside degrees "
                                           "-3..3 at degree 5 "):
         p_derivative(2, state, LaurentMatrix2(CFG, entries))
@@ -432,7 +443,7 @@ def test_p_derivative_rejects_parity_dust(order2_inputs):
     f_low = frame_lower(2, state)
     p_derivative(2, state, f_low)
     entries = [list(row) for row in f_low.entries]
-    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {0: CTX.mpf("1e-50")})
+    entries[1][0] = entries[1][0] + LaurentPoly(CFG, {0: fixed("1e-50")})
     with pytest.raises(EngineError, match="parity-forbidden coefficient at degree 0"):
         p_derivative(2, state, LaurentMatrix2(CFG, entries))
 
@@ -624,8 +635,8 @@ def test_frame_lower_matches_word_sum(state40_o6, table40_pi4_L7):
             for j in range(2):
                 entry = want[i][j]
                 tol = CFG.eps(2) * max([CTX.mpf(1)] + [abs(v) for v in entry.values()])
-                for d in got[i, j].degrees() | entry.keys():
-                    err = abs(got[i, j].coefficient(d) - entry.get(d, 0))
+                for d in got[i, j].re.keys() | entry.keys():
+                    err = abs(to_mpf(got[i, j].re.get(d, 0), CFG) - entry.get(d, 0))
                     assert err <= tol, (n, i, j, d, mpmath.nstr(err, 3))
 
 

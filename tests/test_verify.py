@@ -3,6 +3,7 @@ import json
 import mpmath
 import pytest
 
+from lawsonarea import omega
 from lawsonarea.precision import PrecisionConfig
 from lawsonarea.verify import (SUITE_NAMES, alpha3_factored_pieces, alpha3_raw,
                                alpha3_simplified, alpha3_suite, alpha5_classical_value,
@@ -86,12 +87,26 @@ def test_report_render(table40_pi4_L4):
     assert "PASS" in text and "FAIL" not in text
 
 
-def test_run_suites_dispatch(table40_pi4_L4):
-    reports = run_suites(["closed-forms", "alpha3"], CFG)
-    assert [r.suite for r in reports] == ["closed-forms", "alpha3"]
+def test_run_suites_dispatch(monkeypatch):
+    """The suites run in the order named.  The closed-form, alpha_3 and
+    parity suites share one depth-4 word table, and a run without them
+    builds none."""
+    calls = []
+    build = omega.build_table
+    monkeypatch.setattr(omega, "build_table",
+                        lambda *args: calls.append(args[:3]) or build(*args))
+    names = ["closed-forms", "alpha3", "parity"]
+    reports = run_suites(names, CFG)
+    assert [r.suite for r in reports] == names and all(r.passed for r in reports)
+    assert calls == [("1", "pi/4", 4)]
+    calls.clear()
+    report, = run_suites(["integral-identities"], CFG)
+    assert report.passed and len(report.checks) == 6
+    assert ("1", "pi/4", 4) not in calls
     with pytest.raises(ValueError):
         run_suites(["bogus"], CFG)
-    assert set(SUITE_NAMES) == {"closed-forms", "alpha3", "parity", "conjectures"}
+    assert set(SUITE_NAMES) == {"closed-forms", "alpha3", "parity", "conjectures",
+                                "integral-identities"}
 
 
 def test_failure_is_reported(table40_pi4_L4):
@@ -103,6 +118,6 @@ def test_failure_is_reported(table40_pi4_L4):
     assert abs(report.checks[-1].residual - 1) < 1e-10
 
 
-def test_tolerance_formula():
-    report = closed_form_suite(PrecisionConfig(45))
+def test_tolerance_formula(tables, cfg45):
+    report = closed_form_suite(cfg45, table=tables.get("1", "pi/4", 4, cfg45))
     assert mpmath.mpf(report.tolerance) == mpmath.mpf(10) ** (-39)
