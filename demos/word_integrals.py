@@ -39,8 +39,8 @@ print(f"  {dict(combo)}")
 print(f"  lhs - rhs = {mpmath.nstr(abs(lhs - rhs), 3)}")
 
 print("\npath composition: a constant path changes nothing")
-# the constant path at the table's end point, an exact integer pair
-endpoint_table = constant_path(cfg, "pi/4", table.ends[1], 4)
+# the constant path at the table's end point, an exact integer pair, and its angle
+endpoint_table = constant_path(cfg, table.phi, table.ends[1], 4)
 recomposed = chen_compose(table, endpoint_table)
 worst = max(abs(recomposed.value(w) - table.value(w)) for w in table.words())
 print(f"  worst deviation {mpmath.nstr(worst, 3)}")

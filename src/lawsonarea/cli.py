@@ -88,7 +88,7 @@ def _cmd_expand(args) -> int:
     cfg = PrecisionConfig(args.precision, guard_digits_for_order(args.order))
     phi = args.phi.strip()
     try:
-        is_pi4 = omega.is_pi_over_4(phi, cfg)   # also validates phi
+        is_pi4 = omega.is_pi_over_4(omega.parse_phi(phi, cfg), cfg)
     except ValueError as exc:
         return _usage_error(exc)
     if args.order >= 2 and not is_pi4:

@@ -6,7 +6,8 @@ matrix) and the scalar r admit a recursion in the expansion order n.  The
 recursion runs at that angle only, so pi/4 is a constant here (``PHI``), not
 an input: the state and the results carry no angle, and the one table check
 (``read_sigma``, once per run) asks ``omega.is_pi_over_4``, the package's
-single rule for pi/4, whether the table's angle equals it by value.  Only
+single rule for pi/4, whether the table's ``phi``, the exact angle that
+``omega.parse_phi`` gave it, is pi/4.  Only
 the order-1 closed forms (``first_order_general_phi``) and the q-check
 (``q_first_order_check``) take a phi.  The recursion, order by order:
 
@@ -285,9 +286,9 @@ def read_sigma(table: SignedTable, cfg: PrecisionConfig) -> dict:
     if table.cfg.working_digits != cfg.working_digits:
         raise ValueError(f"the table holds {table.cfg.working_digits} working digits; "
                          f"the recursion runs at {cfg.working_digits}")
-    if table.ends != ((0, 0), (1 << cfg.pole_bits, 0)) or not is_pi_over_4(table.phi_label, cfg):
+    if table.ends != ((0, 0), (1 << cfg.pole_bits, 0)) or not is_pi_over_4(table.phi, cfg):
         raise ValueError(f"the table is of another path than [0, 1] or of phi = "
-                         f"{table.phi_label}; the recursion reads z = 1 at phi = {PHI}")
+                         f"{table.phi.format(20)}; the recursion reads z = 1 at phi = {PHI}")
     sigma = {}
     for key, (p, x) in table.values.items():
         c1, c2, c3 = (key.count(i) for i in (1, 2, 3))
@@ -786,10 +787,9 @@ class FirstOrderData:
     # the slopes ``cli`` prints by name, in its order
     FIELDS = ("a0", "a2", "b0", "b2", "c0", "c2", "r1", "theta1",
               "mean_curvature_slope", "willmore_slope", "area_slope")
-    __slots__ = ("phi_label",) + FIELDS
+    __slots__ = FIELDS
 
-    def __init__(self, *, phi_label: str, **values):
-        self.phi_label = phi_label
+    def __init__(self, **values):
         for name in self.FIELDS:
             setattr(self, name, values[name])
 
@@ -812,7 +812,7 @@ def first_order_general_phi(phi: str, cfg: PrecisionConfig | None = None) -> Fir
     w_slope = 8 * ctx.pi * (2 * cosp ** 2 * ctx.ln(cosp) + 2 * sinp ** 2 * ctx.ln(sinp))
     area_slope = -8 * ctx.pi * (cosp * b0 - sinp * c0)
     return FirstOrderData(
-        phi_label=str(phi).strip(), a0=a0, a2=a2, b0=b0, b2=b2, c0=c0, c2=c2,
+        a0=a0, a2=a2, b0=b0, b2=b2, c0=c0, c2=c2,
         r1=ctx.mpf(0), theta1=theta1, mean_curvature_slope=h_slope,
         willmore_slope=w_slope, area_slope=area_slope)
 

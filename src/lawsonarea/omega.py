@@ -207,12 +207,12 @@ import math
 import os
 import re
 import tempfile
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from operator import add, floordiv, mul, rshift, sub
 from pathlib import Path
 
 from .precision import Dyadic, PrecisionConfig, cis_fixed, from_fixed_pair, pi_fixed
-from .words import Word, format_word, parse_word
+from .words import Word
 
 try:  # CPython's own SHA-256; importing hashlib would map OpenSSL, ~4 MB of RSS
     from _sha2 import sha256          # Python >= 3.12
@@ -222,7 +222,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_CACHE_VERSION = 7
+_CACHE_VERSION = 8
 _ENDPOINTS = ("1", "i")
 
 
@@ -298,36 +298,17 @@ def parse_ratio(num: str, den: str, label: str, form: str) -> tuple[int, int]:
     return n // g, d // g
 
 
-def canonical_phi(text) -> str:
-    """One spelling per phi description, for cache file names and headers.
-
-    Rational multiples of pi become "n*pi/d" in lowest terms, with n and d
-    left out when they are 1: "1*pi/4", " pi / 4 " and "2*pi/8" all give
-    "pi/4".  Decimals are kept as written, without spaces.
-    """
-    s = str(text).strip().replace(" ", "")
-    if "pi" not in s:
-        return s
-    num, den = _pi_fraction(s)
-    label = "pi" if num == 1 else f"{num}*pi"
-    return label if den == 1 else f"{label}/{den}"
-
-
-def is_pi_over_4(text, cfg: PrecisionConfig) -> bool:
-    """Whether the phi description (validated by ``parse_phi``) is pi/4: equal
-    by value to ``parse_phi("pi/4")``, both rounded to ``cfg.pole_bits``.
+def is_pi_over_4(phi: Dyadic, cfg: PrecisionConfig) -> bool:
+    """Whether the angle ``phi``, as ``parse_phi`` gives it at ``cfg``, is
+    pi/4: equal to ``parse_phi("pi/4", cfg)``.
 
     The package's one rule for pi/4, the angle of the order recursion: the
     CLI picks the recursion with it, and ``engine.read_sigma`` checks its
     table's angle with it.  "2*pi/8", " pi / 4 " and a decimal of pi/4 with
-    enough digits all pass; a decimal that rounds to another value does not.
+    enough digits all parse to it; a decimal that rounds to another value
+    does not.
     """
-    return parse_phi(text, cfg) == parse_phi("pi/4", cfg)
-
-
-def phi_slug(text: str) -> str:
-    """Filesystem-safe canonical form of a phi string."""
-    return canonical_phi(text).replace("*", "x").replace("/", "_over_")
+    return phi == parse_phi("pi/4", cfg)
 
 
 # Coefficient of 1/(z - p_k) in the three surface 1-forms (rows: form 1, 2, 3).
@@ -368,17 +349,19 @@ class OmegaTable:
 
     ``values`` maps each key to (phase, x), i^phase x 2^-P at P =
     ``cfg.fixed_bits``: every word of length <= ``max_length``, the empty word
-    holding 1.  ``ends`` are the path's start and end as exact (re, im)
-    integer pairs at ``cfg.pole_bits``.  ``value`` rounds one entry once to
-    ``mpc`` when it is read.
+    holding 1.  ``phi`` is the angle as ``parse_phi`` gives it at ``cfg``, so
+    two tables are at one angle when their ``phi`` are equal.  ``ends`` are
+    the path's start and end as exact (re, im) integer pairs at
+    ``cfg.pole_bits``.  ``value`` rounds one entry once to ``mpc`` when it
+    is read.
     """
 
-    __slots__ = ("cfg", "phi_label", "ends", "max_length", "values")
+    __slots__ = ("cfg", "phi", "ends", "max_length", "values")
 
-    def __init__(self, cfg: PrecisionConfig, phi_label: str, ends, max_length: int,
+    def __init__(self, cfg: PrecisionConfig, phi: Dyadic, ends, max_length: int,
                  values: dict):
         self.cfg = cfg
-        self.phi_label = canonical_phi(phi_label)
+        self.phi = phi
         self.ends = tuple(ends)
         self.max_length = int(max_length)
         self.values = dict(values)
@@ -403,6 +386,8 @@ class SignedTable(OmegaTable):
     the integers of ``values`` once per run, as they are, at the scale of
     its polynomials (``engine.read_sigma``).
     """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +543,15 @@ def _dot(s, w) -> int:
 
 
 def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
-    """The poles and the segments [z0, z1] of the path from 0 to the endpoint,
-    each point an exact (re, im) integer pair at ``cfg.pole_bits``."""
+    """The angle from ``parse_phi``, the poles and the segments [z0, z1] of
+    the path from 0 to the endpoint, each point an exact (re, im) integer
+    pair at ``cfg.pole_bits``."""
     if endpoint not in _ENDPOINTS:
         raise ValueError(f"endpoint must be one of {_ENDPOINTS}, got {endpoint!r}")
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    poles = punctures_fixed(parse_phi(str(phi), cfg), cfg)
+    phi = parse_phi(str(phi), cfg)
+    poles = punctures_fixed(phi, cfg)
     bits = cfg.pole_bits
     axis = (1, 0) if endpoint == "1" else (0, 1)
     cuts = _segment_split(complex(*axis), [complex(re / (1 << bits), im / (1 << bits))
@@ -572,7 +559,7 @@ def _path(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig):
     # each cut is a float, so exact at 2^bits
     points = [(n << bits) // d for n, d in (cut.as_integer_ratio() for cut in cuts)]
     ends = [(x * axis[0], x * axis[1]) for x in points]
-    return poles, list(zip(ends[:-1], ends[1:]))
+    return phi, poles, list(zip(ends[:-1], ends[1:]))
 
 
 def _path_ends(endpoint: str, bits: int) -> tuple:
@@ -585,10 +572,10 @@ def build_table(endpoint: str = "1", phi: str = "pi/4", max_length: int = 4,
                 cfg: PrecisionConfig | None = None) -> OmegaTable:
     """Transport all word integrals from 0 to the endpoint (``"1"`` or ``"i"``)."""
     cfg = cfg or PrecisionConfig()
-    poles, segments = _path(endpoint, phi, max_length, cfg)
+    phi, poles, segments = _path(endpoint, phi, max_length, cfg)
     values = _transport(cfg, poles, segments, max_length, _word_child)
     values[()] = 0, 1 << cfg.fixed_bits
-    return OmegaTable(cfg, str(phi), (segments[0][0], segments[-1][1]), max_length, values)
+    return OmegaTable(cfg, phi, (segments[0][0], segments[-1][1]), max_length, values)
 
 
 def word_entry(endpoint: str, phi: str, word, cfg: PrecisionConfig | None = None) -> tuple:
@@ -598,7 +585,7 @@ def word_entry(endpoint: str, phi: str, word, cfg: PrecisionConfig | None = None
     segment."""
     cfg = cfg or PrecisionConfig()
     word = tuple(word)
-    poles, segments = _path(endpoint, phi, len(word), cfg)
+    _, poles, segments = _path(endpoint, phi, len(word), cfg)
     return _transport(cfg, poles, segments, len(word), _prefix_child(word))[word]
 
 
@@ -712,8 +699,8 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
     """Transport sigma_c for every letter multiset c with 1 <= |c| <= depth
     from 0 to the endpoint (``"1"`` or ``"i"``); see the module docstring."""
     cfg = cfg or PrecisionConfig()
-    poles, segments = _path(endpoint, phi, depth, cfg)
-    return SignedTable(cfg, str(phi), (segments[0][0], segments[-1][1]), depth,
+    phi, poles, segments = _path(endpoint, phi, depth, cfg)
+    return SignedTable(cfg, phi, (segments[0][0], segments[-1][1]), depth,
                        _transport(cfg, poles, segments, depth, _multiset_child))
 
 
@@ -721,56 +708,54 @@ def build_signed_table(endpoint: str = "1", phi: str = "pi/4", depth: int = 4,
 # on-disk cache, used only when a directory is given
 # ---------------------------------------------------------------------------
 
-def _cache_path(cache_dir: Path, endpoint: str, phi_label: str, max_length: int,
-                cfg: PrecisionConfig) -> Path:
-    name = (f"omega_end{endpoint}_phi{phi_slug(phi_label)}"
-            f"_L{max_length}_d{cfg.target_digits}_g{cfg.guard_digits}.json")
+def _multisets(depth: int) -> list:
+    """The keys of a signed table of ``depth``, the letter multisets of size
+    1..depth as non-decreasing words, in the one order the cache stores."""
+    return [key for n in range(1, depth + 1)
+            for key in combinations_with_replacement((1, 2, 3), n)]
+
+
+def _digest(item) -> str:
+    """SHA-256 of ``item``'s JSON text."""
+    return sha256(json.dumps(item).encode()).hexdigest()
+
+
+def _header(endpoint: str, phi: Dyadic, max_length: int, cfg: PrecisionConfig) -> dict:
+    """The header of the cache file of a signed table, the angle ``phi`` as
+    [mantissa in hexadecimal, exponent]."""
+    return {"version": _CACHE_VERSION, "endpoint": endpoint,
+            "phi": [format(phi.man, "x"), phi.exp], "digits": cfg.target_digits,
+            "guard_digits": cfg.guard_digits, "max_length": max_length}
+
+
+def _cache_path(cache_dir: Path, header: dict) -> Path:
+    # phi's mantissa runs to thousands of bits, past a file name's 255 bytes
+    name = (f"omega_end{header['endpoint']}_phi{_digest(header['phi'])[:16]}"
+            f"_L{header['max_length']}_d{header['digits']}_g{header['guard_digits']}.json")
     return Path(cache_dir) / name
-
-
-def _values_digest(values: dict) -> str:
-    """SHA-256 of the serialised values, keys in sorted order.
-
-    Fed one key at a time, so no second copy of the file is built in memory.
-    """
-    digest = sha256()
-    for key in sorted(values):
-        item = values[key]
-        digest.update(f"{key}:{item['re']}:{item['im']};".encode())
-    return digest.hexdigest()
 
 
 def save_table(table: SignedTable, cache_dir: Path) -> Path:
     """Write a signed table to ``cache_dir``; word tables are not cached.
 
-    Each sigma is stored as its integers at scale 2^``cfg.fixed_bits``, "re"
-    and "im" in hexadecimal, the part of the other phase "0".
+    The file holds the ``_header`` fields, "values", one list of [phase, x]
+    with x the integer at scale 2^``cfg.fixed_bits`` in hexadecimal, in the
+    key order of ``_multisets``, and "sha256", that list's digest.  The
+    file name carries a digest of the angle's pair, so every spelling of
+    one angle shares one file.
     """
     if not isinstance(table, SignedTable):
         raise TypeError(f"the cache holds signed tables only, got {type(table).__name__}")
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    cfg = table.cfg
-    values = {}
-    for w, (phase, v) in sorted(table.values.items()):
-        re, im = (0, v) if phase else (v, 0)
-        values[format_word(w)] = {"re": format(re, "x"), "im": format(im, "x")}
-    endpoint = "i" if table.ends[1][1] else "1"
-    payload = {
-        "version": _CACHE_VERSION,
-        "endpoint": endpoint,
-        "phi": table.phi_label,
-        "digits": cfg.target_digits,
-        "guard_digits": cfg.guard_digits,
-        "max_length": table.max_length,
-        "sha256": _values_digest(values),
-        "values": values,
-    }
-    path = _cache_path(cache_dir, endpoint, table.phi_label, table.max_length, cfg)
+    header = _header("i" if table.ends[1][1] else "1", table.phi, table.max_length, table.cfg)
+    values = [[phase, format(x, "x")]
+              for phase, x in map(table.values.get, _multisets(table.max_length))]
+    path = _cache_path(cache_dir, header)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(dict(header, sha256=_digest(values), values=values), fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -779,46 +764,31 @@ def save_table(table: SignedTable, cache_dir: Path) -> Path:
     return path
 
 
-def _cached_value(item: dict) -> tuple[int, int]:
-    """(phase, x) of a stored sigma; a value with both parts nonzero is no sigma."""
-    re, im = int(item["re"], 16), int(item["im"], 16)
-    if re and im:
-        raise ValueError("a sigma is real or imaginary")
-    return (1, im) if im else (0, re)
-
-
 def load_table(endpoint: str, phi: str, max_length: int, cfg: PrecisionConfig,
                cache_dir: Path) -> SignedTable | None:
     """The signed table in ``cache_dir`` for exactly this request, or None on a miss.
 
-    A file counts only if its header (version, endpoint, phi label, digits,
-    guard digits, depth) matches the request, its values hash to the stored
-    SHA-256, and it holds every non-decreasing key of length 1..``max_length``
-    and no other, each one real or imaginary.  Anything else, a missing key
-    or unreadable JSON included, is a miss, which ``cached_table`` rebuilds
-    and overwrites.
+    A file counts only if it holds the request's ``_header`` (the angle by
+    value) and no other field but "values" and "sha256", its values hash to
+    that SHA-256, and they are one [phase, x] per key of
+    ``_multisets(max_length)``, each phase 0 or 1.  Anything else, a short
+    list or unreadable JSON included, is a miss, which ``cached_table``
+    rebuilds and overwrites.
     """
-    phi_label = canonical_phi(phi)
-    path = _cache_path(cache_dir, endpoint, phi_label, max_length, cfg)
-    expected = (_CACHE_VERSION, endpoint, phi_label, cfg.target_digits,
-                cfg.guard_digits, max_length)
+    phi = parse_phi(phi, cfg)
+    header = _header(endpoint, phi, max_length, cfg)
+    keys = _multisets(max_length)
     try:
-        with open(path) as fh:
+        with open(_cache_path(cache_dir, header)) as fh:
             payload = json.load(fh)
-        header = tuple(payload[key] for key in ("version", "endpoint", "phi", "digits",
-                                                "guard_digits", "max_length"))
-        if header != expected or payload["sha256"] != _values_digest(payload["values"]):
+        stored = payload["values"]
+        values = {key: (phase, int(x, 16)) for key, (phase, x) in zip(keys, stored)}
+        if (payload != dict(header, sha256=_digest(stored), values=stored)
+                or len(stored) != len(keys) or any(p not in (0, 1) for p, _ in values.values())):
             return None
-        values = {parse_word(key): _cached_value(item)
-                  for key, item in payload["values"].items()}
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    # the letter multisets of size 1..L number C(L + 3, 3) - 1, so this count,
-    # the length range and the order of every key leave room for exactly the full set
-    if len(values) != math.comb(max_length + 3, 3) - 1 or not all(
-            1 <= len(key) <= max_length and list(key) == sorted(key) for key in values):
-        return None
-    return SignedTable(cfg, phi_label, _path_ends(endpoint, cfg.pole_bits), max_length, values)
+    return SignedTable(cfg, phi, _path_ends(endpoint, cfg.pole_bits), max_length, values)
 
 
 def cached_table(endpoint: str, phi: str, max_length: int,

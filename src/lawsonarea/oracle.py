@@ -114,7 +114,8 @@ from itertools import product
 from operator import add, mul
 
 from .omega import _ENDPOINTS, OmegaTable, SignedTable, parse_phi, punctures_fixed
-from .precision import POLE_EXTRA_BITS, PrecisionConfig, from_fixed_pair, pi_fixed, to_fixed_pair
+from .precision import (POLE_EXTRA_BITS, Dyadic, PrecisionConfig, from_fixed_pair, pi_fixed,
+                        to_fixed_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +127,18 @@ def _all_words(max_length: int) -> list:
     return [w for n in range(max_length + 1) for w in product((1, 2, 3), repeat=n)]
 
 
-def constant_path(cfg: PrecisionConfig, phi_label: str, point,
-                  max_length: int) -> OmegaTable:
+def constant_path(cfg: PrecisionConfig, phi: Dyadic, point, max_length: int) -> OmegaTable:
     """Word table of the constant path at ``point``, an (re, im) integer pair
-    at ``cfg.pole_bits``: 1 on the empty word, else 0."""
-    return OmegaTable(cfg, phi_label, (point, point), max_length,
+    at ``cfg.pole_bits``, at the angle ``phi`` from ``parse_phi``: 1 on the
+    empty word, else 0."""
+    return OmegaTable(cfg, phi, (point, point), max_length,
                       {w: (0, 0 if w else 1 << cfg.fixed_bits) for w in _all_words(max_length)})
 
 
 def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
     """Word table over the concatenated path: per word, the sum of its prefix x
     suffix products, exact at 2^-2P and floored once to 2^-P.  The two
-    angles must be equal by value (``parse_phi``), the left path must end on
+    tables' ``phi`` must be equal, the left path must end on
     the right one's start, integer for integer, and each sum must be real or
     imaginary.  Only word tables compose: a signed sum does not split into
     prefix and suffix sums, and a ``SignedTable`` raises ``TypeError``."""
@@ -146,7 +147,7 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
     cfg = left.cfg
     if cfg.working_digits != right.cfg.working_digits:
         raise ValueError("precision mismatch between composed tables")
-    if parse_phi(left.phi_label, cfg) != parse_phi(right.phi_label, cfg):
+    if left.phi != right.phi:
         raise ValueError("phi mismatch between composed tables")
     if left.ends[1] != right.ends[0]:
         raise ValueError("paths do not compose: left endpoint differs from right start")
@@ -161,7 +162,7 @@ def chen_compose(left: OmegaTable, right: OmegaTable) -> OmegaTable:
         if parts[0] and parts[1]:
             raise ValueError(f"the composed value of {word} is neither real nor imaginary")
         values[word] = (1, parts[1] >> bits) if parts[1] else (0, parts[0] >> bits)
-    return OmegaTable(cfg, left.phi_label, (left.ends[0], right.ends[1]), depth, values)
+    return OmegaTable(cfg, left.phi, (left.ends[0], right.ends[1]), depth, values)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +318,15 @@ def _paired_forms(z, poles, bits: int) -> tuple:
     ``z`` and ``poles`` = (p1, p2) are (re, im) pairs at scale 2^bits, and so
     are the three results.  With u_k = 1/(z^2 - p_k^2): f1 = 2z(u1 - u2),
     f2 = 2(p1 u1 - p2 u2) and f3 = 2(p1 u1 + p2 u2), the ``FORM_COEFFS`` sums
-    over the four poles (p1, p2, -p1, -p2).  Where z^2 is real (z on an axis,
-    as at every quadrature node), p2 = -conj p1 gives u2 = conj u1.
+    over the four poles (p1, p2, -p1, -p2).  z must lie on an axis, so that
+    z^2 is real, as at every quadrature node (``_first_level`` refuses a top
+    whose square is not): then p2 = -conj p1 gives u2 = conj u1, and only u1
+    is divided out.
     """
     zz = _cmul(z, z, bits)
     p1, p2 = poles
     u1 = _inverse_gap(zz, _cmul(p1, p1, bits), bits)
-    u2 = (u1[0], -u1[1]) if zz[1] == 0 else _inverse_gap(zz, _cmul(p2, p2, bits), bits)
+    u2 = u1[0], -u1[1]
     a, b = _cmul(p1, u1, bits), _cmul(p2, u2, bits)
     f1 = _cmul(z, (u1[0] - u2[0], u1[1] - u2[1]), bits)
     return ((2 * f1[0], 2 * f1[1]), (2 * (a[0] - b[0]), 2 * (a[1] - b[1])),

@@ -339,6 +339,24 @@ assert not [m for m in sys.modules if m.startswith("mpmath")], "mpmath was impor
     assert len(list(tmp_path.glob("omega_*.json"))) == (cache != "none")
 
 
+def test_expand_at_1040_digits_imports_no_mpmath():
+    """At 1040 digits the residuals that ``expand`` prints lie below 2^-3500,
+    where mpmath's printer scales by a power of ten first; ``to_decimal``
+    prints them on integers too, so the run still never loads ``mpmath``."""
+    argv = ["expand", "--order", "1", "--precision", "1040", "--format", "json"]
+    script = f"""
+import sys
+from lawsonarea.cli import main
+assert main({argv!r}) == 0
+assert not [m for m in sys.modules if m.startswith("mpmath")], "mpmath was imported"
+"""
+    done = run_fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+    ctx = PrecisionConfig(1040).context
+    alpha1 = ctx.mpf(json.loads(done.stdout)["alpha_t"][0])
+    assert abs(alpha1 - ctx.ln(2)) < ctx.mpf("1e-1039")
+
+
 def test_expand_general_phi_order1_in_a_fresh_interpreter():
     """Away from pi/4 ``expand --order 1`` prints the closed forms, on mpmath."""
     done = run_fresh(["-m", "lawsonarea", "expand", "--order", "1", "--phi", "0.3",

@@ -11,8 +11,8 @@ from lawsonarea.engine import (M_MATS, DerivativeState, EngineError, _t_matrix, 
                                first_order_general_phi, frame_derivative, frame_lower,
                                p_derivative, q_first_order_check, run)
 from lawsonarea.laurent import LaurentMatrix2, LaurentPoly
-from lawsonarea.omega import build_signed_table
-from lawsonarea.precision import (PrecisionConfig, guard_digits_for_order, pi_fixed,
+from lawsonarea.omega import build_signed_table, parse_phi
+from lawsonarea.precision import (Dyadic, PrecisionConfig, guard_digits_for_order, pi_fixed,
                                   to_fixed_pair, to_mpf)
 
 CFG = PrecisionConfig(40)
@@ -72,7 +72,6 @@ def test_first_order_data_has_the_fields_the_cli_prints():
              "mean_curvature_slope", "willmore_slope", "area_slope")
     assert first.FIELDS == names
     assert all(isinstance(getattr(first, name), CTX.mpf) for name in names)
-    assert first.phi_label == "pi/6"
 
 
 def test_first_order_general_phi_signs():
@@ -257,14 +256,16 @@ def test_every_sigma_phase_is_checked_once_per_run(signed40_pi4_L7):
 
 @pytest.mark.parametrize("order", [5, 13])
 def test_run_asks_is_pi_over_4_once(monkeypatch, tables, order):
-    """One run checks its table's angle once, not at every order."""
+    """One run checks its table's angle once, not at every order, and asks
+    about the table's own ``phi``."""
     import lawsonarea.engine as engine
     calls = []
     is_pi_over_4 = engine.is_pi_over_4
     monkeypatch.setattr(engine, "is_pi_over_4",
                         lambda *args: calls.append(args) or is_pi_over_4(*args))
-    run(order, CFG, table=tables.signed("1", "pi/4", order + 1, CFG))
-    assert len(calls) == 1
+    table = tables.signed("1", "pi/4", order + 1, CFG)
+    run(order, CFG, table=table)
+    assert calls == [(table.phi, CFG)]
 
 
 def test_negative_degrees_of_lambda_k_lower(signed40_pi4_L7):
@@ -684,16 +685,21 @@ def test_engine_rejects_a_table_of_another_angle_or_endpoint(tables, endpoint, p
 
 def test_engine_compares_angles_by_value(signed40_pi4_L4, pi_over_4_80):
     """The recursion takes a table of any spelling of pi/4: one built at
-    " 2*pi / 8", and one labelled with an 80-digit decimal of pi/4, which
-    ``omega.is_pi_over_4`` reads as the same value."""
+    " 2*pi / 8", and one whose ``phi`` is parsed from an 80-digit decimal of
+    pi/4, which ``omega.is_pi_over_4`` reads as the same value.  A ``phi``
+    one unit in its last place off pi/4 is refused."""
     import copy
     spelled = build_signed_table("1", " 2*pi / 8", 4, CFG)
     assert spelled.values == signed40_pi4_L4.values
     decimal = copy.copy(signed40_pi4_L4)
-    decimal.phi_label = pi_over_4_80
+    decimal.phi = parse_phi(pi_over_4_80, CFG)
     expected = area_series(run(3, CFG, table=signed40_pi4_L4)).alpha_fixed
     for table in (spelled, decimal):
         assert area_series(run(3, CFG, table=table)).alpha_fixed == expected
+    off = copy.copy(signed40_pi4_L4)
+    off.phi = Dyadic(decimal.phi.man + 1, decimal.phi.exp)
+    with pytest.raises(ValueError, match="recursion reads z = 1 at phi = pi/4"):
+        run(3, CFG, table=off)
 
 
 def test_frame_lower_skips_zero_parts(monkeypatch, signed40_pi4_L7):

@@ -11,16 +11,14 @@ import pytest
 from lawsonarea import omega, oracle
 from lawsonarea.mpl import convert_word, li, mpl_spec
 from lawsonarea.engine import M_MATS, expand
-from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable,
-                              _cache_path, _values_digest,
-                              build_signed_table, build_table, cached_table, canonical_phi,
-                              is_pi_over_4, load_table, parse_phi, punctures, punctures_fixed,
-                              save_table)
+from lawsonarea.omega import (_CACHE_VERSION, FORM_COEFFS, OmegaTable, SignedTable, _digest,
+                              build_signed_table, build_table, cached_table, is_pi_over_4,
+                              load_table, parse_phi, punctures, punctures_fixed, save_table)
 from lawsonarea.oracle import (chen_compose, constant_path, gauss_legendre_rule,
                                quadrature_oracle)
-from lawsonarea.precision import PrecisionConfig, from_fixed_pair, to_fixed_pair
+from lawsonarea.precision import Dyadic, PrecisionConfig, from_fixed_pair, to_fixed_pair
 from lawsonarea.verify import closed_forms_pi4, integral_identity_residuals
-from lawsonarea.words import parse_word, shuffle
+from lawsonarea.words import shuffle
 
 CFG = PrecisionConfig(40)
 CTX = CFG.context
@@ -52,10 +50,9 @@ def test_parse_phi():
     ("x*pi/4", "is not of the form n*pi/d"),
 ])
 def test_phi_with_zero_or_malformed_denominator_is_a_value_error(label, reason):
-    """Both parsers name the bad phi in one ValueError, not a ZeroDivisionError."""
-    for parse in (lambda text: parse_phi(text, CFG), canonical_phi):
-        with pytest.raises(ValueError, match=re.escape(f"phi {label!r} {reason}")):
-            parse(label)
+    """``parse_phi`` names the bad phi in one ValueError, not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match=re.escape(f"phi {label!r} {reason}")):
+        parse_phi(label, CFG)
 
 
 def test_weight1_closed_forms_general_phi(tables):
@@ -99,14 +96,15 @@ def test_build_table_validation():
 def _segment_table(phi, z0, z1, depth):
     """The word table of the one segment [z0, z1], (re, im) pairs at
     ``CFG.pole_bits``, straight from the transport's integers."""
-    poles = punctures_fixed(parse_phi(phi, CFG), CFG)
-    values = omega._transport(CFG, poles, [(z0, z1)], depth, omega._word_child)
+    phi = parse_phi(phi, CFG)
+    values = omega._transport(CFG, punctures_fixed(phi, CFG), [(z0, z1)], depth,
+                              omega._word_child)
     values[()] = 0, 1 << CFG.fixed_bits
     return OmegaTable(CFG, phi, (z0, z1), depth, values)
 
 
 def test_chen_constant_path(table40_pi4_L4):
-    const = constant_path(CFG, "pi/4", table40_pi4_L4.ends[1], 4)
+    const = constant_path(CFG, table40_pi4_L4.phi, table40_pi4_L4.ends[1], 4)
     composed = chen_compose(table40_pi4_L4, const)
     assert composed.values == table40_pi4_L4.values
     for word in table40_pi4_L4.words():
@@ -144,27 +142,26 @@ def test_chen_compose_guards(table40_pi4_L4, tables):
     other = build_table("1", "pi/4", 1, other_cfg)
     with pytest.raises(ValueError, match="precision"):
         chen_compose(table40_pi4_L4, other)
-    mismatched = constant_path(CFG, "0.3", end, 4)
+    mismatched = constant_path(CFG, parse_phi("0.3", CFG), end, 4)
     with pytest.raises(ValueError, match="phi"):
         chen_compose(table40_pi4_L4, mismatched)
-    wrong_anchor = constant_path(CFG, "pi/4", (0, 1 << CFG.pole_bits), 4)
+    wrong_anchor = constant_path(CFG, table40_pi4_L4.phi, (0, 1 << CFG.pole_bits), 4)
     with pytest.raises(ValueError, match="do not compose"):
         chen_compose(table40_pi4_L4, wrong_anchor)
 
 
 def test_chen_compose_compares_angles_by_value(tables, pi_over_4_80):
-    """A table at "pi/4" and one labelled with an 80-digit decimal of pi/4
-    are at one angle, as ``is_pi_over_4`` reads them: they compose either
-    way round, and the tables built at the two spellings hold equal values."""
+    """The tables built at "pi/4" and at an 80-digit decimal of pi/4 hold one
+    ``phi`` and equal values, and each composes with a piece at the other's
+    angle."""
     spelled = tables.get("1", "pi/4", 2, CFG)
     decimal = tables.get("1", pi_over_4_80, 2, CFG)
-    assert decimal.values == spelled.values
+    assert decimal.phi == spelled.phi and decimal.values == spelled.values
     end = spelled.ends[1]
-    for table, other_label in ((spelled, pi_over_4_80), (decimal, "pi/4")):
-        const = constant_path(CFG, other_label, end, 2)
-        composed = chen_compose(table, const)
+    for table, other in ((spelled, decimal), (decimal, spelled)):
+        composed = chen_compose(table, constant_path(CFG, other.phi, end, 2))
         assert composed.values == table.values
-        assert composed.phi_label == table.phi_label
+        assert composed.phi == table.phi
 
 
 @pytest.mark.parametrize("offset", [(1, 0), (-1, 0), (0, 1)])
@@ -172,7 +169,7 @@ def test_chen_compose_needs_equal_ends(table40_pi4_L4, offset):
     """Path ends are exact integers at ``pole_bits``: a right piece that
     starts one unit away from the left one's end is refused."""
     (x, y), (dx, dy) = table40_pi4_L4.ends[1], offset
-    near = constant_path(CFG, "pi/4", (x + dx, y + dy), 4)
+    near = constant_path(CFG, table40_pi4_L4.phi, (x + dx, y + dy), 4)
     with pytest.raises(ValueError, match="do not compose"):
         chen_compose(table40_pi4_L4, near)
 
@@ -350,12 +347,14 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
 
 
 def test_paired_forms_match_form_coeffs():
+    """At points on both axes, where every quadrature node lies, the forms
+    from p1's gap alone match the ``FORM_COEFFS`` sums over the four poles."""
     cfg = PrecisionConfig(30)
     ctx = cfg.context
     _, bits = oracle._quadrature_size("1", parse_phi("0.7", cfg), cfg)
     points = punctures(parse_phi("0.7", cfg), cfg)
     poles = [to_fixed_pair(p, bits) for p in points[:2]]
-    for z in (ctx.mpc("0.3", "0.4"), ctx.mpc("-1.2", "0.5"), ctx.mpc("0.1", "-2")):
+    for z in (ctx.mpc("0.3", 0), ctx.mpc("-1.2", 0), ctx.mpc(0, "0.4"), ctx.mpc(0, "-2")):
         forms = oracle._paired_forms(to_fixed_pair(z, bits), poles, bits)
         for value, eps in zip(forms, FORM_COEFFS):
             value = from_fixed_pair(*value, bits, ctx)
@@ -585,8 +584,8 @@ def test_signed_kernel_with_all_plus_signs_is_the_shuffle_product():
     """With every sign +, the recurrence sums every word of counts c, which
     the shuffle identity makes prod_i Omega(i)^(c_i) / c_i!."""
     depth = 6
-    poles, segments = omega._path("1", "pi/4", depth, CFG)
-    plus = OmegaTable(CFG, "pi/4", omega._path_ends("1", CFG.pole_bits), depth, omega._transport(
+    phi, poles, segments = omega._path("1", "pi/4", depth, CFG)
+    plus = OmegaTable(CFG, phi, omega._path_ends("1", CFG.pole_bits), depth, omega._transport(
         CFG, poles, segments, depth, lambda key, letter: (tuple(sorted(key + (letter,))), 1)))
     letters = [plus.value((i,)) for i in (1, 2, 3)]
     for key in plus.words():
@@ -617,7 +616,7 @@ def test_one_driver_builds_both_tables(monkeypatch):
     for name in ("_forward_step", "_value_functionals", "_dot"):
         monkeypatch.setattr(omega, name, lambda *args, _name=name, _fn=getattr(omega, name):
                             counts.update([_name]) or _fn(*args))
-    segments = len(omega._path("1", "pi/4", depth, CFG)[1])
+    segments = len(omega._path("1", "pi/4", depth, CFG)[2])
     for build, nodes in ((build_table, lambda n: 3 ** n),
                          (build_signed_table, lambda n: math.comb(n + 2, 2))):
         counts.clear()
@@ -641,7 +640,7 @@ def test_word_entry_follows_only_the_prefixes(monkeypatch, tables, endpoint, phi
         monkeypatch.setattr(omega, name, lambda *args, _name=name, _fn=getattr(omega, name):
                             counts.update([_name]) or _fn(*args))
     omega.word_entry(endpoint, phi, (3, 1, 2, 2), CFG)
-    segments = len(omega._path(endpoint, phi, 4, CFG)[1])
+    segments = len(omega._path(endpoint, phi, 4, CFG)[2])
     assert counts == {"_forward_step": 3 * segments, "_dot": segments}
 
 
@@ -684,7 +683,7 @@ def test_pair_kernel_matches_four_poles(endpoint, phi):
     (3/2 units per part) and its ratio (9/4), 15 units over the four poles;
     the step's integrand carries at most 1.1 units, and its division by
     j + 1 floors once more: at most 16.1/(j + 1) + 1 units in all."""
-    poles, segments = omega._path(endpoint, phi, 1, CFG)
+    _, poles, segments = omega._path(endpoint, phi, 1, CFG)
     T, bits = omega._series_terms(CFG), CFG.fixed_bits
     rng = random.Random(7)
     for z0, z1 in segments:
@@ -814,18 +813,32 @@ def test_last_signed_layer_matches_a_forward_step(kind, endpoint, phi, depth, ta
         assert abs(shallow.value(key) - deep.value(key)) < CFG.eps(2), key
 
 
+def _stored_phi(phi):
+    """The cache header's form of an angle: [mantissa in hexadecimal, exponent]."""
+    return [format(phi.man, "x"), phi.exp]
+
+
 def test_cache_roundtrip(tmp_path, signed40_pi4_L4, table40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     assert path.exists()
     loaded = load_table("1", "pi/4", 4, CFG, tmp_path)
     assert isinstance(loaded, SignedTable)
     assert loaded.values == signed40_pi4_L4.values
+    assert loaded.phi == signed40_pi4_L4.phi and loaded.ends == signed40_pi4_L4.ends
     # header schema: one table kind, so no kind field
     payload = json.loads(path.read_text())
     assert payload.keys() == {"version", "endpoint", "phi", "digits", "guard_digits",
                               "max_length", "sha256", "values"}
-    assert len(payload["values"]) == math.comb(4 + 3, 3) - 1
-    assert payload["values"]["2,2,3"].keys() == {"re", "im"}
+    assert payload["phi"] == _stored_phi(parse_phi("pi/4", CFG))
+    # one [phase, hex x] per letter multiset, in the order of
+    # combinations_with_replacement, and the digest of that list
+    keys = [key for n in range(1, 5)
+            for key in itertools.combinations_with_replacement((1, 2, 3), n)]
+    assert len(keys) == math.comb(4 + 3, 3) - 1
+    assert payload["values"] == [[signed40_pi4_L4.values[key][0],
+                                  format(signed40_pi4_L4.values[key][1], "x")]
+                                 for key in keys]
+    assert payload["sha256"] == _digest(payload["values"])
     # word tables are not cached
     with pytest.raises(TypeError, match="signed"):
         save_table(table40_pi4_L4, tmp_path)
@@ -844,20 +857,22 @@ def test_cached_table_transparency(tmp_path):
 def test_cache_version_gate(tmp_path, signed40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
-    # 4 rounded the poles to the working precision; 6 held the pole-pair kernel's integers
-    for stale in (999, 4, 6):
+    # 4 rounded the poles to the working precision; 6 held the pole-pair
+    # kernel's integers; 7 keyed the file by the angle's label
+    for stale in (999, 4, 6, 7):
         payload["version"] = stale
         path.write_text(json.dumps(payload))
         assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, stale
-    # a word table of version 3 is rebuilt as a signed table and its file overwritten
-    payload["version"] = 3
-    payload["values"] = {",".join(map(str, w)): {"re": "7", "im": "7"}
-                         for w in itertools.chain.from_iterable(
-                             itertools.product((1, 2, 3), repeat=n) for n in range(1, 5))}
+    # a file of version 7, its angle a label and its values keyed by word,
+    # is rebuilt and overwritten
+    payload["phi"] = "pi/4"
+    payload["values"] = {",".join(map(str, key)): {"re": format(x, "x") if not phase else "0",
+                                                   "im": format(x, "x") if phase else "0"}
+                         for key, (phase, x) in signed40_pi4_L4.values.items()}
     path.write_text(json.dumps(payload))
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.values == signed40_pi4_L4.values
-    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 7
+    assert json.loads(path.read_text())["version"] == _CACHE_VERSION == 8
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
 
 
@@ -868,11 +883,9 @@ def test_version5_cache_file_is_a_miss_and_rebuilt(tmp_path, signed40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     payload = json.loads(path.read_text())
     payload["version"] = 5
-    for key in payload["values"]:
-        value = signed40_pi4_L4.value(parse_word(key))
-        payload["values"][key] = {"re": CTX.nstr(CTX.re(value), CFG.working_digits + 15),
-                                  "im": CTX.nstr(CTX.im(value), CFG.working_digits + 15)}
-    payload["sha256"] = _values_digest(payload["values"])
+    payload["values"] = [[CTX.nstr(part(signed40_pi4_L4.value(key)), CFG.working_digits + 15)
+                          for part in (CTX.re, CTX.im)] for key in omega._multisets(4)]
+    payload["sha256"] = _digest(payload["values"])
     path.write_text(json.dumps(payload))
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
@@ -887,13 +900,14 @@ def test_corrupt_word_value_is_rebuilt(tmp_path):
     expand(3, cfg, table=cached_table("1", "pi/4", 4, cfg, tmp_path))
     (path,) = tmp_path.glob("omega_*.json")
     payload = json.loads(path.read_text())
-    good = payload["values"]["1,2,3"]
-    payload["values"]["1,2,3"] = {"re": "5", "im": "0"}
+    index = omega._multisets(4).index((1, 2, 3))
+    good = payload["values"][index]
+    payload["values"][index] = [0, "5"]
     path.write_text(json.dumps(payload))
     alpha3 = expand(3, cfg, table=cached_table("1", "pi/4", 4, cfg, tmp_path)).alpha(3)
     ctx = cfg.context
     assert abs(alpha3 - ctx.mpf(9) / 4 * ctx.zeta(3)) < ctx.mpf("1e-18")
-    assert json.loads(path.read_text())["values"]["1,2,3"] == good
+    assert json.loads(path.read_text())["values"][index] == good
 
 
 def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, signed40_pi4_L4):
@@ -901,15 +915,25 @@ def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, signed40_pi4_L4):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
-    # a key missing, or a decreasing key in its place, under a digest that matches
-    for swap in (None, "3,1"):
+    # under a digest that matches: a list one entry short or one too long, a
+    # phase outside {0, 1}, an entry that is no [phase, hex x] pair
+    index = omega._multisets(4).index((1, 3))
+    for change in ("short", "long", 2, -1, "pair", "hex"):
         payload = json.loads(text)
-        item = payload["values"].pop("1,3")
-        if swap:
-            payload["values"][swap] = item
-        payload["sha256"] = _values_digest(payload["values"])
+        values = payload["values"]
+        if change == "short":
+            values.pop(index)
+        elif change == "long":
+            values.append(values[0])
+        elif change == "pair":
+            values[index] = values[index] + ["0"]
+        elif change == "hex":
+            values[index][1] = "0x1g"
+        else:
+            values[index][0] = change
+        payload["sha256"] = _digest(values)
         path.write_text(json.dumps(payload))
-        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, swap
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, change
     rebuilt = cached_table("1", "pi/4", 4, CFG, tmp_path)
     assert rebuilt.value((1, 3)) == signed40_pi4_L4.value((1, 3))
     assert json.loads(path.read_text()) == json.loads(text)
@@ -918,15 +942,25 @@ def test_truncated_or_incomplete_cache_is_a_miss(tmp_path, signed40_pi4_L4):
 def test_cache_header_must_match_request(tmp_path, signed40_pi4_L4):
     path = save_table(signed40_pi4_L4, tmp_path)
     text = path.read_text()
-    for key, value in (("endpoint", "i"), ("phi", "0.3"), ("digits", 41),
-                       ("guard_digits", 11), ("max_length", 3)):
+    pi4 = parse_phi("pi/4", CFG)
+    for key, value in (("version", 7), ("endpoint", "i"),
+                       ("phi", _stored_phi(parse_phi("0.3", CFG))),
+                       ("phi", _stored_phi(Dyadic(pi4.man + 2, pi4.exp))), ("phi", "pi/4"),
+                       ("phi", [pi4.man, pi4.exp]), ("digits", 41), ("guard_digits", 11),
+                       ("max_length", 3), ("sha256", "0" * 64)):
         payload = json.loads(text)
         payload[key] = value
         path.write_text(json.dumps(payload))
-        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, key
+        assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, (key, value)
         payload.pop(key)
         path.write_text(json.dumps(payload))
         assert load_table("1", "pi/4", 4, CFG, tmp_path) is None, key
+    payload = json.loads(text)
+    payload["kind"] = "signed"
+    path.write_text(json.dumps(payload))
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is None
+    path.write_text(text)
+    assert load_table("1", "pi/4", 4, CFG, tmp_path) is not None
 
 
 def test_is_pi_over_4(pi_over_4_80):
@@ -934,23 +968,32 @@ def test_is_pi_over_4(pi_over_4_80):
     a 55-digit decimal, 4e-56 off pi/4 and so below eps(2) at 40 digits, is
     another angle."""
     for label in ("pi/4", "1*pi/4", "2*pi/8", " pi / 4 ", pi_over_4_80):
-        assert is_pi_over_4(label, CFG), label
+        assert is_pi_over_4(parse_phi(label, CFG), CFG), label
     for label in ("pi/6", "0.785398", pi_over_4_80[:57]):
-        assert not is_pi_over_4(label, CFG), label
+        assert not is_pi_over_4(parse_phi(label, CFG), CFG), label
 
 
-def test_phi_spellings_share_one_cache_file(tmp_path):
+def test_phi_spellings_share_one_cache_file(tmp_path, pi_over_4_80):
+    """Every spelling of one angle, an 80-digit decimal of pi/4 included,
+    loads the one file written at another; the file name carries a short
+    digest of the angle, so it stays short at 1000 digits."""
     cfg = PrecisionConfig(20)
-    labels = ("pi/4", "1*pi/4", " pi/4 ", "2*pi/8", " pi / 4 ", "+pi/4")
-    assert [canonical_phi(label) for label in labels] == ["pi/4"] * len(labels)
-    assert canonical_phi("3*pi/8") == "3*pi/8" and canonical_phi(" 0.3 ") == "0.3"
-    assert canonical_phi("6*pi/9") == "2*pi/3" and canonical_phi("-pi/6") == "-1*pi/6"
-    # the existing name of pi/4 is kept, so caches written before stay valid
-    assert (_cache_path(tmp_path, "1", "pi/4", 2, cfg).name
-            == "omega_end1_phipi_over_4_L2_d20_g10.json")
     path = save_table(build_signed_table("1", "1*pi/4", 2, cfg), tmp_path)
-    assert path == _cache_path(tmp_path, "1", "pi/4", 2, cfg)
-    assert json.loads(path.read_text())["phi"] == "pi/4"
-    for label in ("pi/4", " pi/4 ", "1*pi/4"):
+    assert re.fullmatch(r"omega_end1_phi[0-9a-f]{16}_L2_d20_g10\.json", path.name)
+    assert json.loads(path.read_text())["phi"] == _stored_phi(parse_phi("pi/4", cfg))
+    for label in ("pi/4", " pi/4 ", "1*pi/4", "2*pi/8", " pi / 4 ", "+pi/4", pi_over_4_80):
         assert load_table("1", label, 2, cfg, tmp_path) is not None, label
-    assert len(list(tmp_path.glob("omega_*.json"))) == 1
+    assert load_table("1", "pi/3", 2, cfg, tmp_path) is None
+    assert list(tmp_path.glob("omega_*.json")) == [path]
+    wide = PrecisionConfig(1000)
+    header = omega._header("1", parse_phi("pi/4", wide), 2, wide)
+    assert len(omega._cache_path(tmp_path, header).name) < 64
+
+
+def test_tables_refuse_unknown_attributes(table40_pi4_L4, signed40_pi4_L4):
+    """Both table kinds have slots only: a misspelt or retired attribute,
+    such as the label tables once carried, raises instead of being set."""
+    for table in (table40_pi4_L4, signed40_pi4_L4):
+        with pytest.raises(AttributeError):
+            table.phi_label = "pi/4"
+        assert not hasattr(table, "__dict__")

@@ -145,6 +145,32 @@ def test_to_decimal_matches_mpmath_to_str():
                     (man, exp, digits, strip)
 
 
+def test_to_decimal_matches_to_str_at_huge_exponents():
+    """Beyond 2^3500 and below 2^-3500 mpmath scales by a power of ten before
+    it prints; the integer formatter prints the same bytes there on random
+    mantissas and on values a few units from a power of ten, up to 2^20000,
+    whose integer part has more digits than ``str`` prints of an int."""
+    from mpmath.libmp import from_man_exp, to_str
+    import math
+    import random
+    rng = random.Random(41)
+    cases = []
+    for top in (3501, 3600, 5000, 13000, 14400, 20000, -3501, -3600, -5000, -13000, -40000):
+        for bits in (1, 30, 200, 400):
+            man = rng.getrandbits(bits) | 1 << bits - 1
+            cases += [(man, top - bits), (-man, top - bits)]
+        k = round(top / math.log2(10))
+        exp = math.floor(k * math.log2(10)) - 400
+        near = 10 ** k >> exp if k >= 0 else (1 << -exp) // 10 ** -k
+        cases += [(near + d, exp) for d in (-2, -1, 0, 1, 2)]
+    for man, exp in cases:
+        for digits in (1, 3, 15, 40, 80):
+            for strip in (True, False):
+                assert to_decimal(man, exp, digits, strip) == \
+                    to_str(from_man_exp(man, exp), digits, strip_zeros=strip), \
+                    (man, exp, digits, strip)
+
+
 @pytest.mark.parametrize("digits", [35, 40, 45, 300])
 def test_integer_pi_and_unit_point_are_within_one_unit(digits):
     """pi by Machin's formula, and cos phi and sin phi from the series of
